@@ -274,11 +274,19 @@ class BalancedTensor:
     A quotient of the full k-tensor product by the balancing relations in
     every adjacent slot, built as iterated pairwise quotients (this keeps
     every row reduction small).  The projection/section pair splits the full
-    ambient space; the outer bimodule structure descends to the quotient
-    (verified).
+    ambient space (proj·sect = 1), so the relations are
+    ker(proj) = im(1 - sect·proj) and balancing is decided by two operator
+    identities, without ever forming the relation kernel:
+
+    - a map M out of the ambient space vanishes on the relations iff
+      M = (M·sect)·proj (``descend_map``);
+    - an operator A on one slot preserves them iff proj·A = induced·proj
+      with induced = proj·A·sect (``descend_slot``).
+
+    The outer bimodule structure descends to the quotient (verified).
     """
 
-    def __init__(self, factors, algebras, name=None, check_actions=True):
+    def __init__(self, factors, algebras, name=None):
         if len(algebras) != len(factors) - 1:
             raise UsageError("need one balancing algebra per adjacent pair")
         field = factors[0].field
@@ -306,18 +314,14 @@ class BalancedTensor:
         # outer bimodule structure over (left alg of first, right alg of last)
         self.left_alg = factors[0].left_alg
         self.right_alg = factors[-1].right_alg
-        self.left_act = [self.induced([(0, factors[0].left_act[i])])
+        self.left_act = [self.descend_slot(0, factors[0].left_act[i])
                          for i in range(self.left_alg.dim)]
-        self.right_act = [self.induced([(len(factors) - 1, factors[-1].right_act[i])])
+        self.right_act = [self.descend_slot(len(factors) - 1, factors[-1].right_act[i])
                           for i in range(self.right_alg.dim)]
-        self._rel_basis = None
-        if check_actions:
-            for i in range(self.left_alg.dim):
-                if not self._descends(0, self.factors[0].left_act[i]):
-                    raise AxiomError("tensor %s: outer left action does not descend" % self.name)
-            for i in range(self.right_alg.dim):
-                if not self._descends(len(self.factors) - 1, self.factors[-1].right_act[i]):
-                    raise AxiomError("tensor %s: outer right action does not descend" % self.name)
+        for side, acts in (("left", self.left_act), ("right", self.right_act)):
+            if None in acts:
+                raise AxiomError("tensor %s: outer %s action does not descend"
+                                 % (self.name, side))
 
     def _build(self):
         """Iterated pairwise quotients; proj/sect act on the full ambient space."""
@@ -372,13 +376,6 @@ class BalancedTensor:
                     yield (i,) + rest
         return rec(0)
 
-    @property
-    def relations(self):
-        """Canonical basis of ker(projection) as a Subspace (computed lazily)."""
-        if self._rel_basis is None:
-            self._rel_basis = kernel(self._proj)
-        return self._rel_basis
-
     def _apply_slot(self, slot, mat, vec):
         """Apply an endomorphism of one slot to an ambient vector."""
         f = self.field
@@ -411,12 +408,25 @@ class BalancedTensor:
             cols.append(self._proj.mul_vec(vec))
         return Matrix.from_cols(self.field, self.dim, cols)
 
-    def _descends(self, slot, mat):
-        for rel in self.relations.basis:
-            img = self._proj.mul_vec(self._apply_slot(slot, mat, rel))
-            if any(img):
-                return False
-        return True
+    def descend_map(self, amb_map):
+        """Quotient form amb_map·sect of a map out of the ambient space, or
+        None when amb_map does not vanish on the balancing relations."""
+        out = amb_map.mul(self._sect)
+        if out.mul(self._proj) != amb_map:
+            return None
+        return out
+
+    def descend_slot(self, slot, mat):
+        """Quotient matrix induced by an endomorphism of one slot, or None
+        when it does not preserve the balancing relations.  Row r of proj·A
+        is A^T applied to row r of proj, so no ambient operator is built."""
+        mat_t = mat.transpose()
+        proj_a = Matrix(self.field, self.dim, self.ambient_dim,
+                        [self._apply_slot(slot, mat_t, row) for row in self._proj.data])
+        out = proj_a.mul(self._sect)
+        if out.mul(self._proj) != proj_a:
+            return None
+        return out
 
     def proj(self):
         return self._proj

@@ -10,6 +10,7 @@ disagreement, 2 usage or parse failure.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -65,12 +66,12 @@ class Report:
                            for c in self.checks]}
         return json.dumps(body, sort_keys=True, indent=1) + "\n"
 
-    def print_summary(self, stream=sys.stderr):
+    def print_summary(self):
         width = _columns()
         for c in self.checks:
             ms = "      " if c["time_ms"] is None else "%6.1f" % c["time_ms"]
             line = "[%sms] %s: %s" % (ms, c["check_id"], c["verdict"])
-            stream.write(line[:width] + "\n")
+            sys.stderr.write(line[:width] + "\n")
 
 
 def _columns():
@@ -311,9 +312,7 @@ def cmd_cleft(args):
     sigma, ext, cm, ec = _build_ext_ctx(ws, args)
     report = Report("%s --sigma %s --extension %s"
                     % (args.file, args.sigma, args.extension), ws.field)
-    j = ws.maps[args.j] if args.j else None
-    if args.j and args.j not in ws.maps:
-        raise UsageError("unknown map %r" % args.j)
+    j = _named(ws, ws.maps, args.j, "map") if args.j else None
     jt = None
     if args.jtilde:
         jt = _jtilde_from_map(ec, _named(ws, ws.maps, args.jtilde, "map"))
@@ -329,10 +328,8 @@ def cmd_cleft(args):
     report.add("invertibility criterion agreement",
                "agree" if cor["decided"] else "undecided",
                grade="exact" if cor["decided"] else "inconclusive")
-    lam_name = args.j
-    if lam_name and ext.outer.base.dim == 1:
-        lam = ws.maps[lam_name]
-        conv_target = sigma_to_algebra_matrix(ws, sigma, lam)
+    if j is not None and ext.outer.base.dim == 1:
+        conv_target = sigma_to_algebra_matrix(ws, sigma, j)
         if conv_target is not None:
             inv = convolution_inverse(ext.outer, ext.inner.base, conv_target)
             report.add("convolution inverse of the section",
@@ -485,7 +482,10 @@ def cmd_fmt(args):
     return EXIT_OK
 
 
+@functools.lru_cache(maxsize=1)
 def build_parser():
+    """The argument parser, built on the first call and reused by every
+    later ``main`` call in the process."""
     parser = argparse.ArgumentParser(
         prog="coringlab",
         description="exact verification workbench for corings, comodules and "

@@ -290,21 +290,6 @@ class DualRing:
     def dim(self):
         return self.algebra.dim
 
-    def unit_map(self):
-        """The A-ring unit A -> dual, a -> (c -> eps(c·a))  [left dual]."""
-        a = self.coring.base
-        cols = []
-        for i in range(a.dim):
-            if self.side == "left":
-                m = self.coring.counit.mul(self.coring.carrier.right_act[i])
-            else:
-                m = self.coring.counit.mul(self.coring.carrier.left_act[i])
-            coords = coords_in_basis(self.eval_mats, m)
-            if coords is None:
-                raise AxiomError("dual ring: unit map escapes the hom space")
-            cols.append(coords)
-        return Matrix.from_cols(self.coring.field, self.dim, cols)
-
     def element_eval(self, coords):
         """Evaluation matrix (A.dim x C.dim) of the element with given coords."""
         f = self.coring.field

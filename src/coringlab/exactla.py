@@ -134,12 +134,6 @@ class FieldFp:
     def fmt(self, a):
         return "%d mod %d" % (a % self.p, self.p)
 
-    def reduce_rational(self, a):
-        """Map a Fraction into F_p; fails when p divides the denominator."""
-        if a.denominator % self.p == 0:
-            raise UsageError("rational %s has no reduction mod %d" % (a, self.p))
-        return (a.numerator * pow(a.denominator, self.p - 2, self.p)) % self.p
-
     def __repr__(self):
         return "FieldFp(%d)" % self.p
 
@@ -318,12 +312,6 @@ class Matrix:
                              % (self.rows, self.cols, other.rows, other.cols))
 
 
-def vec_add(field, u, v):
-    return [field.add(a, b) for a, b in zip(u, v)]
-
-def vec_sub(field, u, v):
-    return [field.sub(a, b) for a, b in zip(u, v)]
-
 def vec_scale(field, c, u):
     return [field.mul(c, a) for a in u]
 
@@ -470,9 +458,6 @@ class Subspace:
         if not self.basis:
             return None if any(vec) else []
         return solve_linear(self.basis_matrix_cols(), vec)
-
-    def contains_space(self, other):
-        return all(self.contains(v) for v in other.basis)
 
     def __eq__(self, other):
         return (isinstance(other, Subspace) and other.ambient_dim == self.ambient_dim

@@ -123,10 +123,10 @@ class CoringExtension:
         if self._tau_on_left().mul(self.tau) != self._outer_delta_on_right().mul(self.tau):
             raise AxiomError("extension %s: outer coaction not coassociative" % self.name)
         for i in range(d.base.dim):
-            if not c.cc._descends(1, self.right_l_act[i]):
+            induced = c.cc.descend_slot(1, self.right_l_act[i])
+            if induced is None:
                 raise AxiomError("extension %s: right L-action does not descend to "
                                  "C (x)_A C" % self.name)
-            induced = c.cc.induced([(1, self.right_l_act[i])])
             if c.coproduct.mul(self.right_l_act[i]) != induced.mul(c.coproduct):
                 raise AxiomError("extension %s: coproduct not right L-linear at "
                                  "basis %d" % (self.name, i))
@@ -458,11 +458,11 @@ class ExtContext:
         self.end = comodule_ctx.end if comodule_ctx else EndAlgebra(sigma)
         t_alg = self.end.algebra
         self.t_alg = t_alg
-        eta = self.end.unit_map_from(l) if t_alg.dim else Matrix.zero(f, 0, l.dim)
-        self.eta = eta
         # Sigma as an L-C bicomodule needs sigma.left_alg == L
         if sigma.carrier.left_alg.dim != l.dim:
             raise UsageError("the comodule's left algebra does not match the outer base")
+        eta = self.end.unit_map_from(l) if t_alg.dim else Matrix.zero(f, 0, l.dim)
+        self.eta = eta
         self.sigma_d = induced_D_coaction(ext, sigma)
         # ----- corner 1: bilinear maps D -> T
         ident_t = Matrix.identity(f, t_alg.dim)
@@ -730,11 +730,9 @@ class ExtContext:
                     raise AxiomError("first connecting map leaves the bicolinear "
                                      "endomorphisms")
                 cols.append(coords)
-        conn1_amb = Matrix.from_cols(f, self.u_alg.dim, cols)
-        for rel in tens21.relations.basis:
-            if any(v != f.zero for v in conn1_amb.mul_vec(rel)):
-                raise AxiomError("first connecting map is not balanced")
-        conn1 = conn1_amb.mul(tens21.sect())
+        conn1 = tens21.descend_map(Matrix.from_cols(f, self.u_alg.dim, cols))
+        if conn1 is None:
+            raise AxiomError("first connecting map is not balanced")
         cols = []
         for j in range(npdim):
             for b in range(nqdim):
@@ -743,11 +741,9 @@ class ExtContext:
                 if coords is None:
                     raise AxiomError("second connecting map leaves the bilinear maps")
                 cols.append(coords)
-        conn2_amb = Matrix.from_cols(f, self.v_alg.dim, cols)
-        for rel in tens12.relations.basis:
-            if any(v != f.zero for v in conn2_amb.mul_vec(rel)):
-                raise AxiomError("second connecting map is not balanced")
-        conn2 = conn2_amb.mul(tens12.sect())
+        conn2 = tens12.descend_map(Matrix.from_cols(f, self.v_alg.dim, cols))
+        if conn2 is None:
+            raise AxiomError("second connecting map is not balanced")
         self.context = MoritaContext(self.v_alg, self.u_alg, self.p_mod, self.q_mod,
                                      conn1, conn2, tens21, tens12,
                                      name="extension context(%s)" % self.sigma.name)

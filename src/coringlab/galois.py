@@ -74,12 +74,10 @@ class CanonicalMap:
                          unit_vec(f, c.dim, ck)])
                     col = [f.add(u, v) for u, v in zip(col, contrib)]
                 cols.append(col)
-        amb = Matrix.from_cols(f, self.nc.dim, cols)
-        for rel in self.tens.relations.basis:
-            if any(amb.mul_vec(rel)):
-                raise AxiomError("canonical map is not balanced over the "
-                                 "endomorphism algebra")
-        self.matrix = amb.mul(self.tens.sect())
+        self.matrix = self.tens.descend_map(Matrix.from_cols(f, self.nc.dim, cols))
+        if self.matrix is None:
+            raise AxiomError("canonical map is not balanced over the "
+                             "endomorphism algebra")
         self.bijective = (self.tens.dim == self.nc.dim ==
                           rank(self.matrix))
 
@@ -733,11 +731,10 @@ def evaluation_counit(sigma, end, m):
     for b in range(nh):
         for j in range(sigma.dim):
             cols.append(homs[b].col(j))
-    amb = Matrix.from_cols(f, m.dim, cols)
-    for rel in tens.relations.basis:
-        if any(amb.mul_vec(rel)):
-            raise AxiomError("evaluation counit is not balanced")
-    return amb.mul(tens.sect()), tens, homs
+    counit = tens.descend_map(Matrix.from_cols(f, m.dim, cols))
+    if counit is None:
+        raise AxiomError("evaluation counit is not balanced")
+    return counit, tens, homs
 
 
 def _hom_comodule_counit(ext_ctx, m, witnesses):

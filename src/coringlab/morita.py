@@ -259,10 +259,6 @@ class QModule:
 
     # -- element helpers
 
-    def apply(self, qmat, xvec):
-        """q(x) as coordinates in the dual ring."""
-        return qmat.mul_vec(xvec)
-
     def _verify_pointwise(self):
         """Independent pointwise re-check of the defining relation."""
         sigma, c = self.sigma, self.sigma.coring
@@ -392,11 +388,9 @@ def _eval_context(t_alg, t_basis_maps, t_coords, dual, dualact_mats, q_basis,
     for b in range(qdim):
         for j in range(sdim):
             cols.append(q_basis[b].col(j))
-    conn1_amb = Matrix.from_cols(field, dual.dim, cols)
-    for rel in tens21.relations.basis:
-        if any(v != field.zero for v in conn1_amb.mul_vec(rel)):
-            raise AxiomError("%s: evaluation map is not balanced" % name)
-    conn1 = conn1_amb.mul(tens21.sect())
+    conn1 = tens21.descend_map(Matrix.from_cols(field, dual.dim, cols))
+    if conn1 is None:
+        raise AxiomError("%s: evaluation map is not balanced" % name)
     # conn2: x (x) q -> (y -> x·q(y))
     cols = []
     for j in range(sdim):
@@ -417,11 +411,9 @@ def _eval_context(t_alg, t_basis_maps, t_coords, dual, dualact_mats, q_basis,
                 raise AxiomError("%s: second connecting map leaves the "
                                  "endomorphism algebra" % name)
             cols.append(coords)
-    conn2_amb = Matrix.from_cols(field, t_alg.dim, cols)
-    for rel in tens12.relations.basis:
-        if any(v != field.zero for v in conn2_amb.mul_vec(rel)):
-            raise AxiomError("%s: second connecting map is not balanced" % name)
-    conn2 = conn2_amb.mul(tens12.sect())
+    conn2 = tens12.descend_map(Matrix.from_cols(field, t_alg.dim, cols))
+    if conn2 is None:
+        raise AxiomError("%s: second connecting map is not balanced" % name)
     ctx = MoritaContext(t_alg, dual.algebra, bim12, bim21, conn1, conn2,
                         tens21, tens12, name=name)
     ctx.validate()

@@ -1,11 +1,14 @@
 """Algebra/bimodule layer: balanced tensors, hom spaces, certificates."""
 
+import random
+
 import pytest
 
 from coringlab.algmod import (BalancedTensor, FBimodule, FiniteAlgebra,
                               fgp_check, generator_check, hom_space,
                               tensor_over, trivial_algebra)
-from coringlab.exactla import AxiomError, Matrix, QQ, rank, solve_many
+from coringlab.exactla import (AxiomError, Matrix, QQ, kernel, rank,
+                               solve_many)
 from coringlab.zoo import (group_algebra, product_field_algebra,
                            quotient_polynomial_algebra)
 
@@ -195,3 +198,87 @@ def test_group_algebra_builder():
     alg = group_algebra(F, c3, name="QC3")
     alg.validate()
     assert alg.dim == 3
+
+
+# ---------------------------------------------------------------------------
+# descend_map / descend_slot against the relation-kernel definition
+
+
+def _ref_descend_map(tens, amb_map):
+    rels = kernel(tens.proj()).basis
+    if any(any(amb_map.mul_vec(rel)) for rel in rels):
+        return None
+    return amb_map.mul(tens.sect())
+
+
+def _ref_descend_slot(tens, slot, mat):
+    rels = kernel(tens.proj()).basis
+    if any(any(tens.proj().mul_vec(tens._apply_slot(slot, mat, rel))) for rel in rels):
+        return None
+    return tens.induced([(slot, mat)])
+
+
+def _fixture_tensors(ws):
+    """Every BalancedTensor held by the corings, comodules and extensions of
+    a workspace, with the slot operators it must carry: the outer actions,
+    and the right L-action on the inner coring's C (x)_A C."""
+    seen = {}
+    for table in (ws.corings, ws.comodules, ws.extensions):
+        for owner in table.values():
+            for tens in vars(owner).values():
+                if isinstance(tens, BalancedTensor):
+                    seen.setdefault(id(tens), (tens, []))
+    for ext in ws.extensions.values():
+        seen[id(ext.inner.cc)][1].extend((1, r) for r in ext.right_l_act)
+    for tens, slots in seen.values():
+        last = len(tens.factors) - 1
+        slots.extend((0, a) for a in tens.factors[0].left_act)
+        slots.extend((last, a) for a in tens.factors[-1].right_act)
+        yield tens, slots
+
+
+def _bump(mat, i, j):
+    bad = mat.copy()
+    bad.data[i][j] = mat.field.add(bad.data[i][j], mat.field.one)
+    return bad
+
+
+def test_descend_matches_relation_kernel(workspaces):
+    rng = random.Random(7)
+    rejected_slots = 0
+    for ws in workspaces.values():
+        for tens, slots in _fixture_tensors(ws):
+            f = tens.field
+            rels = kernel(tens.proj()).basis
+            # a balanced map R·proj, and the same map bumped on a relation
+            r = Matrix.from_rows(f, [[f.of_int(rng.randint(-2, 2)) for _ in range(tens.dim)]
+                                     for _ in range(3)])
+            good = r.mul(tens.proj())
+            assert tens.descend_map(good) == r == _ref_descend_map(tens, good)
+            if rels:
+                k = next(i for i, v in enumerate(rels[0]) if v)
+                bad = _bump(good, 0, k)
+                assert tens.descend_map(bad) is None
+                assert _ref_descend_map(tens, bad) is None
+            for slot, mat in slots:
+                got = tens.descend_slot(slot, mat)
+                assert got is not None
+                assert got == _ref_descend_slot(tens, slot, mat)
+                for i in range(mat.rows):
+                    for j in range(mat.cols):
+                        bad = _bump(mat, i, j)
+                        got = tens.descend_slot(slot, bad)
+                        assert got == _ref_descend_slot(tens, slot, bad)
+                        rejected_slots += got is None
+    assert rejected_slots > 0
+
+
+def test_outer_action_that_does_not_descend_is_rejected(a_quad):
+    # x acting on the left as the projection onto 1 is not A-balanced:
+    # it sends x (x) 1 - 1 (x) x to -(1 (x) x), which is -x, not 0, in A (x)_A A
+    reg = FBimodule.regular(a_quad)
+    e00 = Matrix.from_rows(F, [[F.one, F.zero], [F.zero, F.zero]])
+    left = FBimodule(a_quad, a_quad, reg.dim, [Matrix.identity(F, 2), e00],
+                     reg.right_act, name="bad")
+    with pytest.raises(AxiomError, match="outer left action does not descend"):
+        BalancedTensor([left, reg], [a_quad])

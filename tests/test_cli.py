@@ -1,5 +1,7 @@
 """Command-line behavior: round trips, exit codes, determinism."""
 
+import contextlib
+import io
 import json
 import os
 
@@ -80,6 +82,32 @@ def test_unknown_name_exit2(capsys):
                            "--sigma", "NoSuch")
     assert code == 2
     assert "unknown comodule" in err
+
+
+def test_mismatched_left_algebra_exit2(capsys):
+    # L1's Creg is a left A-comodule, but ext's outer base L differs from A
+    code, out, err = run_cli(capsys, "morita", fixture_path("L1"),
+                             "--sigma", "Creg", "--extension", "ext")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("usage error:") and err.count("\n") == 1
+    assert "Traceback" not in err
+
+
+def test_cleft_unknown_j_exit2(capsys):
+    code, _, err = run_cli(capsys, "cleft", fixture_path("E2"), "--sigma", "Sigma",
+                           "--extension", "ext", "--j", "nope")
+    assert code == 2
+    assert "unknown map 'nope'" in err
+
+
+def test_summary_follows_redirected_stderr():
+    buf = io.StringIO()
+    with contextlib.redirect_stderr(buf), contextlib.redirect_stdout(io.StringIO()):
+        code = main(["validate", fixture_path("E1")])
+    assert code == 0
+    lines = buf.getvalue().splitlines()
+    assert lines and all(line.startswith("[") and "ms] " in line for line in lines)
 
 
 def test_morita_report_shape(capsys):
