@@ -109,7 +109,11 @@ def _fmt_witness_pairs(field, pairs):
 
 def _field_for(args):
     if getattr(args, "reduce", None):
-        return FieldFp(int(args.reduce))
+        try:
+            p = int(args.reduce)
+        except ValueError as exc:
+            raise UsageError("--reduce needs an integer, got %r" % args.reduce) from exc
+        return FieldFp(p)
     return None
 
 
@@ -316,18 +320,24 @@ def cmd_cleft(args):
     jt = None
     if args.jtilde:
         jt = _jtilde_from_map(ec, _named(ws, ws.maps, args.jtilde, "map"))
+    # timed here rather than through timed(), which would turn an
+    # AxiomError into a fail verdict instead of exit 1
+    start = time.perf_counter()
     cd = cleft_check(ec, j=j, jtilde=jt)
     grade = cd.grade if cd is not None else "not-cleft"
     report.add("invertibility grade", grade,
-               grade="exact" if grade != "unresolved" else "inconclusive")
+               grade="exact" if grade != "unresolved" else "inconclusive",
+               time_ms=(time.perf_counter() - start) * 1000.0)
+    start = time.perf_counter()
     cor = verify_cor_jJ(ec, j=j, jtilde=jt)
+    cor_ms = (time.perf_counter() - start) * 1000.0
     report.add("Galois verdict", cor["galois"],
                grade="certified" if cor["galois"].startswith("certified")
                else "on-samples")
     report.add("normal basis", cor["normal_basis"])
     report.add("invertibility criterion agreement",
                "agree" if cor["decided"] else "undecided",
-               grade="exact" if cor["decided"] else "inconclusive")
+               grade="exact" if cor["decided"] else "inconclusive", time_ms=cor_ms)
     if j is not None and ext.outer.base.dim == 1:
         conv_target = sigma_to_algebra_matrix(ws, sigma, j)
         if conv_target is not None:

@@ -73,14 +73,32 @@ class FieldQ:
         return hash("FieldQ")
 
 
+MAX_MODULUS = 2 ** 64
+_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+
+
 def _is_prime(p):
+    """Deterministic Miller-Rabin: the prime bases up to 37 decide every
+    n < 3.18·10^23, which covers all moduli below MAX_MODULUS."""
     if p < 2:
         return False
-    d = 2
-    while d * d <= p:
-        if p % d == 0:
+    for a in _WITNESSES:
+        if p % a == 0:
+            return p == a
+    d, s = p - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for a in _WITNESSES:
+        x = pow(a, d, p)
+        if x in (1, p - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % p
+            if x == p - 1:
+                break
+        else:
             return False
-        d += 1
     return True
 
 
@@ -88,6 +106,8 @@ class FieldFp:
     """Integers modulo a prime p; representatives are kept in [0, p)."""
 
     def __init__(self, p):
+        if p >= MAX_MODULUS:
+            raise UsageError("modulus %r is too large (the bound is 2**64)" % (p,))
         if not _is_prime(p):
             raise UsageError("modulus %r is not prime" % (p,))
         self.p = p

@@ -14,8 +14,8 @@ from .algmod import (BalancedTensor, FBimodule, FiniteAlgebra, coords_in_basis,
                      endo_algebra, solve_map_space, trivial_algebra,
                      zero_algebra)
 from .coring import Comodule, EndAlgebra, sandwich_terms
-from .exactla import (AxiomError, Matrix, Subspace, UsageError, image, kernel,
-                      rank, solve_linear, vec_scale, zero_vec)
+from .exactla import (AxiomError, Matrix, Subspace, UsageError, flatten_matrix,
+                      image, kernel, rank, solve_linear, vec_scale, zero_vec)
 from .morita import MoritaContext, SigmaDual
 
 
@@ -441,7 +441,9 @@ class ExtContext:
     Corners: bilinear maps D -> T; the opposite algebra of bicolinear coring
     endomorphisms; colinear maps D -> Sigma; and the intertwining bimodule.
     All eight structure formulas are realized as matrices and the two forms
-    of the first connecting map are computed independently and compared.
+    of the first connecting map are computed independently and compared on
+    every basis pair.  The basis-pair values of both connecting maps are
+    kept as structure constants (see connecting_matrix).
     """
 
     def __init__(self, ext, sigma, comodule_ctx=None):
@@ -488,6 +490,9 @@ class ExtContext:
         self.v_alg = self._v_algebra()
         self._build_actions()
         self._build_context()
+        # the undirected invertibility search, run once per context by
+        # galois.cleft_check
+        self.cleft_search = None
 
     # -- corner solvers
 
@@ -721,6 +726,9 @@ class ExtContext:
         self.q_mod.validate()
         tens21 = BalancedTensor([self.q_mod, self.p_mod], [self.v_alg])
         tens12 = BalancedTensor([self.p_mod, self.q_mod], [self.u_alg])
+        # values on basis pairs: blocks[b][j] = flattened black(q_b, p_j)
+        # followed by flattened white(p_j, q_b)
+        blocks = [[None] * npdim for _ in range(nqdim)]
         cols = []
         for b in range(nqdim):
             for j in range(npdim):
@@ -730,6 +738,7 @@ class ExtContext:
                     raise AxiomError("first connecting map leaves the bicolinear "
                                      "endomorphisms")
                 cols.append(coords)
+                blocks[b][j] = flatten_matrix(m)
         conn1 = tens21.descend_map(Matrix.from_cols(f, self.u_alg.dim, cols))
         if conn1 is None:
             raise AxiomError("first connecting map is not balanced")
@@ -741,13 +750,34 @@ class ExtContext:
                 if coords is None:
                     raise AxiomError("second connecting map leaves the bilinear maps")
                 cols.append(coords)
+                blocks[b][j] = blocks[b][j] + flatten_matrix(m)
         conn2 = tens12.descend_map(Matrix.from_cols(f, self.v_alg.dim, cols))
         if conn2 is None:
             raise AxiomError("second connecting map is not balanced")
+        cdim = self.ext.inner.dim
+        self.conn_rows = cdim * cdim + self.t_alg.dim * self.ext.outer.dim
+        self._conn_sc = Matrix.from_cols(
+            f, nqdim * self.conn_rows,
+            [[v for b in range(nqdim) for v in blocks[b][j]] for j in range(npdim)])
         self.context = MoritaContext(self.v_alg, self.u_alg, self.p_mod, self.q_mod,
                                      conn1, conn2, tens21, tens12,
                                      name="extension context(%s)" % self.sigma.name)
         self.context.validate()
+
+    def connecting_matrix(self, j_coords):
+        """Both connecting maps at j = sum_k j_coords[k]·p_k, linear in the
+        intertwiner: column b stacks diamond_black(q_b, j) over
+        diamond_white(j, q_b), each flattened row-major (conn_rows rows).
+
+        Contracts the basis-pair values kept at construction, where the two
+        forms of the first map were compared; both maps are bilinear, so
+        that comparison covers every pair and the value at (jtilde, j) is
+        this matrix times the coordinates of jtilde.
+        """
+        vec = self._conn_sc.mul_vec(j_coords)
+        n = self.conn_rows
+        return Matrix.from_cols(self.field, n,
+                                [vec[b * n:(b + 1) * n] for b in range(self.qt.dim)])
 
 
 def context_ext(ext, sigma, comodule_ctx=None):

@@ -18,8 +18,8 @@ import random
 from .algmod import (BalancedTensor, FBimodule, coords_in_basis, fgp_check,
                      generator_check, hom_space, trivial_algebra)
 from .coring import Comodule, EndAlgebra, colinear_homs
-from .exactla import (AxiomError, Matrix, UsageError, rank, solve_linear,
-                      solve_many, unit_vec, vec_scale, zero_vec)
+from .exactla import (AxiomError, Matrix, UsageError, flatten_matrix, rank,
+                      solve_linear, solve_many, unit_vec, vec_scale, zero_vec)
 from .extension import induced_D_coaction
 from .morita import connecting_surjective, strictness
 
@@ -432,53 +432,83 @@ def cleft_check(ext_ctx, j=None, jtilde=None, search=True):
     bimodule and are solved exactly.  With neither, candidates for j are
     swept deterministically; a failed span test for the first connecting map
     certifies a negative answer, otherwise an unsuccessful search is
-    reported as unresolved.
+    reported as unresolved.  The search runs once per context; its result is
+    kept on the context and returned by every later call.
+
+    Both identities are read off ExtContext.connecting_matrix, so no
+    candidate evaluates a connecting map element by element.
     """
-    ctx = ext_ctx.context
+    if j is not None:
+        return _cleft_for_j(ext_ctx, j, jtilde)
+    if not search:
+        return _cleft_without_data(ext_ctx, search=False)
+    if ext_ctx.cleft_search is None:
+        ext_ctx.cleft_search = _cleft_without_data(ext_ctx, search=True)
+    return ext_ctx.cleft_search
+
+
+def _cleft_targets(ext_ctx):
+    """The flattened identity of the inner coring over the flattened unit of
+    the bilinear maps: the value both connecting maps must take together."""
     f = ext_ctx.field
+    return (flatten_matrix(Matrix.identity(f, ext_ctx.ext.inner.dim)) +
+            flatten_matrix(ext_ctx._v_unit_matrix()))
+
+
+def _grade_coords(ext_ctx, j_coords, target, weak_wanted=True):
+    """Grade the section with coordinates j_coords in the colinear maps.
+
+    The first identity alone is solved for the intertwiner, then both
+    jointly; a section failing the first fails both.  Returns (grade,
+    intertwiner coordinates) or None.  With weak_wanted False only the
+    grade 'cleft' is looked for.
+    """
+    f = ext_ctx.field
+    conn = ext_ctx.connecting_matrix(j_coords)
+    weak = None
+    if weak_wanted:
+        nblack = ext_ctx.ext.inner.dim ** 2
+        weak = solve_linear(Matrix(f, nblack, conn.cols, conn.data[:nblack]),
+                            target[:nblack])
+        if weak is None:
+            return None
+    full = solve_linear(conn, target) if conn.cols else None
+    if full is not None:
+        return "cleft", full
+    if weak is not None:
+        return "weak-cleft", weak
+    return None
+
+
+def _cleft_for_j(ext_ctx, j, jtilde):
     qt = ext_ctx.qt
-    ident_c = Matrix.identity(f, ext_ctx.ext.inner.dim)
-    unit_v = ext_ctx._v_unit_matrix()
-
-    def grade_for_j(j_mat):
-        if coords_in_basis(ext_ctx.p_basis, j_mat) is None:
-            raise UsageError("the supplied section is not a colinear map")
-        db = [ext_ctx.diamond_black(qb, j_mat) for qb in qt.basis]
-        dw = [ext_ctx.diamond_white(j_mat, qb) for qb in qt.basis]
-        if db:
-            from .exactla import flatten_matrix
-            joint = Matrix.from_cols(f, ident_c.rows * ident_c.cols +
-                                     unit_v.rows * unit_v.cols,
-                                     [flatten_matrix(db[i]) + flatten_matrix(dw[i])
-                                      for i in range(len(db))])
-            target = flatten_matrix(ident_c) + flatten_matrix(unit_v)
-            full = solve_linear(joint, target)
-        else:
-            full = None
-        if full is not None:
-            return CleftData(j_mat, _combine(qt.basis, full), "cleft")
-        weak = coords_in_basis(db, ident_c)
-        if weak is not None:
-            return CleftData(j_mat, _combine(qt.basis, weak), "weak-cleft")
-        return None
-
-    if j is not None and jtilde is not None:
+    jt_coords = None
+    if jtilde is not None:
         jt_coords = qt.coords(jtilde)
         if jt_coords is None:
             raise UsageError("the supplied intertwiner is not in the bimodule")
-        if coords_in_basis(ext_ctx.p_basis, j) is None:
-            raise UsageError("the supplied section is not a colinear map")
-        black = ext_ctx.diamond_black(jtilde, j)
-        if black != ident_c:
+    j_coords = coords_in_basis(ext_ctx.p_basis, j)
+    if j_coords is None:
+        raise UsageError("the supplied section is not a colinear map")
+    target = _cleft_targets(ext_ctx)
+    if jt_coords is None:
+        got = _grade_coords(ext_ctx, j_coords, target)
+        if got is None:
             return None
-        white = ext_ctx.diamond_white(j, jtilde)
-        if white == unit_v:
-            return CleftData(j, jtilde, "cleft")
-        return CleftData(j, jtilde, "weak-cleft")
-    if j is not None:
-        return grade_for_j(j)
+        return CleftData(j, _combine(qt.basis, got[1]), got[0])
+    values = ext_ctx.connecting_matrix(j_coords).mul_vec(jt_coords)
+    nblack = ext_ctx.ext.inner.dim ** 2
+    if values[:nblack] != target[:nblack]:
+        return None
+    if values[nblack:] == target[nblack:]:
+        return CleftData(j, jtilde, "cleft")
+    return CleftData(j, jtilde, "weak-cleft")
+
+
+def _cleft_without_data(ext_ctx, search):
+    f = ext_ctx.field
     # no data: a failed identity-membership certifies the negative
-    surj, _ = connecting_surjective(ctx, 1)
+    surj, _ = connecting_surjective(ext_ctx.context, 1)
     if not surj:
         return CleftData(None, None, "not-cleft")
     # a single invertible pair forces the comodule to split off one copy of
@@ -488,16 +518,16 @@ def cleft_check(ext_ctx, j=None, jtilde=None, search=True):
         return CleftData(None, None, "not-cleft")
     if not search:
         return CleftData(None, None, "unresolved")
+    target = _cleft_targets(ext_ctx)
     best = None
     for coeffs in _candidate_vectors(len(ext_ctx.p_basis), f):
-        j_mat = _combine(ext_ctx.p_basis, coeffs)
-        got = grade_for_j(j_mat)
+        got = _grade_coords(ext_ctx, coeffs, target, weak_wanted=best is None)
         if got is None:
             continue
-        if got.grade == "cleft":
-            return got
-        if best is None:
-            best = got
+        best = CleftData(_combine(ext_ctx.p_basis, coeffs),
+                         _combine(ext_ctx.qt.basis, got[1]), got[0])
+        if got[0] == "cleft":
+            return best
     if best is not None:
         return best
     return CleftData(None, None, "unresolved")

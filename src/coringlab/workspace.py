@@ -28,16 +28,24 @@ def _ser_matrix(field, m):
             "entries": [field.fmt(v) for row in m.data for v in row]}
 
 
-def _de_matrix(field, obj, what="matrix"):
+def _scalar(field, s, what):
+    if not isinstance(s, str):
+        raise ParseError("%s: scalar %r is not a string" % (what, s))
+    return field.parse(s)
+
+
+def _de_matrix(field, obj, what="matrix", shape=None):
+    """A matrix block; shape, when given, is the required (rows, cols)."""
     try:
         rows, cols = int(obj["rows"]), int(obj["cols"])
         entries = obj["entries"]
     except (KeyError, TypeError, ValueError) as exc:
         raise ParseError("bad %s block" % what) from exc
-    if len(entries) != rows * cols:
-        raise ParseError("%s: expected %d entries, got %d"
-                         % (what, rows * cols, len(entries)))
-    vals = [field.parse(s) for s in entries]
+    if rows < 0 or cols < 0:
+        raise ParseError("%s: negative shape %dx%d" % (what, rows, cols))
+    if shape is not None and (rows, cols) != shape:
+        raise ParseError("%s: expected %dx%d, got %dx%d" % ((what,) + shape + (rows, cols)))
+    vals = [_scalar(field, s, what) for s in _de_list(entries, what, rows * cols)]
     return Matrix(field, rows, cols,
                   [vals[i * cols:(i + 1) * cols] for i in range(rows)])
 
@@ -46,8 +54,43 @@ def _ser_vector(field, v):
     return [field.fmt(x) for x in v]
 
 
-def _de_vector(field, obj):
-    return [field.parse(s) for s in obj]
+def _de_vector(field, obj, what, length):
+    return [_scalar(field, s, what) for s in _de_list(obj, what, length)]
+
+
+def _de_list(obj, what, length):
+    """A JSON list of the given length (one entry per basis element)."""
+    if not isinstance(obj, list) or len(obj) != length:
+        raise ParseError("%s: expected a list of %d entries" % (what, length))
+    return obj
+
+
+def _de_dim(obj, what):
+    try:
+        dim = int(obj)
+    except (TypeError, ValueError) as exc:
+        raise ParseError("%s: bad dimension %r" % (what, obj)) from exc
+    if dim < 0:
+        raise ParseError("%s: negative dimension %d" % (what, dim))
+    return dim
+
+
+def _de_block(data, section, name, keys):
+    """One named block of a section, with its required keys present."""
+    blk = data[section][name]
+    what = "%s %s" % (section[:-1], name)
+    if not isinstance(blk, dict):
+        raise ParseError("%s must be an object" % what)
+    missing = [k for k in keys if k not in blk]
+    if missing:
+        raise ParseError("%s is missing %s" % (what, ", ".join(missing)))
+    return blk, what
+
+
+def _lookup(table, key, what, kind):
+    if not isinstance(key, str) or key not in table:
+        raise ParseError("%s references unknown %s %r" % (what, kind, key))
+    return table[key]
 
 
 class Workspace:
@@ -189,19 +232,33 @@ class Workspace:
 
 
 def parse_field(obj):
-    kind = obj.get("kind")
+    kind = obj.get("kind") if isinstance(obj, dict) else None
     if kind == "Q":
         return QQ
     if kind == "Fp":
-        return FieldFp(int(obj["p"]))
+        try:
+            p = int(obj["p"])
+        except (KeyError, TypeError, ValueError) as exc:
+            raise ParseError("field Fp needs an integer modulus p") from exc
+        return FieldFp(p)
     raise ParseError("unknown field kind %r" % (kind,))
+
+
+def _section(data, key):
+    blocks = data.get(key, {})
+    if not isinstance(blocks, dict):
+        raise ParseError("%s must be an object" % key)
+    return blocks
 
 
 def load_workspace(text, field_override=None):
     """Parse a workspace file; every block is validated on load.
 
-    field_override replaces the declared field (used for reductions of
-    rational fixtures to a prime field).
+    Types and shapes are checked as each block is read (required keys,
+    dimensions, one action matrix per algebra basis element, scalars as
+    strings), so a malformed file raises ParseError.  field_override
+    replaces the declared field (used for reductions of rational fixtures
+    to a prime field).
     """
     try:
         data = json.loads(text)
@@ -221,85 +278,84 @@ def load_workspace(text, field_override=None):
     def alg_of(name, what):
         if name is None:
             return triv
-        if name not in ws.algebras:
-            raise ParseError("%s references unknown algebra %r" % (what, name))
-        return ws.algebras[name]
+        return _lookup(ws.algebras, name, what, "algebra")
 
-    for name in data.get("algebras", {}):
-        blk = data["algebras"][name]
-        dim = int(blk["dim"])
-        mul = [[_de_vector(field, blk["mul"][i][j]) for j in range(dim)]
-               for i in range(dim)]
-        unit = _de_vector(field, blk["unit"])
+    for name in _section(data, "algebras"):
+        blk, what = _de_block(data, "algebras", name, ("dim", "mul", "unit"))
+        dim = _de_dim(blk["dim"], what)
+        mul = [[_de_vector(field, vec, what, dim)
+                for vec in _de_list(row, what, dim)]
+               for row in _de_list(blk["mul"], what, dim)]
+        unit = _de_vector(field, blk["unit"], what, dim)
         alg = FiniteAlgebra(field, dim, mul, unit, name=name)
         ws.add_algebra(name, alg)
-    for name in data.get("modules", {}):
-        blk = data["modules"][name]
-        left = alg_of(blk.get("left"), "module %s" % name)
-        right = alg_of(blk.get("right"), "module %s" % name)
-        mod = FBimodule(left, right, int(blk["dim"]),
-                        [_de_matrix(field, m, "left action of %s" % name)
-                         for m in blk["left_act"]],
-                        [_de_matrix(field, m, "right action of %s" % name)
-                         for m in blk["right_act"]], name=name)
+    for name in _section(data, "modules"):
+        blk, what = _de_block(data, "modules", name, ("dim", "left_act", "right_act"))
+        left = alg_of(blk.get("left"), what)
+        right = alg_of(blk.get("right"), what)
+        dim = _de_dim(blk["dim"], what)
+        mod = FBimodule(left, right, dim,
+                        [_de_matrix(field, m, "left action of %s" % name, (dim, dim))
+                         for m in _de_list(blk["left_act"], "left action of %s" % name,
+                                           left.dim)],
+                        [_de_matrix(field, m, "right action of %s" % name, (dim, dim))
+                         for m in _de_list(blk["right_act"], "right action of %s" % name,
+                                           right.dim)], name=name)
         ws.add_module(name, mod, blk.get("left"), blk.get("right"))
-    for name in data.get("corings", {}):
-        blk = data["corings"][name]
-        base = alg_of(blk["base"], "coring %s" % name)
-        if blk["carrier"] not in ws.modules:
-            raise ParseError("coring %s references unknown module %r"
-                             % (name, blk["carrier"]))
-        carrier = ws.modules[blk["carrier"]]
+    for name in _section(data, "corings"):
+        blk, what = _de_block(data, "corings", name,
+                              ("base", "carrier", "coproduct", "counit"))
+        base = alg_of(blk["base"], what)
+        carrier = _lookup(ws.modules, blk["carrier"], what, "module")
+        if carrier.left_alg.dim != base.dim or carrier.right_alg.dim != base.dim:
+            raise ParseError("%s: carrier is not a bimodule over the base" % what)
         c = Coring(base, carrier, _de_matrix(field, blk["coproduct"],
                                              "coproduct of %s" % name),
                    _de_matrix(field, blk["counit"], "counit of %s" % name),
                    name=name)
         ws.add_coring(name, c, blk["base"], blk["carrier"])
-    for name in data.get("comodules", {}):
-        blk = data["comodules"][name]
-        if blk["coring"] not in ws.corings:
-            raise ParseError("comodule %s references unknown coring %r"
-                             % (name, blk["coring"]))
-        if blk["carrier"] not in ws.modules:
-            raise ParseError("comodule %s references unknown module %r"
-                             % (name, blk["carrier"]))
-        m = Comodule(ws.corings[blk["coring"]], ws.modules[blk["carrier"]],
+    for name in _section(data, "comodules"):
+        blk, what = _de_block(data, "comodules", name, ("coring", "carrier", "coaction"))
+        coring = _lookup(ws.corings, blk["coring"], what, "coring")
+        carrier = _lookup(ws.modules, blk["carrier"], what, "module")
+        if carrier.right_alg.dim != coring.base.dim:
+            raise ParseError("%s: carrier is not a right module over the base" % what)
+        m = Comodule(coring, carrier,
                      _de_matrix(field, blk["coaction"], "coaction of %s" % name),
                      name=name)
         ws.add_comodule(name, m, blk["coring"], blk["carrier"])
-    for name in data.get("grouplikes", {}):
-        blk = data["grouplikes"][name]
-        if blk["coring"] not in ws.corings:
-            raise ParseError("grouplike %s references unknown coring %r"
-                             % (name, blk["coring"]))
-        g = Grouplike(ws.corings[blk["coring"]], _de_vector(field, blk["vector"]))
+    for name in _section(data, "grouplikes"):
+        blk, what = _de_block(data, "grouplikes", name, ("coring", "vector"))
+        coring = _lookup(ws.corings, blk["coring"], what, "coring")
+        g = Grouplike(coring, _de_vector(field, blk["vector"], what, coring.dim))
         ws.add_grouplike(name, g, blk["coring"])
-    for name in data.get("extensions", {}):
-        blk = data["extensions"][name]
-        for key in ("inner", "outer"):
-            if blk[key] not in ws.corings:
-                raise ParseError("extension %s references unknown coring %r"
-                                 % (name, blk[key]))
+    for name in _section(data, "extensions"):
+        blk, what = _de_block(data, "extensions", name,
+                              ("inner", "outer", "right_l_action", "tau"))
+        inner = _lookup(ws.corings, blk["inner"], what, "coring")
+        outer = _lookup(ws.corings, blk["outer"], what, "coring")
         split = blk.get("split_map")
         ext = CoringExtension(
-            ws.corings[blk["inner"]], ws.corings[blk["outer"]],
-            [_de_matrix(field, m, "right action of %s" % name)
-             for m in blk["right_l_action"]],
+            inner, outer,
+            [_de_matrix(field, m, "right action of %s" % name, (inner.dim, inner.dim))
+             for m in _de_list(blk["right_l_action"], "right action of %s" % name,
+                               outer.base.dim)],
             _de_matrix(field, blk["tau"], "outer coaction of %s" % name),
-            split_map=_de_matrix(field, split, "split map of %s" % name)
+            split_map=_de_matrix(field, split, "split map of %s" % name,
+                                 (inner.base.dim, outer.base.dim))
             if split is not None else None,
             name=name)
         ws.add_extension(name, ext, blk["inner"], blk["outer"])
-    for name in data.get("maps", {}):
-        blk = data["maps"][name]
-        src = tuple(blk["source"])
-        tgt = tuple(blk["target"])
+    for name in _section(data, "maps"):
+        blk, what = _de_block(data, "maps", name, ("source", "target", "matrix"))
+        src = tuple(_de_list(blk["source"], "%s source" % what, 2))
+        tgt = tuple(_de_list(blk["target"], "%s target" % what, 2))
         mat = _de_matrix(field, blk["matrix"], "map %s" % name)
         for ref, expect, axis in ((src, mat.cols, "source"),
                                   (tgt, mat.rows, "target")):
             try:
                 dim = ws.space_dim(ref)
-            except (KeyError, UsageError) as exc:
+            except (KeyError, TypeError, UsageError) as exc:
                 raise ParseError("map %s has unresolvable %s %r"
                                  % (name, axis, ref)) from exc
             if dim != expect:

@@ -4,10 +4,14 @@ import contextlib
 import io
 import json
 import os
+import re
+import time
 
 import pytest
 
+from coringlab import extension, galois
 from coringlab.cli import main
+from coringlab.exactla import QQ
 from conftest import fixture_path
 from perturb import apply_perturbation, perturbation_sites
 
@@ -214,3 +218,99 @@ def test_columns_respected(capsys, monkeypatch):
     code, out, err = run_cli(capsys, "validate", fixture_path("E1"))
     assert code == 0
     assert all(len(line) <= 50 for line in err.splitlines())
+
+
+def _e2_doc():
+    with open(fixture_path("E2")) as handle:
+        return json.load(handle)
+
+
+def _drop_counit(doc):
+    del doc["corings"]["C"]["counit"]
+
+
+def _empty_left_act(doc):
+    doc["modules"]["Sigma_carrier"]["left_act"] = []
+
+
+def _int_scalar(doc):
+    doc["algebras"]["A"]["unit"][0] = 1
+
+
+def _bump_dim(doc):
+    doc["modules"]["Sigma_carrier"]["dim"] += 1
+
+
+@pytest.mark.parametrize("mutate", [_drop_counit, _empty_left_act, _int_scalar,
+                                    _bump_dim],
+                         ids=["missing-counit", "empty-left-act", "int-scalar",
+                              "dim-bumped"])
+def test_malformed_input_exit2(capsys, tmp_path, mutate):
+    doc = _e2_doc()
+    mutate(doc)
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run_cli(capsys, "validate", str(path))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("parse error:") and err.count("\n") == 1
+
+
+def test_oversized_modulus_exit2_quickly(capsys, tmp_path):
+    p = 10 ** 30 + 57
+    doc = _e2_doc()
+    doc["field"] = {"kind": "Fp", "p": p}
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps(doc))
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, "validate", str(path))
+    assert code == 2 and out == ""
+    assert err.startswith("usage error:") and "too large" in err
+    code, out, err = run_cli(capsys, "validate", fixture_path("E2"), "--reduce", str(p))
+    assert code == 2 and "too large" in err
+    assert time.perf_counter() - start < 1.0
+    code, _, err = run_cli(capsys, "validate", fixture_path("E2"), "--reduce", "seven")
+    assert code == 2 and err.startswith("usage error:")
+
+
+def test_cleft_summary_times_grade_and_agreement():
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+        code = main(["cleft", fixture_path("E2"), "--sigma", "Sigma",
+                     "--extension", "ext", "--j", "lambda_id", "--jtilde", "jtilde"])
+    assert code == 0
+    timed = set()
+    for line in err.getvalue().splitlines():
+        match = re.match(r"\[ *\d+\.\dms\] ([^:]+):", line)
+        if match:
+            timed.add(match.group(1))
+    assert {"invertibility grade", "invertibility criterion agreement"} <= timed
+
+
+def test_cleft_sweeps_once_by_contraction(capsys, monkeypatch):
+    events = []
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            events.append(name)
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(extension.ExtContext, "diamond_black",
+                        counted("black", extension.ExtContext.diamond_black))
+    monkeypatch.setattr(extension.ExtContext, "diamond_white",
+                        counted("white", extension.ExtContext.diamond_white))
+    monkeypatch.setattr(galois, "_grade_coords",
+                        counted("grade", galois._grade_coords))
+    code, out, _ = run_cli(capsys, "cleft", fixture_path("E4"), "--sigma", "Sigma",
+                           "--extension", "ext")
+    assert code == 0
+    grades = {c["check_id"]: c["verdict"] for c in json.loads(out)["checks"]}
+    assert grades["invertibility grade"] == "weak-cleft"
+    # E4 has three colinear basis maps and no cleft candidate, so one sweep
+    # grades every candidate exactly once
+    assert events.count("grade") == len(list(galois._candidate_vectors(3, QQ)))
+    first = events.index("grade")
+    assert "black" not in events[first:] and "white" not in events[first:]
+    # the context evaluates both maps once per basis pair (3 x 3)
+    assert events.count("black") == events.count("white") == 9

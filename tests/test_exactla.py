@@ -201,3 +201,32 @@ def test_fp_linear_algebra():
     a = Matrix.from_rows(f5, [[2, 1], [1, 1]])
     x = solve_linear(a, [1, 0])
     assert a.mul_vec(x) == [1, 0]
+
+
+def _trial_division(n):
+    if n < 2:
+        return False
+    d = 2
+    while d * d <= n:
+        if n % d == 0:
+            return False
+        d += 1
+    return True
+
+
+def test_primality_verdicts_unchanged_on_small_moduli():
+    from coringlab.exactla import _is_prime
+    for n in range(-3, 5000):
+        assert _is_prime(n) == _trial_division(n), n
+    assert [_is_prime(n) for n in (1, 4, 7, 561)] == [False, False, True, False]
+    # a strong pseudoprime to the bases 2..23, and the largest prime below 2**64
+    assert not _is_prime(3825123056546413051)
+    assert _is_prime(2 ** 61 - 1) and _is_prime(2 ** 64 - 59)
+    with pytest.raises(UsageError):
+        FieldFp(561)
+
+
+def test_modulus_bound():
+    FieldFp(2 ** 64 - 59)
+    with pytest.raises(UsageError, match="too large"):
+        FieldFp(2 ** 64)

@@ -1,20 +1,27 @@
 """Coring extensions: axioms, purity, induced coactions, the extension
 context and convolution algebras."""
 
+import random
+
 import pytest
 
 from coringlab.algmod import FBimodule, trivial_algebra
+from coringlab.cli import _jtilde_from_map
 from coringlab.coring import Comodule
-from coringlab.exactla import AxiomError, Matrix, QQ, UsageError, rank
+from coringlab.exactla import (AxiomError, FieldFp, Matrix, QQ, UsageError,
+                               flatten_matrix, rank)
 from coringlab.extension import (CoringExtension, ExtContext, QTildeModule,
                                  check_colinear_maps_remain_colinear,
                                  compute_Qtilde, convolution_algebra,
                                  convolution_inverse, induced_D_coaction,
                                  induced_right_l_action, purity_check,
                                  remark_k_coincidence)
+from coringlab.galois import cleft_check
+from coringlab.workspace import load_workspace_file
 from coringlab.zoo import (build_fixture, grouplike_basis_coalgebra,
                            group_function_coring, trivial_coring,
                            trivial_extension)
+from conftest import ContextBundle, fixture_path
 
 F = QQ
 
@@ -205,3 +212,75 @@ def test_induced_right_action_is_module(e4):
     acts = induced_right_l_action(ext, e4.comodules["Sigma"])
     assert len(acts) == 1
     assert acts[0] == Matrix.identity(F, 3)
+
+
+# ---------------------------------------------------------------------------
+# the connecting maps as contracted structure constants
+
+CONTEXT_FIXTURES = ("D1", "E1", "E2", "E3", "E4", "E5", "G1")
+
+
+@pytest.fixture(scope="module")
+def bundles_q_f7():
+    """The extension context of every fixture that has one, over Q and F7."""
+    out = []
+    for field in (None, FieldFp(7)):
+        for name in CONTEXT_FIXTURES:
+            ws = load_workspace_file(fixture_path(name), field_override=field)
+            out.append(("%s/%s" % (name, ws.field.name), ContextBundle(ws)))
+    return out
+
+
+def _span(basis, coeffs):
+    out = Matrix.zero(basis[0].field, basis[0].rows, basis[0].cols)
+    for c, b in zip(coeffs, basis):
+        out = out.add(b.scale(c))
+    return out
+
+
+def test_contraction_matches_direct_evaluation(bundles_q_f7):
+    rng = random.Random(20060410)
+    for label, b in bundles_q_f7:
+        ec = b.ec
+        f = ec.field
+        nblack = ec.ext.inner.dim ** 2
+        for _ in range(4):
+            a = [f.of_int(rng.randint(-5, 5)) for _ in range(ec.qt.dim)]
+            c = [f.of_int(rng.randint(-5, 5)) for _ in range(len(ec.p_basis))]
+            jt, j = _span(ec.qt.basis, a), _span(ec.p_basis, c)
+            values = ec.connecting_matrix(c).mul_vec(a)
+            assert len(values) == ec.conn_rows, label
+            assert values[:nblack] == flatten_matrix(ec.diamond_black(jt, j)), label
+            assert values[nblack:] == flatten_matrix(ec.diamond_white(j, jt)), label
+
+
+def test_supplied_pairs_grade_as_by_direct_evaluation(bundles_q_f7):
+    expected = {"E2/Q": "cleft", "E5/Q": "weak-cleft", "G1/Q": "cleft"}
+    seen = set()
+    for label, b in bundles_q_f7:
+        maps = b.ws.maps
+        if "jtilde" not in maps:
+            continue
+        ec = b.ec
+        j = maps["lambda_id"] if "lambda_id" in maps else maps["lambda"]
+        jt = _jtilde_from_map(ec, maps["jtilde"])
+        # the grade from evaluating both connecting maps on the pair itself
+        if ec.diamond_black(jt, j) != Matrix.identity(ec.field, ec.ext.inner.dim):
+            direct = None
+        elif ec.diamond_white(j, jt) == ec._v_unit_matrix():
+            direct = "cleft"
+        else:
+            direct = "weak-cleft"
+        got = cleft_check(ec, j=j, jtilde=jt)
+        assert (got.grade if got else None) == direct, label
+        if label in expected:
+            assert direct == expected[label], label
+            seen.add(label)
+        # the section alone: the solved intertwiner satisfies the identities
+        solved = cleft_check(ec, j=j)
+        if solved is not None:
+            assert ec.diamond_black(solved.jtilde, j) == \
+                Matrix.identity(ec.field, ec.ext.inner.dim), label
+            assert (ec.diamond_white(j, solved.jtilde) == ec._v_unit_matrix()) == \
+                (solved.grade == "cleft"), label
+    assert seen == set(expected)
