@@ -502,7 +502,7 @@ def chain_slot_map(src_chain, dst_chain, pos, n_in, amb_map):
 
 
 def solve_map_space(src_dim, tgt_dim, constraints, field):
-    """Canonical basis of {X : all constraints vanish}.
+    """The space {X : all constraints vanish}, in its canonical basis.
 
     Each constraint is a list of (U, V, sign) triples meaning
     sum sign * U·X·V = 0; unknown X is tgt_dim x src_dim, flattened row-major.
@@ -538,7 +538,8 @@ def solve_map_space(src_dim, tgt_dim, constraints, field):
         sub = Subspace.full(field, nunk)
     else:
         sub = kernel(Matrix.from_rows(field, rows))
-    return [unflatten(field, tgt_dim, src_dim, v) for v in sub.basis]
+    return MatrixSpace(field, tgt_dim, src_dim,
+                       [unflatten(field, tgt_dim, src_dim, v) for v in sub.basis])
 
 
 def hom_space(m, n, left_linear=False, right_linear=False, extra_constraints=(),
@@ -563,13 +564,15 @@ def hom_space(m, n, left_linear=False, right_linear=False, extra_constraints=(),
             constraints.append([(Matrix.identity(field, n.dim), m.right_act[i], +1),
                                 (n.right_act[i], Matrix.identity(field, m.dim), -1)])
     constraints.extend(extra_constraints)
-    mats = solve_map_space(m.dim, n.dim, constraints, field)
+    space = solve_map_space(m.dim, n.dim, constraints, field)
     return [FLinearMap(m, n, mat, left_linear=left_linear, right_linear=right_linear)
-            for mat in mats]
+            for mat in space.basis]
 
 
 def coords_in_basis(basis_mats, mat):
-    """Coordinates of mat in the span of basis_mats, or None."""
+    """Coordinates of mat in the span of a possibly dependent list, or None:
+    the canonical solution of solve_linear.  A canonical basis is read at
+    its pivots instead (MatrixSpace)."""
     if not basis_mats:
         return [] if mat.is_zero() else None
     field = mat.field
@@ -578,32 +581,89 @@ def coords_in_basis(basis_mats, mat):
     return solve_linear(a, flatten_matrix(mat))
 
 
-def endo_algebra(basis_maps, name="End", opposite=False):
+def _say(message, *at):
+    """An error message given as text or as a function of where it failed."""
+    return message(*at) if callable(message) else message
+
+
+class MatrixSpace:
+    """A solved space of rows x cols matrices, kept in its canonical basis.
+
+    Flattened row-major, the basis is the RREF basis of its span, as every
+    solver here returns it, so the coordinates of a matrix are its entries
+    at the pivots and one exact recombination decides membership
+    (Subspace.coords); no basis is row-reduced again.
+    """
+
+    def __init__(self, field, rows, cols, basis):
+        self.field = field
+        self.rows = rows
+        self.cols = cols
+        self.basis = list(basis)
+        flat = [flatten_matrix(b) for b in self.basis]
+        self.span = Subspace.from_span(field, rows * cols, flat)
+        if self.span.basis != flat:
+            raise UsageError("matrix space: the list is not the canonical basis "
+                             "of its span")
+
+    @property
+    def dim(self):
+        return len(self.basis)
+
+    def coords(self, mat):
+        """Coordinates of mat, or None when it is outside the space."""
+        return self.span.coords(flatten_matrix(mat))
+
+    def coords_matrix(self, mats, message):
+        """The coordinate columns of mats, taken in order; raises
+        AxiomError(message) at the first matrix outside the space (message
+        may be a function of that matrix's index)."""
+        cols = []
+        for i, mat in enumerate(mats):
+            coords = self.coords(mat)
+            if coords is None:
+                raise AxiomError(_say(message, i))
+            cols.append(coords)
+        return Matrix.from_cols(self.field, self.dim, cols)
+
+    def element(self, coords):
+        """The matrix sum_k coords[k]·basis[k]."""
+        return unflatten(self.field, self.rows, self.cols, self.span.combination(coords))
+
+    def algebra(self, product, unit, name, product_message, unit_message):
+        """The algebra on the space with e_i·e_j = product(b_i, b_j) and unit
+        matrix unit, validated; the zero algebra when the space is 0.
+        Raises AxiomError(product_message) when a product leaves the space
+        (product_message may be a function of (i, j)), and
+        AxiomError(unit_message) when the unit does."""
+        if not self.basis:
+            return zero_algebra(self.field, name=name)
+        n = self.dim
+        mul = [[None] * n for _ in range(n)]
+        for i, bi in enumerate(self.basis):
+            for j, bj in enumerate(self.basis):
+                mul[i][j] = self.coords(product(bi, bj))
+                if mul[i][j] is None:
+                    raise AxiomError(_say(product_message, i, j))
+        unit_coords = self.coords(unit)
+        if unit_coords is None:
+            raise AxiomError(unit_message)
+        alg = FiniteAlgebra(self.field, n, mul, unit_coords, name=name)
+        alg.validate()
+        return alg
+
+
+def endo_algebra(space, name="End", opposite=False):
     """FiniteAlgebra structure on a composition-closed space of endomorphisms.
 
     Multiplication is composition t*t' = t∘t' (or t'∘t when opposite=True).
     Raises AxiomError when the span is not closed under composition.
     """
-    if not basis_maps:
-        field = None
-        raise UsageError("endo_algebra of an empty basis needs a field; use zero_algebra")
-    field = basis_maps[0].field
-    n = len(basis_maps)
-    mul = [[None] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(n):
-            comp = basis_maps[j].mul(basis_maps[i]) if opposite else basis_maps[i].mul(basis_maps[j])
-            coords = coords_in_basis(basis_maps, comp)
-            if coords is None:
-                raise AxiomError("%s: not closed under composition at (%d,%d)" % (name, i, j))
-            mul[i][j] = coords
-    ident = Matrix.identity(field, basis_maps[0].rows)
-    unit = coords_in_basis(basis_maps, ident)
-    if unit is None:
-        raise AxiomError("%s: identity map is not in the span" % name)
-    alg = FiniteAlgebra(field, n, mul, unit, name=name)
-    alg.validate()
-    return alg
+    return space.algebra(
+        (lambda s, t: t.mul(s)) if opposite else (lambda s, t: s.mul(t)),
+        Matrix.identity(space.field, space.rows), name,
+        lambda i, j: "%s: not closed under composition at (%d,%d)" % (name, i, j),
+        "%s: identity map is not in the span" % name)
 
 
 def zero_algebra(field, name="0"):

@@ -16,7 +16,7 @@ import os
 import sys
 import time
 
-from .exactla import AxiomError, FieldFp, Matrix, UsageError, rank
+from .exactla import AxiomError, FieldFp, UsageError, rank
 from .extension import (ExtContext, check_colinear_maps_remain_colinear,
                         convolution_algebra, convolution_inverse,
                         induced_D_coaction, purity_check, remark_k_coincidence)
@@ -157,15 +157,12 @@ def _jtilde_from_map(ext_ctx, mat):
     if sigma.dim != a.dim:
         raise UsageError("the stored intertwiner form needs the comodule to be "
                          "the base algebra")
-    sd = ext_ctx.qt.sigma_dual
-    cols = []
-    for c in range(ext_ctx.ext.inner.dim):
-        coords = sd.coords(a.lmul_vec(mat.col(c)))
-        if coords is None:
-            raise UsageError("stored intertwiner does not give right-linear "
-                             "functionals")
-        cols.append(coords)
-    return Matrix.from_cols(ext_ctx.field, sd.dim, cols)
+    try:
+        return ext_ctx.qt.sigma_dual.space.coords_matrix(
+            (a.lmul_vec(mat.col(c)) for c in range(ext_ctx.ext.inner.dim)),
+            "stored intertwiner does not give right-linear functionals")
+    except AxiomError as exc:
+        raise UsageError(str(exc)) from exc
 
 
 # ---------------------------------------------------------------------------
@@ -512,7 +509,6 @@ def build_parser():
     add_common(p)
     p.add_argument("--samples", type=lambda s: s.split(",") if s else [],
                    default=[], help="accepted for uniformity; unused here")
-    p.set_defaults(func=cmd_validate)
 
     p = sub.add_parser("morita", help="contexts attached to a comodule")
     add_common(p)
@@ -520,7 +516,6 @@ def build_parser():
     p.add_argument("--extension", default=None)
     p.add_argument("--samples", type=lambda s: s.split(",") if s else [],
                    default=[])
-    p.set_defaults(func=cmd_morita)
 
     p = sub.add_parser("extension", help="extension axioms, purity, induced "
                                          "coactions")
@@ -528,7 +523,6 @@ def build_parser():
     p.add_argument("--extension", required=True)
     p.add_argument("--samples", type=lambda s: s.split(",") if s else [],
                    default=[])
-    p.set_defaults(func=cmd_extension)
 
     p = sub.add_parser("cleft", help="invertibility grade and its criterion")
     add_common(p)
@@ -538,14 +532,12 @@ def build_parser():
     p.add_argument("--jtilde", default=None)
     p.add_argument("--samples", type=lambda s: s.split(",") if s else [],
                    default=[])
-    p.set_defaults(func=cmd_cleft)
 
     p = sub.add_parser("galois", help="Galois certification")
     add_common(p)
     p.add_argument("--sigma", required=True)
     p.add_argument("--samples", type=lambda s: s.split(",") if s else [],
                    default=[])
-    p.set_defaults(func=cmd_galois)
 
     p = sub.add_parser("theorems", help="structure-theorem verifier suite")
     add_common(p)
@@ -556,18 +548,15 @@ def build_parser():
     p.add_argument("--jtilde", default=None)
     p.add_argument("--samples", type=lambda s: s.split(",") if s else [],
                    default=[])
-    p.set_defaults(func=cmd_theorems)
 
     p = sub.add_parser("zoo", help="bundled fixtures")
     p.add_argument("action", choices=["list", "emit"])
     p.add_argument("name", nargs="?", default=None)
-    p.set_defaults(func=cmd_zoo)
 
     p = sub.add_parser("fmt", help="canonical formatter")
     add_common(p)
     p.add_argument("--samples", type=lambda s: s.split(",") if s else [],
                    default=[], help="accepted for uniformity; unused here")
-    p.set_defaults(func=cmd_fmt)
     return parser
 
 
@@ -578,7 +567,8 @@ def main(argv=None):
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
     try:
-        return args.func(args)
+        # looked up at call time, so a rebound cmd_* function is the one run
+        return globals()["cmd_" + args.command](args)
     except ParseError as exc:
         sys.stderr.write("parse error: %s\n" % exc)
         return EXIT_USAGE

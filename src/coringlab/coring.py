@@ -8,9 +8,8 @@ projection/section pairs.
 
 from __future__ import annotations
 
-from .algmod import (BalancedTensor, FBimodule, FiniteAlgebra,
-                     coords_in_basis, endo_algebra, hom_space,
-                     trivial_algebra, zero_algebra)
+from .algmod import (BalancedTensor, FBimodule, FiniteAlgebra, MatrixSpace,
+                     endo_algebra, hom_space, trivial_algebra)
 from .exactla import AxiomError, Matrix, UsageError, unit_vec, zero_vec
 
 
@@ -233,36 +232,28 @@ class DualRing:
         reg = FBimodule.regular(a)
         homs = hom_space(coring.carrier, reg, left_linear=(side == "left"),
                          right_linear=(side == "right"))
-        self.eval_mats = [h.matrix for h in homs]  # each a.dim x c.dim
-        n = len(self.eval_mats)
-        mul = [[None] * n for _ in range(n)]
-        for i in range(n):
-            for j in range(n):
-                prod = self._convolve(self.eval_mats[i], self.eval_mats[j])
-                coords = coords_in_basis(self.eval_mats, prod)
-                if coords is None:
-                    raise AxiomError("dual ring of %s: product escapes the hom space"
-                                     % coring.name)
-                mul[i][j] = coords
-        unit = coords_in_basis(self.eval_mats, coring.counit)
-        if unit is None and n > 0:
-            raise AxiomError("dual ring of %s: counit is not in the hom space" % coring.name)
+        self.space = MatrixSpace(field, a.dim, coring.dim, [h.matrix for h in homs])
+        self.eval_mats = self.space.basis  # each a.dim x c.dim
+        n = self.space.dim
         name = ("*" + coring.name) if side == "left" else (coring.name + "*")
-        self.algebra = FiniteAlgebra(field, n, mul, unit or [], name=name)
-        self.algebra.validate()
+        self.algebra = self.space.algebra(
+            self._convolve, coring.counit, name,
+            "dual ring of %s: product escapes the hom space" % coring.name,
+            "dual ring of %s: counit is not in the hom space" % coring.name)
         # A-A bimodule structure: (a·f)(c) = f(c·a), (f·a)(c) = f(c)·a  [left dual]
         #                         (a·f)(c) = a·f(c), (f·a)(c) = f(a·c)  [right dual]
+        escape = "dual ring: bimodule action escapes the hom space"
         left_act = []
         right_act = []
         for i in range(a.dim):
             if side == "left":
-                lmats = [m.mul(coring.carrier.right_act[i]) for m in self.eval_mats]
-                rmats = [a.rmul(i).mul(m) for m in self.eval_mats]
+                lmats = (m.mul(coring.carrier.right_act[i]) for m in self.eval_mats)
+                rmats = (a.rmul(i).mul(m) for m in self.eval_mats)
             else:
-                lmats = [a.lmul(i).mul(m) for m in self.eval_mats]
-                rmats = [m.mul(coring.carrier.left_act[i]) for m in self.eval_mats]
-            left_act.append(self._coord_matrix(lmats))
-            right_act.append(self._coord_matrix(rmats))
+                lmats = (a.lmul(i).mul(m) for m in self.eval_mats)
+                rmats = (m.mul(coring.carrier.left_act[i]) for m in self.eval_mats)
+            left_act.append(self.space.coords_matrix(lmats, escape))
+            right_act.append(self.space.coords_matrix(rmats, escape))
         self.module = FBimodule(a, a, n, left_act, right_act, name=name)
         self.module.validate()
 
@@ -277,27 +268,13 @@ class DualRing:
         inner = c.carrier.left_eval().mul(g.kron(ident)).mul(c.cc.sect())
         return f.mul(inner).mul(c.coproduct)
 
-    def _coord_matrix(self, mats):
-        cols = []
-        for m in mats:
-            coords = coords_in_basis(self.eval_mats, m)
-            if coords is None:
-                raise AxiomError("dual ring: bimodule action escapes the hom space")
-            cols.append(coords)
-        return Matrix.from_cols(self.coring.field, len(self.eval_mats), cols)
-
     @property
     def dim(self):
         return self.algebra.dim
 
     def element_eval(self, coords):
         """Evaluation matrix (A.dim x C.dim) of the element with given coords."""
-        f = self.coring.field
-        out = Matrix.zero(f, self.coring.base.dim, self.coring.dim)
-        for c, m in zip(coords, self.eval_mats):
-            if c != f.zero:
-                out = out.add(m.scale(c))
-        return out
+        return self.space.element(coords)
 
 
 def dual_ring(coring, side="left"):
@@ -358,40 +335,24 @@ class EndAlgebra:
 
     def __init__(self, sigma):
         self.sigma = sigma
-        maps = colinear_homs(sigma, sigma)
-        self.basis_maps = [h.matrix for h in maps]
-        if self.basis_maps:
-            self.algebra = endo_algebra(self.basis_maps, name="End^%s(%s)"
-                                        % (sigma.coring.name, sigma.name))
-        else:
-            self.algebra = zero_algebra(sigma.field, name="End^%s(%s)"
-                                        % (sigma.coring.name, sigma.name))
+        self.space = MatrixSpace(sigma.field, sigma.dim, sigma.dim,
+                                 [h.matrix for h in colinear_homs(sigma, sigma)])
+        self.basis_maps = self.space.basis
+        self.algebra = endo_algebra(self.space, name="End^%s(%s)"
+                                    % (sigma.coring.name, sigma.name))
 
     @property
     def dim(self):
         return self.algebra.dim
 
     def coords(self, mat):
-        return coords_in_basis(self.basis_maps, mat)
-
-    def element_matrix(self, coords):
-        f = self.sigma.field
-        out = Matrix.zero(f, self.sigma.dim, self.sigma.dim)
-        for c, m in zip(coords, self.basis_maps):
-            if c != f.zero:
-                out = out.add(m.scale(c))
-        return out
+        return self.space.coords(mat)
 
     def unit_map_from(self, lalg):
         """L -> T, l -> (x -> l·x); fails when left multiplications are not colinear."""
-        cols = []
-        for i in range(lalg.dim):
-            coords = self.coords(self.sigma.carrier.left_act[i])
-            if coords is None:
-                raise AxiomError("left multiplication by %s basis %d is not colinear"
-                                 % (lalg.name, i))
-            cols.append(coords)
-        return Matrix.from_cols(self.sigma.field, self.dim, cols)
+        return self.space.coords_matrix(
+            self.sigma.carrier.left_act,
+            lambda i: "left multiplication by %s basis %d is not colinear" % (lalg.name, i))
 
 
 # ---------------------------------------------------------------------------

@@ -436,26 +436,29 @@ class Subspace:
     """Subspace of k^n with a canonical (RREF) basis.
 
     Two subspaces are equal as sets iff their canonical bases agree entrywise.
+    Each basis vector is 1 at its pivot, where every other basis vector is 0,
+    so the coordinates of a vector in the span are its entries at the pivots.
     """
 
-    __slots__ = ("field", "ambient_dim", "basis")
+    __slots__ = ("field", "ambient_dim", "basis", "pivots")
 
-    def __init__(self, field, ambient_dim, basis):
+    def __init__(self, field, ambient_dim, basis, pivots):
         self.field = field
         self.ambient_dim = ambient_dim
         self.basis = basis  # list of vectors (already canonical)
+        self.pivots = pivots
 
     @staticmethod
     def from_span(field, ambient_dim, vectors):
         if not vectors:
-            return Subspace(field, ambient_dim, [])
+            return Subspace(field, ambient_dim, [], [])
         red, pivots = rref(Matrix.from_rows(field, vectors))
         basis = [red.row(i) for i in range(len(pivots))]
-        return Subspace(field, ambient_dim, basis)
+        return Subspace(field, ambient_dim, basis, pivots)
 
     @staticmethod
     def full(field, n):
-        return Subspace(field, n, [unit_vec(field, n, i) for i in range(n)])
+        return Subspace(field, n, [unit_vec(field, n, i) for i in range(n)], list(range(n)))
 
     @property
     def dim(self):
@@ -471,13 +474,24 @@ class Subspace:
     def contains(self, vec):
         return self.coords(vec) is not None
 
+    def combination(self, coords):
+        """The vector sum_k coords[k]·basis[k]."""
+        f = self.field
+        out = [f.zero] * self.ambient_dim
+        for c, vec in zip(coords, self.basis):
+            if c:
+                for i, v in enumerate(vec):
+                    if v:
+                        out[i] = f.add(out[i], f.mul(c, v))
+        return out
+
     def coords(self, vec):
-        """Coordinates of vec in the canonical basis, or None if outside."""
+        """Coordinates of vec in the canonical basis, or None if outside: the
+        entries at the pivots, kept when they recombine to vec exactly."""
         if len(vec) != self.ambient_dim:
             raise UsageError("vector/ambient dimension mismatch")
-        if not self.basis:
-            return None if any(vec) else []
-        return solve_linear(self.basis_matrix_cols(), vec)
+        coords = [vec[p] for p in self.pivots]
+        return coords if self.combination(coords) == list(vec) else None
 
     def __eq__(self, other):
         return (isinstance(other, Subspace) and other.ambient_dim == self.ambient_dim

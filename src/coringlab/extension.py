@@ -10,12 +10,11 @@ tensoring the equalizer and comparing ranks, comodule by comodule.
 
 from __future__ import annotations
 
-from .algmod import (BalancedTensor, FBimodule, FiniteAlgebra, coords_in_basis,
-                     endo_algebra, solve_map_space, trivial_algebra,
-                     zero_algebra)
+from .algmod import (BalancedTensor, FBimodule, MatrixSpace, endo_algebra,
+                     solve_map_space, trivial_algebra)
 from .coring import Comodule, EndAlgebra, sandwich_terms
-from .exactla import (AxiomError, Matrix, Subspace, UsageError, flatten_matrix,
-                      image, kernel, rank, solve_linear, vec_scale, zero_vec)
+from .exactla import (AxiomError, Matrix, Subspace, UsageError, image, kernel,
+                      rank, solve_linear, unflatten, vec_scale, zero_vec)
 from .morita import MoritaContext, SigmaDual
 
 
@@ -130,16 +129,9 @@ class CoringExtension:
             if c.coproduct.mul(self.right_l_act[i]) != induced.mul(c.coproduct):
                 raise AxiomError("extension %s: coproduct not right L-linear at "
                                  "basis %d" % (self.name, i))
-        lhs = self.bicomodule_lhs()
-        rhs = self.bicomodule_rhs()
-        if lhs != rhs:
+        if self.bicomodule_lhs() != self.bicomodule_rhs():
             raise AxiomError("extension %s: coproduct is not colinear for the outer "
                              "coaction" % self.name)
-        # the same identity read as colinearity of the outer coaction for the
-        # left regular coaction; recomputed from the other side for agreement
-        if rhs != lhs:
-            raise AxiomError("extension %s: outer coaction is not colinear for the "
-                             "left regular coaction" % self.name)
         return True
 
     def __repr__(self):
@@ -306,11 +298,11 @@ class QTildeModule:
         for i in range(l.dim):
             constraints.append([(ident_sd, ext.right_l_act[i], +1),
                                 (sd.module.right_act[i], ident_c, -1)])
-        rows = self._relation_rows(constraints)
-        self.basis = rows
+        self.space = self._solve(constraints)
+        self.basis = self.space.basis
         self._install_actions(qmod)
 
-    def _relation_rows(self, constraints):
+    def _solve(self, constraints):
         """Solve the linearity constraints plus the defining relation."""
         f = self.field
         c = self.ext.inner
@@ -372,56 +364,39 @@ class QTildeModule:
             sol = kernel(Matrix.from_rows(f, rows))
         else:
             sol = Subspace.full(f, nunk)
-        return [Matrix(f, sddim, cdim, [list(v[i * cdim:(i + 1) * cdim])
-                                        for i in range(sddim)])
-                for v in sol.basis]
+        return MatrixSpace(f, sddim, cdim, [unflatten(f, sddim, cdim, v) for v in sol.basis])
 
     def _install_actions(self, qmod):
         """Verify the embedding into the comodule-context bimodule."""
         self.qmod = qmod
         if qmod is None:
             return
-        f = self.field
-        cols = []
-        for qt in self.basis:
-            qm = self.to_q_element(qt)
-            coords = qmod.coords(qm)
-            if coords is None:
-                raise AxiomError("an element of the extension bimodule does not "
-                                 "embed into the comodule bimodule")
-            cols.append(coords)
-        self.embedding = Matrix.from_cols(f, qmod.dim, cols)
+        self.embedding = qmod.space.coords_matrix(
+            (self.to_q_element(qt) for qt in self.basis),
+            "an element of the extension bimodule does not embed into the comodule "
+            "bimodule")
         if rank(self.embedding) != len(self.basis):
             raise AxiomError("the embedding into the comodule bimodule is not "
                              "injective")
 
     def to_q_element(self, qt):
         """Switch arguments: a map Sigma -> dual ring, in dual coordinates."""
-        f = self.field
         c = self.ext.inner
-        sigma = self.sigma
         dual = self.qmod.dual if self.qmod else None
         if dual is None:
             raise UsageError("no ambient comodule bimodule attached")
-        cols = []
-        for x in range(sigma.dim):
-            mat = Matrix.zero(f, c.base.dim, c.dim)
-            for k in range(c.dim):
-                av = self.sigma_dual.element_matrix(qt.col(k)).col(x)
-                for r in range(c.base.dim):
-                    mat.data[r][k] = av[r]
-            coords = coords_in_basis(dual.eval_mats, mat)
-            if coords is None:
-                raise AxiomError("switched element leaves the dual ring")
-            cols.append(coords)
-        return Matrix.from_cols(f, dual.dim, cols)
+        evals = [self.sigma_dual.space.element(qt.col(k)) for k in range(c.dim)]
+        return dual.space.coords_matrix(
+            (Matrix.from_cols(self.field, c.base.dim, [ev.col(x) for ev in evals])
+             for x in range(self.sigma.dim)),
+            "switched element leaves the dual ring")
 
     @property
     def dim(self):
-        return len(self.basis)
+        return self.space.dim
 
     def coords(self, mat):
-        return coords_in_basis(self.basis, mat)
+        return self.space.coords(mat)
 
 
 def compute_Qtilde(ext, sigma, qmod=None):
@@ -475,19 +450,22 @@ class ExtContext:
             rt = t_alg.rmul_vec(eta.col(i)) if t_alg.dim else ident_t
             cons.append([(ident_t, d.carrier.left_act[i], +1), (lt, ident_d, -1)])
             cons.append([(ident_t, d.carrier.right_act[i], +1), (rt, ident_d, -1)])
-        self.v_basis = solve_map_space(d.dim, t_alg.dim, cons, f)
+        self.v_space = solve_map_space(d.dim, t_alg.dim, cons, f)
+        self.v_basis = self.v_space.basis
         # ----- corner 2: bicolinear coring endomorphisms, opposite product
-        self.u_basis = self._solve_u()
-        if self.u_basis:
-            self.u_alg = endo_algebra(self.u_basis, name="bicolinear End(%s)^op" % c.name,
-                                      opposite=True)
-        else:
-            self.u_alg = zero_algebra(f, name="bicolinear End(%s)^op" % c.name)
+        self.u_space = self._solve_u()
+        self.u_basis = self.u_space.basis
+        self.u_alg = endo_algebra(self.u_space, name="bicolinear End(%s)^op" % c.name,
+                                  opposite=True)
         # ----- corner 3: colinear maps D -> Sigma
-        self.p_basis = self._solve_p()
+        self.p_space = self._solve_p()
+        self.p_basis = self.p_space.basis
         # ----- corner 4
         self.qt = QTildeModule(ext, sigma, qmod=comodule_ctx.q if comodule_ctx else None)
-        self.v_alg = self._v_algebra()
+        self.v_alg = self.v_space.algebra(
+            self._conv_product_v, self._v_unit_matrix(), "Hom(D,T)",
+            "bilinear maps D -> T: product escapes the space",
+            "bilinear maps D -> T: unit escapes the space")
         self._build_actions()
         self._build_context()
         # the undirected invertibility search, run once per context by
@@ -544,28 +522,6 @@ class ExtContext:
         step = self.t_alg.mult_eval().mul(v1.kron(v2)).mul(d.cc.sect()).mul(d.coproduct)
         return step
 
-    def _v_algebra(self):
-        f = self.field
-        d = self.ext.outer
-        n = len(self.v_basis)
-        if n == 0:
-            return zero_algebra(f, name="Hom(D,T)")
-        mul = [[None] * n for _ in range(n)]
-        for i in range(n):
-            for j in range(n):
-                prod = self._conv_product_v(self.v_basis[i], self.v_basis[j])
-                coords = coords_in_basis(self.v_basis, prod)
-                if coords is None:
-                    raise AxiomError("bilinear maps D -> T: product escapes the space")
-                mul[i][j] = coords
-        unit_mat = self._v_unit_matrix()
-        unit = coords_in_basis(self.v_basis, unit_mat)
-        if unit is None:
-            raise AxiomError("bilinear maps D -> T: unit escapes the space")
-        alg = FiniteAlgebra(f, n, mul, unit, name="Hom(D,T)")
-        alg.validate()
-        return alg
-
     def _v_unit_matrix(self):
         """d -> eps_D(d)·1_T."""
         return self.eta.mul(self.ext.outer.counit)
@@ -598,58 +554,33 @@ class ExtContext:
     def _sigma_dual_t_action(self):
         """Right action of the endomorphism algebra on Sigma*: xi·t = xi ∘ t."""
         sd = self.qt.sigma_dual
-        mats = []
-        for i in range(self.t_alg.dim):
-            t = self.end.basis_maps[i]
-            cols = []
-            for b in sd.basis:
-                coords = sd.coords(b.mul(t))
-                if coords is None:
-                    raise AxiomError("Sigma*: endomorphism action escapes the space")
-                cols.append(coords)
-            mats.append(Matrix.from_cols(self.field, sd.dim, cols))
-        return mats
+        return [sd.space.coords_matrix((b.mul(t) for b in sd.basis),
+                                       "Sigma*: endomorphism action escapes the space")
+                for t in self.end.basis_maps]
 
     def _build_actions(self):
         f = self.field
         ext, sigma = self.ext, self.sigma
         c, d = ext.inner, ext.outer
-        self.vp_mats = []   # per v-basis: matrix on p-coords
-        self.pu_mats = []   # per u-basis
-        self.uq_mats = []
-        self.qv_mats = []
         napply = self._apply_t()
         dd_split = d.cc.sect().mul(d.coproduct)
-        for i, v in enumerate(self.v_basis):
-            cols = []
-            for p in self.p_basis:
-                prod = napply.mul(v.kron(p)).mul(dd_split)
-                coords = coords_in_basis(self.p_basis, prod)
-                if coords is None:
-                    raise AxiomError("extension context: the first action formula "
-                                     "escapes the colinear maps")
-                cols.append(coords)
-            self.vp_mats.append(Matrix.from_cols(f, len(self.p_basis), cols))
+        self.vp_mats = [self.p_space.coords_matrix(
+            (napply.mul(v.kron(p)).mul(dd_split) for p in self.p_basis),
+            "extension context: the first action formula escapes the colinear maps")
+            for v in self.v_basis]
         ident_s = Matrix.identity(f, sigma.dim)
-        for i, u in enumerate(self.u_basis):
+        self.pu_mats = []
+        self.uq_mats = []
+        for u in self.u_basis:
             pu_op = sigma.carrier.right_eval().mul(ident_s.kron(c.counit.mul(u))) \
                 .mul(sigma.mc.sect()).mul(sigma.coaction)
-            cols = []
-            for p in self.p_basis:
-                coords = coords_in_basis(self.p_basis, pu_op.mul(p))
-                if coords is None:
-                    raise AxiomError("extension context: the second action formula "
-                                     "escapes the colinear maps")
-                cols.append(coords)
-            self.pu_mats.append(Matrix.from_cols(f, len(self.p_basis), cols))
-            cols = []
-            for q in self.qt.basis:
-                coords = self.qt.coords(q.mul(u))
-                if coords is None:
-                    raise AxiomError("extension context: the third action formula "
-                                     "escapes the bimodule")
-                cols.append(coords)
-            self.uq_mats.append(Matrix.from_cols(f, self.qt.dim, cols))
+            self.pu_mats.append(self.p_space.coords_matrix(
+                (pu_op.mul(p) for p in self.p_basis),
+                "extension context: the second action formula escapes the colinear "
+                "maps"))
+            self.uq_mats.append(self.qt.space.coords_matrix(
+                (q.mul(u) for q in self.qt.basis),
+                "extension context: the third action formula escapes the bimodule"))
         sd_t = self._sigma_dual_t_action()
         sd = self.qt.sigma_dual
         ev_compose = Matrix.zero(f, sd.dim, sd.dim * self.t_alg.dim)
@@ -659,16 +590,10 @@ class ExtContext:
                 for r in range(sd.dim):
                     ev_compose.data[r][s * self.t_alg.dim + t] = col[r]
         tau_split = ext.cld.sect().mul(ext.tau)
-        for i, v in enumerate(self.v_basis):
-            cols = []
-            for q in self.qt.basis:
-                prod = ev_compose.mul(q.kron(v)).mul(tau_split)
-                coords = self.qt.coords(prod)
-                if coords is None:
-                    raise AxiomError("extension context: the fourth action formula "
-                                     "escapes the bimodule")
-                cols.append(coords)
-            self.qv_mats.append(Matrix.from_cols(f, self.qt.dim, cols))
+        self.qv_mats = [self.qt.space.coords_matrix(
+            (ev_compose.mul(q.kron(v)).mul(tau_split) for q in self.qt.basis),
+            "extension context: the fourth action formula escapes the bimodule")
+            for v in self.v_basis]
 
     def diamond_black(self, q, p):
         """First connecting map on elements, both equivalent forms compared."""
@@ -694,26 +619,10 @@ class ExtContext:
 
     def diamond_white(self, p, q):
         """Second connecting map on elements: d -> p(d)^[0] q(p(d)^[1])(-)."""
-        f = self.field
-        sigma = self.sigma
         sd = self.qt.sigma_dual
-        d = self.ext.outer
-        cols = []
-        for di in range(d.dim):
-            xvec = p.col(di)
-            mat = Matrix.zero(f, sigma.dim, sigma.dim)
-            for ((m, ck), w) in sigma.mc.lift_pairs(sigma.coaction.mul_vec(xvec)):
-                xi = sd.element_matrix(vec_scale(f, w, q.col(ck)))
-                for y in range(sigma.dim):
-                    col = sigma.carrier.right_act_vec(xi.col(y)).col(m)
-                    for r in range(sigma.dim):
-                        mat.data[r][y] = f.add(mat.data[r][y], col[r])
-            coords = self.end.coords(mat)
-            if coords is None:
-                raise AxiomError("second connecting map leaves the endomorphism "
-                                 "algebra")
-            cols.append(coords)
-        return Matrix.from_cols(f, self.t_alg.dim, cols)
+        return self.end.space.coords_matrix(
+            (sd.pairing(self.sigma, p.col(di), q) for di in range(self.ext.outer.dim)),
+            "second connecting map leaves the endomorphism algebra")
 
     def _build_context(self):
         f = self.field
@@ -726,39 +635,29 @@ class ExtContext:
         self.q_mod.validate()
         tens21 = BalancedTensor([self.q_mod, self.p_mod], [self.v_alg])
         tens12 = BalancedTensor([self.p_mod, self.q_mod], [self.u_alg])
-        # values on basis pairs: blocks[b][j] = flattened black(q_b, p_j)
-        # followed by flattened white(p_j, q_b)
-        blocks = [[None] * npdim for _ in range(nqdim)]
-        cols = []
-        for b in range(nqdim):
-            for j in range(npdim):
-                m = self.diamond_black(self.qt.basis[b], self.p_basis[j])
-                coords = coords_in_basis(self.u_basis, m)
-                if coords is None:
-                    raise AxiomError("first connecting map leaves the bicolinear "
-                                     "endomorphisms")
-                cols.append(coords)
-                blocks[b][j] = flatten_matrix(m)
-        conn1 = tens21.descend_map(Matrix.from_cols(f, self.u_alg.dim, cols))
+        black = self.u_space.coords_matrix(
+            (self.diamond_black(q, p) for q in self.qt.basis for p in self.p_basis),
+            "first connecting map leaves the bicolinear endomorphisms")
+        conn1 = tens21.descend_map(black)
         if conn1 is None:
             raise AxiomError("first connecting map is not balanced")
-        cols = []
-        for j in range(npdim):
-            for b in range(nqdim):
-                m = self.diamond_white(self.p_basis[j], self.qt.basis[b])
-                coords = coords_in_basis(self.v_basis, m)
-                if coords is None:
-                    raise AxiomError("second connecting map leaves the bilinear maps")
-                cols.append(coords)
-                blocks[b][j] = blocks[b][j] + flatten_matrix(m)
-        conn2 = tens12.descend_map(Matrix.from_cols(f, self.v_alg.dim, cols))
+        white = self.v_space.coords_matrix(
+            (self.diamond_white(p, q) for p in self.p_basis for q in self.qt.basis),
+            "second connecting map leaves the bilinear maps")
+        conn2 = tens12.descend_map(white)
         if conn2 is None:
             raise AxiomError("second connecting map is not balanced")
+        # values on basis pairs, flattened: column j of _conn_sc stacks, for
+        # each b, black(q_b, p_j) over white(p_j, q_b)
+        black_vals = self.u_space.span.basis_matrix_cols().mul(black)
+        white_vals = self.v_space.span.basis_matrix_cols().mul(white)
         cdim = self.ext.inner.dim
         self.conn_rows = cdim * cdim + self.t_alg.dim * self.ext.outer.dim
         self._conn_sc = Matrix.from_cols(
             f, nqdim * self.conn_rows,
-            [[v for b in range(nqdim) for v in blocks[b][j]] for j in range(npdim)])
+            [[v for b in range(nqdim)
+              for v in black_vals.col(b * npdim + j) + white_vals.col(j * nqdim + b)]
+             for j in range(npdim)])
         self.context = MoritaContext(self.v_alg, self.u_alg, self.p_mod, self.q_mod,
                                      conn1, conn2, tens21, tens12,
                                      name="extension context(%s)" % self.sigma.name)
@@ -825,26 +724,16 @@ def convolution_algebra(d, alg, eta=None, name=None):
     for i in range(d.base.dim):
         cons.append([(ident_a, d.carrier.left_act[i], +1), (left[i], ident_d, -1)])
         cons.append([(ident_a, d.carrier.right_act[i], +1), (right[i], ident_d, -1)])
-    basis = solve_map_space(d.dim, alg.dim, cons, f)
-    n = len(basis)
-    if n == 0:
-        return zero_algebra(f, name=name or "Conv"), basis
-    mul = [[None] * n for _ in range(n)]
+    space = solve_map_space(d.dim, alg.dim, cons, f)
+    mult = alg.mult_eval()
     dd_split = d.cc.sect().mul(d.coproduct)
-    for i in range(n):
-        for j in range(n):
-            prod = alg.mult_eval().mul(basis[i].kron(basis[j])).mul(dd_split)
-            coords = coords_in_basis(basis, prod)
-            if coords is None:
-                raise AxiomError("convolution product escapes the bilinear maps")
-            mul[i][j] = coords
-    unit = coords_in_basis(basis, _unit_convolution_matrix(f, list(alg.unit), d.counit))
-    if unit is None:
-        raise AxiomError("convolution unit escapes the bilinear maps")
-    alg_out = FiniteAlgebra(f, n, mul, unit,
-                            name=name or "Conv(%s,%s)" % (d.name, alg.name))
-    alg_out.validate()
-    return alg_out, basis
+    alg_out = space.algebra(
+        lambda x, y: mult.mul(x.kron(y)).mul(dd_split),
+        _unit_convolution_matrix(f, list(alg.unit), d.counit),
+        name or ("Conv(%s,%s)" % (d.name, alg.name) if space.dim else "Conv"),
+        "convolution product escapes the bilinear maps",
+        "convolution unit escapes the bilinear maps")
+    return alg_out, space.basis
 
 
 def convolution_inverse(d, alg, lam):
@@ -911,14 +800,9 @@ def remark_k_coincidence(ext_ctx, cm):
     dual = cm.dual
     phi_v = Matrix.from_cols(f, t_alg.dim, [v.col(0) for v in ext_ctx.v_basis])
     phi_p = Matrix.from_cols(f, sigma.dim, [p.col(0) for p in ext_ctx.p_basis])
-    u_cols = []
-    for u in ext_ctx.u_basis:
-        coords = coords_in_basis(dual.eval_mats, ext.inner.counit.mul(u))
-        if coords is None:
-            raise AxiomError("coincidence: a bicolinear endomorphism has no dual "
-                             "ring shadow")
-        u_cols.append(coords)
-    phi_u = Matrix.from_cols(f, dual.dim, u_cols)
+    phi_u = dual.space.coords_matrix(
+        (ext.inner.counit.mul(u) for u in ext_ctx.u_basis),
+        "coincidence: a bicolinear endomorphism has no dual ring shadow")
     phi_q = ext_ctx.qt.embedding
     for phi, n1, n2, label in ((phi_v, t_alg.dim, len(ext_ctx.v_basis), "algebra 1"),
                                (phi_u, dual.dim, len(ext_ctx.u_basis), "algebra 2"),

@@ -15,8 +15,8 @@ from __future__ import annotations
 import itertools
 import random
 
-from .algmod import (BalancedTensor, FBimodule, coords_in_basis, fgp_check,
-                     generator_check, hom_space, trivial_algebra)
+from .algmod import (BalancedTensor, FBimodule, MatrixSpace, coords_in_basis,
+                     fgp_check, generator_check, hom_space, trivial_algebra)
 from .coring import Comodule, EndAlgebra, colinear_homs
 from .exactla import (AxiomError, Matrix, UsageError, flatten_matrix, rank,
                       solve_linear, solve_many, unit_vec, vec_scale, zero_vec)
@@ -42,20 +42,15 @@ class CanonicalMap:
         c = sigma.coring
         self.end = end or EndAlgebra(sigma)
         t_alg = self.end.algebra
-        homs = hom_space(sigma.carrier, n_mod, right_linear=True)
-        self.hom_basis = [h.matrix for h in homs]
-        nh = len(self.hom_basis)
-        right_acts = []
-        for i in range(t_alg.dim):
-            t = self.end.basis_maps[i]
-            cols = []
-            for hmat in self.hom_basis:
-                coords = coords_in_basis(self.hom_basis, hmat.mul(t))
-                if coords is None:
-                    raise AxiomError("canonical map: endomorphism action escapes "
-                                     "the hom space")
-                cols.append(coords)
-            right_acts.append(Matrix.from_cols(f, nh, cols))
+        self.homs = MatrixSpace(f, n_mod.dim, sigma.dim,
+                                [h.matrix for h in hom_space(sigma.carrier, n_mod,
+                                                             right_linear=True)])
+        self.hom_basis = self.homs.basis
+        nh = self.homs.dim
+        right_acts = [self.homs.coords_matrix(
+            (hmat.mul(t) for hmat in self.hom_basis),
+            "canonical map: endomorphism action escapes the hom space")
+            for t in self.end.basis_maps]
         k = trivial_algebra(f)
         hom_mod = FBimodule(k, t_alg, nh, [Matrix.identity(f, nh)], right_acts,
                             name="Hom(Sigma,%s)" % n_mod.name)
@@ -286,14 +281,6 @@ def _candidate_vectors(dim, field, cap=SEARCH_SWEEP_CAP, trials=SEARCH_TRIALS,
         yield [field.of_int(rng.randint(-9, 9)) for _ in range(dim)]
 
 
-def _combine(basis, coeffs):
-    out = None
-    for c, b in zip(coeffs, basis):
-        term = b.scale(c)
-        out = term if out is None else out.add(term)
-    return out
-
-
 def cleft_kappa(ext_ctx, td_tens, jt_mat):
     """The splitting candidate Sigma -> T (x) D built from an intertwiner:
     x -> [y -> x_[0]^[0]·jt(x_[0]^[1])(y)] (x) x_[1], columnwise."""
@@ -308,14 +295,7 @@ def cleft_kappa(ext_ctx, td_tens, jt_mat):
     for x in range(sigma.dim):
         col = zero_vec(f, td_tens.dim)
         for ((m0, dd), w) in sigma_d.mc.lift_pairs(sigma_d.coaction.col(x)):
-            tmat = Matrix.zero(f, sigma.dim, sigma.dim)
-            for ((m1, ck), w2) in sigma.mc.lift_pairs(sigma.coaction.col(m0)):
-                xi = sd.element_matrix(vec_scale(f, w2, jt_mat.col(ck)))
-                for y in range(sigma.dim):
-                    contrib = sigma.carrier.right_act_vec(xi.col(y)).col(m1)
-                    for r in range(sigma.dim):
-                        tmat.data[r][y] = f.add(tmat.data[r][y], contrib[r])
-            tcoords = end.coords(tmat)
+            tcoords = end.coords(sd.pairing(sigma, unit_vec(f, sigma.dim, m0), jt_mat))
             if tcoords is None:
                 raise AxiomError("invertibility candidate leaves the endomorphism "
                                  "algebra")
@@ -340,8 +320,13 @@ def normal_basis_check(ext_ctx, cleft_data=None):
     end = ext_ctx.end
     sig_bi = sigma_as_bicomodule(ext, sigma, end)
     td_com, td_tens = td_bicomodule(ext, end)
-    homs_st = [h.matrix for h in colinear_homs(sig_bi, td_com, left_linear=True)]
-    homs_ts = [h.matrix for h in colinear_homs(td_com, sig_bi, left_linear=True)]
+    space_st = MatrixSpace(f, td_com.dim, sigma.dim,
+                           [h.matrix for h in colinear_homs(sig_bi, td_com,
+                                                            left_linear=True)])
+    space_ts = MatrixSpace(f, sigma.dim, td_com.dim,
+                           [h.matrix for h in colinear_homs(td_com, sig_bi,
+                                                            left_linear=True)])
+    homs_st, homs_ts = space_st.basis, space_ts.basis
     family = _witnesses_from_products(homs_st, homs_ts,
                                       Matrix.identity(f, sigma.dim))
     report = {"td_dim": td_com.dim, "sigma_dim": sigma.dim,
@@ -369,7 +354,7 @@ def normal_basis_check(ext_ctx, cleft_data=None):
     candidates = []
     if cleft_data is not None and cleft_data.jtilde is not None:
         kappa = cleft_kappa(ext_ctx, td_tens, cleft_data.jtilde)
-        if coords_in_basis(homs_st, kappa) is None:
+        if space_st.coords(kappa) is None:
             raise AxiomError("the candidate built from invertibility data is not "
                              "a bicomodule map")
         candidates.append(kappa)
@@ -384,7 +369,7 @@ def normal_basis_check(ext_ctx, cleft_data=None):
             back = coords_in_basis([h.mul(kappa) for h in homs_ts],
                                    Matrix.identity(f, sigma.dim))
             if back is not None:
-                weak_found = (kappa, _combine(homs_ts, back) if homs_ts else None)
+                weak_found = (kappa, space_ts.element(back) if homs_ts else None)
         if dim_ok_full and full_found is None:
             if rank(kappa) == sigma.dim:
                 full_found = kappa
@@ -395,9 +380,7 @@ def normal_basis_check(ext_ctx, cleft_data=None):
             break
     if full_found is None or weak_found is None:
         for coeffs in seen_coeffs:
-            kappa = _combine(homs_st, coeffs)
-            if kappa is None:
-                break
+            kappa = space_st.element(coeffs)
             try_kappa(kappa)
             if (full_found is not None or not dim_ok_full) and weak_found is not None:
                 break
@@ -487,7 +470,7 @@ def _cleft_for_j(ext_ctx, j, jtilde):
         jt_coords = qt.coords(jtilde)
         if jt_coords is None:
             raise UsageError("the supplied intertwiner is not in the bimodule")
-    j_coords = coords_in_basis(ext_ctx.p_basis, j)
+    j_coords = ext_ctx.p_space.coords(j)
     if j_coords is None:
         raise UsageError("the supplied section is not a colinear map")
     target = _cleft_targets(ext_ctx)
@@ -495,7 +478,7 @@ def _cleft_for_j(ext_ctx, j, jtilde):
         got = _grade_coords(ext_ctx, j_coords, target)
         if got is None:
             return None
-        return CleftData(j, _combine(qt.basis, got[1]), got[0])
+        return CleftData(j, qt.space.element(got[1]), got[0])
     values = ext_ctx.connecting_matrix(j_coords).mul_vec(jt_coords)
     nblack = ext_ctx.ext.inner.dim ** 2
     if values[:nblack] != target[:nblack]:
@@ -524,8 +507,8 @@ def _cleft_without_data(ext_ctx, search):
         got = _grade_coords(ext_ctx, coeffs, target, weak_wanted=best is None)
         if got is None:
             continue
-        best = CleftData(_combine(ext_ctx.p_basis, coeffs),
-                         _combine(ext_ctx.qt.basis, got[1]), got[0])
+        best = CleftData(ext_ctx.p_space.element(coeffs),
+                         ext_ctx.qt.space.element(got[1]), got[0])
         if got[0] == "cleft":
             return best
     if best is not None:
@@ -553,13 +536,13 @@ def can_inverse_from_witnesses(ext_ctx, can):
         for ((ni, ck), w) in can.nc.lift_pairs(unit_vec(f, can.nc.dim, q)):
             for ((c0, dd), w2) in ext.cld.lift_pairs(ext.tau.col(ck)):
                 for (jt, j) in witnesses:
-                    xi = sd.element_matrix(jt.col(c0))
+                    xi = sd.space.element(jt.col(c0))
                     phi = Matrix.zero(f, n_mod.dim, ext_ctx.sigma.dim)
                     for x in range(ext_ctx.sigma.dim):
                         col = n_mod.right_act_vec(xi.col(x)).col(ni)
                         for r in range(n_mod.dim):
                             phi.data[r][x] = col[r]
-                    coords = coords_in_basis(can.hom_basis, phi)
+                    coords = can.homs.coords(phi)
                     if coords is None:
                         raise AxiomError("rebuilt inverse leaves the hom space")
                     contrib = can.tens.pure_tensor(
@@ -585,8 +568,7 @@ def _first_witnesses(ext_ctx):
         return None
     out = []
     for (qvec, pvec) in wit:
-        out.append((_combine(ext_ctx.qt.basis, qvec),
-                    _combine(ext_ctx.p_basis, pvec)))
+        out.append((ext_ctx.qt.space.element(qvec), ext_ctx.p_space.element(pvec)))
     return out
 
 
@@ -617,7 +599,7 @@ def check_jids(ext_ctx, witnesses, comodules):
                 for ((m0, dd), w) in md.mc.lift_pairs(md.coaction.col(col)):
                     jd = j.mul_vec(unit_vec(f, ext.outer.dim, dd))
                     for ((m1, ck), w2) in m.mc.lift_pairs(m.coaction.col(m0)):
-                        a_val = sd.element_matrix(jt.col(ck)).mul_vec(jd)
+                        a_val = sd.space.element(jt.col(ck)).mul_vec(jd)
                         contrib = m.carrier.right_act_vec(
                             vec_scale(f, f.mul(w, w2), a_val)).col(m1)
                         for r in range(m.dim):
@@ -646,7 +628,7 @@ def check_generator_property(ext_ctx):
     total = zero_vec(f, c.base.dim)
     for (jt, j) in witnesses:
         for ((ck, dd), w) in ext.cld.lift_pairs(ext.tau.mul_vec(cvec)):
-            xi = sd.element_matrix(vec_scale(f, w, jt.col(ck)))
+            xi = sd.space.element(vec_scale(f, w, jt.col(ck)))
             jd = j.col(dd)
             total = [f.add(u, v) for u, v in zip(total, xi.mul_vec(jd))]
     if total != list(c.base.unit):
@@ -686,14 +668,7 @@ def check_equivariant_projectivity(ext_ctx):
         col = zero_vec(f, ts.dim)
         for (jt, j) in witnesses:
             for ((m0, dd), w) in sigma_d.mc.lift_pairs(sigma_d.coaction.col(x)):
-                tmat = Matrix.zero(f, sigma.dim, sigma.dim)
-                for ((m1, ck), w2) in sigma.mc.lift_pairs(sigma.coaction.col(m0)):
-                    xi = sd.element_matrix(vec_scale(f, w2, jt.col(ck)))
-                    for y in range(sigma.dim):
-                        contrib = sigma.carrier.right_act_vec(xi.col(y)).col(m1)
-                        for r in range(sigma.dim):
-                            tmat.data[r][y] = f.add(tmat.data[r][y], contrib[r])
-                tcoords = end.coords(tmat)
+                tcoords = end.coords(sd.pairing(sigma, unit_vec(f, sigma.dim, m0), jt))
                 if tcoords is None:
                     raise AxiomError("coretraction leaves the endomorphism algebra")
                 contrib = ts.pure_tensor([vec_scale(f, w, tcoords), j.col(dd)])
@@ -734,22 +709,16 @@ def check_equivariant_projectivity(ext_ctx):
 def evaluation_counit(sigma, end, m):
     """The evaluation Hom(Sigma, M) (x)_T Sigma -> M on the balanced quotient.
 
-    Returns (counit, tens, hom_basis)."""
+    Returns (counit, tens, space of colinear maps)."""
     f = sigma.field
     t_alg = end.algebra
-    homs = [h.matrix for h in colinear_homs(sigma, m)]
-    nh = len(homs)
-    right_acts = []
-    for i in range(t_alg.dim):
-        t = end.basis_maps[i]
-        cols = []
-        for hmat in homs:
-            coords = coords_in_basis(homs, hmat.mul(t))
-            if coords is None:
-                raise AxiomError("counit check: endomorphism action escapes the "
-                                 "colinear maps")
-            cols.append(coords)
-        right_acts.append(Matrix.from_cols(f, nh, cols))
+    space = MatrixSpace(f, m.dim, sigma.dim, [h.matrix for h in colinear_homs(sigma, m)])
+    homs = space.basis
+    nh = space.dim
+    right_acts = [space.coords_matrix((hmat.mul(t) for hmat in homs),
+                                      "counit check: endomorphism action escapes the "
+                                      "colinear maps")
+                  for t in end.basis_maps]
     k = trivial_algebra(f)
     hom_mod = FBimodule(k, t_alg, nh, [Matrix.identity(f, nh)], right_acts,
                         name="Hom(Sigma,%s)" % m.name)
@@ -764,12 +733,13 @@ def evaluation_counit(sigma, end, m):
     counit = tens.descend_map(Matrix.from_cols(f, m.dim, cols))
     if counit is None:
         raise AxiomError("evaluation counit is not balanced")
-    return counit, tens, homs
+    return counit, tens, space
 
 
 def _hom_comodule_counit(ext_ctx, m, witnesses):
     """The evaluation counit on Hom(Sigma, M) (x)_T Sigma and its inverse built
-    from the unit decomposition; returns (counit, inverse, tens, hom_basis)."""
+    from the unit decomposition; returns (counit, inverse, tens, space of
+    colinear maps)."""
     ext = ext_ctx.ext
     sigma = ext_ctx.sigma
     f = ext_ctx.field
@@ -783,14 +753,7 @@ def _hom_comodule_counit(ext_ctx, m, witnesses):
         out = zero_vec(f, tens.dim)
         for (jt, j) in witnesses:
             for ((m0, dd), w) in md.mc.lift_pairs(md.coaction.col(col)):
-                phi = Matrix.zero(f, m.dim, sigma.dim)
-                for ((m1, ck), w2) in m.mc.lift_pairs(m.coaction.col(m0)):
-                    xi = sd.element_matrix(vec_scale(f, w2, jt.col(ck)))
-                    for y in range(sigma.dim):
-                        contrib = m.carrier.right_act_vec(xi.col(y)).col(m1)
-                        for r in range(m.dim):
-                            phi.data[r][y] = f.add(phi.data[r][y], contrib[r])
-                coords = coords_in_basis(homs, phi)
+                coords = homs.coords(sd.pairing(m, unit_vec(f, m.dim, m0), jt))
                 if coords is None:
                     raise AxiomError("counit inverse leaves the colinear maps")
                 contrib = tens.pure_tensor([vec_scale(f, w, coords), j.col(dd)])
@@ -830,7 +793,7 @@ def unit_decomposition_of_one(ext_ctx):
     if rank(d.counit) == d.base.dim:
         dvec = solve_linear(d.counit, list(d.base.unit))
         unit_v = ext_ctx._v_unit_matrix()
-        if coords_in_basis(ext_ctx.v_basis, unit_v) is None:
+        if ext_ctx.v_space.coords(unit_v) is None:
             raise AxiomError("convolution unit is not a bilinear map")
         return {"pairs": [(unit_v, dvec)], "path": "counit surjective"}
     cols = []
@@ -889,18 +852,16 @@ def tensor_fullyfaithful_check(cm, samples_t):
         ncom = Comodule(c, carrier, Matrix.from_cols(f, ntens_c.dim, cols),
                         name=carrier.name)
         ncom.validate()
-        homs = [h.matrix for h in colinear_homs(sigma, ncom)]
-        eta_cols = []
-        for ni in range(n_mod.dim):
-            mat = Matrix.from_cols(f, tens_n.dim,
-                                   [tens_n.pure_tensor([unit_vec(f, n_mod.dim, ni),
-                                                        unit_vec(f, sigma.dim, x)])
-                                    for x in range(sigma.dim)])
-            coords = coords_in_basis(homs, mat)
-            if coords is None:
-                raise AxiomError("adjunction unit is not colinear on %s" % n_mod.name)
-            eta_cols.append(coords)
-        eta = Matrix.from_cols(f, len(homs), eta_cols)
+        space = MatrixSpace(f, tens_n.dim, sigma.dim,
+                            [h.matrix for h in colinear_homs(sigma, ncom)])
+        homs = space.basis
+        eta = space.coords_matrix(
+            (Matrix.from_cols(f, tens_n.dim,
+                              [tens_n.pure_tensor([unit_vec(f, n_mod.dim, ni),
+                                                   unit_vec(f, sigma.dim, x)])
+                               for x in range(sigma.dim)])
+             for ni in range(n_mod.dim)),
+            "adjunction unit is not colinear on %s" % n_mod.name)
         # explicit inverse from the witnesses
         etainv_cols = []
         for hb, hmat in enumerate(homs):
@@ -1033,7 +994,7 @@ def _rebuild_witnesses(ext_ctx, td_tens, pairs):
                     eps_d = d.counit.data[0][dd]
                     if eps_d:
                         tcoords[tt] = f.add(tcoords[tt], f.mul(w2, eps_d))
-                tmat = end.element_matrix(tcoords)
+                tmat = end.space.element(tcoords)
                 phi = can_a.hom_basis[hb].mul(tmat)
                 coords = sd.coords(phi)
                 if coords is None:
@@ -1043,7 +1004,7 @@ def _rebuild_witnesses(ext_ctx, td_tens, pairs):
         jt_mat = Matrix.from_cols(f, sd.dim, jt_cols)
         if ext_ctx.qt.coords(jt_mat) is None:
             raise AxiomError("rebuilt intertwiner is not in the bimodule")
-        if coords_in_basis(ext_ctx.p_basis, j_mat) is None:
+        if ext_ctx.p_space.coords(j_mat) is None:
             raise AxiomError("rebuilt section is not a colinear map")
         out.append((jt_mat, j_mat))
     return out

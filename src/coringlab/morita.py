@@ -9,11 +9,11 @@ mixed-associativity identities are verified exactly.
 
 from __future__ import annotations
 
-from .algmod import (BalancedTensor, FBimodule, coords_in_basis, endo_algebra,
-                     fgp_check, hom_space, zero_algebra)
+from .algmod import (BalancedTensor, FBimodule, MatrixSpace, endo_algebra,
+                     fgp_check, hom_space)
 from .coring import DualRing, EndAlgebra, dual_action
 from .exactla import (AxiomError, Matrix, Subspace, UsageError, kernel, rank,
-                      solve_linear, unit_vec, vec_scale, zero_vec)
+                      solve_linear, unflatten, unit_vec, vec_scale, zero_vec)
 
 
 class MoritaContext:
@@ -39,7 +39,6 @@ class MoritaContext:
     def validate(self):
         self.bim12.validate()
         self.bim21.validate()
-        f = self.field
         # conn1 is alg2-alg2 bilinear on [bim21 (x) bim12]
         for i in range(self.alg2.dim):
             if self.conn1.mul(self.tens21.left_act[i]) != self.alg2.lmul(i).mul(self.conn1):
@@ -146,44 +145,38 @@ class SigmaDual:
         self.sigma = sigma
         a = sigma.coring.base
         reg = FBimodule.regular(a)
-        self.basis = [h.matrix for h in hom_space(sigma.carrier, reg, right_linear=True)]
-        n = len(self.basis)
-        field = sigma.field
+        self.space = MatrixSpace(sigma.field, a.dim, sigma.dim,
+                                 [h.matrix for h in hom_space(sigma.carrier, reg,
+                                                              right_linear=True)])
+        self.basis = self.space.basis
         lalg = sigma.carrier.left_alg
-        left_act = []
-        for i in range(a.dim):
-            left_act.append(self._coords_matrix([a.lmul(i).mul(m) for m in self.basis]))
-        right_act = []
-        for i in range(lalg.dim):
-            right_act.append(self._coords_matrix(
-                [m.mul(sigma.carrier.left_act[i]) for m in self.basis]))
-        self.module = FBimodule(a, lalg, n, left_act, right_act,
+        escape = "dual module: action escapes the hom space"
+        left_act = [self.space.coords_matrix((a.lmul(i).mul(m) for m in self.basis), escape)
+                    for i in range(a.dim)]
+        right_act = [self.space.coords_matrix(
+            (m.mul(sigma.carrier.left_act[i]) for m in self.basis), escape)
+            for i in range(lalg.dim)]
+        self.module = FBimodule(a, lalg, self.dim, left_act, right_act,
                                 name=sigma.name + "*")
         self.module.validate()
 
-    def _coords_matrix(self, mats):
-        cols = []
-        for m in mats:
-            c = coords_in_basis(self.basis, m)
-            if c is None:
-                raise AxiomError("dual module: action escapes the hom space")
-            cols.append(c)
-        return Matrix.from_cols(self.sigma.field, len(self.basis), cols)
-
     @property
     def dim(self):
-        return len(self.basis)
-
-    def element_matrix(self, coords):
-        f = self.sigma.field
-        out = Matrix.zero(f, self.sigma.coring.base.dim, self.sigma.dim)
-        for c, m in zip(coords, self.basis):
-            if c != f.zero:
-                out = out.add(m.scale(c))
-        return out
+        return self.space.dim
 
     def coords(self, mat):
-        return coords_in_basis(self.basis, mat)
+        return self.space.coords(mat)
+
+    def pairing(self, m, vec, jt):
+        """The map Sigma -> M, y -> v^[0]·jt(v^[1])(y), at the element v = vec
+        of the comodule m, for jt: C -> Sigma* in Sigma*-coordinates."""
+        f = self.sigma.field
+        out = Matrix.zero(f, m.dim, self.sigma.dim)
+        for ((x, ck), w) in m.mc.lift_pairs(m.coaction.mul_vec(vec)):
+            xi = self.space.element(vec_scale(f, w, jt.col(ck)))
+            act_x = Matrix.from_cols(f, m.dim, [act.col(x) for act in m.carrier.right_act])
+            out = out.add(act_x.mul(xi))
+        return out
 
 
 class QModule:
@@ -249,9 +242,9 @@ class QModule:
             sol = kernel(Matrix.from_rows(field, rows))
         else:
             sol = Subspace.full(field, nunk)
-        self.basis = [Matrix(field, ddim, sdim,
-                             [list(v[i * sdim:(i + 1) * sdim]) for i in range(ddim)])
-                      for v in sol.basis]
+        self.space = MatrixSpace(field, ddim, sdim,
+                                 [unflatten(field, ddim, sdim, v) for v in sol.basis])
+        self.basis = self.space.basis
         self._verify_pointwise()
         self._install_actions()
         self.sigma_dual = SigmaDual(sigma)
@@ -283,135 +276,79 @@ class QModule:
                                          "at basis pair (%d,%d)" % (j, k))
 
     def _install_actions(self):
-        field = self.field
-        n = len(self.basis)
-        left_act = []
-        for i in range(self.dual.dim):
-            lm = self.dual.algebra.lmul(i)
-            mats = [lm.mul(q) for q in self.basis]
-            left_act.append(self._coords_matrix(mats, "left dual action"))
-        right_act = []
-        for i in range(self.end.dim):
-            t = self.end.basis_maps[i]
-            mats = [q.mul(t) for q in self.basis]
-            right_act.append(self._coords_matrix(mats, "right endomorphism action"))
-        self.module = FBimodule(self.dual.algebra, self.end.algebra, n,
+        left_act = [self.space.coords_matrix(
+            (self.dual.algebra.lmul(i).mul(q) for q in self.basis),
+            "Q: left dual action leaves the solution space")
+            for i in range(self.dual.dim)]
+        right_act = [self.space.coords_matrix(
+            (q.mul(t) for q in self.basis),
+            "Q: right endomorphism action leaves the solution space")
+            for t in self.end.basis_maps]
+        self.module = FBimodule(self.dual.algebra, self.end.algebra, self.dim,
                                 left_act, right_act,
                                 name="Q(%s)" % self.sigma.name)
         self.module.validate()
 
-    def _coords_matrix(self, mats, what):
-        cols = []
-        for m in mats:
-            cod = coords_in_basis(self.basis, m)
-            if cod is None:
-                raise AxiomError("Q: %s leaves the solution space" % what)
-            cols.append(cod)
-        return Matrix.from_cols(self.field, len(self.basis), cols)
-
     def _switch(self, q):
         """The switched-argument element of Hom(C, Sigma*), in Sigma*-coords."""
-        field = self.field
         c = self.sigma.coring
-        cols = []
-        for k in range(c.dim):
-            mat = Matrix.zero(field, c.base.dim, self.sigma.dim)
-            for x in range(self.sigma.dim):
-                fvec = self.dual.element_eval(q.col(x)).col(k)
-                for r in range(c.base.dim):
-                    mat.data[r][x] = fvec[r]
-            coords = self.sigma_dual.coords(mat)
-            if coords is None:
-                raise AxiomError("Q: switched element escapes Hom_A(Sigma, A)")
-            cols.append(coords)
-        return Matrix.from_cols(field, self.sigma_dual.dim, cols)
+        evals = [self.dual.element_eval(q.col(x)) for x in range(self.sigma.dim)]
+        return self.sigma_dual.space.coords_matrix(
+            (Matrix.from_cols(self.field, c.base.dim, [ev.col(k) for ev in evals])
+             for k in range(c.dim)),
+            "Q: switched element escapes Hom_A(Sigma, A)")
 
     @property
     def dim(self):
-        return len(self.basis)
+        return self.space.dim
 
     def coords(self, mat):
-        return coords_in_basis(self.basis, mat)
+        return self.space.coords(mat)
 
     def element(self, coords):
-        f = self.field
-        out = Matrix.zero(f, self.dual.dim, self.sigma.dim)
-        for c, m in zip(coords, self.basis):
-            if c != f.zero:
-                out = out.add(m.scale(c))
-        return out
+        return self.space.element(coords)
 
 
 def compute_Q(sigma, dual=None, end=None):
     return QModule(sigma, dual=dual, end=end)
 
 
-def _eval_context(t_alg, t_basis_maps, t_coords, dual, dualact_mats, q_basis,
-                  sigma, name):
+def _eval_context(t_alg, t_space, dual, dualact_mats, q_space, sigma, name):
     """Context (T?, *C, Sigma, Q?) with evaluation connecting maps.
 
     Shared between the colinear context and the module-theoretic one; the
-    caller supplies the endomorphism algebra and the hom-type basis.
+    caller supplies the endomorphism algebra and space and the hom-type space.
     """
     field = sigma.field
     sdim = sigma.dim
-    qdim = len(q_basis)
-    bim12 = FBimodule(t_alg, dual.algebra, sdim, [m for m in t_basis_maps],
+    q_basis = q_space.basis
+    bim12 = FBimodule(t_alg, dual.algebra, sdim, list(t_space.basis),
                       dualact_mats, name=sigma.name)
     bim12.validate()
-    qleft = []
-    for i in range(dual.dim):
-        lm = dual.algebra.lmul(i)
-        cols = []
-        for q in q_basis:
-            cod = coords_in_basis(q_basis, lm.mul(q))
-            if cod is None:
-                raise AxiomError("%s: dual action leaves the hom basis" % name)
-            cols.append(cod)
-        qleft.append(Matrix.from_cols(field, qdim, cols))
-    qright = []
-    for i in range(t_alg.dim):
-        t = t_basis_maps[i]
-        cols = []
-        for q in q_basis:
-            cod = coords_in_basis(q_basis, q.mul(t))
-            if cod is None:
-                raise AxiomError("%s: endomorphism action leaves the hom basis" % name)
-            cols.append(cod)
-        qright.append(Matrix.from_cols(field, qdim, cols))
-    bim21 = FBimodule(dual.algebra, t_alg, qdim, qleft, qright, name="Q")
+    qleft = [q_space.coords_matrix((dual.algebra.lmul(i).mul(q) for q in q_basis),
+                                   "%s: dual action leaves the hom basis" % name)
+             for i in range(dual.dim)]
+    qright = [q_space.coords_matrix((q.mul(t) for q in q_basis),
+                                    "%s: endomorphism action leaves the hom basis" % name)
+              for t in t_space.basis]
+    bim21 = FBimodule(dual.algebra, t_alg, q_space.dim, qleft, qright, name="Q")
     bim21.validate()
     tens21 = BalancedTensor([bim21, bim12], [t_alg], name="Q(x)Sigma")
     tens12 = BalancedTensor([bim12, bim21], [dual.algebra], name="Sigma(x)Q")
     # conn1: q (x) x -> q(x)
     cols = []
-    for b in range(qdim):
+    for q in q_basis:
         for j in range(sdim):
-            cols.append(q_basis[b].col(j))
+            cols.append(q.col(j))
     conn1 = tens21.descend_map(Matrix.from_cols(field, dual.dim, cols))
     if conn1 is None:
         raise AxiomError("%s: evaluation map is not balanced" % name)
-    # conn2: x (x) q -> (y -> x·q(y))
-    cols = []
-    for j in range(sdim):
-        for b in range(qdim):
-            mat = Matrix.zero(field, sdim, sdim)
-            for y in range(sdim):
-                qy = q_basis[b].col(y)
-                col = zero_vec(field, sdim)
-                for bb in range(dual.dim):
-                    if qy[bb] != field.zero:
-                        dcol = dualact_mats[bb].col(j)
-                        col = [field.add(u, field.mul(qy[bb], v))
-                               for u, v in zip(col, dcol)]
-                for r in range(sdim):
-                    mat.data[r][y] = col[r]
-            coords = t_coords(mat)
-            if coords is None:
-                raise AxiomError("%s: second connecting map leaves the "
-                                 "endomorphism algebra" % name)
-            cols.append(coords)
-    conn2 = tens12.descend_map(Matrix.from_cols(field, t_alg.dim, cols))
+    # conn2: x (x) q -> (y -> x·q(y)); column y of x·q is acts_at[x]·q(y)
+    acts_at = [Matrix.from_cols(field, sdim, [act.col(j) for act in dualact_mats])
+               for j in range(sdim)]
+    conn2 = tens12.descend_map(t_space.coords_matrix(
+        (acts_at[j].mul(q) for j in range(sdim) for q in q_basis),
+        "%s: second connecting map leaves the endomorphism algebra" % name))
     if conn2 is None:
         raise AxiomError("%s: second connecting map is not balanced" % name)
     ctx = MoritaContext(t_alg, dual.algebra, bim12, bim21, conn1, conn2,
@@ -430,9 +367,8 @@ class ComoduleContext:
         _, dmod = dual_action(sigma, self.dual)
         self.dualact_mats = dmod.right_act
         self.q = QModule(sigma, dual=self.dual, end=self.end)
-        self.context = _eval_context(self.end.algebra, self.end.basis_maps,
-                                     self.end.coords, self.dual,
-                                     self.dualact_mats, self.q.basis, sigma,
+        self.context = _eval_context(self.end.algebra, self.end.space, self.dual,
+                                     self.dualact_mats, self.q.space, sigma,
                                      name="comodule context(%s)" % sigma.name)
 
 
@@ -448,23 +384,23 @@ class ModuleContext:
         plain = FBimodule(_trivial_left(sigma), self.dual.algebra, sigma.dim,
                           [Matrix.identity(field, sigma.dim)], self.dualact_mats,
                           name=sigma.name)
-        end_maps = [h.matrix for h in hom_space(plain, plain, right_linear=True)]
-        if end_maps:
-            self.end_alg = endo_algebra(end_maps, name="End_*%s(%s)"
-                                        % (sigma.coring.name, sigma.name))
-        else:
-            self.end_alg = zero_algebra(field, name="End_*%s(%s)"
-                                        % (sigma.coring.name, sigma.name))
-        self.end_maps = end_maps
+        self.end_space = MatrixSpace(field, sigma.dim, sigma.dim,
+                                     [h.matrix for h in hom_space(plain, plain,
+                                                                  right_linear=True)])
+        self.end_maps = self.end_space.basis
+        self.end_alg = endo_algebra(self.end_space, name="End_*%s(%s)"
+                                    % (sigma.coring.name, sigma.name))
         dual_reg = FBimodule(_trivial_left(sigma), self.dual.algebra, self.dual.dim,
                              [Matrix.identity(field, self.dual.dim)],
                              [self.dual.algebra.rmul(i) for i in range(self.dual.dim)],
                              name=self.dual.algebra.name)
-        self.hom_maps = [h.matrix for h in hom_space(plain, dual_reg, right_linear=True)]
-        self.context = _eval_context(self.end_alg, end_maps,
-                                     lambda m: coords_in_basis(end_maps, m),
-                                     self.dual, self.dualact_mats, self.hom_maps,
-                                     sigma, name="module context(%s)" % sigma.name)
+        self.homs = MatrixSpace(field, self.dual.dim, sigma.dim,
+                                [h.matrix for h in hom_space(plain, dual_reg,
+                                                             right_linear=True)])
+        self.hom_maps = self.homs.basis
+        self.context = _eval_context(self.end_alg, self.end_space, self.dual,
+                                     self.dualact_mats, self.homs, sigma,
+                                     name="module context(%s)" % sigma.name)
 
 
 def _trivial_left(sigma):
@@ -492,21 +428,10 @@ def morphism_M_to_N(sigma, cm=None, cn=None):
     cn = cn or context_N(sigma, dual=cm.dual)
     field = sigma.field
     # corner inclusions
-    t_cols = []
-    for t in cm.end.basis_maps:
-        c = coords_in_basis(cn.end_maps, t)
-        if c is None:
-            raise AxiomError("a colinear endomorphism is not linear over "
-                             "the dual ring")
-        t_cols.append(c)
-    iota_t = Matrix.from_cols(field, len(cn.end_maps), t_cols)
-    q_cols = []
-    for q in cm.q.basis:
-        c = coords_in_basis(cn.hom_maps, q)
-        if c is None:
-            raise AxiomError("a Q element is not linear over the dual ring")
-        q_cols.append(c)
-    iota_q = Matrix.from_cols(field, len(cn.hom_maps), q_cols)
+    iota_t = cn.end_space.coords_matrix(cm.end.basis_maps, "a colinear endomorphism "
+                                        "is not linear over the dual ring")
+    iota_q = cn.homs.coords_matrix(cm.q.basis, "a Q element is not linear over the "
+                                   "dual ring")
     # the inclusions respect multiplication and the connecting maps
     mctx, nctx = cm.context, cn.context
     for i in range(mctx.alg1.dim):

@@ -8,7 +8,7 @@ checked structures; failures name the first broken axiom and basis pair.
 
 from __future__ import annotations
 
-from .algmod import (BalancedTensor, FBimodule, FiniteAlgebra,
+from .algmod import (BalancedTensor, FBimodule, FiniteAlgebra, MatrixSpace,
                      chain_slot_map, trivial_algebra)
 from .coring import (Comodule, Coring, Grouplike, comodule_direct_sum,
                      grouplike_comodule, trivial_coring, zero_comodule)
@@ -862,21 +862,14 @@ def subalgebra_from_span(a, vectors, name="B"):
     its inclusion matrix."""
     f = a.field
     sub = Subspace.from_span(f, a.dim, [list(v) for v in vectors])
+    unit_message = "subalgebra %s does not contain the unit" % name
     if not sub.contains(list(a.unit)):
-        raise AxiomError("subalgebra %s does not contain the unit" % name)
-    basis = sub.basis
-    nb = len(basis)
-    for i in range(nb):
-        for j in range(nb):
-            if not sub.contains(a.multiply(basis[i], basis[j])):
-                raise AxiomError("span is not closed under multiplication")
-    mul = [[sub.coords(a.multiply(basis[i], basis[j])) for j in range(nb)]
-           for i in range(nb)]
-    unit = sub.coords(list(a.unit))
-    b = FiniteAlgebra(f, nb, mul, unit, name=name)
-    b.validate()
-    inc = sub.basis_matrix_cols()
-    return b, inc
+        raise AxiomError(unit_message)
+    space = MatrixSpace(f, a.dim, 1, [Matrix.column(f, v) for v in sub.basis])
+    b = space.algebra(lambda x, y: Matrix.column(f, a.multiply(x.col(0), y.col(0))),
+                      Matrix.column(f, list(a.unit)), name,
+                      "span is not closed under multiplication", unit_message)
+    return b, sub.basis_matrix_cols()
 
 
 def sweedler_coring(a, b, b_inc, name=None):

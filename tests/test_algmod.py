@@ -4,12 +4,18 @@ import random
 
 import pytest
 
+from conftest import fixture_path
 from coringlab.algmod import (BalancedTensor, FBimodule, FiniteAlgebra,
-                              fgp_check, generator_check, hom_space,
-                              tensor_over, trivial_algebra)
-from coringlab.exactla import (AxiomError, Matrix, QQ, kernel, rank,
-                               solve_many)
-from coringlab.zoo import (group_algebra, product_field_algebra,
+                              MatrixSpace, coords_in_basis, fgp_check,
+                              generator_check, hom_space, tensor_over,
+                              trivial_algebra)
+from coringlab.exactla import (AxiomError, FieldFp, Matrix, QQ, UsageError,
+                               flatten_matrix, kernel, rank, solve_many)
+from coringlab.extension import ExtContext, purity_check
+from coringlab.galois import can_map, regular_right_module
+from coringlab.morita import context_M, context_N
+from coringlab.workspace import load_workspace_file
+from coringlab.zoo import (FIXTURES, group_algebra, product_field_algebra,
                            quotient_polynomial_algebra)
 
 F = QQ
@@ -282,3 +288,70 @@ def test_outer_action_that_does_not_descend_is_rejected(a_quad):
                      reg.right_act, name="bad")
     with pytest.raises(AxiomError, match="outer left action does not descend"):
         BalancedTensor([left, reg], [a_quad])
+
+
+# ---------------------------------------------------------------------------
+# MatrixSpace coordinates against the solve_linear definition
+
+
+def _solved_spaces(ws):
+    """The solved spaces a run over the workspace builds: both contexts of
+    each comodule, the hom space of its canonical map at the base, and the
+    extension context wherever the comodule's left algebra is the outer
+    base of a pure extension."""
+    for name in sorted(ws.comodules):
+        sigma = ws.comodules[name]
+        cm = context_M(sigma)
+        cn = context_N(sigma, dual=cm.dual)
+        yield from (cm.dual.space, cm.end.space, cm.q.space, cm.q.sigma_dual.space,
+                    cn.end_space, cn.homs)
+        yield can_map(sigma, regular_right_module(sigma.coring.base), end=cm.end).homs
+        for ext in ws.extensions.values():
+            if ext.inner is not sigma.coring or \
+                    sigma.carrier.left_alg.dim != ext.outer.base.dim:
+                continue
+            purity_check(ext, [sigma])
+            if ext.purity_certificate == "not-pure":
+                continue
+            ec = ExtContext(ext, sigma, comodule_ctx=cm)
+            yield from (ec.v_space, ec.u_space, ec.p_space, ec.qt.space)
+
+
+@pytest.mark.parametrize("field", [QQ, FieldFp(7)], ids=["Q", "F7"])
+def test_space_coords_match_solve_linear(field):
+    rng = random.Random(11)
+    checked = rejected = 0
+    for name in sorted(FIXTURES):
+        ws = load_workspace_file(fixture_path(name), field_override=field)
+        for space in _solved_spaces(ws):
+            f, n = space.field, space.dim
+            combos = [[f.of_int(int(i == k)) for i in range(n)] for k in range(n)]
+            combos += [[f.of_int(rng.randint(-3, 3)) for _ in range(n)] for _ in range(3)]
+            for coeffs in combos:
+                mat = space.element(coeffs)
+                assert space.coords(mat) == coeffs == coords_in_basis(space.basis, mat)
+                size = space.rows * space.cols
+                if not size:
+                    continue
+                pivots = set(space.span.pivots)
+                spots = [rng.randrange(size) for _ in range(2)]
+                spots += [i for i in range(size) if i not in pivots][:1]
+                for spot in spots:
+                    bad = _bump(mat, spot // space.cols, spot % space.cols)
+                    got = space.coords(bad)
+                    assert got == coords_in_basis(space.basis, bad)
+                    rejected += got is None
+            checked += 1
+    assert checked > 100 and rejected > 0
+
+
+def test_matrix_space_refuses_a_non_canonical_list(e2):
+    space = context_M(e2.comodules["Sigma"]).dual.space
+    f, basis = space.field, space.basis
+    assert space.dim >= 2
+    for bad in ([b.scale(f.of_int(2)) for b in basis], basis[::-1],
+                basis + [basis[0]], [basis[0].add(basis[1])] + basis[1:]):
+        with pytest.raises(UsageError, match="not the canonical basis"):
+            MatrixSpace(f, space.rows, space.cols, bad)
+    assert MatrixSpace(f, space.rows, space.cols, basis).span == space.span
+    assert [flatten_matrix(b) for b in basis] == space.span.basis

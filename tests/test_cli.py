@@ -1,6 +1,7 @@
 """Command-line behavior: round trips, exit codes, determinism."""
 
 import contextlib
+import copy
 import io
 import json
 import os
@@ -8,8 +9,9 @@ import re
 import time
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from coringlab import extension, galois
+from coringlab import cli, extension, galois
 from coringlab.cli import main
 from coringlab.exactla import QQ
 from conftest import fixture_path
@@ -314,3 +316,75 @@ def test_cleft_sweeps_once_by_contraction(capsys, monkeypatch):
     assert "black" not in events[first:] and "white" not in events[first:]
     # the context evaluates both maps once per basis pair (3 x 3)
     assert events.count("black") == events.count("white") == 9
+
+
+def test_dispatch_looks_up_the_command_at_call_time(capsys, monkeypatch):
+    assert run_cli(capsys, "zoo", "list")[0] == 0  # the parser is built and cached
+    calls = []
+    monkeypatch.setattr(cli, "cmd_validate", lambda args: calls.append(args.file) or 0)
+    code = run_cli(capsys, "validate", "no-such-file.json")[0]
+    assert (code, calls) == (0, ["no-such-file.json"])
+
+
+# ---------------------------------------------------------------------------
+# malformed documents: every one ends in exit 0, 1 or 2
+
+
+with open(fixture_path("E2"), encoding="utf-8") as _handle:
+    E2_DOC = json.load(_handle)
+
+
+def _paths(node, path=()):
+    """Every key and index path of a JSON document, in document order."""
+    items = node.items() if isinstance(node, dict) else \
+        enumerate(node) if isinstance(node, list) else ()
+    for key, child in items:
+        yield path + (key,), child
+        yield from _paths(child, path + (key,))
+
+
+E2_PATHS = [p for p, _ in _paths(E2_DOC)]
+E2_LIST_PATHS = [p for p, child in _paths(E2_DOC) if isinstance(child, list)]
+SWAPS = (None, 0, 1.5, True, "x", "1", [], {})
+
+MUTATIONS = st.one_of(
+    st.tuples(st.just("delete"), st.sampled_from(E2_PATHS)),
+    st.tuples(st.just("swap"), st.sampled_from(E2_PATHS), st.sampled_from(SWAPS)),
+    st.tuples(st.just("truncate"), st.sampled_from(E2_LIST_PATHS), st.integers(0, 3)))
+
+
+def _mutate(doc, mutation):
+    """Apply one mutation in place; a path an earlier mutation removed is
+    skipped."""
+    kind, path = mutation[0], mutation[1]
+    node = doc
+    for key in path[:-1]:
+        try:
+            node = node[key]
+        except (KeyError, IndexError, TypeError):
+            return
+    key = path[-1]
+    present = key in node if isinstance(node, dict) else \
+        isinstance(node, list) and isinstance(key, int) and key < len(node)
+    if not present:
+        return
+    if kind == "delete":
+        del node[key]
+    elif kind == "swap":
+        node[key] = copy.deepcopy(mutation[2])
+    elif isinstance(node[key], list):
+        del node[key][mutation[2]:]
+
+
+@settings(max_examples=100, derandomize=True, deadline=None)
+@given(st.lists(MUTATIONS, min_size=1, max_size=3))
+def test_mutated_documents_exit_cleanly(tmp_path_factory, mutations):
+    doc = copy.deepcopy(E2_DOC)
+    for mutation in mutations:
+        _mutate(doc, mutation)
+    path = tmp_path_factory.mktemp("fuzz") / "e2.json"
+    path.write_text(json.dumps(doc))
+    with contextlib.redirect_stdout(io.StringIO()), \
+            contextlib.redirect_stderr(io.StringIO()):
+        code = main(["validate", str(path)])
+    assert code in (0, 1, 2)
