@@ -1,14 +1,19 @@
 """Exact linear algebra kernel: fields, dense matrices, subspaces, quotients.
 
 Everything is computed over an exact field (arbitrary-precision rationals or
-a prime field); there are no tolerances anywhere.  All basis choices are made
-canonical through reduced row echelon form, so identical inputs produce
-bit-identical outputs.
+a prime field); there are no tolerances anywhere.  A rational scalar is a
+Python ``int`` when it is integral and a ``fractions.Fraction`` otherwise:
+the structure constants of group and Hopf algebras are almost all 0 and ±1,
+and int arithmetic on them skips the cost of ``Fraction``.  Mixed
+int/``Fraction`` arithmetic is exact, so the kernels need not tell the two
+apart.  All basis choices are made canonical through reduced row echelon
+form, so identical inputs produce bit-identical outputs.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from operator import index
 
 
 class UsageError(Exception):
@@ -23,16 +28,24 @@ class AxiomError(Exception):
 # fields
 
 
+def _canon(q):
+    """The rational q as an int when its denominator is 1, else q itself."""
+    return q.numerator if q.denominator == 1 else q
+
+
 class FieldQ:
-    """Arbitrary-precision rationals."""
+    """Arbitrary-precision rationals: an integral value is an ``int``, any
+    other a ``Fraction``.  ``of_int``, ``inv`` and ``parse`` return ints for
+    integral values; sums and products are plain operators and may return an
+    integral ``Fraction``, which is the same scalar and prints the same."""
 
     name = "Q"
 
-    zero = Fraction(0)
-    one = Fraction(1)
+    zero = 0
+    one = 1
 
     def of_int(self, n):
-        return Fraction(n)
+        return index(n)
 
     def add(self, a, b):
         return a + b
@@ -49,14 +62,14 @@ class FieldQ:
     def inv(self, a):
         if a == 0:
             raise ZeroDivisionError("inverse of zero")
-        return 1 / Fraction(a)
+        return _canon(1 / Fraction(a))
 
     def parse(self, s):
         s = s.strip()
         if " mod " in s:
             raise UsageError("prime-field scalar %r in a rational file" % s)
         try:
-            return Fraction(s)
+            return _canon(Fraction(s))
         except (ValueError, ZeroDivisionError) as exc:
             raise UsageError("bad rational scalar %r" % s) from exc
 

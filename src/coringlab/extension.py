@@ -472,6 +472,11 @@ class ExtContext:
         # galois.cleft_check
         self.cleft_search = None
 
+    def outer_comodule(self, m):
+        """The outer comodule induced by a comodule m of the inner coring;
+        for Sigma itself, the one built with the context."""
+        return self.sigma_d if m is self.sigma else induced_D_coaction(self.ext, m)
+
     # -- corner solvers
 
     def _solve_u(self):

@@ -370,6 +370,9 @@ class ComoduleContext:
         self.context = _eval_context(self.end.algebra, self.end.space, self.dual,
                                      self.dualact_mats, self.q.space, sigma,
                                      name="comodule context(%s)" % sigma.name)
+        # (sample modules, result) of the last galois.tensor_fullyfaithful_check
+        # that returned, so the checks of one command share its run
+        self.fullyfaithful = None
 
 
 class ModuleContext:

@@ -13,7 +13,7 @@ from hypothesis import given, settings, strategies as st
 
 from coringlab import cli, extension, galois
 from coringlab.cli import main
-from coringlab.exactla import QQ
+from coringlab.exactla import AxiomError, QQ
 from conftest import fixture_path
 from perturb import apply_perturbation, perturbation_sites
 
@@ -316,6 +316,46 @@ def test_cleft_sweeps_once_by_contraction(capsys, monkeypatch):
     assert "black" not in events[first:] and "white" not in events[first:]
     # the context evaluates both maps once per basis pair (3 x 3)
     assert events.count("black") == events.count("white") == 9
+
+
+THEOREMS_E2 = ("theorems", fixture_path("E2"), "--sigma", "Sigma", "--extension", "ext")
+ADJUNCTION_LINES = ("strong structure criterion", "adjunction unit bijectivity",
+                    "strictness three-way agreement")
+
+
+def test_theorems_shares_one_adjunction_unit_check(capsys, monkeypatch):
+    events = []
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            events.append((name, args[1]))
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(galois, "_tensor_fullyfaithful",
+                        counted("fullyfaithful", galois._tensor_fullyfaithful))
+    monkeypatch.setattr(extension, "induced_D_coaction",
+                        counted("outer", extension.induced_D_coaction))
+    code, out, _ = run_cli(capsys, *THEOREMS_E2)
+    assert code == 0
+    verdicts = {c["check_id"]: c["verdict"] for c in json.loads(out)["checks"]}
+    assert not any(verdicts[line].startswith("fail") for line in ADJUNCTION_LINES)
+    # three checks need the adjunction unit on the same samples: one run
+    assert sum(e[0] == "fullyfaithful" for e in events) == 1
+    # Sigma's outer comodule is built once, with the extension context
+    assert sum(e[0] == "outer" and e[1].name == "Sigma" for e in events) == 1
+
+
+def test_failing_adjunction_unit_check_fails_every_line(capsys, monkeypatch):
+    def failing(cm, samples_t):
+        raise AxiomError("adjunction unit inverse fails on T (left)")
+
+    monkeypatch.setattr(galois, "_tensor_fullyfaithful", failing)
+    code, out, _ = run_cli(capsys, *THEOREMS_E2)
+    assert code == 1
+    verdicts = {c["check_id"]: c["verdict"] for c in json.loads(out)["checks"]}
+    for line in ADJUNCTION_LINES:
+        assert verdicts[line] == "fail: adjunction unit inverse fails on T (left)"
 
 
 def test_dispatch_looks_up_the_command_at_call_time(capsys, monkeypatch):

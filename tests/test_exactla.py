@@ -1,13 +1,16 @@
 """Kernel tests: exact solving, kernels, images, quotients, product spans."""
 
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from coringlab.exactla import (FieldFp, Matrix, QQ, Subspace, UsageError,
-                               image, kernel, product_span, quotient, rank,
+from coringlab.cli import main
+from coringlab.exactla import (FieldFp, FieldQ, Matrix, QQ, Subspace, UsageError,
+                               image, kernel, product_span, quotient, rank, rref,
                                solve_linear, unit_vec)
+from conftest import fixture_path
 
 F = QQ
 
@@ -30,7 +33,9 @@ def test_solve_inconsistent():
 
 def test_solve_scalar_division():
     a = mat([[2]])
-    assert solve_linear(a, [F.one]) == [F.of_int(1) / 2]
+    x = solve_linear(a, [F.one])
+    assert x == [F.inv(F.of_int(2))] == [Fraction(1, 2)]
+    assert not any(isinstance(v, float) for v in x)
 
 
 def test_solve_shape_mismatch():
@@ -174,6 +179,101 @@ def test_determinism_bit_identical():
     assert k1.basis == k2.basis
     assert solve_linear(a, [F.one, F.one, F.one]) == \
         solve_linear(a, [F.one, F.one, F.one])
+
+
+# ---------------------------------------------------------------------------
+# rationals: integral values are ints, the rest Fractions
+
+
+class FractionQ(FieldQ):
+    """Q with every scalar a Fraction, integral or not: the reference that the
+    int/Fraction representation of FieldQ must agree with."""
+
+    zero = Fraction(0)
+    one = Fraction(1)
+
+    def of_int(self, n):
+        return Fraction(n)
+
+    def inv(self, a):
+        if a == 0:
+            raise ZeroDivisionError("inverse of zero")
+        return Fraction(1) / a
+
+    def parse(self, s):
+        return Fraction(s)
+
+
+FQ = FractionQ()
+
+# ints, integral Fractions and proper Fractions, mixed within one matrix
+rationals = st.one_of(small_entries,
+                      st.fractions(min_value=-4, max_value=4, max_denominator=3))
+
+
+def _kernels(a, b):
+    """The scalars and the shape data that the row-reduction kernels return."""
+    red, pivots = rref(a)
+    sol = solve_linear(a, b)
+    scalars = [v for row in red.data for v in row] + \
+        [v for vec in kernel(a).basis for v in vec] + (sol or [])
+    return scalars, (pivots, rank(a), sol is None)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(st.integers(min_value=1, max_value=4).flatmap(
+    lambda r: st.integers(min_value=1, max_value=5).flatmap(
+        lambda c: st.tuples(
+            st.lists(st.lists(rationals, min_size=c, max_size=c),
+                     min_size=r, max_size=r),
+            st.lists(rationals, min_size=r, max_size=r)))))
+def test_mixed_int_fraction_matches_all_fraction(system):
+    rows, rhs = system
+    got, got_shape = _kernels(Matrix.from_rows(F, rows), list(rhs))
+    want, want_shape = _kernels(
+        Matrix.from_rows(FQ, [[Fraction(v) for v in row] for row in rows]),
+        [Fraction(v) for v in rhs])
+    assert got_shape == want_shape
+    assert got == want
+    assert [F.fmt(v) for v in got] == [FQ.fmt(v) for v in want]
+    assert all(type(v) in (int, Fraction) for v in got)
+    assert all(type(v) is Fraction for v in want)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(st.fractions(max_denominator=60))
+def test_q_scalar_is_int_exactly_when_integral(q):
+    kind = int if q.denominator == 1 else Fraction
+    x = F.parse(str(q))
+    assert x == q and type(x) is kind
+    assert type(F.of_int(q.numerator)) is int
+    if q:
+        y = F.inv(x)
+        assert y * q == 1
+        assert type(y) is (int if abs(q.numerator) == 1 else Fraction)
+    assert type(F.zero) is type(F.one) is int
+
+
+@pytest.mark.parametrize("argv", [
+    ["cleft", "E2", "--sigma", "Sigma", "--extension", "ext"],
+    ["cleft", "E2", "--sigma", "Sigma", "--extension", "ext",
+     "--j", "lambda_id", "--jtilde", "jtilde"],
+    ["theorems", "E2", "--sigma", "Sigma", "--extension", "ext"],
+    ["cleft", "E4", "--sigma", "Sigma", "--extension", "ext"],
+    ["theorems", "E4", "--sigma", "Sigma", "--extension", "ext"],
+])
+def test_no_float_reaches_a_matrix(monkeypatch, capsys, argv):
+    init = Matrix.__init__
+
+    def float_free_init(self, field, rows, cols, data):
+        if any(isinstance(v, float) for row in data for v in row):
+            raise AssertionError("float entry in a %dx%d matrix" % (rows, cols))
+        init(self, field, rows, cols, data)
+
+    monkeypatch.setattr(Matrix, "__init__", float_free_init)
+    code = main([argv[0], fixture_path(argv[1])] + argv[2:])
+    capsys.readouterr()
+    assert code == 0
 
 
 # ---------------------------------------------------------------------------
