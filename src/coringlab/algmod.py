@@ -7,6 +7,8 @@ covers all four hom flavours.
 
 from __future__ import annotations
 
+from math import prod
+
 from .exactla import (AxiomError, Matrix, Subspace, UsageError, flatten_matrix,
                       kernel, quotient, solve_linear, unflatten, unit_vec,
                       vec_scale, zero_vec)
@@ -268,6 +270,34 @@ def _chain_index(dims):
     return strides
 
 
+def _slot_group(left, mat, right):
+    """(left, nonzero entries of each column of mat, mat.rows, right): the
+    operator I_left (x) mat (x) I_right in the form _apply_group reads."""
+    cols = [[(i, c) for i, c in enumerate(col) if c] for col in mat.transpose().data]
+    return left, cols, mat.rows, right
+
+
+def _apply_group(field, vec, group):
+    """(I_left (x) mat (x) I_right)·vec for an ambient vector laid out
+    row-major as (left, mat.cols, right); the result is laid out as
+    (left, mat.rows, right).  Only the nonzero entries of vec are visited."""
+    left, cols, n_out, right = group
+    out = [field.zero] * (left * n_out * right)
+    block_in = len(cols) * right
+    block_out = n_out * right
+    add, mul = field.add, field.mul
+    for p, v in enumerate(vec):
+        if not v:
+            continue
+        l, rest = divmod(p, block_in)
+        j, off = divmod(rest, right)
+        base = l * block_out + off
+        for i, c in cols[j]:
+            k = base + i * right
+            out[k] = add(out[k], mul(c, v))
+    return out
+
+
 class BalancedTensor:
     """Iterated balanced tensor M1 (x)_{B1} M2 (x)_{B2} ... (x) Mn.
 
@@ -282,6 +312,10 @@ class BalancedTensor:
       M = (M·sect)·proj (``descend_map``);
     - an operator A on one slot preserves them iff proj·A = induced·proj
       with induced = proj·A·sect (``descend_slot``).
+
+    ``src.induced(dst, [(slot, F), ...])`` is the one way to build a map
+    between balanced tensors out of per-slot maps: it owns the row-major
+    ambient layout, so callers never form identity krons.
 
     The outer bimodule structure descends to the quotient (verified).
     """
@@ -376,37 +410,37 @@ class BalancedTensor:
                     yield (i,) + rest
         return rec(0)
 
-    def _apply_slot(self, slot, mat, vec):
-        """Apply an endomorphism of one slot to an ambient vector."""
-        f = self.field
-        d = self.dims[slot]
-        stride = self.strides[slot]
-        block = d * stride
-        out = zero_vec(f, self.ambient_dim)
-        for base in range(0, self.ambient_dim, block):
-            for i in range(d):
-                row = mat.data[i]
-                for j in range(d):
-                    c = row[j]
-                    if not c:
-                        continue
-                    src = base + j * stride
-                    dst = base + i * stride
-                    for off in range(stride):
-                        v = vec[src + off]
-                        if v:
-                            out[dst + off] = f.add(out[dst + off], f.mul(c, v))
-        return out
-
-    def induced(self, slot_mats):
-        """Quotient matrix induced by per-slot endomorphisms."""
+    def induced(self, dst, factors):
+        """dst.proj·(F_1 (x) ... (x) F_k)·sect, or the ambient image when dst
+        is None.  factors are (slot, F) pairs in slot order: F reads the
+        fewest slots from there whose dimensions multiply to its column count
+        and may have any number of rows; other slots carry the identity.  The
+        F act on the columns of sect slot group by slot group, and dst.proj
+        is applied once to the result, so no ambient operator is built."""
+        dims = self.dims
+        groups = []
+        left, pos = 1, 0
+        for slot, mat in factors:
+            if slot < pos:
+                raise UsageError("slot maps overlap or are out of order")
+            left *= prod(dims[pos:slot])
+            width, pos = dims[slot], slot + 1
+            while width != mat.cols:
+                if pos == len(dims):
+                    raise UsageError("a %dx%d slot map does not fit the slots of %s "
+                                     "from %d on" % (mat.rows, mat.cols, self.name, slot))
+                width *= dims[pos]
+                pos += 1
+            groups.append(_slot_group(left, mat, prod(dims[pos:])))
+            left *= mat.rows
+        left *= prod(dims[pos:])
         cols = []
-        for q in range(self.dim):
-            vec = self._sect.col(q)
-            for slot, mat in slot_mats:
-                vec = self._apply_slot(slot, mat, vec)
-            cols.append(self._proj.mul_vec(vec))
-        return Matrix.from_cols(self.field, self.dim, cols)
+        for vec in self._sect.transpose().data:
+            for group in groups:
+                vec = _apply_group(self.field, vec, group)
+            cols.append(vec)
+        image = Matrix(self.field, self.dim, left, cols).transpose()
+        return image if dst is None else dst._proj.mul(image)
 
     def descend_map(self, amb_map):
         """Quotient form amb_map·sect of a map out of the ambient space, or
@@ -420,9 +454,9 @@ class BalancedTensor:
         """Quotient matrix induced by an endomorphism of one slot, or None
         when it does not preserve the balancing relations.  Row r of proj·A
         is A^T applied to row r of proj, so no ambient operator is built."""
-        mat_t = mat.transpose()
+        group = _slot_group(prod(self.dims[:slot]), mat.transpose(), self.strides[slot])
         proj_a = Matrix(self.field, self.dim, self.ambient_dim,
-                        [self._apply_slot(slot, mat_t, row) for row in self._proj.data])
+                        [_apply_group(self.field, row, group) for row in self._proj.data])
         out = proj_a.mul(self._sect)
         if out.mul(self._proj) != proj_a:
             return None
@@ -470,31 +504,6 @@ class BalancedTensor:
 def tensor_over(m, b, n, name=None):
     """Balanced tensor M (x)_B N with outer module structures installed."""
     return BalancedTensor([m, n], [b], name=name)
-
-
-def chain_slot_map(src_chain, dst_chain, pos, n_in, amb_map):
-    """Quotient-level map applying amb_map to slots pos..pos+n_in-1 of a chain.
-
-    amb_map acts on the plain tensor of those slots (and may change their
-    number); all other slots are untouched.  dst_chain may be None when the
-    result is a plain space (no final projection).
-    """
-    field = src_chain.field
-    left = 1
-    for d in src_chain.dims[:pos]:
-        left *= d
-    right = 1
-    for d in src_chain.dims[pos + n_in:]:
-        right *= d
-    m = amb_map
-    if left > 1:
-        m = Matrix.identity(field, left).kron(m)
-    if right > 1:
-        m = m.kron(Matrix.identity(field, right))
-    out = m.mul(src_chain.sect())
-    if dst_chain is not None:
-        out = dst_chain.proj().mul(out)
-    return out
 
 
 # ---------------------------------------------------------------------------

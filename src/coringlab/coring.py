@@ -61,25 +61,19 @@ class Coring:
 
     def eps_then_act(self):
         """[C (x)_A C] -> C,  c (x) c' -> eps(c)·c'."""
-        ec = self.counit.kron(Matrix.identity(self.field, self.dim))
-        return self.carrier.left_eval().mul(ec).mul(self.cc.sect())
+        return self.carrier.left_eval().mul(self.cc.induced(None, [(0, self.counit)]))
 
     def act_then_eps(self):
         """[C (x)_A C] -> C,  c (x) c' -> c·eps(c')."""
-        ce = Matrix.identity(self.field, self.dim).kron(self.counit)
-        return self.carrier.right_eval().mul(ce).mul(self.cc.sect())
+        return self.carrier.right_eval().mul(self.cc.induced(None, [(1, self.counit)]))
 
     def delta_on_left(self):
         """[C (x)_A C] -> [C (x)_A C (x)_A C] applying the coproduct on slot 0."""
-        ident = Matrix.identity(self.field, self.dim)
-        step = self.cc.sect().kron(ident).mul(self.coproduct.kron(ident))
-        return self.ccc.proj().mul(step).mul(self.cc.sect())
+        return self.cc.induced(self.ccc, [(0, self.cc.sect().mul(self.coproduct))])
 
     def delta_on_right(self):
         """Same, applying the coproduct on slot 1."""
-        ident = Matrix.identity(self.field, self.dim)
-        step = ident.kron(self.cc.sect()).mul(ident.kron(self.coproduct))
-        return self.ccc.proj().mul(step).mul(self.cc.sect())
+        return self.cc.induced(self.ccc, [(1, self.cc.sect().mul(self.coproduct))])
 
     def validate(self):
         self.base.validate()
@@ -152,22 +146,17 @@ class Comodule:
 
     def counit_collapse(self):
         """[M (x)_A C] -> M,  m (x) c -> m·eps(c)."""
-        ident = Matrix.identity(self.field, self.dim)
-        me = ident.kron(self.coring.counit)
-        return self.carrier.right_eval().mul(me).mul(self.mc.sect())
+        return self.carrier.right_eval().mul(
+            self.mc.induced(None, [(1, self.coring.counit)]))
 
     def coaction_on_left(self):
         """[M (x)_A C] -> [M (x)_A C (x)_A C] applying the coaction on slot 0."""
-        ident = Matrix.identity(self.field, self.coring.dim)
-        step = self.mc.sect().kron(ident).mul(self.coaction.kron(ident))
-        return self.mcc.proj().mul(step).mul(self.mc.sect())
+        return self.mc.induced(self.mcc, [(0, self.mc.sect().mul(self.coaction))])
 
     def delta_on_right(self):
         """Same, applying the coproduct on slot 1."""
-        ident = Matrix.identity(self.field, self.dim)
         c = self.coring
-        step = ident.kron(c.cc.sect()).mul(ident.kron(c.coproduct))
-        return self.mcc.proj().mul(step).mul(self.mc.sect())
+        return self.mc.induced(self.mcc, [(1, c.cc.sect().mul(c.coproduct))])
 
     def validate(self):
         self.carrier.validate()
@@ -259,13 +248,12 @@ class DualRing:
 
     def _convolve(self, f, g):
         c = self.coring
-        ident = Matrix.identity(c.field, c.dim)
         if self.side == "left":
             # (fg)(x) = g(x^(1)·f(x^(2)))
-            inner = c.carrier.right_eval().mul(ident.kron(f)).mul(c.cc.sect())
+            inner = c.carrier.right_eval().mul(c.cc.induced(None, [(1, f)]))
             return g.mul(inner).mul(c.coproduct)
         # right dual: (fg)(x) = f(g(x^(1))·x^(2))
-        inner = c.carrier.left_eval().mul(g.kron(ident)).mul(c.cc.sect())
+        inner = c.carrier.left_eval().mul(c.cc.induced(None, [(0, g)]))
         return f.mul(inner).mul(c.coproduct)
 
     @property
@@ -289,12 +277,9 @@ def dual_action(comodule, dual=None):
     associative and unital is re-verified by the bimodule validator.
     """
     dual = dual or DualRing(comodule.coring, side="left")
-    field = comodule.field
-    ident = Matrix.identity(field, comodule.dim)
-    acts = []
-    for f in dual.eval_mats:
-        step = comodule.carrier.right_eval().mul(ident.kron(f)).mul(comodule.mc.sect())
-        acts.append(step.mul(comodule.coaction))
+    right_eval = comodule.carrier.right_eval()
+    acts = [right_eval.mul(comodule.mc.induced(None, [(1, f)])).mul(comodule.coaction)
+            for f in dual.eval_mats]
     mod = FBimodule(comodule.carrier.left_alg, dual.algebra, comodule.dim,
                     list(comodule.carrier.left_act), acts,
                     name=comodule.name + " as *%s-module" % comodule.coring.name)

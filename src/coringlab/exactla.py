@@ -185,7 +185,12 @@ QQ = FieldQ()
 
 
 class Matrix:
-    """Dense matrix over an exact field.  Treated as immutable after creation."""
+    """Dense matrix over an exact field.  Treated as immutable after creation.
+
+    ``Matrix(...)`` checks that ``data`` has the stated shape; the kernel's
+    own operations, whose results have their shape by construction, build
+    through ``_matrix`` and skip that check.
+    """
 
     __slots__ = ("field", "rows", "cols", "data")
 
@@ -202,12 +207,12 @@ class Matrix:
     @staticmethod
     def zero(field, rows, cols):
         z = field.zero
-        return Matrix(field, rows, cols, [[z] * cols for _ in range(rows)])
+        return _matrix(field, rows, cols, [[z] * cols for _ in range(rows)])
 
     @staticmethod
     def identity(field, n):
         z, o = field.zero, field.one
-        return Matrix(field, n, n, [[o if i == j else z for j in range(n)] for i in range(n)])
+        return _matrix(field, n, n, [[o if i == j else z for j in range(n)] for i in range(n)])
 
     @staticmethod
     def from_rows(field, rows_list):
@@ -232,7 +237,7 @@ class Matrix:
     # -- basic ops
 
     def copy(self):
-        return Matrix(self.field, self.rows, self.cols, [list(r) for r in self.data])
+        return _matrix(self.field, self.rows, self.cols, [list(r) for r in self.data])
 
     def col(self, j):
         return [self.data[i][j] for i in range(self.rows)]
@@ -256,20 +261,20 @@ class Matrix:
     def add(self, other):
         self._shape_check(other, same=True)
         f = self.field
-        return Matrix(f, self.rows, self.cols,
-                      [[f.add(a, b) for a, b in zip(ra, rb)]
-                       for ra, rb in zip(self.data, other.data)])
+        return _matrix(f, self.rows, self.cols,
+                       [[f.add(a, b) for a, b in zip(ra, rb)]
+                        for ra, rb in zip(self.data, other.data)])
 
     def sub(self, other):
         self._shape_check(other, same=True)
         f = self.field
-        return Matrix(f, self.rows, self.cols,
-                      [[f.sub(a, b) for a, b in zip(ra, rb)]
-                       for ra, rb in zip(self.data, other.data)])
+        return _matrix(f, self.rows, self.cols,
+                       [[f.sub(a, b) for a, b in zip(ra, rb)]
+                        for ra, rb in zip(self.data, other.data)])
 
     def scale(self, c):
         f = self.field
-        return Matrix(f, self.rows, self.cols, [[f.mul(c, v) for v in row] for row in self.data])
+        return _matrix(f, self.rows, self.cols, [[f.mul(c, v) for v in row] for row in self.data])
 
     def mul(self, other):
         if self.cols != other.rows:
@@ -291,7 +296,7 @@ class Matrix:
                     b = brow[j]
                     if b:
                         orow[j] = f.add(orow[j], f.mul(a, b))
-        return Matrix(f, self.rows, other.cols, out)
+        return _matrix(f, self.rows, other.cols, out)
 
     def mul_vec(self, vec):
         if self.cols != len(vec):
@@ -309,8 +314,9 @@ class Matrix:
         return out
 
     def transpose(self):
-        return Matrix(self.field, self.cols, self.rows,
-                      [[self.data[i][j] for i in range(self.rows)] for j in range(self.cols)])
+        data = [list(col) for col in zip(*self.data)] if self.rows else \
+            [[] for _ in range(self.cols)]
+        return _matrix(self.field, self.cols, self.rows, data)
 
     def kron(self, other):
         """Kronecker product, row-major index convention (i*n + j)."""
@@ -331,18 +337,28 @@ class Matrix:
                         b = brow[q]
                         if b:
                             orow[j * other.cols + q] = f.add(orow[j * other.cols + q], f.mul(a, b))
-        return Matrix(f, rows, cols, out)
+        return _matrix(f, rows, cols, out)
 
     def hstack(self, other):
         if self.rows != other.rows:
             raise UsageError("hstack row mismatch")
-        return Matrix(self.field, self.rows, self.cols + other.cols,
-                      [ra + rb for ra, rb in zip(self.data, other.data)])
+        return _matrix(self.field, self.rows, self.cols + other.cols,
+                       [ra + rb for ra, rb in zip(self.data, other.data)])
 
     def _shape_check(self, other, same=False):
         if same and (self.rows != other.rows or self.cols != other.cols):
             raise UsageError("matrix shape mismatch: %dx%d vs %dx%d"
                              % (self.rows, self.cols, other.rows, other.cols))
+
+
+def _matrix(field, rows, cols, data):
+    """A Matrix whose data has the stated shape by construction."""
+    m = object.__new__(Matrix)
+    m.field = field
+    m.rows = rows
+    m.cols = cols
+    m.data = data
+    return m
 
 
 def vec_scale(field, c, u):
@@ -399,7 +415,7 @@ def rref(m):
         pr += 1
         if pr == rows:
             break
-    return Matrix(f, rows, cols, data), pivots
+    return _matrix(f, rows, cols, data), pivots
 
 
 def rank(m):

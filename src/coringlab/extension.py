@@ -52,6 +52,7 @@ class CoringExtension:
                                   name=inner.name + "(x)" + outer.name)
         self.cldd = BalancedTensor([self.carrier_l, outer.carrier, outer.carrier],
                                    [l, l])
+        self._ccld = None
         if tau.rows == self.cld.ambient_dim and tau.rows != self.cld.dim:
             tau = self.cld.proj().mul(tau)
         if tau.rows != self.cld.dim or tau.cols != inner.dim:
@@ -60,50 +61,39 @@ class CoringExtension:
         self.purity_certificate = "unchecked"
         self.purity_detail = None
 
+    @property
+    def ccld(self):
+        """The mixed chain C (x)_A C (x)_L D, built on first use."""
+        if self._ccld is None:
+            self._ccld = BalancedTensor([self.inner.carrier, self.carrier_l,
+                                         self.outer.carrier],
+                                        [self.inner.base, self.outer.base])
+        return self._ccld
+
     # -- structural composites
 
     def _tau_counit_collapse(self):
-        ident = Matrix.identity(self.field, self.inner.dim)
-        step = ident.kron(self.outer.counit)
-        return self.carrier_l.right_eval().mul(step).mul(self.cld.sect())
+        return self.carrier_l.right_eval().mul(
+            self.cld.induced(None, [(1, self.outer.counit)]))
 
     def _tau_on_left(self):
-        ident = Matrix.identity(self.field, self.outer.dim)
-        step = self.cld.sect().kron(ident).mul(self.tau.kron(ident))
-        return self.cldd.proj().mul(step).mul(self.cld.sect())
+        return self.cld.induced(self.cldd, [(0, self.cld.sect().mul(self.tau))])
 
     def _outer_delta_on_right(self):
-        ident = Matrix.identity(self.field, self.inner.dim)
         d = self.outer
-        step = ident.kron(d.cc.sect()).mul(ident.kron(d.coproduct))
-        return self.cldd.proj().mul(step).mul(self.cld.sect())
-
-    def _mixed_chain(self):
-        # C (x)_A C (x)_L D
-        return BalancedTensor([self.inner.carrier, self.carrier_l,
-                               self.outer.carrier],
-                              [self.inner.base, self.outer.base])
+        return self.cld.induced(self.cldd, [(1, d.cc.sect().mul(d.coproduct))])
 
     def bicomodule_lhs(self):
         """(C (x) tau) ∘ Delta, into the mixed chain."""
         c = self.inner
-        chain = self._chain()
-        ident = Matrix.identity(self.field, c.dim)
-        step = ident.kron(self.cld.sect()).mul(ident.kron(self.tau))
-        return chain.proj().mul(step).mul(c.cc.sect()).mul(c.coproduct)
+        return c.cc.induced(self.ccld, [(1, self.cld.sect().mul(self.tau))]) \
+            .mul(c.coproduct)
 
     def bicomodule_rhs(self):
         """(Delta (x) D) ∘ tau, into the mixed chain."""
         c = self.inner
-        chain = self._chain()
-        identd = Matrix.identity(self.field, self.outer.dim)
-        step = c.cc.sect().kron(identd).mul(c.coproduct.kron(identd))
-        return chain.proj().mul(step).mul(self.cld.sect()).mul(self.tau)
-
-    def _chain(self):
-        if not hasattr(self, "_chain_cache"):
-            self._chain_cache = self._mixed_chain()
-        return self._chain_cache
+        return self.cld.induced(self.ccld, [(0, c.cc.sect().mul(c.coproduct))]) \
+            .mul(self.tau)
 
     def validate(self):
         c, d = self.inner, self.outer
@@ -146,19 +136,18 @@ class CoringExtension:
 def induced_right_l_action(ext, m):
     """Right L-action m·l = m^[0]·eps(m^[1]·l) on a comodule of the inner coring."""
     f = ext.field
-    c = ext.inner
-    acts = []
-    ident = Matrix.identity(f, m.dim)
-    for i in range(ext.outer.base.dim):
-        step = ident.kron(c.counit.mul(ext.right_l_act[i]))
-        acts.append(m.carrier.right_eval().mul(step).mul(m.mc.sect()).mul(m.coaction))
+    counit = ext.inner.counit
+    right_eval = m.carrier.right_eval()
+    acts = [right_eval.mul(m.mc.induced(None, [(1, counit.mul(r))])).mul(m.coaction)
+            for r in ext.right_l_act]
     l = ext.outer.base
-    probe = FBimodule(trivial_algebra(f), l, m.dim, [ident], acts,
+    probe = FBimodule(trivial_algebra(f), l, m.dim, [Matrix.identity(f, m.dim)], acts,
                       name=m.name + " as L-module")
     probe.validate()
     # the coaction is right L-linear for this action
     for i in range(l.dim):
-        if m.coaction.mul(acts[i]) != m.mc.induced([(1, ext.right_l_act[i])]).mul(m.coaction):
+        if m.coaction.mul(acts[i]) != \
+                m.mc.induced(m.mc, [(1, ext.right_l_act[i])]).mul(m.coaction):
             raise AxiomError("induced right L-action is not compatible with the "
                              "coaction on %s" % m.name)
     return acts
@@ -207,20 +196,19 @@ def _pure_for(ext, m):
     l_acts = induced_right_l_action(ext, m)
     m_l = FBimodule(k, l, m.dim, [ident_m], l_acts, name=m.name)
     mc_l = FBimodule(k, l, m.mc.dim, [Matrix.identity(f, m.mc.dim)],
-                     [m.mc.induced([(1, r)]) for r in ext.right_l_act],
+                     [m.mc.induced(m.mc, [(1, r)]) for r in ext.right_l_act],
                      name=m.name + "(x)C")
     mcc_l = FBimodule(k, l, m.mcc.dim, [Matrix.identity(f, m.mcc.dim)],
-                      [m.mcc.induced([(2, r)]) for r in ext.right_l_act],
+                      [m.mcc.induced(m.mcc, [(2, r)]) for r in ext.right_l_act],
                       name=m.name + "(x)C(x)C")
     dd = BalancedTensor([ext.outer.carrier, ext.outer.carrier], [l])
     x_mod = dd.as_bimodule(name="D(x)D")
     t1 = BalancedTensor([m_l, x_mod], [l])
     t2 = BalancedTensor([mc_l, x_mod], [l])
     t3 = BalancedTensor([mcc_l, x_mod], [l])
-    ident_x = Matrix.identity(f, x_mod.dim)
-    phi = t2.proj().mul(m.coaction.kron(ident_x)).mul(t1.sect())
-    g1 = t3.proj().mul(m.coaction_on_left().kron(ident_x)).mul(t2.sect())
-    g2 = t3.proj().mul(m.delta_on_right().kron(ident_x)).mul(t2.sect())
+    phi = t1.induced(t2, [(0, m.coaction)])
+    g1 = t2.induced(t3, [(0, m.coaction_on_left())])
+    g2 = t2.induced(t3, [(0, m.delta_on_right())])
     eq = kernel(g1.sub(g2))
     if rank(phi) != t1.dim:
         return False
@@ -246,12 +234,15 @@ def induced_D_coaction(ext, m, carrier=None, name=None):
                             list(m.carrier.left_act), l_acts,
                             name=name or m.name)
     md = BalancedTensor([carrier, ext.outer.carrier], [ext.outer.base])
-    ident_m = Matrix.identity(f, m.dim)
-    # m -> m^[0] eps(m^[1)_[0]) (x) m^[1]_[1]
-    step1 = ident_m.kron(ext.cld.sect().mul(ext.tau))      # M (x) C -> M (x) C (x) D amb
-    collapse = ident_m.kron(c.counit).kron(Matrix.identity(f, ext.outer.dim))
-    act = m.carrier.right_eval().kron(Matrix.identity(f, ext.outer.dim))
-    tau_m = md.proj().mul(act).mul(collapse).mul(step1).mul(m.mc.sect()).mul(m.coaction)
+    # m -> m^[0]·eps(m^[1]_[0]) (x) m^[1]_[1] = sum_a m^[0]·a (x) z_a(m^[1]), where
+    # (eps (x) D)∘tau = sum_a a (x) z_a over the basis of A
+    z = ext.cld.induced(None, [(0, c.counit)]).mul(ext.tau)
+    ddim = ext.outer.dim
+    tau_m = Matrix.zero(f, md.dim, m.mc.dim)
+    for a, act in enumerate(m.carrier.right_act):
+        z_a = Matrix(f, ddim, c.dim, z.data[a * ddim:(a + 1) * ddim])
+        tau_m = tau_m.add(m.mc.induced(md, [(0, act), (1, z_a)]))
+    tau_m = tau_m.mul(m.coaction)
     out = Comodule(ext.outer, carrier, tau_m, name=name or m.name)
     out.validate()
     return out
@@ -263,8 +254,7 @@ def check_colinear_maps_remain_colinear(ext, pairs):
     for (m, n, dm, dn) in pairs:
         for h in colinear_homs(m, n):
             lhs = dn.coaction.mul(h.matrix)
-            rhs = dn.mc.proj().mul(h.matrix.kron(Matrix.identity(ext.field, ext.outer.dim))) \
-                .mul(dm.mc.sect()).mul(dm.coaction)
+            rhs = dm.mc.induced(dn.mc, [(0, h.matrix)]).mul(dm.coaction)
             if lhs != rhs:
                 raise AxiomError("an inner-colinear map %s -> %s fails to be "
                                  "outer-colinear" % (m.name, n.name))
@@ -441,6 +431,7 @@ class ExtContext:
         eta = self.end.unit_map_from(l) if t_alg.dim else Matrix.zero(f, 0, l.dim)
         self.eta = eta
         self.sigma_d = induced_D_coaction(ext, sigma)
+        self._outer = {sigma: self.sigma_d}
         # ----- corner 1: bilinear maps D -> T
         ident_t = Matrix.identity(f, t_alg.dim)
         ident_d = Matrix.identity(f, d.dim)
@@ -473,9 +464,12 @@ class ExtContext:
         self.cleft_search = None
 
     def outer_comodule(self, m):
-        """The outer comodule induced by a comodule m of the inner coring;
-        for Sigma itself, the one built with the context."""
-        return self.sigma_d if m is self.sigma else induced_D_coaction(self.ext, m)
+        """The outer comodule induced by a comodule m of the inner coring,
+        built once per comodule (Sigma's with the context); a build that
+        fails is not kept, so every caller sees its AxiomError."""
+        if m not in self._outer:
+            self._outer[m] = induced_D_coaction(self.ext, m)
+        return self._outer[m]
 
     # -- corner solvers
 
@@ -522,10 +516,9 @@ class ExtContext:
 
     def _conv_product_v(self, v1, v2):
         """(v v')(d) = v(d_(1)) ∘ v'(d_(2)) in the endomorphism algebra."""
-        f = self.field
         d = self.ext.outer
-        step = self.t_alg.mult_eval().mul(v1.kron(v2)).mul(d.cc.sect()).mul(d.coproduct)
-        return step
+        return self.t_alg.mult_eval().mul(d.cc.induced(None, [(0, v1), (1, v2)])) \
+            .mul(d.coproduct)
 
     def _v_unit_matrix(self):
         """d -> eps_D(d)·1_T."""
@@ -568,17 +561,17 @@ class ExtContext:
         ext, sigma = self.ext, self.sigma
         c, d = ext.inner, ext.outer
         napply = self._apply_t()
-        dd_split = d.cc.sect().mul(d.coproduct)
         self.vp_mats = [self.p_space.coords_matrix(
-            (napply.mul(v.kron(p)).mul(dd_split) for p in self.p_basis),
+            (napply.mul(d.cc.induced(None, [(0, v), (1, p)])).mul(d.coproduct)
+             for p in self.p_basis),
             "extension context: the first action formula escapes the colinear maps")
             for v in self.v_basis]
-        ident_s = Matrix.identity(f, sigma.dim)
+        right_eval = sigma.carrier.right_eval()
         self.pu_mats = []
         self.uq_mats = []
         for u in self.u_basis:
-            pu_op = sigma.carrier.right_eval().mul(ident_s.kron(c.counit.mul(u))) \
-                .mul(sigma.mc.sect()).mul(sigma.coaction)
+            pu_op = right_eval.mul(sigma.mc.induced(None, [(1, c.counit.mul(u))])) \
+                .mul(sigma.coaction)
             self.pu_mats.append(self.p_space.coords_matrix(
                 (pu_op.mul(p) for p in self.p_basis),
                 "extension context: the second action formula escapes the colinear "
@@ -594,9 +587,9 @@ class ExtContext:
                 col = sd_t[t].col(s)
                 for r in range(sd.dim):
                     ev_compose.data[r][s * self.t_alg.dim + t] = col[r]
-        tau_split = ext.cld.sect().mul(ext.tau)
         self.qv_mats = [self.qt.space.coords_matrix(
-            (ev_compose.mul(q.kron(v)).mul(tau_split) for q in self.qt.basis),
+            (ev_compose.mul(ext.cld.induced(None, [(0, q), (1, v)])).mul(ext.tau)
+             for q in self.qt.basis),
             "extension context: the fourth action formula escapes the bimodule")
             for v in self.v_basis]
 
@@ -604,19 +597,21 @@ class ExtContext:
         """First connecting map on elements, both equivalent forms compared."""
         f = self.field
         ext, sigma = self.ext, self.sigma
-        c, d = ext.inner, ext.outer
-        ident_c = Matrix.identity(f, c.dim)
-        pair = self._pair_eval()
+        c = ext.inner
+        sd = self.qt.sigma_dual
         # form 1: c^(1)·q(c^(2)_[0])( p(c^(2)_[1]) )
-        inner = pair.mul(q.kron(p)).mul(ext.cld.sect()).mul(ext.tau)
-        form1 = c.carrier.right_eval().mul(ident_c.kron(inner)) \
-            .mul(c.cc.sect()).mul(c.coproduct)
-        # form 2: q(c_[0])( p(c_[1])^[0] )·p(c_[1])^[1]
-        rho_split = sigma.mc.sect().mul(sigma.coaction)
-        step = q.kron(rho_split.mul(p))
-        pair_c = pair.kron(ident_c)
-        form2 = c.carrier.left_eval().mul(pair_c).mul(step) \
-            .mul(ext.cld.sect()).mul(ext.tau)
+        inner = self._pair_eval().mul(ext.cld.induced(None, [(0, q), (1, p)])).mul(ext.tau)
+        form1 = c.carrier.right_eval().mul(c.cc.induced(None, [(1, inner)])) \
+            .mul(c.coproduct)
+        # form 2: q(c_[0])( p(c_[1])^[0] )·p(c_[1])^[1]: q lands in Sigma* (x) D,
+        # then xi_s (x) d -> xi_s(p(d)^[0]) (x) p(d)^[1] for the basis xi_s of Sigma*
+        cols = []
+        for xi in sd.basis:
+            cols += sigma.mc.induced(None, [(0, xi)]).mul(sigma.coaction).mul(p) \
+                .transpose().data
+        evaluate = Matrix.from_cols(f, c.base.dim * c.dim, cols)
+        form2 = c.carrier.left_eval().mul(evaluate).mul(ext.cld.induced(None, [(0, q)])) \
+            .mul(ext.tau)
         if form1 != form2:
             raise AxiomError("the two forms of the first connecting map disagree "
                              "(broken outer coaction)")
@@ -731,9 +726,8 @@ def convolution_algebra(d, alg, eta=None, name=None):
         cons.append([(ident_a, d.carrier.right_act[i], +1), (right[i], ident_d, -1)])
     space = solve_map_space(d.dim, alg.dim, cons, f)
     mult = alg.mult_eval()
-    dd_split = d.cc.sect().mul(d.coproduct)
     alg_out = space.algebra(
-        lambda x, y: mult.mul(x.kron(y)).mul(dd_split),
+        lambda x, y: mult.mul(d.cc.induced(None, [(0, x), (1, y)])).mul(d.coproduct),
         _unit_convolution_matrix(f, list(alg.unit), d.counit),
         name or ("Conv(%s,%s)" % (d.name, alg.name) if space.dim else "Conv"),
         "convolution product escapes the bilinear maps",

@@ -237,11 +237,10 @@ def td_bicomodule(ext, end):
                       name="T")
     td = BalancedTensor([t_bim, ext.outer.carrier], [l], name="T(x)D")
     carrier = td.as_bimodule(name="T(x)D")
-    ident_t = Matrix.identity(f, t_alg.dim)
     d = ext.outer
-    coaction = ident_t.kron(d.cc.sect().mul(d.coproduct)).mul(td.sect())
-    out = Comodule(d, carrier, BalancedTensor([carrier, d.carrier], [l]).proj()
-                   .mul(coaction), name="T(x)D")
+    coaction = td.induced(BalancedTensor([carrier, d.carrier], [l]),
+                          [(1, d.cc.sect().mul(d.coproduct))])
+    out = Comodule(d, carrier, coaction, name="T(x)D")
     out.validate()
     return out, td
 
@@ -581,7 +580,7 @@ def check_jids(ext_ctx, witnesses, comodules):
     pair = ext_ctx._pair_eval()
     total = None
     for (jt, j) in witnesses:
-        term = pair.mul(jt.kron(j)).mul(ext.cld.sect()).mul(ext.tau)
+        term = pair.mul(ext.cld.induced(None, [(0, jt), (1, j)])).mul(ext.tau)
         total = term if total is None else total.add(term)
     if total is None:
         total = Matrix.zero(f, c.base.dim, c.dim)
@@ -690,12 +689,9 @@ def check_equivariant_projectivity(ext_ctx):
     # colinearity over the outer coring
     tsd = BalancedTensor([ts.as_bimodule(name="T(x)Sigma"), ext.outer.carrier],
                          [l])
-    ident_t = Matrix.identity(f, t_alg.dim)
-    ts_coact = tsd.proj().mul(ident_t.kron(sigma_d.mc.sect()
-                                           .mul(sigma_d.coaction))).mul(ts.sect())
+    ts_coact = ts.induced(tsd, [(1, sigma_d.mc.sect().mul(sigma_d.coaction))])
     lhs = ts_coact.mul(sect)
-    rhs = tsd.proj().mul(sect.kron(Matrix.identity(f, ext.outer.dim))) \
-        .mul(sigma_d.mc.sect()).mul(sigma_d.coaction)
+    rhs = sigma_d.mc.induced(tsd, [(0, sect)]).mul(sigma_d.coaction)
     if lhs != rhs:
         raise AxiomError("coretraction is not colinear")
     return {"applicable": True, "passed": True}

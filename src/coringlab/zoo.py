@@ -9,7 +9,7 @@ checked structures; failures name the first broken axiom and basis pair.
 from __future__ import annotations
 
 from .algmod import (BalancedTensor, FBimodule, FiniteAlgebra, MatrixSpace,
-                     chain_slot_map, trivial_algebra)
+                     trivial_algebra)
 from .coring import (Comodule, Coring, Grouplike, comodule_direct_sum,
                      grouplike_comodule, trivial_coring, zero_comodule)
 from .exactla import (AxiomError, Matrix, Subspace, UsageError, image, rank,
@@ -309,8 +309,6 @@ class EntwiningStructure:
         f = self.field
         a, d, l = self.a, self.d, self.base
         psi = self.psi
-        ident_a = Matrix.identity(f, a.dim)
-        ident_d = Matrix.identity(f, d.dim)
         psi_amb = self.psi_ambient()
         mult = a.mult_eval()
         delta_amb = d.cc.sect().mul(d.coproduct)
@@ -318,20 +316,20 @@ class EntwiningStructure:
         ada = BalancedTensor([self.a_bim, d.carrier, self.a_bim], [l, l])
         aad = BalancedTensor([self.a_bim, self.a_bim, d.carrier], [l, l])
         # (entwa): psi∘(D (x) mult) = (mult (x) D)∘(A (x) psi)∘(psi (x) A)
-        lhs = psi.mul(chain_slot_map(daa, self.da, 1, 2, mult))
-        s1 = chain_slot_map(daa, ada, 0, 2, psi_amb)
-        s2 = chain_slot_map(ada, aad, 1, 2, psi_amb)
-        s3 = chain_slot_map(aad, self.ad, 0, 2, mult)
+        lhs = psi.mul(daa.induced(self.da, [(1, mult)]))
+        s1 = daa.induced(ada, [(0, psi_amb)])
+        s2 = ada.induced(aad, [(1, psi_amb)])
+        s3 = aad.induced(self.ad, [(0, mult)])
         if lhs != s3.mul(s2).mul(s1):
             raise AxiomError("entwining %s: multiplicativity axiom fails" % self.name)
         # (entwc): (A (x) Delta)∘psi = (psi (x) D)∘(D (x) psi)∘(Delta (x) A)
         add = BalancedTensor([self.a_bim, d.carrier, d.carrier], [l, l])
         dda = BalancedTensor([d.carrier, d.carrier, self.a_bim], [l, l])
         dad = BalancedTensor([d.carrier, self.a_bim, d.carrier], [l, l])
-        lhs = chain_slot_map(self.ad, add, 1, 1, delta_amb).mul(psi)
-        s1 = chain_slot_map(self.da, dda, 0, 1, delta_amb)
-        s2 = chain_slot_map(dda, dad, 1, 2, psi_amb)
-        s3 = chain_slot_map(dad, add, 0, 2, psi_amb)
+        lhs = self.ad.induced(add, [(1, delta_amb)]).mul(psi)
+        s1 = self.da.induced(dda, [(0, delta_amb)])
+        s2 = dda.induced(dad, [(1, psi_amb)])
+        s3 = dad.induced(add, [(0, psi_amb)])
         if lhs != s3.mul(s2).mul(s1):
             raise AxiomError("entwining %s: comultiplicativity axiom fails" % self.name)
         one_a = list(a.unit)
@@ -349,7 +347,7 @@ class EntwiningStructure:
         else:
             e_map = self._e_map()
             # (wentwb): psi∘(D (x) 1) = (e (x) D)∘Delta
-            ed = self.ad.proj().mul(e_map.kron(ident_d)).mul(delta_amb)
+            ed = d.cc.induced(self.ad, [(0, e_map)]).mul(d.coproduct)
             for j in range(d.dim):
                 lhsv = psi.mul_vec(self.da.pure_tensor([unit_vec(f, d.dim, j), one_a]))
                 if lhsv != ed.col(j):
@@ -357,22 +355,18 @@ class EntwiningStructure:
                                      % (self.name, j))
             # (wentwd): (A (x) eps)∘psi = mult∘(e (x) A)
             lhs = self._a_eps().mul(psi)
-            rhs = mult.mul(e_map.kron(ident_a)).mul(self.da.sect())
+            rhs = mult.mul(self.da.induced(None, [(0, e_map)]))
             if lhs != rhs:
                 raise AxiomError("weak entwining %s: counit axiom fails" % self.name)
         return True
 
     def _a_eps(self):
         """[A (x) D] -> A, a (x) d -> a·eps(d) (through the right L-action)."""
-        f = self.field
-        step = Matrix.identity(f, self.a.dim).kron(self.d.counit)
-        return self.a_bim.right_eval().mul(step).mul(self.ad.sect())
+        return self.a_bim.right_eval().mul(self.ad.induced(None, [(1, self.d.counit)]))
 
     def _eps_a(self):
         """[D (x) A] -> A, d (x) a -> eps(d)·a."""
-        f = self.field
-        step = self.d.counit.kron(Matrix.identity(f, self.a.dim))
-        return self.a_bim.left_eval().mul(step).mul(self.da.sect())
+        return self.a_bim.left_eval().mul(self.da.induced(None, [(0, self.d.counit)]))
 
     def _e_map(self):
         """e = (A (x) eps)∘psi∘(D (x) 1): D -> A."""
@@ -402,17 +396,17 @@ def entwining_coring(ent, sigma_coaction=None):
     f = ent.field
     a, d, l = ent.a, ent.d, ent.base
     ad, da = ent.ad, ent.da
-    ident_a = Matrix.identity(f, a.dim)
     ident_d = Matrix.identity(f, d.dim)
-    left_act = [ad.proj().mul(a.lmul(i).kron(ident_d)).mul(ad.sect())
-                for i in range(a.dim)]
+    left_act = [ad.induced(ad, [(0, a.lmul(i))]) for i in range(a.dim)]
+    # a (x) d -> a·psi(d (x) a_j): the multiplication in A is a second
+    # ambient layer with no quotient before it
+    mult_d = ad.proj().mul(a.mult_eval().kron(ident_d))
     right_act = []
     for j in range(a.dim):
         ins_j = Matrix.zero(f, d.dim * a.dim, d.dim)
         for dd in range(d.dim):
             ins_j.data[dd * a.dim + j][dd] = f.one
-        step = a.mult_eval().kron(ident_d).mul(ident_a.kron(ent.psi_ambient().mul(ins_j)))
-        right_act.append(ad.proj().mul(step).mul(ad.sect()))
+        right_act.append(mult_d.mul(ad.induced(None, [(1, ent.psi_ambient().mul(ins_j))])))
     carrier = FBimodule(a, a, ad.dim, left_act, right_act, name=a.name + "(x)" + d.name)
     carrier.validate()
     delta_amb = d.cc.sect().mul(d.coproduct)
@@ -420,12 +414,13 @@ def entwining_coring(ent, sigma_coaction=None):
                                 [ad.pure_tensor([list(a.unit), unit_vec(f, d.dim, j)])
                                  for j in range(d.dim)])
     p1 = ad.proj()
-    delta_cols = p1.kron(unit_ins).mul(ident_a.kron(delta_amb)).mul(ad.sect())
+    delta_split = ad.induced(None, [(1, delta_amb)])
+    delta_cols = p1.kron(unit_ins).mul(delta_split)
     counit = ent._a_eps()
     c = Coring(a, carrier, delta_cols, counit, name=a.name + "(x)" + d.name)
     c.validate()
     right_l = list(ad.right_act)
-    tau_amb = p1.kron(ident_d).mul(ident_a.kron(delta_amb)).mul(ad.sect())
+    tau_amb = p1.kron(ident_d).mul(delta_split)
     split = None
     induced = all(right_l[i] == carrier.right_act_vec(ent.eta.col(i))
                   for i in range(l.dim))
@@ -820,9 +815,8 @@ def partial_action_coring(pa):
                 for r in range(a.dim):
                     fw.data[r][offs[s] + q] = col[r]
         # pi_w(c) = c^(1)·f_w(c^(2))
-        step = carrier.right_eval().mul(Matrix.identity(f, cdim).kron(fw)) \
-            .mul(c.cc.sect()).mul(c.coproduct)
-        pi_mats.append(step)
+        pi_mats.append(carrier.right_eval().mul(c.cc.induced(None, [(1, fw)]))
+                       .mul(c.coproduct))
     tau_amb = Matrix.zero(f, cdim * n, cdim)
     for j in range(cdim):
         for w in range(n):

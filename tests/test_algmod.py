@@ -15,8 +15,9 @@ from coringlab.extension import ExtContext, purity_check
 from coringlab.galois import can_map, regular_right_module
 from coringlab.morita import context_M, context_N
 from coringlab.workspace import load_workspace_file
-from coringlab.zoo import (FIXTURES, group_algebra, product_field_algebra,
-                           quotient_polynomial_algebra)
+from coringlab.zoo import (FIXTURES, entwining_coring, group_algebra,
+                           group_hopf_algebra, hopf_entwining,
+                           product_field_algebra, quotient_polynomial_algebra)
 
 F = QQ
 
@@ -217,11 +218,33 @@ def _ref_descend_map(tens, amb_map):
     return amb_map.mul(tens.sect())
 
 
+def _ref_operator(tens, factors):
+    """The ambient operator F_1 (x) ... (x) F_k with the identity krons built
+    out; factors are (first slot, number of slots read, matrix)."""
+    f = tens.field
+    op = Matrix.identity(f, 1)
+    pos = 0
+    for slot, width, mat in factors:
+        for d in tens.dims[pos:slot]:
+            op = op.kron(Matrix.identity(f, d))
+        op = op.kron(mat)
+        pos = slot + width
+    for d in tens.dims[pos:]:
+        op = op.kron(Matrix.identity(f, d))
+    return op
+
+
+def _ref_induced(src, dst, factors):
+    out = _ref_operator(src, factors).mul(src.sect())
+    return out if dst is None else dst.proj().mul(out)
+
+
 def _ref_descend_slot(tens, slot, mat):
     rels = kernel(tens.proj()).basis
-    if any(any(tens.proj().mul_vec(tens._apply_slot(slot, mat, rel))) for rel in rels):
+    proj_op = tens.proj().mul(_ref_operator(tens, [(slot, 1, mat)]))
+    if any(any(proj_op.mul_vec(rel)) for rel in rels):
         return None
-    return tens.induced([(slot, mat)])
+    return proj_op.mul(tens.sect())
 
 
 def _fixture_tensors(ws):
@@ -277,6 +300,87 @@ def test_descend_matches_relation_kernel(workspaces):
                         assert got == _ref_descend_slot(tens, slot, bad)
                         rejected_slots += got is None
     assert rejected_slots > 0
+
+
+# ---------------------------------------------------------------------------
+# BalancedTensor.induced against the explicit kron composite
+
+
+def _random_matrix(field, rows, cols, rng):
+    return Matrix(field, rows, cols, [[field.of_int(rng.randint(-2, 2)) for _ in range(cols)]
+                                      for _ in range(rows)])
+
+
+@pytest.mark.parametrize("field", [QQ, FieldFp(7)], ids=["Q", "F7"])
+def test_induced_matches_kron_composite_on_fixture_tensors(field):
+    rng = random.Random(5)
+    checked = 0
+    for name in sorted(FIXTURES):
+        ws = load_workspace_file(fixture_path(name), field_override=field)
+        for tens, slots in _fixture_tensors(ws):
+            for slot, mat in slots:
+                ref = _ref_induced(tens, None, [(slot, 1, mat)])
+                assert tens.induced(None, [(slot, mat)]) == ref
+                assert tens.induced(tens, [(slot, mat)]) == tens.proj().mul(ref)
+                checked += 1
+            # a map on every slot at once, each changing its slot's size
+            maps = [_random_matrix(field, rng.randint(0, 3), d, rng) for d in tens.dims]
+            assert tens.induced(None, list(enumerate(maps))) == \
+                _ref_induced(tens, None, [(i, 1, m) for i, m in enumerate(maps)])
+        for ext in ws.extensions.values():
+            c, d = ext.inner, ext.outer
+            lift = c.cc.sect().mul(c.coproduct)
+            for slot in (0, 1):
+                assert c.cc.induced(c.ccc, [(slot, lift)]) == \
+                    _ref_induced(c.cc, c.ccc, [(slot, 1, lift)])
+            tau = ext.cld.sect().mul(ext.tau)
+            assert c.cc.induced(ext.ccld, [(1, tau)]) == \
+                _ref_induced(c.cc, ext.ccld, [(1, 1, tau)])
+            assert ext.cld.induced(None, [(0, c.counit), (1, d.counit)]) == \
+                _ref_induced(ext.cld, None, [(0, 1, c.counit), (1, 1, d.counit)])
+    assert checked > 100
+
+
+def _hopf_entwinings():
+    f7 = FieldFp(7)
+    for table in ([[0, 1], [1, 0]], [[0, 1, 2], [1, 2, 0], [2, 0, 1]]):
+        bial = group_hopf_algebra(f7, table, name="H")
+        ent = hopf_entwining(bial, bial.algebra, bial.delta)
+        yield ent, entwining_coring(ent)
+
+
+def test_induced_matches_kron_composite_on_hopf_entwinings():
+    rng = random.Random(3)
+    for ent, (c, ext) in _hopf_entwinings():
+        f, l, d = ent.field, ent.base, ent.d
+        mult, psi_amb = ent.a.mult_eval(), ent.psi_ambient()
+        daa = BalancedTensor([d.carrier, ent.a_bim, ent.a_bim], [l, l])
+        ada = BalancedTensor([ent.a_bim, d.carrier, ent.a_bim], [l, l])
+        # two-slot factors, with and without a change in the slot count
+        assert daa.induced(ent.da, [(1, mult)]) == _ref_induced(daa, ent.da, [(1, 2, mult)])
+        assert daa.induced(ada, [(0, psi_amb)]) == _ref_induced(daa, ada, [(0, 2, psi_amb)])
+        # slot-count-changing factors on the coring
+        lift = c.cc.sect().mul(c.coproduct)
+        for slot in (0, 1):
+            assert c.cc.induced(c.ccc, [(slot, lift)]) == \
+                _ref_induced(c.cc, c.ccc, [(slot, 1, lift)])
+        assert c.cc.induced(None, [(1, c.counit)]) == \
+            _ref_induced(c.cc, None, [(1, 1, c.counit)])
+        # two non-identity factors at once, into a quotient and into the ambient
+        x, y = (_random_matrix(f, c.dim, c.dim, rng) for _ in range(2))
+        assert c.cc.induced(c.cc, [(0, x), (1, y)]) == \
+            _ref_induced(c.cc, c.cc, [(0, 1, x), (1, 1, y)])
+        tau = ext.cld.sect().mul(ext.tau)
+        assert ext.cld.induced(None, [(0, tau), (1, d.counit)]) == \
+            _ref_induced(ext.cld, None, [(0, 1, tau), (1, 1, d.counit)])
+
+
+def test_induced_refuses_factors_that_do_not_fit(e2):
+    c = e2.corings["C"]
+    with pytest.raises(UsageError, match="does not fit"):
+        c.cc.induced(None, [(1, Matrix.identity(c.field, c.dim + 1))])
+    with pytest.raises(UsageError, match="out of order"):
+        c.cc.induced(None, [(1, c.counit), (0, c.counit)])
 
 
 def test_outer_action_that_does_not_descend_is_rejected(a_quad):

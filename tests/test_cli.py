@@ -342,8 +342,10 @@ def test_theorems_shares_one_adjunction_unit_check(capsys, monkeypatch):
     assert not any(verdicts[line].startswith("fail") for line in ADJUNCTION_LINES)
     # three checks need the adjunction unit on the same samples: one run
     assert sum(e[0] == "fullyfaithful" for e in events) == 1
-    # Sigma's outer comodule is built once, with the extension context
-    assert sum(e[0] == "outer" and e[1].name == "Sigma" for e in events) == 1
+    # Sigma's outer comodule is built once, with the extension context, and
+    # so is each other sample's, however many checks need it
+    outer = [e[1].name for e in events if e[0] == "outer"]
+    assert "Sigma" in outer and len(outer) == len(set(outer)) > 1
 
 
 def test_failing_adjunction_unit_check_fails_every_line(capsys, monkeypatch):

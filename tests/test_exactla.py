@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from coringlab import exactla
 from coringlab.cli import main
 from coringlab.exactla import (FieldFp, FieldQ, Matrix, QQ, Subspace, UsageError,
                                image, kernel, product_span, quotient, rank, rref,
@@ -41,6 +42,20 @@ def test_solve_scalar_division():
 def test_solve_shape_mismatch():
     with pytest.raises(UsageError):
         solve_linear(mat([[1, 2]]), [F.one, F.one])
+
+
+def test_outside_rows_are_shape_checked():
+    for rows, cols, data in ((2, 2, [[1, 2], [3]]), (2, 2, [[1, 2]]), (1, 2, [[1, 2, 3]])):
+        with pytest.raises(UsageError, match="matrix data shape mismatch"):
+            Matrix(F, rows, cols, data)
+    with pytest.raises(UsageError, match="matrix data shape mismatch"):
+        Matrix.from_rows(F, [[1, 2], [3]])
+    # the kernel's own results keep their stated shape
+    a = mat([[1, 2, 3], [4, 5, 6]])
+    for m, shape in ((a.mul(a.transpose()), (2, 2)), (a.kron(a), (4, 9)),
+                     (a.hstack(a), (2, 6)), (rref(a)[0], (2, 3))):
+        assert (m.rows, m.cols) == shape
+        assert len(m.data) == shape[0] and all(len(r) == shape[1] for r in m.data)
 
 
 def test_kernel_zero_matrix():
@@ -263,14 +278,24 @@ def test_q_scalar_is_int_exactly_when_integral(q):
     ["theorems", "E4", "--sigma", "Sigma", "--extension", "ext"],
 ])
 def test_no_float_reaches_a_matrix(monkeypatch, capsys, argv):
-    init = Matrix.__init__
+    init, make = Matrix.__init__, exactla._matrix
 
-    def float_free_init(self, field, rows, cols, data):
+    def float_free(rows, cols, data):
         if any(isinstance(v, float) for row in data for v in row):
             raise AssertionError("float entry in a %dx%d matrix" % (rows, cols))
+
+    def float_free_init(self, field, rows, cols, data):
+        float_free(rows, cols, data)
         init(self, field, rows, cols, data)
 
+    def float_free_make(field, rows, cols, data):
+        float_free(rows, cols, data)
+        return make(field, rows, cols, data)
+
+    # outside rows go through Matrix(...), the kernel's own results through
+    # exactla._matrix: watch both
     monkeypatch.setattr(Matrix, "__init__", float_free_init)
+    monkeypatch.setattr(exactla, "_matrix", float_free_make)
     code = main([argv[0], fixture_path(argv[1])] + argv[2:])
     capsys.readouterr()
     assert code == 0

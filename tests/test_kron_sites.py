@@ -1,0 +1,62 @@
+"""Tooling: maps between balanced tensors go through BalancedTensor.induced.
+
+``induced`` applies per-slot maps without building identity krons, so only
+the code below may still call ``.kron(``, each for a stated reason:
+
+- ``BalancedTensor._build`` builds proj and sect themselves;
+- ``remark_k_coincidence`` and ``morphism_M_to_N`` compare connecting maps
+  on ambient pair bases;
+- ``weak_entwining_coring`` and ``entwining_coring`` compose two ambient
+  layers with no quotient between them.
+"""
+
+import ast
+import glob
+import os
+
+SRC = os.path.join(os.path.dirname(__file__), "..", "src", "coringlab")
+ALLOWED = {("algmod.py", "BalancedTensor._build"),
+           ("extension.py", "remark_k_coincidence"),
+           ("morita.py", "morphism_M_to_N"),
+           ("zoo.py", "weak_entwining_coring"),
+           ("zoo.py", "entwining_coring")}
+# the allowed functions outside exactla and algmod hold this many calls; the
+# bound keeps them from growing more
+MAX_OUTSIDE_KERNEL = 19
+
+
+def _kron_calls(path):
+    """(enclosing qualified name, line) of every ``.kron(`` call in a file."""
+    with open(path, encoding="utf-8") as handle:
+        tree = ast.parse(handle.read(), filename=path)
+    found = []
+
+    def walk(node, scope):
+        for child in ast.iter_child_nodes(node):
+            inner = scope
+            if isinstance(child, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+                inner = scope + (child.name,)
+            if isinstance(child, ast.Call) and isinstance(child.func, ast.Attribute) \
+                    and child.func.attr == "kron":
+                found.append((".".join(scope), child.lineno))
+            walk(child, inner)
+
+    walk(tree, ())
+    return found
+
+
+def test_only_the_allowed_functions_build_krons():
+    stray = []
+    allowed_seen = set()
+    outside_kernel = 0
+    for path in sorted(glob.glob(os.path.join(SRC, "*.py"))):
+        name = os.path.basename(path)
+        for scope, line in _kron_calls(path):
+            if (name, scope) in ALLOWED:
+                allowed_seen.add((name, scope))
+                outside_kernel += name not in ("exactla.py", "algmod.py")
+            else:
+                stray.append("%s:%d in %s" % (name, line, scope or "<module>"))
+    assert stray == []
+    assert allowed_seen == ALLOWED
+    assert outside_kernel <= MAX_OUTSIDE_KERNEL
