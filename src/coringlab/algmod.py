@@ -315,7 +315,9 @@ class BalancedTensor:
 
     ``src.induced(dst, [(slot, F), ...])`` is the one way to build a map
     between balanced tensors out of per-slot maps: it owns the row-major
-    ambient layout, so callers never form identity krons.
+    ambient layout, so callers never form identity krons.  When the image
+    is to be read in a tensor whose first factor is this quotient,
+    ``project_head`` collapses its leading slots first.
 
     The outer bimodule structure descends to the quotient (verified).
     """
@@ -441,6 +443,14 @@ class BalancedTensor:
             cols.append(vec)
         image = Matrix(self.field, self.dim, left, cols).transpose()
         return image if dst is None else dst._proj.mul(image)
+
+    def project_head(self, image, rest):
+        """(proj (x) I_rest)·image for an image whose rows are laid out as
+        (this tensor's ambient, rest): the leading slots collapse to the
+        quotient through the slot-group kernel, with no ambient operator."""
+        group = _slot_group(1, self._proj, rest)
+        cols = [_apply_group(self.field, col, group) for col in image.transpose().data]
+        return Matrix(self.field, image.cols, self.dim * rest, cols).transpose()
 
     def descend_map(self, amb_map):
         """Quotient form amb_map·sect of a map out of the ambient space, or

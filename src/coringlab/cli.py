@@ -383,8 +383,6 @@ SUITES = ("all", "weak", "strong", "surjectivity", "jJ", "diamond")
 
 def cmd_theorems(args):
     ws = _load(args)
-    if args.suite not in SUITES:
-        raise UsageError("unknown suite %r" % args.suite)
     sigma, ext, cm, ec = _build_ext_ctx(ws, args)
     report = Report("%s --sigma %s --extension %s --suite %s"
                     % (args.file, args.sigma, args.extension, args.suite),

@@ -578,14 +578,9 @@ def quotient(ambient_dim, relations):
         raise UsageError("relations live in the wrong ambient space")
     f = relations.field
     z = f.zero
-    pivots = []
-    col = 0
-    for v in relations.basis:
-        while v[col] == z:
-            col += 1
-        pivots.append(col)
-        col += 1
-    nonpivot = [j for j in range(ambient_dim) if j not in pivots]
+    pivots = relations.pivots
+    pivot_set = set(pivots)
+    nonpivot = [j for j in range(ambient_dim) if j not in pivot_set]
     dim = len(nonpivot)
     # projection: reduce mod the RREF relation rows, then read non-pivot coords
     proj = Matrix.zero(f, dim, ambient_dim)
@@ -628,6 +623,11 @@ def product_span(us, vs):
 
 def flatten_matrix(m):
     return [v for row in m.data for v in row]
+
+
+def side_by_side(field, rows, mats):
+    """The matrices [M_0 | M_1 | ...], each with the given number of rows."""
+    return Matrix.from_cols(field, rows, [col for m in mats for col in m.transpose().data])
 
 
 def unflatten(field, rows, cols, vec):

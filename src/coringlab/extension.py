@@ -10,11 +10,14 @@ tensoring the equalizer and comparing ranks, comodule by comodule.
 
 from __future__ import annotations
 
+from functools import cached_property
+
 from .algmod import (BalancedTensor, FBimodule, MatrixSpace, endo_algebra,
                      solve_map_space, trivial_algebra)
-from .coring import Comodule, EndAlgebra, sandwich_terms
+from .coring import Comodule, EndAlgebra, colinear_homs, sandwich_terms
 from .exactla import (AxiomError, Matrix, Subspace, UsageError, image, kernel,
-                      rank, solve_linear, unflatten, vec_scale, zero_vec)
+                      rank, side_by_side, solve_linear, unflatten, vec_scale,
+                      zero_vec)
 from .morita import MoritaContext, SigmaDual
 
 
@@ -248,9 +251,21 @@ def induced_D_coaction(ext, m, carrier=None, name=None):
     return out
 
 
+def tensor_comodule(m, n_carrier, coring, rho, name):
+    """M (x)_B N with the coaction M (x) rho_N, for a right B-module m and a
+    right comodule N of coring given by its carrier (a left B-module) and
+    rho = sect·rho_N, laid out N x C.  Returns (comodule, tensor), the
+    comodule not yet validated.
+
+    M (x) rho_N lands in M x N x C; proj (x) C takes that to the image's
+    layout (M (x)_B N) x C, which the comodule projects to its own tensor."""
+    x = BalancedTensor([m, n_carrier], [m.right_alg], name=name)
+    coaction = x.project_head(x.induced(None, [(1, rho)]), coring.dim)
+    return Comodule(coring, x.as_bimodule(name=name), coaction, name=name), x
+
+
 def check_colinear_maps_remain_colinear(ext, pairs):
     """Every inner-colinear map between listed comodules is outer-colinear."""
-    from .coring import colinear_homs
     for (m, n, dm, dn) in pairs:
         for h in colinear_homs(m, n):
             lhs = dn.coaction.mul(h.matrix)
@@ -430,6 +445,11 @@ class ExtContext:
             raise UsageError("the comodule's left algebra does not match the outer base")
         eta = self.end.unit_map_from(l) if t_alg.dim else Matrix.zero(f, 0, l.dim)
         self.eta = eta
+        # T as a (T, L)-bimodule: left multiplication, and L through eta
+        self.t_bim = FBimodule(t_alg, l, t_alg.dim,
+                               [t_alg.lmul(i) for i in range(t_alg.dim)],
+                               [t_alg.rmul_vec(eta.col(i)) for i in range(l.dim)],
+                               name="T")
         self.sigma_d = induced_D_coaction(ext, sigma)
         self._outer = {sigma: self.sigma_d}
         # ----- corner 1: bilinear maps D -> T
@@ -462,6 +482,39 @@ class ExtContext:
         # the undirected invertibility search, run once per context by
         # galois.cleft_check
         self.cleft_search = None
+
+    # -- the bicomodules of the normal-basis checks, built on first use
+
+    @cached_property
+    def td(self):
+        """(comodule, tensor) of T (x)_L D: the T-D bicomodule with left
+        multiplication and the coaction T (x) Delta_D, validated."""
+        d = self.ext.outer
+        com, tens = tensor_comodule(self.t_bim, d.carrier, d,
+                                    d.cc.sect().mul(d.coproduct), "T(x)D")
+        com.validate()
+        return com, tens
+
+    @cached_property
+    def sigma_bi(self):
+        """Sigma as a T-D bicomodule: the outer comodule with T acting on the
+        left."""
+        sigma, sigma_d = self.sigma, self.sigma_d
+        carrier = FBimodule(self.t_alg, self.ext.outer.base, sigma.dim,
+                            list(self.end.basis_maps), sigma_d.carrier.right_act,
+                            name=sigma.name)
+        return Comodule(self.ext.outer, carrier, sigma_d.coaction, name=sigma.name)
+
+    @cached_property
+    def bicomodule_homs(self):
+        """The left T-linear colinear maps Sigma -> T (x)_L D and back, as
+        two MatrixSpaces."""
+        f = self.field
+        sig, td = self.sigma_bi, self.td[0]
+        return (MatrixSpace(f, td.dim, sig.dim,
+                            [h.matrix for h in colinear_homs(sig, td, left_linear=True)]),
+                MatrixSpace(f, sig.dim, td.dim,
+                            [h.matrix for h in colinear_homs(td, sig, left_linear=True)]))
 
     def outer_comodule(self, m):
         """The outer comodule induced by a comodule m of the inner coring,
@@ -524,30 +577,15 @@ class ExtContext:
         """d -> eps_D(d)·1_T."""
         return self.eta.mul(self.ext.outer.counit)
 
-    def _apply_t(self):
+    @cached_property
+    def apply_t(self):
         """Evaluation T (x) Sigma -> Sigma."""
-        f = self.field
-        t, s = self.t_alg.dim, self.sigma.dim
-        out = Matrix.zero(f, s, t * s)
-        for i in range(t):
-            mat = self.end.basis_maps[i]
-            for j in range(s):
-                for r in range(s):
-                    out.data[r][i * s + j] = mat.data[r][j]
-        return out
+        return side_by_side(self.field, self.sigma.dim, self.end.basis_maps)
 
-    def _pair_eval(self):
+    @cached_property
+    def pair_eval(self):
         """Evaluation Sigma* (x) Sigma -> A."""
-        f = self.field
-        sd = self.qt.sigma_dual
-        a = self.ext.inner.base
-        out = Matrix.zero(f, a.dim, sd.dim * self.sigma.dim)
-        for s in range(sd.dim):
-            for x in range(self.sigma.dim):
-                col = sd.basis[s].col(x)
-                for r in range(a.dim):
-                    out.data[r][s * self.sigma.dim + x] = col[r]
-        return out
+        return side_by_side(self.field, self.ext.inner.base.dim, self.qt.sigma_dual.basis)
 
     def _sigma_dual_t_action(self):
         """Right action of the endomorphism algebra on Sigma*: xi·t = xi ∘ t."""
@@ -560,7 +598,7 @@ class ExtContext:
         f = self.field
         ext, sigma = self.ext, self.sigma
         c, d = ext.inner, ext.outer
-        napply = self._apply_t()
+        napply = self.apply_t
         self.vp_mats = [self.p_space.coords_matrix(
             (napply.mul(d.cc.induced(None, [(0, v), (1, p)])).mul(d.coproduct)
              for p in self.p_basis),
@@ -593,25 +631,28 @@ class ExtContext:
             "extension context: the fourth action formula escapes the bimodule")
             for v in self.v_basis]
 
+    @cached_property
+    def _black_parts(self):
+        """What diamond_black needs besides its pair: the two actions of A
+        on C and, for each basis element xi_s of Sigma*, (xi_s (x) C)∘rho."""
+        sigma, c = self.sigma, self.ext.inner
+        xi_rho = [sigma.mc.induced(None, [(0, xi)]).mul(sigma.coaction)
+                  for xi in self.qt.sigma_dual.basis]
+        return c.carrier.right_eval(), c.carrier.left_eval(), xi_rho
+
     def diamond_black(self, q, p):
         """First connecting map on elements, both equivalent forms compared."""
         f = self.field
-        ext, sigma = self.ext, self.sigma
+        ext = self.ext
         c = ext.inner
-        sd = self.qt.sigma_dual
+        right_eval, left_eval, xi_rho = self._black_parts
         # form 1: c^(1)·q(c^(2)_[0])( p(c^(2)_[1]) )
-        inner = self._pair_eval().mul(ext.cld.induced(None, [(0, q), (1, p)])).mul(ext.tau)
-        form1 = c.carrier.right_eval().mul(c.cc.induced(None, [(1, inner)])) \
-            .mul(c.coproduct)
+        inner = self.pair_eval.mul(ext.cld.induced(None, [(0, q), (1, p)])).mul(ext.tau)
+        form1 = right_eval.mul(c.cc.induced(None, [(1, inner)])).mul(c.coproduct)
         # form 2: q(c_[0])( p(c_[1])^[0] )·p(c_[1])^[1]: q lands in Sigma* (x) D,
         # then xi_s (x) d -> xi_s(p(d)^[0]) (x) p(d)^[1] for the basis xi_s of Sigma*
-        cols = []
-        for xi in sd.basis:
-            cols += sigma.mc.induced(None, [(0, xi)]).mul(sigma.coaction).mul(p) \
-                .transpose().data
-        evaluate = Matrix.from_cols(f, c.base.dim * c.dim, cols)
-        form2 = c.carrier.left_eval().mul(evaluate).mul(ext.cld.induced(None, [(0, q)])) \
-            .mul(ext.tau)
+        evaluate = side_by_side(f, c.base.dim * c.dim, (comp.mul(p) for comp in xi_rho))
+        form2 = left_eval.mul(evaluate).mul(ext.cld.induced(None, [(0, q)])).mul(ext.tau)
         if form1 != form2:
             raise AxiomError("the two forms of the first connecting map disagree "
                              "(broken outer coaction)")

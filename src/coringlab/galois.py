@@ -3,11 +3,24 @@ cleftness, and the structure-theorem verifier suite.
 
 Universally quantified statements are certified either through the finitely
 generated projective reduction or verified on explicit sample lists; every
-report states which grade applies.  Searches for invertible elements are
-deterministic: a candidate derived from invertibility data first, then a
-bounded small-integer sweep, then a fixed number of seeded pseudorandom
-trials, with "not found" always reported as inconclusive unless dimensions
-already refute.
+report states which grade applies.
+
+Each construction has one builder, and every map into a balanced tensor is
+built with BalancedTensor.induced: sigma_over_end (Sigma as a left
+T-module), hom_tensor_sigma (Hom(Sigma, N) (x)_T Sigma, for the canonical
+map and the evaluation counit), witness_splitting (the map
+x -> sum_l x^[0]^[0]·jtilde_l(x^[0]^[1])(-) (x) j_l(x^[1]) behind the
+normal-basis candidate, the coretraction and the counit inverse) and
+extension.tensor_comodule (M (x)_B N with the coaction M (x) rho_N, for
+T (x)_L Sigma and N (x)_T Sigma).  T (x)_L D, Sigma as a T-D bicomodule and
+the hom spaces between them are built once, on first use, by ExtContext.
+check_jids and check_dual_basis_from_witnesses stay element by element: they
+are the independent routes the operator forms are checked against.
+
+Searches for invertible elements are deterministic: a candidate derived from
+invertibility data first, then a bounded small-integer sweep, then a fixed
+number of seeded pseudorandom trials, with "not found" always reported as
+inconclusive unless dimensions already refute.
 """
 
 from __future__ import annotations
@@ -17,14 +30,39 @@ import random
 
 from .algmod import (BalancedTensor, FBimodule, MatrixSpace, coords_in_basis,
                      fgp_check, generator_check, hom_space, trivial_algebra)
-from .coring import Comodule, EndAlgebra, colinear_homs
+from .coring import EndAlgebra, colinear_homs
 from .exactla import (AxiomError, Matrix, UsageError, flatten_matrix, rank,
-                      solve_linear, solve_many, unit_vec, vec_scale, zero_vec)
+                      side_by_side, solve_linear, solve_many, unflatten,
+                      unit_vec, vec_scale, zero_vec)
+from .extension import tensor_comodule
 from .morita import connecting_surjective, strictness
 
 SEARCH_SWEEP_CAP = 6      # exhaustive {-1,0,1} sweep up to this many basis maps
 SEARCH_TRIALS = 64        # seeded pseudorandom trials after the sweep
 SEARCH_SEED = 20060410
+
+
+# ---------------------------------------------------------------------------
+# Sigma over its endomorphism algebra, and Hom(Sigma, N) (x)_T Sigma
+
+
+def sigma_over_end(sigma, end):
+    """Sigma as a (T, A)-bimodule, T = End^C(Sigma) acting by evaluation."""
+    return FBimodule(end.algebra, sigma.carrier.right_alg, sigma.dim,
+                     list(end.basis_maps), list(sigma.carrier.right_act),
+                     name=sigma.name)
+
+
+def hom_tensor_sigma(space, sigma, end, name, message):
+    """Hom(Sigma, N) (x)_T Sigma for a MatrixSpace of maps Sigma -> N, with T
+    acting on the maps by precomposition; AxiomError(message) when that
+    action leaves the space."""
+    f = sigma.field
+    right_acts = [space.coords_matrix((h.mul(t) for h in space.basis), message)
+                  for t in end.basis_maps]
+    hom_mod = FBimodule(trivial_algebra(f), end.algebra, space.dim,
+                        [Matrix.identity(f, space.dim)], right_acts, name=name)
+    return BalancedTensor([hom_mod, sigma_over_end(sigma, end)], [end.algebra])
 
 
 # ---------------------------------------------------------------------------
@@ -40,35 +78,18 @@ class CanonicalMap:
         f = sigma.field
         c = sigma.coring
         self.end = end or EndAlgebra(sigma)
-        t_alg = self.end.algebra
         self.homs = MatrixSpace(f, n_mod.dim, sigma.dim,
                                 [h.matrix for h in hom_space(sigma.carrier, n_mod,
                                                              right_linear=True)])
         self.hom_basis = self.homs.basis
-        nh = self.homs.dim
-        right_acts = [self.homs.coords_matrix(
-            (hmat.mul(t) for hmat in self.hom_basis),
+        self.tens = hom_tensor_sigma(
+            self.homs, sigma, self.end, "Hom(Sigma,%s)" % n_mod.name,
             "canonical map: endomorphism action escapes the hom space")
-            for t in self.end.basis_maps]
-        k = trivial_algebra(f)
-        hom_mod = FBimodule(k, t_alg, nh, [Matrix.identity(f, nh)], right_acts,
-                            name="Hom(Sigma,%s)" % n_mod.name)
-        sigma_t = FBimodule(t_alg, sigma.carrier.right_alg, sigma.dim,
-                            list(self.end.basis_maps),
-                            list(sigma.carrier.right_act), name=sigma.name)
-        self.tens = BalancedTensor([hom_mod, sigma_t], [t_alg])
         self.nc = BalancedTensor([n_mod, c.carrier], [c.base])
-        cols = []
-        for b in range(nh):
-            for j in range(sigma.dim):
-                col = zero_vec(f, self.nc.dim)
-                for ((m, ck), w) in sigma.mc.lift_pairs(sigma.coaction.col(j)):
-                    contrib = self.nc.pure_tensor(
-                        [vec_scale(f, w, self.hom_basis[b].col(m)),
-                         unit_vec(f, c.dim, ck)])
-                    col = [f.add(u, v) for u, v in zip(col, contrib)]
-                cols.append(col)
-        self.matrix = self.tens.descend_map(Matrix.from_cols(f, self.nc.dim, cols))
+        # the block of h_b (x) - is (h_b (x) C)∘rho
+        self.matrix = self.tens.descend_map(side_by_side(
+            f, self.nc.dim, (sigma.mc.induced(self.nc, [(0, h)]).mul(sigma.coaction)
+                             for h in self.hom_basis)))
         if self.matrix is None:
             raise AxiomError("canonical map is not balanced over the "
                              "endomorphism algebra")
@@ -212,40 +233,6 @@ def summand_check(m, n, flavor="comodule"):
 
 
 # ---------------------------------------------------------------------------
-# the induced bicomodule structures used by normal-basis checks
-
-
-def sigma_as_bicomodule(ext_ctx):
-    """Sigma as a comodule of the outer coring with the endomorphism algebra
-    acting on the left: the context's outer comodule with a new left side."""
-    sigma, sigma_d = ext_ctx.sigma, ext_ctx.sigma_d
-    carrier = FBimodule(ext_ctx.t_alg, ext_ctx.ext.outer.base, sigma.dim,
-                        list(ext_ctx.end.basis_maps), sigma_d.carrier.right_act,
-                        name=sigma.name)
-    return Comodule(ext_ctx.ext.outer, carrier, sigma_d.coaction, name=sigma.name)
-
-
-def td_bicomodule(ext, end):
-    """T (x)_L D with left multiplication and the coproduct coaction."""
-    f = ext.field
-    t_alg = end.algebra
-    l = ext.outer.base
-    eta = end.unit_map_from(l) if t_alg.dim else Matrix.zero(f, 0, l.dim)
-    t_bim = FBimodule(t_alg, l, t_alg.dim,
-                      [t_alg.lmul(i) for i in range(t_alg.dim)],
-                      [t_alg.rmul_vec(eta.col(i)) for i in range(l.dim)],
-                      name="T")
-    td = BalancedTensor([t_bim, ext.outer.carrier], [l], name="T(x)D")
-    carrier = td.as_bimodule(name="T(x)D")
-    d = ext.outer
-    coaction = td.induced(BalancedTensor([carrier, d.carrier], [l]),
-                          [(1, d.cc.sect().mul(d.coproduct))])
-    out = Comodule(d, carrier, coaction, name="T(x)D")
-    out.validate()
-    return out, td
-
-
-# ---------------------------------------------------------------------------
 # invertibility data
 
 
@@ -277,29 +264,20 @@ def _candidate_vectors(dim, field, cap=SEARCH_SWEEP_CAP, trials=SEARCH_TRIALS,
         yield [field.of_int(rng.randint(-9, 9)) for _ in range(dim)]
 
 
-def cleft_kappa(ext_ctx, td_tens, jt_mat):
-    """The splitting candidate Sigma -> T (x) D built from an intertwiner:
-    x -> [y -> x_[0]^[0]·jt(x_[0]^[1])(y)] (x) x_[1], columnwise."""
-    ext = ext_ctx.ext
-    sigma = ext_ctx.sigma
-    f = ext.field
+def witness_splitting(ext_ctx, m, dst, pairs, space, message):
+    """m -> sum_l K_l(m^[0]) (x) j_l(m^[1]) into dst, over the outer coaction
+    of the comodule m, for pairs (jtilde_l, j_l): column m0 of K_l holds the
+    coordinates in space of y -> m0^[0]·jtilde_l(m0^[1])(y).  Raises
+    AxiomError(message) when such a map leaves space."""
+    f = ext_ctx.field
+    md = ext_ctx.outer_comodule(m)
     sd = ext_ctx.qt.sigma_dual
-    sigma_d = ext_ctx.sigma_d
-    end = ext_ctx.end
-    ddim = ext.outer.dim
-    cols = []
-    for x in range(sigma.dim):
-        col = zero_vec(f, td_tens.dim)
-        for ((m0, dd), w) in sigma_d.mc.lift_pairs(sigma_d.coaction.col(x)):
-            tcoords = end.coords(sd.pairing(sigma, unit_vec(f, sigma.dim, m0), jt_mat))
-            if tcoords is None:
-                raise AxiomError("invertibility candidate leaves the endomorphism "
-                                 "algebra")
-            contrib = td_tens.pure_tensor([vec_scale(f, w, tcoords),
-                                           unit_vec(f, ddim, dd)])
-            col = [f.add(u, v) for u, v in zip(col, contrib)]
-        cols.append(col)
-    return Matrix.from_cols(f, td_tens.dim, cols)
+    total = Matrix.zero(f, dst.dim, md.mc.dim)
+    for jt, j in pairs:
+        k = space.coords_matrix((sd.pairing(m, unit_vec(f, m.dim, m0), jt)
+                                 for m0 in range(m.dim)), message)
+        total = total.add(md.mc.induced(dst, [(0, k), (1, j)]))
+    return total.mul(md.coaction)
 
 
 def normal_basis_check(ext_ctx, cleft_data=None):
@@ -310,18 +288,10 @@ def normal_basis_check(ext_ctx, cleft_data=None):
     seeded trials); weak: a single split pair, searched the same way, with
     the family-level membership test as a sound negative certificate.
     """
-    ext = ext_ctx.ext
     sigma = ext_ctx.sigma
-    f = ext.field
-    end = ext_ctx.end
-    sig_bi = sigma_as_bicomodule(ext_ctx)
-    td_com, td_tens = td_bicomodule(ext, end)
-    space_st = MatrixSpace(f, td_com.dim, sigma.dim,
-                           [h.matrix for h in colinear_homs(sig_bi, td_com,
-                                                            left_linear=True)])
-    space_ts = MatrixSpace(f, sigma.dim, td_com.dim,
-                           [h.matrix for h in colinear_homs(td_com, sig_bi,
-                                                            left_linear=True)])
+    f = ext_ctx.field
+    td_com, td_tens = ext_ctx.td
+    space_st, space_ts = ext_ctx.bicomodule_homs
     homs_st, homs_ts = space_st.basis, space_ts.basis
     family = _witnesses_from_products(homs_st, homs_ts,
                                       Matrix.identity(f, sigma.dim))
@@ -349,7 +319,12 @@ def normal_basis_check(ext_ctx, cleft_data=None):
         return report
     candidates = []
     if cleft_data is not None and cleft_data.jtilde is not None:
-        kappa = cleft_kappa(ext_ctx, td_tens, cleft_data.jtilde)
+        # x -> [y -> x_[0]^[0]·jtilde(x_[0]^[1])(y)] (x) x_[1]
+        kappa = witness_splitting(
+            ext_ctx, sigma, td_tens,
+            [(cleft_data.jtilde, Matrix.identity(f, ext_ctx.ext.outer.dim))],
+            ext_ctx.end.space, "invertibility candidate leaves the endomorphism "
+            "algebra")
         if space_st.coords(kappa) is None:
             raise AxiomError("the candidate built from invertibility data is not "
                              "a bicomodule map")
@@ -492,8 +467,7 @@ def _cleft_without_data(ext_ctx, search):
         return CleftData(None, None, "not-cleft")
     # a single invertible pair forces the comodule to split off one copy of
     # T (x) D, so a dimension excess refutes even the weak grade
-    td_com, _ = td_bicomodule(ext_ctx.ext, ext_ctx.end)
-    if ext_ctx.sigma.dim > td_com.dim:
+    if ext_ctx.sigma.dim > ext_ctx.td[0].dim:
         return CleftData(None, None, "not-cleft")
     if not search:
         return CleftData(None, None, "unresolved")
@@ -577,7 +551,7 @@ def check_jids(ext_ctx, witnesses, comodules):
     c = ext.inner
     sd = ext_ctx.qt.sigma_dual
     # (1) sum_l jtilde_l(c_[0])( j_l(c_[1]) ) = eps(c)
-    pair = ext_ctx._pair_eval()
+    pair = ext_ctx.pair_eval
     total = None
     for (jt, j) in witnesses:
         term = pair.mul(ext.cld.induced(None, [(0, jt), (1, j)])).mul(ext.tau)
@@ -639,59 +613,30 @@ def check_equivariant_projectivity(ext_ctx):
     """From a unit decomposition, the left action of the endomorphism algebra
     splits equivariantly: the constructed coretraction is verified linear,
     colinear and a section of the action."""
-    ext = ext_ctx.ext
     f = ext_ctx.field
     sigma = ext_ctx.sigma
     end = ext_ctx.end
     witnesses = _first_witnesses(ext_ctx)
     if witnesses is None:
         return {"applicable": False, "reason": "first connecting map not surjective"}
-    t_alg = end.algebra
-    l = ext.outer.base
-    eta = end.unit_map_from(l) if t_alg.dim else Matrix.zero(f, 0, l.dim)
-    t_bim = FBimodule(t_alg, l, t_alg.dim,
-                      [t_alg.lmul(i) for i in range(t_alg.dim)],
-                      [t_alg.rmul_vec(eta.col(i)) for i in range(l.dim)], name="T")
+    d = ext_ctx.ext.outer
     sigma_d = ext_ctx.sigma_d
-    sig_l = FBimodule(l, l, sigma.dim, list(sigma.carrier.left_act),
+    sig_l = FBimodule(d.base, d.base, sigma.dim, list(sigma.carrier.left_act),
                       sigma_d.carrier.right_act, name=sigma.name)
-    ts = BalancedTensor([t_bim, sig_l], [l], name="T(x)Sigma")
-    sd = ext_ctx.qt.sigma_dual
-    cols = []
-    for x in range(sigma.dim):
-        col = zero_vec(f, ts.dim)
-        for (jt, j) in witnesses:
-            for ((m0, dd), w) in sigma_d.mc.lift_pairs(sigma_d.coaction.col(x)):
-                tcoords = end.coords(sd.pairing(sigma, unit_vec(f, sigma.dim, m0), jt))
-                if tcoords is None:
-                    raise AxiomError("coretraction leaves the endomorphism algebra")
-                contrib = ts.pure_tensor([vec_scale(f, w, tcoords), j.col(dd)])
-                col = [f.add(u, v) for u, v in zip(col, contrib)]
-        cols.append(col)
-    sect = Matrix.from_cols(f, ts.dim, cols)
+    tsd, ts = tensor_comodule(ext_ctx.t_bim, sig_l, d,
+                              sigma_d.mc.sect().mul(sigma_d.coaction), "T(x)Sigma")
+    sect = witness_splitting(ext_ctx, sigma, ts, witnesses, end.space,
+                             "coretraction leaves the endomorphism algebra")
     # the action map and the section compose to the identity
-    action = Matrix.zero(f, sigma.dim, ts.ambient_dim)
-    for t in range(t_alg.dim):
-        mat = end.basis_maps[t]
-        for x in range(sigma.dim):
-            col = mat.col(x)
-            for r in range(sigma.dim):
-                action.data[r][t * sigma.dim + x] = col[r]
-    action_q = action.mul(ts.sect())
-    if action_q.mul(sect) != Matrix.identity(f, sigma.dim):
+    if ext_ctx.apply_t.mul(ts.sect()).mul(sect) != Matrix.identity(f, sigma.dim):
         raise AxiomError("coretraction is not a section of the action")
     # T-linearity: sect(t(x)) = t·sect(x)
-    for t in range(t_alg.dim):
-        lhs = sect.mul(end.basis_maps[t])
-        rhs = ts.left_act[t].mul(sect)
-        if lhs != rhs:
+    for t, t_map in enumerate(end.basis_maps):
+        if sect.mul(t_map) != ts.left_act[t].mul(sect):
             raise AxiomError("coretraction is not equivariant")
     # colinearity over the outer coring
-    tsd = BalancedTensor([ts.as_bimodule(name="T(x)Sigma"), ext.outer.carrier],
-                         [l])
-    ts_coact = ts.induced(tsd, [(1, sigma_d.mc.sect().mul(sigma_d.coaction))])
-    lhs = ts_coact.mul(sect)
-    rhs = sigma_d.mc.induced(tsd, [(0, sect)]).mul(sigma_d.coaction)
+    lhs = tsd.coaction.mul(sect)
+    rhs = sigma_d.mc.induced(tsd.mc, [(0, sect)]).mul(sigma_d.coaction)
     if lhs != rhs:
         raise AxiomError("coretraction is not colinear")
     return {"applicable": True, "passed": True}
@@ -702,26 +647,11 @@ def evaluation_counit(sigma, end, m):
 
     Returns (counit, tens, space of colinear maps)."""
     f = sigma.field
-    t_alg = end.algebra
     space = MatrixSpace(f, m.dim, sigma.dim, [h.matrix for h in colinear_homs(sigma, m)])
-    homs = space.basis
-    nh = space.dim
-    right_acts = [space.coords_matrix((hmat.mul(t) for hmat in homs),
-                                      "counit check: endomorphism action escapes the "
-                                      "colinear maps")
-                  for t in end.basis_maps]
-    k = trivial_algebra(f)
-    hom_mod = FBimodule(k, t_alg, nh, [Matrix.identity(f, nh)], right_acts,
-                        name="Hom(Sigma,%s)" % m.name)
-    sigma_t = FBimodule(t_alg, sigma.carrier.right_alg, sigma.dim,
-                        list(end.basis_maps), list(sigma.carrier.right_act),
-                        name=sigma.name)
-    tens = BalancedTensor([hom_mod, sigma_t], [t_alg])
-    cols = []
-    for b in range(nh):
-        for j in range(sigma.dim):
-            cols.append(homs[b].col(j))
-    counit = tens.descend_map(Matrix.from_cols(f, m.dim, cols))
+    tens = hom_tensor_sigma(space, sigma, end, "Hom(Sigma,%s)" % m.name,
+                            "counit check: endomorphism action escapes the "
+                            "colinear maps")
+    counit = tens.descend_map(side_by_side(f, m.dim, space.basis))
     if counit is None:
         raise AxiomError("evaluation counit is not balanced")
     return counit, tens, space
@@ -731,25 +661,10 @@ def _hom_comodule_counit(ext_ctx, m, witnesses):
     """The evaluation counit on Hom(Sigma, M) (x)_T Sigma and its inverse built
     from the unit decomposition; returns (counit, inverse, tens, space of
     colinear maps)."""
-    sigma = ext_ctx.sigma
-    f = ext_ctx.field
-    end = ext_ctx.end
-    counit, tens, homs = evaluation_counit(sigma, end, m)
+    counit, tens, homs = evaluation_counit(ext_ctx.sigma, ext_ctx.end, m)
     # inverse: m -> sum_l [x -> m_[0]^[0]·jtilde_l(m_[0]^[1])(x)] (x) j_l(m_[1])
-    md = ext_ctx.outer_comodule(m)
-    sd = ext_ctx.qt.sigma_dual
-    inv_cols = []
-    for col in range(m.dim):
-        out = zero_vec(f, tens.dim)
-        for (jt, j) in witnesses:
-            for ((m0, dd), w) in md.mc.lift_pairs(md.coaction.col(col)):
-                coords = homs.coords(sd.pairing(m, unit_vec(f, m.dim, m0), jt))
-                if coords is None:
-                    raise AxiomError("counit inverse leaves the colinear maps")
-                contrib = tens.pure_tensor([vec_scale(f, w, coords), j.col(dd)])
-                out = [f.add(u, v) for u, v in zip(out, contrib)]
-        inv_cols.append(out)
-    inverse = Matrix.from_cols(f, tens.dim, inv_cols)
+    inverse = witness_splitting(ext_ctx, m, tens, witnesses, homs,
+                                "counit inverse leaves the colinear maps")
     return counit, inverse, tens, homs
 
 
@@ -827,61 +742,38 @@ def _tensor_fullyfaithful(cm, samples_t):
                 "reason": "second connecting map not surjective"}
     sigma = cm.sigma
     f = sigma.field
-    end = cm.end
-    t_alg = end.algebra
-    c = sigma.coring
+    sdim = sigma.dim
+    sigma_t = sigma_over_end(sigma, cm.end)
+    rho = sigma.mc.sect().mul(sigma.coaction)
+    # for each witness (x, q): x and the map y -> conn2(y (x) q), Sigma -> T
     conn2_amb = cm.context.conn2.mul(cm.context.tens12.proj())
     qdim = cm.q.dim
+    splits = [(xvec, Matrix(f, conn2_amb.rows, sdim,
+                            [unflatten(f, sdim, qdim, row).mul_vec(qvec)
+                             for row in conn2_amb.data]))
+              for (xvec, qvec) in wit]
     results = []
     for n_mod in samples_t:
-        sigma_t = FBimodule(t_alg, sigma.carrier.right_alg, sigma.dim,
-                            list(end.basis_maps), list(sigma.carrier.right_act),
-                            name=sigma.name)
-        tens_n = BalancedTensor([n_mod, sigma_t], [t_alg])
-        carrier = tens_n.as_bimodule(name=n_mod.name + "(x)Sigma")
-        cols = []
-        ntens_c = BalancedTensor([carrier, c.carrier], [c.base])
-        for q in range(tens_n.dim):
-            out = zero_vec(f, ntens_c.dim)
-            for ((ni, xj), w) in tens_n.lift_pairs(unit_vec(f, tens_n.dim, q)):
-                for ((m, ck), w2) in sigma.mc.lift_pairs(sigma.coaction.col(xj)):
-                    contrib = ntens_c.pure_tensor(
-                        [vec_scale(f, f.mul(w, w2),
-                                   tens_n.pure_tensor([unit_vec(f, n_mod.dim, ni),
-                                                       unit_vec(f, sigma.dim, m)])),
-                         unit_vec(f, c.dim, ck)])
-                    out = [f.add(u, v) for u, v in zip(out, contrib)]
-            cols.append(out)
-        ncom = Comodule(c, carrier, Matrix.from_cols(f, ntens_c.dim, cols),
-                        name=carrier.name)
+        ncom, tens_n = tensor_comodule(n_mod, sigma_t, sigma.coring, rho,
+                                       n_mod.name + "(x)Sigma")
         ncom.validate()
-        space = MatrixSpace(f, tens_n.dim, sigma.dim,
+        space = MatrixSpace(f, tens_n.dim, sdim,
                             [h.matrix for h in colinear_homs(sigma, ncom)])
         homs = space.basis
+        # the unit n -> (x -> n (x) x): block n of the columns of proj
+        proj = tens_n.proj()
         eta = space.coords_matrix(
-            (Matrix.from_cols(f, tens_n.dim,
-                              [tens_n.pure_tensor([unit_vec(f, n_mod.dim, ni),
-                                                   unit_vec(f, sigma.dim, x)])
-                               for x in range(sigma.dim)])
+            (Matrix.from_cols(f, tens_n.dim, [proj.col(ni * sdim + x) for x in range(sdim)])
              for ni in range(n_mod.dim)),
             "adjunction unit is not colinear on %s" % n_mod.name)
-        # explicit inverse from the witnesses
-        etainv_cols = []
-        for hb, hmat in enumerate(homs):
-            out = zero_vec(f, n_mod.dim)
-            for (xvec, qvec) in wit:
-                zx = hmat.mul_vec(xvec)
-                for ((nj, y), w) in tens_n.lift_pairs(zx):
-                    tcoords = zero_vec(f, t_alg.dim)
-                    for b in range(qdim):
-                        if qvec[b]:
-                            col = conn2_amb.col(y * qdim + b)
-                            tcoords = [f.add(u, f.mul(qvec[b], v))
-                                       for u, v in zip(tcoords, col)]
-                    contrib = n_mod.right_act_vec(tcoords).col(nj)
-                    out = [f.add(u, f.mul(w, v)) for u, v in zip(out, contrib)]
-            etainv_cols.append(out)
-        etainv = Matrix.from_cols(f, n_mod.dim, etainv_cols)
+        # explicit inverse from the witnesses: h -> sum h(x)·conn2(- (x) q),
+        # through n (x) y -> n·conn2(y (x) q)
+        etainv = Matrix.zero(f, n_mod.dim, len(homs))
+        right_eval = n_mod.right_eval()
+        for xvec, c_q in splits:
+            act = right_eval.mul(tens_n.induced(None, [(1, c_q)]))
+            etainv = etainv.add(act.mul(Matrix.from_cols(
+                f, tens_n.dim, [hmat.mul_vec(xvec) for hmat in homs])))
         if etainv.mul(eta) != Matrix.identity(f, n_mod.dim):
             raise AxiomError("adjunction unit inverse fails on %s (left)" % n_mod.name)
         if eta.mul(etainv) != Matrix.identity(f, len(homs)):
@@ -925,14 +817,12 @@ def verify_surjectivity_thm(ext_ctx, cm):
     ext = ext_ctx.ext
     sigma = ext_ctx.sigma
     f = ext_ctx.field
-    end = ext_ctx.end
     lhs1, _ = connecting_surjective(ext_ctx.context, 1)
-    gal = galois_check(sigma, end=end)
+    gal = galois_check(sigma, end=ext_ctx.end)
     galois = gal["verdict"] in ("certified-Galois", "Galois-on-samples")
-    sig_bi = sigma_as_bicomodule(ext_ctx)
-    td_com, td_tens = td_bicomodule(ext, end)
-    homs_st = [h.matrix for h in colinear_homs(sig_bi, td_com, left_linear=True)]
-    homs_ts = [h.matrix for h in colinear_homs(td_com, sig_bi, left_linear=True)]
+    td_com, td_tens = ext_ctx.td
+    space_st, space_ts = ext_ctx.bicomodule_homs
+    homs_st, homs_ts = space_st.basis, space_ts.basis
     s_fam = _witnesses_from_products(homs_st, homs_ts,
                                      Matrix.identity(f, sigma.dim))
     rhs1 = galois and s_fam is not None
@@ -943,7 +833,7 @@ def verify_surjectivity_thm(ext_ctx, cm):
            "s": len(s_fam) if s_fam else None}
     if lhs1:
         # constructive re-derivation of a unit decomposition from the summand data
-        rebuilt = _rebuild_witnesses(ext_ctx, td_tens, s_fam)
+        rebuilt = _rebuild_witnesses(ext_ctx, td_tens, s_fam, gal["can_A"])
         total = None
         for (jt, j) in rebuilt:
             term = ext_ctx.diamond_black(jt, j)
@@ -964,21 +854,22 @@ def verify_surjectivity_thm(ext_ctx, cm):
     return out
 
 
-def _rebuild_witnesses(ext_ctx, td_tens, pairs):
+def _rebuild_witnesses(ext_ctx, td_tens, pairs, can_a):
     """From summand data (kappa_l, kappatilde_l) rebuild the context elements
-    j_l = kappatilde_l(1 (x) -) and jtilde_l through the inverse of the
-    canonical map at the base algebra."""
+    j_l = kappatilde_l(1 (x) -) and jtilde_l through the inverse of can_a,
+    the canonical map at the base algebra."""
     ext = ext_ctx.ext
     sigma = ext_ctx.sigma
     f = ext_ctx.field
     end = ext_ctx.end
     t_alg = end.algebra
     d = ext.outer
-    can_a = can_map(sigma, regular_right_module(ext.inner.base, 1), end=end)
     if not can_a.bijective:
         raise AxiomError("constructive direction needs an invertible canonical map")
     caninv = can_a.inverse()
     sd = ext_ctx.qt.sigma_dual
+    # T (x)_L D -> T, t (x) d -> t·eps(d)
+    t_eps = ext_ctx.t_bim.right_eval().mul(td_tens.induced(None, [(1, d.counit)]))
     out = []
     for (kappa, kappatilde) in pairs:
         j_cols = [kappatilde.mul_vec(td_tens.pure_tensor(
@@ -991,13 +882,7 @@ def _rebuild_witnesses(ext_ctx, td_tens, pairs):
             y = caninv.mul_vec(vtarget)
             acc = zero_vec(f, sd.dim)
             for ((hb, xj), w) in can_a.tens.lift_pairs(y):
-                kx = kappa.mul_vec(unit_vec(f, sigma.dim, xj))
-                tcoords = zero_vec(f, t_alg.dim)
-                for ((tt, dd), w2) in td_tens.lift_pairs(kx):
-                    eps_d = d.counit.data[0][dd]
-                    if eps_d:
-                        tcoords[tt] = f.add(tcoords[tt], f.mul(w2, eps_d))
-                tmat = end.space.element(tcoords)
+                tmat = end.space.element(t_eps.mul_vec(kappa.col(xj)))
                 phi = can_a.hom_basis[hb].mul(tmat)
                 coords = sd.coords(phi)
                 if coords is None:

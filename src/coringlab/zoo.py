@@ -509,9 +509,6 @@ def weak_entwining_coring(ent):
     all induced maps re-verified to preserve it, and the two equivalent forms
     of the outer coaction computed and asserted equal.
     """
-    if not ent.weak:
-        # a strict entwining is a weak one with e = eps; reuse the image route
-        pass
     ent.validate()
     f = ent.field
     a, d = ent.a, ent.d
@@ -543,15 +540,8 @@ def weak_entwining_coring(ent):
     sub = image(p_amb)
     dim = sub.dim
     inc = sub.basis_matrix_cols()
-    pivots = []
-    col_idx = 0
-    for v in sub.basis:
-        while v[col_idx] == f.zero:
-            col_idx += 1
-        pivots.append(col_idx)
-        col_idx += 1
     ret = Matrix.zero(f, dim, n * m)
-    for q, piv in enumerate(pivots):
+    for q, piv in enumerate(sub.pivots):
         ret.data[q][piv] = f.one
 
     def restrict(amb_op, what):
@@ -723,15 +713,8 @@ def partial_action_coring(pa):
         sub = image(a.lmul_vec(pa.e[s]))
         dims.append(sub.dim)
         inc_s = sub.basis_matrix_cols()
-        pivots = []
-        col_idx = 0
-        for v in sub.basis:
-            while v[col_idx] == f.zero:
-                col_idx += 1
-            pivots.append(col_idx)
-            col_idx += 1
         sel_s = Matrix.zero(f, sub.dim, a.dim)
-        for q, piv in enumerate(pivots):
+        for q, piv in enumerate(sub.pivots):
             sel_s.data[q][piv] = f.one
         sel.append(sel_s)
         inc.append(inc_s)

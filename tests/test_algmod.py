@@ -248,15 +248,18 @@ def _ref_descend_slot(tens, slot, mat):
 
 
 def _fixture_tensors(ws):
-    """Every BalancedTensor held by the corings, comodules and extensions of
-    a workspace, with the slot operators it must carry: the outer actions,
-    and the right L-action on the inner coring's C (x)_A C."""
+    """The balanced tensors of the corings, comodules and extensions of a
+    workspace (C (x) C and C (x) C (x) C, M (x) C and M (x) C (x) C, and the
+    extension's C (x)_L D, C (x)_L D (x)_L D and C (x)_A C (x)_L D), lazy ones
+    built here, so the set does not depend on what ran before; each with the
+    slot operators it must carry: the outer actions, and the right L-action
+    on the inner coring's C (x)_A C."""
     seen = {}
-    for table in (ws.corings, ws.comodules, ws.extensions):
-        for owner in table.values():
-            for tens in vars(owner).values():
-                if isinstance(tens, BalancedTensor):
-                    seen.setdefault(id(tens), (tens, []))
+    tensors = [t for c in ws.corings.values() for t in (c.cc, c.ccc)]
+    tensors += [t for m in ws.comodules.values() for t in (m.mc, m.mcc)]
+    tensors += [t for e in ws.extensions.values() for t in (e.cld, e.cldd, e.ccld)]
+    for tens in tensors:
+        seen.setdefault(id(tens), (tens, []))
     for ext in ws.extensions.values():
         seen[id(ext.inner.cc)][1].extend((1, r) for r in ext.right_l_act)
     for tens, slots in seen.values():

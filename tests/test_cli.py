@@ -11,7 +11,7 @@ import time
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from coringlab import cli, extension, galois
+from coringlab import algmod, cli, extension, galois
 from coringlab.cli import main
 from coringlab.exactla import AxiomError, QQ
 from conftest import fixture_path
@@ -346,6 +346,38 @@ def test_theorems_shares_one_adjunction_unit_check(capsys, monkeypatch):
     # so is each other sample's, however many checks need it
     outer = [e[1].name for e in events if e[0] == "outer"]
     assert "Sigma" in outer and len(outer) == len(set(outer)) > 1
+
+
+@pytest.mark.parametrize("argv", [THEOREMS_E2, ("cleft",) + THEOREMS_E2[1:]],
+                         ids=["theorems", "cleft"])
+def test_one_t_tensor_d_per_command(capsys, monkeypatch, argv):
+    built = []
+    init = algmod.BalancedTensor.__init__
+
+    def counted(self, factors, algebras, name=None):
+        built.append(name)
+        init(self, factors, algebras, name=name)
+
+    monkeypatch.setattr(algmod.BalancedTensor, "__init__", counted)
+    code, _, _ = run_cli(capsys, *argv)
+    assert code == 0
+    # the cleft search, the normal basis check and the surjectivity
+    # criterion share the context's T (x)_L D
+    assert built.count("T(x)D") == 1
+
+
+def test_cleft_search_that_finds_nothing_is_graded_inconclusive(capsys, monkeypatch):
+    monkeypatch.setattr(galois, "_candidate_vectors", lambda *args, **kwargs: iter(()))
+    code, out, _ = run_cli(capsys, "cleft", fixture_path("E2"), "--sigma", "Sigma",
+                           "--extension", "ext")
+    assert code == 0
+    checks = {c["check_id"]: c for c in json.loads(out)["checks"]}
+    assert (checks["invertibility grade"]["verdict"],
+            checks["invertibility grade"]["grade"]) == ("unresolved", "inconclusive")
+    assert checks["normal basis"]["verdict"] == "inconclusive"
+    assert (checks["invertibility criterion agreement"]["verdict"],
+            checks["invertibility criterion agreement"]["grade"]) == \
+        ("undecided", "inconclusive")
 
 
 def test_failing_adjunction_unit_check_fails_every_line(capsys, monkeypatch):

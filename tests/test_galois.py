@@ -2,10 +2,13 @@
 
 import pytest
 
+from conftest import ContextBundle, fixture_path
+from coringlab import galois
 from coringlab.algmod import FBimodule, trivial_algebra
-from coringlab.coring import zero_comodule
-from coringlab.exactla import AxiomError, Matrix, QQ, rank, solve_many
-from coringlab.extension import ExtContext
+from coringlab.coring import Comodule, zero_comodule
+from coringlab.exactla import (AxiomError, Matrix, QQ, rank, solve_many, unit_vec,
+                               vec_scale)
+from coringlab.extension import ExtContext, purity_check
 from coringlab.galois import (can_map, check_dual_basis_from_witnesses,
                               check_equivariant_projectivity,
                               check_generator_property, check_jids,
@@ -18,6 +21,7 @@ from coringlab.galois import (can_map, check_dual_basis_from_witnesses,
                               verify_strong_structure, verify_surjectivity_thm,
                               verify_weak_structure, _first_witnesses)
 from coringlab.morita import context_M, connecting_surjective, strictness
+from coringlab.workspace import load_workspace_file
 
 F = QQ
 
@@ -400,3 +404,73 @@ def test_strictness_three_way_agreement(bundles):
     cm0 = context_M(z)
     out0 = verify_strictness_three_way(cm0, [], [])
     assert out0["applicable"] and not out0["strict"]
+
+
+# ---------------------------------------------------------------------------
+# an L-C bicomodule over a nontrivial L: T (x)_L D has balancing relations
+
+
+def _l1_bicomodule_context():
+    """L1's coring C with Creg's coaction, and L acting on the left by
+    l·w_i = l_i·w_i (the right L-action of the extension)."""
+    ws = load_workspace_file(fixture_path("L1"))
+    ext = ws.extensions["ext"]
+    c, l = ext.inner, ext.outer.base
+    carrier = FBimodule(l, c.base, c.dim, list(ext.right_l_act),
+                        list(c.carrier.right_act), name="W")
+    w = Comodule(c, carrier, ws.comodules["Creg"].coaction, name="W")
+    w.validate()
+    purity_check(ext, [w])
+    cm = context_M(w)
+    return ExtContext(ext, w, comodule_ctx=cm)
+
+
+def _td_coaction_elementwise(ec):
+    """t (x) d -> t (x) d_(1) (x) d_(2), one lifted pure tensor at a time."""
+    f, d = ec.field, ec.ext.outer
+    td_com, td_tens = ec.td
+    cols = []
+    for q in range(td_tens.dim):
+        col = [f.zero] * td_com.mc.dim
+        for ((t, dd), w) in td_tens.lift_pairs(unit_vec(f, td_tens.dim, q)):
+            for ((d1, d2), w2) in d.cc.lift_pairs(d.coproduct.col(dd)):
+                left = td_tens.pure_tensor([vec_scale(f, f.mul(w, w2),
+                                                      unit_vec(f, ec.t_alg.dim, t)),
+                                            unit_vec(f, d.dim, d1)])
+                term = td_com.mc.pure_tensor([left, unit_vec(f, d.dim, d2)])
+                col = [f.add(u, v) for u, v in zip(col, term)]
+        cols.append(col)
+    return Matrix.from_cols(f, td_com.mc.dim, cols)
+
+
+def test_t_tensor_d_over_nontrivial_base_is_projected_in_its_layout():
+    ec = _l1_bicomodule_context()
+    assert strictness(ec.context)["strict"]
+    td_com, td_tens = ec.td
+    # the relations over L are really there, so layouts would differ
+    assert td_tens.dim < td_tens.ambient_dim
+    assert td_com.coaction == _td_coaction_elementwise(ec)
+    cd = cleft_check(ec)
+    assert cd.grade == "cleft"
+    assert normal_basis_check(ec, cleft_data=cd)["grade"] == "full"
+    assert check_equivariant_projectivity(ec) == {"applicable": True, "passed": True}
+    out = verify_cor_jJ(ec)
+    assert out["passed"] and out["decided"]
+    assert (out["cleft_grade"], out["normal_basis"]) == ("cleft", "full")
+
+
+# ---------------------------------------------------------------------------
+# the inconclusive grades of the searches
+
+
+def test_searches_that_find_nothing_are_inconclusive(monkeypatch):
+    monkeypatch.setattr(galois, "_candidate_vectors", lambda *args, **kwargs: iter(()))
+    # a context of its own: cleft_check keeps its search result on the context
+    ec = ContextBundle(load_workspace_file(fixture_path("E2"))).ec
+    assert cleft_check(ec).grade == "unresolved"
+    nb = normal_basis_check(ec)
+    assert (nb["grade"], nb["full"], nb["weak"]) == \
+        ("inconclusive", "not found (inconclusive)", "not found (inconclusive)")
+    out = verify_cor_jJ(ec)
+    assert not out["decided"]
+    assert out["verdict"] == "undecided (search inconclusive)"

@@ -8,6 +8,16 @@ the code below may still call ``.kron(``, each for a stated reason:
   on ambient pair bases;
 - ``weak_entwining_coring`` and ``entwining_coring`` compose two ambient
   layers with no quotient between them.
+
+Likewise the galois constructions build their maps into tensors with
+``induced``, not by lifting one vector at a time (``lift_pairs``) and
+re-assembling pure tensors (``pure_tensor``).  Only these keep such loops:
+
+- ``check_jids`` and ``check_dual_basis_from_witnesses`` evaluate the
+  reconstruction identities element by element, an independent route to
+  what the operator forms compute;
+- ``can_inverse_from_witnesses``, ``check_generator_property`` and
+  ``_rebuild_witnesses`` evaluate witnesses on chosen elements.
 """
 
 import ast
@@ -24,9 +34,15 @@ ALLOWED = {("algmod.py", "BalancedTensor._build"),
 # bound keeps them from growing more
 MAX_OUTSIDE_KERNEL = 19
 
+GALOIS_LOOPS = {"can_inverse_from_witnesses", "check_jids",
+                "check_generator_property", "_rebuild_witnesses",
+                "check_dual_basis_from_witnesses"}
+MAX_GALOIS_LOOPS = 13
 
-def _kron_calls(path):
-    """(enclosing qualified name, line) of every ``.kron(`` call in a file."""
+
+def _calls(path, attrs):
+    """(enclosing qualified name, line) of every call of a method named in
+    attrs in a file."""
     with open(path, encoding="utf-8") as handle:
         tree = ast.parse(handle.read(), filename=path)
     found = []
@@ -37,12 +53,16 @@ def _kron_calls(path):
             if isinstance(child, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
                 inner = scope + (child.name,)
             if isinstance(child, ast.Call) and isinstance(child.func, ast.Attribute) \
-                    and child.func.attr == "kron":
+                    and child.func.attr in attrs:
                 found.append((".".join(scope), child.lineno))
             walk(child, inner)
 
     walk(tree, ())
     return found
+
+
+def _kron_calls(path):
+    return _calls(path, ("kron",))
 
 
 def test_only_the_allowed_functions_build_krons():
@@ -60,3 +80,12 @@ def test_only_the_allowed_functions_build_krons():
     assert stray == []
     assert allowed_seen == ALLOWED
     assert outside_kernel <= MAX_OUTSIDE_KERNEL
+
+
+def test_galois_lifts_vectors_only_in_the_named_checks():
+    found = _calls(os.path.join(SRC, "galois.py"), ("lift_pairs", "pure_tensor"))
+    stray = ["galois.py:%d in %s" % (line, scope or "<module>")
+             for scope, line in found if scope not in GALOIS_LOOPS]
+    assert stray == []
+    assert {scope for scope, _ in found} == GALOIS_LOOPS
+    assert len(found) <= MAX_GALOIS_LOOPS
