@@ -2,7 +2,8 @@
 
 One-sided modules are bimodules with the trivial one-dimensional algebra
 acting on the inert side, so a single hom-space solver with linearity flags
-covers all four hom flavours.
+(hom_space, which returns a MatrixSpace) covers all four hom flavours, and
+every further relation reaches it as operator terms.
 """
 
 from __future__ import annotations
@@ -561,9 +562,27 @@ def solve_map_space(src_dim, tgt_dim, constraints, field):
                        [unflatten(field, tgt_dim, src_dim, v) for v in sub.basis])
 
 
-def hom_space(m, n, left_linear=False, right_linear=False, extra_constraints=(),
-              name=None):
-    """Canonical basis of linear maps M -> N with the flagged linearities.
+def sandwich_terms(p, w, left, right, sign=1):
+    """Terms (U, V, sign), one per index pair of the identity slots, whose
+    sum of U·X·V is P·(I_left (x) X (x) I_right)·W."""
+    field = p.field
+    tgt = p.cols // (left * right)
+    src = w.rows // (left * right)
+    out = []
+    for a in range(left):
+        for c in range(right):
+            u = Matrix.from_cols(field, p.rows,
+                                 [p.col((a * tgt + n) * right + c) for n in range(tgt)])
+            v = Matrix(field, src, w.cols,
+                       [w.row((a * src + m) * right + c) for m in range(src)])
+            out.append((u, v, sign))
+    return out
+
+
+def hom_space(m, n, left_linear=False, right_linear=False, extra_constraints=()):
+    """The space of linear maps M -> N with the flagged linearities, as a
+    MatrixSpace in its canonical basis; every basis map has its flags
+    verified.
 
     extra_constraints follow the solve_map_space convention and are imposed
     on top of the linearity equations.
@@ -584,8 +603,9 @@ def hom_space(m, n, left_linear=False, right_linear=False, extra_constraints=(),
                                 (n.right_act[i], Matrix.identity(field, m.dim), -1)])
     constraints.extend(extra_constraints)
     space = solve_map_space(m.dim, n.dim, constraints, field)
-    return [FLinearMap(m, n, mat, left_linear=left_linear, right_linear=right_linear)
-            for mat in space.basis]
+    for mat in space.basis:
+        FLinearMap(m, n, mat, left_linear=left_linear, right_linear=right_linear)
+    return space
 
 
 def coords_in_basis(basis_mats, mat):
@@ -697,10 +717,10 @@ def zero_algebra(field, name="0"):
 def fgp_check(m, side, alg):
     """Dual-basis witness that m is f.g. projective over alg on the given side.
 
-    Returns (elements, functionals) with sum x_i xi_i(v) = v for all v (right
-    side; mirrored for left), or None when no dual basis exists.  The search
-    is a linear membership problem: id_M inside the image of the evaluation
-    pairing.
+    Returns (elements, functionals), the functionals as matrices, with
+    sum x_i xi_i(v) = v for all v (right side; mirrored for left), or None
+    when no dual basis exists.  The search is a linear membership problem:
+    id_M inside the image of the evaluation pairing.
     """
     field = m.field
     if side == "right":
@@ -713,12 +733,12 @@ def fgp_check(m, side, alg):
         return ([], [])
     pair_mats = []
     pairs = []
-    for h in homs:
+    for h in homs.basis:
         for x in range(m.dim):
             # v -> x · h(v)   (right side),  v -> h(v) · x  (left side)
             cols = []
             for j in range(m.dim):
-                a = h.matrix.col(j)
+                a = h.col(j)
                 if side == "right":
                     cols.append(m.right_act_vec(a).col(x))
                 else:
@@ -741,17 +761,18 @@ def fgp_check(m, side, alg):
 def generator_check(m, side, alg):
     """Witness that m generates alg-modules on the given side.
 
-    Finds functionals xi_i and elements x_i with sum xi_i(x_i) = 1, by linear
-    membership of the unit in the trace span; None when m is not a generator.
+    Finds functionals xi_i (as matrices) and elements x_i with
+    sum xi_i(x_i) = 1, by linear membership of the unit in the trace span;
+    None when m is not a generator.
     """
     field = m.field
     homs = hom_space(m, FBimodule.regular(alg),
                      right_linear=(side == "right"), left_linear=(side == "left"))
     span = []
     pairs = []
-    for h in homs:
+    for h in homs.basis:
         for x in range(m.dim):
-            span.append(h.matrix.col(x))
+            span.append(h.col(x))
             pairs.append((h, x))
     if not span:
         return None

@@ -28,7 +28,8 @@ from .galois import (check_dual_basis_from_witnesses,
                      verify_fgp_corollary, verify_strictness_three_way,
                      verify_strong_structure, verify_surjectivity_thm,
                      verify_weak_structure, _first_witnesses)
-from .morita import connecting_surjective, context_M, context_N, morphism_M_to_N, strictness
+from .morita import (ModuleContext, connecting_surjective, context_M, morphism_M_to_N,
+                     strictness)
 from .workspace import ParseError, load_workspace_file
 from .zoo import FIXTURES, build_fixture
 
@@ -133,7 +134,6 @@ def _named(ws, table, name, what):
 
 def _sample_comodules(ws, sigma, extra_names):
     names = []
-    out = []
     for name, com in ws.comodules.items():
         if com is sigma or com.coring is not sigma.coring:
             continue
@@ -223,7 +223,7 @@ def cmd_morita(args):
               lambda: "strict" if strictness(ctx)["strict"] else "not strict")
     else:
         report.add("strictness", "not strict")
-    cn = context_N(sigma, dual=cm.dual)
+    cn = ModuleContext(sigma, cm.dual, cm.dualact_mats)
     nctx = cn.context
     report.add("module context corners", "End=%d *C=%d Sigma=%d Hom=%d"
                % (nctx.alg1.dim, nctx.alg2.dim, nctx.bim12.dim, nctx.bim21.dim))
@@ -238,8 +238,8 @@ def cmd_morita(args):
         ectx = ec.context
         report.add("extension context corners", "V=%d U=%d P=%d Qt=%d"
                    % (ectx.alg1.dim, ectx.alg2.dim, ectx.bim12.dim, ectx.bim21.dim))
-        e1, ew1 = connecting_surjective(ectx, 1)
-        e2, ew2 = connecting_surjective(ectx, 2)
+        e1, _ = connecting_surjective(ectx, 1)
+        e2, _ = connecting_surjective(ectx, 2)
         report.add("extension first connecting map surjective",
                    "yes" if e1 else "no")
         report.add("extension second connecting map surjective",
@@ -310,7 +310,7 @@ def _build_ext_ctx(ws, args, report=None):
 
 def cmd_cleft(args):
     ws = _load(args)
-    sigma, ext, cm, ec = _build_ext_ctx(ws, args)
+    sigma, ext, _, ec = _build_ext_ctx(ws, args)
     report = Report("%s --sigma %s --extension %s"
                     % (args.file, args.sigma, args.extension), ws.field)
     j = _named(ws, ws.maps, args.j, "map") if args.j else None

@@ -8,23 +8,9 @@ projection/section pairs.
 
 from __future__ import annotations
 
-from .algmod import (BalancedTensor, FBimodule, FiniteAlgebra, MatrixSpace,
-                     endo_algebra, hom_space, trivial_algebra)
+from .algmod import (BalancedTensor, FBimodule, FiniteAlgebra, endo_algebra,
+                     hom_space, sandwich_terms, trivial_algebra)
 from .exactla import AxiomError, Matrix, UsageError, unit_vec, zero_vec
-
-
-def sandwich_terms(p, w, inner_dim, sign=1):
-    """Terms (U_c, V_c, sign) with sum_c U_c·X·V_c = P·(X kron I_inner)·W."""
-    field = p.field
-    tgt = p.cols // inner_dim
-    src = w.rows // inner_dim
-    out = []
-    for c in range(inner_dim):
-        u = Matrix.from_cols(field, p.rows, [p.col(n * inner_dim + c) for n in range(tgt)])
-        v = Matrix.from_rows(field, [w.row(m * inner_dim + c) for m in range(src)]) \
-            if src else Matrix.zero(field, 0, w.cols)
-        out.append((u, v, sign))
-    return out
 
 
 class Coring:
@@ -216,12 +202,10 @@ class DualRing:
             raise UsageError("dual ring side must be 'left' or 'right'")
         self.coring = coring
         self.side = side
-        field = coring.field
         a = coring.base
         reg = FBimodule.regular(a)
-        homs = hom_space(coring.carrier, reg, left_linear=(side == "left"),
-                         right_linear=(side == "right"))
-        self.space = MatrixSpace(field, a.dim, coring.dim, [h.matrix for h in homs])
+        self.space = hom_space(coring.carrier, reg, left_linear=(side == "left"),
+                               right_linear=(side == "right"))
         self.eval_mats = self.space.basis  # each a.dim x c.dim
         n = self.space.dim
         name = ("*" + coring.name) if side == "left" else (coring.name + "*")
@@ -246,12 +230,16 @@ class DualRing:
         self.module = FBimodule(a, a, n, left_act, right_act, name=name)
         self.module.validate()
 
+    def hit(self, f):
+        """C -> C, x -> x^(1)·f(x^(2)), for f in the left dual."""
+        c = self.coring
+        return c.carrier.right_eval().mul(c.cc.induced(None, [(1, f)])).mul(c.coproduct)
+
     def _convolve(self, f, g):
         c = self.coring
         if self.side == "left":
             # (fg)(x) = g(x^(1)·f(x^(2)))
-            inner = c.carrier.right_eval().mul(c.cc.induced(None, [(1, f)]))
-            return g.mul(inner).mul(c.coproduct)
+            return g.mul(self.hit(f))
         # right dual: (fg)(x) = f(g(x^(1))·x^(2))
         inner = c.carrier.left_eval().mul(c.cc.induced(None, [(0, g)]))
         return f.mul(inner).mul(c.coproduct)
@@ -291,27 +279,25 @@ def dual_action(comodule, dual=None):
 # colinear hom spaces
 
 
-def colinearity_constraint(m, n):
-    """Constraint terms for rho_N ∘ X = (X (x) C) ∘ rho_M."""
-    field = m.field
-    cdim = m.coring.dim
-    terms = [(n.coaction, Matrix.identity(field, m.dim), +1)]
-    w = m.mc.sect().mul(m.coaction)  # M -> M (x) C ambient
-    terms.extend(sandwich_terms(n.mc.proj(), w, cdim, sign=-1))
-    return terms
+def colinearity_constraint(rho, tens, w):
+    """Constraint terms for rho∘X = (X (x) C)∘rho_M: rho is the target
+    coaction, into the two-factor tensor tens = N (x) C, and w = sect·rho_M
+    the source coaction in the ambient M x C."""
+    return [(rho, Matrix.identity(rho.field, w.cols), +1)] + \
+        sandwich_terms(tens.proj(), w, 1, tens.dims[1], sign=-1)
 
 
 def colinear_homs(m, n, left_linear=False):
-    """Canonical basis of right colinear, right A-linear maps M -> N.
+    """The space (a MatrixSpace) of right colinear, right A-linear maps M -> N.
 
     With left_linear=True the maps are additionally left linear over the
     shared left algebra (the bicomodule hom space).
     """
     if m.coring is not n.coring:
         raise UsageError("colinear_homs: comodules over different corings")
-    constraints = [colinearity_constraint(m, n)]
+    colinear = colinearity_constraint(n.coaction, n.mc, m.mc.sect().mul(m.coaction))
     return hom_space(m.carrier, n.carrier, left_linear=left_linear,
-                     right_linear=True, extra_constraints=constraints)
+                     right_linear=True, extra_constraints=[colinear])
 
 
 class EndAlgebra:
@@ -320,8 +306,7 @@ class EndAlgebra:
 
     def __init__(self, sigma):
         self.sigma = sigma
-        self.space = MatrixSpace(sigma.field, sigma.dim, sigma.dim,
-                                 [h.matrix for h in colinear_homs(sigma, sigma)])
+        self.space = colinear_homs(sigma, sigma)
         self.basis_maps = self.space.basis
         self.algebra = endo_algebra(self.space, name="End^%s(%s)"
                                     % (sigma.coring.name, sigma.name))

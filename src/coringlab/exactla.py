@@ -384,7 +384,6 @@ def rref(m):
     pivot columns are elementary, pivot column indices strictly increase.
     """
     f = m.field
-    z = f.zero
     data = [list(r) for r in m.data]
     rows, cols = m.rows, m.cols
     pivots = []

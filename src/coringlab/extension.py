@@ -5,34 +5,24 @@ An extension pairs an inner coring over A with an outer coring over L; the
 inner carrier is an A-L bimodule and carries a compatible outer coaction.
 Purity of the defining equalizer is certified either through the split fast
 path (an algebra map L -> A inducing the right L-action) or by explicitly
-tensoring the equalizer and comparing ranks, comodule by comodule.
+tensoring the equalizer and comparing ranks, comodule by comodule.  Each
+corner of the extension context is one hom_space solve: the bilinear maps
+D -> T are the convolution algebra, the bicolinear endomorphisms and the
+colinear maps D -> Sigma are cut out by colinearity terms, and the
+intertwining bimodule Qtilde by its defining relation, written as one
+operator identity per basis element of Sigma.
 """
 
 from __future__ import annotations
 
 from functools import cached_property
 
-from .algmod import (BalancedTensor, FBimodule, MatrixSpace, endo_algebra,
-                     solve_map_space, trivial_algebra)
-from .coring import Comodule, EndAlgebra, colinear_homs, sandwich_terms
-from .exactla import (AxiomError, Matrix, Subspace, UsageError, image, kernel,
-                      rank, side_by_side, solve_linear, unflatten, vec_scale,
-                      zero_vec)
+from .algmod import (BalancedTensor, FBimodule, endo_algebra, hom_space,
+                     sandwich_terms, trivial_algebra)
+from .coring import Comodule, EndAlgebra, colinear_homs, colinearity_constraint
+from .exactla import (AxiomError, Matrix, UsageError, image, kernel, rank,
+                      side_by_side, solve_linear, vec_scale)
 from .morita import MoritaContext, SigmaDual
-
-
-def sandwich_terms_left(p, w, outer_dim, sign=1):
-    """Terms (U_a, V_a, sign) with sum_a U_a·X·V_a = P·(I_outer kron X)·W."""
-    field = p.field
-    tgt = p.cols // outer_dim
-    src = w.rows // outer_dim
-    out = []
-    for a in range(outer_dim):
-        u = Matrix.from_cols(field, p.rows, [p.col(a * tgt + i) for i in range(tgt)])
-        v = Matrix.from_rows(field, [w.row(a * src + j) for j in range(src)]) \
-            if src else Matrix.zero(field, 0, w.cols)
-        out.append((u, v, sign))
-    return out
 
 
 class CoringExtension:
@@ -164,7 +154,6 @@ def purity_check(ext, comodules):
     tensored with the square of the outer coring and the canonical
     comparison map is required to be bijective for every listed comodule.
     """
-    f = ext.field
     a, l = ext.inner.base, ext.outer.base
     if ext.split_map is not None:
         phi = ext.split_map
@@ -267,9 +256,9 @@ def tensor_comodule(m, n_carrier, coring, rho, name):
 def check_colinear_maps_remain_colinear(ext, pairs):
     """Every inner-colinear map between listed comodules is outer-colinear."""
     for (m, n, dm, dn) in pairs:
-        for h in colinear_homs(m, n):
-            lhs = dn.coaction.mul(h.matrix)
-            rhs = dm.mc.induced(dn.mc, [(0, h.matrix)]).mul(dm.coaction)
+        for h in colinear_homs(m, n).basis:
+            lhs = dn.coaction.mul(h)
+            rhs = dm.mc.induced(dn.mc, [(0, h)]).mul(dm.coaction)
             if lhs != rhs:
                 raise AxiomError("an inner-colinear map %s -> %s fails to be "
                                  "outer-colinear" % (m.name, n.name))
@@ -282,94 +271,41 @@ def check_colinear_maps_remain_colinear(ext, pairs):
 
 class QTildeModule:
     """Bilinear maps from the inner coring to the comodule dual satisfying the
-    intertwining relation; embeds into the comodule context bimodule."""
+    intertwining relation; embeds into the comodule context bimodule.
 
-    def __init__(self, ext, sigma, sigma_dual=None, qmod=None):
+    The space is one hom_space solve: A-L-bilinear maps q: C -> Sigma* with
+    c^(1)·q(c^(2))(x_j) = q(c)(x_j^[0])·x_j^[1], one operator identity per
+    basis element x_j of Sigma: P_j·(C (x) X)·Delta = U_j·X, where P_j sends
+    c (x) xi_s to c·xi_s(x_j) and column s of U_j is xi_s(x_j^[0])·x_j^[1].
+    Sigma* is the comodule context's when qmod is given.
+    """
+
+    def __init__(self, ext, sigma, qmod=None):
         self.ext = ext
         self.sigma = sigma
         f = ext.field
         self.field = f
         c = ext.inner
-        l = ext.outer.base
-        self.sigma_dual = sigma_dual or SigmaDual(sigma)
+        self.sigma_dual = qmod.sigma_dual if qmod else SigmaDual(sigma)
         sd = self.sigma_dual
-        cdim, sddim = c.dim, sd.dim
-        constraints = []
-        ident_sd = Matrix.identity(f, sddim)
-        ident_c = Matrix.identity(f, cdim)
-        for i in range(c.base.dim):
-            constraints.append([(ident_sd, c.carrier.left_act[i], +1),
-                                (sd.module.left_act[i], ident_c, -1)])
-        for i in range(l.dim):
-            constraints.append([(ident_sd, ext.right_l_act[i], +1),
-                                (sd.module.right_act[i], ident_c, -1)])
-        self.space = self._solve(constraints)
+        # (xi_s (x) C)∘rho for each basis element xi_s of Sigma*
+        self.xi_rho = [sigma.mc.induced(None, [(0, xi)]).mul(sigma.coaction)
+                       for xi in sd.basis]
+        left_eval = c.carrier.left_eval()
+        xi_coact = [left_eval.mul(comp) for comp in self.xi_rho]
+        delta = c.cc.sect().mul(c.coproduct)
+        ident = Matrix.identity(f, c.dim)
+        relations = []
+        for j in range(sigma.dim):
+            acts = [c.carrier.right_act_vec(xi.col(j)) for xi in sd.basis]
+            p_j = Matrix.from_cols(f, c.dim, [act.col(k) for k in range(c.dim)
+                                              for act in acts])
+            u_j = Matrix.from_cols(f, c.dim, [comp.col(j) for comp in xi_coact])
+            relations.append(sandwich_terms(p_j, delta, c.dim, 1) + [(u_j, ident, -1)])
+        self.space = hom_space(ext.carrier_l, sd.module, left_linear=True,
+                               right_linear=True, extra_constraints=relations)
         self.basis = self.space.basis
         self._install_actions(qmod)
-
-    def _solve(self, constraints):
-        """Solve the linearity constraints plus the defining relation."""
-        f = self.field
-        c = self.ext.inner
-        sigma = self.sigma
-        sd = self.sigma_dual
-        cdim, sdim, sddim = c.dim, sigma.dim, sd.dim
-        nunk = sddim * cdim  # X[s, k] row-major: qtilde(e_k) = sum_s X[s,k] xi_s
-
-        def idx(s, k):
-            return s * cdim + k
-
-        rows = []
-        # linearity constraints in (U, X, V) form
-        for terms in constraints:
-            for p in range(terms[0][0].rows):
-                for q in range(terms[0][1].cols):
-                    row = zero_vec(f, nunk)
-                    nz = False
-                    for (u, v, sign) in terms:
-                        for s in range(sddim):
-                            uc = u.data[p][s]
-                            if uc == f.zero:
-                                continue
-                            for k in range(cdim):
-                                vc = v.data[k][q]
-                                if vc == f.zero:
-                                    continue
-                                val = f.mul(uc, vc)
-                                if sign < 0:
-                                    val = f.neg(val)
-                                row[idx(s, k)] = f.add(row[idx(s, k)], val)
-                                nz = True
-                    if nz:
-                        rows.append(row)
-        # c^(1)·q(c^(2))(x) = q(c)(x^[0])·x^[1]  for basis c, x
-        cop_lifts = [c.cc.lift_pairs(c.coproduct.col(k)) for k in range(cdim)]
-        coact_lifts = [sigma.mc.lift_pairs(sigma.coaction.col(j)) for j in range(sdim)]
-        for k in range(cdim):
-            for j in range(sdim):
-                coeff_rows = [zero_vec(f, nunk) for _ in range(cdim)]
-                for ((c1, c2), w) in cop_lifts[k]:
-                    for s in range(sddim):
-                        av = sd.basis[s].col(j)  # xi_s(x_j) in A
-                        col = c.carrier.right_act_vec(vec_scale(f, w, av)).col(c1)
-                        for r in range(cdim):
-                            if col[r] != f.zero:
-                                coeff_rows[r][idx(s, c2)] = f.add(
-                                    coeff_rows[r][idx(s, c2)], col[r])
-                for ((m, cp), w) in coact_lifts[j]:
-                    for s in range(sddim):
-                        av = sd.basis[s].col(m)
-                        col = c.carrier.left_act_vec(vec_scale(f, w, av)).col(cp)
-                        for r in range(cdim):
-                            if col[r] != f.zero:
-                                coeff_rows[r][idx(s, k)] = f.sub(
-                                    coeff_rows[r][idx(s, k)], col[r])
-                rows.extend(coeff_rows)
-        if rows:
-            sol = kernel(Matrix.from_rows(f, rows))
-        else:
-            sol = Subspace.full(f, nunk)
-        return MatrixSpace(f, sddim, cdim, [unflatten(f, sddim, cdim, v) for v in sol.basis])
 
     def _install_actions(self, qmod):
         """Verify the embedding into the comodule-context bimodule."""
@@ -452,31 +388,22 @@ class ExtContext:
                                name="T")
         self.sigma_d = induced_D_coaction(ext, sigma)
         self._outer = {sigma: self.sigma_d}
-        # ----- corner 1: bilinear maps D -> T
-        ident_t = Matrix.identity(f, t_alg.dim)
-        ident_d = Matrix.identity(f, d.dim)
-        cons = []
-        for i in range(l.dim):
-            lt = t_alg.lmul_vec(eta.col(i)) if t_alg.dim else ident_t
-            rt = t_alg.rmul_vec(eta.col(i)) if t_alg.dim else ident_t
-            cons.append([(ident_t, d.carrier.left_act[i], +1), (lt, ident_d, -1)])
-            cons.append([(ident_t, d.carrier.right_act[i], +1), (rt, ident_d, -1)])
-        self.v_space = solve_map_space(d.dim, t_alg.dim, cons, f)
-        self.v_basis = self.v_space.basis
         # ----- corner 2: bicolinear coring endomorphisms, opposite product
         self.u_space = self._solve_u()
         self.u_basis = self.u_space.basis
         self.u_alg = endo_algebra(self.u_space, name="bicolinear End(%s)^op" % c.name,
                                   opposite=True)
         # ----- corner 3: colinear maps D -> Sigma
-        self.p_space = self._solve_p()
+        self.p_space = hom_space(d.carrier, self.sigma_d.carrier, left_linear=True,
+                                 extra_constraints=[colinearity_constraint(
+                                     self.sigma_d.coaction, self.sigma_d.mc,
+                                     d.cc.sect().mul(d.coproduct))])
         self.p_basis = self.p_space.basis
         # ----- corner 4
         self.qt = QTildeModule(ext, sigma, qmod=comodule_ctx.q if comodule_ctx else None)
-        self.v_alg = self.v_space.algebra(
-            self._conv_product_v, self._v_unit_matrix(), "Hom(D,T)",
-            "bilinear maps D -> T: product escapes the space",
-            "bilinear maps D -> T: unit escapes the space")
+        # ----- corner 1: bilinear maps D -> T under convolution
+        self.v_alg, self.v_space = convolution_algebra(d, t_alg, eta, name="Hom(D,T)")
+        self.v_basis = self.v_space.basis
         self._build_actions()
         self._build_context()
         # the undirected invertibility search, run once per context by
@@ -509,12 +436,9 @@ class ExtContext:
     def bicomodule_homs(self):
         """The left T-linear colinear maps Sigma -> T (x)_L D and back, as
         two MatrixSpaces."""
-        f = self.field
         sig, td = self.sigma_bi, self.td[0]
-        return (MatrixSpace(f, td.dim, sig.dim,
-                            [h.matrix for h in colinear_homs(sig, td, left_linear=True)]),
-                MatrixSpace(f, sig.dim, td.dim,
-                            [h.matrix for h in colinear_homs(td, sig, left_linear=True)]))
+        return (colinear_homs(sig, td, left_linear=True),
+                colinear_homs(td, sig, left_linear=True))
 
     def outer_comodule(self, m):
         """The outer comodule induced by a comodule m of the inner coring,
@@ -528,50 +452,15 @@ class ExtContext:
 
     def _solve_u(self):
         ext, f = self.ext, self.field
-        c, d = ext.inner, ext.outer
-        ident_c = Matrix.identity(f, c.dim)
-        cons = []
-        for i in range(c.base.dim):
-            cons.append([(ident_c, c.carrier.left_act[i], +1),
-                         (c.carrier.left_act[i], ident_c, -1)])
-        for i in range(d.base.dim):
-            cons.append([(ident_c, ext.right_l_act[i], +1),
-                         (ext.right_l_act[i], ident_c, -1)])
+        c = ext.inner
         # left colinear: Delta∘u = (C (x) u)∘Delta
-        terms = [(c.coproduct, ident_c, +1)]
-        terms.extend(sandwich_terms_left(c.cc.proj(), c.cc.sect().mul(c.coproduct),
-                                         c.dim, sign=-1))
-        cons.append(terms)
-        # right colinear: tau∘u = (u (x) D)∘tau
-        terms = [(ext.tau, ident_c, +1)]
-        terms.extend(sandwich_terms(ext.cld.proj(), ext.cld.sect().mul(ext.tau),
-                                    d.dim, sign=-1))
-        cons.append(terms)
-        return solve_map_space(c.dim, c.dim, cons, f)
-
-    def _solve_p(self):
-        ext, f = self.ext, self.field
-        d = ext.outer
-        sigma = self.sigma
-        ident_s = Matrix.identity(f, sigma.dim)
-        ident_d = Matrix.identity(f, d.dim)
-        cons = []
-        for i in range(d.base.dim):
-            cons.append([(ident_s, d.carrier.left_act[i], +1),
-                         (sigma.carrier.left_act[i], ident_d, -1)])
-        terms = [(self.sigma_d.coaction, ident_d, +1)]
-        terms.extend(sandwich_terms(self.sigma_d.mc.proj(),
-                                    d.cc.sect().mul(d.coproduct), d.dim, sign=-1))
-        cons.append(terms)
-        return solve_map_space(d.dim, sigma.dim, cons, f)
-
-    # -- algebra and bimodule structure
-
-    def _conv_product_v(self, v1, v2):
-        """(v v')(d) = v(d_(1)) ∘ v'(d_(2)) in the endomorphism algebra."""
-        d = self.ext.outer
-        return self.t_alg.mult_eval().mul(d.cc.induced(None, [(0, v1), (1, v2)])) \
-            .mul(d.coproduct)
+        left = [(c.coproduct, Matrix.identity(f, c.dim), +1)]
+        left.extend(sandwich_terms(c.cc.proj(), c.cc.sect().mul(c.coproduct), c.dim, 1,
+                                   sign=-1))
+        return hom_space(ext.carrier_l, ext.carrier_l, left_linear=True,
+                         right_linear=True,
+                         extra_constraints=[left, colinearity_constraint(
+                             ext.tau, ext.cld, ext.cld.sect().mul(ext.tau))])
 
     def _v_unit_matrix(self):
         """d -> eps_D(d)·1_T."""
@@ -634,11 +523,10 @@ class ExtContext:
     @cached_property
     def _black_parts(self):
         """What diamond_black needs besides its pair: the two actions of A
-        on C and, for each basis element xi_s of Sigma*, (xi_s (x) C)∘rho."""
-        sigma, c = self.sigma, self.ext.inner
-        xi_rho = [sigma.mc.induced(None, [(0, xi)]).mul(sigma.coaction)
-                  for xi in self.qt.sigma_dual.basis]
-        return c.carrier.right_eval(), c.carrier.left_eval(), xi_rho
+        on C and, for each basis element xi_s of Sigma*, (xi_s (x) C)∘rho,
+        kept on the extension bimodule."""
+        c = self.ext.inner
+        return c.carrier.right_eval(), c.carrier.left_eval(), self.qt.xi_rho
 
     def diamond_black(self, q, p):
         """First connecting map on elements, both equivalent forms compared."""
@@ -728,29 +616,12 @@ def context_ext(ext, sigma, comodule_ctx=None):
 # convolution algebras
 
 
-def as_l_ring(alg, eta):
-    """Wrap an algebra as an (L, L)-bimodule through a unit map eta: L -> alg."""
-    ldim = eta.cols
-    left = [alg.lmul_vec(eta.col(i)) for i in range(ldim)]
-    right = [alg.rmul_vec(eta.col(i)) for i in range(ldim)]
-    return left, right
-
-
-def _unit_convolution_matrix(field, alg_unit, counit):
-    """d -> eps_D(d)·1_A as a matrix (alg.dim x D.dim)."""
-    out = Matrix.zero(field, len(alg_unit), counit.cols)
-    for i, c in enumerate(alg_unit):
-        if c != field.zero:
-            for j in range(counit.cols):
-                out.data[i][j] = field.mul(c, counit.data[0][j])
-    return out
-
-
 def convolution_algebra(d, alg, eta=None, name=None):
-    """Bilinear maps D -> A under (fg)(x) = f(x_(1))·g(x_(2)).
+    """Bilinear maps D -> A under (fg)(x) = f(x_(1))·g(x_(2)), with unit
+    eta∘eps_D.
 
     alg is an L-ring via eta: L -> alg (defaults to the identity when L is
-    the trivial algebra).  Returns (algebra, basis matrices).
+    the trivial algebra).  Returns (algebra, space of bilinear maps).
     """
     f = d.field
     if d.base.dim != 1 and eta is None:
@@ -758,34 +629,35 @@ def convolution_algebra(d, alg, eta=None, name=None):
                          "unit map L -> A")
     if eta is None:
         eta = Matrix.from_cols(f, alg.dim, [list(alg.unit)])
-    left, right = as_l_ring(alg, eta)
-    ident_a = Matrix.identity(f, alg.dim)
-    ident_d = Matrix.identity(f, d.dim)
-    cons = []
-    for i in range(d.base.dim):
-        cons.append([(ident_a, d.carrier.left_act[i], +1), (left[i], ident_d, -1)])
-        cons.append([(ident_a, d.carrier.right_act[i], +1), (right[i], ident_d, -1)])
-    space = solve_map_space(d.dim, alg.dim, cons, f)
+    # alg as an (L, L)-bimodule through eta
+    ring = FBimodule(d.base, d.base, alg.dim,
+                     [alg.lmul_vec(eta.col(i)) for i in range(d.base.dim)],
+                     [alg.rmul_vec(eta.col(i)) for i in range(d.base.dim)], name=alg.name)
+    space = hom_space(d.carrier, ring, left_linear=True, right_linear=True)
     mult = alg.mult_eval()
     alg_out = space.algebra(
         lambda x, y: mult.mul(d.cc.induced(None, [(0, x), (1, y)])).mul(d.coproduct),
-        _unit_convolution_matrix(f, list(alg.unit), d.counit),
+        eta.mul(d.counit),
         name or ("Conv(%s,%s)" % (d.name, alg.name) if space.dim else "Conv"),
         "convolution product escapes the bilinear maps",
         "convolution unit escapes the bilinear maps")
-    return alg_out, space.basis
+    return alg_out, space
 
 
 def convolution_inverse(d, alg, lam):
     """Two-sided convolution inverse of a k-linear map D -> A, or None.
 
     Solves lam * x = unit and x * lam = unit simultaneously as one linear
-    system; the returned inverse is the canonical echelon solution.
+    system; the returned inverse is the canonical echelon solution.  Only
+    over the trivial base, where the unit is 1_A·eps_D.
     """
     f = d.field
+    if d.base.dim != 1:
+        raise UsageError("convolution inverse over a nontrivial base needs the "
+                         "unit map L -> A")
     addim, ddim = alg.dim, d.dim
     nunk = addim * ddim
-    unit_mat = _unit_convolution_matrix(f, list(alg.unit), d.counit)
+    unit_mat = Matrix.from_cols(f, addim, [list(alg.unit)]).mul(d.counit)
     rows = []
     rhs = []
     for prefactor_left in (True, False):

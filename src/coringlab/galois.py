@@ -28,7 +28,7 @@ from __future__ import annotations
 import itertools
 import random
 
-from .algmod import (BalancedTensor, FBimodule, MatrixSpace, coords_in_basis,
+from .algmod import (BalancedTensor, FBimodule, coords_in_basis,
                      fgp_check, generator_check, hom_space, trivial_algebra)
 from .coring import EndAlgebra, colinear_homs
 from .exactla import (AxiomError, Matrix, UsageError, flatten_matrix, rank,
@@ -78,9 +78,7 @@ class CanonicalMap:
         f = sigma.field
         c = sigma.coring
         self.end = end or EndAlgebra(sigma)
-        self.homs = MatrixSpace(f, n_mod.dim, sigma.dim,
-                                [h.matrix for h in hom_space(sigma.carrier, n_mod,
-                                                             right_linear=True)])
+        self.homs = hom_space(sigma.carrier, n_mod, right_linear=True)
         self.hom_basis = self.homs.basis
         self.tens = hom_tensor_sigma(
             self.homs, sigma, self.end, "Hom(Sigma,%s)" % n_mod.name,
@@ -209,18 +207,18 @@ def summand_check(m, n, flavor="comodule"):
     bicomodule maps, or left module maps over the shared left algebra.
     """
     if flavor == "comodule":
-        homs_mn = [h.matrix for h in colinear_homs(m, n)]
-        homs_nm = [h.matrix for h in colinear_homs(n, m)]
+        homs_mn = colinear_homs(m, n).basis
+        homs_nm = colinear_homs(n, m).basis
         dim_m = m.dim
         field = m.field
     elif flavor == "bicomodule":
-        homs_mn = [h.matrix for h in colinear_homs(m, n, left_linear=True)]
-        homs_nm = [h.matrix for h in colinear_homs(n, m, left_linear=True)]
+        homs_mn = colinear_homs(m, n, left_linear=True).basis
+        homs_nm = colinear_homs(n, m, left_linear=True).basis
         dim_m = m.dim
         field = m.field
     elif flavor == "left-module":
-        homs_mn = [h.matrix for h in hom_space(m, n, left_linear=True)]
-        homs_nm = [h.matrix for h in hom_space(n, m, left_linear=True)]
+        homs_mn = hom_space(m, n, left_linear=True).basis
+        homs_nm = hom_space(n, m, left_linear=True).basis
         dim_m = m.dim
         field = m.field
     else:
@@ -647,7 +645,7 @@ def evaluation_counit(sigma, end, m):
 
     Returns (counit, tens, space of colinear maps)."""
     f = sigma.field
-    space = MatrixSpace(f, m.dim, sigma.dim, [h.matrix for h in colinear_homs(sigma, m)])
+    space = colinear_homs(sigma, m)
     tens = hom_tensor_sigma(space, sigma, end, "Hom(Sigma,%s)" % m.name,
                             "counit check: endomorphism action escapes the "
                             "colinear maps")
@@ -757,8 +755,7 @@ def _tensor_fullyfaithful(cm, samples_t):
         ncom, tens_n = tensor_comodule(n_mod, sigma_t, sigma.coring, rho,
                                        n_mod.name + "(x)Sigma")
         ncom.validate()
-        space = MatrixSpace(f, tens_n.dim, sdim,
-                            [h.matrix for h in colinear_homs(sigma, ncom)])
+        space = colinear_homs(sigma, ncom)
         homs = space.basis
         # the unit n -> (x -> n (x) x): block n of the columns of proj
         proj = tens_n.proj()

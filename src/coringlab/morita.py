@@ -4,16 +4,18 @@ its module-theoretic companion, and the comparison morphism between them.
 Both contexts connect End-type algebras with the left dual ring of the
 coring through the comodule and a hom-type bimodule; connecting maps are
 realized as matrices on balanced-tensor quotients and all bilinearity and
-mixed-associativity identities are verified exactly.
+mixed-associativity identities are verified exactly.  Every corner space is
+one hom_space solve; for the connecting bimodule Q its defining relation is
+written as operator terms, one identity per basis element of the coring.
 """
 
 from __future__ import annotations
 
-from .algmod import (BalancedTensor, FBimodule, MatrixSpace, endo_algebra,
-                     fgp_check, hom_space)
+from .algmod import (BalancedTensor, FBimodule, endo_algebra, fgp_check,
+                     hom_space, sandwich_terms)
 from .coring import DualRing, EndAlgebra, dual_action
-from .exactla import (AxiomError, Matrix, Subspace, UsageError, kernel, rank,
-                      solve_linear, unflatten, unit_vec, vec_scale, zero_vec)
+from .exactla import (AxiomError, Matrix, UsageError, rank, side_by_side,
+                      solve_linear, unit_vec, vec_scale, zero_vec)
 
 
 class MoritaContext:
@@ -144,10 +146,7 @@ class SigmaDual:
     def __init__(self, sigma):
         self.sigma = sigma
         a = sigma.coring.base
-        reg = FBimodule.regular(a)
-        self.space = MatrixSpace(sigma.field, a.dim, sigma.dim,
-                                 [h.matrix for h in hom_space(sigma.carrier, reg,
-                                                              right_linear=True)])
+        self.space = hom_space(sigma.carrier, FBimodule.regular(a), right_linear=True)
         self.basis = self.space.basis
         lalg = sigma.carrier.left_alg
         escape = "dual module: action escapes the hom space"
@@ -194,59 +193,28 @@ class QModule:
         self.end = end or EndAlgebra(sigma)
         field = sigma.field
         self.field = field
-        sdim, ddim, cdim = sigma.dim, self.dual.dim, c.dim
-        rows = []
-        nunk = ddim * sdim  # X[b, m] row-major
-
-        def idx(b, m):
-            return b * sdim + m
-
-        # right A-linearity: X·R^Sigma_a = R^{*C}_a·X
-        for a_i in range(c.base.dim):
-            rs = sigma.carrier.right_act[a_i]
-            rd = self.dual.module.right_act[a_i]
-            for b in range(ddim):
-                for m in range(sdim):
-                    row = zero_vec(field, nunk)
-                    for mm in range(sdim):
-                        if rs.data[mm][m] != field.zero:
-                            row[idx(b, mm)] = field.add(row[idx(b, mm)], rs.data[mm][m])
-                    for bb in range(ddim):
-                        if rd.data[b][bb] != field.zero:
-                            row[idx(bb, m)] = field.sub(row[idx(bb, m)], rd.data[b][bb])
-                    rows.append(row)
-        # defining relation: q(x^[0])(c)·x^[1] = c^(1)·q(x)(c^(2)) for basis x, c
-        coact_lifts = [sigma.mc.lift_pairs(sigma.coaction.col(j)) for j in range(sdim)]
-        cop_lifts = [c.cc.lift_pairs(c.coproduct.col(k)) for k in range(cdim)]
-        for j in range(sdim):
-            for k in range(cdim):
-                coeff_rows = [zero_vec(field, nunk) for _ in range(cdim)]
-                for ((m, cp), w) in coact_lifts[j]:
-                    for b in range(ddim):
-                        fa = self.dual.eval_mats[b].col(k)  # f_b(c_k) in A
-                        col = c.carrier.left_act_vec(vec_scale(field, w, fa)).col(cp)
-                        for r in range(cdim):
-                            if col[r] != field.zero:
-                                coeff_rows[r][idx(b, m)] = field.add(
-                                    coeff_rows[r][idx(b, m)], col[r])
-                for ((c1, c2), w) in cop_lifts[k]:
-                    for b in range(ddim):
-                        fa = self.dual.eval_mats[b].col(c2)
-                        col = c.carrier.right_act_vec(vec_scale(field, w, fa)).col(c1)
-                        for r in range(cdim):
-                            if col[r] != field.zero:
-                                coeff_rows[r][idx(b, j)] = field.sub(
-                                    coeff_rows[r][idx(b, j)], col[r])
-                rows.extend(coeff_rows)
-        if rows:
-            sol = kernel(Matrix.from_rows(field, rows))
-        else:
-            sol = Subspace.full(field, nunk)
-        self.space = MatrixSpace(field, ddim, sdim,
-                                 [unflatten(field, ddim, sdim, v) for v in sol.basis])
+        # the defining relation q(x^[0])(c_k)·x^[1] = c_k^(1)·q(x)(c_k^(2)) is
+        # one operator identity per basis element c_k of C:
+        # P_k·(X (x) C)·rho = U_k·X, where P_k sends f (x) c to f(c_k)·c and
+        # column b of U_k is c_k^(1)·f_b(c_k^(2))
+        rho = sigma.mc.sect().mul(sigma.coaction)
+        hits = [self.dual.hit(f) for f in self.dual.eval_mats]
+        ident = Matrix.identity(field, sigma.dim)
+        relations = []
+        for k in range(c.dim):
+            p_k = side_by_side(field, c.dim, (c.carrier.left_act_vec(f.col(k))
+                                              for f in self.dual.eval_mats))
+            u_k = Matrix.from_cols(field, c.dim, [h.col(k) for h in hits])
+            relations.append(sandwich_terms(p_k, rho, 1, c.dim) + [(u_k, ident, -1)])
+        self.space = hom_space(sigma.carrier, self.dual.module, right_linear=True,
+                               extra_constraints=relations)
         self.basis = self.space.basis
         self._verify_pointwise()
-        self._install_actions()
+        self.module = _hom_bimodule(self.space, self.dual, self.end.algebra,
+                                    self.end.basis_maps, "Q(%s)" % sigma.name,
+                                    "Q: left dual action leaves the solution space",
+                                    "Q: right endomorphism action leaves the "
+                                    "solution space")
         self.sigma_dual = SigmaDual(sigma)
         self.switched = [self._switch(q) for q in self.basis]
 
@@ -275,20 +243,6 @@ class QModule:
                         raise AxiomError("Q basis element fails its defining relation "
                                          "at basis pair (%d,%d)" % (j, k))
 
-    def _install_actions(self):
-        left_act = [self.space.coords_matrix(
-            (self.dual.algebra.lmul(i).mul(q) for q in self.basis),
-            "Q: left dual action leaves the solution space")
-            for i in range(self.dual.dim)]
-        right_act = [self.space.coords_matrix(
-            (q.mul(t) for q in self.basis),
-            "Q: right endomorphism action leaves the solution space")
-            for t in self.end.basis_maps]
-        self.module = FBimodule(self.dual.algebra, self.end.algebra, self.dim,
-                                left_act, right_act,
-                                name="Q(%s)" % self.sigma.name)
-        self.module.validate()
-
     def _switch(self, q):
         """The switched-argument element of Hom(C, Sigma*), in Sigma*-coords."""
         c = self.sigma.coring
@@ -313,11 +267,25 @@ def compute_Q(sigma, dual=None, end=None):
     return QModule(sigma, dual=dual, end=end)
 
 
-def _eval_context(t_alg, t_space, dual, dualact_mats, q_space, sigma, name):
+def _hom_bimodule(space, dual, t_alg, t_basis, name, left_message, right_message):
+    """The validated (*C, T)-bimodule on a space of maps Sigma -> *C: *C acts
+    by left multiplication and T, spanned by t_basis, by composition."""
+    left_act = [space.coords_matrix((dual.algebra.lmul(i).mul(q) for q in space.basis),
+                                    left_message)
+                for i in range(dual.dim)]
+    right_act = [space.coords_matrix((q.mul(t) for q in space.basis), right_message)
+                 for t in t_basis]
+    mod = FBimodule(dual.algebra, t_alg, space.dim, left_act, right_act, name=name)
+    mod.validate()
+    return mod
+
+
+def _eval_context(t_alg, t_space, dual, dualact_mats, q_space, bim21, sigma, name):
     """Context (T?, *C, Sigma, Q?) with evaluation connecting maps.
 
     Shared between the colinear context and the module-theoretic one; the
-    caller supplies the endomorphism algebra and space and the hom-type space.
+    caller supplies the endomorphism algebra and space, the hom-type space
+    and its bimodule.
     """
     field = sigma.field
     sdim = sigma.dim
@@ -325,14 +293,6 @@ def _eval_context(t_alg, t_space, dual, dualact_mats, q_space, sigma, name):
     bim12 = FBimodule(t_alg, dual.algebra, sdim, list(t_space.basis),
                       dualact_mats, name=sigma.name)
     bim12.validate()
-    qleft = [q_space.coords_matrix((dual.algebra.lmul(i).mul(q) for q in q_basis),
-                                   "%s: dual action leaves the hom basis" % name)
-             for i in range(dual.dim)]
-    qright = [q_space.coords_matrix((q.mul(t) for q in q_basis),
-                                    "%s: endomorphism action leaves the hom basis" % name)
-              for t in t_space.basis]
-    bim21 = FBimodule(dual.algebra, t_alg, q_space.dim, qleft, qright, name="Q")
-    bim21.validate()
     tens21 = BalancedTensor([bim21, bim12], [t_alg], name="Q(x)Sigma")
     tens12 = BalancedTensor([bim12, bim21], [dual.algebra], name="Sigma(x)Q")
     # conn1: q (x) x -> q(x)
@@ -368,42 +328,41 @@ class ComoduleContext:
         self.dualact_mats = dmod.right_act
         self.q = QModule(sigma, dual=self.dual, end=self.end)
         self.context = _eval_context(self.end.algebra, self.end.space, self.dual,
-                                     self.dualact_mats, self.q.space, sigma,
-                                     name="comodule context(%s)" % sigma.name)
+                                     self.dualact_mats, self.q.space, self.q.module,
+                                     sigma, name="comodule context(%s)" % sigma.name)
         # (sample modules, result) of the last galois.tensor_fullyfaithful_check
         # that returned, so the checks of one command share its run
         self.fullyfaithful = None
 
 
 class ModuleContext:
-    """The module-theoretic context over the dual ring."""
+    """The module-theoretic context over the dual ring, given the dual ring
+    and the matrices of its right action on Sigma."""
 
-    def __init__(self, sigma, dual=None):
+    def __init__(self, sigma, dual, dualact_mats):
         self.sigma = sigma
-        self.dual = dual or DualRing(sigma.coring, side="left")
+        self.dual = dual
+        self.dualact_mats = dualact_mats
         field = sigma.field
-        _, dmod = dual_action(sigma, self.dual)
-        self.dualact_mats = dmod.right_act
-        plain = FBimodule(_trivial_left(sigma), self.dual.algebra, sigma.dim,
-                          [Matrix.identity(field, sigma.dim)], self.dualact_mats,
+        plain = FBimodule(_trivial_left(sigma), dual.algebra, sigma.dim,
+                          [Matrix.identity(field, sigma.dim)], dualact_mats,
                           name=sigma.name)
-        self.end_space = MatrixSpace(field, sigma.dim, sigma.dim,
-                                     [h.matrix for h in hom_space(plain, plain,
-                                                                  right_linear=True)])
+        self.end_space = hom_space(plain, plain, right_linear=True)
         self.end_maps = self.end_space.basis
         self.end_alg = endo_algebra(self.end_space, name="End_*%s(%s)"
                                     % (sigma.coring.name, sigma.name))
-        dual_reg = FBimodule(_trivial_left(sigma), self.dual.algebra, self.dual.dim,
-                             [Matrix.identity(field, self.dual.dim)],
-                             [self.dual.algebra.rmul(i) for i in range(self.dual.dim)],
-                             name=self.dual.algebra.name)
-        self.homs = MatrixSpace(field, self.dual.dim, sigma.dim,
-                                [h.matrix for h in hom_space(plain, dual_reg,
-                                                             right_linear=True)])
+        dual_reg = FBimodule(_trivial_left(sigma), dual.algebra, dual.dim,
+                             [Matrix.identity(field, dual.dim)],
+                             [dual.algebra.rmul(i) for i in range(dual.dim)],
+                             name=dual.algebra.name)
+        self.homs = hom_space(plain, dual_reg, right_linear=True)
         self.hom_maps = self.homs.basis
-        self.context = _eval_context(self.end_alg, self.end_space, self.dual,
-                                     self.dualact_mats, self.homs, sigma,
-                                     name="module context(%s)" % sigma.name)
+        name = "module context(%s)" % sigma.name
+        bim21 = _hom_bimodule(self.homs, dual, self.end_alg, self.end_maps, "Q",
+                              "%s: dual action leaves the hom basis" % name,
+                              "%s: endomorphism action leaves the hom basis" % name)
+        self.context = _eval_context(self.end_alg, self.end_space, dual,
+                                     dualact_mats, self.homs, bim21, sigma, name)
 
 
 def _trivial_left(sigma):
@@ -416,7 +375,8 @@ def context_M(sigma, dual=None):
 
 
 def context_N(sigma, dual=None):
-    return ModuleContext(sigma, dual=dual)
+    dual, dmod = dual_action(sigma, dual)
+    return ModuleContext(sigma, dual, dmod.right_act)
 
 
 def morphism_M_to_N(sigma, cm=None, cn=None):
@@ -428,7 +388,7 @@ def morphism_M_to_N(sigma, cm=None, cn=None):
     four corner maps are then verified bijective).
     """
     cm = cm or context_M(sigma)
-    cn = cn or context_N(sigma, dual=cm.dual)
+    cn = cn or ModuleContext(sigma, cm.dual, cm.dualact_mats)
     field = sigma.field
     # corner inclusions
     iota_t = cn.end_space.coords_matrix(cm.end.basis_maps, "a colinear endomorphism "

@@ -162,7 +162,6 @@ class BialgebraData:
         n = h.dim
         self.coalgebra_coring()  # coassociativity and counitality
         # Delta and eps are algebra maps
-        hh_mul = h.mult_eval()
         for i in range(n):
             for j in range(n):
                 lhs = self.delta.mul_vec(h.mul[i][j])
@@ -395,7 +394,7 @@ def entwining_coring(ent, sigma_coaction=None):
     ent.validate()
     f = ent.field
     a, d, l = ent.a, ent.d, ent.base
-    ad, da = ent.ad, ent.da
+    ad = ent.ad
     ident_d = Matrix.identity(f, d.dim)
     left_act = [ad.induced(ad, [(0, a.lmul(i))]) for i in range(a.dim)]
     # a (x) d -> a·psi(d (x) a_j): the multiplication in A is a second
@@ -640,7 +639,6 @@ class PartialGroupAction:
         self.inv = inverse_table(table)
 
     def validate(self):
-        f = self.field
         a = self.a
         n = len(self.table)
         if len(self.e) != n or len(self.alpha) != n:
@@ -749,7 +747,6 @@ def partial_action_coring(pa):
     carrier = FBimodule(a, a, cdim, left_act, right_act, name="C(%s)" % pa.name)
     carrier.validate()
     # coproduct and counit
-    delta_cols = []
     eps_cols = []
     amb_cols = []
     for s in range(n):
@@ -780,8 +777,6 @@ def partial_action_coring(pa):
     d = group_function_coring(f, pa.table, name="k(G)")
     # outer coaction from the repaired evaluation family; for global actions it
     # coincides with the naive component shift
-    eps_c = c.counit
-    tau_cols = []
     pi_mats = []
     for w in range(n):
         fw = Matrix.zero(f, a.dim, cdim)
@@ -908,7 +903,6 @@ def _comodule_of_regular_coring(ws, cname, name):
 
 def _zero_comodule_named(ws, cname, name):
     c = ws.corings[cname]
-    f = c.field
     z = zero_comodule(c, name=name)
     ws.add_module(name + "_carrier", z.carrier, None, ws.coring_meta[cname][0])
     ws.add_comodule(name, z, cname, name + "_carrier")
@@ -1005,7 +999,7 @@ def fixture_E3(field):
     dcor = trivial_coring(k, name="D")
     ws.add_module("D_carrier", dcor.carrier, "k", "k")
     ws.add_coring("D", dcor, "k", "D_carrier")
-    ext = trivial_extension(c)
+    trivial_extension(c)  # builds and validates C over the trivial outer coring
     ext2 = CoringExtension(c, dcor, [Matrix.identity(field, c.dim)],
                            Matrix.identity(field, c.dim),
                            split_map=Matrix.from_cols(field, a.dim,

@@ -67,3 +67,25 @@ class ContextBundle:
 def bundles(workspaces):
     return {name: ContextBundle(workspaces[name])
             for name in ("E1", "E2", "E3", "E4", "E5", "G1")}
+
+
+@pytest.fixture(scope="session")
+def workspaces_f7():
+    """All bundled fixtures reduced mod 7, loaded once."""
+    from coringlab.exactla import FieldFp
+    return {name: load_workspace_file(fixture_path(name), field_override=FieldFp(7))
+            for name in FIXTURES}
+
+
+@pytest.fixture(scope="session")
+def hopf_c3_f7():
+    """(extension, Sigma) of the Hopf entwining of the group algebra of C3
+    over F7, Sigma being the base algebra through the grouplike 1 (x) 1."""
+    from coringlab.coring import Grouplike, grouplike_comodule
+    from coringlab.exactla import FieldFp
+    from coringlab.zoo import entwining_coring, group_hopf_algebra, hopf_entwining
+    bial = group_hopf_algebra(FieldFp(7), [[0, 1, 2], [1, 2, 0], [2, 0, 1]], name="H")
+    ent = hopf_entwining(bial, bial.algebra, bial.delta)
+    c, ext = entwining_coring(ent)
+    unit = list(bial.algebra.unit)
+    return ext, grouplike_comodule(Grouplike(c, ent.ad.pure_tensor([unit, unit])))

@@ -11,7 +11,7 @@ import time
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from coringlab import algmod, cli, extension, galois
+from coringlab import algmod, cli, extension, galois, morita
 from coringlab.cli import main
 from coringlab.exactla import AxiomError, QQ
 from conftest import fixture_path
@@ -364,6 +364,31 @@ def test_one_t_tensor_d_per_command(capsys, monkeypatch, argv):
     # the cleft search, the normal basis check and the surjectivity
     # criterion share the context's T (x)_L D
     assert built.count("T(x)D") == 1
+
+
+@pytest.mark.parametrize("argv", [("morita",) + THEOREMS_E2[1:],
+                                  ("cleft",) + THEOREMS_E2[1:], THEOREMS_E2],
+                         ids=["morita", "cleft", "theorems"])
+def test_one_sigma_dual_and_dual_action_per_command(capsys, monkeypatch, argv):
+    built = []
+    init = morita.SigmaDual.__init__
+
+    def counted_init(self, sigma):
+        built.append("SigmaDual")
+        init(self, sigma)
+
+    def counted_action(comodule, dual=None, action=morita.dual_action):
+        built.append("dual_action %s" % comodule.name)
+        return action(comodule, dual)
+
+    monkeypatch.setattr(morita.SigmaDual, "__init__", counted_init)
+    monkeypatch.setattr(morita, "dual_action", counted_action)
+    code, _, _ = run_cli(capsys, *argv)
+    assert code == 0
+    # the extension context reads Sigma* off the comodule context, and the
+    # module context reuses the comodule context's dual action
+    assert built.count("SigmaDual") == 1
+    assert built.count("dual_action Sigma") == 1
 
 
 def test_cleft_search_that_finds_nothing_is_graded_inconclusive(capsys, monkeypatch):

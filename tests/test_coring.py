@@ -68,10 +68,9 @@ def test_colinear_maps_are_dual_linear(e2):
     creg = e2.comodules["Creg"]
     dual, smod = dual_action(sigma)
     _, cmod = dual_action(creg, dual)
-    for h in colinear_homs(sigma, creg):
+    for h in colinear_homs(sigma, creg).basis:
         for i in range(dual.dim):
-            assert h.matrix.mul(smod.right_act[i]) == \
-                cmod.right_act[i].mul(h.matrix)
+            assert h.mul(smod.right_act[i]) == cmod.right_act[i].mul(h)
 
 
 def test_end_algebra_dimensions(bundles):

@@ -8,8 +8,9 @@ import pytest
 from coringlab.algmod import FBimodule, trivial_algebra
 from coringlab.cli import _jtilde_from_map
 from coringlab.coring import Comodule
-from coringlab.exactla import (AxiomError, FieldFp, Matrix, QQ, UsageError,
-                               flatten_matrix, rank)
+from coringlab.exactla import (AxiomError, FieldFp, Matrix, QQ, Subspace,
+                               UsageError, flatten_matrix, kernel, rank, unflatten,
+                               vec_scale, zero_vec)
 from coringlab.extension import (CoringExtension, ExtContext, QTildeModule,
                                  check_colinear_maps_remain_colinear,
                                  compute_Qtilde, convolution_algebra,
@@ -19,8 +20,8 @@ from coringlab.extension import (CoringExtension, ExtContext, QTildeModule,
 from coringlab.galois import cleft_check
 from coringlab.workspace import load_workspace_file
 from coringlab.zoo import (build_fixture, grouplike_basis_coalgebra,
-                           group_function_coring, trivial_coring,
-                           trivial_extension)
+                           group_function_coring, product_field_algebra,
+                           trivial_coring, trivial_extension)
 from conftest import ContextBundle, fixture_path
 
 F = QQ
@@ -183,6 +184,20 @@ def test_convolution_algebra_e2(e2):
     assert alg.dim == 4
 
 
+def test_convolution_unit_over_a_nontrivial_base():
+    # L = k x k, D = L as a coring over itself, A = k through eta = (0 1):
+    # the bilinear maps are the multiples of e_1 -> 1, which is the unit
+    # eta∘eps_D; eps_D's first row alone would give e_0 -> 1
+    d = trivial_coring(product_field_algebra(F, 2, name="kxk"))
+    a = trivial_algebra(F)
+    eta = Matrix.from_rows(F, [[F.zero, F.one]])
+    alg, space = convolution_algebra(d, a, eta)
+    assert alg.dim == 1
+    assert space.element(alg.unit) == eta
+    with pytest.raises(UsageError):
+        convolution_inverse(d, a, eta)
+
+
 def test_convolution_inverse_unit():
     d = group_function_coring(F, [[0, 1], [1, 0]])
     a = trivial_algebra(F)
@@ -284,3 +299,65 @@ def test_supplied_pairs_grade_as_by_direct_evaluation(bundles_q_f7):
             assert (ec.diamond_white(j, solved.jtilde) == ec._v_unit_matrix()) == \
                 (solved.grade == "cleft"), label
     assert seen == set(expected)
+
+
+def _ref_qtilde_space(ext, sigma, sd):
+    """The solution basis of the hand-built constraint rows of Qtilde, one
+    vector at a time: left
+    A- and right L-linearity and, for basis c_k of C and x_j of Sigma,
+    c_k^(1)·q(c_k^(2))(x_j) = q(c_k)(x_j^[0])·x_j^[1]; X[s, k] row-major."""
+    f, c, l = ext.field, ext.inner, ext.outer.base
+    cdim, sdim, sddim = c.dim, sigma.dim, sd.dim
+    nunk = sddim * cdim
+
+    def idx(s, k):
+        return s * cdim + k
+
+    ident_sd, ident_c = Matrix.identity(f, sddim), Matrix.identity(f, cdim)
+    linear = [[(ident_sd, c.carrier.left_act[i], +1), (sd.module.left_act[i], ident_c, -1)]
+              for i in range(c.base.dim)]
+    linear += [[(ident_sd, ext.right_l_act[i], +1), (sd.module.right_act[i], ident_c, -1)]
+               for i in range(l.dim)]
+    rows = []
+    for terms in linear:
+        for p in range(terms[0][0].rows):
+            for q in range(terms[0][1].cols):
+                row = zero_vec(f, nunk)
+                for (u, v, sign) in terms:
+                    for s in range(sddim):
+                        for k in range(cdim):
+                            val = f.mul(u.data[p][s], v.data[k][q])
+                            row[idx(s, k)] = f.add(row[idx(s, k)],
+                                                   val if sign > 0 else f.neg(val))
+                rows.append(row)
+    for k in range(cdim):
+        for j in range(sdim):
+            coeff_rows = [zero_vec(f, nunk) for _ in range(cdim)]
+            for ((c1, c2), w) in c.cc.lift_pairs(c.coproduct.col(k)):
+                for s in range(sddim):
+                    col = c.carrier.right_act_vec(vec_scale(f, w, sd.basis[s].col(j))).col(c1)
+                    for r in range(cdim):
+                        coeff_rows[r][idx(s, c2)] = f.add(coeff_rows[r][idx(s, c2)], col[r])
+            for ((m, cp), w) in sigma.mc.lift_pairs(sigma.coaction.col(j)):
+                for s in range(sddim):
+                    col = c.carrier.left_act_vec(vec_scale(f, w, sd.basis[s].col(m))).col(cp)
+                    for r in range(cdim):
+                        coeff_rows[r][idx(s, k)] = f.sub(coeff_rows[r][idx(s, k)], col[r])
+            rows.extend(coeff_rows)
+    sol = kernel(Matrix.from_rows(f, rows)) if rows else Subspace.full(f, nunk)
+    return [unflatten(f, sddim, cdim, v) for v in sol.basis]
+
+
+def test_qtilde_operator_relation_matches_the_row_reference(workspaces, workspaces_f7,
+                                                            hopf_c3_f7):
+    pairs = [hopf_c3_f7]
+    for wss in (workspaces, workspaces_f7):
+        for ws in wss.values():
+            for ext in ws.extensions.values():
+                pairs.extend((ext, com) for com in ws.comodules.values()
+                             if com.coring is ext.inner
+                             and com.left_alg.dim == ext.outer.base.dim)
+    assert len(pairs) > 20
+    for ext, sigma in pairs:
+        qt = QTildeModule(ext, sigma)
+        assert qt.space.basis == _ref_qtilde_space(ext, sigma, qt.sigma_dual), sigma.name

@@ -1,4 +1,5 @@
-"""Tooling: no package module keeps a top-level import it never uses."""
+"""Tooling: no package module keeps a top-level import it never uses, and
+no function keeps a local it assigns and never reads."""
 
 import ast
 import glob
@@ -28,3 +29,47 @@ def test_no_unused_top_level_imports():
         if name != "__init__.py" and _unused_imports(path):
             unused[name] = _unused_imports(path)
     assert unused == {}
+
+
+def _own_scope(node):
+    """The nodes of a function's own scope: nested functions, classes and
+    lambdas are left out (they are scanned as functions of their own)."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef,
+                              ast.Lambda)):
+            continue
+        yield child
+        yield from _own_scope(child)
+
+
+def _dead_locals(path):
+    """(function, name, line) of each local a function assigns and never
+    reads, in its own body or in a nested function; ``_`` and names declared
+    nonlocal or global are exempt."""
+    with open(path, encoding="utf-8") as handle:
+        tree = ast.parse(handle.read(), filename=path)
+    dead = []
+    for func in ast.walk(tree):
+        if not isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        stored = {}
+        exempt = {"_"}
+        for node in _own_scope(func):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store):
+                stored.setdefault(node.id, node.lineno)
+            elif isinstance(node, (ast.Nonlocal, ast.Global)):
+                exempt.update(node.names)
+        read = {node.id for node in ast.walk(func)
+                if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+        dead.extend((func.name, name, line) for name, line in stored.items()
+                    if name not in read and name not in exempt)
+    return sorted(dead, key=lambda item: item[2])
+
+
+def test_no_dead_locals():
+    dead = {}
+    for path in sorted(glob.glob(os.path.join(SRC, "*.py"))):
+        found = _dead_locals(path)
+        if found:
+            dead[os.path.basename(path)] = found
+    assert dead == {}

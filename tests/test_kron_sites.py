@@ -18,6 +18,16 @@ re-assembling pure tensors (``pure_tensor``).  Only these keep such loops:
   what the operator forms compute;
 - ``can_inverse_from_witnesses``, ``check_generator_property`` and
   ``_rebuild_witnesses`` evaluate witnesses on chosen elements.
+
+Every corner space of the Morita contexts is one ``hom_space`` solve of
+operator terms, so ``solve_map_space`` has no other caller, and ``morita``
+and ``extension`` lift vectors only in their elementwise routes:
+
+- ``QModule._verify_pointwise`` re-checks the defining relation of Q;
+- ``MoritaContext._mixed_associativity`` checks mixed associativity on
+  basis triples;
+- ``SigmaDual.pairing`` and ``connecting_surjective`` evaluate on elements;
+- ``convolution_inverse`` solves for one inverse, not a space.
 """
 
 import ast
@@ -39,10 +49,17 @@ GALOIS_LOOPS = {"can_inverse_from_witnesses", "check_jids",
                 "check_dual_basis_from_witnesses"}
 MAX_GALOIS_LOOPS = 13
 
+CONTEXT_LOOPS = {("morita.py", "QModule._verify_pointwise"),
+                 ("morita.py", "MoritaContext._mixed_associativity"),
+                 ("morita.py", "SigmaDual.pairing"),
+                 ("morita.py", "connecting_surjective"),
+                 ("extension.py", "convolution_inverse")}
+MAX_CONTEXT_LOOPS = 9
+
 
 def _calls(path, attrs):
-    """(enclosing qualified name, line) of every call of a method named in
-    attrs in a file."""
+    """(enclosing qualified name, line) of every call of a method or
+    function named in attrs in a file."""
     with open(path, encoding="utf-8") as handle:
         tree = ast.parse(handle.read(), filename=path)
     found = []
@@ -52,9 +69,12 @@ def _calls(path, attrs):
             inner = scope
             if isinstance(child, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
                 inner = scope + (child.name,)
-            if isinstance(child, ast.Call) and isinstance(child.func, ast.Attribute) \
-                    and child.func.attr in attrs:
-                found.append((".".join(scope), child.lineno))
+            if isinstance(child, ast.Call):
+                func = child.func
+                called = func.attr if isinstance(func, ast.Attribute) else \
+                    getattr(func, "id", None)
+                if called in attrs:
+                    found.append((".".join(scope), child.lineno))
             walk(child, inner)
 
     walk(tree, ())
@@ -89,3 +109,21 @@ def test_galois_lifts_vectors_only_in_the_named_checks():
     assert stray == []
     assert {scope for scope, _ in found} == GALOIS_LOOPS
     assert len(found) <= MAX_GALOIS_LOOPS
+
+
+def test_only_hom_space_solves_map_spaces():
+    found = [(os.path.basename(path), scope)
+             for path in sorted(glob.glob(os.path.join(SRC, "*.py")))
+             for scope, _ in _calls(path, ("solve_map_space",))]
+    assert found == [("algmod.py", "hom_space")]
+
+
+def test_contexts_lift_vectors_only_in_the_elementwise_routes():
+    found = [(name, scope, line) for name in ("morita.py", "extension.py")
+             for scope, line in _calls(os.path.join(SRC, name),
+                                       ("lift_pairs", "pure_tensor"))]
+    stray = ["%s:%d in %s" % (name, line, scope or "<module>")
+             for name, scope, line in found if (name, scope) not in CONTEXT_LOOPS]
+    assert stray == []
+    assert {(name, scope) for name, scope, _ in found} == CONTEXT_LOOPS
+    assert len(found) <= MAX_CONTEXT_LOOPS

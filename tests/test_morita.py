@@ -4,7 +4,8 @@ morphism, surjectivity witnesses and strictness."""
 import pytest
 
 from coringlab.coring import zero_comodule
-from coringlab.exactla import AxiomError, Matrix, QQ, unit_vec, vec_scale, zero_vec
+from coringlab.exactla import (AxiomError, Matrix, QQ, Subspace, kernel, unflatten,
+                               unit_vec, vec_scale, zero_vec)
 from coringlab.morita import (QModule, connecting_surjective, context_M,
                               context_N, morphism_M_to_N, strictness)
 
@@ -132,3 +133,59 @@ def test_mixed_associativity_enforced(bundles):
                            ctx.conn2, ctx.tens21, ctx.tens12, name="broken")
     with pytest.raises(AxiomError):
         broken.validate()
+
+
+def _ref_q_space(sigma, dual):
+    """The solution basis of the hand-built constraint rows of Q, one vector
+    at a time: right A-linearity X·R^Sigma_a = R^{*C}_a·X and, for basis x_j
+    of Sigma and c_k of C, q(x^[0])(c_k)·x^[1] = c_k^(1)·q(x_j)(c_k^(2));
+    X[b, m] row-major."""
+    field, c = sigma.field, sigma.coring
+    sdim, ddim, cdim = sigma.dim, dual.dim, c.dim
+    nunk = ddim * sdim
+
+    def idx(b, m):
+        return b * sdim + m
+
+    rows = []
+    for a_i in range(c.base.dim):
+        rs = sigma.carrier.right_act[a_i]
+        rd = dual.module.right_act[a_i]
+        for b in range(ddim):
+            for m in range(sdim):
+                row = zero_vec(field, nunk)
+                for mm in range(sdim):
+                    row[idx(b, mm)] = field.add(row[idx(b, mm)], rs.data[mm][m])
+                for bb in range(ddim):
+                    row[idx(bb, m)] = field.sub(row[idx(bb, m)], rd.data[b][bb])
+                rows.append(row)
+    for j in range(sdim):
+        for k in range(cdim):
+            coeff_rows = [zero_vec(field, nunk) for _ in range(cdim)]
+            for ((m, cp), w) in sigma.mc.lift_pairs(sigma.coaction.col(j)):
+                for b in range(ddim):
+                    fa = dual.eval_mats[b].col(k)
+                    col = c.carrier.left_act_vec(vec_scale(field, w, fa)).col(cp)
+                    for r in range(cdim):
+                        coeff_rows[r][idx(b, m)] = field.add(coeff_rows[r][idx(b, m)],
+                                                             col[r])
+            for ((c1, c2), w) in c.cc.lift_pairs(c.coproduct.col(k)):
+                for b in range(ddim):
+                    fa = dual.eval_mats[b].col(c2)
+                    col = c.carrier.right_act_vec(vec_scale(field, w, fa)).col(c1)
+                    for r in range(cdim):
+                        coeff_rows[r][idx(b, j)] = field.sub(coeff_rows[r][idx(b, j)],
+                                                             col[r])
+            rows.extend(coeff_rows)
+    sol = kernel(Matrix.from_rows(field, rows)) if rows else Subspace.full(field, nunk)
+    return [unflatten(field, ddim, sdim, v) for v in sol.basis]
+
+
+def test_q_operator_relation_matches_the_row_reference(workspaces, workspaces_f7,
+                                                       hopf_c3_f7):
+    comodules = [com for wss in (workspaces, workspaces_f7) for ws in wss.values()
+                 for com in ws.comodules.values()]
+    comodules.append(hopf_c3_f7[1])
+    for sigma in comodules:
+        q = QModule(sigma)
+        assert q.space.basis == _ref_q_space(sigma, q.dual), sigma.name
