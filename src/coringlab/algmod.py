@@ -134,6 +134,15 @@ class FBimodule:
         self.right_act = right_act
         self.name = name
         self.field = left_alg.field
+        self._commute = None
+
+    def actions_commute(self):
+        """Whether every left action matrix commutes with every right one
+        (decided once per module; validate reports where it fails)."""
+        if self._commute is None:
+            self._commute = all(l.mul(r) == r.mul(l)
+                                for l in self.left_act for r in self.right_act)
+        return self._commute
 
     @staticmethod
     def trivial(field, dim, name="V"):
@@ -274,20 +283,31 @@ def _chain_index(dims):
 def _slot_group(left, mat, right):
     """(left, nonzero entries of each column of mat, mat.rows, right): the
     operator I_left (x) mat (x) I_right in the form _apply_group reads."""
-    cols = [[(i, c) for i, c in enumerate(col) if c] for col in mat.transpose().data]
-    return left, cols, mat.rows, right
+    return _row_group(left, mat.transpose(), right)
+
+
+def _row_group(left, mat, right):
+    """The operator I_left (x) mat^T (x) I_right, read off the rows of mat,
+    in the form _apply_group reads: a row vector times mat, slot-wise."""
+    cols = [[(i, c) for i, c in enumerate(row) if c] for row in mat.data]
+    return left, cols, mat.cols, right
 
 
 def _apply_group(field, vec, group):
     """(I_left (x) mat (x) I_right)·vec for an ambient vector laid out
     row-major as (left, mat.cols, right); the result is laid out as
     (left, mat.rows, right).  Only the nonzero entries of vec are visited."""
+    return _apply_pairs(field, enumerate(vec), group)
+
+
+def _apply_pairs(field, pairs, group):
+    """_apply_group for a vector given by its (index, value) entries."""
     left, cols, n_out, right = group
     out = [field.zero] * (left * n_out * right)
     block_in = len(cols) * right
     block_out = n_out * right
     add, mul = field.add, field.mul
-    for p, v in enumerate(vec):
+    for p, v in pairs:
         if not v:
             continue
         l, rest = divmod(p, block_in)
@@ -297,6 +317,16 @@ def _apply_group(field, vec, group):
             k = base + i * right
             out[k] = add(out[k], mul(c, v))
     return out
+
+
+def _unit_image(group, p):
+    """The nonzero (index, value) entries of the group's operator applied to
+    the unit vector e_p."""
+    _, cols, n_out, right = group
+    l, rest = divmod(p, len(cols) * right)
+    j, off = divmod(rest, right)
+    base = l * n_out * right + off
+    return [(base + i * right, c) for i, c in cols[j]]
 
 
 class BalancedTensor:
@@ -320,7 +350,14 @@ class BalancedTensor:
     is to be read in a tensor whose first factor is this quotient,
     ``project_head`` collapses its leading slots first.
 
-    The outer bimodule structure descends to the quotient (verified).
+    The outer bimodule structure (the left action of the first factor, the
+    right action of the last) is carried through every pairwise quotient as
+    q.proj·(A (x) I)·q.sect, which equals proj·A·sect, the value
+    ``descend_slot`` gives.  It is installed as is when it is known to
+    descend: the right action when the last factor's actions commute, the
+    left one when those of every factor but the last do (each module decides
+    this once).  Otherwise the exact ``descend_slot`` check runs for that
+    side, and an action that does not descend raises AxiomError.
     """
 
     def __init__(self, factors, algebras, name=None):
@@ -346,57 +383,73 @@ class BalancedTensor:
                              "cap of 4096" % ambient)
         self.ambient_dim = ambient
         self.name = name or "(x)".join(m.name for m in factors)
-        self._build()
-        self.dim = self._proj.rows
         # outer bimodule structure over (left alg of first, right alg of last)
         self.left_alg = factors[0].left_alg
         self.right_alg = factors[-1].right_alg
-        self.left_act = [self.descend_slot(0, factors[0].left_act[i])
-                         for i in range(self.left_alg.dim)]
-        self.right_act = [self.descend_slot(len(factors) - 1, factors[-1].right_act[i])
-                          for i in range(self.right_alg.dim)]
+        self._build()
+        self.dim = len(self._picks)
+        if not all(m.actions_commute() for m in factors[:-1]):
+            self.left_act = [self.descend_slot(0, a) for a in factors[0].left_act]
+        if not factors[-1].actions_commute():
+            self.right_act = [self.descend_slot(len(factors) - 1, a)
+                              for a in factors[-1].right_act]
         for side, acts in (("left", self.left_act), ("right", self.right_act)):
             if None in acts:
                 raise AxiomError("tensor %s: outer %s action does not descend"
                                  % (self.name, side))
 
     def _build(self):
-        """Iterated pairwise quotients; proj/sect act on the full ambient space."""
+        """Iterated pairwise quotients Q_k = Q_{k-1} (x)_{B_k} M_k.  proj on
+        the full ambient space and the outer actions are carried through each
+        step through the slot-group kernel; every section is a coordinate
+        selection, so sect is kept as the ambient coordinate each quotient
+        coordinate picks."""
         f = self.field
         cur = self.factors[0]
         cur_dim = cur.dim
         proj = Matrix.identity(f, cur_dim)
-        sect = Matrix.identity(f, cur_dim)
-        right_acts = [m.copy() for m in cur.right_act]
+        picks = list(range(cur_dim))
+        left_acts = list(cur.left_act)
+        right_acts = list(cur.right_act)
         for step, alg in enumerate(self.algebras):
             nxt = self.factors[step + 1]
-            amb2 = cur_dim * nxt.dim
+            n = nxt.dim
+            amb2 = cur_dim * n
+            # the relations span the images of R_b (x) I - I (x) L_b
             rels = []
             for b in range(alg.dim):
-                rb = right_acts[b]
-                lb = nxt.left_act[b]
-                for i in range(cur_dim):
-                    mb = rb.col(i)
-                    for j in range(nxt.dim):
-                        bn = lb.col(j)
-                        vec = zero_vec(f, amb2)
-                        for r, c in enumerate(mb):
-                            if c != f.zero:
-                                vec[r * nxt.dim + j] = f.add(vec[r * nxt.dim + j], c)
-                        for r, c in enumerate(bn):
-                            if c != f.zero:
-                                vec[i * nxt.dim + r] = f.sub(vec[i * nxt.dim + r], c)
-                        rels.append(vec)
+                r_b = _slot_group(1, right_acts[b], n)
+                l_b = _slot_group(cur_dim, nxt.left_act[b], 1)
+                for p in range(amb2):
+                    vec = zero_vec(f, amb2)
+                    for k, c in _unit_image(r_b, p):
+                        vec[k] = f.add(vec[k], c)
+                    for k, c in _unit_image(l_b, p):
+                        vec[k] = f.sub(vec[k], c)
+                    rels.append(vec)
             q = quotient(amb2, Subspace.from_span(f, amb2, rels))
-            ident = Matrix.identity(f, nxt.dim)
-            proj = q.projection.mul(proj.kron(ident))
-            sect = sect.kron(ident).mul(q.section)
-            right_acts = [q.projection.mul(
-                Matrix.identity(f, cur_dim).kron(nxt.right_act[i])).mul(q.section)
-                for i in range(nxt.right_alg.dim)]
+            to_q = _slot_group(1, q.projection, 1)
+
+            def carry(group):
+                # q.proj·X·q.sect for X = I_left (x) mat (x) I_right
+                cols = [_apply_pairs(f, _unit_image(group, p), to_q) for p in q.kept]
+                return Matrix(f, q.dim, q.dim, cols).transpose()
+
+            lift = _row_group(1, proj, n)
+            proj = Matrix(f, q.dim, proj.cols * n,
+                          [_apply_group(f, row, lift) for row in q.projection.data])
+            picks = [picks[p // n] * n + p % n for p in q.kept]
+            left_acts = [carry(_slot_group(1, a, n)) for a in left_acts]
+            right_acts = [carry(_slot_group(cur_dim, a, 1)) for a in nxt.right_act]
             cur_dim = q.dim
         self._proj = proj
+        self._picks = picks
+        sect = Matrix.zero(f, self.ambient_dim, cur_dim)
+        for col, p in enumerate(picks):
+            sect.data[p][col] = f.one
         self._sect = sect
+        self.left_act = left_acts
+        self.right_act = right_acts
 
     # -- ambient bookkeeping
 
@@ -438,7 +491,8 @@ class BalancedTensor:
             left *= mat.rows
         left *= prod(dims[pos:])
         cols = []
-        for vec in self._sect.transpose().data:
+        for p in self._picks:
+            vec = unit_vec(self.field, self.ambient_dim, p)
             for group in groups:
                 vec = _apply_group(self.field, vec, group)
             cols.append(vec)
@@ -453,10 +507,15 @@ class BalancedTensor:
         cols = [_apply_group(self.field, col, group) for col in image.transpose().data]
         return Matrix(self.field, image.cols, self.dim * rest, cols).transpose()
 
+    def _times_sect(self, amb_map):
+        """amb_map·sect: sect is a coordinate selection, so its columns."""
+        return Matrix(self.field, amb_map.rows, self.dim,
+                      [[row[p] for p in self._picks] for row in amb_map.data])
+
     def descend_map(self, amb_map):
         """Quotient form amb_map·sect of a map out of the ambient space, or
         None when amb_map does not vanish on the balancing relations."""
-        out = amb_map.mul(self._sect)
+        out = self._times_sect(amb_map)
         if out.mul(self._proj) != amb_map:
             return None
         return out
@@ -465,10 +524,10 @@ class BalancedTensor:
         """Quotient matrix induced by an endomorphism of one slot, or None
         when it does not preserve the balancing relations.  Row r of proj·A
         is A^T applied to row r of proj, so no ambient operator is built."""
-        group = _slot_group(prod(self.dims[:slot]), mat.transpose(), self.strides[slot])
+        group = _row_group(prod(self.dims[:slot]), mat, self.strides[slot])
         proj_a = Matrix(self.field, self.dim, self.ambient_dim,
                         [_apply_group(self.field, row, group) for row in self._proj.data])
-        out = proj_a.mul(self._sect)
+        out = self._times_sect(proj_a)
         if out.mul(self._proj) != proj_a:
             return None
         return out

@@ -362,12 +362,14 @@ def cmd_galois(args):
     for name in args.samples:
         com = _named(ws, ws.comodules, name, "comodule")
         extra.append(com.carrier)
+    start = time.perf_counter()
     if extra:
         from .galois import default_sample_modules
         gal = galois_check(sigma, samples=default_sample_modules(sigma) + extra)
     else:
         gal = galois_check(sigma)
-    report.add("Galois verdict", gal["verdict"], grade=gal["grade"])
+    report.add("Galois verdict", gal["verdict"], grade=gal["grade"],
+               time_ms=(time.perf_counter() - start) * 1000.0)
     can_a = gal["can_A"]
     report.add("canonical map at the base", "bijective" if can_a.bijective
                else "not bijective",

@@ -556,19 +556,22 @@ class QuotientSpace:
     """k^n / relations with an explicit projection/section pair.
 
     The section picks the non-pivot coordinates of the relation echelon form
-    as quotient representatives; projection∘section is the identity and the
-    kernel of the projection is exactly the relation subspace.
+    as quotient representatives (column q of the section is the unit vector
+    at kept[q]); projection∘section is the identity and the kernel of the
+    projection is exactly the relation subspace.
     """
 
-    __slots__ = ("field", "ambient_dim", "relations", "dim", "projection", "section")
+    __slots__ = ("field", "ambient_dim", "relations", "dim", "projection", "section",
+                 "kept")
 
-    def __init__(self, field, ambient_dim, relations, dim, projection, section):
+    def __init__(self, field, ambient_dim, relations, dim, projection, section, kept):
         self.field = field
         self.ambient_dim = ambient_dim
         self.relations = relations
         self.dim = dim
         self.projection = projection  # dim x ambient_dim
         self.section = section        # ambient_dim x dim
+        self.kept = kept              # the non-pivot coordinates, in order
 
 
 def quotient(ambient_dim, relations):
@@ -593,7 +596,7 @@ def quotient(ambient_dim, relations):
     sect = Matrix.zero(f, ambient_dim, dim)
     for q, j in enumerate(nonpivot):
         sect.data[j][q] = f.one
-    return QuotientSpace(f, ambient_dim, relations, dim, proj, sect)
+    return QuotientSpace(f, ambient_dim, relations, dim, proj, sect, nonpivot)
 
 
 def product_span(us, vs):

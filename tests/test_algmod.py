@@ -1,14 +1,17 @@
 """Algebra/bimodule layer: balanced tensors, hom spaces, certificates."""
 
+import json
 import random
 
 import pytest
 
 from conftest import fixture_path
+from perturb import apply_perturbation
 from coringlab.algmod import (BalancedTensor, FBimodule, FiniteAlgebra,
                               MatrixSpace, coords_in_basis, fgp_check,
                               generator_check, hom_space, tensor_over,
                               trivial_algebra)
+from coringlab.cli import main
 from coringlab.exactla import (AxiomError, FieldFp, Matrix, QQ, UsageError,
                                flatten_matrix, kernel, rank, solve_many)
 from coringlab.extension import ExtContext, purity_check
@@ -305,6 +308,28 @@ def test_descend_matches_relation_kernel(workspaces):
     assert rejected_slots > 0
 
 
+@pytest.mark.parametrize("field", [QQ, FieldFp(7)], ids=["Q", "F7"])
+def test_carried_outer_actions_match_both_descent_routes(field):
+    # the outer actions carried through the pairwise quotients are what
+    # descend_slot and the relation-kernel definition give, and sect is a
+    # coordinate selection, which the column picks rely on
+    checked = 0
+    for name in sorted(FIXTURES):
+        ws = load_workspace_file(fixture_path(name), field_override=field)
+        for tens, _ in _fixture_tensors(ws):
+            for q in range(tens.dim):
+                assert [v for v in tens.sect().col(q) if v] == [field.one]
+            last = len(tens.factors) - 1
+            for slot, acts, got in ((0, tens.factors[0].left_act, tens.left_act),
+                                    (last, tens.factors[-1].right_act, tens.right_act)):
+                assert len(got) == len(acts)
+                for mat, carried in zip(acts, got):
+                    assert carried == tens.descend_slot(slot, mat)
+                    assert carried == _ref_descend_slot(tens, slot, mat)
+                    checked += 1
+    assert checked > 100
+
+
 # ---------------------------------------------------------------------------
 # BalancedTensor.induced against the explicit kron composite
 
@@ -395,6 +420,26 @@ def test_outer_action_that_does_not_descend_is_rejected(a_quad):
                      reg.right_act, name="bad")
     with pytest.raises(AxiomError, match="outer left action does not descend"):
         BalancedTensor([left, reg], [a_quad])
+
+
+def test_non_bimodule_end_factor_keeps_the_exact_descent_check(e2, capsys, tmp_path):
+    # a bumped right action of E2's carrier no longer commutes with the left
+    # one, so the carried action is not installed: the exact check runs and
+    # rejects the left action, as on the library and the command line
+    c = e2.corings["C"].carrier
+    bad_right = [_bump(c.right_act[0], 0, 1)] + list(c.right_act[1:])
+    bad = FBimodule(c.left_alg, c.right_alg, c.dim, c.left_act, bad_right, name="C")
+    assert c.actions_commute() and not bad.actions_commute()
+    with pytest.raises(AxiomError, match=r"^tensor C\(x\)C: outer left action does not descend$"):
+        BalancedTensor([bad, bad], [c.right_alg])
+    with open(fixture_path("E2")) as handle:
+        data = json.load(handle)
+    doc = apply_perturbation(data, ("modules", "C_carrier", "right_act", 0, 1))
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    assert main(["validate", str(path)]) == 1
+    err = capsys.readouterr().err.strip().splitlines()
+    assert err[-1] == "axiom failure: tensor C(x)C: outer left action does not descend"
 
 
 # ---------------------------------------------------------------------------

@@ -157,6 +157,15 @@ def test_galois_command(capsys):
     assert got["canonical map at the base"] == "bijective"
 
 
+def test_galois_summary_times_the_verdict(capsys):
+    # galois_check is the command's whole cost, so its line carries the time;
+    # the canonical report leaves time_ms out
+    code, out, err = run_cli(capsys, "galois", fixture_path("E3"), "--sigma", "Sigma")
+    assert code == 0
+    assert re.search(r"^\[ *\d+\.\dms\] Galois verdict: ", err, re.M)
+    assert "time_ms" not in out
+
+
 def test_extension_command_purity_paths(capsys):
     code, out, _ = run_cli(capsys, "extension", fixture_path("E2"),
                            "--extension", "ext")

@@ -3,7 +3,6 @@
 ``induced`` applies per-slot maps without building identity krons, so only
 the code below may still call ``.kron(``, each for a stated reason:
 
-- ``BalancedTensor._build`` builds proj and sect themselves;
 - ``remark_k_coincidence`` and ``morphism_M_to_N`` compare connecting maps
   on ambient pair bases;
 - ``weak_entwining_coring`` and ``entwining_coring`` compose two ambient
@@ -35,8 +34,7 @@ import glob
 import os
 
 SRC = os.path.join(os.path.dirname(__file__), "..", "src", "coringlab")
-ALLOWED = {("algmod.py", "BalancedTensor._build"),
-           ("extension.py", "remark_k_coincidence"),
+ALLOWED = {("extension.py", "remark_k_coincidence"),
            ("morita.py", "morphism_M_to_N"),
            ("zoo.py", "weak_entwining_coring"),
            ("zoo.py", "entwining_coring")}
