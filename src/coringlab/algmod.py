@@ -37,6 +37,7 @@ class FiniteAlgebra:
                       for i in range(dim)]
         self._rmul = [Matrix.from_cols(field, dim, [mul[i][j] for i in range(dim)])
                       for j in range(dim)]
+        self._gens = None
 
     def lmul(self, i):
         return self._lmul[i]
@@ -63,6 +64,33 @@ class FiniteAlgebra:
 
     def multiply(self, x, y):
         return self.lmul_vec(x).mul_vec(y)
+
+    def generators(self):
+        """Basis indices whose words span the algebra (decided once per
+        algebra).  Greedy: a basis element outside the span of the words so
+        far joins them, and that span is closed again under right
+        multiplication by the chosen ones.  [] for the ground field, [g] for
+        the group algebra of a cyclic group generated by g."""
+        if self._gens is None:
+            f, n = self.field, self.dim
+            gens = []
+            words = [self.unit] if any(self.unit) else []
+            # a one-dimensional algebra is spanned by its unit: no row reduction
+            span = Subspace.full(f, n) if n == 1 and words else Subspace.from_span(f, n, words)
+            for i in range(n):
+                if span.contains(unit_vec(f, n, i)):
+                    continue
+                gens.append(i)
+                words = span.basis + [unit_vec(f, n, i)]
+                while True:
+                    grown = Subspace.from_span(
+                        f, n, words + [self._rmul[g].mul_vec(w) for w in words for g in gens])
+                    if grown.dim == len(words):
+                        break
+                    words = grown.basis
+                span = grown
+            self._gens = gens
+        return self._gens
 
     def validate(self):
         f = self.field
@@ -135,6 +163,7 @@ class FBimodule:
         self.name = name
         self.field = left_alg.field
         self._commute = None
+        self._valid = None
 
     def actions_commute(self):
         """Whether every left action matrix commutes with every right one
@@ -143,6 +172,15 @@ class FBimodule:
             self._commute = all(l.mul(r) == r.mul(l)
                                 for l in self.left_act for r in self.right_act)
         return self._commute
+
+    def is_valid(self):
+        """Whether validate passes (decided once per module)."""
+        if self._valid is None:
+            try:
+                self.validate()
+            except (AxiomError, UsageError):
+                self._valid = False
+        return self._valid
 
     @staticmethod
     def trivial(field, dim, name="V"):
@@ -175,6 +213,8 @@ class FBimodule:
         return out
 
     def validate(self):
+        if self._valid:
+            return True
         f = self.field
         ident = Matrix.identity(f, self.dim)
         la, ra = self.left_alg, self.right_alg
@@ -200,6 +240,7 @@ class FBimodule:
                 if self.left_act[i].mul(self.right_act[j]) != self.right_act[j].mul(self.left_act[i]):
                     raise AxiomError("module %s: left and right actions do not commute at (%d,%d)"
                                      % (self.name, i, j))
+        self._valid = True
         return True
 
     def left_eval(self):
@@ -329,13 +370,30 @@ def _unit_image(group, p):
     return [(base + i * right, c) for i, c in cols[j]]
 
 
+def _balancing_indices(left, alg, right):
+    """The basis indices b whose relations ρ_b = R_b (x) I - I (x) L_b span
+    the balancing of left (x)_alg right.  When both are valid modules over this
+    very algebra, its generators do: ρ_1 = 0 by unitality, and
+    ρ_{sg}(x (x) y) = ρ_g(x·s (x) y) + ρ_s(x (x) g·y) by associativity.
+    Otherwise every basis index does."""
+    if left.right_alg is alg and right.left_alg is alg and \
+            left.is_valid() and right.is_valid():
+        return alg.generators()
+    return range(alg.dim)
+
+
 class BalancedTensor:
     """Iterated balanced tensor M1 (x)_{B1} M2 (x)_{B2} ... (x) Mn.
 
     A quotient of the full k-tensor product by the balancing relations in
     every adjacent slot, built as iterated pairwise quotients (this keeps
-    every row reduction small).  The projection/section pair splits the full
-    ambient space (proj·sect = 1), so the relations are
+    every row reduction small).  A step balances by the images of
+    R_b (x) I - I (x) L_b for b in the algebra's generators alone when both
+    factors are valid modules over that very algebra object; these span the
+    same relations, so the quotient is the same (over the ground field:
+    no relations and no row reduction).  Otherwise every basis element b
+    takes part.  The projection/section pair splits the full ambient space
+    (proj·sect = 1), so the relations are
     ker(proj) = im(1 - sect·proj) and balancing is decided by two operator
     identities, without ever forming the relation kernel:
 
@@ -417,7 +475,7 @@ class BalancedTensor:
             amb2 = cur_dim * n
             # the relations span the images of R_b (x) I - I (x) L_b
             rels = []
-            for b in range(alg.dim):
+            for b in _balancing_indices(self.factors[step], alg, nxt):
                 r_b = _slot_group(1, right_acts[b], n)
                 l_b = _slot_group(cur_dim, nxt.left_act[b], 1)
                 for p in range(amb2):
@@ -557,14 +615,18 @@ class BalancedTensor:
         return self._proj.mul_vec(amb)
 
     def lift_pairs(self, quot_vec):
-        """Lift a quotient vector to a list of (multi-index, coefficient)."""
-        amb = self._sect.mul_vec(quot_vec)
-        f = self.field
+        """Lift a quotient vector to a list of (multi-index, coefficient), in
+        row-major order: sect picks coordinates, and the picks increase."""
+        if len(quot_vec) != self.dim:
+            raise UsageError("matrix-vector shape mismatch")
         out = []
-        for multi in self.basis_tuples():
-            c = amb[self.amb_index(multi)]
-            if c != f.zero:
-                out.append((multi, c))
+        for p, c in zip(self._picks, quot_vec):
+            if c:
+                multi = []
+                for s in self.strides:
+                    i, p = divmod(p, s)
+                    multi.append(i)
+                out.append((tuple(multi), c))
         return out
 
     def __repr__(self):

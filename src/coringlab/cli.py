@@ -330,8 +330,8 @@ def cmd_cleft(args):
     cor_ms = (time.perf_counter() - start) * 1000.0
     report.add("Galois verdict", cor["galois"],
                grade="certified" if cor["galois"].startswith("certified")
-               else "on-samples")
-    report.add("normal basis", cor["normal_basis"])
+               else "on-samples", time_ms=cor_ms)
+    report.add("normal basis", cor["normal_basis"], time_ms=cor_ms)
     report.add("invertibility criterion agreement",
                "agree" if cor["decided"] else "undecided",
                grade="exact" if cor["decided"] else "inconclusive", time_ms=cor_ms)

@@ -118,8 +118,8 @@ def k_coalgebra_coring(field, dim, delta_ambient, eps_row, name="D"):
     delta_ambient maps basis vectors to the plain tensor square (dim^2
     column entries, row-major).
     """
-    k = trivial_algebra(field)
     carrier = FBimodule.trivial(field, dim, name=name)
+    k = carrier.right_alg
     cc = BalancedTensor([carrier, carrier], [k])
     coproduct = cc.proj().mul(delta_ambient)
     counit = eps_row
@@ -439,7 +439,7 @@ def hopf_entwining(bial, a_alg, coaction_amb, name="psi"):
     f = bial.field
     h = bial.algebra
     d_coring = bial.coalgebra_coring()
-    k = trivial_algebra(f)
+    k = d_coring.base
     a_bim = FBimodule(k, k, a_alg.dim, [Matrix.identity(f, a_alg.dim)],
                       [Matrix.identity(f, a_alg.dim)], name=a_alg.name)
     probe = Comodule(d_coring, a_bim, coaction_amb, name=a_alg.name)
@@ -495,7 +495,7 @@ def hopf_entwining(bial, a_alg, coaction_amb, name="psi"):
                             col[p * m + y] = f.add(col[p * m + y], f.mul(w, prod[y]))
             cols.append(col)
     psi_amb = Matrix.from_cols(f, n * m, cols)
-    ent = EntwiningStructure(a_alg, d_coring, psi_amb, weak=False, name=name)
+    ent = EntwiningStructure(a_alg, d_coring, psi_amb, base=k, weak=False, name=name)
     ent.validate()
     return ent
 

@@ -7,13 +7,14 @@ import pytest
 
 from conftest import fixture_path
 from perturb import apply_perturbation
+from coringlab import algmod
 from coringlab.algmod import (BalancedTensor, FBimodule, FiniteAlgebra,
-                              MatrixSpace, coords_in_basis, fgp_check,
-                              generator_check, hom_space, tensor_over,
-                              trivial_algebra)
+                              MatrixSpace, _balancing_indices, coords_in_basis,
+                              fgp_check, generator_check, hom_space, tensor_over,
+                              trivial_algebra, zero_algebra)
 from coringlab.cli import main
 from coringlab.exactla import (AxiomError, FieldFp, Matrix, QQ, UsageError,
-                               flatten_matrix, kernel, rank, solve_many)
+                               flatten_matrix, kernel, rank, solve_many, unit_vec)
 from coringlab.extension import ExtContext, purity_check
 from coringlab.galois import can_map, regular_right_module
 from coringlab.morita import context_M, context_N
@@ -440,6 +441,121 @@ def test_non_bimodule_end_factor_keeps_the_exact_descent_check(e2, capsys, tmp_p
     assert main(["validate", str(path)]) == 1
     err = capsys.readouterr().err.strip().splitlines()
     assert err[-1] == "axiom failure: tensor C(x)C: outer left action does not descend"
+
+
+# ---------------------------------------------------------------------------
+# balancing by the generators of the algebra
+
+
+def _cyclic(n):
+    return [[(i + j) % n for j in range(n)] for i in range(n)]
+
+
+@pytest.mark.parametrize("field", [QQ, FieldFp(7)], ids=["Q", "F7"])
+def test_generators_of_group_and_product_algebras(field):
+    for n in (2, 3, 4):
+        assert len(group_algebra(field, _cyclic(n)).generators()) == 1
+    klein = [[i ^ j for j in range(4)] for i in range(4)]
+    assert len(group_algebra(field, klein).generators()) == 2
+    assert trivial_algebra(field).generators() == []
+    assert zero_algebra(field).generators() == []
+    for n in (1, 2, 3, 4):
+        assert len(product_field_algebra(field, n).generators()) == n - 1
+
+
+def _every_basis_element(left, alg, right):
+    return range(alg.dim)
+
+
+def _rebuilt_by_every_basis_element(tens, monkeypatch):
+    with monkeypatch.context() as patch:
+        patch.setattr(algmod, "_balancing_indices", _every_basis_element)
+        return BalancedTensor(tens.factors, tens.algebras, name=tens.name)
+
+
+def _assert_same_build(got, ref):
+    # repr keeps the scalar types, so equal entries are also equal bytes
+    assert repr(got.proj().data) == repr(ref.proj().data)
+    assert got._picks == ref._picks
+    for acts, ref_acts in ((got.left_act, ref.left_act), (got.right_act, ref.right_act)):
+        assert [repr(a.data) for a in acts] == [repr(a.data) for a in ref_acts]
+
+
+def _uses_fewer_rows(tens):
+    return any(len(_balancing_indices(tens.factors[s], alg, tens.factors[s + 1])) < alg.dim
+               for s, alg in enumerate(tens.algebras))
+
+
+@pytest.mark.parametrize("field", [QQ, FieldFp(7)], ids=["Q", "F7"])
+def test_generator_build_matches_the_all_basis_build(field, monkeypatch):
+    shortened = 0
+    for name in sorted(FIXTURES):
+        ws = load_workspace_file(fixture_path(name), field_override=field)
+        for tens, _ in _fixture_tensors(ws):
+            _assert_same_build(tens, _rebuilt_by_every_basis_element(tens, monkeypatch))
+            shortened += _uses_fewer_rows(tens)
+    assert shortened > 10
+
+
+def test_generator_build_matches_on_the_c4_chain(monkeypatch):
+    # C (x)_A C (x)_A C of the C4 Hopf entwining over F7 has ambient 4096,
+    # the cap
+    bial = group_hopf_algebra(FieldFp(7), _cyclic(4), name="H")
+    c, _ = entwining_coring(hopf_entwining(bial, bial.algebra, bial.delta))
+    ccc = c.ccc
+    assert ccc.ambient_dim == 4096 and _uses_fewer_rows(ccc)
+    _assert_same_build(ccc, _rebuilt_by_every_basis_element(ccc, monkeypatch))
+
+
+def test_invalid_or_foreign_factors_balance_by_every_basis_element(monkeypatch):
+    c3 = group_algebra(F, _cyclic(3), name="C3")
+    assert c3.generators() == [1]
+    reg = FBimodule.regular(c3)
+    # the unit acts as zero on the left: not unital, so x (x) y is itself a
+    # relation (from b = 1), and the tensor collapses
+    zero_unit = FBimodule(c3, c3, 3, [Matrix.zero(F, 3, 3)] + reg.left_act[1:],
+                          reg.right_act, name="u")
+    # g^2 acts on the left by something else than g·g: not associative, so
+    # the relations from b = g^2 are not those of the generator g
+    twisted = FBimodule(c3, c3, 3, reg.left_act[:2] + [_bump(reg.left_act[2], 0, 0)],
+                        reg.right_act, name="t")
+    for bad in (zero_unit, twisted):
+        assert not bad.is_valid()
+        assert list(_balancing_indices(reg, c3, bad)) == [0, 1, 2]
+        assert list(_balancing_indices(bad, c3, reg)) == [0, 1, 2]
+        full = BalancedTensor([reg, bad], [c3])
+        with monkeypatch.context() as patch:
+            patch.setattr(algmod, "_balancing_indices",
+                          lambda left, alg, right: alg.generators())
+            assert BalancedTensor([reg, bad], [c3]).dim > full.dim
+    # an algebra with the same name is accepted as the balancing algebra,
+    # but the shortcut asks for the very object the modules are over
+    twin = group_algebra(F, _cyclic(3), name="C3")
+    assert reg.is_valid()
+    assert list(_balancing_indices(reg, twin, reg)) == [0, 1, 2]
+    _assert_same_build(BalancedTensor([reg, reg], [twin]), BalancedTensor([reg, reg], [c3]))
+
+
+def _ref_lift_pairs(tens, vec):
+    amb = tens.sect().mul_vec(vec)
+    return [(multi, amb[tens.amb_index(multi)]) for multi in tens.basis_tuples()
+            if amb[tens.amb_index(multi)]]
+
+
+@pytest.mark.parametrize("field", [QQ, FieldFp(7)], ids=["Q", "F7"])
+def test_lift_pairs_matches_the_section_route(field):
+    rng = random.Random(13)
+    checked = 0
+    for name in sorted(FIXTURES):
+        ws = load_workspace_file(fixture_path(name), field_override=field)
+        for tens, _ in _fixture_tensors(ws):
+            vecs = [unit_vec(field, tens.dim, q) for q in range(tens.dim)]
+            vecs += [[field.of_int(rng.randint(-2, 2)) for _ in range(tens.dim)]
+                     for _ in range(3)]
+            for vec in vecs:
+                assert tens.lift_pairs(vec) == _ref_lift_pairs(tens, vec)
+                checked += 1
+    assert checked > 100
 
 
 # ---------------------------------------------------------------------------

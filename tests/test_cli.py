@@ -166,6 +166,17 @@ def test_galois_summary_times_the_verdict(capsys):
     assert "time_ms" not in out
 
 
+def test_cleft_summary_times_the_galois_and_normal_basis_lines(capsys):
+    # both lines come from verify_cor_jJ and carry its time; the canonical
+    # report leaves time_ms out
+    code, out, err = run_cli(capsys, "cleft", fixture_path("E2"), "--sigma", "Sigma",
+                             "--extension", "ext", "--j", "lambda_id", "--jtilde", "jtilde")
+    assert code == 0
+    for check in ("Galois verdict", "normal basis"):
+        assert re.search(r"^\[ *\d+\.\dms\] %s: " % check, err, re.M), check
+    assert "time_ms" not in out
+
+
 def test_extension_command_purity_paths(capsys):
     code, out, _ = run_cli(capsys, "extension", fixture_path("E2"),
                            "--extension", "ext")
