@@ -133,17 +133,37 @@ def trivial_algebra(field):
     return FiniteAlgebra(field, 1, [[[field.one]]], [field.one], name="k")
 
 
-def algebra_map_check(src, dst, mat):
-    """Check that mat (dst.dim x src.dim) is a unital algebra map src -> dst."""
-    if mat.mul_vec(src.unit) != dst.unit:
-        return False
-    for i in range(src.dim):
+def tensor_algebra(a, b):
+    """A (x) B on the row-major pair basis e_i (x) e_j -> i*b.dim + j, with
+    (x (x) y)(x' (x) y') = xx' (x) yy' and unit 1 (x) 1."""
+    f = a.field
+
+    def pure(u, v):
+        return [f.mul(x, y) for x in u for y in v]
+
+    mul = [[pure(a.mul[i][k], b.mul[j][l]) for k in range(a.dim) for l in range(b.dim)]
+           for i in range(a.dim) for j in range(b.dim)]
+    return FiniteAlgebra(f, a.dim * b.dim, mul, pure(a.unit, b.unit),
+                         name="%s(x)%s" % (a.name, b.name))
+
+
+def non_multiplicative_at(src, dst, mat):
+    """The first basis pair (i, j), in row-major order, at which
+    mat(e_i e_j) != mat(e_i)·mat(e_j), or None when the linear map mat
+    (dst.dim x src.dim) is multiplicative."""
+    images = [mat.col(i) for i in range(src.dim)]
+    for i, image in enumerate(images):
+        left = dst.lmul_vec(image)
         for j in range(src.dim):
-            lhs = mat.mul_vec(src.mul[i][j])
-            rhs = dst.multiply(mat.col(i), mat.col(j))
-            if lhs != rhs:
-                return False
-    return True
+            if mat.mul_vec(src.mul[i][j]) != left.mul_vec(images[j]):
+                return (i, j)
+    return None
+
+
+def algebra_map_check(src, dst, mat):
+    """Whether mat (dst.dim x src.dim) is a unital algebra map src -> dst:
+    the unit test plus non_multiplicative_at."""
+    return mat.mul_vec(src.unit) == dst.unit and non_multiplicative_at(src, dst, mat) is None
 
 
 class FBimodule:
@@ -423,9 +443,9 @@ class BalancedTensor:
             raise UsageError("need one balancing algebra per adjacent pair")
         field = factors[0].field
         for mid, alg in enumerate(algebras):
-            if factors[mid].right_alg is not alg and factors[mid].right_alg.name != alg.name:
+            if factors[mid].right_alg is not alg:
                 raise UsageError("factor %d is not a right %s-module" % (mid, alg.name))
-            if factors[mid + 1].left_alg is not alg and factors[mid + 1].left_alg.name != alg.name:
+            if factors[mid + 1].left_alg is not alg:
                 raise UsageError("factor %d is not a left %s-module" % (mid + 1, alg.name))
         self.factors = factors
         self.algebras = algebras
@@ -854,17 +874,12 @@ def fgp_check(m, side, alg):
         return ([], [])
     pair_mats = []
     pairs = []
+    act_vec = m.right_act_vec if side == "right" else m.left_act_vec
     for h in homs.basis:
+        acts = [act_vec(h.col(j)) for j in range(m.dim)]
         for x in range(m.dim):
             # v -> x · h(v)   (right side),  v -> h(v) · x  (left side)
-            cols = []
-            for j in range(m.dim):
-                a = h.col(j)
-                if side == "right":
-                    cols.append(m.right_act_vec(a).col(x))
-                else:
-                    cols.append(m.left_act_vec(a).col(x))
-            pair_mats.append(Matrix.from_cols(field, m.dim, cols))
+            pair_mats.append(Matrix.from_cols(field, m.dim, [act.col(x) for act in acts]))
             pairs.append((h, x))
     coeffs = coords_in_basis(pair_mats, Matrix.identity(field, m.dim))
     if coeffs is None:

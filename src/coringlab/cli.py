@@ -125,7 +125,7 @@ def _load(args, validate=True):
     return ws
 
 
-def _named(ws, table, name, what):
+def _named(table, name, what):
     if name not in table:
         raise UsageError("unknown %s %r (have: %s)"
                          % (what, name, ", ".join(sorted(table)) or "none"))
@@ -143,7 +143,7 @@ def _sample_comodules(ws, sigma, extra_names):
     names.sort()
     chosen = [sigma] + [ws.comodules[n] for n in names]
     for name in extra_names:
-        com = _named(ws, ws.comodules, name, "comodule")
+        com = _named(ws.comodules, name, "comodule")
         if com not in chosen:
             chosen.append(com)
     return chosen
@@ -205,7 +205,7 @@ def cmd_validate(args):
 
 def cmd_morita(args):
     ws = _load(args)
-    sigma = _named(ws, ws.comodules, args.sigma, "comodule")
+    sigma = _named(ws.comodules, args.sigma, "comodule")
     report = Report("%s --sigma %s" % (args.file, args.sigma), ws.field)
     cm = context_M(sigma)
     ctx = cm.context
@@ -230,7 +230,7 @@ def cmd_morita(args):
     timed(report, "context morphism",
           lambda: morphism_M_to_N(sigma, cm, cn)["verdict"])
     if args.extension:
-        ext = _named(ws, ws.extensions, args.extension, "extension")
+        ext = _named(ws.extensions, args.extension, "extension")
         purity_check(ext, _sample_comodules(ws, sigma, args.samples))
         report.add("purity certificate", ext.purity_certificate,
                    details=ext.purity_detail)
@@ -260,7 +260,7 @@ def cmd_morita(args):
 
 def cmd_extension(args):
     ws = _load(args)
-    ext = _named(ws, ws.extensions, args.extension, "extension")
+    ext = _named(ws.extensions, args.extension, "extension")
     report = Report("%s --extension %s" % (args.file, args.extension), ws.field)
     timed(report, "extension axioms", lambda: ext.validate() and "pass")
     comods = []
@@ -269,7 +269,7 @@ def cmd_extension(args):
         if com.coring is ext.inner:
             comods.append((name, com))
     for name in args.samples:
-        com = _named(ws, ws.comodules, name, "comodule")
+        com = _named(ws.comodules, name, "comodule")
         if (name, com) not in comods:
             comods.append((name, com))
     cert = purity_check(ext, [c for _, c in comods])
@@ -296,9 +296,9 @@ def cmd_extension(args):
     return EXIT_MATH if report.failed() else EXIT_OK
 
 
-def _build_ext_ctx(ws, args, report=None):
-    sigma = _named(ws, ws.comodules, args.sigma, "comodule")
-    ext = _named(ws, ws.extensions, args.extension, "extension")
+def _build_ext_ctx(ws, args):
+    sigma = _named(ws.comodules, args.sigma, "comodule")
+    ext = _named(ws.extensions, args.extension, "extension")
     purity_check(ext, _sample_comodules(ws, sigma, getattr(args, "samples", [])))
     if ext.purity_certificate == "not-pure":
         raise UsageError("extension %s is not pure; the context is undefined"
@@ -313,10 +313,10 @@ def cmd_cleft(args):
     sigma, ext, _, ec = _build_ext_ctx(ws, args)
     report = Report("%s --sigma %s --extension %s"
                     % (args.file, args.sigma, args.extension), ws.field)
-    j = _named(ws, ws.maps, args.j, "map") if args.j else None
+    j = _named(ws.maps, args.j, "map") if args.j else None
     jt = None
     if args.jtilde:
-        jt = _jtilde_from_map(ec, _named(ws, ws.maps, args.jtilde, "map"))
+        jt = _jtilde_from_map(ec, _named(ws.maps, args.jtilde, "map"))
     # timed here rather than through timed(), which would turn an
     # AxiomError into a fail verdict instead of exit 1
     start = time.perf_counter()
@@ -336,7 +336,7 @@ def cmd_cleft(args):
                "agree" if cor["decided"] else "undecided",
                grade="exact" if cor["decided"] else "inconclusive", time_ms=cor_ms)
     if j is not None and ext.outer.base.dim == 1:
-        conv_target = sigma_to_algebra_matrix(ws, sigma, j)
+        conv_target = sigma_to_algebra_matrix(sigma, j)
         if conv_target is not None:
             inv = convolution_inverse(ext.outer, ext.inner.base, conv_target)
             report.add("convolution inverse of the section",
@@ -346,7 +346,7 @@ def cmd_cleft(args):
     return EXIT_MATH if report.failed() else EXIT_OK
 
 
-def sigma_to_algebra_matrix(ws, sigma, lam):
+def sigma_to_algebra_matrix(sigma, lam):
     """View a map into the comodule as algebra-valued when the carrier is the
     base algebra."""
     if sigma.dim != sigma.coring.base.dim:
@@ -356,11 +356,11 @@ def sigma_to_algebra_matrix(ws, sigma, lam):
 
 def cmd_galois(args):
     ws = _load(args)
-    sigma = _named(ws, ws.comodules, args.sigma, "comodule")
+    sigma = _named(ws.comodules, args.sigma, "comodule")
     report = Report("%s --sigma %s" % (args.file, args.sigma), ws.field)
     extra = []
     for name in args.samples:
-        com = _named(ws, ws.comodules, name, "comodule")
+        com = _named(ws.comodules, name, "comodule")
         extra.append(com.carrier)
     start = time.perf_counter()
     if extra:
@@ -394,7 +394,7 @@ def cmd_theorems(args):
     samples_t = [regular_right_module(t_alg, 1, name="T"),
                  regular_right_module(t_alg, 2, name="T^2")] if t_alg.dim else []
     j = ws.maps.get(args.j) if args.j else None
-    jt = _jtilde_from_map(ec, _named(ws, ws.maps, args.jtilde, "map")) \
+    jt = _jtilde_from_map(ec, _named(ws.maps, args.jtilde, "map")) \
         if args.jtilde else None
 
     def fmt_na(result):

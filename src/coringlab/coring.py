@@ -195,6 +195,8 @@ class DualRing:
 
     Carries the algebra structure, the defining evaluation matrices of the
     canonical basis, the A-A bimodule structure and the unit map from A.
+    A left dual also keeps ``hits``, the hit map x -> x^(1)·f(x^(2)) of each
+    basis map f, computed once.
     """
 
     def __init__(self, coring, side="left"):
@@ -209,8 +211,15 @@ class DualRing:
         self.eval_mats = self.space.basis  # each a.dim x c.dim
         n = self.space.dim
         name = ("*" + coring.name) if side == "left" else (coring.name + "*")
+        if side == "left":
+            # (fg)(x) = g(x^(1)·f(x^(2))): one hit per basis map
+            self.hits = [self.hit(f) for f in self.eval_mats]
+            hit_of = {id(f): h for f, h in zip(self.eval_mats, self.hits)}
+            product = lambda f, g: g.mul(hit_of[id(f)])
+        else:
+            product = self._right_convolve
         self.algebra = self.space.algebra(
-            self._convolve, coring.counit, name,
+            product, coring.counit, name,
             "dual ring of %s: product escapes the hom space" % coring.name,
             "dual ring of %s: counit is not in the hom space" % coring.name)
         # A-A bimodule structure: (a·f)(c) = f(c·a), (f·a)(c) = f(c)·a  [left dual]
@@ -235,12 +244,9 @@ class DualRing:
         c = self.coring
         return c.carrier.right_eval().mul(c.cc.induced(None, [(1, f)])).mul(c.coproduct)
 
-    def _convolve(self, f, g):
+    def _right_convolve(self, f, g):
+        """(fg)(x) = f(g(x^(1))·x^(2)), for f, g in the right dual."""
         c = self.coring
-        if self.side == "left":
-            # (fg)(x) = g(x^(1)·f(x^(2)))
-            return g.mul(self.hit(f))
-        # right dual: (fg)(x) = f(g(x^(1))·x^(2))
         inner = c.carrier.left_eval().mul(c.cc.induced(None, [(0, g)]))
         return f.mul(inner).mul(c.coproduct)
 

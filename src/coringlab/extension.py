@@ -17,8 +17,9 @@ from __future__ import annotations
 
 from functools import cached_property
 
-from .algmod import (BalancedTensor, FBimodule, endo_algebra, hom_space,
-                     sandwich_terms, trivial_algebra)
+from .algmod import (BalancedTensor, FBimodule, algebra_map_check, endo_algebra,
+                     hom_space, non_multiplicative_at, sandwich_terms,
+                     trivial_algebra)
 from .coring import Comodule, EndAlgebra, colinear_homs, colinearity_constraint
 from .exactla import (AxiomError, Matrix, UsageError, image, kernel, rank,
                       side_by_side, solve_linear, vec_scale)
@@ -157,7 +158,6 @@ def purity_check(ext, comodules):
     a, l = ext.inner.base, ext.outer.base
     if ext.split_map is not None:
         phi = ext.split_map
-        from .algmod import algebra_map_check
         if not algebra_map_check(l, a, phi):
             raise AxiomError("extension %s: split map is not an algebra map" % ext.name)
         for i in range(l.dim):
@@ -724,18 +724,10 @@ def remark_k_coincidence(ext_ctx, cm):
             raise AxiomError("coincidence: the %s identification is not bijective"
                              % label)
     # multiplication tensors
-    for i in range(ectx.alg1.dim):
-        for j in range(ectx.alg1.dim):
-            if phi_v.mul_vec(ectx.alg1.mul[i][j]) != \
-                    t_alg.multiply(phi_v.col(i), phi_v.col(j)):
-                raise AxiomError("coincidence: endomorphism-valued multiplication "
-                                 "differs")
-    for i in range(ectx.alg2.dim):
-        for j in range(ectx.alg2.dim):
-            if phi_u.mul_vec(ectx.alg2.mul[i][j]) != \
-                    dual.algebra.multiply(phi_u.col(i), phi_u.col(j)):
-                raise AxiomError("coincidence: dual-ring-valued multiplication "
-                                 "differs")
+    if non_multiplicative_at(ectx.alg1, t_alg, phi_v) is not None:
+        raise AxiomError("coincidence: endomorphism-valued multiplication differs")
+    if non_multiplicative_at(ectx.alg2, dual.algebra, phi_u) is not None:
+        raise AxiomError("coincidence: dual-ring-valued multiplication differs")
     # action matrices
     sig12 = mctx.bim12
     q21 = mctx.bim21

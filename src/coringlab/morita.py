@@ -12,7 +12,7 @@ written as operator terms, one identity per basis element of the coring.
 from __future__ import annotations
 
 from .algmod import (BalancedTensor, FBimodule, endo_algebra, fgp_check,
-                     hom_space, sandwich_terms)
+                     hom_space, non_multiplicative_at, sandwich_terms)
 from .coring import DualRing, EndAlgebra, dual_action
 from .exactla import (AxiomError, Matrix, UsageError, rank, side_by_side,
                       solve_linear, unit_vec, vec_scale, zero_vec)
@@ -198,13 +198,12 @@ class QModule:
         # P_k·(X (x) C)·rho = U_k·X, where P_k sends f (x) c to f(c_k)·c and
         # column b of U_k is c_k^(1)·f_b(c_k^(2))
         rho = sigma.mc.sect().mul(sigma.coaction)
-        hits = [self.dual.hit(f) for f in self.dual.eval_mats]
         ident = Matrix.identity(field, sigma.dim)
         relations = []
         for k in range(c.dim):
             p_k = side_by_side(field, c.dim, (c.carrier.left_act_vec(f.col(k))
                                               for f in self.dual.eval_mats))
-            u_k = Matrix.from_cols(field, c.dim, [h.col(k) for h in hits])
+            u_k = Matrix.from_cols(field, c.dim, [h.col(k) for h in self.dual.hits])
             relations.append(sandwich_terms(p_k, rho, 1, c.dim) + [(u_k, ident, -1)])
         self.space = hom_space(sigma.carrier, self.dual.module, right_linear=True,
                                extra_constraints=relations)
@@ -397,12 +396,8 @@ def morphism_M_to_N(sigma, cm=None, cn=None):
                                    "dual ring")
     # the inclusions respect multiplication and the connecting maps
     mctx, nctx = cm.context, cn.context
-    for i in range(mctx.alg1.dim):
-        for j in range(mctx.alg1.dim):
-            lhs = iota_t.mul_vec(mctx.alg1.mul[i][j])
-            rhs = nctx.alg1.multiply(iota_t.col(i), iota_t.col(j))
-            if lhs != rhs:
-                raise AxiomError("corner map is not an algebra map")
+    if non_multiplicative_at(mctx.alg1, nctx.alg1, iota_t) is not None:
+        raise AxiomError("corner map is not an algebra map")
     sdim = sigma.dim
     conn1_m_amb = mctx.conn1.mul(mctx.tens21.proj())
     conn1_n_amb = nctx.conn1.mul(nctx.tens21.proj())

@@ -4,16 +4,19 @@ corings over a subalgebra, plus the bundled fixtures E1-E5.
 
 Every constructor validates the input axioms exactly and returns fully
 checked structures; failures name the first broken axiom and basis pair.
+Every multiplicativity axiom (of a coproduct, a counit, a comodule-algebra
+coaction or a partial action's alpha_s) is one non_multiplicative_at check,
+against a tensor_algebra or the ground field where the target needs one.
 """
 
 from __future__ import annotations
 
 from .algmod import (BalancedTensor, FBimodule, FiniteAlgebra, MatrixSpace,
-                     trivial_algebra)
+                     non_multiplicative_at, tensor_algebra, trivial_algebra)
 from .coring import (Comodule, Coring, Grouplike, comodule_direct_sum,
                      grouplike_comodule, trivial_coring, zero_comodule)
 from .exactla import (AxiomError, Matrix, Subspace, UsageError, image, rank,
-                      unit_vec, zero_vec)
+                      side_by_side, unit_vec, zero_vec)
 from .extension import CoringExtension, purity_check
 
 
@@ -142,7 +145,8 @@ def grouplike_basis_coalgebra(field, n, name="D"):
 
 
 class BialgebraData:
-    """An algebra with a compatible coalgebra structure over k."""
+    """An algebra with a compatible coalgebra structure over k.  validate
+    keeps the coalgebra coring it checks as ``coring`` and runs once."""
 
     def __init__(self, algebra, delta_ambient, eps_row, antipode=None, name=None):
         self.algebra = algebra
@@ -151,96 +155,42 @@ class BialgebraData:
         self.antipode = antipode
         self.name = name or algebra.name
         self.field = algebra.field
+        self.coring = None
+        self._valid = False
 
     def coalgebra_coring(self):
         return k_coalgebra_coring(self.field, self.algebra.dim, self.delta,
                                   self.eps, name=self.name)
 
     def validate(self):
+        if self._valid:
+            return True
         h = self.algebra
         f = self.field
-        n = h.dim
-        self.coalgebra_coring()  # coassociativity and counitality
+        d = self.coring = self.coalgebra_coring()  # coassociativity and counitality
         # Delta and eps are algebra maps
-        for i in range(n):
-            for j in range(n):
-                lhs = self.delta.mul_vec(h.mul[i][j])
-                di = self.delta.col(i)
-                dj = self.delta.col(j)
-                rhs = zero_vec(f, n * n)
-                for p in range(n):
-                    for q in range(n):
-                        cpq = di[p * n + q]
-                        if cpq == f.zero:
-                            continue
-                        for r in range(n):
-                            for s in range(n):
-                                crs = dj[r * n + s]
-                                if crs == f.zero:
-                                    continue
-                                w = f.mul(cpq, crs)
-                                pr = h.mul[p][r]
-                                qs = h.mul[q][s]
-                                for x in range(n):
-                                    if pr[x] == f.zero:
-                                        continue
-                                    for y in range(n):
-                                        if qs[y] != f.zero:
-                                            rhs[x * n + y] = f.add(
-                                                rhs[x * n + y],
-                                                f.mul(w, f.mul(pr[x], qs[y])))
-                if lhs != rhs:
-                    raise AxiomError("bialgebra %s: coproduct is not multiplicative "
-                                     "at (%d,%d)" % (self.name, i, j))
-        if self.delta.mul_vec(list(h.unit)) != _kron_vec(f, list(h.unit), list(h.unit)):
+        hh = tensor_algebra(h, h)
+        at = non_multiplicative_at(h, hh, self.delta)
+        if at is not None:
+            raise AxiomError("bialgebra %s: coproduct is not multiplicative "
+                             "at (%d,%d)" % ((self.name,) + at))
+        if self.delta.mul_vec(list(h.unit)) != hh.unit:
             raise AxiomError("bialgebra %s: coproduct not unital" % self.name)
-        for i in range(n):
-            for j in range(n):
-                lhs = self.eps.mul_vec(h.mul[i][j])[0]
-                rhs = f.mul(self.eps.data[0][i], self.eps.data[0][j])
-                if lhs != rhs:
-                    raise AxiomError("bialgebra %s: counit is not multiplicative"
-                                     % self.name)
+        if non_multiplicative_at(h, trivial_algebra(f), self.eps) is not None:
+            raise AxiomError("bialgebra %s: counit is not multiplicative"
+                             % self.name)
         if self.eps.mul_vec(list(h.unit))[0] != f.one:
             raise AxiomError("bialgebra %s: counit not unital" % self.name)
         if self.antipode is not None:
-            s = self.antipode
-            conv = Matrix.zero(f, n, n)
-            conv2 = Matrix.zero(f, n, n)
-            for i in range(n):
-                di = self.delta.col(i)
-                acc = zero_vec(f, n)
-                acc2 = zero_vec(f, n)
-                for p in range(n):
-                    for q in range(n):
-                        c = di[p * n + q]
-                        if c == f.zero:
-                            continue
-                        acc = [f.add(a, f.mul(c, b)) for a, b in zip(
-                            acc, h.multiply(s.col(p), unit_vec(f, n, q)))]
-                        acc2 = [f.add(a, f.mul(c, b)) for a, b in zip(
-                            acc2, h.multiply(unit_vec(f, n, p), s.col(q)))]
-                for r in range(n):
-                    conv.data[r][i] = acc[r]
-                    conv2.data[r][i] = acc2[r]
-            target = Matrix.zero(f, n, n)
-            for i in range(n):
-                e = self.eps.data[0][i]
-                for r in range(n):
-                    target.data[r][i] = f.mul(e, h.unit[r])
-            if conv != target or conv2 != target:
-                raise AxiomError("bialgebra %s: antipode axiom fails" % self.name)
+            # S(x_(1))·x_(2) = eps(x)·1 = x_(1)·S(x_(2))
+            mult = h.mult_eval()
+            target = Matrix.column(f, list(h.unit)).mul(self.eps)
+            for slot in (0, 1):
+                conv = mult.mul(d.cc.induced(None, [(slot, self.antipode)])).mul(d.coproduct)
+                if conv != target:
+                    raise AxiomError("bialgebra %s: antipode axiom fails" % self.name)
+        self._valid = True
         return True
-
-
-def _kron_vec(field, u, v):
-    out = zero_vec(field, len(u) * len(v))
-    for i, a in enumerate(u):
-        if a != field.zero:
-            for j, b in enumerate(v):
-                if b != field.zero:
-                    out[i * len(v) + j] = field.mul(a, b)
-    return out
 
 
 def group_hopf_algebra(field, table, name="kG"):
@@ -269,7 +219,8 @@ class EntwiningStructure:
 
     Over the trivial base the tensor quotients are plain tensor products.
     The weak axioms replace the unit/counit laws through the induced map
-    e = (A (x) eps) ∘ psi ∘ (D (x) 1).
+    e = (A (x) eps) ∘ psi ∘ (D (x) 1).  The base defaults to that of D, and
+    validate runs once.
     """
 
     def __init__(self, a, d, psi, base=None, eta=None, weak=False, name="psi"):
@@ -279,7 +230,7 @@ class EntwiningStructure:
         self.name = name
         field = a.field
         self.field = field
-        self.base = base or trivial_algebra(field)
+        self.base = base or d.base
         l = self.base
         if eta is None:
             if l.dim != 1:
@@ -299,12 +250,15 @@ class EntwiningStructure:
             raise UsageError("entwining map has shape %dx%d, expected %dx%d"
                              % (psi.rows, psi.cols, self.ad.dim, self.da.dim))
         self.psi = psi
+        self._valid = False
 
     def psi_ambient(self):
         """The compatibility map at the ambient level D (x) A -> A (x) D."""
         return self.ad.sect().mul(self.psi).mul(self.da.proj())
 
     def validate(self):
+        if self._valid:
+            return True
         f = self.field
         a, d, l = self.a, self.d, self.base
         psi = self.psi
@@ -357,6 +311,7 @@ class EntwiningStructure:
             rhs = mult.mul(self.da.induced(None, [(0, e_map)]))
             if lhs != rhs:
                 raise AxiomError("weak entwining %s: counit axiom fails" % self.name)
+        self._valid = True
         return True
 
     def _a_eps(self):
@@ -381,7 +336,7 @@ class EntwiningStructure:
 # corings from entwining structures
 
 
-def entwining_coring(ent, sigma_coaction=None):
+def entwining_coring(ent):
     """The coring on A (x)_L D attached to a strict entwining, with its
     extension to the outer coring.
 
@@ -438,64 +393,25 @@ def hopf_entwining(bial, a_alg, coaction_amb, name="psi"):
     bial.validate()
     f = bial.field
     h = bial.algebra
-    d_coring = bial.coalgebra_coring()
+    d_coring = bial.coring
     k = d_coring.base
     a_bim = FBimodule(k, k, a_alg.dim, [Matrix.identity(f, a_alg.dim)],
                       [Matrix.identity(f, a_alg.dim)], name=a_alg.name)
     probe = Comodule(d_coring, a_bim, coaction_amb, name=a_alg.name)
     probe.validate()
     # the coaction is an algebra map
-    n, m = a_alg.dim, h.dim
-    for i in range(n):
-        for j in range(n):
-            lhs = coaction_amb.mul_vec(a_alg.mul[i][j])
-            rhs = zero_vec(f, n * m)
-            ci, cj = coaction_amb.col(i), coaction_amb.col(j)
-            for p in range(n):
-                for q in range(m):
-                    w1 = ci[p * m + q]
-                    if w1 == f.zero:
-                        continue
-                    for r in range(n):
-                        for s in range(m):
-                            w2 = cj[r * m + s]
-                            if w2 == f.zero:
-                                continue
-                            w = f.mul(w1, w2)
-                            pr = a_alg.mul[p][r]
-                            qs = h.mul[q][s]
-                            for x in range(n):
-                                if pr[x] == f.zero:
-                                    continue
-                                for y in range(m):
-                                    if qs[y] != f.zero:
-                                        rhs[x * m + y] = f.add(
-                                            rhs[x * m + y],
-                                            f.mul(w, f.mul(pr[x], qs[y])))
-            if lhs != rhs:
-                raise AxiomError("comodule algebra %s: coaction not multiplicative "
-                                 "at (%d,%d)" % (a_alg.name, i, j))
-    if coaction_amb.mul_vec(list(a_alg.unit)) != _kron_vec(f, list(a_alg.unit),
-                                                           list(h.unit)):
+    ah = tensor_algebra(a_alg, h)
+    at = non_multiplicative_at(a_alg, ah, coaction_amb)
+    if at is not None:
+        raise AxiomError("comodule algebra %s: coaction not multiplicative "
+                         "at (%d,%d)" % ((a_alg.name,) + at))
+    if coaction_amb.mul_vec(list(a_alg.unit)) != ah.unit:
         raise AxiomError("comodule algebra %s: coaction not unital" % a_alg.name)
-    # psi(d (x) a) = a_[0] (x) d·a_[1]
-    cols = []
-    for dd in range(m):
-        for i in range(n):
-            col = zero_vec(f, n * m)
-            ci = coaction_amb.col(i)
-            for p in range(n):
-                for q in range(m):
-                    w = ci[p * m + q]
-                    if w == f.zero:
-                        continue
-                    prod = h.mul[dd][q]
-                    for y in range(m):
-                        if prod[y] != f.zero:
-                            col[p * m + y] = f.add(col[p * m + y], f.mul(w, prod[y]))
-            cols.append(col)
-    psi_amb = Matrix.from_cols(f, n * m, cols)
-    ent = EntwiningStructure(a_alg, d_coring, psi_amb, base=k, weak=False, name=name)
+    # psi(d (x) a) = a_[0] (x) d·a_[1] = (1 (x) d)·rho(a)
+    one_d = ([u if q == dd else f.zero for u in a_alg.unit for q in range(h.dim)]
+             for dd in range(h.dim))
+    psi_amb = side_by_side(f, ah.dim, (ah.lmul_vec(v).mul(coaction_amb) for v in one_d))
+    ent = EntwiningStructure(a_alg, d_coring, psi_amb, weak=False, name=name)
     ent.validate()
     return ent
 
@@ -515,25 +431,12 @@ def weak_entwining_coring(ent):
         raise UsageError("weak entwining corings are built over the trivial base")
     n, m = a.dim, d.dim
     psi = ent.psi  # trivial base: quotient coordinates are the plain tensor ones
-    # p(a (x) d) = a·psi(d (x) 1)
     one = list(a.unit)
-    psi_d1 = [psi.mul_vec(ent.da.pure_tensor([unit_vec(f, m, dd), one]))
-              for dd in range(m)]
-    cols = []
-    for i in range(n):
-        for dd in range(m):
-            col = zero_vec(f, n * m)
-            for p in range(n):
-                for q in range(m):
-                    w = psi_d1[dd][p * m + q]
-                    if w == f.zero:
-                        continue
-                    prod = a.mul[i][p]
-                    for x in range(n):
-                        if prod[x] != f.zero:
-                            col[x * m + q] = f.add(col[x * m + q], f.mul(w, prod[x]))
-            cols.append(col)
-    p_amb = Matrix.from_cols(f, n * m, cols)
+    chi = Matrix.from_cols(f, n * m, [psi.mul_vec(ent.da.pure_tensor([unit_vec(f, m, dd), one]))
+                                      for dd in range(m)])  # d -> psi(d (x) 1)
+    # p(a (x) d) = a·psi(d (x) 1), one block of columns per basis element a
+    p_amb = side_by_side(f, n * m, (ent.ad.induced(None, [(0, a.lmul(i))]).mul(chi)
+                                    for i in range(n)))
     if p_amb.mul(p_amb) != p_amb:
         raise AxiomError("weak entwining: the canonical projection is not idempotent")
     sub = image(p_amb)
@@ -569,7 +472,6 @@ def weak_entwining_coring(ent):
         .mul(Matrix.identity(f, n).kron(delta_amb)).mul(inc)
     if not first_two.is_zero():
         raise AxiomError("weak entwining: the coproduct leaves the carrier")
-    chi = Matrix.from_cols(f, n * m, psi_d1)  # d -> psi(d (x) 1)
     delta_cols = ret.kron(ret.mul(chi)).mul(
         Matrix.identity(f, n).kron(delta_amb)).mul(inc)
     counit = a.mult_eval().mul(Matrix.identity(f, n).kron(ent._e_map())).mul(inc)
@@ -673,13 +575,9 @@ class PartialGroupAction:
             if mat.mul_vec(self.e[self.inv[s]]) != self.e[s]:
                 raise AxiomError("partial action %s: alpha_%d does not preserve "
                                  "the ideal unit" % (self.name, s))
-            for i in range(a.dim):
-                for j in range(a.dim):
-                    lhs = mat.mul_vec(a.mul[i][j])
-                    rhs = a.multiply(mat.col(i), mat.col(j))
-                    if lhs != rhs:
-                        raise AxiomError("partial action %s: alpha_%d is not "
-                                         "multiplicative" % (self.name, s))
+            if non_multiplicative_at(a, a, mat) is not None:
+                raise AxiomError("partial action %s: alpha_%d is not "
+                                 "multiplicative" % (self.name, s))
         for s in range(n):
             for t in range(n):
                 lhs = self.alpha[s].mul(a.lmul_vec(self.e[self.inv[s]])).mul(self.alpha[t])

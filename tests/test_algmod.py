@@ -1,5 +1,6 @@
 """Algebra/bimodule layer: balanced tensors, hom spaces, certificates."""
 
+import itertools
 import json
 import random
 
@@ -9,8 +10,9 @@ from conftest import fixture_path
 from perturb import apply_perturbation
 from coringlab import algmod
 from coringlab.algmod import (BalancedTensor, FBimodule, FiniteAlgebra,
-                              MatrixSpace, _balancing_indices, coords_in_basis,
-                              fgp_check, generator_check, hom_space, tensor_over,
+                              MatrixSpace, _balancing_indices, algebra_map_check,
+                              coords_in_basis, fgp_check, generator_check, hom_space,
+                              non_multiplicative_at, tensor_algebra, tensor_over,
                               trivial_algebra, zero_algebra)
 from coringlab.cli import main
 from coringlab.exactla import (AxiomError, FieldFp, Matrix, QQ, UsageError,
@@ -48,6 +50,46 @@ def test_algebra_validation_catches_nonassociative():
     alg = FiniteAlgebra(F, 3, mul, e(0), name="bad")
     with pytest.raises(AxiomError):
         alg.validate()
+
+
+@pytest.mark.parametrize("field", [QQ, FieldFp(7)], ids=["Q", "F7"])
+def test_tensor_algebra_of_c2_and_c3(field):
+    c2 = group_algebra(field, [[0, 1], [1, 0]], name="C2")
+    c3 = group_algebra(field, [[0, 1, 2], [1, 2, 0], [2, 0, 1]], name="C3")
+    t = tensor_algebra(c2, c3)
+    assert t.validate()
+    assert (t.dim, t.name, t.unit) == (6, "C2(x)C3", unit_vec(field, 6, 0))
+    # (g^i (x) h^j)(g^k (x) h^l) = g^(i+k) (x) h^(j+l), on the pair basis i*3 + j
+    for i, j, k, l in ((1, 1, 1, 2), (0, 2, 1, 2), (1, 0, 0, 1)):
+        assert t.mul[i * 3 + j][k * 3 + l] == unit_vec(field, 6, (i + k) % 2 * 3 + (j + l) % 3)
+    # its unit and the pure tensors of algebra maps make it the coproduct target
+    assert algebra_map_check(c3, tensor_algebra(c3, c3), Matrix.from_cols(
+        field, 9, [unit_vec(field, 9, 4 * i) for i in range(3)]))
+    # a noncommutative factor: k S3 (x) k C2 is the group algebra of S3 x C2
+    perms = sorted(itertools.permutations(range(3)))
+    s3 = group_algebra(field, [[perms.index(tuple(p[q[x]] for x in range(3))) for q in perms]
+                               for p in perms], name="S3")
+    t = tensor_algebra(s3, c2)
+    assert t.validate()
+    for p, q, i, j in itertools.product(range(6), range(6), range(2), range(2)):
+        assert t.mul[p * 2 + i][q * 2 + j] == \
+            unit_vec(field, 12, s3.mul[p][q].index(field.one) * 2 + (i + j) % 2)
+
+
+def test_non_multiplicative_at_returns_the_first_failing_pair():
+    k3 = product_field_algebra(F, 3, name="k3")
+    assert non_multiplicative_at(k3, k3, Matrix.identity(F, 3)) is None
+    rng = random.Random(5)
+    for _ in range(20):
+        mat = Matrix.from_rows(F, [[F.of_int(rng.randint(0, 1)) for _ in range(3)]
+                                   for _ in range(3)])
+        failing = [(i, j) for i in range(3) for j in range(3)
+                   if mat.mul_vec(k3.mul[i][j]) != k3.multiply(mat.col(i), mat.col(j))]
+        assert non_multiplicative_at(k3, k3, mat) == (failing[0] if failing else None)
+        assert algebra_map_check(k3, k3, mat) == (not failing and mat.mul_vec(k3.unit) == k3.unit)
+    # a map that fails at (0,1) and later pairs but not at (0,0): the first is named
+    swap_in = Matrix.from_rows(F, [[F.one, F.one, F.zero], [F.zero] * 3, [F.zero, F.zero, F.one]])
+    assert non_multiplicative_at(k3, k3, swap_in) == (0, 1)
 
 
 def test_regular_bimodule_valid(a_quad):
@@ -528,12 +570,13 @@ def test_invalid_or_foreign_factors_balance_by_every_basis_element(monkeypatch):
             patch.setattr(algmod, "_balancing_indices",
                           lambda left, alg, right: alg.generators())
             assert BalancedTensor([reg, bad], [c3]).dim > full.dim
-    # an algebra with the same name is accepted as the balancing algebra,
-    # but the shortcut asks for the very object the modules are over
+    # an algebra with the same name is another algebra: the tensor asks for
+    # the very object the modules are over, and so does the shortcut
     twin = group_algebra(F, _cyclic(3), name="C3")
     assert reg.is_valid()
     assert list(_balancing_indices(reg, twin, reg)) == [0, 1, 2]
-    _assert_same_build(BalancedTensor([reg, reg], [twin]), BalancedTensor([reg, reg], [c3]))
+    with pytest.raises(UsageError, match="factor 0 is not a right C3-module"):
+        BalancedTensor([reg, reg], [twin])
 
 
 def _ref_lift_pairs(tens, vec):

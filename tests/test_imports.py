@@ -1,5 +1,6 @@
 """Tooling: no package module keeps a top-level import it never uses, and
-no function keeps a local it assigns and never reads."""
+no function keeps a local it assigns and never reads, or a parameter it
+never reads."""
 
 import ast
 import glob
@@ -73,3 +74,48 @@ def test_no_dead_locals():
         if found:
             dead[os.path.basename(path)] = found
     assert dead == {}
+
+
+# public positional signatures that keep a parameter for their callers
+UNUSED_PARAMETERS_ALLOWED = {
+    ("extension.py", "check_colinear_maps_remain_colinear", "ext"):
+        "names the extension whose inner-colinear maps are checked; the cli, "
+        "tests and callers pass it first",
+    ("galois.py", "verify_surjectivity_thm", "cm"):
+        "shares the (ext_ctx, cm) signature of verify_strong_structure, "
+        "verify_diamond_to_triangle and verify_fgp_corollary, and the cli "
+        "and tests call it that way",
+    ("zoo.py", "weak_cleft_translation", "coring"):
+        "takes the coring, inclusion and retraction that weak_entwining_coring "
+        "returns, in that order, so callers pass them on as one group",
+    ("zoo.py", "weak_cleft_translation", "ret"):
+        "takes the coring, inclusion and retraction that weak_entwining_coring "
+        "returns, in that order, so callers pass them on as one group",
+}
+
+
+def _unused_parameters(path):
+    """(function, parameter) of each parameter a function never reads, in its
+    own body or in a nested function; self and cls are exempt."""
+    with open(path, encoding="utf-8") as handle:
+        tree = ast.parse(handle.read(), filename=path)
+    unused = []
+    for func in ast.walk(tree):
+        if not isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        args = func.args
+        params = [a.arg for a in args.posonlyargs + args.args + args.kwonlyargs]
+        params += [a.arg for a in (args.vararg, args.kwarg) if a is not None]
+        read = {node.id for node in ast.walk(func)
+                if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+        unused.extend((func.name, p) for p in params
+                      if p not in read and p not in ("self", "cls"))
+    return unused
+
+
+def test_no_unused_parameters():
+    unused = set()
+    for path in sorted(glob.glob(os.path.join(SRC, "*.py"))):
+        name = os.path.basename(path)
+        unused.update((name,) + item for item in _unused_parameters(path))
+    assert unused == set(UNUSED_PARAMETERS_ALLOWED)

@@ -1,17 +1,19 @@
 """Constructor families and the bundled fixtures."""
 
 import json
+from collections import Counter
 
 import pytest
 
-from coringlab.algmod import FBimodule, trivial_algebra
+from coringlab import zoo
+from coringlab.algmod import FBimodule, FiniteAlgebra, trivial_algebra
 from coringlab.coring import Comodule, Grouplike, colinear_homs, grouplike_comodule
 from coringlab.exactla import AxiomError, FieldFp, Matrix, QQ, unit_vec
 from coringlab.extension import ExtContext, purity_check
 from coringlab.morita import context_M, strictness
 from coringlab.galois import cleft_check
 from coringlab.workspace import load_workspace
-from coringlab.zoo import (EntwiningStructure, PartialGroupAction,
+from coringlab.zoo import (BialgebraData, EntwiningStructure, PartialGroupAction,
                            build_fixture, entwining_coring, group_algebra,
                            group_hopf_algebra, grouplike_basis_coalgebra,
                            hopf_entwining, partial_action_coring,
@@ -90,6 +92,132 @@ def test_comodule_algebra_axioms_rejected():
 
 
 # ---------------------------------------------------------------------------
+# every multiplicativity axiom rejects bad input with its own message
+
+FIELDS = pytest.mark.parametrize("field", [QQ, FieldFp(7)], ids=["Q", "F7"])
+
+
+def _grouplike_delta(field, n):
+    delta = Matrix.zero(field, n * n, n)
+    for i in range(n):
+        delta.data[i * n + i][i] = field.one
+    return delta
+
+
+def _coaction(field, n, m, rows):
+    """The A (x) H coaction sending e_i to the pair-basis vector rows[i]."""
+    rho = Matrix.zero(field, n * m, n)
+    for i, row in enumerate(rows):
+        rho.data[row][i] = field.one
+    return rho
+
+
+@FIELDS
+def test_bialgebra_coproduct_fails_at_the_named_pair(field):
+    # a primitive x in k[x]/(x^2): Delta(x)^2 = 2 x (x) x, but Delta(x^2) = 0
+    dual = quotient_polynomial_algebra(field, [field.zero, field.zero], name="D")
+    delta = Matrix.zero(field, 4, 2)
+    for row, col in ((0, 0), (1, 1), (2, 1)):  # 1 -> 1 (x) 1, x -> 1 (x) x + x (x) 1
+        delta.data[row][col] = field.one
+    bial = BialgebraData(dual, delta, Matrix.from_rows(field, [[field.one, field.zero]]))
+    with pytest.raises(AxiomError) as err:
+        bial.validate()
+    assert str(err.value) == "bialgebra D: coproduct is not multiplicative at (1,1)"
+
+
+@FIELDS
+def test_bialgebra_counit_not_multiplicative(field):
+    # basis 1, e1, e2 with orthogonal idempotents e1, e2 and a grouplike
+    # basis: Delta is an algebra map, but eps(e1 e2) = 0 != eps(e1) eps(e2)
+    e = lambda i: unit_vec(field, 3, i)
+    z = [field.zero] * 3
+    alg = FiniteAlgebra(field, 3, [[e(0), e(1), e(2)], [e(1), e(1), z], [e(2), z, e(2)]],
+                        e(0), name="S")
+    alg.validate()
+    bial = BialgebraData(alg, _grouplike_delta(field, 3),
+                         Matrix.from_rows(field, [[field.one] * 3]))
+    with pytest.raises(AxiomError) as err:
+        bial.validate()
+    assert str(err.value) == "bialgebra S: counit is not multiplicative"
+
+
+@FIELDS
+def test_bialgebra_broken_antipode(field):
+    c3 = group_algebra(field, C3, name="C3")
+    eps = Matrix.from_rows(field, [[field.one] * 3])
+    for s in (Matrix.identity(field, 3), Matrix.zero(field, 3, 3)):
+        bial = BialgebraData(c3, _grouplike_delta(field, 3), eps, antipode=s)
+        with pytest.raises(AxiomError) as err:
+            bial.validate()
+        assert str(err.value) == "bialgebra C3: antipode axiom fails"
+
+
+@FIELDS
+def test_comodule_algebra_coaction_fails_at_the_named_pair(field):
+    # C3 graded by C2 with g and g^2 in the odd degree: a comodule, but
+    # rho(g·g) = g^2 (x) h while rho(g)·rho(g) = g^2 (x) 1
+    h2 = group_hopf_algebra(field, C2, name="H")
+    a3 = group_algebra(field, C3, name="A")
+    with pytest.raises(AxiomError) as err:
+        hopf_entwining(h2, a3, _coaction(field, 3, 2, [0, 3, 5]))
+    assert str(err.value) == "comodule algebra A: coaction not multiplicative at (1,1)"
+
+
+@FIELDS
+def test_comodule_algebra_coaction_not_unital(field):
+    # the monoid bialgebra of {1, z}, z^2 = z, coacting on k^2 by e0 -> e0 (x) 1
+    # and e1 -> e1 (x) z: multiplicative, but rho(1) != 1 (x) 1
+    e = lambda i: unit_vec(field, 2, i)
+    monoid = FiniteAlgebra(field, 2, [[e(0), e(1)], [e(1), e(1)]], e(0), name="M")
+    bial = BialgebraData(monoid, _grouplike_delta(field, 2),
+                         Matrix.from_rows(field, [[field.one] * 2]))
+    assert bial.validate()
+    k2 = product_field_algebra(field, 2, name="A")
+    with pytest.raises(AxiomError) as err:
+        hopf_entwining(bial, k2, _coaction(field, 2, 2, [0, 3]))
+    assert str(err.value) == "comodule algebra A: coaction not unital"
+
+
+@FIELDS
+def test_partial_action_alpha_not_multiplicative(field):
+    # a global C2 action on k^2 by an invertible unital map that is not an
+    # algebra map: alpha(e0)^2 != alpha(e0)
+    a = product_field_algebra(field, 2, name="A")
+    two, mone = field.of_int(2), field.neg(field.one)
+    alpha = Matrix.from_rows(field, [[two, mone], [mone, two]])
+    pa = PartialGroupAction(C2, a, [[field.one] * 2] * 2,
+                            [Matrix.identity(field, 2), alpha], name="P")
+    with pytest.raises(AxiomError) as err:
+        pa.validate()
+    assert str(err.value) == "partial action P: alpha_1 is not multiplicative"
+
+
+def test_hopf_chain_validates_each_structure_once(monkeypatch):
+    # group_hopf_algebra validates the bialgebra and hopf_entwining the
+    # entwining; the later calls reuse both verdicts and the coalgebra coring
+    counts = Counter()
+
+    def count(attr, label, keep=lambda *args: True):
+        func = getattr(zoo, attr)
+
+        def wrapped(*args, **kwargs):
+            counts[label] += keep(*args)
+            return func(*args, **kwargs)
+        monkeypatch.setattr(zoo, attr, wrapped)
+
+    count("k_coalgebra_coring", "coalgebra corings")
+    count("non_multiplicative_at", "multiplicativity checks")
+    count("BalancedTensor", "three-factor tensors", lambda factors, *_: len(factors) == 3)
+    bial = group_hopf_algebra(FieldFp(7), C3, name="H")
+    ent = hopf_entwining(bial, bial.algebra, bial.delta)
+    entwining_coring(ent)
+    # one coalgebra coring; Delta, eps and the coaction; and the six
+    # three-factor tensors of one EntwiningStructure.validate
+    assert counts == {"coalgebra corings": 1, "multiplicativity checks": 3,
+                      "three-factor tensors": 6}
+
+
+# ---------------------------------------------------------------------------
 # weak entwinings
 
 
@@ -123,6 +251,20 @@ def test_weak_entwining_with_full_weights_is_strict():
     strict.validate()
     c2, ext2 = entwining_coring(strict)
     assert c2.dim == c.dim
+
+
+def test_hopf_entwining_read_as_weak_gives_the_strict_coring():
+    # a strict entwining satisfies the weak axioms with e = eps(-)1, so the
+    # canonical projection a (x) d -> a·psi(d (x) 1) is the identity
+    bial = group_hopf_algebra(F, C3, name="H")
+    strict = hopf_entwining(bial, bial.algebra, bial.delta)
+    ent = EntwiningStructure(strict.a, strict.d, strict.psi, weak=True, name="w")
+    c, ext, inc, ret = weak_entwining_coring(ent)
+    c2, _ = entwining_coring(strict)
+    assert inc == ret == Matrix.identity(F, 9)
+    assert c.carrier.left_act == c2.carrier.left_act
+    assert c.carrier.right_act == c2.carrier.right_act
+    assert (c.coproduct, c.counit) == (c2.coproduct, c2.counit)
 
 
 def test_weak_cleft_translation_round_trip(bundles):
