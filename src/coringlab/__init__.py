@@ -11,14 +11,13 @@ from .algmod import (BalancedTensor, FBimodule, FiniteAlgebra, FLinearMap,
                      fgp_check, generator_check, hom_space, tensor_over,
                      trivial_algebra)
 from .coring import (Comodule, Coring, Grouplike, colinear_homs,
-                     comodule_direct_sum, co_opposite, dual_action, dual_ring,
+                     comodule_direct_sum, co_opposite, DualRing, dual_action,
                      grouplike_comodule, trivial_coring, zero_comodule)
-from .morita import (MoritaContext, compute_Q, connecting_surjective,
-                     context_M, context_N, morphism_M_to_N, strictness)
-from .extension import (CoringExtension, ExtContext, compute_Qtilde,
-                        context_ext, convolution_algebra, convolution_inverse,
-                        induced_D_coaction, purity_check)
-from .galois import (CanonicalMap, CleftData, can_map, cleft_check,
+from .morita import (ModuleContext, MoritaContext, context_M, morphism_failure,
+                     morphism_M_to_N, strictness)
+from .extension import (CoringExtension, ExtContext, convolution_algebra,
+                        convolution_inverse, induced_D_coaction, purity_check)
+from .galois import (CanonicalMap, CleftData, cleft_check,
                      galois_check, normal_basis_check, summand_check,
                      verify_cor_jJ, verify_diamond_to_triangle,
                      verify_fgp_corollary, verify_strong_structure,

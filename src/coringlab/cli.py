@@ -28,8 +28,7 @@ from .galois import (check_dual_basis_from_witnesses,
                      verify_fgp_corollary, verify_strictness_three_way,
                      verify_strong_structure, verify_surjectivity_thm,
                      verify_weak_structure, _first_witnesses)
-from .morita import (ModuleContext, connecting_surjective, context_M, morphism_M_to_N,
-                     strictness)
+from .morita import ModuleContext, context_M, morphism_M_to_N, strictness
 from .workspace import ParseError, load_workspace_file
 from .zoo import FIXTURES, build_fixture
 
@@ -212,8 +211,8 @@ def cmd_morita(args):
     report.add("comodule context corners", "T=%d *C=%d Sigma=%d Q=%d"
                % (ctx.alg1.dim, ctx.alg2.dim, ctx.bim12.dim, ctx.bim21.dim))
     timed(report, "comodule context axioms", lambda: ctx.validate() and "pass")
-    s1, w1 = connecting_surjective(ctx, 1)
-    s2, w2 = connecting_surjective(ctx, 2)
+    s1, w1 = ctx.connecting(1)
+    s2, w2 = ctx.connecting(2)
     report.add("first connecting map surjective", "yes" if s1 else "no",
                witnesses=_fmt_witness_pairs(ws.field, w1))
     report.add("second connecting map surjective", "yes" if s2 else "no",
@@ -223,23 +222,23 @@ def cmd_morita(args):
               lambda: "strict" if strictness(ctx)["strict"] else "not strict")
     else:
         report.add("strictness", "not strict")
-    cn = ModuleContext(sigma, cm.dual, cm.dualact_mats)
+    cn = ModuleContext(cm)
     nctx = cn.context
     report.add("module context corners", "End=%d *C=%d Sigma=%d Hom=%d"
                % (nctx.alg1.dim, nctx.alg2.dim, nctx.bim12.dim, nctx.bim21.dim))
     timed(report, "context morphism",
-          lambda: morphism_M_to_N(sigma, cm, cn)["verdict"])
+          lambda: morphism_M_to_N(cm, cn)["verdict"])
     if args.extension:
         ext = _named(ws.extensions, args.extension, "extension")
         purity_check(ext, _sample_comodules(ws, sigma, args.samples))
         report.add("purity certificate", ext.purity_certificate,
                    details=ext.purity_detail)
-        ec = ExtContext(ext, sigma, comodule_ctx=cm)
+        ec = ExtContext(ext, cm)
         ectx = ec.context
         report.add("extension context corners", "V=%d U=%d P=%d Qt=%d"
                    % (ectx.alg1.dim, ectx.alg2.dim, ectx.bim12.dim, ectx.bim21.dim))
-        e1, _ = connecting_surjective(ectx, 1)
-        e2, _ = connecting_surjective(ectx, 2)
+        e1, _ = ectx.connecting(1)
+        e2, _ = ectx.connecting(2)
         report.add("extension first connecting map surjective",
                    "yes" if e1 else "no")
         report.add("extension second connecting map surjective",
@@ -297,26 +296,30 @@ def cmd_extension(args):
 
 
 def _build_ext_ctx(ws, args):
+    """(sigma, ext, cm, ec, j, jtilde): both contexts, and the section and
+    intertwiner named by --j and --jtilde, or None.  The names are looked
+    up before any context is built, and --jtilde needs --j."""
     sigma = _named(ws.comodules, args.sigma, "comodule")
     ext = _named(ws.extensions, args.extension, "extension")
-    purity_check(ext, _sample_comodules(ws, sigma, getattr(args, "samples", [])))
+    if args.jtilde and not args.j:
+        raise UsageError("--jtilde needs --j")
+    j = _named(ws.maps, args.j, "map") if args.j else None
+    jt_map = _named(ws.maps, args.jtilde, "map") if args.jtilde else None
+    purity_check(ext, _sample_comodules(ws, sigma, args.samples))
     if ext.purity_certificate == "not-pure":
         raise UsageError("extension %s is not pure; the context is undefined"
                          % args.extension)
     cm = context_M(sigma)
-    ec = ExtContext(ext, sigma, comodule_ctx=cm)
-    return sigma, ext, cm, ec
+    ec = ExtContext(ext, cm)
+    jt = _jtilde_from_map(ec, jt_map) if jt_map is not None else None
+    return sigma, ext, cm, ec, j, jt
 
 
 def cmd_cleft(args):
     ws = _load(args)
-    sigma, ext, _, ec = _build_ext_ctx(ws, args)
+    sigma, ext, _, ec, j, jt = _build_ext_ctx(ws, args)
     report = Report("%s --sigma %s --extension %s"
                     % (args.file, args.sigma, args.extension), ws.field)
-    j = _named(ws.maps, args.j, "map") if args.j else None
-    jt = None
-    if args.jtilde:
-        jt = _jtilde_from_map(ec, _named(ws.maps, args.jtilde, "map"))
     # timed here rather than through timed(), which would turn an
     # AxiomError into a fail verdict instead of exit 1
     start = time.perf_counter()
@@ -335,23 +338,16 @@ def cmd_cleft(args):
     report.add("invertibility criterion agreement",
                "agree" if cor["decided"] else "undecided",
                grade="exact" if cor["decided"] else "inconclusive", time_ms=cor_ms)
-    if j is not None and ext.outer.base.dim == 1:
-        conv_target = sigma_to_algebra_matrix(sigma, j)
-        if conv_target is not None:
-            inv = convolution_inverse(ext.outer, ext.inner.base, conv_target)
-            report.add("convolution inverse of the section",
-                       "exists" if inv is not None else "none")
+    # the section read as algebra-valued, when the comodule is the base algebra
+    if j is not None and ext.outer.base.dim == 1 and sigma.dim == sigma.coring.base.dim:
+        start = time.perf_counter()
+        inv = convolution_inverse(ext.outer, ext.inner.base, j)
+        report.add("convolution inverse of the section",
+                   "exists" if inv is not None else "none",
+                   time_ms=(time.perf_counter() - start) * 1000.0)
     sys.stdout.write(report.canonical_body())
     report.print_summary()
     return EXIT_MATH if report.failed() else EXIT_OK
-
-
-def sigma_to_algebra_matrix(sigma, lam):
-    """View a map into the comodule as algebra-valued when the carrier is the
-    base algebra."""
-    if sigma.dim != sigma.coring.base.dim:
-        return None
-    return lam
 
 
 def cmd_galois(args):
@@ -385,7 +381,7 @@ SUITES = ("all", "weak", "strong", "surjectivity", "jJ", "diamond")
 
 def cmd_theorems(args):
     ws = _load(args)
-    sigma, ext, cm, ec = _build_ext_ctx(ws, args)
+    sigma, ext, cm, ec, j, jt = _build_ext_ctx(ws, args)
     report = Report("%s --sigma %s --extension %s --suite %s"
                     % (args.file, args.sigma, args.extension, args.suite),
                     ws.field)
@@ -393,9 +389,6 @@ def cmd_theorems(args):
     t_alg = cm.end.algebra
     samples_t = [regular_right_module(t_alg, 1, name="T"),
                  regular_right_module(t_alg, 2, name="T^2")] if t_alg.dim else []
-    j = ws.maps.get(args.j) if args.j else None
-    jt = _jtilde_from_map(ec, _named(ws.maps, args.jtilde, "map")) \
-        if args.jtilde else None
 
     def fmt_na(result):
         if not result.get("applicable", True):

@@ -191,64 +191,41 @@ class Grouplike:
 
 
 class DualRing:
-    """The left dual ring of a coring (or the right dual, by side flag).
+    """The left dual ring of a coring: the left A-linear maps C -> A.
 
     Carries the algebra structure, the defining evaluation matrices of the
-    canonical basis, the A-A bimodule structure and the unit map from A.
-    A left dual also keeps ``hits``, the hit map x -> x^(1)·f(x^(2)) of each
-    basis map f, computed once.
+    canonical basis, the A-A bimodule structure and the unit map from A,
+    and keeps ``hits``, the hit map x -> x^(1)·f(x^(2)) of each basis map
+    f, computed once.
     """
 
-    def __init__(self, coring, side="left"):
-        if side not in ("left", "right"):
-            raise UsageError("dual ring side must be 'left' or 'right'")
+    def __init__(self, coring):
         self.coring = coring
-        self.side = side
         a = coring.base
-        reg = FBimodule.regular(a)
-        self.space = hom_space(coring.carrier, reg, left_linear=(side == "left"),
-                               right_linear=(side == "right"))
+        self.space = hom_space(coring.carrier, FBimodule.regular(a), left_linear=True)
         self.eval_mats = self.space.basis  # each a.dim x c.dim
-        n = self.space.dim
-        name = ("*" + coring.name) if side == "left" else (coring.name + "*")
-        if side == "left":
-            # (fg)(x) = g(x^(1)·f(x^(2))): one hit per basis map
-            self.hits = [self.hit(f) for f in self.eval_mats]
-            hit_of = {id(f): h for f, h in zip(self.eval_mats, self.hits)}
-            product = lambda f, g: g.mul(hit_of[id(f)])
-        else:
-            product = self._right_convolve
+        name = "*" + coring.name
+        # (fg)(x) = g(x^(1)·f(x^(2))): one hit per basis map
+        self.hits = [self.hit(f) for f in self.eval_mats]
+        hit_of = {id(f): h for f, h in zip(self.eval_mats, self.hits)}
         self.algebra = self.space.algebra(
-            product, coring.counit, name,
+            lambda f, g: g.mul(hit_of[id(f)]), coring.counit, name,
             "dual ring of %s: product escapes the hom space" % coring.name,
             "dual ring of %s: counit is not in the hom space" % coring.name)
-        # A-A bimodule structure: (a·f)(c) = f(c·a), (f·a)(c) = f(c)·a  [left dual]
-        #                         (a·f)(c) = a·f(c), (f·a)(c) = f(a·c)  [right dual]
+        # A-A bimodule structure: (a·f)(c) = f(c·a), (f·a)(c) = f(c)·a
         escape = "dual ring: bimodule action escapes the hom space"
-        left_act = []
-        right_act = []
-        for i in range(a.dim):
-            if side == "left":
-                lmats = (m.mul(coring.carrier.right_act[i]) for m in self.eval_mats)
-                rmats = (a.rmul(i).mul(m) for m in self.eval_mats)
-            else:
-                lmats = (a.lmul(i).mul(m) for m in self.eval_mats)
-                rmats = (m.mul(coring.carrier.left_act[i]) for m in self.eval_mats)
-            left_act.append(self.space.coords_matrix(lmats, escape))
-            right_act.append(self.space.coords_matrix(rmats, escape))
-        self.module = FBimodule(a, a, n, left_act, right_act, name=name)
+        left_act = [self.space.coords_matrix(
+            (m.mul(coring.carrier.right_act[i]) for m in self.eval_mats), escape)
+            for i in range(a.dim)]
+        right_act = [self.space.coords_matrix(
+            (a.rmul(i).mul(m) for m in self.eval_mats), escape) for i in range(a.dim)]
+        self.module = FBimodule(a, a, self.space.dim, left_act, right_act, name=name)
         self.module.validate()
 
     def hit(self, f):
         """C -> C, x -> x^(1)·f(x^(2)), for f in the left dual."""
         c = self.coring
         return c.carrier.right_eval().mul(c.cc.induced(None, [(1, f)])).mul(c.coproduct)
-
-    def _right_convolve(self, f, g):
-        """(fg)(x) = f(g(x^(1))·x^(2)), for f, g in the right dual."""
-        c = self.coring
-        inner = c.carrier.left_eval().mul(c.cc.induced(None, [(0, g)]))
-        return f.mul(inner).mul(c.coproduct)
 
     @property
     def dim(self):
@@ -259,10 +236,6 @@ class DualRing:
         return self.space.element(coords)
 
 
-def dual_ring(coring, side="left"):
-    return DualRing(coring, side=side)
-
-
 def dual_action(comodule, dual=None):
     """Right action of the left dual ring on a comodule: x·f = x^[0] f(x^[1]).
 
@@ -270,7 +243,7 @@ def dual_action(comodule, dual=None):
     (left_alg, *C)-bimodule; every comodule axiom needed for the action to be
     associative and unital is re-verified by the bimodule validator.
     """
-    dual = dual or DualRing(comodule.coring, side="left")
+    dual = dual or DualRing(comodule.coring)
     right_eval = comodule.carrier.right_eval()
     acts = [right_eval.mul(comodule.mc.induced(None, [(1, f)])).mul(comodule.coaction)
             for f in dual.eval_mats]

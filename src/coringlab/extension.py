@@ -11,6 +11,12 @@ D -> T are the convolution algebra, the bicolinear endomorphisms and the
 colinear maps D -> Sigma are cut out by colinearity terms, and the
 intertwining bimodule Qtilde by its defining relation, written as one
 operator identity per basis element of Sigma.
+
+The extension context is built from the comodule context of its
+bicomodule (morita.context_M), whose endomorphism algebra, Sigma* and Q it
+shares, and embeds Qtilde into Q.  Over the trivial outer coring it
+coincides with that context: remark_k_coincidence checks the canonical
+identifications with morita.morphism_failure.
 """
 
 from __future__ import annotations
@@ -18,12 +24,11 @@ from __future__ import annotations
 from functools import cached_property
 
 from .algmod import (BalancedTensor, FBimodule, algebra_map_check, endo_algebra,
-                     hom_space, non_multiplicative_at, sandwich_terms,
-                     trivial_algebra)
-from .coring import Comodule, EndAlgebra, colinear_homs, colinearity_constraint
+                     hom_space, sandwich_terms, trivial_algebra)
+from .coring import Comodule, colinear_homs, colinearity_constraint
 from .exactla import (AxiomError, Matrix, UsageError, image, kernel, rank,
                       side_by_side, solve_linear, vec_scale)
-from .morita import MoritaContext, SigmaDual
+from .morita import MoritaContext, morphism_failure
 
 
 class CoringExtension:
@@ -271,23 +276,19 @@ def check_colinear_maps_remain_colinear(ext, pairs):
 
 class QTildeModule:
     """Bilinear maps from the inner coring to the comodule dual satisfying the
-    intertwining relation; embeds into the comodule context bimodule.
+    intertwining relation, as a solved space.
 
     The space is one hom_space solve: A-L-bilinear maps q: C -> Sigma* with
     c^(1)·q(c^(2))(x_j) = q(c)(x_j^[0])·x_j^[1], one operator identity per
     basis element x_j of Sigma: P_j·(C (x) X)·Delta = U_j·X, where P_j sends
     c (x) xi_s to c·xi_s(x_j) and column s of U_j is xi_s(x_j^[0])·x_j^[1].
-    Sigma* is the comodule context's when qmod is given.
     """
 
-    def __init__(self, ext, sigma, qmod=None):
-        self.ext = ext
-        self.sigma = sigma
+    def __init__(self, ext, sigma_dual):
+        sigma = sigma_dual.sigma
         f = ext.field
-        self.field = f
         c = ext.inner
-        self.sigma_dual = qmod.sigma_dual if qmod else SigmaDual(sigma)
-        sd = self.sigma_dual
+        self.sigma_dual = sd = sigma_dual
         # (xi_s (x) C)∘rho for each basis element xi_s of Sigma*
         self.xi_rho = [sigma.mc.induced(None, [(0, xi)]).mul(sigma.coaction)
                        for xi in sd.basis]
@@ -305,32 +306,6 @@ class QTildeModule:
         self.space = hom_space(ext.carrier_l, sd.module, left_linear=True,
                                right_linear=True, extra_constraints=relations)
         self.basis = self.space.basis
-        self._install_actions(qmod)
-
-    def _install_actions(self, qmod):
-        """Verify the embedding into the comodule-context bimodule."""
-        self.qmod = qmod
-        if qmod is None:
-            return
-        self.embedding = qmod.space.coords_matrix(
-            (self.to_q_element(qt) for qt in self.basis),
-            "an element of the extension bimodule does not embed into the comodule "
-            "bimodule")
-        if rank(self.embedding) != len(self.basis):
-            raise AxiomError("the embedding into the comodule bimodule is not "
-                             "injective")
-
-    def to_q_element(self, qt):
-        """Switch arguments: a map Sigma -> dual ring, in dual coordinates."""
-        c = self.ext.inner
-        dual = self.qmod.dual if self.qmod else None
-        if dual is None:
-            raise UsageError("no ambient comodule bimodule attached")
-        evals = [self.sigma_dual.space.element(qt.col(k)) for k in range(c.dim)]
-        return dual.space.coords_matrix(
-            (Matrix.from_cols(self.field, c.base.dim, [ev.col(x) for ev in evals])
-             for x in range(self.sigma.dim)),
-            "switched element leaves the dual ring")
 
     @property
     def dim(self):
@@ -338,13 +313,6 @@ class QTildeModule:
 
     def coords(self, mat):
         return self.space.coords(mat)
-
-
-def compute_Qtilde(ext, sigma, qmod=None):
-    if ext.purity_certificate in ("unchecked", "not-pure"):
-        raise UsageError("extension bimodule refused: purity certificate is %r"
-                         % ext.purity_certificate)
-    return QTildeModule(ext, sigma, qmod=qmod)
 
 
 # ---------------------------------------------------------------------------
@@ -360,20 +328,24 @@ class ExtContext:
     of the first connecting map are computed independently and compared on
     every basis pair.  The basis-pair values of both connecting maps are
     kept as structure constants (see connecting_matrix).
+
+    Built from the comodule context cm of Sigma, whose endomorphism
+    algebra, Sigma* and Q it shares; the intertwining bimodule embeds into
+    Q by switching arguments (embedding, verified injective).
     """
 
-    def __init__(self, ext, sigma, comodule_ctx=None):
+    def __init__(self, ext, cm):
         if ext.purity_certificate in ("unchecked", "not-pure"):
             raise UsageError("extension context refused: purity certificate is %r"
                              % ext.purity_certificate)
+        sigma = cm.sigma
         self.ext = ext
         self.sigma = sigma
         f = ext.field
         self.field = f
         c, d = ext.inner, ext.outer
         l = d.base
-        self.cm = comodule_ctx
-        self.end = comodule_ctx.end if comodule_ctx else EndAlgebra(sigma)
+        self.end = cm.end
         t_alg = self.end.algebra
         self.t_alg = t_alg
         # Sigma as an L-C bicomodule needs sigma.left_alg == L
@@ -399,8 +371,15 @@ class ExtContext:
                                      self.sigma_d.coaction, self.sigma_d.mc,
                                      d.cc.sect().mul(d.coproduct))])
         self.p_basis = self.p_space.basis
-        # ----- corner 4
-        self.qt = QTildeModule(ext, sigma, qmod=comodule_ctx.q if comodule_ctx else None)
+        # ----- corner 4, and its embedding into Q
+        self.qt = QTildeModule(ext, cm.q.sigma_dual)
+        self.embedding = cm.q.space.coords_matrix(
+            (self._switch_into(cm.dual, qt) for qt in self.qt.basis),
+            "an element of the extension bimodule does not embed into the comodule "
+            "bimodule")
+        if rank(self.embedding) != self.qt.dim:
+            raise AxiomError("the embedding into the comodule bimodule is not "
+                             "injective")
         # ----- corner 1: bilinear maps D -> T under convolution
         self.v_alg, self.v_space = convolution_algebra(d, t_alg, eta, name="Hom(D,T)")
         self.v_basis = self.v_space.basis
@@ -448,6 +427,15 @@ class ExtContext:
             self._outer[m] = induced_D_coaction(self.ext, m)
         return self._outer[m]
 
+    def _switch_into(self, dual, qt):
+        """Switch arguments: qt as a map Sigma -> dual ring, in dual coordinates."""
+        c = self.ext.inner
+        evals = [self.qt.sigma_dual.space.element(qt.col(k)) for k in range(c.dim)]
+        return dual.space.coords_matrix(
+            (Matrix.from_cols(self.field, c.base.dim, [ev.col(x) for ev in evals])
+             for x in range(self.sigma.dim)),
+            "switched element leaves the dual ring")
+
     # -- corner solvers
 
     def _solve_u(self):
@@ -484,26 +472,28 @@ class ExtContext:
                 for t in self.end.basis_maps]
 
     def _build_actions(self):
+        """The two bimodules P (colinear maps D -> Sigma) and Qtilde, with
+        the four action formulas."""
         f = self.field
         ext, sigma = self.ext, self.sigma
         c, d = ext.inner, ext.outer
         napply = self.apply_t
-        self.vp_mats = [self.p_space.coords_matrix(
+        vp_mats = [self.p_space.coords_matrix(
             (napply.mul(d.cc.induced(None, [(0, v), (1, p)])).mul(d.coproduct)
              for p in self.p_basis),
             "extension context: the first action formula escapes the colinear maps")
             for v in self.v_basis]
         right_eval = sigma.carrier.right_eval()
-        self.pu_mats = []
-        self.uq_mats = []
+        pu_mats = []
+        uq_mats = []
         for u in self.u_basis:
             pu_op = right_eval.mul(sigma.mc.induced(None, [(1, c.counit.mul(u))])) \
                 .mul(sigma.coaction)
-            self.pu_mats.append(self.p_space.coords_matrix(
+            pu_mats.append(self.p_space.coords_matrix(
                 (pu_op.mul(p) for p in self.p_basis),
                 "extension context: the second action formula escapes the colinear "
                 "maps"))
-            self.uq_mats.append(self.qt.space.coords_matrix(
+            uq_mats.append(self.qt.space.coords_matrix(
                 (q.mul(u) for q in self.qt.basis),
                 "extension context: the third action formula escapes the bimodule"))
         sd_t = self._sigma_dual_t_action()
@@ -514,11 +504,17 @@ class ExtContext:
                 col = sd_t[t].col(s)
                 for r in range(sd.dim):
                     ev_compose.data[r][s * self.t_alg.dim + t] = col[r]
-        self.qv_mats = [self.qt.space.coords_matrix(
+        qv_mats = [self.qt.space.coords_matrix(
             (ev_compose.mul(ext.cld.induced(None, [(0, q), (1, v)])).mul(ext.tau)
              for q in self.qt.basis),
             "extension context: the fourth action formula escapes the bimodule")
             for v in self.v_basis]
+        self.p_mod = FBimodule(self.v_alg, self.u_alg, len(self.p_basis), vp_mats,
+                               pu_mats, name="Hom(D,Sigma)")
+        self.p_mod.validate()
+        self.q_mod = FBimodule(self.u_alg, self.v_alg, self.qt.dim, uq_mats, qv_mats,
+                               name="Qtilde")
+        self.q_mod.validate()
 
     @cached_property
     def _black_parts(self):
@@ -556,12 +552,6 @@ class ExtContext:
     def _build_context(self):
         f = self.field
         npdim, nqdim = len(self.p_basis), self.qt.dim
-        self.p_mod = FBimodule(self.v_alg, self.u_alg, npdim, self.vp_mats,
-                               self.pu_mats, name="Hom(D,Sigma)")
-        self.p_mod.validate()
-        self.q_mod = FBimodule(self.u_alg, self.v_alg, nqdim, self.uq_mats,
-                               self.qv_mats, name="Qtilde")
-        self.q_mod.validate()
         tens21 = BalancedTensor([self.q_mod, self.p_mod], [self.v_alg])
         tens12 = BalancedTensor([self.p_mod, self.q_mod], [self.u_alg])
         black = self.u_space.coords_matrix(
@@ -606,10 +596,6 @@ class ExtContext:
         n = self.conn_rows
         return Matrix.from_cols(self.field, n,
                                 [vec[b * n:(b + 1) * n] for b in range(self.qt.dim)])
-
-
-def context_ext(ext, sigma, comodule_ctx=None):
-    return ExtContext(ext, sigma, comodule_ctx=comodule_ctx)
 
 
 # ---------------------------------------------------------------------------
@@ -691,14 +677,23 @@ def convolution_inverse(d, alg, lam):
 # collapse onto the comodule context over the trivial outer coring
 
 
+# what differs, for each part morphism_failure names other than an action
+_COINCIDENCE_FAILURES = {
+    "first algebra": "endomorphism-valued multiplication differs",
+    "second algebra": "dual-ring-valued multiplication differs",
+    "first connecting map": "first connecting maps differ",
+    "second connecting map": "second connecting maps differ"}
+
+
 def remark_k_coincidence(ext_ctx, cm):
-    """Entrywise comparison of the extension context with the comodule context
-    when the outer coring is the ground field.
+    """Comparison of the extension context with the comodule context when
+    the outer coring is the ground field.
 
     The canonical identifications send a bilinear map to its value at 1, a
     bicolinear endomorphism to its counit shadow, and the intertwining
-    bimodule to the comodule-context bimodule by switching arguments.  All
-    multiplication tensors, action matrices and connecting maps must agree
+    bimodule to the comodule-context bimodule by switching arguments.  They
+    must be bijective and form a morphism of contexts (morphism_failure):
+    all multiplication tensors, action matrices and connecting maps agree
     exactly after transport.
     """
     ext = ext_ctx.ext
@@ -706,8 +701,6 @@ def remark_k_coincidence(ext_ctx, cm):
         raise UsageError("coincidence check requires the trivial outer coring")
     f = ext.field
     sigma = ext_ctx.sigma
-    mctx = cm.context
-    ectx = ext_ctx.context
     t_alg = cm.end.algebra
     dual = cm.dual
     phi_v = Matrix.from_cols(f, t_alg.dim, [v.col(0) for v in ext_ctx.v_basis])
@@ -715,7 +708,7 @@ def remark_k_coincidence(ext_ctx, cm):
     phi_u = dual.space.coords_matrix(
         (ext.inner.counit.mul(u) for u in ext_ctx.u_basis),
         "coincidence: a bicolinear endomorphism has no dual ring shadow")
-    phi_q = ext_ctx.qt.embedding
+    phi_q = ext_ctx.embedding
     for phi, n1, n2, label in ((phi_v, t_alg.dim, len(ext_ctx.v_basis), "algebra 1"),
                                (phi_u, dual.dim, len(ext_ctx.u_basis), "algebra 2"),
                                (phi_p, sigma.dim, len(ext_ctx.p_basis), "comodule"),
@@ -723,32 +716,11 @@ def remark_k_coincidence(ext_ctx, cm):
         if n1 != n2 or rank(phi) != n1:
             raise AxiomError("coincidence: the %s identification is not bijective"
                              % label)
-    # multiplication tensors
-    if non_multiplicative_at(ectx.alg1, t_alg, phi_v) is not None:
-        raise AxiomError("coincidence: endomorphism-valued multiplication differs")
-    if non_multiplicative_at(ectx.alg2, dual.algebra, phi_u) is not None:
-        raise AxiomError("coincidence: dual-ring-valued multiplication differs")
-    # action matrices
-    sig12 = mctx.bim12
-    q21 = mctx.bim21
-    for i in range(ectx.alg1.dim):
-        if sig12.left_act_vec(phi_v.col(i)).mul(phi_p) != phi_p.mul(ext_ctx.vp_mats[i]):
-            raise AxiomError("coincidence: first action formula differs")
-        if q21.right_act_vec(phi_v.col(i)).mul(phi_q) != phi_q.mul(ext_ctx.qv_mats[i]):
-            raise AxiomError("coincidence: fourth action formula differs")
-    for i in range(ectx.alg2.dim):
-        if sig12.right_act_vec(phi_u.col(i)).mul(phi_p) != phi_p.mul(ext_ctx.pu_mats[i]):
-            raise AxiomError("coincidence: second action formula differs")
-        if q21.left_act_vec(phi_u.col(i)).mul(phi_q) != phi_q.mul(ext_ctx.uq_mats[i]):
-            raise AxiomError("coincidence: third action formula differs")
-    # connecting maps on the ambient pair bases
-    conn1_m = mctx.conn1.mul(mctx.tens21.proj())
-    conn1_e = ectx.conn1.mul(ectx.tens21.proj())
-    if phi_u.mul(conn1_e) != conn1_m.mul(phi_q.kron(phi_p)):
-        raise AxiomError("coincidence: first connecting maps differ")
-    conn2_m = mctx.conn2.mul(mctx.tens12.proj())
-    conn2_e = ectx.conn2.mul(ectx.tens12.proj())
-    if phi_v.mul(conn2_e) != conn2_m.mul(phi_p.kron(phi_q)):
-        raise AxiomError("coincidence: second connecting maps differ")
+    part = morphism_failure(ext_ctx.context, cm.context, phi_v, phi_u, phi_p, phi_q)
+    if part is not None:
+        raise AxiomError("coincidence: %s" % _COINCIDENCE_FAILURES.get(
+            part, part + " formula differs"))
+    ectx = ext_ctx.context
     return {"coincides": True, "corner_dims": (ectx.alg1.dim, ectx.alg2.dim,
                                                ectx.bim12.dim, ectx.bim21.dim)}
+

@@ -35,7 +35,7 @@ from .exactla import (AxiomError, Matrix, UsageError, flatten_matrix, rank,
                       side_by_side, solve_linear, solve_many, unflatten,
                       unit_vec, vec_scale, zero_vec)
 from .extension import tensor_comodule
-from .morita import connecting_surjective, strictness
+from .morita import strictness
 
 SEARCH_SWEEP_CAP = 6      # exhaustive {-1,0,1} sweep up to this many basis maps
 SEARCH_TRIALS = 64        # seeded pseudorandom trials after the sweep
@@ -121,10 +121,6 @@ def regular_right_module(alg, copies=1, name=None):
                      name=name or ("%s^%d" % (alg.name, copies)))
 
 
-def can_map(sigma, n_mod, end=None):
-    return CanonicalMap(sigma, n_mod, end=end)
-
-
 def default_sample_modules(sigma):
     """Right modules used by on-samples verdicts: free rank 1 and 2, the
     coring carrier, and the comodule itself."""
@@ -149,7 +145,7 @@ def galois_check(sigma, end=None, samples=None):
     end = end or EndAlgebra(sigma)
     a = sigma.coring.base
     witness = fgp_check(sigma.carrier, "right", a)
-    can_a = can_map(sigma, regular_right_module(a, 1), end=end)
+    can_a = CanonicalMap(sigma, regular_right_module(a, 1), end=end)
     if witness is not None:
         if can_a.bijective:
             return {"verdict": "certified-Galois", "grade": "certified",
@@ -159,8 +155,7 @@ def galois_check(sigma, end=None, samples=None):
                 "failing": "base module"}
     sample_list = samples if samples is not None else default_sample_modules(sigma)
     for n_mod in sample_list:
-        cm = can_map(sigma, n_mod, end=end)
-        if not cm.bijective:
+        if not CanonicalMap(sigma, n_mod, end=end).bijective:
             return {"verdict": "not-Galois", "grade": "on-samples", "fgp": False,
                     "can_A": can_a, "failing": n_mod.name}
     return {"verdict": "Galois-on-samples", "grade": "on-samples", "fgp": False,
@@ -203,28 +198,19 @@ def summand_check(m, n, flavor="comodule"):
     """Decide whether m is a direct summand of a finite direct sum of copies
     of n, by linear membership of the identity in the span of composites.
 
-    flavor selects the hom spaces: plain comodule maps, left-linear
-    bicomodule maps, or left module maps over the shared left algebra.
+    flavor selects the hom spaces: plain comodule maps, or left module maps
+    over the shared left algebra.
     """
     if flavor == "comodule":
         homs_mn = colinear_homs(m, n).basis
         homs_nm = colinear_homs(n, m).basis
-        dim_m = m.dim
-        field = m.field
-    elif flavor == "bicomodule":
-        homs_mn = colinear_homs(m, n, left_linear=True).basis
-        homs_nm = colinear_homs(n, m, left_linear=True).basis
-        dim_m = m.dim
-        field = m.field
     elif flavor == "left-module":
         homs_mn = hom_space(m, n, left_linear=True).basis
         homs_nm = hom_space(n, m, left_linear=True).basis
-        dim_m = m.dim
-        field = m.field
     else:
         raise UsageError("unknown summand flavor %r" % flavor)
     wit = _witnesses_from_products(homs_mn, homs_nm,
-                                   Matrix.identity(field, dim_m))
+                                   Matrix.identity(m.field, m.dim))
     if wit is None:
         return {"summand": False, "witnesses": None, "s": None}
     return {"summand": True, "witnesses": wit, "s": len(wit)}
@@ -460,7 +446,7 @@ def _cleft_for_j(ext_ctx, j, jtilde):
 def _cleft_without_data(ext_ctx, search):
     f = ext_ctx.field
     # no data: a failed identity-membership certifies the negative
-    surj, _ = connecting_surjective(ext_ctx.context, 1)
+    surj, _ = ext_ctx.context.connecting(1)
     if not surj:
         return CleftData(None, None, "not-cleft")
     # a single invertible pair forces the comodule to split off one copy of
@@ -531,7 +517,7 @@ def can_inverse_from_witnesses(ext_ctx, can):
 
 def _first_witnesses(ext_ctx):
     """Witness pairs (jtilde_l, j_l) with sum of first-connecting values = id."""
-    ok, wit = connecting_surjective(ext_ctx.context, 1)
+    ok, wit = ext_ctx.context.connecting(1)
     if not ok:
         return None
     out = []
@@ -734,7 +720,7 @@ def tensor_fullyfaithful_check(cm, samples_t):
 
 
 def _tensor_fullyfaithful(cm, samples_t):
-    ok, wit = connecting_surjective(cm.context, 2)
+    ok, wit = cm.context.connecting(2)
     if not ok:
         return {"applicable": False,
                 "reason": "second connecting map not surjective"}
@@ -744,7 +730,7 @@ def _tensor_fullyfaithful(cm, samples_t):
     sigma_t = sigma_over_end(sigma, cm.end)
     rho = sigma.mc.sect().mul(sigma.coaction)
     # for each witness (x, q): x and the map y -> conn2(y (x) q), Sigma -> T
-    conn2_amb = cm.context.conn2.mul(cm.context.tens12.proj())
+    conn2_amb = cm.context.conn_amb[1]
     qdim = cm.q.dim
     splits = [(xvec, Matrix(f, conn2_amb.rows, sdim,
                             [unflatten(f, sdim, qdim, row).mul_vec(qvec)
@@ -814,7 +800,7 @@ def verify_surjectivity_thm(ext_ctx, cm):
     ext = ext_ctx.ext
     sigma = ext_ctx.sigma
     f = ext_ctx.field
-    lhs1, _ = connecting_surjective(ext_ctx.context, 1)
+    lhs1, _ = ext_ctx.context.connecting(1)
     gal = galois_check(sigma, end=ext_ctx.end)
     galois = gal["verdict"] in ("certified-Galois", "Galois-on-samples")
     td_com, td_tens = ext_ctx.td
@@ -900,13 +886,13 @@ def verify_diamond_to_triangle(ext_ctx, cm):
     comodule context's second map to be surjective, the comodule to be f.g.
     projective over the base, and the endomorphism algebra to be a summand
     of a power of the comodule as a left module."""
-    ok2, _ = connecting_surjective(ext_ctx.context, 2)
+    ok2, _ = ext_ctx.context.connecting(2)
     decomp = unit_decomposition_of_one(ext_ctx) if ok2 else None
     if not ok2 or decomp is None:
         return {"applicable": False,
                 "reason": "second connecting map not surjective" if not ok2
                 else "no unit decomposition of 1_T"}
-    okm, _ = connecting_surjective(cm.context, 2)
+    okm, _ = cm.context.connecting(2)
     if not okm:
         raise AxiomError("second connecting map of the comodule context is not "
                          "surjective (implementation error)")
@@ -965,11 +951,11 @@ def verify_fgp_corollary(ext_ctx, cm):
     """With a surjective first connecting map, surjectivity of the comodule
     context's first map is equivalent to the coring being f.g. projective
     over its base on the left."""
-    ok, _ = connecting_surjective(ext_ctx.context, 1)
+    ok, _ = ext_ctx.context.connecting(1)
     if not ok:
         return {"applicable": False,
                 "reason": "first connecting map not surjective"}
-    okm, _ = connecting_surjective(cm.context, 1)
+    okm, _ = cm.context.connecting(1)
     c = ext_ctx.ext.inner
     witness = fgp_check(c.carrier, "left", c.base)
     if okm != (witness is not None):
@@ -987,7 +973,7 @@ def check_dual_basis_from_witnesses(cm):
     f = sigma.field
     c = sigma.coring
     out = {}
-    ok1, wit1 = connecting_surjective(ctx, 1)
+    ok1, wit1 = ctx.connecting(1)
     if ok1:
         # sum q_i(x_i^[0]) (x) x_i^[1] is a dual basis for the coring
         dual = cm.dual
@@ -1013,7 +999,7 @@ def check_dual_basis_from_witnesses(cm):
             raise AxiomError("coring not f.g. projective although the first "
                              "connecting map is surjective")
         out["coring_dual_basis"] = True
-    ok2, wit2 = connecting_surjective(ctx, 2)
+    ok2, wit2 = ctx.connecting(2)
     if ok2:
         # sum x_i^[0] (x) q_i(-)(x_i^[1]) is a dual basis for the comodule
         for y in range(sigma.dim):

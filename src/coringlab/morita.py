@@ -7,12 +7,19 @@ realized as matrices on balanced-tensor quotients and all bilinearity and
 mixed-associativity identities are verified exactly.  Every corner space is
 one hom_space solve; for the connecting bimodule Q its defining relation is
 written as operator terms, one identity per basis element of the coring.
+
+Each context is built one way.  The comodule context (context_M) holds the
+comodule, its endomorphism algebra, the dual ring, Sigma* and Q; the module
+context and the extension context are built from it.  A MoritaContext
+decides each of its connecting maps once (connecting), and every morphism
+of contexts is checked by morphism_failure.
 """
 
 from __future__ import annotations
 
 from .algmod import (BalancedTensor, FBimodule, endo_algebra, fgp_check,
-                     hom_space, non_multiplicative_at, sandwich_terms)
+                     hom_space, non_multiplicative_at, sandwich_terms,
+                     trivial_algebra)
 from .coring import DualRing, EndAlgebra, dual_action
 from .exactla import (AxiomError, Matrix, UsageError, rank, side_by_side,
                       solve_linear, unit_vec, vec_scale, zero_vec)
@@ -23,6 +30,9 @@ class MoritaContext:
 
     conn1 : [bim21 (x)_{alg1} bim12] -> alg2
     conn2 : [bim12 (x)_{alg2} bim21] -> alg1
+
+    conn_amb holds conn1·proj and conn2·proj, both maps on the ambient pair
+    bases, built once.
     """
 
     def __init__(self, alg1, alg2, bim12, bim21, conn1, conn2, tens21, tens12,
@@ -37,94 +47,90 @@ class MoritaContext:
         self.tens12 = tens12
         self.name = name
         self.field = alg1.field
+        self.conn_amb = (conn1.mul(tens21.proj()), conn2.mul(tens12.proj()))
+        self._connecting = {}
 
     def validate(self):
         self.bim12.validate()
         self.bim21.validate()
-        # conn1 is alg2-alg2 bilinear on [bim21 (x) bim12]
-        for i in range(self.alg2.dim):
-            if self.conn1.mul(self.tens21.left_act[i]) != self.alg2.lmul(i).mul(self.conn1):
-                raise AxiomError("%s: first connecting map not left %s-linear"
-                                 % (self.name, self.alg2.name))
-            if self.conn1.mul(self.tens21.right_act[i]) != self.alg2.rmul(i).mul(self.conn1):
-                raise AxiomError("%s: first connecting map not right %s-linear"
-                                 % (self.name, self.alg2.name))
-        for i in range(self.alg1.dim):
-            if self.conn2.mul(self.tens12.left_act[i]) != self.alg1.lmul(i).mul(self.conn2):
-                raise AxiomError("%s: second connecting map not left %s-linear"
-                                 % (self.name, self.alg1.name))
-            if self.conn2.mul(self.tens12.right_act[i]) != self.alg1.rmul(i).mul(self.conn2):
-                raise AxiomError("%s: second connecting map not right %s-linear"
-                                 % (self.name, self.alg1.name))
+        # conn1 is alg2-alg2 bilinear on [bim21 (x) bim12], conn2 alg1-alg1
+        for which, conn, tens, alg in (("first", self.conn1, self.tens21, self.alg2),
+                                       ("second", self.conn2, self.tens12, self.alg1)):
+            for i in range(alg.dim):
+                for side, act, mult in (("left", tens.left_act, alg.lmul),
+                                        ("right", tens.right_act, alg.rmul)):
+                    if conn.mul(act[i]) != mult(i).mul(conn):
+                        raise AxiomError("%s: %s connecting map not %s %s-linear"
+                                         % (self.name, which, side, alg.name))
         self._mixed_associativity()
         return True
 
     def _mixed_associativity(self):
-        f = self.field
-        d12, d21 = self.bim12.dim, self.bim21.dim
-        # conn2(p (x) q)·p' = p·conn1(q (x) p') for basis p, q, p'
-        for p in range(d12):
-            ep = unit_vec(f, d12, p)
-            for q in range(d21):
-                eq = unit_vec(f, d21, q)
-                t = self.conn2.mul_vec(self.tens12.pure_tensor([ep, eq]))
-                for pp in range(d12):
-                    epp = unit_vec(f, d12, pp)
-                    lhs = self.bim12.left_act_vec(t).mul_vec(epp)
-                    s = self.conn1.mul_vec(self.tens21.pure_tensor([eq, epp]))
-                    rhs = self.bim12.right_act_vec(s).mul_vec(ep)
-                    if lhs != rhs:
-                        raise AxiomError("%s: mixed associativity fails (module side)"
-                                         % self.name)
+        conn1_amb, conn2_amb = self.conn_amb
+        # conn2(p (x) q)·p' = p·conn1(q (x) p')
+        if not _associative(self.bim12, self.bim21.dim, conn2_amb, conn1_amb):
+            raise AxiomError("%s: mixed associativity fails (module side)" % self.name)
         # conn1(q (x) p)·q' = q·conn2(p (x) q')
-        for q in range(d21):
-            eq = unit_vec(f, d21, q)
-            for p in range(d12):
-                ep = unit_vec(f, d12, p)
-                s = self.conn1.mul_vec(self.tens21.pure_tensor([eq, ep]))
-                for qq in range(d21):
-                    eqq = unit_vec(f, d21, qq)
-                    lhs = self.bim21.left_act_vec(s).mul_vec(eqq)
-                    t = self.conn2.mul_vec(self.tens12.pure_tensor([ep, eqq]))
-                    rhs = self.bim21.right_act_vec(t).mul_vec(eq)
-                    if lhs != rhs:
-                        raise AxiomError("%s: mixed associativity fails (dual side)"
-                                         % self.name)
+        if not _associative(self.bim21, self.bim12.dim, conn1_amb, conn2_amb):
+            raise AxiomError("%s: mixed associativity fails (dual side)" % self.name)
+
+    def connecting(self, which):
+        """(surjective, witnesses) for the first or second connecting map,
+        decided on the first call and kept.
+
+        validate has checked that the map is bilinear, so its image is a
+        two-sided ideal of the target algebra, which is everything exactly
+        when it holds the unit: one solve of conn·z = 1 decides.  The
+        witnesses are element pairs whose images under the map sum to the
+        unit, or None when the map is not surjective.
+        """
+        if which == 1:
+            conn, tens, target = self.conn1, self.tens21, self.alg2
+        elif which == 2:
+            conn, tens, target = self.conn2, self.tens12, self.alg1
+        else:
+            raise UsageError("which must be 1 or 2")
+        if which not in self._connecting:
+            z = solve_linear(conn, list(target.unit))
+            witnesses = None
+            if z is not None:
+                # the lifted pairs (i, j) are distinct: group them by i
+                f = self.field
+                grouped = {}
+                for ((i, j), coeff) in tens.lift_pairs(z):
+                    grouped.setdefault(i, zero_vec(f, tens.dims[1]))[j] = coeff
+                witnesses = [(unit_vec(f, tens.dims[0], i), vec)
+                             for i, vec in grouped.items()]
+            self._connecting[which] = (z is not None, witnesses)
+        return self._connecting[which]
 
 
-def connecting_surjective(ctx, which):
-    """Decide surjectivity of a connecting map by rank; extract unit witnesses.
+def _associative(x, ydim, left_amb, right_amb):
+    """Whether left(u (x) v)·u' = u·right(v (x) u') for all basis elements
+    u, u' of the bimodule x and v of the other one (dimension ydim), where
+    left (on x (x) y, columns u·ydim + v) lands in the algebra acting on x
+    from the left and right (on y (x) x) in the one acting from the right.
 
-    Returns (verdict, witnesses) where witnesses is a list of element pairs
-    whose images under the connecting map sum to the unit of the target
-    algebra, or None when not surjective.
-    """
-    if which == 1:
-        conn, tens, target = ctx.conn1, ctx.tens21, ctx.alg2
-    elif which == 2:
-        conn, tens, target = ctx.conn2, ctx.tens12, ctx.alg1
-    else:
-        raise UsageError("which must be 1 or 2")
-    if rank(conn) != target.dim:
-        return False, None
-    z = solve_linear(conn, list(target.unit))
-    if z is None:
-        return False, None
-    f = ctx.field
-    merged = {}
-    for (multi, coeff) in tens.lift_pairs(z):
-        i, j = multi
-        if i not in merged:
-            merged[i] = zero_vec(f, tens.dims[1])
-        merged[i][j] = f.add(merged[i][j], coeff)
-    witnesses = [(unit_vec(f, tens.dims[0], i), vec) for i, vec in merged.items()]
-    return True, witnesses
+    Both sides are compared as maps of u', one operator per pair (u, v):
+    the left action of left(u (x) v), and the column u of the right action
+    applied to the block of right at v."""
+    f = x.field
+    dx = x.dim
+    blocks = [Matrix(f, right_amb.rows, dx, [row[v * dx:(v + 1) * dx]
+                                             for row in right_amb.data])
+              for v in range(ydim)]
+    for u in range(dx):
+        act_u = Matrix.from_cols(f, dx, [act.col(u) for act in x.right_act])
+        for v in range(ydim):
+            if x.left_act_vec(left_amb.col(u * ydim + v)) != act_u.mul(blocks[v]):
+                return False
+    return True
 
 
 def strictness(ctx):
     """Both connecting maps surjective; bijectivity is verified directly."""
-    s1, w1 = connecting_surjective(ctx, 1)
-    s2, w2 = connecting_surjective(ctx, 2)
+    s1, w1 = ctx.connecting(1)
+    s2, w2 = ctx.connecting(2)
     if not (s1 and s2):
         return {"strict": False, "surjective1": s1, "surjective2": s2}
     bij1 = rank(ctx.conn1) == ctx.alg2.dim == ctx.tens21.dim
@@ -134,6 +140,44 @@ def strictness(ctx):
                          "cross-check" % ctx.name)
     return {"strict": True, "surjective1": True, "surjective2": True,
             "witness1": w1, "witness2": w2}
+
+
+def morphism_failure(src, dst, phi1, phi2, phi12, phi21):
+    """The first part at which the corner maps phi1: src.alg1 -> dst.alg1,
+    phi2: src.alg2 -> dst.alg2, phi12: src.bim12 -> dst.bim12 and
+    phi21: src.bim21 -> dst.bim21 fail to form a morphism of Morita
+    contexts, or None.
+
+    The parts, in the order checked: "first algebra" and "second algebra"
+    (multiplicativity); the four actions, basis element by basis element,
+    alg1 on bim12 ("first action") and on bim21 ("fourth action"), then alg2
+    on bim12 ("second action") and on bim21 ("third action"); "first
+    connecting map" and "second connecting map", on the ambient pair bases.
+    """
+    if non_multiplicative_at(src.alg1, dst.alg1, phi1) is not None:
+        return "first algebra"
+    if non_multiplicative_at(src.alg2, dst.alg2, phi2) is not None:
+        return "second algebra"
+    for phi, alg, parts in (
+            (phi1, src.alg1, (("first", src.bim12, dst.bim12, phi12, True),
+                              ("fourth", src.bim21, dst.bim21, phi21, False))),
+            (phi2, src.alg2, (("second", src.bim12, dst.bim12, phi12, False),
+                              ("third", src.bim21, dst.bim21, phi21, True)))):
+        for i in range(alg.dim):
+            for label, s, d, phi_m, left in parts:
+                if left:
+                    moved, acted = d.left_act_vec(phi.col(i)), s.left_act[i]
+                else:
+                    moved, acted = d.right_act_vec(phi.col(i)), s.right_act[i]
+                if moved.mul(phi_m) != phi_m.mul(acted):
+                    return label + " action"
+    conn1_src, conn2_src = src.conn_amb
+    conn1_dst, conn2_dst = dst.conn_amb
+    if phi2.mul(conn1_src) != conn1_dst.mul(phi21.kron(phi12)):
+        return "first connecting map"
+    if phi1.mul(conn2_src) != conn2_dst.mul(phi12.kron(phi21)):
+        return "second connecting map"
+    return None
 
 
 # ---------------------------------------------------------------------------
@@ -186,11 +230,11 @@ class QModule:
     switched-argument isomorph (maps C -> Sigma*) is produced alongside.
     """
 
-    def __init__(self, sigma, dual=None, end=None):
+    def __init__(self, sigma, dual, end):
         self.sigma = sigma
         c = sigma.coring
-        self.dual = dual or DualRing(c, side="left")
-        self.end = end or EndAlgebra(sigma)
+        self.dual = dual
+        self.end = end
         field = sigma.field
         self.field = field
         # the defining relation q(x^[0])(c_k)·x^[1] = c_k^(1)·q(x)(c_k^(2)) is
@@ -255,15 +299,8 @@ class QModule:
     def dim(self):
         return self.space.dim
 
-    def coords(self, mat):
-        return self.space.coords(mat)
-
     def element(self, coords):
         return self.space.element(coords)
-
-
-def compute_Q(sigma, dual=None, end=None):
-    return QModule(sigma, dual=dual, end=end)
 
 
 def _hom_bimodule(space, dual, t_alg, t_basis, name, left_message, right_message):
@@ -317,15 +354,19 @@ def _eval_context(t_alg, t_space, dual, dualact_mats, q_space, bim21, sigma, nam
 
 
 class ComoduleContext:
-    """The context built from colinear endomorphisms and the Q bimodule."""
+    """The context built from colinear endomorphisms and the Q bimodule.
 
-    def __init__(self, sigma, dual=None):
+    Holds the comodule, its endomorphism algebra, the left dual ring, the
+    right action of the dual ring on the comodule and Q (with Sigma*); the
+    module context and the extension context are built from it."""
+
+    def __init__(self, sigma):
         self.sigma = sigma
-        self.dual = dual or DualRing(sigma.coring, side="left")
+        self.dual = DualRing(sigma.coring)
         self.end = EndAlgebra(sigma)
         _, dmod = dual_action(sigma, self.dual)
         self.dualact_mats = dmod.right_act
-        self.q = QModule(sigma, dual=self.dual, end=self.end)
+        self.q = QModule(sigma, self.dual, self.end)
         self.context = _eval_context(self.end.algebra, self.end.space, self.dual,
                                      self.dualact_mats, self.q.space, self.q.module,
                                      sigma, name="comodule context(%s)" % sigma.name)
@@ -335,80 +376,58 @@ class ComoduleContext:
 
 
 class ModuleContext:
-    """The module-theoretic context over the dual ring, given the dual ring
-    and the matrices of its right action on Sigma."""
+    """The module-theoretic context over the dual ring of a comodule
+    context: the endomorphisms and the maps into the dual ring that are
+    linear over it."""
 
-    def __init__(self, sigma, dual, dualact_mats):
-        self.sigma = sigma
-        self.dual = dual
-        self.dualact_mats = dualact_mats
+    def __init__(self, cm):
+        sigma, dual = cm.sigma, cm.dual
         field = sigma.field
-        plain = FBimodule(_trivial_left(sigma), dual.algebra, sigma.dim,
-                          [Matrix.identity(field, sigma.dim)], dualact_mats,
-                          name=sigma.name)
+        k = trivial_algebra(field)
+        plain = FBimodule(k, dual.algebra, sigma.dim, [Matrix.identity(field, sigma.dim)],
+                          cm.dualact_mats, name=sigma.name)
         self.end_space = hom_space(plain, plain, right_linear=True)
-        self.end_maps = self.end_space.basis
-        self.end_alg = endo_algebra(self.end_space, name="End_*%s(%s)"
-                                    % (sigma.coring.name, sigma.name))
-        dual_reg = FBimodule(_trivial_left(sigma), dual.algebra, dual.dim,
-                             [Matrix.identity(field, dual.dim)],
+        end_alg = endo_algebra(self.end_space, name="End_*%s(%s)"
+                               % (sigma.coring.name, sigma.name))
+        dual_reg = FBimodule(k, dual.algebra, dual.dim, [Matrix.identity(field, dual.dim)],
                              [dual.algebra.rmul(i) for i in range(dual.dim)],
                              name=dual.algebra.name)
         self.homs = hom_space(plain, dual_reg, right_linear=True)
-        self.hom_maps = self.homs.basis
         name = "module context(%s)" % sigma.name
-        bim21 = _hom_bimodule(self.homs, dual, self.end_alg, self.end_maps, "Q",
+        bim21 = _hom_bimodule(self.homs, dual, end_alg, self.end_space.basis, "Q",
                               "%s: dual action leaves the hom basis" % name,
                               "%s: endomorphism action leaves the hom basis" % name)
-        self.context = _eval_context(self.end_alg, self.end_space, dual,
-                                     dualact_mats, self.homs, bim21, sigma, name)
+        self.context = _eval_context(end_alg, self.end_space, dual, cm.dualact_mats,
+                                     self.homs, bim21, sigma, name)
 
 
-def _trivial_left(sigma):
-    from .algmod import trivial_algebra
-    return trivial_algebra(sigma.field)
+def context_M(sigma):
+    return ComoduleContext(sigma)
 
 
-def context_M(sigma, dual=None):
-    return ComoduleContext(sigma, dual=dual)
+def morphism_M_to_N(cm, cn):
+    """The inclusion morphism from the comodule context cm to the module
+    context cn built from it, with its verdict.
 
-
-def context_N(sigma, dual=None):
-    dual, dmod = dual_action(sigma, dual)
-    return ModuleContext(sigma, dual, dmod.right_act)
-
-
-def morphism_M_to_N(sigma, cm=None, cn=None):
-    """The inclusion morphism between the two contexts, with its verdict.
-
-    Returns a dict with the four corner maps, commutation confirmation, the
-    projectivity witness for the coring, and verdict 'isomorphism' exactly
-    when the coring is f.g. projective as a left module over its base (all
-    four corner maps are then verified bijective).
+    Returns a dict with the two corner inclusions, commutation confirmation,
+    the projectivity witness for the coring, and verdict 'isomorphism'
+    exactly when the coring is f.g. projective as a left module over its
+    base (both inclusions are then verified bijective).
     """
-    cm = cm or context_M(sigma)
-    cn = cn or ModuleContext(sigma, cm.dual, cm.dualact_mats)
+    sigma = cm.sigma
     field = sigma.field
-    # corner inclusions
+    # corner inclusions; the dual ring and the comodule are shared
     iota_t = cn.end_space.coords_matrix(cm.end.basis_maps, "a colinear endomorphism "
                                         "is not linear over the dual ring")
     iota_q = cn.homs.coords_matrix(cm.q.basis, "a Q element is not linear over the "
                                    "dual ring")
-    # the inclusions respect multiplication and the connecting maps
-    mctx, nctx = cm.context, cn.context
-    if non_multiplicative_at(mctx.alg1, nctx.alg1, iota_t) is not None:
-        raise AxiomError("corner map is not an algebra map")
-    sdim = sigma.dim
-    conn1_m_amb = mctx.conn1.mul(mctx.tens21.proj())
-    conn1_n_amb = nctx.conn1.mul(nctx.tens21.proj())
-    iq_kron = iota_q.kron(Matrix.identity(field, sdim))
-    if conn1_n_amb.mul(iq_kron) != conn1_m_amb:
-        raise AxiomError("first connecting maps do not commute with the inclusions")
-    conn2_m_amb = mctx.conn2.mul(mctx.tens12.proj())
-    conn2_n_amb = nctx.conn2.mul(nctx.tens12.proj())
-    si_kron = Matrix.identity(field, sdim).kron(iota_q)
-    if conn2_n_amb.mul(si_kron) != iota_t.mul(conn2_m_amb):
-        raise AxiomError("second connecting maps do not commute with the inclusions")
+    part = morphism_failure(cm.context, cn.context, iota_t,
+                            Matrix.identity(field, cm.dual.dim),
+                            Matrix.identity(field, sigma.dim), iota_q)
+    if part is not None:
+        if part.endswith("algebra"):
+            raise AxiomError("corner map is not an algebra map")
+        raise AxiomError("%ss do not commute with the inclusions" % part)
     witness = fgp_check(sigma.coring.carrier, "left", sigma.coring.base)
     verdict = "morphism"
     if witness is not None:

@@ -60,7 +60,7 @@ class ContextBundle:
         purity_check(self.ext, comods)
         self.samples = comods
         self.cm = context_M(self.sigma)
-        self.ec = ExtContext(self.ext, self.sigma, comodule_ctx=self.cm)
+        self.ec = ExtContext(self.ext, self.cm)
 
 
 @pytest.fixture(scope="session")

@@ -16,7 +16,7 @@ from perturb import run_perturbations, validate_everything
 from coringlab.cli import main as cli_main
 from coringlab.exactla import FieldFp, Matrix, QQ, rank
 from coringlab.extension import ExtContext, purity_check, remark_k_coincidence
-from coringlab.galois import (can_inverse_from_witnesses, can_map,
+from coringlab.galois import (CanonicalMap, can_inverse_from_witnesses,
                               check_dual_basis_from_witnesses,
                               check_equivariant_projectivity,
                               check_generator_property, check_jids,
@@ -25,7 +25,7 @@ from coringlab.galois import (can_inverse_from_witnesses, can_map,
                               verify_cor_jJ, verify_strong_structure,
                               verify_surjectivity_thm, verify_weak_structure,
                               _first_witnesses)
-from coringlab.morita import context_M, morphism_M_to_N, strictness
+from coringlab.morita import ModuleContext, context_M, morphism_M_to_N, strictness
 from coringlab.workspace import load_workspace_file
 
 F = QQ
@@ -64,7 +64,7 @@ def test_criterion_2_trivial_outer_collapse(bundles):
 def test_criterion_3_context_morphism_bijective(bundles):
     for name in ("E2", "E4"):
         b = bundles[name]
-        out = morphism_M_to_N(b.sigma, b.cm)
+        out = morphism_M_to_N(b.cm, ModuleContext(b.cm))
         assert out["verdict"] == "isomorphism"
         assert out["iota_end"].rows == out["iota_end"].cols
         assert rank(out["iota_end"]) == out["iota_end"].rows
@@ -75,7 +75,7 @@ def test_criterion_3_context_morphism_bijective(bundles):
 def test_criterion_4_sweedler_galois_oracle(bundles):
     start = time.perf_counter()
     b = bundles["E3"]
-    can_a = can_map(b.sigma, regular_right_module(b.sigma.coring.base, 1),
+    can_a = CanonicalMap(b.sigma, regular_right_module(b.sigma.coring.base, 1),
                     end=b.cm.end)
     assert can_a.matrix.rows == can_a.matrix.cols == 4
     assert can_a.bijective
@@ -121,7 +121,7 @@ def test_criterion_6_surjectivity_biconditional(bundles, workspaces):
     ws = workspaces["E2"]
     z = ws.comodules["Sigma0"]
     cm0 = context_M(z)
-    ec0 = ExtContext(ws.extensions["ext"], z, comodule_ctx=cm0)
+    ec0 = ExtContext(ws.extensions["ext"], cm0)
     st0 = verify_surjectivity_thm(ec0, cm0)
     assert st0["part1"] is False and st0["part2"] is False
     report("6: surjectivity criterion, both sides agree everywhere", True)

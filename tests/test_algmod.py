@@ -18,8 +18,8 @@ from coringlab.cli import main
 from coringlab.exactla import (AxiomError, FieldFp, Matrix, QQ, UsageError,
                                flatten_matrix, kernel, rank, solve_many, unit_vec)
 from coringlab.extension import ExtContext, purity_check
-from coringlab.galois import can_map, regular_right_module
-from coringlab.morita import context_M, context_N
+from coringlab.galois import CanonicalMap, regular_right_module
+from coringlab.morita import ModuleContext, context_M
 from coringlab.workspace import load_workspace_file
 from coringlab.zoo import (FIXTURES, entwining_coring, group_algebra,
                            group_hopf_algebra, hopf_entwining,
@@ -613,10 +613,10 @@ def _solved_spaces(ws):
     for name in sorted(ws.comodules):
         sigma = ws.comodules[name]
         cm = context_M(sigma)
-        cn = context_N(sigma, dual=cm.dual)
+        cn = ModuleContext(cm)
         yield from (cm.dual.space, cm.end.space, cm.q.space, cm.q.sigma_dual.space,
                     cn.end_space, cn.homs)
-        yield can_map(sigma, regular_right_module(sigma.coring.base), end=cm.end).homs
+        yield CanonicalMap(sigma, regular_right_module(sigma.coring.base), end=cm.end).homs
         for ext in ws.extensions.values():
             if ext.inner is not sigma.coring or \
                     sigma.carrier.left_alg.dim != ext.outer.base.dim:
@@ -624,7 +624,7 @@ def _solved_spaces(ws):
             purity_check(ext, [sigma])
             if ext.purity_certificate == "not-pure":
                 continue
-            ec = ExtContext(ext, sigma, comodule_ctx=cm)
+            ec = ExtContext(ext, cm)
             yield from (ec.v_space, ec.u_space, ec.p_space, ec.qt.space)
 
 

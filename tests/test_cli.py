@@ -177,6 +177,15 @@ def test_cleft_summary_times_the_galois_and_normal_basis_lines(capsys):
     assert "time_ms" not in out
 
 
+def test_cleft_summary_times_the_convolution_inverse(capsys):
+    code, out, err = run_cli(capsys, "cleft", fixture_path("E2"), "--sigma", "Sigma",
+                             "--extension", "ext", "--j", "lambda_id", "--jtilde", "jtilde")
+    assert code == 0
+    assert re.search(r"^\[ *\d+\.\dms\] convolution inverse of the section: exists$",
+                     err, re.M)
+    assert "time_ms" not in out
+
+
 def test_extension_command_purity_paths(capsys):
     code, out, _ = run_cli(capsys, "extension", fixture_path("E2"),
                            "--extension", "ext")
@@ -366,6 +375,45 @@ def test_theorems_shares_one_adjunction_unit_check(capsys, monkeypatch):
     # so is each other sample's, however many checks need it
     outer = [e[1].name for e in events if e[0] == "outer"]
     assert "Sigma" in outer and len(outer) == len(set(outer)) > 1
+
+
+def test_theorems_unknown_j_exit2(capsys):
+    code, out, err = run_cli(capsys, *THEOREMS_E2, "--j", "nope")
+    assert code == 2 and out == ""
+    assert err.startswith("usage error: unknown map 'nope'") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("command", ["cleft", "theorems"])
+def test_jtilde_without_j_exit2(capsys, command):
+    code, out, err = run_cli(capsys, command, *THEOREMS_E2[1:], "--jtilde", "jtilde")
+    assert code == 2 and out == ""
+    assert err == "usage error: --jtilde needs --j\n"
+
+
+def test_map_names_are_resolved_before_the_contexts(capsys, monkeypatch):
+    built = []
+    monkeypatch.setattr(cli, "context_M", built.append)
+    for argv in (("cleft",) + THEOREMS_E2[1:] + ("--j", "nope"),
+                 THEOREMS_E2 + ("--j", "nope"),
+                 THEOREMS_E2 + ("--j", "lambda_id", "--jtilde", "nope"),
+                 ("cleft",) + THEOREMS_E2[1:] + ("--jtilde", "jtilde")):
+        code, _, err = run_cli(capsys, *argv)
+        assert code == 2 and err.startswith("usage error:"), argv
+    assert built == []
+
+
+def test_theorems_decides_each_connecting_map_once(capsys, monkeypatch):
+    solved = []
+
+    def counted(a, b, solve=morita.solve_linear):
+        solved.append(id(a))
+        return solve(a, b)
+
+    monkeypatch.setattr(morita, "solve_linear", counted)
+    code, _, _ = run_cli(capsys, *THEOREMS_E2, "--suite", "all")
+    assert code == 0
+    # two contexts, the comodule one and the extension one, two sides each
+    assert len(solved) == len(set(solved)) == 4
 
 
 @pytest.mark.parametrize("argv", [THEOREMS_E2, ("cleft",) + THEOREMS_E2[1:]],

@@ -3,9 +3,9 @@
 import pytest
 
 from coringlab.algmod import FBimodule, trivial_algebra
-from coringlab.coring import (Comodule, EndAlgebra, Grouplike, co_opposite,
-                              colinear_homs, comodule_direct_sum, dual_action,
-                              dual_ring, grouplike_comodule, trivial_coring,
+from coringlab.coring import (Comodule, DualRing, EndAlgebra, Grouplike,
+                              co_opposite, colinear_homs, comodule_direct_sum,
+                              dual_action, grouplike_comodule, trivial_coring,
                               zero_comodule)
 from coringlab.exactla import AxiomError, Matrix, QQ
 
@@ -21,31 +21,25 @@ def test_trivial_coring_axioms():
 def test_dual_ring_of_trivial_coring_is_base(e2):
     # fixture E1-style: base Q gives a one-dimensional dual
     c = trivial_coring(trivial_algebra(F))
-    d = dual_ring(c)
+    d = DualRing(c)
     assert d.dim == 1
     # over the group algebra of E2, the trivial coring's dual is the base
     a = e2.algebras["A"]
-    d2 = dual_ring(trivial_coring(a))
+    d2 = DualRing(trivial_coring(a))
     assert d2.dim == a.dim
 
 
 def test_dual_ring_e2_dimension(e2):
     # the coring is free of rank 2 over a 2-dimensional base
-    d = dual_ring(e2.corings["C"])
+    d = DualRing(e2.corings["C"])
     assert d.dim == 4
     d.algebra.validate()
 
 
 def test_dual_ring_e4_dimension(e4):
-    d = dual_ring(e4.corings["C"])
+    d = DualRing(e4.corings["C"])
     assert d.dim == 5
     d.algebra.validate()
-
-
-def test_right_dual_ring(e2):
-    d = dual_ring(e2.corings["C"], side="right")
-    d.algebra.validate()
-    assert d.dim == 4
 
 
 def test_dual_action_unital_associative(e2):

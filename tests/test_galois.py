@@ -9,7 +9,7 @@ from coringlab.coring import Comodule, zero_comodule
 from coringlab.exactla import (AxiomError, Matrix, QQ, rank, solve_many, unit_vec,
                                vec_scale)
 from coringlab.extension import ExtContext, purity_check
-from coringlab.galois import (can_map, check_dual_basis_from_witnesses,
+from coringlab.galois import (CanonicalMap, check_dual_basis_from_witnesses,
                               check_equivariant_projectivity,
                               check_generator_property, check_jids,
                               cleft_check, default_sample_modules,
@@ -20,7 +20,7 @@ from coringlab.galois import (can_map, check_dual_basis_from_witnesses,
                               verify_diamond_to_triangle, verify_fgp_corollary,
                               verify_strong_structure, verify_surjectivity_thm,
                               verify_weak_structure, _first_witnesses)
-from coringlab.morita import context_M, connecting_surjective, strictness
+from coringlab.morita import context_M, strictness
 from coringlab.workspace import load_workspace_file
 
 F = QQ
@@ -41,7 +41,7 @@ def _jtilde(bundle, name="jtilde"):
 
 def test_can_map_e1_identity_sized(bundles):
     b = bundles["E1"]
-    cm = can_map(b.sigma, regular_right_module(b.sigma.coring.base, 1),
+    cm = CanonicalMap(b.sigma, regular_right_module(b.sigma.coring.base, 1),
                  end=b.cm.end)
     assert cm.bijective
     assert cm.matrix.rows == cm.matrix.cols == 1
@@ -49,7 +49,7 @@ def test_can_map_e1_identity_sized(bundles):
 
 def test_can_map_e3_sweedler(bundles):
     b = bundles["E3"]
-    cm = can_map(b.sigma, regular_right_module(b.sigma.coring.base, 1),
+    cm = CanonicalMap(b.sigma, regular_right_module(b.sigma.coring.base, 1),
                  end=b.cm.end)
     assert cm.matrix.rows == cm.matrix.cols == 4
     assert cm.bijective
@@ -61,7 +61,7 @@ def test_can_map_e3_sweedler(bundles):
 def test_can_map_zero_comodule(bundles):
     c = bundles["E3"].sigma.coring
     z = zero_comodule(c)
-    cm = can_map(z, regular_right_module(c.base, 1))
+    cm = CanonicalMap(z, regular_right_module(c.base, 1))
     assert cm.matrix.is_zero()
     assert not cm.bijective
 
@@ -80,7 +80,7 @@ def test_galois_on_samples_uses_listed_modules(bundles):
     mods = default_sample_modules(b.sigma)
     assert [m.name for m in mods][:2] == ["A^1", "A^2"]
     for m in mods:
-        assert can_map(b.sigma, m, end=b.cm.end).bijective
+        assert CanonicalMap(b.sigma, m, end=b.cm.end).bijective
 
 
 # ---------------------------------------------------------------------------
@@ -172,7 +172,7 @@ def test_cleft_zero_comodule_certified_negative(bundles):
     ws = bundles["E2"].ws
     z = ws.comodules["Sigma0"]
     cm0 = context_M(z)
-    ec0 = ExtContext(ws.extensions["ext"], z, comodule_ctx=cm0)
+    ec0 = ExtContext(ws.extensions["ext"], cm0)
     cd = cleft_check(ec0)
     assert cd.grade == "not-cleft"
 
@@ -198,7 +198,7 @@ def test_weak_structure_not_applicable_for_zero(bundles):
     ws = bundles["E2"].ws
     z = ws.comodules["Sigma0"]
     cm0 = context_M(z)
-    ec0 = ExtContext(ws.extensions["ext"], z, comodule_ctx=cm0)
+    ec0 = ExtContext(ws.extensions["ext"], cm0)
     out = verify_weak_structure(ec0, [])
     assert not out["applicable"]
 
@@ -244,7 +244,7 @@ def test_surjectivity_theorem_zero_negative(bundles):
     ws = bundles["E2"].ws
     z = ws.comodules["Sigma0"]
     cm0 = context_M(z)
-    ec0 = ExtContext(ws.extensions["ext"], z, comodule_ctx=cm0)
+    ec0 = ExtContext(ws.extensions["ext"], cm0)
     st = verify_surjectivity_thm(ec0, cm0)
     assert not st["part1"] and not st["part2"]
 
@@ -264,7 +264,7 @@ def test_cor_jJ_zero_negative(bundles):
     ws = bundles["E2"].ws
     z = ws.comodules["Sigma0"]
     cm0 = context_M(z)
-    ec0 = ExtContext(ws.extensions["ext"], z, comodule_ctx=cm0)
+    ec0 = ExtContext(ws.extensions["ext"], cm0)
     out = verify_cor_jJ(ec0)
     assert out["decided"]
     assert out["cleft_grade"] == "not-cleft"
@@ -366,7 +366,7 @@ def _ideal_subcomodule_e4(ws):
 def test_proper_ideal_comodule_first_map_not_surjective(e4):
     sub = _ideal_subcomodule_e4(e4)
     cm = context_M(sub)
-    ok1, _ = connecting_surjective(cm.context, 1)
+    ok1, _ = cm.context.connecting(1)
     assert not ok1
 
 
@@ -422,7 +422,7 @@ def _l1_bicomodule_context():
     w.validate()
     purity_check(ext, [w])
     cm = context_M(w)
-    return ExtContext(ext, w, comodule_ctx=cm)
+    return ExtContext(ext, cm)
 
 
 def _td_coaction_elementwise(ec):

@@ -1,6 +1,6 @@
-"""Tooling: no package module keeps a top-level import it never uses, and
-no function keeps a local it assigns and never reads, or a parameter it
-never reads."""
+"""Tooling: no package module keeps a top-level import it never uses, no
+function keeps a local it assigns and never reads, or a parameter it never
+reads, and no module-level function is only a second name for a call."""
 
 import ast
 import glob
@@ -119,3 +119,43 @@ def test_no_unused_parameters():
         name = os.path.basename(path)
         unused.update((name,) + item for item in _unused_parameters(path))
     assert unused == set(UNUSED_PARAMETERS_ALLOWED)
+
+
+# module-level functions kept as a second name for a call, with the reason
+FORWARDING_ALIASES_ALLOWED = {
+    ("morita.py", "context_M"):
+        "perfbench `ENTRY_POINTS` traces `morita.context_M`",
+}
+
+
+def _forwarding_aliases(path):
+    """Module-level functions whose body (after a docstring) only returns a
+    call that passes the function's own parameters on, unchanged."""
+    with open(path, encoding="utf-8") as handle:
+        tree = ast.parse(handle.read(), filename=path)
+    found = []
+    for func in tree.body:
+        if not isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        body = func.body
+        if len(body) > 1 and isinstance(body[0], ast.Expr) and \
+                isinstance(body[0].value, ast.Constant):
+            body = body[1:]
+        if len(body) != 1 or not isinstance(body[0], ast.Return) or \
+                not isinstance(body[0].value, ast.Call):
+            continue
+        args = func.args
+        params = {a.arg for a in args.posonlyargs + args.args + args.kwonlyargs}
+        call = body[0].value
+        passed = list(call.args) + [kw.value for kw in call.keywords]
+        if all(isinstance(v, ast.Name) and v.id in params for v in passed):
+            found.append(func.name)
+    return found
+
+
+def test_no_forwarding_aliases():
+    found = set()
+    for path in sorted(glob.glob(os.path.join(SRC, "*.py"))):
+        name = os.path.basename(path)
+        found.update((name, func) for func in _forwarding_aliases(path))
+    assert found == set(FORWARDING_ALIASES_ALLOWED)

@@ -3,8 +3,8 @@
 ``induced`` applies per-slot maps without building identity krons, so only
 the code below may still call ``.kron(``, each for a stated reason:
 
-- ``remark_k_coincidence`` and ``morphism_M_to_N`` compare connecting maps
-  on ambient pair bases;
+- ``morphism_failure`` compares connecting maps on ambient pair bases, for
+  ``morphism_M_to_N`` and ``remark_k_coincidence`` alike;
 - ``weak_entwining_coring`` and ``entwining_coring`` compose two ambient
   layers with no quotient between them.
 
@@ -23,10 +23,12 @@ operator terms, so ``solve_map_space`` has no other caller, and ``morita``
 and ``extension`` lift vectors only in their elementwise routes:
 
 - ``QModule._verify_pointwise`` re-checks the defining relation of Q;
-- ``MoritaContext._mixed_associativity`` checks mixed associativity on
-  basis triples;
-- ``SigmaDual.pairing`` and ``connecting_surjective`` evaluate on elements;
+- ``SigmaDual.pairing`` evaluates on elements, and
+  ``MoritaContext.connecting`` lifts its unit preimage to witness pairs;
 - ``convolution_inverse`` solves for one inverse, not a space.
+
+Mixed associativity compares one operator per basis pair, read off the
+connecting maps on ambient pair bases, so it lifts no vectors.
 """
 
 import ast
@@ -34,13 +36,12 @@ import glob
 import os
 
 SRC = os.path.join(os.path.dirname(__file__), "..", "src", "coringlab")
-ALLOWED = {("extension.py", "remark_k_coincidence"),
-           ("morita.py", "morphism_M_to_N"),
+ALLOWED = {("morita.py", "morphism_failure"),
            ("zoo.py", "weak_entwining_coring"),
            ("zoo.py", "entwining_coring")}
 # the allowed functions outside exactla and algmod hold this many calls; the
 # bound keeps them from growing more
-MAX_OUTSIDE_KERNEL = 19
+MAX_OUTSIDE_KERNEL = 17
 
 GALOIS_LOOPS = {"can_inverse_from_witnesses", "check_jids",
                 "check_generator_property", "_rebuild_witnesses",
@@ -48,11 +49,10 @@ GALOIS_LOOPS = {"can_inverse_from_witnesses", "check_jids",
 MAX_GALOIS_LOOPS = 13
 
 CONTEXT_LOOPS = {("morita.py", "QModule._verify_pointwise"),
-                 ("morita.py", "MoritaContext._mixed_associativity"),
                  ("morita.py", "SigmaDual.pairing"),
-                 ("morita.py", "connecting_surjective"),
+                 ("morita.py", "MoritaContext.connecting"),
                  ("extension.py", "convolution_inverse")}
-MAX_CONTEXT_LOOPS = 9
+MAX_CONTEXT_LOOPS = 5
 
 
 def _calls(path, attrs):

@@ -1,13 +1,21 @@
 """Morita contexts: the connecting bimodule, both contexts, the comparison
 morphism, surjectivity witnesses and strictness."""
 
+import functools
+
 import pytest
 
-from coringlab.coring import zero_comodule
-from coringlab.exactla import (AxiomError, Matrix, QQ, Subspace, kernel, unflatten,
-                               unit_vec, vec_scale, zero_vec)
-from coringlab.morita import (QModule, connecting_surjective, context_M,
-                              context_N, morphism_M_to_N, strictness)
+from conftest import fixture_path
+from coringlab.algmod import FBimodule
+from coringlab.coring import DualRing, EndAlgebra, zero_comodule
+from coringlab.exactla import (AxiomError, FieldFp, Matrix, QQ, Subspace, kernel,
+                               rank, solve_linear, unflatten, unit_vec, vec_scale,
+                               zero_vec)
+from coringlab.extension import ExtContext, purity_check
+from coringlab.morita import (ModuleContext, MoritaContext, QModule, context_M,
+                              morphism_failure, morphism_M_to_N, strictness)
+from coringlab.workspace import load_workspace_file
+from coringlab.zoo import FIXTURES
 
 F = QQ
 
@@ -29,8 +37,8 @@ def test_q_matches_dual_linear_maps_when_coring_projective(bundles):
     # the dual ring
     for name in ("E2", "E3", "E4"):
         bundle = bundles[name]
-        cn = context_N(bundle.sigma, dual=bundle.cm.dual)
-        assert bundle.cm.q.dim == len(cn.hom_maps)
+        cn = ModuleContext(bundle.cm)
+        assert bundle.cm.q.dim == cn.homs.dim
 
 
 def test_switched_isomorph(bundles):
@@ -52,7 +60,7 @@ def test_context_corners_e1(bundles):
 
 def test_context_e3_galois_case(bundles):
     ctx = bundles["E3"].cm.context
-    ok2, wit2 = connecting_surjective(ctx, 2)
+    ok2, wit2 = ctx.connecting(2)
     assert ok2
     # witness pairs evaluate to the unit endomorphism
     cm = bundles["E3"].cm
@@ -99,13 +107,31 @@ def test_zero_comodule_not_strict(bundles):
 def test_morphism_is_isomorphism_on_projective_corings(bundles):
     for name in ("E1", "E2", "E3", "E4"):
         bundle = bundles[name]
-        out = morphism_M_to_N(bundle.sigma, bundle.cm)
+        out = morphism_M_to_N(bundle.cm, ModuleContext(bundle.cm))
         assert out["verdict"] == "isomorphism"
         assert out["coring_fgp"]
 
 
+def test_morphism_failure_names_the_first_failing_part(bundles):
+    cm = bundles["E2"].cm
+    cn = ModuleContext(cm)
+    out = morphism_M_to_N(cm, cn)
+    iota_t, iota_q = out["iota_end"], out["iota_q"]
+    same2, same12 = Matrix.identity(F, cm.dual.dim), Matrix.identity(F, cm.sigma.dim)
+    swap = Matrix.from_rows(F, [[0, 1], [1, 0]])
+    two = F.of_int(2)
+    for maps, part in (((iota_t, same2, same12, iota_q), None),
+                       ((iota_t.scale(two), same2, same12, iota_q), "first algebra"),
+                       ((iota_t, same2.scale(two), same12, iota_q), "second algebra"),
+                       ((iota_t, same2, swap, iota_q), "second action"),
+                       ((iota_t, same2, same12, swap.mul(iota_q)), "third action"),
+                       ((iota_t, same2, same12.scale(two), iota_q), "first connecting map"),
+                       ((iota_t, same2, same12, iota_q.scale(two)), "first connecting map")):
+        assert morphism_failure(cm.context, cn.context, *maps) == part
+
+
 def test_module_context_corners_e2(bundles):
-    cn = context_N(bundles["E2"].sigma, dual=bundles["E2"].cm.dual)
+    cn = ModuleContext(bundles["E2"].cm)
     ctx = cn.context
     assert ctx.alg2.dim == 4
     assert (ctx.alg1.dim, ctx.bim21.dim) == (1, 2)
@@ -113,7 +139,7 @@ def test_module_context_corners_e2(bundles):
 
 def test_first_witnesses_reconstruct_counit(bundles):
     cm = bundles["E2"].cm
-    ok, wit = connecting_surjective(cm.context, 1)
+    ok, wit = cm.context.connecting(1)
     assert ok
     total = None
     for (qvec, xvec) in wit:
@@ -123,16 +149,148 @@ def test_first_witnesses_reconstruct_counit(bundles):
     assert total == cm.sigma.coring.counit
 
 
+def _with_conns(ctx, conn1, conn2, name="broken", bim12=None):
+    return MoritaContext(ctx.alg1, ctx.alg2, bim12 or ctx.bim12, ctx.bim21, conn1,
+                         conn2, ctx.tens21, ctx.tens12, name=name)
+
+
 def test_mixed_associativity_enforced(bundles):
     # corrupting a connecting map breaks validation
-    from coringlab.morita import MoritaContext
     ctx = bundles["E3"].cm.context
     bad = ctx.conn1.copy()
     bad.data[0][0] = F.add(bad.data[0][0], F.one)
-    broken = MoritaContext(ctx.alg1, ctx.alg2, ctx.bim12, ctx.bim21, bad,
-                           ctx.conn2, ctx.tens21, ctx.tens12, name="broken")
     with pytest.raises(AxiomError):
-        broken.validate()
+        _with_conns(ctx, bad, ctx.conn2).validate()
+    # doubling either map keeps it bilinear, so validation reaches the mixed
+    # associativity check, and its module side fails first
+    two = F.of_int(2)
+    for conn1, conn2 in ((ctx.conn1.scale(two), ctx.conn2),
+                         (ctx.conn1, ctx.conn2.scale(two))):
+        with pytest.raises(AxiomError, match=r"^broken: mixed associativity fails "
+                                             r"\(module side\)$"):
+            _with_conns(ctx, conn1, conn2).validate()
+
+
+def _reference_mixed_associativity(ctx):
+    """The message of the per-triple check on basis elements p, q, p' (and
+    q, p, q'), one pure tensor per pair, or None when it passes."""
+    f = ctx.field
+    d12, d21 = ctx.bim12.dim, ctx.bim21.dim
+    for p in range(d12):
+        ep = unit_vec(f, d12, p)
+        for q in range(d21):
+            eq = unit_vec(f, d21, q)
+            t = ctx.conn2.mul_vec(ctx.tens12.pure_tensor([ep, eq]))
+            for pp in range(d12):
+                epp = unit_vec(f, d12, pp)
+                lhs = ctx.bim12.left_act_vec(t).mul_vec(epp)
+                s = ctx.conn1.mul_vec(ctx.tens21.pure_tensor([eq, epp]))
+                if lhs != ctx.bim12.right_act_vec(s).mul_vec(ep):
+                    return "%s: mixed associativity fails (module side)" % ctx.name
+    for q in range(d21):
+        eq = unit_vec(f, d21, q)
+        for p in range(d12):
+            ep = unit_vec(f, d12, p)
+            s = ctx.conn1.mul_vec(ctx.tens21.pure_tensor([eq, ep]))
+            for qq in range(d21):
+                eqq = unit_vec(f, d21, qq)
+                lhs = ctx.bim21.left_act_vec(s).mul_vec(eqq)
+                t = ctx.conn2.mul_vec(ctx.tens12.pure_tensor([ep, eqq]))
+                if lhs != ctx.bim21.right_act_vec(t).mul_vec(eq):
+                    return "%s: mixed associativity fails (dual side)" % ctx.name
+    return None
+
+
+def _reference_connecting(ctx, which):
+    """Surjectivity decided by rank, then the unit solved for its witnesses."""
+    if which == 1:
+        conn, tens, target = ctx.conn1, ctx.tens21, ctx.alg2
+    else:
+        conn, tens, target = ctx.conn2, ctx.tens12, ctx.alg1
+    if rank(conn) != target.dim:
+        return False, None
+    z = solve_linear(conn, list(target.unit))
+    if z is None:
+        return False, None
+    f = ctx.field
+    merged = {}
+    for ((i, j), coeff) in tens.lift_pairs(z):
+        if i not in merged:
+            merged[i] = zero_vec(f, tens.dims[1])
+        merged[i][j] = f.add(merged[i][j], coeff)
+    return True, [(unit_vec(f, tens.dims[0], i), vec) for i, vec in merged.items()]
+
+
+@functools.lru_cache(maxsize=None)
+def _fixture_contexts(field):
+    """Every Morita context the fixtures give over field: the comodule and
+    module contexts of each comodule, and the extension context wherever
+    the comodule's left algebra is the outer base of a pure extension."""
+    out = []
+    for name in sorted(FIXTURES):
+        ws = load_workspace_file(fixture_path(name), field_override=field)
+        for sname in sorted(ws.comodules):
+            sigma = ws.comodules[sname]
+            cm = context_M(sigma)
+            out += [cm.context, ModuleContext(cm).context]
+            for ext in ws.extensions.values():
+                if ext.inner is not sigma.coring or \
+                        sigma.carrier.left_alg.dim != ext.outer.base.dim:
+                    continue
+                purity_check(ext, [sigma])
+                if ext.purity_certificate != "not-pure":
+                    out.append(ExtContext(ext, cm).context)
+    return out
+
+
+def _outcome(check):
+    try:
+        check()
+    except AxiomError as exc:
+        return str(exc)
+    return None
+
+
+FIELDS = pytest.mark.parametrize("field", [QQ, FieldFp(7)], ids=["Q", "F7"])
+
+
+@FIELDS
+def test_mixed_associativity_matches_the_per_triple_reference(field):
+    contexts = _fixture_contexts(field)
+    assert len(contexts) > 40
+    two = field.of_int(2)
+    raised = set()
+    for ctx in contexts:
+        # with both actions on the first bimodule zero, the module side holds
+        # trivially and a doubled map can only fail the dual side
+        zero = Matrix.zero(field, ctx.bim12.dim, ctx.bim12.dim)
+        inert = FBimodule(ctx.alg1, ctx.alg2, ctx.bim12.dim, [zero] * ctx.alg1.dim,
+                          [zero] * ctx.alg2.dim)
+        bumped1, bumped2 = ctx.conn1.copy(), ctx.conn2.copy()
+        if bumped1.rows and bumped1.cols:
+            bumped1.data[0][-1] = field.add(bumped1.data[0][-1], field.one)
+        if bumped2.rows and bumped2.cols:
+            bumped2.data[-1][0] = field.add(bumped2.data[-1][0], field.one)
+        for conn1, conn2 in ((ctx.conn1, ctx.conn2), (ctx.conn1.scale(two), ctx.conn2),
+                             (ctx.conn1, ctx.conn2.scale(two)), (bumped1, ctx.conn2),
+                             (ctx.conn1, bumped2)):
+            for bim12 in (None, inert):
+                variant = _with_conns(ctx, conn1, conn2, name=ctx.name, bim12=bim12)
+                expected = _reference_mixed_associativity(variant)
+                assert _outcome(variant._mixed_associativity) == expected, ctx.name
+                raised.add(expected and expected.rsplit("(", 1)[1])
+    assert raised == {None, "module side)", "dual side)"}
+
+
+@FIELDS
+def test_connecting_matches_the_rank_reference(field):
+    verdicts = set()
+    for ctx in _fixture_contexts(field):
+        for which in (1, 2):
+            expected = _reference_connecting(ctx, which)
+            assert ctx.connecting(which) == expected, (ctx.name, which)
+            verdicts.add(expected[0])
+    assert verdicts == {True, False}
 
 
 def _ref_q_space(sigma, dual):
@@ -187,5 +345,5 @@ def test_q_operator_relation_matches_the_row_reference(workspaces, workspaces_f7
                  for com in ws.comodules.values()]
     comodules.append(hopf_c3_f7[1])
     for sigma in comodules:
-        q = QModule(sigma)
+        q = QModule(sigma, DualRing(sigma.coring), EndAlgebra(sigma))
         assert q.space.basis == _ref_q_space(sigma, q.dual), sigma.name
