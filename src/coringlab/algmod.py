@@ -184,6 +184,7 @@ class FBimodule:
         self.field = left_alg.field
         self._commute = None
         self._valid = None
+        self._fgp = {}
 
     def actions_commute(self):
         """Whether every left action matrix commutes with every right one
@@ -860,9 +861,16 @@ def fgp_check(m, side, alg):
 
     Returns (elements, functionals), the functionals as matrices, with
     sum x_i xi_i(v) = v for all v (right side; mirrored for left), or None
-    when no dual basis exists.  The search is a linear membership problem:
-    id_M inside the image of the evaluation pairing.
+    when no dual basis exists.  Decided once per (side, algebra) and kept on
+    the module, whose actions never change after construction.
     """
+    if (side, alg) not in m._fgp:
+        m._fgp[side, alg] = _dual_basis(m, side, alg)
+    return m._fgp[side, alg]
+
+
+def _dual_basis(m, side, alg):
+    """fgp_check's search: id_M inside the image of the evaluation pairing."""
     field = m.field
     if side == "right":
         homs = hom_space(m, FBimodule.regular(alg), right_linear=True)

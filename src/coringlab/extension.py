@@ -12,9 +12,9 @@ colinear maps D -> Sigma are cut out by colinearity terms, and the
 intertwining bimodule Qtilde by its defining relation, written as one
 operator identity per basis element of Sigma.
 
-The extension context is built from the comodule context of its
-bicomodule (morita.context_M), whose endomorphism algebra, Sigma* and Q it
-shares, and embeds Qtilde into Q.  Over the trivial outer coring it
+The extension context keeps the comodule context of its bicomodule
+(morita.context_M) it is built from, shares its endomorphism algebra,
+Sigma* and Q, and embeds Qtilde into Q.  Over the trivial outer coring it
 coincides with that context: remark_k_coincidence checks the canonical
 identifications with morita.morphism_failure.
 """
@@ -329,9 +329,9 @@ class ExtContext:
     every basis pair.  The basis-pair values of both connecting maps are
     kept as structure constants (see connecting_matrix).
 
-    Built from the comodule context cm of Sigma, whose endomorphism
-    algebra, Sigma* and Q it shares; the intertwining bimodule embeds into
-    Q by switching arguments (embedding, verified injective).
+    Built from the comodule context cm of Sigma, kept as cm, whose
+    endomorphism algebra, Sigma* and Q it shares; the intertwining bimodule
+    embeds into Q by switching arguments (embedding, verified injective).
     """
 
     def __init__(self, ext, cm):
@@ -340,6 +340,7 @@ class ExtContext:
                              % ext.purity_certificate)
         sigma = cm.sigma
         self.ext = ext
+        self.cm = cm
         self.sigma = sigma
         f = ext.field
         self.field = f
@@ -685,8 +686,8 @@ _COINCIDENCE_FAILURES = {
     "second connecting map": "second connecting maps differ"}
 
 
-def remark_k_coincidence(ext_ctx, cm):
-    """Comparison of the extension context with the comodule context when
+def remark_k_coincidence(ext_ctx):
+    """Comparison of the extension context with its comodule context when
     the outer coring is the ground field.
 
     The canonical identifications send a bilinear map to its value at 1, a
@@ -701,6 +702,7 @@ def remark_k_coincidence(ext_ctx, cm):
         raise UsageError("coincidence check requires the trivial outer coring")
     f = ext.field
     sigma = ext_ctx.sigma
+    cm = ext_ctx.cm
     t_alg = cm.end.algebra
     dual = cm.dual
     phi_v = Matrix.from_cols(f, t_alg.dim, [v.col(0) for v in ext_ctx.v_basis])

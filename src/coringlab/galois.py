@@ -3,7 +3,10 @@ cleftness, and the structure-theorem verifier suite.
 
 Universally quantified statements are certified either through the finitely
 generated projective reduction or verified on explicit sample lists; every
-report states which grade applies.
+report states which grade applies.  The comodule context keeps the facts the
+verifiers share, each decided once: Sigma's Galois verdict (sigma_galois),
+the adjunction unit (tensor_fullyfaithful_check) and each sample comodule's
+evaluation counit (sample_counit).
 
 Each construction has one builder, and every map into a balanced tensor is
 built with BalancedTensor.induced: sigma_over_end (Sigma as a left
@@ -35,7 +38,6 @@ from .exactla import (AxiomError, Matrix, UsageError, flatten_matrix, rank,
                       side_by_side, solve_linear, solve_many, unflatten,
                       unit_vec, vec_scale, zero_vec)
 from .extension import tensor_comodule
-from .morita import strictness
 
 SEARCH_SWEEP_CAP = 6      # exhaustive {-1,0,1} sweep up to this many basis maps
 SEARCH_TRIALS = 64        # seeded pseudorandom trials after the sweep
@@ -148,18 +150,22 @@ def galois_check(sigma, end=None, samples=None):
     can_a = CanonicalMap(sigma, regular_right_module(a, 1), end=end)
     if witness is not None:
         if can_a.bijective:
-            return {"verdict": "certified-Galois", "grade": "certified",
-                    "can_A_bijective": True, "fgp": True, "can_A": can_a}
-        return {"verdict": "not-Galois", "grade": "certified",
-                "can_A_bijective": False, "fgp": True, "can_A": can_a,
+            return {"verdict": "certified-Galois", "grade": "certified", "can_A": can_a}
+        return {"verdict": "not-Galois", "grade": "certified", "can_A": can_a,
                 "failing": "base module"}
     sample_list = samples if samples is not None else default_sample_modules(sigma)
     for n_mod in sample_list:
         if not CanonicalMap(sigma, n_mod, end=end).bijective:
-            return {"verdict": "not-Galois", "grade": "on-samples", "fgp": False,
-                    "can_A": can_a, "failing": n_mod.name}
-    return {"verdict": "Galois-on-samples", "grade": "on-samples", "fgp": False,
-            "can_A": can_a}
+            return {"verdict": "not-Galois", "grade": "on-samples", "can_A": can_a,
+                    "failing": n_mod.name}
+    return {"verdict": "Galois-on-samples", "grade": "on-samples", "can_A": can_a}
+
+
+def sigma_galois(cm):
+    """galois_check of Sigma on the default samples, kept on cm."""
+    if cm.galois is None:
+        cm.galois = galois_check(cm.sigma, end=cm.end)
+    return cm.galois
 
 
 # ---------------------------------------------------------------------------
@@ -641,15 +647,11 @@ def evaluation_counit(sigma, end, m):
     return counit, tens, space
 
 
-def _hom_comodule_counit(ext_ctx, m, witnesses):
-    """The evaluation counit on Hom(Sigma, M) (x)_T Sigma and its inverse built
-    from the unit decomposition; returns (counit, inverse, tens, space of
-    colinear maps)."""
-    counit, tens, homs = evaluation_counit(ext_ctx.sigma, ext_ctx.end, m)
-    # inverse: m -> sum_l [x -> m_[0]^[0]·jtilde_l(m_[0]^[1])(x)] (x) j_l(m_[1])
-    inverse = witness_splitting(ext_ctx, m, tens, witnesses, homs,
-                                "counit inverse leaves the colinear maps")
-    return counit, inverse, tens, homs
+def sample_counit(cm, m):
+    """evaluation_counit at the comodule m, kept on cm unless it raises."""
+    if m not in cm.counits:
+        cm.counits[m] = evaluation_counit(cm.sigma, cm.end, m)
+    return cm.counits[m]
 
 
 def verify_weak_structure(ext_ctx, samples):
@@ -662,7 +664,10 @@ def verify_weak_structure(ext_ctx, samples):
     f = ext_ctx.field
     results = []
     for m in samples:
-        counit, inverse, tens, _ = _hom_comodule_counit(ext_ctx, m, witnesses)
+        counit, tens, homs = sample_counit(ext_ctx.cm, m)
+        # inverse: m -> sum_l [x -> m_[0]^[0]·jtilde_l(m_[0]^[1])(x)] (x) j_l(m_[1])
+        inverse = witness_splitting(ext_ctx, m, tens, witnesses, homs,
+                                    "counit inverse leaves the colinear maps")
         if counit.mul(inverse) != Matrix.identity(f, m.dim):
             raise AxiomError("counit inverse fails on %s (right)" % m.name)
         if inverse.mul(counit) != Matrix.identity(f, tens.dim):
@@ -703,27 +708,24 @@ def unit_decomposition_of_one(ext_ctx):
     return {"pairs": out, "path": "membership solve"}
 
 
-def tensor_fullyfaithful_check(cm, samples_t):
-    """Bijectivity of the unit of the induced-module adjunction on sample
-    modules, with the explicit inverse built from second-connecting-map
-    witnesses verified two-sided.
-
-    A returned result is kept on the context with its sample modules and
-    reused for the same modules; a failure raises and is not kept, so each
-    caller sees it."""
-    memo = cm.fullyfaithful
-    if memo is not None and memo[0] == samples_t:
-        return memo[1]
-    out = _tensor_fullyfaithful(cm, samples_t)
-    cm.fullyfaithful = (list(samples_t), out)
-    return out
+def tensor_fullyfaithful_check(cm):
+    """Bijectivity of the unit of the induced-module adjunction on the free
+    T-modules of rank 1 and 2 (none when T = 0), with the explicit inverse
+    built from second-connecting-map witnesses verified two-sided.  Kept on
+    cm; a failure raises and is not kept, so each caller sees it."""
+    if cm.fullyfaithful is None:
+        cm.fullyfaithful = _tensor_fullyfaithful(cm)
+    return cm.fullyfaithful
 
 
-def _tensor_fullyfaithful(cm, samples_t):
+def _tensor_fullyfaithful(cm):
     ok, wit = cm.context.connecting(2)
     if not ok:
         return {"applicable": False,
                 "reason": "second connecting map not surjective"}
+    t_alg = cm.end.algebra
+    samples_t = [regular_right_module(t_alg, 1, name="T"),
+                 regular_right_module(t_alg, 2, name="T^2")] if t_alg.dim else []
     sigma = cm.sigma
     f = sigma.field
     sdim = sigma.dim
@@ -765,22 +767,20 @@ def _tensor_fullyfaithful(cm, samples_t):
     return {"applicable": True, "passed": True, "samples": results}
 
 
-def verify_strong_structure(ext_ctx, cm, samples_t, samples_c):
+def verify_strong_structure(ext_ctx, samples_c):
     """Strictness plus a unit decomposition give inverse equivalences on the
     sample lists; the verdict is labeled as verified on samples."""
-    st = strictness(ext_ctx.context)
-    if not st["strict"]:
-        missing = []
-        if not st["surjective1"]:
-            missing.append("first connecting map")
-        if not st["surjective2"]:
-            missing.append("second connecting map")
+    ctx = ext_ctx.context
+    if not ctx.strict:
+        missing = [name for k, name in ((1, "first connecting map"),
+                                        (2, "second connecting map"))
+                   if not ctx.connecting(k)[0]]
         return {"applicable": False,
                 "reason": "context not strict (%s)" % ", ".join(missing)}
     decomp = unit_decomposition_of_one(ext_ctx)
     if decomp is None:
         return {"applicable": False, "reason": "no unit decomposition of 1_T"}
-    ff = tensor_fullyfaithful_check(cm, samples_t)
+    ff = tensor_fullyfaithful_check(ext_ctx.cm)
     if not ff.get("applicable"):
         raise AxiomError("strict context but the second connecting map of the "
                          "comodule context is not surjective")
@@ -794,14 +794,14 @@ def verify_strong_structure(ext_ctx, cm, samples_t, samples_c):
             "unit_samples": ff["samples"], "counit_samples": ws["samples"]}
 
 
-def verify_surjectivity_thm(ext_ctx, cm):
+def verify_surjectivity_thm(ext_ctx):
     """Both sides of the two summand biconditionals, computed independently;
     disagreement raises (the statements are proved, so it means a bug)."""
     ext = ext_ctx.ext
     sigma = ext_ctx.sigma
     f = ext_ctx.field
     lhs1, _ = ext_ctx.context.connecting(1)
-    gal = galois_check(sigma, end=ext_ctx.end)
+    gal = sigma_galois(ext_ctx.cm)
     galois = gal["verdict"] in ("certified-Galois", "Galois-on-samples")
     td_com, td_tens = ext_ctx.td
     space_st, space_ts = ext_ctx.bicomodule_homs
@@ -827,7 +827,7 @@ def verify_surjectivity_thm(ext_ctx, cm):
         out["rebuilt_pairs"] = len(rebuilt)
     z_fam = _witnesses_from_products(homs_ts, homs_st,
                                      Matrix.identity(f, td_com.dim))
-    lhs2 = strictness(ext_ctx.context)["strict"]
+    lhs2 = ext_ctx.context.strict
     rhs2 = rhs1 and z_fam is not None
     if lhs2 != rhs2:
         raise AxiomError("surjectivity criterion part 2: the two sides disagree "
@@ -881,7 +881,7 @@ def _rebuild_witnesses(ext_ctx, td_tens, pairs, can_a):
     return out
 
 
-def verify_diamond_to_triangle(ext_ctx, cm):
+def verify_diamond_to_triangle(ext_ctx):
     """A surjective second connecting map plus a unit decomposition force the
     comodule context's second map to be surjective, the comodule to be f.g.
     projective over the base, and the endomorphism algebra to be a summand
@@ -892,7 +892,7 @@ def verify_diamond_to_triangle(ext_ctx, cm):
         return {"applicable": False,
                 "reason": "second connecting map not surjective" if not ok2
                 else "no unit decomposition of 1_T"}
-    okm, _ = cm.context.connecting(2)
+    okm, _ = ext_ctx.cm.context.connecting(2)
     if not okm:
         raise AxiomError("second connecting map of the comodule context is not "
                          "surjective (implementation error)")
@@ -920,9 +920,8 @@ def verify_diamond_to_triangle(ext_ctx, cm):
 def verify_cor_jJ(ext_ctx, j=None, jtilde=None):
     """Independent evaluation of cleftness, the Galois property and normal
     bases, with both biconditionals asserted whenever all sides are decided."""
-    sigma = ext_ctx.sigma
     cleft = cleft_check(ext_ctx, j=j, jtilde=jtilde)
-    gal = galois_check(sigma, end=ext_ctx.end)
+    gal = sigma_galois(ext_ctx.cm)
     galois = gal["verdict"] in ("certified-Galois", "Galois-on-samples")
     cleft_for_nb = cleft if cleft is not None and cleft.grade in ("cleft", "weak-cleft") \
         and cleft.j is not None else None
@@ -947,7 +946,7 @@ def verify_cor_jJ(ext_ctx, j=None, jtilde=None):
     return out
 
 
-def verify_fgp_corollary(ext_ctx, cm):
+def verify_fgp_corollary(ext_ctx):
     """With a surjective first connecting map, surjectivity of the comodule
     context's first map is equivalent to the coring being f.g. projective
     over its base on the left."""
@@ -955,7 +954,7 @@ def verify_fgp_corollary(ext_ctx, cm):
     if not ok:
         return {"applicable": False,
                 "reason": "first connecting map not surjective"}
-    okm, _ = cm.context.connecting(1)
+    okm, _ = ext_ctx.cm.context.connecting(1)
     c = ext_ctx.ext.inner
     witness = fgp_check(c.carrier, "left", c.base)
     if okm != (witness is not None):
@@ -1021,29 +1020,29 @@ def check_dual_basis_from_witnesses(cm):
     return out
 
 
-def verify_strictness_three_way(cm, samples_t, samples_c):
+def verify_strictness_three_way(cm, samples_c):
     """Three-way agreement for a left f.g. projective coring: strictness of
     the comodule context, the Galois-plus-projectivity side, and the
     sample-equivalence surrogate must coincide.
 
     The universally quantified flatness clause has no finite certificate; it
-    is replaced by bijectivity of the adjunction unit and counit on the
-    sample lists, and the report says so.
+    is replaced by bijectivity of the adjunction unit on the context's
+    T-samples and of the counit on samples_c, and the report says so.
     """
     sigma = cm.sigma
     c = sigma.coring
     if fgp_check(c.carrier, "left", c.base) is None:
         return {"applicable": False,
                 "reason": "coring not f.g. projective over its base"}
-    strict = strictness(cm.context)["strict"]
-    gal = galois_check(sigma, end=cm.end)
+    strict = cm.context.strict
+    gal = sigma_galois(cm)
     galois = gal["verdict"] in ("certified-Galois", "Galois-on-samples")
     sigma_fgp = fgp_check(sigma.carrier, "right", c.base) is not None
-    ff = tensor_fullyfaithful_check(cm, samples_t)
+    ff = tensor_fullyfaithful_check(cm)
     equivalence = bool(ff.get("applicable") and ff.get("passed"))
     if equivalence:
         for m in samples_c:
-            counit, tens, _ = evaluation_counit(sigma, cm.end, m)
+            counit, tens, _ = sample_counit(cm, m)
             if not (rank(counit) == tens.dim == m.dim):
                 equivalence = False
                 break

@@ -8,14 +8,18 @@ mixed-associativity identities are verified exactly.  Every corner space is
 one hom_space solve; for the connecting bimodule Q its defining relation is
 written as operator terms, one identity per basis element of the coring.
 
-Each context is built one way.  The comodule context (context_M) holds the
-comodule, its endomorphism algebra, the dual ring, Sigma* and Q; the module
-context and the extension context are built from it.  A MoritaContext
-decides each of its connecting maps once (connecting), and every morphism
-of contexts is checked by morphism_failure.
+Each context is built one way and validated once, when built.  The comodule
+context (context_M) holds the comodule, its endomorphism algebra, the dual
+ring, Sigma* and Q, and keeps the facts galois decides about it (see
+ComoduleContext); the module context and the extension context are built
+from it.  A MoritaContext decides each of its connecting maps (connecting)
+and its strictness (strict) once, and every morphism of contexts is checked
+by morphism_failure.
 """
 
 from __future__ import annotations
+
+from functools import cached_property
 
 from .algmod import (BalancedTensor, FBimodule, endo_algebra, fgp_check,
                      hom_space, non_multiplicative_at, sandwich_terms,
@@ -104,6 +108,11 @@ class MoritaContext:
             self._connecting[which] = (z is not None, witnesses)
         return self._connecting[which]
 
+    @cached_property
+    def strict(self):
+        """strictness(self), decided on first use and kept (unless it raises)."""
+        return strictness(self)
+
 
 def _associative(x, ydim, left_amb, right_amb):
     """Whether left(u (x) v)·u' = u·right(v (x) u') for all basis elements
@@ -128,18 +137,16 @@ def _associative(x, ydim, left_amb, right_amb):
 
 
 def strictness(ctx):
-    """Both connecting maps surjective; bijectivity is verified directly."""
-    s1, w1 = ctx.connecting(1)
-    s2, w2 = ctx.connecting(2)
-    if not (s1 and s2):
-        return {"strict": False, "surjective1": s1, "surjective2": s2}
+    """Both connecting maps surjective; bijectivity is verified directly.
+    Read it as ctx.strict, decided once per context."""
+    if not (ctx.connecting(1)[0] and ctx.connecting(2)[0]):
+        return False
     bij1 = rank(ctx.conn1) == ctx.alg2.dim == ctx.tens21.dim
     bij2 = rank(ctx.conn2) == ctx.alg1.dim == ctx.tens12.dim
     if not (bij1 and bij2):
         raise AxiomError("%s: surjective connecting maps failed the bijectivity "
                          "cross-check" % ctx.name)
-    return {"strict": True, "surjective1": True, "surjective2": True,
-            "witness1": w1, "witness2": w2}
+    return True
 
 
 def morphism_failure(src, dst, phi1, phi2, phi12, phi21):
@@ -358,7 +365,10 @@ class ComoduleContext:
 
     Holds the comodule, its endomorphism algebra, the left dual ring, the
     right action of the dual ring on the comodule and Q (with Sigma*); the
-    module context and the extension context are built from it."""
+    module context and the extension context are built from it.  It keeps
+    the facts galois decides on first use: Sigma's Galois verdict
+    (sigma_galois), the adjunction unit (tensor_fullyfaithful_check) and the
+    evaluation counit of each sample comodule (sample_counit)."""
 
     def __init__(self, sigma):
         self.sigma = sigma
@@ -370,9 +380,9 @@ class ComoduleContext:
         self.context = _eval_context(self.end.algebra, self.end.space, self.dual,
                                      self.dualact_mats, self.q.space, self.q.module,
                                      sigma, name="comodule context(%s)" % sigma.name)
-        # (sample modules, result) of the last galois.tensor_fullyfaithful_check
-        # that returned, so the checks of one command share its run
+        self.galois = None
         self.fullyfaithful = None
+        self.counits = {}
 
 
 class ModuleContext:

@@ -25,7 +25,7 @@ from coringlab.galois import (CanonicalMap, can_inverse_from_witnesses,
                               verify_cor_jJ, verify_strong_structure,
                               verify_surjectivity_thm, verify_weak_structure,
                               _first_witnesses)
-from coringlab.morita import ModuleContext, context_M, morphism_M_to_N, strictness
+from coringlab.morita import ModuleContext, context_M, morphism_M_to_N
 from coringlab.workspace import load_workspace_file
 
 F = QQ
@@ -56,7 +56,7 @@ def test_criterion_1_validators_and_perturbations(workspaces):
 def test_criterion_2_trivial_outer_collapse(bundles):
     for name in ("E1", "E3"):
         b = bundles[name]
-        out = remark_k_coincidence(b.ec, b.cm)
+        out = remark_k_coincidence(b.ec)
         assert out["coincides"]
     report("2: trivial-outer context equals comodule context", True)
 
@@ -93,15 +93,12 @@ def test_criterion_5_cleft_suite(bundles):
     b = bundles["E2"]
     cd = cleft_check(b.ec, j=b.ws.maps["lambda_id"])
     assert cd is not None and cd.grade == "cleft"
-    assert strictness(b.ec.context)["strict"]
+    assert b.ec.context.strict
     samples = [b.ws.comodules["Sigma"], b.ws.comodules["Creg"],
                b.ws.comodules["SigmaPlus"]]
     ws_out = verify_weak_structure(b.ec, samples)
     assert ws_out["applicable"] and ws_out["passed"]
-    t_alg = b.cm.end.algebra
-    ss_out = verify_strong_structure(
-        b.ec, b.cm, [regular_right_module(t_alg, 1, name="T"),
-                     regular_right_module(t_alg, 2, name="T^2")], samples)
+    ss_out = verify_strong_structure(b.ec, samples)
     assert ss_out["verdict"] == "equivalence verified on samples"
     assert ss_out["unit_path"] == "counit surjective"
     elapsed = time.perf_counter() - start
@@ -111,18 +108,18 @@ def test_criterion_5_cleft_suite(bundles):
 
 
 def test_criterion_6_surjectivity_biconditional(bundles, workspaces):
-    st2 = verify_surjectivity_thm(bundles["E2"].ec, bundles["E2"].cm)
+    st2 = verify_surjectivity_thm(bundles["E2"].ec)
     assert st2["part1"] is True
     assert st2["part2"] is True  # strict fixture: part 2 agrees as well
-    st4 = verify_surjectivity_thm(bundles["E4"].ec, bundles["E4"].cm)
+    st4 = verify_surjectivity_thm(bundles["E4"].ec)
     assert st4["part1"] is True and st4["part2"] is False
-    st5 = verify_surjectivity_thm(bundles["E5"].ec, bundles["E5"].cm)
+    st5 = verify_surjectivity_thm(bundles["E5"].ec)
     assert st5["part1"] is True and st5["part2"] is False
     ws = workspaces["E2"]
     z = ws.comodules["Sigma0"]
     cm0 = context_M(z)
     ec0 = ExtContext(ws.extensions["ext"], cm0)
-    st0 = verify_surjectivity_thm(ec0, cm0)
+    st0 = verify_surjectivity_thm(ec0)
     assert st0["part1"] is False and st0["part2"] is False
     report("6: surjectivity criterion, both sides agree everywhere", True)
 
@@ -156,11 +153,7 @@ def test_criterion_8_lemma_level_properties(bundles):
             if gen["applicable"]:
                 assert gen["passed"]
             checked.append(name + ":unit-decomposition")
-        t_alg = b.cm.end.algebra
-        samples_t = [regular_right_module(t_alg, 1, name="T"),
-                     regular_right_module(t_alg, 2, name="T^2")] \
-            if t_alg.dim else []
-        ff = tensor_fullyfaithful_check(b.cm, samples_t)
+        ff = tensor_fullyfaithful_check(b.cm)
         if ff["applicable"]:
             assert ff["passed"]
             checked.append(name + ":adjunction-unit")

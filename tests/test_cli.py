@@ -357,7 +357,7 @@ def test_theorems_shares_one_adjunction_unit_check(capsys, monkeypatch):
 
     def counted(name, fn):
         def wrapper(*args, **kwargs):
-            events.append((name, args[1]))
+            events.append((name, args[-1]))
             return fn(*args, **kwargs)
         return wrapper
 
@@ -414,6 +414,53 @@ def test_theorems_decides_each_connecting_map_once(capsys, monkeypatch):
     assert code == 0
     # two contexts, the comodule one and the extension one, two sides each
     assert len(solved) == len(set(solved)) == 4
+
+
+def test_theorems_decides_each_fact_once(capsys, monkeypatch):
+    calls = []
+
+    def counted(name, module, attr, key=lambda *args: None):
+        fn = getattr(module, attr)
+
+        def wrapper(*args, **kwargs):
+            calls.append((name, key(*args)))
+            return fn(*args, **kwargs)
+        monkeypatch.setattr(module, attr, wrapper)
+
+    counted("galois", galois, "galois_check")
+    counted("fgp", algmod, "_dual_basis", key=lambda m, side, alg: (m.name, side))
+    counted("counit", galois, "evaluation_counit", key=lambda sigma, end, m: m.name)
+    counted("rank", morita, "rank")
+    code, _, _ = run_cli(capsys, *THEOREMS_E2, "--suite", "all")
+    assert code == 0
+
+    def made(name):
+        return [key for what, key in calls if what == name]
+    # the Galois verdict is kept on the comodule context, projectivity on
+    # each module, and the counit of each of the three sample comodules
+    assert len(made("galois")) == 1
+    assert sorted(made("fgp")) == [("C_carrier", "left"), ("Sigma_carrier", "right")]
+    assert sorted(made("counit")) == ["Creg", "Sigma", "SigmaPlus"]
+    # each of the two strict contexts decides its strictness once: two ranks
+    assert len(made("rank")) == 4
+
+
+def test_morita_validates_each_context_once(capsys, monkeypatch):
+    validated = []
+    validate = morita.MoritaContext.validate
+
+    def counted(self):
+        validated.append(self.name)
+        return validate(self)
+
+    monkeypatch.setattr(morita.MoritaContext, "validate", counted)
+    code, out, _ = run_cli(capsys, "morita", *THEOREMS_E2[1:])
+    assert code == 0
+    # the comodule, module and extension contexts, each when it is built
+    assert sorted(validated) == ["comodule context(Sigma)", "extension context(Sigma)",
+                                 "module context(Sigma)"]
+    verdicts = {c["check_id"]: c["verdict"] for c in json.loads(out)["checks"]}
+    assert verdicts["comodule context axioms"] == "pass"
 
 
 @pytest.mark.parametrize("argv", [THEOREMS_E2, ("cleft",) + THEOREMS_E2[1:]],
@@ -474,7 +521,7 @@ def test_cleft_search_that_finds_nothing_is_graded_inconclusive(capsys, monkeypa
 
 
 def test_failing_adjunction_unit_check_fails_every_line(capsys, monkeypatch):
-    def failing(cm, samples_t):
+    def failing(cm):
         raise AxiomError("adjunction unit inverse fails on T (left)")
 
     monkeypatch.setattr(galois, "_tensor_fullyfaithful", failing)

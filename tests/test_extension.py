@@ -153,13 +153,13 @@ def test_ext_context_corner_dims(bundles):
 def test_remark_k_collapse(bundles):
     for name in ("E1", "E3"):
         b = bundles[name]
-        out = remark_k_coincidence(b.ec, b.cm)
+        out = remark_k_coincidence(b.ec)
         assert out["coincides"]
 
 
 def test_remark_k_requires_trivial_outer(bundles):
     with pytest.raises(UsageError):
-        remark_k_coincidence(bundles["E2"].ec, bundles["E2"].cm)
+        remark_k_coincidence(bundles["E2"].ec)
 
 
 def test_convolution_algebra_trivial():

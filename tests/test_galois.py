@@ -20,7 +20,7 @@ from coringlab.galois import (CanonicalMap, check_dual_basis_from_witnesses,
                               verify_diamond_to_triangle, verify_fgp_corollary,
                               verify_strong_structure, verify_surjectivity_thm,
                               verify_weak_structure, _first_witnesses)
-from coringlab.morita import context_M, strictness
+from coringlab.morita import context_M
 from coringlab.workspace import load_workspace_file
 
 F = QQ
@@ -165,7 +165,7 @@ def test_cleft_g1_global_action(bundles):
     b = bundles["G1"]
     cd = cleft_check(b.ec, j=b.ws.maps["lambda"], jtilde=_jtilde(b))
     assert cd.grade == "cleft"
-    assert strictness(b.ec.context)["strict"]
+    assert b.ec.context.strict
 
 
 def test_cleft_zero_comodule_certified_negative(bundles):
@@ -180,7 +180,7 @@ def test_cleft_zero_comodule_certified_negative(bundles):
 def test_cleft_data_makes_context_strict(bundles):
     # invertible elements force strictness
     for name in ("E1", "E2", "G1"):
-        assert strictness(bundles[name].ec.context)["strict"]
+        assert bundles[name].ec.context.strict
 
 
 # ---------------------------------------------------------------------------
@@ -205,38 +205,30 @@ def test_weak_structure_not_applicable_for_zero(bundles):
 
 def test_strong_structure_e2(bundles):
     b = bundles["E2"]
-    t_alg = b.cm.end.algebra
-    out = verify_strong_structure(
-        b.ec, b.cm,
-        [regular_right_module(t_alg, 1, name="T"),
-         regular_right_module(t_alg, 2, name="T^2")],
-        b.samples)
+    out = verify_strong_structure(b.ec, b.samples)
     assert out["verdict"] == "equivalence verified on samples"
     assert out["unit_path"] == "counit surjective"
 
 
 def test_strong_structure_reports_missing_hypothesis(bundles):
     b = bundles["E4"]
-    out = verify_strong_structure(b.ec, b.cm, [], b.samples)
+    out = verify_strong_structure(b.ec, b.samples)
     assert not out["applicable"]
     assert "second connecting map" in out["reason"]
 
 
 def test_strong_structure_trivial_outer(bundles):
     b = bundles["E1"]
-    t_alg = b.cm.end.algebra
-    out = verify_strong_structure(b.ec, b.cm,
-                                  [regular_right_module(t_alg, 1, name="T")],
-                                  b.samples)
+    out = verify_strong_structure(b.ec, b.samples)
     assert out["applicable"] and out["passed"]
 
 
 def test_surjectivity_theorem_agreement(bundles):
-    st2 = verify_surjectivity_thm(bundles["E2"].ec, bundles["E2"].cm)
+    st2 = verify_surjectivity_thm(bundles["E2"].ec)
     assert st2["part1"] and st2["part2"] and st2["s"] >= 1 and st2["z"] >= 1
-    st4 = verify_surjectivity_thm(bundles["E4"].ec, bundles["E4"].cm)
+    st4 = verify_surjectivity_thm(bundles["E4"].ec)
     assert st4["part1"] and not st4["part2"]
-    st5 = verify_surjectivity_thm(bundles["E5"].ec, bundles["E5"].cm)
+    st5 = verify_surjectivity_thm(bundles["E5"].ec)
     assert st5["part1"] and not st5["part2"]
 
 
@@ -245,7 +237,7 @@ def test_surjectivity_theorem_zero_negative(bundles):
     z = ws.comodules["Sigma0"]
     cm0 = context_M(z)
     ec0 = ExtContext(ws.extensions["ext"], cm0)
-    st = verify_surjectivity_thm(ec0, cm0)
+    st = verify_surjectivity_thm(ec0)
     assert not st["part1"] and not st["part2"]
 
 
@@ -272,17 +264,17 @@ def test_cor_jJ_zero_negative(bundles):
 
 
 def test_diamond_to_triangle(bundles):
-    out2 = verify_diamond_to_triangle(bundles["E2"].ec, bundles["E2"].cm)
+    out2 = verify_diamond_to_triangle(bundles["E2"].ec)
     assert out2["applicable"] and out2["passed"] and out2["sigma_fgp"]
-    out4 = verify_diamond_to_triangle(bundles["E4"].ec, bundles["E4"].cm)
+    out4 = verify_diamond_to_triangle(bundles["E4"].ec)
     assert not out4["applicable"]
-    out1 = verify_diamond_to_triangle(bundles["E1"].ec, bundles["E1"].cm)
+    out1 = verify_diamond_to_triangle(bundles["E1"].ec)
     assert out1["applicable"] and out1["passed"]
 
 
 def test_fgp_corollary(bundles):
     for name in ("E2", "E4"):
-        out = verify_fgp_corollary(bundles[name].ec, bundles[name].cm)
+        out = verify_fgp_corollary(bundles[name].ec)
         assert out["applicable"] and out["passed"]
         assert out["triangle1_surjective"] and out["coring_fgp"]
 
@@ -309,11 +301,7 @@ def test_equivariant_projectivity(bundles):
 
 def test_tensor_fully_faithful(bundles):
     for name in ("E2", "E3", "E4"):
-        b = bundles[name]
-        t_alg = b.cm.end.algebra
-        out = tensor_fullyfaithful_check(
-            b.cm, [regular_right_module(t_alg, 1, name="T"),
-                   regular_right_module(t_alg, 2, name="T^2")])
+        out = tensor_fullyfaithful_check(bundles[name].cm)
         assert out["applicable"] and out["passed"]
 
 
@@ -374,7 +362,7 @@ def test_cor_jJ_e3_not_cleft_despite_strictness(bundles):
     # strict comodule context yet no invertible pair: the dimension
     # certificate decides the negative, and the criterion still agrees
     b = bundles["E3"]
-    assert strictness(b.cm.context)["strict"]
+    assert b.cm.context.strict
     out = verify_cor_jJ(b.ec)
     assert out["decided"]
     assert out["cleft_grade"] == "not-cleft"
@@ -391,18 +379,14 @@ def test_strictness_three_way_agreement(bundles):
     from coringlab.galois import verify_strictness_three_way
     for name in ("E1", "E2", "E3", "E4", "E5"):
         b = bundles[name]
-        t_alg = b.cm.end.algebra
-        samples_t = [regular_right_module(t_alg, 1, name="T"),
-                     regular_right_module(t_alg, 2, name="T^2")] \
-            if t_alg.dim else []
-        out = verify_strictness_three_way(b.cm, samples_t, b.samples)
+        out = verify_strictness_three_way(b.cm, b.samples)
         assert out["applicable"] and out["passed"]
         assert out["strict"]
     # the zero comodule: strict fails and so does the right-hand side
     ws = bundles["E2"].ws
     z = ws.comodules["Sigma0"]
     cm0 = context_M(z)
-    out0 = verify_strictness_three_way(cm0, [], [])
+    out0 = verify_strictness_three_way(cm0, [])
     assert out0["applicable"] and not out0["strict"]
 
 
@@ -445,7 +429,7 @@ def _td_coaction_elementwise(ec):
 
 def test_t_tensor_d_over_nontrivial_base_is_projected_in_its_layout():
     ec = _l1_bicomodule_context()
-    assert strictness(ec.context)["strict"]
+    assert ec.context.strict
     td_com, td_tens = ec.td
     # the relations over L are really there, so layouts would differ
     assert td_tens.dim < td_tens.ambient_dim

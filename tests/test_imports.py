@@ -81,10 +81,6 @@ UNUSED_PARAMETERS_ALLOWED = {
     ("extension.py", "check_colinear_maps_remain_colinear", "ext"):
         "names the extension whose inner-colinear maps are checked; the cli, "
         "tests and callers pass it first",
-    ("galois.py", "verify_surjectivity_thm", "cm"):
-        "shares the (ext_ctx, cm) signature of verify_strong_structure, "
-        "verify_diamond_to_triangle and verify_fgp_corollary, and the cli "
-        "and tests call it that way",
     ("zoo.py", "weak_cleft_translation", "coring"):
         "takes the coring, inclusion and retraction that weak_entwining_coring "
         "returns, in that order, so callers pass them on as one group",

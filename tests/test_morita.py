@@ -13,7 +13,7 @@ from coringlab.exactla import (AxiomError, FieldFp, Matrix, QQ, Subspace, kernel
                                zero_vec)
 from coringlab.extension import ExtContext, purity_check
 from coringlab.morita import (ModuleContext, MoritaContext, QModule, context_M,
-                              morphism_failure, morphism_M_to_N, strictness)
+                              morphism_failure, morphism_M_to_N)
 from coringlab.workspace import load_workspace_file
 from coringlab.zoo import FIXTURES
 
@@ -54,8 +54,7 @@ def test_switched_isomorph(bundles):
 def test_context_corners_e1(bundles):
     ctx = bundles["E1"].cm.context
     assert (ctx.alg1.dim, ctx.alg2.dim, ctx.bim12.dim, ctx.bim21.dim) == (1, 1, 1, 1)
-    st = strictness(ctx)
-    assert st["strict"]
+    assert ctx.strict
 
 
 def test_context_e3_galois_case(bundles):
@@ -79,7 +78,7 @@ def test_context_e3_galois_case(bundles):
             for r in range(sigma.dim):
                 total.data[r][y] = F.add(total.data[r][y], col[r])
     assert total == Matrix.identity(F, sigma.dim)
-    assert strictness(ctx)["strict"]
+    assert ctx.strict
 
 
 def _dual_mod(cm):
@@ -88,20 +87,19 @@ def _dual_mod(cm):
 
 
 def test_context_e2_strict(bundles):
-    assert strictness(bundles["E2"].cm.context)["strict"]
+    assert bundles["E2"].cm.context.strict
 
 
 def test_context_e4_strict(bundles):
-    assert strictness(bundles["E4"].cm.context)["strict"]
+    assert bundles["E4"].cm.context.strict
 
 
 def test_zero_comodule_not_strict(bundles):
     sigma0 = zero_comodule(bundles["E2"].sigma.coring, name="0")
     cm0 = context_M(sigma0)
-    st = strictness(cm0.context)
-    assert not st["strict"]
-    assert not st["surjective1"]
-    assert st["surjective2"]  # onto the zero ring
+    assert not cm0.context.strict
+    assert not cm0.context.connecting(1)[0]
+    assert cm0.context.connecting(2)[0]  # onto the zero ring
 
 
 def test_morphism_is_isomorphism_on_projective_corings(bundles):

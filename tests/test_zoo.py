@@ -10,7 +10,7 @@ from coringlab.algmod import FBimodule, FiniteAlgebra, trivial_algebra
 from coringlab.coring import Comodule, Grouplike, colinear_homs, grouplike_comodule
 from coringlab.exactla import AxiomError, FieldFp, Matrix, QQ, unit_vec
 from coringlab.extension import ExtContext, purity_check
-from coringlab.morita import context_M, strictness
+from coringlab.morita import context_M
 from coringlab.galois import cleft_check
 from coringlab.workspace import load_workspace
 from coringlab.zoo import (BialgebraData, EntwiningStructure, PartialGroupAction,
