@@ -5,11 +5,10 @@ axiom, canonical map and certification is decided by exact linear algebra.
 """
 
 from .exactla import (AxiomError, FieldFp, FieldQ, Matrix, QQ, Subspace,
-                      UsageError, image, kernel, product_span, quotient,
-                      solve_linear)
+                      UsageError, image, kernel, quotient, solve_linear)
 from .algmod import (BalancedTensor, FBimodule, FiniteAlgebra, FLinearMap,
-                     fgp_check, generator_check, hom_space, tensor_over,
-                     trivial_algebra)
+                     fgp_check, generator_check, hom_space, span_witness,
+                     summand_witnesses, trivial_algebra)
 from .coring import (Comodule, Coring, Grouplike, colinear_homs,
                      comodule_direct_sum, co_opposite, DualRing, dual_action,
                      grouplike_comodule, trivial_coring, zero_comodule)
@@ -17,9 +16,8 @@ from .morita import (ModuleContext, MoritaContext, context_M, morphism_failure,
                      morphism_M_to_N, strictness)
 from .extension import (CoringExtension, ExtContext, convolution_algebra,
                         convolution_inverse, induced_D_coaction, purity_check)
-from .galois import (CanonicalMap, CleftData, cleft_check,
-                     galois_check, normal_basis_check, summand_check,
-                     verify_cor_jJ, verify_diamond_to_triangle,
+from .galois import (CanonicalMap, CleftData, cleft_check, galois_check,
+                     normal_basis_check, verify_cor_jJ, verify_diamond_to_triangle,
                      verify_fgp_corollary, verify_strong_structure,
                      verify_surjectivity_thm, verify_weak_structure)
 from .workspace import Workspace, load_workspace, load_workspace_file

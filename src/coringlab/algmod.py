@@ -296,8 +296,7 @@ class FBimodule:
 class FLinearMap:
     """Linear map between bimodule carriers with verified linearity flags."""
 
-    def __init__(self, source, target, matrix, left_linear=False, right_linear=False,
-                 check=True):
+    def __init__(self, source, target, matrix, left_linear=False, right_linear=False):
         if matrix.rows != target.dim or matrix.cols != source.dim:
             raise UsageError("map matrix is %dx%d, expected %dx%d"
                              % (matrix.rows, matrix.cols, target.dim, source.dim))
@@ -306,8 +305,7 @@ class FLinearMap:
         self.matrix = matrix
         self.left_linear = left_linear
         self.right_linear = right_linear
-        if check:
-            self.verify_flags()
+        self.verify_flags()
 
     def verify_flags(self):
         if self.left_linear:
@@ -654,11 +652,6 @@ class BalancedTensor:
         return "BalancedTensor(%s, dim %d)" % (self.name, self.dim)
 
 
-def tensor_over(m, b, n, name=None):
-    """Balanced tensor M (x)_B N with outer module structures installed."""
-    return BalancedTensor([m, n], [b], name=name)
-
-
 # ---------------------------------------------------------------------------
 # hom spaces
 
@@ -750,16 +743,41 @@ def hom_space(m, n, left_linear=False, right_linear=False, extra_constraints=())
     return space
 
 
-def coords_in_basis(basis_mats, mat):
-    """Coordinates of mat in the span of a possibly dependent list, or None:
-    the canonical solution of solve_linear.  A canonical basis is read at
-    its pivots instead (MatrixSpace)."""
-    if not basis_mats:
-        return [] if mat.is_zero() else None
-    field = mat.field
-    cols = [flatten_matrix(b) for b in basis_mats]
-    a = Matrix.from_cols(field, len(cols[0]), cols)
-    return solve_linear(a, flatten_matrix(mat))
+def span_witness(field, pairs, target):
+    """Write target as a combination of the vectors of pairs, a list of
+    (label, vector), matrices entering flattened (flatten_matrix).
+
+    Returns [(label, c)] for the nonzero coefficients of solve_linear's
+    canonical solution, in pair order, or None when target is outside the
+    span.  With no pairs, [] exactly when target is zero.
+    """
+    if not pairs:
+        return None if any(v != field.zero for v in target) else []
+    a = Matrix.from_cols(field, len(target), [vec for _, vec in pairs])
+    coeffs = solve_linear(a, list(target))
+    if coeffs is None:
+        return None
+    return [(label, c) for (label, _), c in zip(pairs, coeffs) if c != field.zero]
+
+
+def summand_witnesses(maps_mn, maps_nm):
+    """Witnesses that M is a direct summand of a finite direct sum of copies
+    of N, from MatrixSpaces of maps M -> N and N -> M: pairs (kappa, lam),
+    one per basis map kappa that takes part, with lam in the span of
+    maps_nm and sum lam∘kappa = id_M; None when id_M is no such sum, [] when
+    M = 0."""
+    field = maps_mn.field
+    pairs = [((j, i), flatten_matrix(lam.mul(kap)))
+             for j, kap in enumerate(maps_mn.basis)
+             for i, lam in enumerate(maps_nm.basis)]
+    wit = span_witness(field, pairs, flatten_matrix(Matrix.identity(field, maps_mn.cols)))
+    if wit is None:
+        return None
+    grouped = {}
+    for (j, i), c in wit:
+        lam = maps_nm.basis[i].scale(c)
+        grouped[j] = grouped[j].add(lam) if j in grouped else lam
+    return [(maps_mn.basis[j], lam) for j, lam in grouped.items()]
 
 
 def _say(message, *at):
@@ -880,26 +898,19 @@ def _dual_basis(m, side, alg):
         raise UsageError("side must be 'left' or 'right'")
     if m.dim == 0:
         return ([], [])
-    pair_mats = []
     pairs = []
     act_vec = m.right_act_vec if side == "right" else m.left_act_vec
     for h in homs.basis:
         acts = [act_vec(h.col(j)) for j in range(m.dim)]
         for x in range(m.dim):
             # v -> x · h(v)   (right side),  v -> h(v) · x  (left side)
-            pair_mats.append(Matrix.from_cols(field, m.dim, [act.col(x) for act in acts]))
-            pairs.append((h, x))
-    coeffs = coords_in_basis(pair_mats, Matrix.identity(field, m.dim))
-    if coeffs is None:
+            pairs.append(((h, x), flatten_matrix(
+                Matrix.from_cols(field, m.dim, [act.col(x) for act in acts]))))
+    wit = span_witness(field, pairs, flatten_matrix(Matrix.identity(field, m.dim)))
+    if wit is None:
         return None
-    elements = []
-    functionals = []
-    for c, (h, x) in zip(coeffs, pairs):
-        if c == field.zero:
-            continue
-        elements.append(vec_scale(field, c, unit_vec(field, m.dim, x)))
-        functionals.append(h)
-    return (elements, functionals)
+    return ([vec_scale(field, c, unit_vec(field, m.dim, x)) for (_, x), c in wit],
+            [h for (h, _), _ in wit])
 
 
 def generator_check(m, side, alg):
@@ -912,23 +923,9 @@ def generator_check(m, side, alg):
     field = m.field
     homs = hom_space(m, FBimodule.regular(alg),
                      right_linear=(side == "right"), left_linear=(side == "left"))
-    span = []
-    pairs = []
-    for h in homs.basis:
-        for x in range(m.dim):
-            span.append(h.col(x))
-            pairs.append((h, x))
-    if not span:
+    wit = span_witness(field, [((h, x), h.col(x)) for h in homs.basis
+                               for x in range(m.dim)], alg.unit)
+    if not wit:
         return None
-    a = Matrix.from_cols(field, alg.dim, span)
-    coeffs = solve_linear(a, list(alg.unit))
-    if coeffs is None:
-        return None
-    functionals = []
-    elements = []
-    for c, (h, x) in zip(coeffs, pairs):
-        if c == field.zero:
-            continue
-        functionals.append(h)
-        elements.append(vec_scale(field, c, unit_vec(field, m.dim, x)))
-    return (functionals, elements)
+    return ([h for (h, _), _ in wit],
+            [vec_scale(field, c, unit_vec(field, m.dim, x)) for (_, x), c in wit])

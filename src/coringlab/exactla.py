@@ -599,30 +599,6 @@ def quotient(ambient_dim, relations):
     return QuotientSpace(f, ambient_dim, relations, dim, proj, sect, nonpivot)
 
 
-def product_span(us, vs):
-    """Linear span of all pairwise products g·f for g in span(vs), f in span(us).
-
-    `us`, `vs` are lists of matrices; every product vs[i]·us[j] must be
-    composable.  Returned as a Subspace of the flattened matrix space.
-    """
-    if not us or not vs:
-        shape_rows = vs[0].rows if vs else (us[0].rows if us else 0)
-        shape_cols = us[0].cols if us else (vs[0].cols if vs else 0)
-        field = (us[0] if us else vs[0]).field if (us or vs) else QQ
-        return Subspace.from_span(field, shape_rows * shape_cols, [])
-    f = us[0].field
-    prods = []
-    for g in vs:
-        for u in us:
-            if g.cols != u.rows:
-                raise UsageError("product_span: %dx%d by %dx%d not composable"
-                                 % (g.rows, g.cols, u.rows, u.cols))
-            p = g.mul(u)
-            prods.append([v for row in p.data for v in row])
-    n = vs[0].rows * us[0].cols
-    return Subspace.from_span(f, n, prods)
-
-
 def flatten_matrix(m):
     return [v for row in m.data for v in row]
 

@@ -24,7 +24,7 @@ from __future__ import annotations
 from functools import cached_property
 
 from .algmod import (BalancedTensor, FBimodule, algebra_map_check, endo_algebra,
-                     hom_space, sandwich_terms, trivial_algebra)
+                     hom_space, sandwich_terms, summand_witnesses, trivial_algebra)
 from .coring import Comodule, colinear_homs, colinearity_constraint
 from .exactla import (AxiomError, Matrix, UsageError, image, kernel, rank,
                       side_by_side, solve_linear, vec_scale)
@@ -212,24 +212,20 @@ def _pure_for(ext, m):
     return image(phi) == eq
 
 
-def induced_D_coaction(ext, m, carrier=None, name=None):
+def induced_D_coaction(ext, m):
     """The outer comodule structure on a comodule of the inner coring.
 
     Requires a purity certificate.  Installs the induced right L-action
-    first, then returns a comodule of the outer coring; on request a
-    different carrier wrapping (e.g. with a left endomorphism action) is
-    used, provided it has the same dimension.
+    first, then returns a comodule of the outer coring.
     """
     if ext.purity_certificate in ("unchecked", "not-pure"):
         raise UsageError("induced coaction refused: extension %s has purity "
                          "certificate %r" % (ext.name, ext.purity_certificate))
     f = ext.field
     c = ext.inner
-    l_acts = induced_right_l_action(ext, m)
-    if carrier is None:
-        carrier = FBimodule(m.carrier.left_alg, ext.outer.base, m.dim,
-                            list(m.carrier.left_act), l_acts,
-                            name=name or m.name)
+    carrier = FBimodule(m.carrier.left_alg, ext.outer.base, m.dim,
+                        list(m.carrier.left_act), induced_right_l_action(ext, m),
+                        name=m.name)
     md = BalancedTensor([carrier, ext.outer.carrier], [ext.outer.base])
     # m -> m^[0]·eps(m^[1]_[0]) (x) m^[1]_[1] = sum_a m^[0]·a (x) z_a(m^[1]), where
     # (eps (x) D)∘tau = sum_a a (x) z_a over the basis of A
@@ -240,7 +236,7 @@ def induced_D_coaction(ext, m, carrier=None, name=None):
         z_a = Matrix(f, ddim, c.dim, z.data[a * ddim:(a + 1) * ddim])
         tau_m = tau_m.add(m.mc.induced(md, [(0, act), (1, z_a)]))
     tau_m = tau_m.mul(m.coaction)
-    out = Comodule(ext.outer, carrier, tau_m, name=name or m.name)
+    out = Comodule(ext.outer, carrier, tau_m, name=m.name)
     out.validate()
     return out
 
@@ -387,8 +383,10 @@ class ExtContext:
         self._build_actions()
         self._build_context()
         # the undirected invertibility search, run once per context by
-        # galois.cleft_check
+        # galois.cleft_check, and the verified counit inverse of each sample
+        # comodule (galois.verify_weak_structure)
         self.cleft_search = None
+        self.counit_inverses = {}
 
     # -- the bicomodules of the normal-basis checks, built on first use
 
@@ -419,6 +417,12 @@ class ExtContext:
         sig, td = self.sigma_bi, self.td[0]
         return (colinear_homs(sig, td, left_linear=True),
                 colinear_homs(td, sig, left_linear=True))
+
+    @cached_property
+    def sigma_summand(self):
+        """Witnesses (kappa, lam) that Sigma is a summand of a power of
+        T (x)_L D as a T-D bicomodule (algmod.summand_witnesses), or None."""
+        return summand_witnesses(*self.bicomodule_homs)
 
     def outer_comodule(self, m):
         """The outer comodule induced by a comodule m of the inner coring,

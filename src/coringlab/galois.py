@@ -1,12 +1,16 @@
-"""Canonical maps, Galois certification, summand and normal-basis checks,
-cleftness, and the structure-theorem verifier suite.
+"""Canonical maps, Galois certification, normal-basis checks, cleftness,
+and the structure-theorem verifier suite.
 
 Universally quantified statements are certified either through the finitely
 generated projective reduction or verified on explicit sample lists; every
 report states which grade applies.  The comodule context keeps the facts the
 verifiers share, each decided once: Sigma's Galois verdict (sigma_galois),
 the adjunction unit (tensor_fullyfaithful_check) and each sample comodule's
-evaluation counit (sample_counit).
+evaluation counit (sample_counit); the extension context keeps the witnesses
+that Sigma is a summand of a power of T (x)_L D (ExtContext.sigma_summand)
+and each sample's verified counit inverse.  Every witness that a target is a
+sum of products (summands, the weak normal-basis split, the unit
+decomposition of 1_T) is one algmod.span_witness solve.
 
 Each construction has one builder, and every map into a balanced tensor is
 built with BalancedTensor.induced: sigma_over_end (Sigma as a left
@@ -31,8 +35,8 @@ from __future__ import annotations
 import itertools
 import random
 
-from .algmod import (BalancedTensor, FBimodule, coords_in_basis,
-                     fgp_check, generator_check, hom_space, trivial_algebra)
+from .algmod import (BalancedTensor, FBimodule, fgp_check, generator_check,
+                     hom_space, span_witness, summand_witnesses, trivial_algebra)
 from .coring import EndAlgebra, colinear_homs
 from .exactla import (AxiomError, Matrix, UsageError, flatten_matrix, rank,
                       side_by_side, solve_linear, solve_many, unflatten,
@@ -169,60 +173,6 @@ def sigma_galois(cm):
 
 
 # ---------------------------------------------------------------------------
-# summand checks
-
-
-def _witnesses_from_products(homs_mn, homs_nm, target):
-    """Express target as a finite sum of composites, or None.
-
-    Returns a list of pairs (kappa, lam) of matrices with
-    sum lam ∘ kappa = target.
-    """
-    if not homs_mn or not homs_nm:
-        return None if not target.is_zero() else []
-    field = target.field
-    prods = []
-    pairs = []
-    for j, kap in enumerate(homs_mn):
-        for i, lam in enumerate(homs_nm):
-            prods.append(lam.mul(kap))
-            pairs.append((j, i))
-    coeffs = coords_in_basis(prods, target)
-    if coeffs is None:
-        return None
-    grouped = {}
-    for c, (j, i) in zip(coeffs, pairs):
-        if not c:
-            continue
-        if j not in grouped:
-            grouped[j] = Matrix.zero(field, target.rows, homs_mn[j].rows)
-        grouped[j] = grouped[j].add(homs_nm[i].scale(c))
-    return [(homs_mn[j], lam) for j, lam in grouped.items()]
-
-
-def summand_check(m, n, flavor="comodule"):
-    """Decide whether m is a direct summand of a finite direct sum of copies
-    of n, by linear membership of the identity in the span of composites.
-
-    flavor selects the hom spaces: plain comodule maps, or left module maps
-    over the shared left algebra.
-    """
-    if flavor == "comodule":
-        homs_mn = colinear_homs(m, n).basis
-        homs_nm = colinear_homs(n, m).basis
-    elif flavor == "left-module":
-        homs_mn = hom_space(m, n, left_linear=True).basis
-        homs_nm = hom_space(n, m, left_linear=True).basis
-    else:
-        raise UsageError("unknown summand flavor %r" % flavor)
-    wit = _witnesses_from_products(homs_mn, homs_nm,
-                                   Matrix.identity(m.field, m.dim))
-    if wit is None:
-        return {"summand": False, "witnesses": None, "s": None}
-    return {"summand": True, "witnesses": wit, "s": len(wit)}
-
-
-# ---------------------------------------------------------------------------
 # invertibility data
 
 
@@ -240,17 +190,16 @@ class CleftData:
         self.grade = grade
 
 
-def _candidate_vectors(dim, field, cap=SEARCH_SWEEP_CAP, trials=SEARCH_TRIALS,
-                       seed=SEARCH_SEED):
+def _candidate_vectors(dim, field):
     """Deterministic search order: small-integer sweep, then seeded trials."""
     if dim == 0:
         return
-    if dim <= cap:
+    if dim <= SEARCH_SWEEP_CAP:
         for tup in itertools.product((0, 1, -1), repeat=dim):
             if any(tup):
                 yield [field.of_int(v) for v in tup]
-    rng = random.Random(seed)
-    for _ in range(trials):
+    rng = random.Random(SEARCH_SEED)
+    for _ in range(SEARCH_TRIALS):
         yield [field.of_int(rng.randint(-9, 9)) for _ in range(dim)]
 
 
@@ -282,9 +231,7 @@ def normal_basis_check(ext_ctx, cleft_data=None):
     f = ext_ctx.field
     td_com, td_tens = ext_ctx.td
     space_st, space_ts = ext_ctx.bicomodule_homs
-    homs_st, homs_ts = space_st.basis, space_ts.basis
-    family = _witnesses_from_products(homs_st, homs_ts,
-                                      Matrix.identity(f, sigma.dim))
+    family = ext_ctx.sigma_summand
     report = {"td_dim": td_com.dim, "sigma_dim": sigma.dim,
               "family_summand": family is not None,
               "family_witnesses": family}
@@ -319,7 +266,7 @@ def normal_basis_check(ext_ctx, cleft_data=None):
             raise AxiomError("the candidate built from invertibility data is not "
                              "a bicomodule map")
         candidates.append(kappa)
-    seen_coeffs = (list(vec) for vec in _candidate_vectors(len(homs_st), f))
+    seen_coeffs = (list(vec) for vec in _candidate_vectors(space_st.dim, f))
     full_found = None
     weak_found = None
     dim_ok_full = sigma.dim == td_com.dim
@@ -327,10 +274,14 @@ def normal_basis_check(ext_ctx, cleft_data=None):
     def try_kappa(kappa):
         nonlocal full_found, weak_found
         if weak_found is None:
-            back = coords_in_basis([h.mul(kappa) for h in homs_ts],
-                                   Matrix.identity(f, sigma.dim))
+            back = span_witness(f, [(h, flatten_matrix(h.mul(kappa)))
+                                    for h in space_ts.basis],
+                                flatten_matrix(Matrix.identity(f, sigma.dim)))
             if back is not None:
-                weak_found = (kappa, space_ts.element(back) if homs_ts else None)
+                lam = Matrix.zero(f, sigma.dim, td_com.dim)
+                for h, c in back:
+                    lam = lam.add(h.scale(c))
+                weak_found = (kappa, lam)
         if dim_ok_full and full_found is None:
             if rank(kappa) == sigma.dim:
                 full_found = kappa
@@ -368,7 +319,7 @@ def normal_basis_check(ext_ctx, cleft_data=None):
     return report
 
 
-def cleft_check(ext_ctx, j=None, jtilde=None, search=True):
+def cleft_check(ext_ctx, j=None, jtilde=None):
     """Decide the (weak) invertibility property of the extension context.
 
     With both elements given, both composite identities are verified.  With
@@ -384,10 +335,8 @@ def cleft_check(ext_ctx, j=None, jtilde=None, search=True):
     """
     if j is not None:
         return _cleft_for_j(ext_ctx, j, jtilde)
-    if not search:
-        return _cleft_without_data(ext_ctx, search=False)
     if ext_ctx.cleft_search is None:
-        ext_ctx.cleft_search = _cleft_without_data(ext_ctx, search=True)
+        ext_ctx.cleft_search = _cleft_without_data(ext_ctx)
     return ext_ctx.cleft_search
 
 
@@ -449,7 +398,7 @@ def _cleft_for_j(ext_ctx, j, jtilde):
     return CleftData(j, jtilde, "weak-cleft")
 
 
-def _cleft_without_data(ext_ctx, search):
+def _cleft_without_data(ext_ctx):
     f = ext_ctx.field
     # no data: a failed identity-membership certifies the negative
     surj, _ = ext_ctx.context.connecting(1)
@@ -459,8 +408,6 @@ def _cleft_without_data(ext_ctx, search):
     # T (x) D, so a dimension excess refutes even the weak grade
     if ext_ctx.sigma.dim > ext_ctx.td[0].dim:
         return CleftData(None, None, "not-cleft")
-    if not search:
-        return CleftData(None, None, "unresolved")
     target = _cleft_targets(ext_ctx)
     best = None
     for coeffs in _candidate_vectors(len(ext_ctx.p_basis), f):
@@ -661,9 +608,18 @@ def verify_weak_structure(ext_ctx, samples):
     if witnesses is None:
         return {"applicable": False,
                 "reason": "first connecting map not surjective"}
-    f = ext_ctx.field
-    results = []
     for m in samples:
+        _counit_inverse(ext_ctx, m, witnesses)
+    return {"applicable": True, "passed": True,
+            "samples": [(m.name, True) for m in samples]}
+
+
+def _counit_inverse(ext_ctx, m, witnesses):
+    """The inverse of the evaluation counit at the comodule m, built from the
+    unit decomposition witnesses (_first_witnesses, which the context fixes)
+    and verified two-sided; kept on ext_ctx unless it raises."""
+    if m not in ext_ctx.counit_inverses:
+        f = ext_ctx.field
         counit, tens, homs = sample_counit(ext_ctx.cm, m)
         # inverse: m -> sum_l [x -> m_[0]^[0]·jtilde_l(m_[0]^[1])(x)] (x) j_l(m_[1])
         inverse = witness_splitting(ext_ctx, m, tens, witnesses, homs,
@@ -672,8 +628,8 @@ def verify_weak_structure(ext_ctx, samples):
             raise AxiomError("counit inverse fails on %s (right)" % m.name)
         if inverse.mul(counit) != Matrix.identity(f, tens.dim):
             raise AxiomError("counit inverse fails on %s (left)" % m.name)
-        results.append((m.name, True))
-    return {"applicable": True, "passed": True, "samples": results}
+        ext_ctx.counit_inverses[m] = inverse
+    return ext_ctx.counit_inverses[m]
 
 
 def unit_decomposition_of_one(ext_ctx):
@@ -685,27 +641,21 @@ def unit_decomposition_of_one(ext_ctx):
     if t_alg.dim == 0:
         return {"pairs": [], "path": "zero algebra"}
     if rank(d.counit) == d.base.dim:
-        dvec = solve_linear(d.counit, list(d.base.unit))
         unit_v = ext_ctx._v_unit_matrix()
         if ext_ctx.v_space.coords(unit_v) is None:
             raise AxiomError("convolution unit is not a bilinear map")
-        return {"pairs": [(unit_v, dvec)], "path": "counit surjective"}
-    cols = []
-    pairs = []
-    for b, v in enumerate(ext_ctx.v_basis):
-        for dd in range(d.dim):
-            cols.append(v.col(dd))
-            pairs.append((b, dd))
-    if not cols:
+        # unit_v(d) = eps(d)·1_T, so any d with eps(d) = 1 decomposes 1_T
+        wit = span_witness(f, [((unit_v, dd), d.counit.col(dd)) for dd in range(d.dim)],
+                           d.base.unit)
+        path = "counit surjective"
+    else:
+        wit = span_witness(f, [((v, dd), v.col(dd)) for v in ext_ctx.v_basis
+                               for dd in range(d.dim)], t_alg.unit)
+        path = "membership solve"
+    if wit is None:
         return None
-    coeffs = solve_linear(Matrix.from_cols(f, t_alg.dim, cols), list(t_alg.unit))
-    if coeffs is None:
-        return None
-    out = []
-    for c, (b, dd) in zip(coeffs, pairs):
-        if c:
-            out.append((ext_ctx.v_basis[b].scale(c), unit_vec(f, d.dim, dd)))
-    return {"pairs": out, "path": "membership solve"}
+    return {"pairs": [(v.scale(c), unit_vec(f, d.dim, dd)) for (v, dd), c in wit],
+            "path": path}
 
 
 def tensor_fullyfaithful_check(cm):
@@ -798,16 +748,13 @@ def verify_surjectivity_thm(ext_ctx):
     """Both sides of the two summand biconditionals, computed independently;
     disagreement raises (the statements are proved, so it means a bug)."""
     ext = ext_ctx.ext
-    sigma = ext_ctx.sigma
     f = ext_ctx.field
     lhs1, _ = ext_ctx.context.connecting(1)
     gal = sigma_galois(ext_ctx.cm)
     galois = gal["verdict"] in ("certified-Galois", "Galois-on-samples")
-    td_com, td_tens = ext_ctx.td
+    td_tens = ext_ctx.td[1]
     space_st, space_ts = ext_ctx.bicomodule_homs
-    homs_st, homs_ts = space_st.basis, space_ts.basis
-    s_fam = _witnesses_from_products(homs_st, homs_ts,
-                                     Matrix.identity(f, sigma.dim))
+    s_fam = ext_ctx.sigma_summand
     rhs1 = galois and s_fam is not None
     if lhs1 != rhs1:
         raise AxiomError("surjectivity criterion part 1: the two sides disagree "
@@ -825,8 +772,7 @@ def verify_surjectivity_thm(ext_ctx):
             raise AxiomError("rebuilt summand witnesses do not decompose the "
                              "identity")
         out["rebuilt_pairs"] = len(rebuilt)
-    z_fam = _witnesses_from_products(homs_ts, homs_st,
-                                     Matrix.identity(f, td_com.dim))
+    z_fam = summand_witnesses(space_ts, space_st)
     lhs2 = ext_ctx.context.strict
     rhs2 = rhs1 and z_fam is not None
     if lhs2 != rhs2:
@@ -909,12 +855,13 @@ def verify_diamond_to_triangle(ext_ctx):
                        [Matrix.identity(f, t_alg.dim)], name="T")
     sig_left = FBimodule(t_alg, k, sigma.dim, list(ext_ctx.end.basis_maps),
                          [Matrix.identity(f, sigma.dim)], name=sigma.name)
-    sm = summand_check(t_left, sig_left, flavor="left-module")
-    if not sm["summand"]:
+    wit = summand_witnesses(hom_space(t_left, sig_left, left_linear=True),
+                            hom_space(sig_left, t_left, left_linear=True))
+    if wit is None:
         raise AxiomError("endomorphism algebra is not a summand of a power of "
                          "the comodule")
     return {"applicable": True, "passed": True, "triangle_surjective": True,
-            "sigma_fgp": True, "z": sm["s"]}
+            "sigma_fgp": True, "z": len(wit)}
 
 
 def verify_cor_jJ(ext_ctx, j=None, jtilde=None):

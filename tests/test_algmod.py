@@ -11,12 +11,13 @@ from perturb import apply_perturbation
 from coringlab import algmod
 from coringlab.algmod import (BalancedTensor, FBimodule, FiniteAlgebra,
                               MatrixSpace, _balancing_indices, algebra_map_check,
-                              coords_in_basis, fgp_check, generator_check, hom_space,
-                              non_multiplicative_at, tensor_algebra, tensor_over,
+                              fgp_check, generator_check, hom_space,
+                              non_multiplicative_at, span_witness, tensor_algebra,
                               trivial_algebra, zero_algebra)
 from coringlab.cli import main
 from coringlab.exactla import (AxiomError, FieldFp, Matrix, QQ, UsageError,
-                               flatten_matrix, kernel, rank, solve_many, unit_vec)
+                               flatten_matrix, kernel, rank, solve_linear, solve_many,
+                               unit_vec)
 from coringlab.extension import ExtContext, purity_check
 from coringlab.galois import CanonicalMap, regular_right_module
 from coringlab.morita import ModuleContext, context_M
@@ -98,7 +99,7 @@ def test_regular_bimodule_valid(a_quad):
 
 def test_tensor_unit_balancing(a_quad):
     reg = FBimodule.regular(a_quad)
-    t = tensor_over(reg, a_quad, reg)
+    t = BalancedTensor([reg, reg], [a_quad])
     assert t.dim == a_quad.dim
 
 
@@ -125,7 +126,7 @@ def test_tensor_over_subfield(a_quad):
 
 def test_tensor_dim_bound(a_quad):
     reg = FBimodule.regular(a_quad)
-    t = tensor_over(reg, a_quad, reg)
+    t = BalancedTensor([reg, reg], [a_quad])
     assert t.dim <= reg.dim * reg.dim
 
 
@@ -244,6 +245,20 @@ def test_generator_zero_module(a_quad):
     zero = FBimodule(trivial_algebra(F), a_quad, 0, [Matrix.zero(F, 0, 0)],
                      [Matrix.zero(F, 0, 0), Matrix.zero(F, 0, 0)], name="0")
     assert generator_check(zero, "right", a_quad) is None
+
+
+def test_span_witness_keeps_labels_in_pair_order_and_drops_zeros():
+    e0, e1, e2 = (unit_vec(F, 3, i) for i in range(3))
+    # no pairs: only the zero target is reached
+    assert span_witness(F, [], [F.zero] * 3) == []
+    assert span_witness(F, [], e0) is None
+    # a target outside the span
+    assert span_witness(F, [("a", e0), ("b", e1)], e2) is None
+    # the canonical solution sets the free column c to zero, and b's
+    # coefficient is zero: only a and d are named, in pair order
+    pairs = [("a", e0), ("b", e1), ("c", [F.one, F.one, F.zero]), ("d", e2)]
+    assert span_witness(F, pairs, [F.of_int(2), F.zero, F.of_int(3)]) == \
+        [("a", F.of_int(2)), ("d", F.of_int(3))]
 
 
 def test_group_algebra_builder():
@@ -605,6 +620,16 @@ def test_lift_pairs_matches_the_section_route(field):
 # MatrixSpace coordinates against the solve_linear definition
 
 
+def _solved_coords(basis, mat):
+    """The coordinates of mat in a list of matrices as solve_linear's
+    canonical solution, or None; the empty list spans only zero."""
+    if not basis:
+        return [] if mat.is_zero() else None
+    cols = [flatten_matrix(b) for b in basis]
+    return solve_linear(Matrix.from_cols(mat.field, len(cols[0]), cols),
+                        flatten_matrix(mat))
+
+
 def _solved_spaces(ws):
     """The solved spaces a run over the workspace builds: both contexts of
     each comodule, the hom space of its canonical map at the base, and the
@@ -640,7 +665,7 @@ def test_space_coords_match_solve_linear(field):
             combos += [[f.of_int(rng.randint(-3, 3)) for _ in range(n)] for _ in range(3)]
             for coeffs in combos:
                 mat = space.element(coeffs)
-                assert space.coords(mat) == coeffs == coords_in_basis(space.basis, mat)
+                assert space.coords(mat) == coeffs == _solved_coords(space.basis, mat)
                 size = space.rows * space.cols
                 if not size:
                     continue
@@ -650,7 +675,7 @@ def test_space_coords_match_solve_linear(field):
                 for spot in spots:
                     bad = _bump(mat, spot // space.cols, spot % space.cols)
                     got = space.coords(bad)
-                    assert got == coords_in_basis(space.basis, bad)
+                    assert got == _solved_coords(space.basis, bad)
                     rejected += got is None
             checked += 1
     assert checked > 100 and rejected > 0

@@ -431,6 +431,9 @@ def test_theorems_decides_each_fact_once(capsys, monkeypatch):
     counted("fgp", algmod, "_dual_basis", key=lambda m, side, alg: (m.name, side))
     counted("counit", galois, "evaluation_counit", key=lambda sigma, end, m: m.name)
     counted("rank", morita, "rank")
+    counted("split", galois, "witness_splitting", key=lambda ec, m, *rest: m.name)
+    counted("summand", galois, "summand_witnesses")
+    counted("summand", extension, "summand_witnesses")
     code, _, _ = run_cli(capsys, *THEOREMS_E2, "--suite", "all")
     assert code == 0
 
@@ -443,6 +446,29 @@ def test_theorems_decides_each_fact_once(capsys, monkeypatch):
     assert sorted(made("counit")) == ["Creg", "Sigma", "SigmaPlus"]
     # each of the two strict contexts decides its strictness once: two ranks
     assert len(made("rank")) == 4
+    # one counit inverse per sample, kept for the strong structure check,
+    # plus the normal-basis candidate and the coretraction, both on Sigma
+    assert sorted(made("split")) == ["Creg", "Sigma", "Sigma", "Sigma", "SigmaPlus"]
+    # Sigma | (T (x)_L D)^n is solved once for the normal basis and the
+    # surjectivity criterion; T (x)_L D | Sigma^n and T | Sigma^n once each
+    assert len(made("summand")) == 3
+
+
+def test_cleft_grades_a_supplied_section_once(capsys, monkeypatch):
+    graded = []
+    grade = galois._cleft_for_j
+
+    def counted(*args):
+        graded.append(args[1])
+        return grade(*args)
+
+    monkeypatch.setattr(galois, "_cleft_for_j", counted)
+    code, out, _ = run_cli(capsys, "cleft", *THEOREMS_E2[1:], "--j", "lambda_id",
+                           "--jtilde", "jtilde")
+    assert code == 0
+    grades = {c["check_id"]: c["verdict"] for c in json.loads(out)["checks"]}
+    assert grades["invertibility grade"] == "cleft"
+    assert len(graded) == 1
 
 
 def test_morita_validates_each_context_once(capsys, monkeypatch):

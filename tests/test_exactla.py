@@ -1,15 +1,16 @@
-"""Kernel tests: exact solving, kernels, images, quotients, product spans."""
+"""Kernel tests: exact solving, kernels, images, quotients, and witnesses in
+spans of products."""
 
-import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from coringlab import exactla
+from coringlab.algmod import span_witness
 from coringlab.cli import main
 from coringlab.exactla import (FieldFp, FieldQ, Matrix, QQ, Subspace, UsageError,
-                               image, kernel, product_span, quotient, rank, rref,
+                               flatten_matrix, image, kernel, quotient, rank, rref,
                                solve_linear, unit_vec)
 from conftest import fixture_path
 
@@ -111,31 +112,33 @@ def test_quotient_canonical_choice():
         q.projection.mul_vec([F.of_int(7), F.zero])
 
 
+def _products(us, vs):
+    """The products g·u, g in vs and u in us, flattened and labelled by
+    their index pair, as span_witness takes them."""
+    return [((i, j), flatten_matrix(g.mul(u)))
+            for i, g in enumerate(vs) for j, u in enumerate(us)]
+
+
 def test_product_span_identity():
     i2 = Matrix.identity(F, 2)
-    assert product_span([i2], [i2]) == Subspace.from_span(
-        F, 4, [[F.one, F.zero, F.zero, F.one]])
+    assert span_witness(F, _products([i2], [i2]), flatten_matrix(i2)) == [((0, 0), F.one)]
 
 
 def test_product_span_idempotents():
     e11 = mat([[1, 0], [0, 0]])
     e22 = mat([[0, 0], [0, 1]])
-    span = product_span([e11], [e11, e22])
-    assert span.dim == 1
-    assert span.contains([F.one, F.zero, F.zero, F.zero])
+    prods = _products([e11], [e11, e22])
+    # e22·e11 = 0, so e11 is reached by e11·e11 alone and e22 not at all
+    assert span_witness(F, prods, flatten_matrix(e11)) == [((0, 0), F.one)]
+    assert span_witness(F, prods, flatten_matrix(e22)) is None
 
 
 def test_product_span_offdiagonal_contains_identity():
     e12 = mat([[0, 1], [0, 0]])
     e21 = mat([[0, 0], [1, 0]])
-    span = product_span([e12, e21], [e12, e21])
-    assert span.dim == 2
-    assert span.contains([F.one, F.zero, F.zero, F.one])
-
-
-def test_product_span_dimension_mismatch():
-    with pytest.raises(UsageError):
-        product_span([Matrix.identity(F, 2)], [Matrix.identity(F, 3)])
+    assert span_witness(F, _products([e12, e21], [e12, e21]),
+                        flatten_matrix(Matrix.identity(F, 2))) == \
+        [((0, 1), F.one), ((1, 0), F.one)]
 
 
 # ---------------------------------------------------------------------------
@@ -171,20 +174,6 @@ def test_quotient_roundtrip(data):
     assert q.projection.mul(q.section) == Matrix.identity(F, q.dim)
     assert kernel(q.projection) == rel
     assert q.dim == n - rel.dim
-
-
-def test_product_span_basis_independence():
-    # changing bases by a fixed seeded invertible transformation leaves the
-    # span of pairwise products unchanged
-    rng = random.Random(20060401)
-    us = [Matrix.from_rows(F, [[F.of_int(rng.randint(-3, 3)) for _ in range(2)]
-                               for _ in range(2)]) for _ in range(2)]
-    vs = [Matrix.from_rows(F, [[F.of_int(rng.randint(-3, 3)) for _ in range(2)]
-                               for _ in range(2)]) for _ in range(2)]
-    base = product_span(us, vs)
-    us2 = [us[0].add(us[1]), us[1]]
-    vs2 = [vs[0], vs[0].add(vs[1].scale(F.of_int(3)))]
-    assert product_span(us2, vs2) == base
 
 
 def test_determinism_bit_identical():

@@ -4,8 +4,8 @@ import pytest
 
 from conftest import ContextBundle, fixture_path
 from coringlab import galois
-from coringlab.algmod import FBimodule, trivial_algebra
-from coringlab.coring import Comodule, zero_comodule
+from coringlab.algmod import BalancedTensor, FBimodule, summand_witnesses, trivial_algebra
+from coringlab.coring import Comodule, colinear_homs, trivial_coring, zero_comodule
 from coringlab.exactla import (AxiomError, Matrix, QQ, rank, solve_many, unit_vec,
                                vec_scale)
 from coringlab.extension import ExtContext, purity_check
@@ -14,7 +14,7 @@ from coringlab.galois import (CanonicalMap, check_dual_basis_from_witnesses,
                               check_generator_property, check_jids,
                               cleft_check, default_sample_modules,
                               galois_check, normal_basis_check,
-                              regular_right_module, summand_check,
+                              regular_right_module,
                               tensor_fullyfaithful_check,
                               unit_decomposition_of_one, verify_cor_jJ,
                               verify_diamond_to_triangle, verify_fgp_corollary,
@@ -22,6 +22,7 @@ from coringlab.galois import (CanonicalMap, check_dual_basis_from_witnesses,
                               verify_weak_structure, _first_witnesses)
 from coringlab.morita import context_M
 from coringlab.workspace import load_workspace_file
+from coringlab.zoo import quotient_polynomial_algebra
 
 F = QQ
 
@@ -75,6 +76,23 @@ def test_galois_verdicts(bundles):
     assert galois_check(z)["verdict"] == "not-Galois"
 
 
+def test_galois_verdict_on_samples_for_a_non_projective_comodule():
+    # k over k[x]/(x^2), x acting as 0, with m -> m (x) 1 for the trivial
+    # coring: not projective, so the verdict comes from the sample modules
+    a = quotient_polynomial_algebra(F, [F.zero, F.zero], name="k[x]/x2")
+    c = trivial_coring(a)
+    carrier = FBimodule(trivial_algebra(F), a, 1, [Matrix.identity(F, 1)],
+                        [Matrix.identity(F, 1), Matrix.zero(F, 1, 1)], name="k")
+    carrier.validate()
+    mc = BalancedTensor([carrier, c.carrier], [a])
+    sigma = Comodule(c, carrier, Matrix.from_cols(
+        F, mc.dim, [mc.pure_tensor([[F.one], list(a.unit)])]), name="k")
+    sigma.validate()
+    out = galois_check(sigma)
+    assert (out["verdict"], out["grade"], out["failing"]) == \
+        ("not-Galois", "on-samples", "k[x]/x2^1")
+
+
 def test_galois_on_samples_uses_listed_modules(bundles):
     b = bundles["E2"]
     mods = default_sample_modules(b.sigma)
@@ -89,17 +107,19 @@ def test_galois_on_samples_uses_listed_modules(bundles):
 
 def test_summand_self(bundles):
     b = bundles["E2"]
-    out = summand_check(b.sigma, b.sigma, flavor="comodule")
-    assert out["summand"] and out["s"] == 1
-    kappa, lam = out["witnesses"][0]
+    homs = colinear_homs(b.sigma, b.sigma)
+    wit = summand_witnesses(homs, homs)
+    assert len(wit) == 1
+    kappa, lam = wit[0]
     assert lam.mul(kappa) == Matrix.identity(F, b.sigma.dim)
 
 
 def test_summand_negative(bundles):
     b = bundles["E2"]
     z = zero_comodule(b.sigma.coring)
-    out = summand_check(b.sigma, z, flavor="comodule")
-    assert not out["summand"]
+    assert summand_witnesses(colinear_homs(b.sigma, z), colinear_homs(z, b.sigma)) is None
+    # the zero comodule is a summand of anything, with no witness pairs
+    assert summand_witnesses(colinear_homs(z, b.sigma), colinear_homs(b.sigma, z)) == []
 
 
 def test_normal_basis_grades(bundles):

@@ -124,9 +124,20 @@ FORWARDING_ALIASES_ALLOWED = {
 }
 
 
+def _passed_on(node):
+    """The values an argument passes on: a list or tuple literal passes on
+    each of its elements."""
+    if isinstance(node, (ast.List, ast.Tuple)):
+        for elt in node.elts:
+            yield from _passed_on(elt)
+    else:
+        yield node
+
+
 def _forwarding_aliases(path):
     """Module-level functions whose body (after a docstring) only returns a
-    call that passes the function's own parameters on, unchanged."""
+    call that passes the function's own parameters on, unchanged, possibly
+    gathered into list or tuple literals."""
     with open(path, encoding="utf-8") as handle:
         tree = ast.parse(handle.read(), filename=path)
     found = []
@@ -143,7 +154,8 @@ def _forwarding_aliases(path):
         args = func.args
         params = {a.arg for a in args.posonlyargs + args.args + args.kwonlyargs}
         call = body[0].value
-        passed = list(call.args) + [kw.value for kw in call.keywords]
+        passed = [v for arg in list(call.args) + [kw.value for kw in call.keywords]
+                  for v in _passed_on(arg)]
         if all(isinstance(v, ast.Name) and v.id in params for v in passed):
             found.append(func.name)
     return found
