@@ -11,8 +11,8 @@ from __future__ import annotations
 from math import prod
 
 from .exactla import (AxiomError, Matrix, Subspace, UsageError, flatten_matrix,
-                      kernel, quotient, solve_linear, unflatten, unit_vec,
-                      vec_scale, zero_vec)
+                      from_sparse_cols, kernel, quotient, solve_linear, unflatten,
+                      unit_vec, vec_scale, zero_vec)
 
 
 class FiniteAlgebra:
@@ -343,14 +343,8 @@ def _chain_index(dims):
 def _slot_group(left, mat, right):
     """(left, nonzero entries of each column of mat, mat.rows, right): the
     operator I_left (x) mat (x) I_right in the form _apply_group reads."""
-    return _row_group(left, mat.transpose(), right)
-
-
-def _row_group(left, mat, right):
-    """The operator I_left (x) mat^T (x) I_right, read off the rows of mat,
-    in the form _apply_group reads: a row vector times mat, slot-wise."""
-    cols = [[(i, c) for i, c in enumerate(row) if c] for row in mat.data]
-    return left, cols, mat.cols, right
+    cols = [[(i, c) for i, c in enumerate(col) if c] for col in mat.transpose().data]
+    return left, cols, mat.rows, right
 
 
 def _apply_group(field, vec, group):
@@ -377,6 +371,16 @@ def _apply_pairs(field, pairs, group):
             k = base + i * right
             out[k] = add(out[k], mul(c, v))
     return out
+
+
+def _combine_cols(field, cols, pairs):
+    """The sparse column sum of v·cols[p] over the (p, v) in pairs."""
+    add, mul, zero = field.add, field.mul, field.zero
+    acc = {}
+    for p, v in pairs:
+        for i, c in cols[p]:
+            acc[i] = add(acc.get(i, zero), mul(c, v))
+    return [(i, c) for i, c in acc.items() if c]
 
 
 def _unit_image(group, p):
@@ -411,10 +415,15 @@ class BalancedTensor:
     factors are valid modules over that very algebra object; these span the
     same relations, so the quotient is the same (over the ground field:
     no relations and no row reduction).  Otherwise every basis element b
-    takes part.  The projection/section pair splits the full ambient space
-    (proj·sect = 1), so the relations are
-    ker(proj) = im(1 - sect·proj) and balancing is decided by two operator
-    identities, without ever forming the relation kernel:
+    takes part.  The relation rows are sparse, and the projection is kept
+    as sparse columns (``_pcols``, column a the nonzero (row, value)
+    entries of proj·e_a), which the slot-group kernel applies directly; the
+    section picks the ambient coordinates ``_picks``.  ``proj()`` and
+    ``sect()`` build the dense matrices on demand, once per tensor, for
+    callers that want a Matrix.  The pair splits the full ambient space
+    (proj·sect = 1), so the relations are ker(proj) = im(1 - sect·proj) and
+    balancing is decided by two operator identities, without ever forming
+    the relation kernel:
 
     - a map M out of the ambient space vanishes on the relations iff
       M = (M·sect)·proj (``descend_map``);
@@ -476,80 +485,71 @@ class BalancedTensor:
                                  % (self.name, side))
 
     def _build(self):
-        """Iterated pairwise quotients Q_k = Q_{k-1} (x)_{B_k} M_k.  proj on
-        the full ambient space and the outer actions are carried through each
-        step through the slot-group kernel; every section is a coordinate
-        selection, so sect is kept as the ambient coordinate each quotient
-        coordinate picks."""
+        """Iterated pairwise quotients Q_k = Q_{k-1} (x)_{B_k} M_k.  The
+        relation rows come sparse from the slot-group kernel, and the
+        projection on the full ambient space is kept as sparse columns
+        (_pcols, in the form _apply_group reads), composed column by column
+        through each step, as are the outer actions; every section is a
+        coordinate selection, so sect is kept as the ambient coordinate each
+        quotient coordinate picks."""
         f = self.field
+        zero = f.zero
         cur = self.factors[0]
         cur_dim = cur.dim
-        proj = Matrix.identity(f, cur_dim)
+        pcols = [[(a, f.one)] for a in range(cur_dim)]
         picks = list(range(cur_dim))
         left_acts = list(cur.left_act)
         right_acts = list(cur.right_act)
         for step, alg in enumerate(self.algebras):
             nxt = self.factors[step + 1]
             n = nxt.dim
-            amb2 = cur_dim * n
             # the relations span the images of R_b (x) I - I (x) L_b
             rels = []
             for b in _balancing_indices(self.factors[step], alg, nxt):
                 r_b = _slot_group(1, right_acts[b], n)
                 l_b = _slot_group(cur_dim, nxt.left_act[b], 1)
-                for p in range(amb2):
-                    vec = zero_vec(f, amb2)
+                for p in range(cur_dim * n):
+                    row = {}
                     for k, c in _unit_image(r_b, p):
-                        vec[k] = f.add(vec[k], c)
+                        row[k] = f.add(row.get(k, zero), c)
                     for k, c in _unit_image(l_b, p):
-                        vec[k] = f.sub(vec[k], c)
-                    rels.append(vec)
-            q = quotient(amb2, Subspace.from_span(f, amb2, rels))
-            to_q = _slot_group(1, q.projection, 1)
+                        row[k] = f.sub(row.get(k, zero), c)
+                    rels.append({k: c for k, c in row.items() if c})
+            q = quotient(f, cur_dim * n, rels)
+            to_q = (1, q.cols, q.dim, 1)
 
             def carry(group):
                 # q.proj·X·q.sect for X = I_left (x) mat (x) I_right
                 cols = [_apply_pairs(f, _unit_image(group, p), to_q) for p in q.kept]
                 return Matrix(f, q.dim, q.dim, cols).transpose()
 
-            lift = _row_group(1, proj, n)
-            proj = Matrix(f, q.dim, proj.cols * n,
-                          [_apply_group(f, row, lift) for row in q.projection.data])
+            # column (a, j) of q.proj·(proj (x) I_n) combines the columns
+            # (r, j) of q.proj with the entries (r, v) of column a of proj,
+            # which is the identity at the first step
+            pcols = q.cols if step == 0 else \
+                [_combine_cols(f, q.cols, [(r * n + j, v) for r, v in col])
+                 for col in pcols for j in range(n)]
             picks = [picks[p // n] * n + p % n for p in q.kept]
             left_acts = [carry(_slot_group(1, a, n)) for a in left_acts]
             right_acts = [carry(_slot_group(cur_dim, a, 1)) for a in nxt.right_act]
             cur_dim = q.dim
-        self._proj = proj
+        self._pcols = pcols
         self._picks = picks
-        sect = Matrix.zero(f, self.ambient_dim, cur_dim)
-        for col, p in enumerate(picks):
-            sect.data[p][col] = f.one
-        self._sect = sect
+        self._proj = self._sect = None
         self.left_act = left_acts
         self.right_act = right_acts
 
-    # -- ambient bookkeeping
-
-    def amb_index(self, multi):
-        return sum(i * s for i, s in zip(multi, self.strides))
-
-    def basis_tuples(self):
-        def rec(k):
-            if k == len(self.dims):
-                yield ()
-                return
-            for i in range(self.dims[k]):
-                for rest in rec(k + 1):
-                    yield (i,) + rest
-        return rec(0)
+    def _to_q(self):
+        """The projection in the slot-group form _apply_group reads."""
+        return 1, self._pcols, self.dim, 1
 
     def induced(self, dst, factors):
         """dst.proj·(F_1 (x) ... (x) F_k)·sect, or the ambient image when dst
         is None.  factors are (slot, F) pairs in slot order: F reads the
         fewest slots from there whose dimensions multiply to its column count
         and may have any number of rows; other slots carry the identity.  The
-        F act on the columns of sect slot group by slot group, and dst.proj
-        is applied once to the result, so no ambient operator is built."""
+        F act on the columns of sect slot group by slot group, and the sparse
+        columns of dst.proj last, so no ambient operator is built."""
         dims = self.dims
         groups = []
         left, pos = 1, 0
@@ -567,52 +567,79 @@ class BalancedTensor:
             groups.append(_slot_group(left, mat, prod(dims[pos:])))
             left *= mat.rows
         left *= prod(dims[pos:])
+        if dst is not None:
+            if left != dst.ambient_dim:
+                raise UsageError("the image of %s has %d coordinates, but %s has ambient "
+                                 "dimension %d" % (self.name, left, dst.name, dst.ambient_dim))
+            groups.append(dst._to_q())
+            left = dst.dim
         cols = []
         for p in self._picks:
             vec = unit_vec(self.field, self.ambient_dim, p)
             for group in groups:
                 vec = _apply_group(self.field, vec, group)
             cols.append(vec)
-        image = Matrix(self.field, self.dim, left, cols).transpose()
-        return image if dst is None else dst._proj.mul(image)
+        return Matrix(self.field, self.dim, left, cols).transpose()
 
     def project_head(self, image, rest):
         """(proj (x) I_rest)·image for an image whose rows are laid out as
         (this tensor's ambient, rest): the leading slots collapse to the
-        quotient through the slot-group kernel, with no ambient operator."""
-        group = _slot_group(1, self._proj, rest)
+        quotient through the sparse columns of proj, with no ambient
+        operator."""
+        group = (1, self._pcols, self.dim, rest)
         cols = [_apply_group(self.field, col, group) for col in image.transpose().data]
         return Matrix(self.field, image.cols, self.dim * rest, cols).transpose()
 
-    def _times_sect(self, amb_map):
-        """amb_map·sect: sect is a coordinate selection, so its columns."""
-        return Matrix(self.field, amb_map.rows, self.dim,
-                      [[row[p] for p in self._picks] for row in amb_map.data])
+    def _descends(self, cols):
+        """Whether the map with these ambient columns vanishes on the
+        relations: each column equals the combination of the picked columns
+        that the same column of proj names, i.e. map = (map·sect)·proj."""
+        f = self.field
+        picked = [cols[p] for p in self._picks]
+        for col, pcol in zip(cols, self._pcols):
+            acc = [f.zero] * len(col)
+            for i, c in pcol:
+                for r, v in enumerate(picked[i]):
+                    if v:
+                        acc[r] = f.add(acc[r], f.mul(c, v))
+            if acc != col:
+                return False
+        return True
 
     def descend_map(self, amb_map):
         """Quotient form amb_map·sect of a map out of the ambient space, or
         None when amb_map does not vanish on the balancing relations."""
-        out = self._times_sect(amb_map)
-        if out.mul(self._proj) != amb_map:
+        if not self._descends(amb_map.transpose().data):
             return None
-        return out
+        return Matrix(self.field, amb_map.rows, self.dim,
+                      [[row[p] for p in self._picks] for row in amb_map.data])
 
     def descend_slot(self, slot, mat):
-        """Quotient matrix induced by an endomorphism of one slot, or None
-        when it does not preserve the balancing relations.  Row r of proj·A
-        is A^T applied to row r of proj, so no ambient operator is built."""
-        group = _row_group(prod(self.dims[:slot]), mat, self.strides[slot])
-        proj_a = Matrix(self.field, self.dim, self.ambient_dim,
-                        [_apply_group(self.field, row, group) for row in self._proj.data])
-        out = self._times_sect(proj_a)
-        if out.mul(self._proj) != proj_a:
+        """Quotient matrix proj·A·sect induced by an endomorphism A of one
+        slot, or None when it does not preserve the balancing relations:
+        column a of proj·A is the sparse columns of proj combined along
+        A's image of e_a, so no ambient operator is built."""
+        f = self.field
+        group = _slot_group(prod(self.dims[:slot]), mat, self.strides[slot])
+        to_q = self._to_q()
+        proj_a = [_apply_pairs(f, _unit_image(group, p), to_q)
+                  for p in range(self.ambient_dim)]
+        if not self._descends(proj_a):
             return None
-        return out
+        return Matrix(f, self.dim, self.dim, [proj_a[p] for p in self._picks]).transpose()
 
     def proj(self):
+        """The projection as a dense Matrix, built on first use."""
+        if self._proj is None:
+            self._proj = from_sparse_cols(self.field, self.dim, self._pcols)
         return self._proj
 
     def sect(self):
+        """The section as a dense Matrix, built on first use."""
+        if self._sect is None:
+            self._sect = from_sparse_cols(
+                self.field, self.ambient_dim,
+                [[(p, self.field.one)] for p in self._picks])
         return self._sect
 
     def as_bimodule(self, name=None):
@@ -620,18 +647,14 @@ class BalancedTensor:
                          self.left_act, self.right_act, name=name or self.name)
 
     def pure_tensor(self, vecs):
-        """Quotient coordinates of v1 (x) ... (x) vn."""
+        """Quotient coordinates of v1 (x) ... (x) vn: the nonzero entries of
+        the ambient vector, projected through the sparse columns of proj."""
         f = self.field
-        amb = zero_vec(f, self.ambient_dim)
-        for multi in self.basis_tuples():
-            c = f.one
-            for v, i in zip(vecs, multi):
-                c = f.mul(c, v[i])
-                if c == f.zero:
-                    break
-            if c != f.zero:
-                amb[self.amb_index(multi)] = c
-        return self._proj.mul_vec(amb)
+        pairs = [(0, f.one)]
+        for d, vec in zip(self.dims, vecs):
+            pairs = [(p * d + i, f.mul(c, v)) for p, c in pairs
+                     for i, v in enumerate(vec) if v]
+        return _apply_pairs(f, pairs, self._to_q())
 
     def lift_pairs(self, quot_vec):
         """Lift a quotient vector to a list of (multi-index, coefficient), in

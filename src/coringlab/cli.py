@@ -26,8 +26,7 @@ from .galois import (check_dual_basis_from_witnesses,
                      galois_check, tensor_fullyfaithful_check, verify_cor_jJ,
                      verify_diamond_to_triangle, verify_fgp_corollary,
                      verify_strictness_three_way, verify_strong_structure,
-                     verify_surjectivity_thm, verify_weak_structure,
-                     _first_witnesses)
+                     verify_surjectivity_thm, verify_weak_structure)
 from .morita import ModuleContext, context_M, morphism_M_to_N
 from .workspace import ParseError, load_workspace_file
 from .zoo import FIXTURES, build_fixture
@@ -402,7 +401,7 @@ def cmd_theorems(args):
     if args.suite == "all":
         timed(report, "projectivity corollary",
               lambda: fmt_na(verify_fgp_corollary(ec)))
-        wits = _first_witnesses(ec)
+        wits = ec.first_witnesses
         if wits is not None:
             timed(report, "unit decomposition identities",
                   lambda: check_jids(ec, wits, samples_c) and "pass")

@@ -1,7 +1,12 @@
 """Exact linear algebra kernel: fields, dense matrices, subspaces, quotients.
 
 Everything is computed over an exact field (arbitrary-precision rationals or
-a prime field); there are no tolerances anywhere.  A rational scalar is a
+a prime field); there are no tolerances anywhere.  Every row reduction
+(``rref``, ``rank``, ``solve_linear``, ``kernel``, ``image``, the spans of
+``Subspace`` and ``quotient``) runs through one sparse elimination kernel,
+``_echelon``, which keeps rows as {col: value} maps, touches only nonzero
+entries and stops with a UsageError past ELIMINATION_BUDGET entry updates.
+``quotient`` keeps its projection as sparse columns.  A rational scalar is a
 Python ``int`` when it is integral and a ``fractions.Fraction`` otherwise:
 the structure constants of group and Hopf algebras are almost all 0 and ±1,
 and int arithmetic on them skips the cost of ``Fraction``.  Mixed
@@ -339,12 +344,6 @@ class Matrix:
                             orow[j * other.cols + q] = f.add(orow[j * other.cols + q], f.mul(a, b))
         return _matrix(f, rows, cols, out)
 
-    def hstack(self, other):
-        if self.rows != other.rows:
-            raise UsageError("hstack row mismatch")
-        return _matrix(self.field, self.rows, self.cols + other.cols,
-                       [ra + rb for ra, rb in zip(self.data, other.data)])
-
     def _shape_check(self, other, same=False):
         if same and (self.rows != other.rows or self.cols != other.cols):
             raise UsageError("matrix shape mismatch: %dx%d vs %dx%d"
@@ -376,49 +375,105 @@ def unit_vec(field, n, i):
 # ---------------------------------------------------------------------------
 # row reduction
 
+# The most entry updates one row reduction may make; past it the reduction
+# stops with a UsageError.  A count, not a time, so every verdict stays
+# deterministic.  The bundled fixtures, the benchmark workloads and the
+# C4 and C2xC2 chains at the 4096 cap need under 10^4; a 256x256 reduction
+# with full fill-in over F7 needs under 10^6 (about 0.3 s).
+ELIMINATION_BUDGET = 10 ** 7
+
+
+def _echelon(field, rows, ncols):
+    """Incremental sparse Gauss-Jordan elimination of rows, {col: value}
+    maps without zero values, which it consumes.
+
+    Returns (pivots, prows): the pivot columns, increasing, and the rows of
+    the reduced row echelon form as {col: value} maps in pivot order.  Each
+    new row is reduced at the pivot columns it holds, its leading column
+    becomes a pivot, and that column is cleared from the earlier pivot rows;
+    every step visits only nonzero entries, with inline arithmetic.  A
+    pivot row keeps its pivot as its leading column (clearing column d from
+    it adds entries only to the right of d, and d lies right of its pivot),
+    so sorted by pivot the rows are the RREF.
+
+    Raises UsageError once the entry updates pass ELIMINATION_BUDGET.
+    """
+    p = field.p if isinstance(field, FieldFp) else None
+    inv = field.inv
+    piv = {}
+    work = 0
+    for row in rows:
+        for col in [j for j in row if j in piv]:
+            prow = piv[col]
+            work += len(prow)
+            _subtract(row, row[col], prow, p)
+        if work > ELIMINATION_BUDGET:
+            raise UsageError("row reduction of a %dx%d matrix needs more than %d entry "
+                             "updates" % (len(rows), ncols, ELIMINATION_BUDGET))
+        if not row:
+            continue
+        lead = min(row)
+        a = inv(row[lead])
+        if a != 1:
+            row = {j: a * v for j, v in row.items()} if p is None else \
+                {j: a * v % p for j, v in row.items()}
+        for prow in piv.values():
+            c = prow.get(lead)
+            if c:
+                work += len(row)
+                _subtract(prow, c, row, p)
+        piv[lead] = row
+        work += len(row)
+    pivots = sorted(piv)
+    return pivots, [piv[c] for c in pivots]
+
+
+def _subtract(row, c, other, p):
+    """row -= c·other in place, over Q (p None) or F_p; zeros are dropped."""
+    get = row.get
+    if p is None:
+        for j, v in other.items():
+            w = get(j, 0) - c * v
+            if w:
+                row[j] = w
+            else:
+                del row[j]
+    else:
+        for j, v in other.items():
+            w = (get(j, 0) - c * v) % p
+            if w:
+                row[j] = w
+            else:
+                del row[j]
+
+
+def _sparse_rows(m):
+    return [{j: v for j, v in enumerate(row) if v} for row in m.data]
+
+
+def _dense(field, row, n):
+    out = [field.zero] * n
+    for j, v in row.items():
+        out[j] = v
+    return out
+
 
 def rref(m):
     """Reduced row echelon form.
 
-    Returns (R, pivot_cols).  R has the same shape as m; pivot entries are 1,
-    pivot columns are elementary, pivot column indices strictly increase.
+    Returns (R, pivot_cols).  R has the same shape as m, its zero rows at
+    the bottom; pivot entries are 1, pivot columns are elementary, pivot
+    column indices strictly increase.
     """
     f = m.field
-    data = [list(r) for r in m.data]
-    rows, cols = m.rows, m.cols
-    pivots = []
-    pr = 0
-    for pc in range(cols):
-        piv = None
-        for r in range(pr, rows):
-            if data[r][pc]:
-                piv = r
-                break
-        if piv is None:
-            continue
-        data[pr], data[piv] = data[piv], data[pr]
-        inv = f.inv(data[pr][pc])
-        if inv != f.one:
-            data[pr] = [f.mul(inv, v) for v in data[pr]]
-        prow = data[pr]
-        for r in range(rows):
-            if r == pr:
-                continue
-            c = data[r][pc]
-            if c:
-                rr = data[r]
-                for j in range(pc, cols):
-                    if prow[j]:
-                        rr[j] = f.sub(rr[j], f.mul(c, prow[j]))
-        pivots.append(pc)
-        pr += 1
-        if pr == rows:
-            break
-    return _matrix(f, rows, cols, data), pivots
+    pivots, prows = _echelon(f, _sparse_rows(m), m.cols)
+    data = [_dense(f, row, m.cols) for row in prows]
+    data += [[f.zero] * m.cols for _ in range(m.rows - len(prows))]
+    return _matrix(f, m.rows, m.cols, data), pivots
 
 
 def rank(m):
-    return len(rref(m)[1])
+    return len(_echelon(m.field, _sparse_rows(m), m.cols)[0])
 
 
 def solve_linear(a, b):
@@ -427,21 +482,22 @@ def solve_linear(a, b):
     `b` is a column matrix (or list).  Returns the canonical solution with
     free variables set to zero, or None when the system is inconsistent.
     """
-    if isinstance(b, list):
-        b = Matrix.column(a.field, b)
-    if a.rows != b.rows:
-        raise UsageError("solve_linear: %d equations but rhs of length %d" % (a.rows, b.rows))
+    rhs = b if isinstance(b, list) else b.col(0)
+    if a.rows != len(rhs):
+        raise UsageError("solve_linear: %d equations but rhs of length %d"
+                         % (a.rows, len(rhs)))
     f = a.field
-    z = f.zero
-    aug = a.hstack(b)
-    red, pivots = rref(aug)
     n = a.cols
-    for k, pc in enumerate(pivots):
-        if pc >= n:
-            return None  # pivot in the rhs column: inconsistent
-    x = [z] * n
-    for k, pc in enumerate(pivots):
-        x[pc] = red.data[k][n]
+    rows = _sparse_rows(a)
+    for row, v in zip(rows, rhs):
+        if v:
+            row[n] = v
+    pivots, prows = _echelon(f, rows, n + 1)
+    if pivots and pivots[-1] == n:
+        return None  # pivot in the rhs column: inconsistent
+    x = [f.zero] * n
+    for pc, row in zip(pivots, prows):
+        x[pc] = row.get(n, f.zero)
     return x
 
 
@@ -478,11 +534,17 @@ class Subspace:
 
     @staticmethod
     def from_span(field, ambient_dim, vectors):
-        if not vectors:
-            return Subspace(field, ambient_dim, [], [])
-        red, pivots = rref(Matrix.from_rows(field, vectors))
-        basis = [red.row(i) for i in range(len(pivots))]
-        return Subspace(field, ambient_dim, basis, pivots)
+        if any(len(vec) != ambient_dim for vec in vectors):
+            raise UsageError("vector/ambient dimension mismatch")
+        return Subspace._spanned(field, ambient_dim,
+                                 [{j: v for j, v in enumerate(vec) if v} for vec in vectors])
+
+    @staticmethod
+    def _spanned(field, ambient_dim, rows):
+        """The span of {col: value} rows, which the row reduction consumes."""
+        pivots, prows = _echelon(field, rows, ambient_dim)
+        return Subspace(field, ambient_dim, [_dense(field, row, ambient_dim) for row in prows],
+                        pivots)
 
     @staticmethod
     def full(field, n):
@@ -530,73 +592,67 @@ class Subspace:
 
 
 def kernel(a):
-    """Canonical basis of {x : a·x = 0} as a Subspace of k^cols."""
+    """Canonical basis of {x : a·x = 0} as a Subspace of k^cols: for each
+    free column j, e_j minus the RREF entries of column j at the pivots."""
     f = a.field
-    z = f.zero
-    red, pivots = rref(a)
-    free = [j for j in range(a.cols) if j not in pivots]
-    vecs = []
-    for j in free:
-        v = [z] * a.cols
-        v[j] = f.one
-        for k, pc in enumerate(pivots):
-            if red.data[k][j]:
-                v[pc] = f.neg(red.data[k][j])
-        vecs.append(v)
-    return Subspace.from_span(f, a.cols, vecs)
+    pivots, prows = _echelon(f, _sparse_rows(a), a.cols)
+    pivot_set = set(pivots)
+    vecs = {j: {j: f.one} for j in range(a.cols) if j not in pivot_set}
+    for pc, row in zip(pivots, prows):
+        for j, v in row.items():
+            if j != pc:
+                vecs[j][pc] = f.neg(v)
+    return Subspace._spanned(f, a.cols, list(vecs.values()))
 
 
 def image(a):
     """Canonical column span of a, as a Subspace of k^rows."""
-    cols = [a.col(j) for j in range(a.cols)]
-    return Subspace.from_span(a.field, a.rows, cols)
+    return Subspace._spanned(a.field, a.rows, _sparse_rows(a.transpose()))
 
 
 class QuotientSpace:
-    """k^n / relations with an explicit projection/section pair.
+    """k^n / relations, with the projection kept as sparse columns.
 
-    The section picks the non-pivot coordinates of the relation echelon form
-    as quotient representatives (column q of the section is the unit vector
-    at kept[q]); projection∘section is the identity and the kernel of the
-    projection is exactly the relation subspace.
+    The non-pivot coordinates of the relation echelon form are the quotient
+    representatives: the section picks them (column q is the unit vector at
+    kept[q]).  cols[a] lists the (row, value) entries of column a of the
+    projection: (q, 1) at kept[q], and at the pivot of an echelon relation
+    row, minus that row's entries at the kept coordinates.  So
+    projection·section is the identity and the kernel of the projection is
+    the relation span.  from_sparse_cols gives the projection as a Matrix.
     """
 
-    __slots__ = ("field", "ambient_dim", "relations", "dim", "projection", "section",
-                 "kept")
+    __slots__ = ("dim", "kept", "cols")
 
-    def __init__(self, field, ambient_dim, relations, dim, projection, section, kept):
-        self.field = field
-        self.ambient_dim = ambient_dim
-        self.relations = relations
-        self.dim = dim
-        self.projection = projection  # dim x ambient_dim
-        self.section = section        # ambient_dim x dim
-        self.kept = kept              # the non-pivot coordinates, in order
+    def __init__(self, kept, cols):
+        self.dim = len(kept)
+        self.kept = kept
+        self.cols = cols
 
 
-def quotient(ambient_dim, relations):
-    """Quotient of k^ambient_dim by a relation subspace."""
-    if relations.ambient_dim != ambient_dim:
-        raise UsageError("relations live in the wrong ambient space")
-    f = relations.field
-    z = f.zero
-    pivots = relations.pivots
+def quotient(field, ambient_dim, relations):
+    """Quotient of k^ambient_dim by the span of relations, {col: value} rows
+    that the row reduction consumes."""
+    pivots, prows = _echelon(field, relations, ambient_dim)
     pivot_set = set(pivots)
-    nonpivot = [j for j in range(ambient_dim) if j not in pivot_set]
-    dim = len(nonpivot)
-    # projection: reduce mod the RREF relation rows, then read non-pivot coords
-    proj = Matrix.zero(f, dim, ambient_dim)
-    for q, j in enumerate(nonpivot):
-        proj.data[q][j] = f.one
-    for k, pc in enumerate(pivots):
-        rel = relations.basis[k]
-        for q, j in enumerate(nonpivot):
-            if rel[j] != z:
-                proj.data[q][pc] = f.neg(rel[j])
-    sect = Matrix.zero(f, ambient_dim, dim)
-    for q, j in enumerate(nonpivot):
-        sect.data[j][q] = f.one
-    return QuotientSpace(f, ambient_dim, relations, dim, proj, sect, nonpivot)
+    kept = [j for j in range(ambient_dim) if j not in pivot_set]
+    index = {j: q for q, j in enumerate(kept)}
+    cols = [None] * ambient_dim
+    for q, j in enumerate(kept):
+        cols[j] = [(q, field.one)]
+    for pc, row in zip(pivots, prows):
+        cols[pc] = [(index[j], field.neg(v)) for j, v in row.items() if j != pc]
+    return QuotientSpace(kept, cols)
+
+
+def from_sparse_cols(field, rows, cols):
+    """The rows x len(cols) Matrix whose column a has the (row, value)
+    entries cols[a]."""
+    data = [[field.zero] * len(cols) for _ in range(rows)]
+    for a, col in enumerate(cols):
+        for i, v in col:
+            data[i][a] = v
+    return _matrix(field, rows, len(cols), data)
 
 
 def flatten_matrix(m):

@@ -424,6 +424,17 @@ class ExtContext:
         T (x)_L D as a T-D bicomodule (algmod.summand_witnesses), or None."""
         return summand_witnesses(*self.bicomodule_homs)
 
+    @cached_property
+    def first_witnesses(self):
+        """Witness pairs (jtilde_l, j_l) whose first-connecting values sum to
+        the identity, or None when the first connecting map is not
+        surjective; built once per context, None included."""
+        ok, wit = self.context.connecting(1)
+        if not ok:
+            return None
+        return [(self.qt.space.element(qvec), self.p_space.element(pvec))
+                for qvec, pvec in wit]
+
     def outer_comodule(self, m):
         """The outer comodule induced by a comodule m of the inner coring,
         built once per comodule (Sigma's with the context); a build that

@@ -431,7 +431,7 @@ def can_inverse_from_witnesses(ext_ctx, can):
     """
     ext = ext_ctx.ext
     f = ext_ctx.field
-    witnesses = _first_witnesses(ext_ctx)
+    witnesses = ext_ctx.first_witnesses
     if witnesses is None:
         raise UsageError("no unit decomposition: the first connecting map is "
                          "not surjective")
@@ -466,17 +466,6 @@ def can_inverse_from_witnesses(ext_ctx, can):
 
 # ---------------------------------------------------------------------------
 # theorem verifiers
-
-
-def _first_witnesses(ext_ctx):
-    """Witness pairs (jtilde_l, j_l) with sum of first-connecting values = id."""
-    ok, wit = ext_ctx.context.connecting(1)
-    if not ok:
-        return None
-    out = []
-    for (qvec, pvec) in wit:
-        out.append((ext_ctx.qt.space.element(qvec), ext_ctx.p_space.element(pvec)))
-    return out
 
 
 def check_jids(ext_ctx, witnesses, comodules):
@@ -525,7 +514,7 @@ def check_generator_property(ext_ctx):
     f = ext_ctx.field
     c = ext.inner
     sigma = ext_ctx.sigma
-    witnesses = _first_witnesses(ext_ctx)
+    witnesses = ext_ctx.first_witnesses
     if witnesses is None:
         return {"applicable": False, "reason": "first connecting map not surjective"}
     if rank(c.counit) != c.base.dim:
@@ -553,7 +542,7 @@ def check_equivariant_projectivity(ext_ctx):
     f = ext_ctx.field
     sigma = ext_ctx.sigma
     end = ext_ctx.end
-    witnesses = _first_witnesses(ext_ctx)
+    witnesses = ext_ctx.first_witnesses
     if witnesses is None:
         return {"applicable": False, "reason": "first connecting map not surjective"}
     d = ext_ctx.ext.outer
@@ -604,7 +593,7 @@ def sample_counit(cm, m):
 def verify_weak_structure(ext_ctx, samples):
     """For every sample comodule the evaluation counit is bijective, with the
     explicit inverse built from the unit decomposition verified two-sided."""
-    witnesses = _first_witnesses(ext_ctx)
+    witnesses = ext_ctx.first_witnesses
     if witnesses is None:
         return {"applicable": False,
                 "reason": "first connecting map not surjective"}
@@ -616,8 +605,8 @@ def verify_weak_structure(ext_ctx, samples):
 
 def _counit_inverse(ext_ctx, m, witnesses):
     """The inverse of the evaluation counit at the comodule m, built from the
-    unit decomposition witnesses (_first_witnesses, which the context fixes)
-    and verified two-sided; kept on ext_ctx unless it raises."""
+    unit decomposition witnesses (ExtContext.first_witnesses) and verified
+    two-sided; kept on ext_ctx unless it raises."""
     if m not in ext_ctx.counit_inverses:
         f = ext_ctx.field
         counit, tens, homs = sample_counit(ext_ctx.cm, m)

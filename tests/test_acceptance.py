@@ -23,8 +23,7 @@ from coringlab.galois import (CanonicalMap, can_inverse_from_witnesses,
                               cleft_check, galois_check,
                               regular_right_module, tensor_fullyfaithful_check,
                               verify_cor_jJ, verify_strong_structure,
-                              verify_surjectivity_thm, verify_weak_structure,
-                              _first_witnesses)
+                              verify_surjectivity_thm, verify_weak_structure)
 from coringlab.morita import ModuleContext, context_M, morphism_M_to_N
 from coringlab.workspace import load_workspace_file
 
@@ -144,7 +143,7 @@ def test_criterion_8_lemma_level_properties(bundles):
     checked = []
     for name in ("E1", "E2", "E3", "E4", "E5", "G1"):
         b = bundles[name]
-        wits = _first_witnesses(b.ec)
+        wits = b.ec.first_witnesses
         if wits is not None:
             assert check_jids(b.ec, wits, b.samples)
             out = check_equivariant_projectivity(b.ec)

@@ -1,5 +1,6 @@
 """Algebra/bimodule layer: balanced tensors, hom spaces, certificates."""
 
+import functools
 import itertools
 import json
 import random
@@ -15,6 +16,7 @@ from coringlab.algmod import (BalancedTensor, FBimodule, FiniteAlgebra,
                               non_multiplicative_at, span_witness, tensor_algebra,
                               trivial_algebra, zero_algebra)
 from coringlab.cli import main
+from coringlab.coring import Grouplike
 from coringlab.exactla import (AxiomError, FieldFp, Matrix, QQ, UsageError,
                                flatten_matrix, kernel, rank, solve_linear, solve_many,
                                unit_vec)
@@ -564,6 +566,80 @@ def test_generator_build_matches_on_the_c4_chain(monkeypatch):
     _assert_same_build(ccc, _rebuilt_by_every_basis_element(ccc, monkeypatch))
 
 
+# ---------------------------------------------------------------------------
+# the sparse projection against its dense definitions, and sizes that were
+# too slow for a dense row reduction
+
+
+def _hopf_chain(field, table):
+    bial = group_hopf_algebra(field, table, name="H")
+    ent = hopf_entwining(bial, bial.algebra, bial.delta)
+    c, _ = entwining_coring(ent)
+    return bial, ent, c
+
+
+@pytest.fixture(scope="module")
+def klein_chain():
+    # the C2 x C2 Hopf entwining over F7: C (x)_A C (x)_A C has ambient 4096
+    return _hopf_chain(FieldFp(7), [[i ^ j for j in range(4)] for i in range(4)])
+
+
+def test_c2xc2_chain_at_the_cap(klein_chain):
+    bial, ent, c = klein_chain
+    unit = list(bial.algebra.unit)
+    assert (c.dim, c.cc.dim, c.ccc.dim, c.ccc.ambient_dim) == (16, 64, 256, 4096)
+    assert Grouplike(c, ent.ad.pure_tensor([unit, unit])).validate() is True
+
+
+@pytest.mark.parametrize("chain", ["C3 Q", "C3 F7", "C2xC2 F7"])
+def test_sparse_paths_match_their_dense_definitions(chain, klein_chain):
+    if chain == "C2xC2 F7":
+        _, ent, c = klein_chain
+    else:
+        _, ent, c = _hopf_chain(QQ if chain == "C3 Q" else FieldFp(7), _cyclic(3))
+    f = c.field
+    lift = c.cc.sect().mul(c.coproduct)
+    maps = [(c.cc, c.ccc, [(0, lift)]), (c.cc, c.ccc, [(1, lift)])]
+    maps += [(tens, tens, [(0, act)]) for tens in (ent.ad, c.cc)
+             for act in tens.factors[0].left_act]
+    for src, dst, factors in maps:
+        assert src.induced(dst, factors) == dst.proj().mul(src.induced(None, factors))
+    rng = random.Random(17)
+    for tens in (ent.ad, c.cc, c.ccc):
+        assert tens.proj().mul(tens.sect()) == Matrix.identity(f, tens.dim)
+        vecs = [[f.of_int(rng.randint(-2, 2)) for _ in range(d)] for d in tens.dims]
+        amb = [functools.reduce(f.mul, entries, f.one)
+               for entries in itertools.product(*vecs)]
+        assert tens.pure_tensor(vecs) == tens.proj().mul_vec(amb)
+
+
+def _random_basis_module(field, dim):
+    """A = k[x]/(x^2 - 2) and the bimodule A^(dim/2) written in a random
+    basis: its actions conjugated by the first invertible P with entries in
+    -3..3 that random.Random(1) draws.  The balancing relations of M (x)_A M
+    then fill in under elimination."""
+    a = quotient_polynomial_algebra(field, [field.of_int(2), field.zero], name="A")
+    rng = random.Random(1)
+    while True:
+        p = Matrix.from_rows(field, [[field.of_int(rng.randint(-3, 3)) for _ in range(dim)]
+                                     for _ in range(dim)])
+        if rank(p) == dim:
+            break
+    p_inv = solve_many(p, Matrix.identity(field, dim))
+    blocks = Matrix.identity(field, dim // 2)
+    acts = [[p.mul(blocks.kron(op(i))).mul(p_inv) for i in range(a.dim)]
+            for op in (a.lmul, a.rmul)]
+    return FBimodule(a, a, dim, acts[0], acts[1], name="M"), a
+
+
+@pytest.mark.parametrize("field, dim", [(FieldFp(7), 16), (QQ, 8)], ids=["F7 16", "Q 8"])
+def test_balanced_tensor_of_a_random_basis_module(field, dim):
+    m, a = _random_basis_module(field, dim)
+    tens = BalancedTensor([m, m], [a])
+    assert tens.dim == dim * dim // 2
+    assert tens.proj().mul(tens.sect()) == Matrix.identity(field, tens.dim)
+
+
 def test_invalid_or_foreign_factors_balance_by_every_basis_element(monkeypatch):
     c3 = group_algebra(F, _cyclic(3), name="C3")
     assert c3.generators() == [1]
@@ -596,8 +672,10 @@ def test_invalid_or_foreign_factors_balance_by_every_basis_element(monkeypatch):
 
 def _ref_lift_pairs(tens, vec):
     amb = tens.sect().mul_vec(vec)
-    return [(multi, amb[tens.amb_index(multi)]) for multi in tens.basis_tuples()
-            if amb[tens.amb_index(multi)]]
+    # the ambient index of a multi-index is its row-major rank, so the
+    # product runs through the ambient coordinates in order
+    multis = itertools.product(*(range(d) for d in tens.dims))
+    return [(multi, c) for multi, c in zip(multis, amb) if c]
 
 
 @pytest.mark.parametrize("field", [QQ, FieldFp(7)], ids=["Q", "F7"])

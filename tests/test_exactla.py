@@ -10,8 +10,8 @@ from coringlab import exactla
 from coringlab.algmod import span_witness
 from coringlab.cli import main
 from coringlab.exactla import (FieldFp, FieldQ, Matrix, QQ, Subspace, UsageError,
-                               flatten_matrix, image, kernel, quotient, rank, rref,
-                               solve_linear, unit_vec)
+                               flatten_matrix, from_sparse_cols, image, kernel,
+                               quotient, rank, rref, solve_linear, unit_vec)
 from conftest import fixture_path
 
 F = QQ
@@ -54,7 +54,7 @@ def test_outside_rows_are_shape_checked():
     # the kernel's own results keep their stated shape
     a = mat([[1, 2, 3], [4, 5, 6]])
     for m, shape in ((a.mul(a.transpose()), (2, 2)), (a.kron(a), (4, 9)),
-                     (a.hstack(a), (2, 6)), (rref(a)[0], (2, 3))):
+                     (rref(a)[0], (2, 3))):
         assert (m.rows, m.cols) == shape
         assert len(m.data) == shape[0] and all(len(r) == shape[1] for r in m.data)
 
@@ -90,26 +90,35 @@ def test_image_rank_one():
     assert im == Subspace.from_span(F, 2, [[F.one, F.of_int(2)]])
 
 
+def _quotient(n, rel):
+    """quotient by the span of rel, with its projection and section as
+    matrices: the section is the unit vectors at the kept coordinates."""
+    q = quotient(F, n, [{j: v for j, v in enumerate(vec) if v} for vec in rel.basis])
+    proj = from_sparse_cols(F, q.dim, q.cols)
+    sect = from_sparse_cols(F, n, [[(j, F.one)] for j in q.kept])
+    return q, proj, sect
+
+
 def test_quotient_trivial_relations():
-    q = quotient(3, Subspace.from_span(F, 3, []))
+    q, proj, _ = _quotient(3, Subspace.from_span(F, 3, []))
     assert q.dim == 3
-    assert q.projection == Matrix.identity(F, 3)
+    assert proj == Matrix.identity(F, 3)
 
 
 def test_quotient_full_relations():
-    q = quotient(2, Subspace.full(F, 2))
-    assert q.dim == 0
+    q, proj, _ = _quotient(2, Subspace.full(F, 2))
+    assert q.dim == 0 and (proj.rows, proj.cols) == (0, 2)
 
 
 def test_quotient_canonical_choice():
     rel = Subspace.from_span(F, 2, [[F.one, F.of_int(-1)]])
-    q = quotient(2, rel)
+    q, proj, sect = _quotient(2, rel)
     assert q.dim == 1
-    assert q.projection.mul(q.section) == Matrix.identity(F, 1)
-    assert kernel(q.projection) == rel
+    assert proj.mul(sect) == Matrix.identity(F, 1)
+    assert kernel(proj) == rel
     # (a, b) and (a+b, 0)-style representatives agree modulo the relation
-    assert q.projection.mul_vec([F.of_int(2), F.of_int(5)]) == \
-        q.projection.mul_vec([F.of_int(7), F.zero])
+    assert proj.mul_vec([F.of_int(2), F.of_int(5)]) == \
+        proj.mul_vec([F.of_int(7), F.zero])
 
 
 def _products(us, vs):
@@ -170,9 +179,9 @@ def test_quotient_roundtrip(data):
     n, rel_rows = data
     rel = Subspace.from_span(F, n, [[F.of_int(v) for v in row]
                                     for row in rel_rows])
-    q = quotient(n, rel)
-    assert q.projection.mul(q.section) == Matrix.identity(F, q.dim)
-    assert kernel(q.projection) == rel
+    q, proj, sect = _quotient(n, rel)
+    assert proj.mul(sect) == Matrix.identity(F, q.dim)
+    assert kernel(proj) == rel
     assert q.dim == n - rel.dim
 
 
@@ -344,3 +353,78 @@ def test_modulus_bound():
     FieldFp(2 ** 64 - 59)
     with pytest.raises(UsageError, match="too large"):
         FieldFp(2 ** 64)
+
+
+# ---------------------------------------------------------------------------
+# the elimination work budget
+
+
+def test_elimination_budget_stops_a_reduction(monkeypatch):
+    a = mat([[1, 2, 3], [4, 5, 6], [7, 8, 10]])
+    want = rref(a)
+    monkeypatch.setattr(exactla, "ELIMINATION_BUDGET", 4)
+    with pytest.raises(UsageError, match=r"^row reduction of a 3x3 matrix needs more "
+                                         r"than 4 entry updates$"):
+        rref(a)
+    monkeypatch.setattr(exactla, "ELIMINATION_BUDGET", 100)
+    assert rref(a) == want
+
+
+def test_elimination_budget_exits_two_on_validate(monkeypatch, capsys):
+    monkeypatch.setattr(exactla, "ELIMINATION_BUDGET", 5)
+    code = main(["validate", fixture_path("E2")])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "Traceback" not in err
+    assert err.splitlines()[-1:] == ["usage error: row reduction of a 16x16 matrix "
+                                     "needs more than 5 entry updates"]
+
+
+# ---------------------------------------------------------------------------
+# rref against sympy's DomainMatrix.rref, an independent reference
+
+
+def _sparse_rows(rows, cols, zero_only):
+    """Rows of mostly-zero rational entries (every entry zero when
+    zero_only), as Fractions with denominators up to 3."""
+    entry = st.just(Fraction(0)) if zero_only else st.one_of(
+        st.just(Fraction(0)), st.just(Fraction(0)), st.just(Fraction(0)),
+        st.fractions(min_value=-4, max_value=4, max_denominator=3))
+    return st.lists(st.lists(entry, min_size=cols, max_size=cols),
+                    min_size=rows, max_size=rows)
+
+
+# up to 6 rows and 16 columns, 0-row matrices included; one in four
+# matrices is all zero
+sparse_matrices = st.tuples(st.integers(min_value=0, max_value=6),
+                            st.integers(min_value=1, max_value=16),
+                            st.sampled_from([False, False, False, True])).flatmap(
+    lambda shape: st.tuples(st.just(shape[0]), st.just(shape[1]),
+                            _sparse_rows(*shape)))
+
+
+@pytest.mark.parametrize("field", [QQ, FieldFp(7)], ids=["Q", "F7"])
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(sparse_matrices)
+def test_rref_matches_sympy(field, system):
+    dm = pytest.importorskip("sympy.polys.matrices")
+    sympy = pytest.importorskip("sympy")
+    rows, cols, entries = system
+    a = Matrix(field, rows, cols, [[field.parse(str(v)) for v in row] for row in entries])
+    if field == QQ:
+        dom = sympy.QQ
+        ref_entries = [[dom(v.numerator, v.denominator) for v in row] for row in entries]
+
+        def back(x):
+            return Fraction(int(x.numerator), int(x.denominator))
+    else:
+        dom = sympy.GF(field.p)
+        ref_entries = [[dom(v.numerator) / dom(v.denominator) for v in row] for row in entries]
+
+        def back(x):
+            return int(x) % field.p
+    ref_r, ref_pivots = dm.DomainMatrix(ref_entries, (rows, cols), dom).rref()
+    red, pivots = rref(a)
+    assert (red.rows, red.cols) == (rows, cols) == ref_r.shape
+    assert pivots == list(ref_pivots)
+    assert red.data == [[back(x) for x in row] for row in ref_r.to_list()]

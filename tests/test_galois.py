@@ -1,9 +1,11 @@
 """Canonical maps, certification verdicts, and the theorem-verifier suite."""
 
+from functools import cached_property
+
 import pytest
 
 from conftest import ContextBundle, fixture_path
-from coringlab import galois
+from coringlab import cli, galois
 from coringlab.algmod import BalancedTensor, FBimodule, summand_witnesses, trivial_algebra
 from coringlab.coring import Comodule, colinear_homs, trivial_coring, zero_comodule
 from coringlab.exactla import (AxiomError, Matrix, QQ, rank, solve_many, unit_vec,
@@ -19,7 +21,7 @@ from coringlab.galois import (CanonicalMap, check_dual_basis_from_witnesses,
                               unit_decomposition_of_one, verify_cor_jJ,
                               verify_diamond_to_triangle, verify_fgp_corollary,
                               verify_strong_structure, verify_surjectivity_thm,
-                              verify_weak_structure, _first_witnesses)
+                              verify_weak_structure)
 from coringlab.morita import context_M
 from coringlab.workspace import load_workspace_file
 from coringlab.zoo import quotient_polynomial_algebra
@@ -302,9 +304,44 @@ def test_fgp_corollary(bundles):
 def test_jids_identities(bundles):
     for name in ("E2", "E4", "E5"):
         b = bundles[name]
-        wits = _first_witnesses(b.ec)
+        wits = b.ec.first_witnesses
         assert wits is not None
         assert check_jids(b.ec, wits, b.samples)
+
+
+def test_first_witnesses_are_built_once_per_context(monkeypatch, capsys):
+    # theorems --suite all reads the unit decomposition five times: in the
+    # cli, in both structure checks, in the generator property and in the
+    # equivariant projectivity check; the pairs are built once, and the
+    # identity checks and both counit inverses get that one list
+    builds, lists = [], []
+    kept = ExtContext.__dict__["first_witnesses"]
+
+    def counted(ext_ctx):
+        builds.append(ext_ctx)
+        return kept.func(ext_ctx)
+
+    prop = cached_property(counted)
+    prop.__set_name__(ExtContext, "first_witnesses")
+    monkeypatch.setattr(ExtContext, "first_witnesses", prop)
+    jids, counit_inverse = cli.check_jids, galois._counit_inverse
+
+    def spy_jids(ext_ctx, witnesses, comodules):
+        lists.append(id(witnesses))
+        return jids(ext_ctx, witnesses, comodules)
+
+    def spy_counit_inverse(ext_ctx, m, witnesses):
+        lists.append(id(witnesses))
+        return counit_inverse(ext_ctx, m, witnesses)
+
+    monkeypatch.setattr(cli, "check_jids", spy_jids)
+    monkeypatch.setattr(galois, "_counit_inverse", spy_counit_inverse)
+    code = cli.main(["theorems", fixture_path("E2"), "--sigma", "Sigma",
+                     "--extension", "ext", "--suite", "all"])
+    out = capsys.readouterr().out
+    assert code == 0 and "unit decomposition identities" in out
+    assert len(builds) == 1
+    assert len(lists) > 2 and len(set(lists)) == 1
 
 
 def test_generator_property(bundles):
