@@ -1,9 +1,15 @@
 """Finite-dimensional algebras, bimodules, hom-spaces and balanced tensors.
 
-One-sided modules are bimodules with the trivial one-dimensional algebra
-acting on the inert side, so a single hom-space solver with linearity flags
-(hom_space, which returns a MatrixSpace) covers all four hom flavours, and
-every further relation reaches it as operator terms.
+FBimodule owns the matrices of a module's actions: the action of an element
+(left_act_vec, right_act_vec; lmul_vec and rmul_vec on an algebra), the
+orbit maps a -> a·x and a -> x·a of the basis elements (left_orbits,
+right_orbits) and the evaluation maps A (x) M -> M and M (x) A -> M
+(left_eval, right_eval; mult_eval), the last two built once.  It also owns
+the module shapes: one-sided modules (right_module, left_module, with the
+trivial one-dimensional algebra on the inert side, so a single hom-space
+solver with linearity flags, hom_space, covers all four hom flavours and
+every further relation reaches it as operator terms), an algebra over a base
+through a unit map (through), direct sums (direct_sum), regular and trivial.
 """
 
 from __future__ import annotations
@@ -11,8 +17,36 @@ from __future__ import annotations
 from math import prod
 
 from .exactla import (AxiomError, Matrix, Subspace, UsageError, flatten_matrix,
-                      from_sparse_cols, kernel, quotient, solve_linear, unflatten,
-                      unit_vec, vec_scale, zero_vec)
+                      from_sparse_cols, kernel, quotient, side_by_side, solve_linear,
+                      unflatten, unit_vec, vec_scale, zero_vec)
+
+
+def _combination(field, dim, mats, vec):
+    """The dim x dim matrix sum_i vec[i]·mats[i], built row by row in one
+    pass over the nonzero coefficients."""
+    terms = [(c, m.data) for c, m in zip(vec, mats) if c]
+    if not terms:
+        return Matrix.zero(field, dim, dim)
+    (c0, first), rest = terms[0], terms[1:]
+    add, mul, one = field.add, field.mul, field.one
+    data = []
+    for r in range(dim):
+        row = list(first[r]) if c0 == one else [mul(c0, v) for v in first[r]]
+        for c, mat in rest:
+            for j, v in enumerate(mat[r]):
+                if v:
+                    row[j] = add(row[j], mul(c, v))
+        data.append(row)
+    return Matrix(field, dim, dim, data)
+
+
+def _orbits(field, dim, acts):
+    """For each basis element x of a dim-dimensional module, the matrix of
+    the algebra's basis elements acting on x through acts: column i is
+    acts[i]·e_x."""
+    return [Matrix(field, dim, len(acts), [[act.data[r][x] for act in acts]
+                                           for r in range(dim)])
+            for x in range(dim)]
 
 
 class FiniteAlgebra:
@@ -38,6 +72,7 @@ class FiniteAlgebra:
         self._rmul = [Matrix.from_cols(field, dim, [mul[i][j] for i in range(dim)])
                       for j in range(dim)]
         self._gens = None
+        self._mult_eval = None
 
     def lmul(self, i):
         return self._lmul[i]
@@ -47,20 +82,11 @@ class FiniteAlgebra:
 
     def lmul_vec(self, vec):
         """Matrix of left multiplication by the element with coordinates vec."""
-        f = self.field
-        out = Matrix.zero(f, self.dim, self.dim)
-        for i, c in enumerate(vec):
-            if c != f.zero:
-                out = out.add(self._lmul[i].scale(c))
-        return out
+        return _combination(self.field, self.dim, self._lmul, vec)
 
     def rmul_vec(self, vec):
-        f = self.field
-        out = Matrix.zero(f, self.dim, self.dim)
-        for j, c in enumerate(vec):
-            if c != f.zero:
-                out = out.add(self._rmul[j].scale(c))
-        return out
+        """Matrix of right multiplication by the element with coordinates vec."""
+        return _combination(self.field, self.dim, self._rmul, vec)
 
     def multiply(self, x, y):
         return self.lmul_vec(x).mul_vec(y)
@@ -113,16 +139,11 @@ class FiniteAlgebra:
         return True
 
     def mult_eval(self):
-        """Matrix of multiplication A (x) A -> A on the row-major pair basis."""
-        f = self.field
-        n = self.dim
-        out = Matrix.zero(f, n, n * n)
-        for i in range(n):
-            for j in range(n):
-                v = self.mul[i][j]
-                for r in range(n):
-                    out.data[r][i * n + j] = v[r]
-        return out
+        """Matrix of multiplication A (x) A -> A on the row-major pair basis,
+        [L_0 | L_1 | ...] for the left multiplications L_i; built once."""
+        if self._mult_eval is None:
+            self._mult_eval = side_by_side(self.field, self.dim, self._lmul)
+        return self._mult_eval
 
     def __repr__(self):
         return "FiniteAlgebra(%s, dim %d)" % (self.name, self.dim)
@@ -171,7 +192,8 @@ class FBimodule:
 
     left_act[i] is the matrix of the action of the i-th basis element of
     left_alg; right_act likewise.  One-sided modules use trivial_algebra on
-    the inert side.
+    the inert side (right_module, left_module).  The actions never change
+    after construction, so the orbit and evaluation maps are built once.
     """
 
     def __init__(self, left_alg, right_alg, dim, left_act, right_act, name="M"):
@@ -185,6 +207,7 @@ class FBimodule:
         self._commute = None
         self._valid = None
         self._fgp = {}
+        self._built = {}
 
     def actions_commute(self):
         """Whether every left action matrix commutes with every right one
@@ -204,10 +227,26 @@ class FBimodule:
         return self._valid
 
     @staticmethod
-    def trivial(field, dim, name="V"):
-        k = trivial_algebra(field)
+    def trivial(field, dim, name="V", over=None):
+        """k^dim with the one-dimensional algebra over (a new trivial_algebra
+        unless given) acting by scalars on both sides."""
+        k = trivial_algebra(field) if over is None else over
         ident = Matrix.identity(field, dim)
         return FBimodule(k, k, dim, [ident], [ident.copy()], name=name)
+
+    @staticmethod
+    def right_module(alg, dim, acts, name="M"):
+        """A right alg-module with action matrices acts; the ground field
+        acts on the left by scalars."""
+        return FBimodule(trivial_algebra(alg.field), alg, dim,
+                         [Matrix.identity(alg.field, dim)], acts, name=name)
+
+    @staticmethod
+    def left_module(alg, dim, acts, name="M"):
+        """A left alg-module with action matrices acts; the ground field
+        acts on the right by scalars."""
+        return FBimodule(alg, trivial_algebra(alg.field), dim, acts,
+                         [Matrix.identity(alg.field, dim)], name=name)
 
     @staticmethod
     def regular(alg, name=None):
@@ -217,21 +256,57 @@ class FBimodule:
                          [alg.rmul(j) for j in range(alg.dim)],
                          name=name or alg.name)
 
+    @staticmethod
+    def through(alg, base, eta, name=None):
+        """alg as a (base, base)-bimodule through the unit map eta (alg.dim x
+        base.dim): l acts by left and by right multiplication with eta(l)."""
+        return FBimodule(base, base, alg.dim,
+                         [alg.lmul_vec(eta.col(i)) for i in range(base.dim)],
+                         [alg.rmul_vec(eta.col(i)) for i in range(base.dim)],
+                         name=name or alg.name)
+
+    @staticmethod
+    def direct_sum(mods, name):
+        """M_1 (+) ... (+) M_n over the algebras of M_1, every action matrix
+        block diagonal."""
+        first = mods[0]
+        f = first.field
+        dim = sum(m.dim for m in mods)
+
+        def block(mats):
+            data, off = [], 0
+            for mat in mats:
+                data += [[f.zero] * off + list(row) + [f.zero] * (dim - off - mat.cols)
+                         for row in mat.data]
+                off += mat.cols
+            return Matrix(f, dim, dim, data)
+
+        return FBimodule(first.left_alg, first.right_alg, dim,
+                         [block(mats) for mats in zip(*(m.left_act for m in mods))],
+                         [block(mats) for mats in zip(*(m.right_act for m in mods))],
+                         name=name)
+
     def left_act_vec(self, vec):
-        f = self.field
-        out = Matrix.zero(f, self.dim, self.dim)
-        for i, c in enumerate(vec):
-            if c != f.zero:
-                out = out.add(self.left_act[i].scale(c))
-        return out
+        """Matrix of the left action of the element with coordinates vec."""
+        return _combination(self.field, self.dim, self.left_act, vec)
 
     def right_act_vec(self, vec):
-        f = self.field
-        out = Matrix.zero(f, self.dim, self.dim)
-        for i, c in enumerate(vec):
-            if c != f.zero:
-                out = out.add(self.right_act[i].scale(c))
-        return out
+        """Matrix of the right action of the element with coordinates vec."""
+        return _combination(self.field, self.dim, self.right_act, vec)
+
+    def _once(self, key, build):
+        if key not in self._built:
+            self._built[key] = build()
+        return self._built[key]
+
+    def left_orbits(self):
+        """For each basis element x, the matrix of a -> a·x; built once."""
+        return self._once("left_orbits", lambda: _orbits(self.field, self.dim, self.left_act))
+
+    def right_orbits(self):
+        """For each basis element x, the matrix of a -> x·a; built once."""
+        return self._once("right_orbits",
+                          lambda: _orbits(self.field, self.dim, self.right_act))
 
     def validate(self):
         if self._valid:
@@ -265,28 +340,16 @@ class FBimodule:
         return True
 
     def left_eval(self):
-        """Matrix of the action map left_alg (x) M -> M (row-major pairs)."""
-        f = self.field
-        n, m = self.left_alg.dim, self.dim
-        out = Matrix.zero(f, m, n * m)
-        for i in range(n):
-            act = self.left_act[i]
-            for j in range(m):
-                for r in range(m):
-                    out.data[r][i * m + j] = act.data[r][j]
-        return out
+        """Matrix of the action map left_alg (x) M -> M (row-major pairs),
+        the left action matrices side by side; built once."""
+        return self._once("left_eval",
+                          lambda: side_by_side(self.field, self.dim, self.left_act))
 
     def right_eval(self):
-        """Matrix of the action map M (x) right_alg -> M."""
-        f = self.field
-        n, m = self.right_alg.dim, self.dim
-        out = Matrix.zero(f, m, m * n)
-        for j in range(m):
-            for i in range(n):
-                col = self.right_act[i].col(j)
-                for r in range(m):
-                    out.data[r][j * n + i] = col[r]
-        return out
+        """Matrix of the action map M (x) right_alg -> M (row-major pairs),
+        the right orbit maps side by side; built once."""
+        return self._once("right_eval",
+                          lambda: side_by_side(self.field, self.dim, self.right_orbits()))
 
     def __repr__(self):
         return "FBimodule(%s: %s-%s, dim %d)" % (self.name, self.left_alg.name,
@@ -921,14 +984,10 @@ def _dual_basis(m, side, alg):
         raise UsageError("side must be 'left' or 'right'")
     if m.dim == 0:
         return ([], [])
-    pairs = []
-    act_vec = m.right_act_vec if side == "right" else m.left_act_vec
-    for h in homs.basis:
-        acts = [act_vec(h.col(j)) for j in range(m.dim)]
-        for x in range(m.dim):
-            # v -> x · h(v)   (right side),  v -> h(v) · x  (left side)
-            pairs.append(((h, x), flatten_matrix(
-                Matrix.from_cols(field, m.dim, [act.col(x) for act in acts]))))
+    # v -> x·h(v) (right side), v -> h(v)·x (left side): the orbit of x after h
+    orbits = m.right_orbits() if side == "right" else m.left_orbits()
+    pairs = [((h, x), flatten_matrix(orbit.mul(h)))
+             for h in homs.basis for x, orbit in enumerate(orbits)]
     wit = span_witness(field, pairs, flatten_matrix(Matrix.identity(field, m.dim)))
     if wit is None:
         return None

@@ -285,17 +285,29 @@ def cmd_extension(args):
     return EXIT_MATH if report.failed() else EXIT_OK
 
 
+def _shaped_map(ws, name, flag, shape, rows, cols):
+    """The stored map named by a flag, which must be rows x cols."""
+    mat = _named(ws.maps, name, "map")
+    if (mat.rows, mat.cols) != (rows, cols):
+        raise UsageError("%s %s is a %dx%d map; it must have shape %s = %dx%d"
+                         % (flag, name, mat.rows, mat.cols, shape, rows, cols))
+    return mat
+
+
 def _build_ext_ctx(ws, args):
     """(sigma, ext, ec, j, jtilde): the extension context, which keeps the
     comodule context it is built from, and the section and intertwiner
-    named by --j and --jtilde, or None.  The names are looked up before any
-    context is built, and --jtilde needs --j."""
+    named by --j and --jtilde, or None.  The names and the shapes of their
+    maps are checked before any context is built, and --jtilde needs --j."""
     sigma = _named(ws.comodules, args.sigma, "comodule")
     ext = _named(ws.extensions, args.extension, "extension")
     if args.jtilde and not args.j:
         raise UsageError("--jtilde needs --j")
-    j = _named(ws.maps, args.j, "map") if args.j else None
-    jt_map = _named(ws.maps, args.jtilde, "map") if args.jtilde else None
+    c = ext.inner
+    j = _shaped_map(ws, args.j, "--j", "Sigma x D", sigma.dim, ext.outer.dim) \
+        if args.j else None
+    jt_map = _shaped_map(ws, args.jtilde, "--jtilde", "A x C", c.base.dim, c.dim) \
+        if args.jtilde else None
     purity_check(ext, _sample_comodules(ws, sigma, args.samples))
     if ext.purity_certificate == "not-pure":
         raise UsageError("extension %s is not pure; the context is undefined"

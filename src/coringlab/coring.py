@@ -9,7 +9,7 @@ projection/section pairs.
 from __future__ import annotations
 
 from .algmod import (BalancedTensor, FBimodule, FiniteAlgebra, endo_algebra,
-                     hom_space, sandwich_terms, trivial_algebra)
+                     hom_space, sandwich_terms)
 from .exactla import AxiomError, Matrix, UsageError, unit_vec, zero_vec
 
 
@@ -314,10 +314,8 @@ def grouplike_comodule(g, name=None):
     c = g.coring
     a = c.base
     field = c.field
-    left_alg = trivial_algebra(field)
-    carrier = FBimodule(left_alg, a, a.dim, [Matrix.identity(field, a.dim)],
-                        [a.rmul(j) for j in range(a.dim)],
-                        name=name or a.name)
+    carrier = FBimodule.right_module(a, a.dim, [a.rmul(j) for j in range(a.dim)],
+                                     name=name or a.name)
     mc = BalancedTensor([carrier, c.carrier], [a])
     cols = []
     for j in range(a.dim):
@@ -350,28 +348,11 @@ def comodule_direct_sum(m1, m2, name=None):
         raise UsageError("direct sum with mismatched left algebras")
     c = m1.coring
     field = m1.field
-    d1, d2 = m1.dim, m2.dim
-    dim = d1 + d2
-
-    def block(a1, a2):
-        out = Matrix.zero(field, dim, dim)
-        for i in range(d1):
-            for j in range(d1):
-                out.data[i][j] = a1.data[i][j]
-        for i in range(d2):
-            for j in range(d2):
-                out.data[d1 + i][d1 + j] = a2.data[i][j]
-        return out
-
-    left_act = [block(m1.carrier.left_act[i], m2.carrier.left_act[i])
-                for i in range(m1.carrier.left_alg.dim)]
-    right_act = [block(m1.carrier.right_act[i], m2.carrier.right_act[i])
-                 for i in range(c.base.dim)]
-    carrier = FBimodule(m1.carrier.left_alg, c.base, dim, left_act, right_act,
-                        name=name or (m1.name + "+" + m2.name))
+    carrier = FBimodule.direct_sum([m1.carrier, m2.carrier],
+                                   name=name or (m1.name + "+" + m2.name))
     mc = BalancedTensor([carrier, c.carrier], [c.base])
     cols = []
-    for src, offset in ((m1, 0), (m2, d1)):
+    for src, offset in ((m1, 0), (m2, m1.dim)):
         for j in range(src.dim):
             amb = zero_vec(field, mc.ambient_dim)
             for (multi, coeff) in src.mc.lift_pairs(src.coaction.col(j)):
@@ -386,10 +367,8 @@ def comodule_direct_sum(m1, m2, name=None):
 
 def zero_comodule(c, name="0"):
     field = c.field
-    k = trivial_algebra(field)
-    carrier = FBimodule(k, c.base, 0, [Matrix.zero(field, 0, 0)],
-                        [Matrix.zero(field, 0, 0) for _ in range(c.base.dim)],
-                        name=name)
+    carrier = FBimodule.right_module(c.base, 0, [Matrix.zero(field, 0, 0)
+                                                 for _ in range(c.base.dim)], name=name)
     mc = BalancedTensor([carrier, c.carrier], [c.base])
     coaction = Matrix.zero(field, mc.dim, 0)
     return Comodule(c, carrier, coaction, name=name)

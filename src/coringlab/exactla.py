@@ -501,15 +501,21 @@ def solve_linear(a, b):
     return x
 
 
-def solve_many(a, rhs_mat):
-    """Solve a·X = rhs_mat column-by-column; None if any column fails."""
-    cols = []
-    for j in range(rhs_mat.cols):
-        x = solve_linear(a, rhs_mat.col(j))
-        if x is None:
-            return None
-        cols.append(x)
-    return Matrix.from_cols(a.field, a.cols, cols)
+def inverse(m):
+    """The inverse of the square matrix m, or None when m is singular: one
+    reduction of [m | I], whose pivots are the columns of m exactly when m
+    is invertible, and then its right half is the inverse."""
+    if m.rows != m.cols:
+        raise UsageError("inverse of a non-square %dx%d matrix" % (m.rows, m.cols))
+    f = m.field
+    n = m.cols
+    rows = _sparse_rows(m)
+    for i, row in enumerate(rows):
+        row[n + i] = f.one
+    pivots, prows = _echelon(f, rows, 2 * n)
+    if pivots[:n] != list(range(n)):
+        return None
+    return _matrix(f, n, n, [[row.get(n + j, f.zero) for j in range(n)] for row in prows])
 
 
 # ---------------------------------------------------------------------------

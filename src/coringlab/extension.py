@@ -24,7 +24,7 @@ from __future__ import annotations
 from functools import cached_property
 
 from .algmod import (BalancedTensor, FBimodule, algebra_map_check, endo_algebra,
-                     hom_space, sandwich_terms, summand_witnesses, trivial_algebra)
+                     hom_space, sandwich_terms, summand_witnesses)
 from .coring import Comodule, colinear_homs, colinearity_constraint
 from .exactla import (AxiomError, Matrix, UsageError, image, kernel, rank,
                       side_by_side, solve_linear, vec_scale)
@@ -134,14 +134,12 @@ class CoringExtension:
 
 def induced_right_l_action(ext, m):
     """Right L-action m·l = m^[0]·eps(m^[1]·l) on a comodule of the inner coring."""
-    f = ext.field
     counit = ext.inner.counit
     right_eval = m.carrier.right_eval()
     acts = [right_eval.mul(m.mc.induced(None, [(1, counit.mul(r))])).mul(m.coaction)
             for r in ext.right_l_act]
     l = ext.outer.base
-    probe = FBimodule(trivial_algebra(f), l, m.dim, [Matrix.identity(f, m.dim)], acts,
-                      name=m.name + " as L-module")
+    probe = FBimodule.right_module(l, m.dim, acts, name=m.name + " as L-module")
     probe.validate()
     # the coaction is right L-linear for this action
     for i in range(l.dim):
@@ -186,30 +184,29 @@ def purity_check(ext, comodules):
 
 
 def _pure_for(ext, m):
-    f = ext.field
+    """Whether the equalizer comparison is bijective for m, with X = D (x)_L D:
+    rho_M (x) X is injective (one image, whose dimension decides) and that
+    image is the kernel of the difference of the two maps
+    (M (x) C) (x)_L X -> (M (x) C (x) C) (x)_L X."""
     l = ext.outer.base
-    k = trivial_algebra(f)
-    ident_m = Matrix.identity(f, m.dim)
-    l_acts = induced_right_l_action(ext, m)
-    m_l = FBimodule(k, l, m.dim, [ident_m], l_acts, name=m.name)
-    mc_l = FBimodule(k, l, m.mc.dim, [Matrix.identity(f, m.mc.dim)],
-                     [m.mc.induced(m.mc, [(1, r)]) for r in ext.right_l_act],
-                     name=m.name + "(x)C")
-    mcc_l = FBimodule(k, l, m.mcc.dim, [Matrix.identity(f, m.mcc.dim)],
-                      [m.mcc.induced(m.mcc, [(2, r)]) for r in ext.right_l_act],
-                      name=m.name + "(x)C(x)C")
+    m_l = FBimodule.right_module(l, m.dim, induced_right_l_action(ext, m), name=m.name)
+    mc_l = FBimodule.right_module(l, m.mc.dim, [m.mc.induced(m.mc, [(1, r)])
+                                                for r in ext.right_l_act],
+                                  name=m.name + "(x)C")
+    mcc_l = FBimodule.right_module(l, m.mcc.dim, [m.mcc.induced(m.mcc, [(2, r)])
+                                                  for r in ext.right_l_act],
+                                   name=m.name + "(x)C(x)C")
     dd = BalancedTensor([ext.outer.carrier, ext.outer.carrier], [l])
     x_mod = dd.as_bimodule(name="D(x)D")
     t1 = BalancedTensor([m_l, x_mod], [l])
     t2 = BalancedTensor([mc_l, x_mod], [l])
     t3 = BalancedTensor([mcc_l, x_mod], [l])
-    phi = t1.induced(t2, [(0, m.coaction)])
+    im = image(t1.induced(t2, [(0, m.coaction)]))
+    if im.dim != t1.dim:
+        return False
     g1 = t2.induced(t3, [(0, m.coaction_on_left())])
     g2 = t2.induced(t3, [(0, m.delta_on_right())])
-    eq = kernel(g1.sub(g2))
-    if rank(phi) != t1.dim:
-        return False
-    return image(phi) == eq
+    return im == kernel(g1.sub(g2))
 
 
 def induced_D_coaction(ext, m):
@@ -293,10 +290,12 @@ class QTildeModule:
         delta = c.cc.sect().mul(c.coproduct)
         ident = Matrix.identity(f, c.dim)
         relations = []
+        a_dim = c.base.dim
         for j in range(sigma.dim):
-            acts = [c.carrier.right_act_vec(xi.col(j)) for xi in sd.basis]
-            p_j = Matrix.from_cols(f, c.dim, [act.col(k) for k in range(c.dim)
-                                              for act in acts])
+            # column (k, s) of P_j is c_k·xi_s(x_j): the orbit of c_k after X_j
+            x_j = Matrix.from_cols(f, a_dim, [xi.col(j) for xi in sd.basis])
+            p_j = side_by_side(f, c.dim, (orbit.mul(x_j)
+                                          for orbit in c.carrier.right_orbits()))
             u_j = Matrix.from_cols(f, c.dim, [comp.col(j) for comp in xi_coact])
             relations.append(sandwich_terms(p_j, delta, c.dim, 1) + [(u_j, ident, -1)])
         self.space = hom_space(ext.carrier_l, sd.module, left_linear=True,
@@ -490,7 +489,6 @@ class ExtContext:
     def _build_actions(self):
         """The two bimodules P (colinear maps D -> Sigma) and Qtilde, with
         the four action formulas."""
-        f = self.field
         ext, sigma = self.ext, self.sigma
         c, d = ext.inner, ext.outer
         napply = self.apply_t
@@ -512,14 +510,9 @@ class ExtContext:
             uq_mats.append(self.qt.space.coords_matrix(
                 (q.mul(u) for q in self.qt.basis),
                 "extension context: the third action formula escapes the bimodule"))
-        sd_t = self._sigma_dual_t_action()
-        sd = self.qt.sigma_dual
-        ev_compose = Matrix.zero(f, sd.dim, sd.dim * self.t_alg.dim)
-        for s in range(sd.dim):
-            for t in range(self.t_alg.dim):
-                col = sd_t[t].col(s)
-                for r in range(sd.dim):
-                    ev_compose.data[r][s * self.t_alg.dim + t] = col[r]
+        # Sigma* (x) T -> Sigma*, xi (x) t -> xi∘t
+        ev_compose = FBimodule.right_module(self.t_alg, self.qt.sigma_dual.dim,
+                                            self._sigma_dual_t_action()).right_eval()
         qv_mats = [self.qt.space.coords_matrix(
             (ev_compose.mul(ext.cld.induced(None, [(0, q), (1, v)])).mul(ext.tau)
              for q in self.qt.basis),
@@ -631,10 +624,7 @@ def convolution_algebra(d, alg, eta=None, name=None):
                          "unit map L -> A")
     if eta is None:
         eta = Matrix.from_cols(f, alg.dim, [list(alg.unit)])
-    # alg as an (L, L)-bimodule through eta
-    ring = FBimodule(d.base, d.base, alg.dim,
-                     [alg.lmul_vec(eta.col(i)) for i in range(d.base.dim)],
-                     [alg.rmul_vec(eta.col(i)) for i in range(d.base.dim)], name=alg.name)
+    ring = FBimodule.through(alg, d.base, eta)
     space = hom_space(d.carrier, ring, left_linear=True, right_linear=True)
     mult = alg.mult_eval()
     alg_out = space.algebra(

@@ -36,11 +36,11 @@ import itertools
 import random
 
 from .algmod import (BalancedTensor, FBimodule, fgp_check, generator_check,
-                     hom_space, span_witness, summand_witnesses, trivial_algebra)
+                     hom_space, span_witness, summand_witnesses)
 from .coring import EndAlgebra, colinear_homs
-from .exactla import (AxiomError, Matrix, UsageError, flatten_matrix, rank,
-                      side_by_side, solve_linear, solve_many, unflatten,
-                      unit_vec, vec_scale, zero_vec)
+from .exactla import (AxiomError, Matrix, UsageError, flatten_matrix, inverse,
+                      rank, side_by_side, solve_linear, unflatten, unit_vec,
+                      vec_scale, zero_vec)
 from .extension import tensor_comodule
 
 SEARCH_SWEEP_CAP = 6      # exhaustive {-1,0,1} sweep up to this many basis maps
@@ -63,11 +63,9 @@ def hom_tensor_sigma(space, sigma, end, name, message):
     """Hom(Sigma, N) (x)_T Sigma for a MatrixSpace of maps Sigma -> N, with T
     acting on the maps by precomposition; AxiomError(message) when that
     action leaves the space."""
-    f = sigma.field
     right_acts = [space.coords_matrix((h.mul(t) for h in space.basis), message)
                   for t in end.basis_maps]
-    hom_mod = FBimodule(trivial_algebra(f), end.algebra, space.dim,
-                        [Matrix.identity(f, space.dim)], right_acts, name=name)
+    hom_mod = FBimodule.right_module(end.algebra, space.dim, right_acts, name=name)
     return BalancedTensor([hom_mod, sigma_over_end(sigma, end)], [end.algebra])
 
 
@@ -97,48 +95,33 @@ class CanonicalMap:
         if self.matrix is None:
             raise AxiomError("canonical map is not balanced over the "
                              "endomorphism algebra")
-        self.bijective = (self.tens.dim == self.nc.dim ==
-                          rank(self.matrix))
+        # one reduction decides bijectivity and gives the inverse
+        square = self.tens.dim == self.nc.dim
+        self._inverse = inverse(self.matrix) if square else None
+        self.bijective = self._inverse is not None
 
     def inverse(self):
         if not self.bijective:
             raise UsageError("canonical map is not invertible")
-        inv = solve_many(self.matrix, Matrix.identity(self.sigma.field, self.nc.dim))
-        if inv is None:
-            raise AxiomError("bijective canonical map failed to invert")
-        return inv
+        return self._inverse
 
 
 def regular_right_module(alg, copies=1, name=None):
     """The free right module of the given rank over an algebra."""
-    f = alg.field
-    k = trivial_algebra(f)
-    dim = alg.dim * copies
-    rights = []
-    for i in range(alg.dim):
-        m = Matrix.zero(f, dim, dim)
-        blk = alg.rmul(i)
-        for cidx in range(copies):
-            for r in range(alg.dim):
-                for s in range(alg.dim):
-                    m.data[cidx * alg.dim + r][cidx * alg.dim + s] = blk.data[r][s]
-        rights.append(m)
-    return FBimodule(k, alg, dim, [Matrix.identity(f, dim)], rights,
-                     name=name or ("%s^%d" % (alg.name, copies)))
+    free = FBimodule.right_module(alg, alg.dim, [alg.rmul(i) for i in range(alg.dim)])
+    return FBimodule.direct_sum([free] * copies,
+                                name=name or ("%s^%d" % (alg.name, copies)))
 
 
 def default_sample_modules(sigma):
     """Right modules used by on-samples verdicts: free rank 1 and 2, the
     coring carrier, and the comodule itself."""
     a = sigma.coring.base
-    mods = [regular_right_module(a, 1), regular_right_module(a, 2)]
     c = sigma.coring.carrier
-    k = trivial_algebra(sigma.field)
-    mods.append(FBimodule(k, a, c.dim, [Matrix.identity(sigma.field, c.dim)],
-                          list(c.right_act), name=sigma.coring.name))
-    mods.append(FBimodule(k, a, sigma.dim, [Matrix.identity(sigma.field, sigma.dim)],
-                          list(sigma.carrier.right_act), name=sigma.name))
-    return mods
+    return [regular_right_module(a, 1), regular_right_module(a, 2),
+            FBimodule.right_module(a, c.dim, list(c.right_act), name=sigma.coring.name),
+            FBimodule.right_module(a, sigma.dim, list(sigma.carrier.right_act),
+                                   name=sigma.name)]
 
 
 def galois_check(sigma, end=None, samples=None):
@@ -283,8 +266,9 @@ def normal_basis_check(ext_ctx, cleft_data=None):
                     lam = lam.add(h.scale(c))
                 weak_found = (kappa, lam)
         if dim_ok_full and full_found is None:
-            if rank(kappa) == sigma.dim:
-                full_found = kappa
+            kappa_inv = inverse(kappa)
+            if kappa_inv is not None:
+                full_found = (kappa, kappa_inv)
 
     for kappa in candidates:
         try_kappa(kappa)
@@ -297,12 +281,10 @@ def normal_basis_check(ext_ctx, cleft_data=None):
             if (full_found is not None or not dim_ok_full) and weak_found is not None:
                 break
     if full_found is not None:
-        inv = solve_many(full_found, Matrix.identity(f, sigma.dim))
         report["grade"] = "full"
         report["full"] = "found"
         report["weak"] = "implied"
-        report["iso"] = full_found
-        report["iso_inverse"] = inv
+        report["iso"], report["iso_inverse"] = full_found
         return report
     report["full"] = "disproved (dimension)" if not dim_ok_full \
         else "not found (inconclusive)"
@@ -443,12 +425,8 @@ def can_inverse_from_witnesses(ext_ctx, can):
         for ((ni, ck), w) in can.nc.lift_pairs(unit_vec(f, can.nc.dim, q)):
             for ((c0, dd), w2) in ext.cld.lift_pairs(ext.tau.col(ck)):
                 for (jt, j) in witnesses:
-                    xi = sd.space.element(jt.col(c0))
-                    phi = Matrix.zero(f, n_mod.dim, ext_ctx.sigma.dim)
-                    for x in range(ext_ctx.sigma.dim):
-                        col = n_mod.right_act_vec(xi.col(x)).col(ni)
-                        for r in range(n_mod.dim):
-                            phi.data[r][x] = col[r]
+                    # x -> n_ni·xi(x)
+                    phi = n_mod.right_orbits()[ni].mul(sd.space.element(jt.col(c0)))
                     coords = can.homs.coords(phi)
                     if coords is None:
                         raise AxiomError("rebuilt inverse leaves the hom space")
@@ -496,8 +474,8 @@ def check_jids(ext_ctx, witnesses, comodules):
                     jd = j.mul_vec(unit_vec(f, ext.outer.dim, dd))
                     for ((m1, ck), w2) in m.mc.lift_pairs(m.coaction.col(m0)):
                         a_val = sd.space.element(jt.col(ck)).mul_vec(jd)
-                        contrib = m.carrier.right_act_vec(
-                            vec_scale(f, f.mul(w, w2), a_val)).col(m1)
+                        contrib = m.carrier.right_orbits()[m1].mul_vec(
+                            vec_scale(f, f.mul(w, w2), a_val))
                         for r in range(m.dim):
                             acc.data[r][col] = f.add(acc.data[r][col], contrib[r])
         if acc != Matrix.identity(f, m.dim):
@@ -509,7 +487,12 @@ def check_jids(ext_ctx, witnesses, comodules):
 def check_generator_property(ext_ctx):
     """When the first connecting map and the inner counit are surjective, the
     comodule generates the right modules of the base algebra; the witness is
-    rebuilt from the unit decomposition and evaluated."""
+    rebuilt from the unit decomposition and evaluated.
+
+    The counit is bilinear, so its image is an ideal of the base algebra,
+    which is everything exactly when it holds 1 (the argument of
+    MoritaContext.connecting): one solve of eps(c) = 1 decides surjectivity
+    and gives the element c the witness is evaluated at."""
     ext = ext_ctx.ext
     f = ext_ctx.field
     c = ext.inner
@@ -517,9 +500,9 @@ def check_generator_property(ext_ctx):
     witnesses = ext_ctx.first_witnesses
     if witnesses is None:
         return {"applicable": False, "reason": "first connecting map not surjective"}
-    if rank(c.counit) != c.base.dim:
-        return {"applicable": False, "reason": "counit not surjective"}
     cvec = solve_linear(c.counit, list(c.base.unit))
+    if cvec is None:
+        return {"applicable": False, "reason": "counit not surjective"}
     sd = ext_ctx.qt.sigma_dual
     total = zero_vec(f, c.base.dim)
     for (jt, j) in witnesses:
@@ -623,19 +606,24 @@ def _counit_inverse(ext_ctx, m, witnesses):
 
 def unit_decomposition_of_one(ext_ctx):
     """Elements v_j, d_j with sum v_j(d_j) = 1_T, using the counit fast path
-    first; None when the membership fails."""
+    first; None when the membership fails.
+
+    The outer counit is bilinear, so its image is an ideal of L, which is
+    everything exactly when it holds 1 (the argument of
+    MoritaContext.connecting): one solve of eps(d) = 1 decides whether the
+    counit is surjective and, when it is, gives the decomposition."""
     f = ext_ctx.field
     d = ext_ctx.ext.outer
     t_alg = ext_ctx.t_alg
     if t_alg.dim == 0:
         return {"pairs": [], "path": "zero algebra"}
-    if rank(d.counit) == d.base.dim:
-        unit_v = ext_ctx._v_unit_matrix()
+    # unit_v(d) = eps(d)·1_T, so any d with eps(d) = 1 decomposes 1_T
+    unit_v = ext_ctx._v_unit_matrix()
+    wit = span_witness(f, [((unit_v, dd), d.counit.col(dd)) for dd in range(d.dim)],
+                       d.base.unit)
+    if wit is not None:
         if ext_ctx.v_space.coords(unit_v) is None:
             raise AxiomError("convolution unit is not a bilinear map")
-        # unit_v(d) = eps(d)·1_T, so any d with eps(d) = 1 decomposes 1_T
-        wit = span_witness(f, [((unit_v, dd), d.counit.col(dd)) for dd in range(d.dim)],
-                           d.base.unit)
         path = "counit surjective"
     else:
         wit = span_witness(f, [((v, dd), v.col(dd)) for v in ext_ctx.v_basis
@@ -836,14 +824,11 @@ def verify_diamond_to_triangle(ext_ctx):
     if witness is None:
         raise AxiomError("comodule is not f.g. projective although the second "
                          "connecting map is surjective")
-    f = ext_ctx.field
     t_alg = ext_ctx.t_alg
-    k = trivial_algebra(f)
-    t_left = FBimodule(t_alg, k, t_alg.dim,
-                       [t_alg.lmul(i) for i in range(t_alg.dim)],
-                       [Matrix.identity(f, t_alg.dim)], name="T")
-    sig_left = FBimodule(t_alg, k, sigma.dim, list(ext_ctx.end.basis_maps),
-                         [Matrix.identity(f, sigma.dim)], name=sigma.name)
+    t_left = FBimodule.left_module(t_alg, t_alg.dim,
+                                   [t_alg.lmul(i) for i in range(t_alg.dim)], name="T")
+    sig_left = FBimodule.left_module(t_alg, sigma.dim, list(ext_ctx.end.basis_maps),
+                                     name=sigma.name)
     wit = summand_witnesses(hom_space(t_left, sig_left, left_linear=True),
                             hom_space(sig_left, t_left, left_linear=True))
     if wit is None:
@@ -925,7 +910,7 @@ def check_dual_basis_from_witnesses(cm):
             acc = zero_vec(f, c.dim)
             for ((fb, cj), w) in cstar_c.lift_pairs(tensor_elt):
                 a_val = dual.eval_mats[fb].col(cidx)
-                contrib = c.carrier.left_act_vec(vec_scale(f, w, a_val)).col(cj)
+                contrib = c.carrier.left_orbits()[cj].mul_vec(vec_scale(f, w, a_val))
                 acc = [f.add(u, v) for u, v in zip(acc, contrib)]
             if acc != unit_vec(f, c.dim, cidx):
                 raise AxiomError("dual basis reconstruction fails for the coring")
@@ -943,8 +928,7 @@ def check_dual_basis_from_witnesses(cm):
                 qmat = cm.q.element(qvec)
                 for ((m, ck), w) in sigma.mc.lift_pairs(sigma.coaction.mul_vec(xvec)):
                     a_val = cm.dual.element_eval(qmat.col(y)).col(ck)
-                    contrib = sigma.carrier.right_act_vec(
-                        vec_scale(f, w, a_val)).col(m)
+                    contrib = sigma.carrier.right_orbits()[m].mul_vec(vec_scale(f, w, a_val))
                     acc = [f.add(u, v) for u, v in zip(acc, contrib)]
             if acc != unit_vec(f, sigma.dim, y):
                 raise AxiomError("dual basis reconstruction fails for the comodule")

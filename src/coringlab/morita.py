@@ -22,8 +22,7 @@ from __future__ import annotations
 from functools import cached_property
 
 from .algmod import (BalancedTensor, FBimodule, endo_algebra, fgp_check,
-                     hom_space, non_multiplicative_at, sandwich_terms,
-                     trivial_algebra)
+                     hom_space, non_multiplicative_at, sandwich_terms)
 from .coring import DualRing, EndAlgebra, dual_action
 from .exactla import (AxiomError, Matrix, UsageError, rank, side_by_side,
                       solve_linear, unit_vec, vec_scale, zero_vec)
@@ -121,17 +120,16 @@ def _associative(x, ydim, left_amb, right_amb):
     from the left and right (on y (x) x) in the one acting from the right.
 
     Both sides are compared as maps of u', one operator per pair (u, v):
-    the left action of left(u (x) v), and the column u of the right action
-    applied to the block of right at v."""
+    the left action of left(u (x) v), and the right orbit map of u applied
+    to the block of right at v."""
     f = x.field
     dx = x.dim
     blocks = [Matrix(f, right_amb.rows, dx, [row[v * dx:(v + 1) * dx]
                                              for row in right_amb.data])
               for v in range(ydim)]
-    for u in range(dx):
-        act_u = Matrix.from_cols(f, dx, [act.col(u) for act in x.right_act])
+    for u, orbit in enumerate(x.right_orbits()):
         for v in range(ydim):
-            if x.left_act_vec(left_amb.col(u * ydim + v)) != act_u.mul(blocks[v]):
+            if x.left_act_vec(left_amb.col(u * ydim + v)) != orbit.mul(blocks[v]):
                 return False
     return True
 
@@ -221,11 +219,11 @@ class SigmaDual:
         """The map Sigma -> M, y -> v^[0]·jt(v^[1])(y), at the element v = vec
         of the comodule m, for jt: C -> Sigma* in Sigma*-coordinates."""
         f = self.sigma.field
+        orbits = m.carrier.right_orbits()
         out = Matrix.zero(f, m.dim, self.sigma.dim)
         for ((x, ck), w) in m.mc.lift_pairs(m.coaction.mul_vec(vec)):
             xi = self.space.element(vec_scale(f, w, jt.col(ck)))
-            act_x = Matrix.from_cols(f, m.dim, [act.col(x) for act in m.carrier.right_act])
-            out = out.add(act_x.mul(xi))
+            out = out.add(orbits[x].mul(xi))
         return out
 
 
@@ -281,14 +279,12 @@ class QModule:
                     for ((m, cp), w) in sigma.mc.lift_pairs(sigma.coaction.col(j)):
                         fvec = self.dual.element_eval(q.col(m)).col(k)
                         lhs = [field.add(u, v) for u, v in zip(
-                            lhs, c.carrier.left_act_vec(vec_scale(field, w, fvec)).mul_vec(
-                                unit_vec(field, c.dim, cp)))]
+                            lhs, c.carrier.left_orbits()[cp].mul_vec(vec_scale(field, w, fvec)))]
                     rhs = zero_vec(field, c.dim)
                     for ((c1, c2), w) in c.cc.lift_pairs(c.coproduct.col(k)):
                         fvec = self.dual.element_eval(q.col(j)).col(c2)
                         rhs = [field.add(u, v) for u, v in zip(
-                            rhs, c.carrier.right_act_vec(vec_scale(field, w, fvec)).mul_vec(
-                                unit_vec(field, c.dim, c1)))]
+                            rhs, c.carrier.right_orbits()[c1].mul_vec(vec_scale(field, w, fvec)))]
                     if lhs != rhs:
                         raise AxiomError("Q basis element fails its defining relation "
                                          "at basis pair (%d,%d)" % (j, k))
@@ -330,27 +326,19 @@ def _eval_context(t_alg, t_space, dual, dualact_mats, q_space, bim21, sigma, nam
     caller supplies the endomorphism algebra and space, the hom-type space
     and its bimodule.
     """
-    field = sigma.field
-    sdim = sigma.dim
     q_basis = q_space.basis
-    bim12 = FBimodule(t_alg, dual.algebra, sdim, list(t_space.basis),
+    bim12 = FBimodule(t_alg, dual.algebra, sigma.dim, list(t_space.basis),
                       dualact_mats, name=sigma.name)
     bim12.validate()
     tens21 = BalancedTensor([bim21, bim12], [t_alg], name="Q(x)Sigma")
     tens12 = BalancedTensor([bim12, bim21], [dual.algebra], name="Sigma(x)Q")
     # conn1: q (x) x -> q(x)
-    cols = []
-    for q in q_basis:
-        for j in range(sdim):
-            cols.append(q.col(j))
-    conn1 = tens21.descend_map(Matrix.from_cols(field, dual.dim, cols))
+    conn1 = tens21.descend_map(side_by_side(sigma.field, dual.dim, q_basis))
     if conn1 is None:
         raise AxiomError("%s: evaluation map is not balanced" % name)
-    # conn2: x (x) q -> (y -> x·q(y)); column y of x·q is acts_at[x]·q(y)
-    acts_at = [Matrix.from_cols(field, sdim, [act.col(j) for act in dualact_mats])
-               for j in range(sdim)]
+    # conn2: x (x) q -> (y -> x·q(y)), the right orbit map of x after q
     conn2 = tens12.descend_map(t_space.coords_matrix(
-        (acts_at[j].mul(q) for j in range(sdim) for q in q_basis),
+        (orbit.mul(q) for orbit in bim12.right_orbits() for q in q_basis),
         "%s: second connecting map leaves the endomorphism algebra" % name))
     if conn2 is None:
         raise AxiomError("%s: second connecting map is not balanced" % name)
@@ -392,16 +380,14 @@ class ModuleContext:
 
     def __init__(self, cm):
         sigma, dual = cm.sigma, cm.dual
-        field = sigma.field
-        k = trivial_algebra(field)
-        plain = FBimodule(k, dual.algebra, sigma.dim, [Matrix.identity(field, sigma.dim)],
-                          cm.dualact_mats, name=sigma.name)
+        plain = FBimodule.right_module(dual.algebra, sigma.dim, cm.dualact_mats,
+                                       name=sigma.name)
         self.end_space = hom_space(plain, plain, right_linear=True)
         end_alg = endo_algebra(self.end_space, name="End_*%s(%s)"
                                % (sigma.coring.name, sigma.name))
-        dual_reg = FBimodule(k, dual.algebra, dual.dim, [Matrix.identity(field, dual.dim)],
-                             [dual.algebra.rmul(i) for i in range(dual.dim)],
-                             name=dual.algebra.name)
+        dual_reg = FBimodule.right_module(dual.algebra, dual.dim,
+                                          [dual.algebra.rmul(i) for i in range(dual.dim)],
+                                          name=dual.algebra.name)
         self.homs = hom_space(plain, dual_reg, right_linear=True)
         name = "module context(%s)" % sigma.name
         bim21 = _hom_bimodule(self.homs, dual, end_alg, self.end_space.basis, "Q",

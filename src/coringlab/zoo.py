@@ -95,10 +95,8 @@ def group_function_coring(field, table, name="k(G)"):
     """The dual basis coalgebra of a finite group, as a coring over k."""
     n = len(table)
     inv = inverse_table(table)
-    k = trivial_algebra(field)
     carrier = FBimodule.trivial(field, n, name=name)
-    carrier.left_alg = k
-    carrier.right_alg = k
+    k = carrier.right_alg
     cc = BalancedTensor([carrier, carrier], [k])
     cols = []
     for s in range(n):
@@ -238,10 +236,7 @@ class EntwiningStructure:
                                  "map L -> A")
             eta = Matrix.from_cols(field, a.dim, [list(a.unit)])
         self.eta = eta
-        a_bim = FBimodule(l, l, a.dim,
-                          [a.lmul_vec(eta.col(i)) for i in range(l.dim)],
-                          [a.rmul_vec(eta.col(i)) for i in range(l.dim)],
-                          name=a.name)
+        a_bim = FBimodule.through(a, l, eta)
         a_bim.validate()
         self.a_bim = a_bim
         self.da = BalancedTensor([d.carrier, a_bim], [l], name="D(x)A")
@@ -395,8 +390,7 @@ def hopf_entwining(bial, a_alg, coaction_amb, name="psi"):
     h = bial.algebra
     d_coring = bial.coring
     k = d_coring.base
-    a_bim = FBimodule(k, k, a_alg.dim, [Matrix.identity(f, a_alg.dim)],
-                      [Matrix.identity(f, a_alg.dim)], name=a_alg.name)
+    a_bim = FBimodule.trivial(f, a_alg.dim, name=a_alg.name, over=k)
     probe = Comodule(d_coring, a_bim, coaction_amb, name=a_alg.name)
     probe.validate()
     # the coaction is an algebra map
@@ -627,22 +621,13 @@ def partial_action_coring(pa):
             out[offs[s] + r] = v
         return out
 
-    left_act = []
-    right_act = []
-    for i in range(a.dim):
-        lmat = Matrix.zero(f, cdim, cdim)
-        rmat = Matrix.zero(f, cdim, cdim)
-        for s in range(n):
-            lblock = sel[s].mul(a.lmul(i)).mul(inc[s])
-            relt = pa.alpha[s].mul_vec(unit_vec(f, a.dim, i))
-            rblock = sel[s].mul(a.rmul_vec(relt)).mul(inc[s])
-            for r in range(dims[s]):
-                for csub in range(dims[s]):
-                    lmat.data[offs[s] + r][offs[s] + csub] = lblock.data[r][csub]
-                    rmat.data[offs[s] + r][offs[s] + csub] = rblock.data[r][csub]
-        left_act.append(lmat)
-        right_act.append(rmat)
-    carrier = FBimodule(a, a, cdim, left_act, right_act, name="C(%s)" % pa.name)
+    # component s is A·e_s: e_i acts on the left by multiplication with e_i
+    # and on the right by multiplication with alpha_s(e_i)
+    carrier = FBimodule.direct_sum(
+        [FBimodule(a, a, dims[s], [sel[s].mul(a.lmul(i)).mul(inc[s]) for i in range(a.dim)],
+                   [sel[s].mul(a.rmul_vec(pa.alpha[s].col(i))).mul(inc[s])
+                    for i in range(a.dim)])
+         for s in range(n)], name="C(%s)" % pa.name)
     carrier.validate()
     # coproduct and counit
     eps_cols = []
@@ -787,10 +772,7 @@ def sweedler_coring(a, b, b_inc, name=None):
 def _comodule_of_regular_coring(ws, cname, name):
     """The coring carrier as a right comodule over itself (coaction = coproduct)."""
     c = ws.corings[cname]
-    f = c.field
-    k = trivial_algebra(f)
-    carrier = FBimodule(k, c.base, c.dim, [Matrix.identity(f, c.dim)],
-                        list(c.carrier.right_act), name=name)
+    carrier = FBimodule.right_module(c.base, c.dim, list(c.carrier.right_act), name=name)
     ws.add_module(name + "_carrier", carrier, None,
                   ws.coring_meta[cname][0])
     com = Comodule(c, carrier, c.coproduct, name=name)
@@ -960,9 +942,7 @@ def fixture_E5(field):
     ws.add_module("C_carrier", c.carrier, "A", "A")
     ws.add_coring("C", c, "A", "C_carrier")
     ws.add_extension("ext", ext, "C", "D")
-    k = trivial_algebra(field)
-    carrier = FBimodule(k, a, 1, [Matrix.identity(field, 1)],
-                        [Matrix.identity(field, 1)], name="Sigma")
+    carrier = FBimodule.right_module(a, 1, [a.rmul(0)], name="Sigma")
     sigma = Comodule(c, carrier, Matrix.identity(field, 1), name="Sigma")
     sigma.validate()
     ws.add_module("Sigma_carrier", carrier, None, "A")

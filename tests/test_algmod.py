@@ -18,7 +18,7 @@ from coringlab.algmod import (BalancedTensor, FBimodule, FiniteAlgebra,
 from coringlab.cli import main
 from coringlab.coring import Grouplike
 from coringlab.exactla import (AxiomError, FieldFp, Matrix, QQ, UsageError,
-                               flatten_matrix, kernel, rank, solve_linear, solve_many,
+                               flatten_matrix, inverse, kernel, rank, solve_linear,
                                unit_vec)
 from coringlab.extension import ExtContext, purity_check
 from coringlab.galois import CanonicalMap, regular_right_module
@@ -142,7 +142,7 @@ def test_tensor_associativity_comparison(a_quad):
     cmp_map = left.proj().mul(pair.sect().kron(ident).mul(
         pair.proj().kron(ident))).mul(left.sect())
     assert rank(cmp_map) == left.dim
-    assert solve_many(cmp_map, Matrix.identity(F, left.dim)) is not None
+    assert inverse(cmp_map) is not None
 
 
 def test_hom_space_endomorphisms(a_quad):
@@ -625,7 +625,7 @@ def _random_basis_module(field, dim):
                                      for _ in range(dim)])
         if rank(p) == dim:
             break
-    p_inv = solve_many(p, Matrix.identity(field, dim))
+    p_inv = inverse(p)
     blocks = Matrix.identity(field, dim // 2)
     acts = [[p.mul(blocks.kron(op(i))).mul(p_inv) for i in range(a.dim)]
             for op in (a.lmul, a.rmul)]
@@ -769,3 +769,124 @@ def test_matrix_space_refuses_a_non_canonical_list(e2):
             MatrixSpace(f, space.rows, space.cols, bad)
     assert MatrixSpace(f, space.rows, space.cols, basis).span == space.span
     assert [flatten_matrix(b) for b in basis] == space.span.basis
+
+
+# ---------------------------------------------------------------------------
+# action matrices against their dense definitions
+
+
+def _ref_combination(field, dim, mats, vec):
+    """sum_i vec[i]·mats[i] as it was built before the one-pass kernel: a
+    zero matrix, then a scaled copy and a sum per nonzero coefficient."""
+    out = Matrix.zero(field, dim, dim)
+    for i, c in enumerate(vec):
+        if c != field.zero:
+            out = out.add(mats[i].scale(c))
+    return out
+
+
+def _ref_mult_eval(alg):
+    n = alg.dim
+    out = Matrix.zero(alg.field, n, n * n)
+    for i in range(n):
+        for j in range(n):
+            for r in range(n):
+                out.data[r][i * n + j] = alg.mul[i][j][r]
+    return out
+
+
+def _ref_left_eval(m):
+    n, d = m.left_alg.dim, m.dim
+    out = Matrix.zero(m.field, d, n * d)
+    for i in range(n):
+        for j in range(d):
+            for r in range(d):
+                out.data[r][i * d + j] = m.left_act[i].data[r][j]
+    return out
+
+
+def _ref_right_eval(m):
+    n, d = m.right_alg.dim, m.dim
+    out = Matrix.zero(m.field, d, d * n)
+    for j in range(d):
+        for i in range(n):
+            col = m.right_act[i].col(j)
+            for r in range(d):
+                out.data[r][j * n + i] = col[r]
+    return out
+
+
+def _ref_orbit(field, dim, acts, x):
+    """a -> a acting on e_x, column i the action of e_i applied to e_x."""
+    return Matrix.from_cols(field, dim, [act.col(x) for act in acts])
+
+
+def _probe_vectors(field, n):
+    """The basis vectors, the zero vector, the all-ones vector and one with
+    entries 1, -2, 3, ..., so scaling, cancellation and fill-in all show."""
+    return ([unit_vec(field, n, i) for i in range(n)] +
+            [[field.zero] * n, [field.one] * n,
+             [field.of_int((-1) ** i * (i + 1)) for i in range(n)]])
+
+
+@pytest.mark.parametrize("over", ["Q", "F7"])
+def test_action_matrices_match_their_dense_definitions(over, workspaces, workspaces_f7):
+    """On every algebra and module of every fixture: the one-pass
+    combination against summing scaled copies, the evaluation maps against
+    their row-major loops (built once), and the orbit maps against the
+    columns of the actions, also as the actions of the probe vectors read at
+    one column."""
+    spaces = workspaces if over == "Q" else workspaces_f7
+    algebras = modules = 0
+    for name in FIXTURES:
+        ws = spaces[name]
+        for alg in ws.algebras.values():
+            f, n = alg.field, alg.dim
+            lmuls = [alg.lmul(i) for i in range(n)]
+            rmuls = [alg.rmul(i) for i in range(n)]
+            for vec in _probe_vectors(f, n):
+                assert alg.lmul_vec(vec) == _ref_combination(f, n, lmuls, vec)
+                assert alg.rmul_vec(vec) == _ref_combination(f, n, rmuls, vec)
+            assert alg.mult_eval() == _ref_mult_eval(alg)
+            assert alg.mult_eval() is alg.mult_eval()
+            algebras += 1
+        for m in ws.modules.values():
+            f, d = m.field, m.dim
+            assert m.left_eval() == _ref_left_eval(m)
+            assert m.right_eval() == _ref_right_eval(m)
+            assert m.left_eval() is m.left_eval() and m.right_eval() is m.right_eval()
+            for side, acts, alg in (("left", m.left_act, m.left_alg),
+                                    ("right", m.right_act, m.right_alg)):
+                act_vec = getattr(m, side + "_act_vec")
+                orbits = getattr(m, side + "_orbits")()
+                assert orbits == [_ref_orbit(f, d, acts, x) for x in range(d)]
+                for vec in _probe_vectors(f, alg.dim):
+                    action = act_vec(vec)
+                    assert action == _ref_combination(f, d, acts, vec)
+                    assert [orbit.mul_vec(vec) for orbit in orbits] == \
+                        [action.col(x) for x in range(d)]
+            modules += 1
+    assert (algebras, modules) == (11, 33)
+
+
+def test_module_shapes_match_their_dense_definitions():
+    """The block-diagonal direct sum and the bimodule through a unit map,
+    against building the matrices entry by entry."""
+    f = QQ
+    a = product_field_algebra(f, 2, name="A")
+    b = quotient_polynomial_algebra(f, [f.of_int(2), f.zero], name="B")
+    free = regular_right_module(b, 3)
+    for i in range(b.dim):
+        ref = Matrix.zero(f, 3 * b.dim, 3 * b.dim)
+        for copy in range(3):
+            for r in range(b.dim):
+                for s in range(b.dim):
+                    ref.data[copy * b.dim + r][copy * b.dim + s] = b.rmul(i).data[r][s]
+        assert free.right_act[i] == ref
+    assert free.left_act == [Matrix.identity(f, 3 * b.dim)]
+    # A over itself through the identity is the regular bimodule
+    eta = Matrix.identity(f, 2)
+    through = FBimodule.through(a, a, eta)
+    assert through.left_act == [a.lmul(i) for i in range(2)]
+    assert through.right_act == [a.rmul(i) for i in range(2)]
+    through.validate()

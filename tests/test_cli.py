@@ -390,6 +390,22 @@ def test_jtilde_without_j_exit2(capsys, command):
     assert err == "usage error: --jtilde needs --j\n"
 
 
+@pytest.mark.parametrize("command", ["cleft", "theorems"])
+@pytest.mark.parametrize("flags, message", [
+    (("--j", "lambda_id", "--jtilde", "lambda_id"),
+     "usage error: --jtilde lambda_id is a 2x2 map; it must have shape A x C = 2x4\n"),
+    (("--j", "jtilde"),
+     "usage error: --j jtilde is a 2x4 map; it must have shape Sigma x D = 2x2\n")],
+    ids=["jtilde", "j"])
+def test_mistyped_section_maps_exit2_before_the_contexts(capsys, monkeypatch, command,
+                                                         flags, message):
+    built = []
+    monkeypatch.setattr(cli, "context_M", built.append)
+    code, out, err = run_cli(capsys, command, *THEOREMS_E2[1:], *flags)
+    assert (code, out, err) == (2, "", message)
+    assert built == []
+
+
 def test_map_names_are_resolved_before_the_contexts(capsys, monkeypatch):
     built = []
     monkeypatch.setattr(cli, "context_M", built.append)

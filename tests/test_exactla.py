@@ -10,8 +10,8 @@ from coringlab import exactla
 from coringlab.algmod import span_witness
 from coringlab.cli import main
 from coringlab.exactla import (FieldFp, FieldQ, Matrix, QQ, Subspace, UsageError,
-                               flatten_matrix, from_sparse_cols, image, kernel,
-                               quotient, rank, rref, solve_linear, unit_vec)
+                               flatten_matrix, from_sparse_cols, image, inverse,
+                               kernel, quotient, rank, rref, solve_linear, unit_vec)
 from conftest import fixture_path
 
 F = QQ
@@ -428,3 +428,47 @@ def test_rref_matches_sympy(field, system):
     assert (red.rows, red.cols) == (rows, cols) == ref_r.shape
     assert pivots == list(ref_pivots)
     assert red.data == [[back(x) for x in row] for row in ref_r.to_list()]
+
+
+# square matrices up to 6x6, the 0x0 one included; one in four is all zero
+square_matrices = st.tuples(st.integers(min_value=0, max_value=6),
+                            st.sampled_from([False, False, False, True])).flatmap(
+    lambda shape: st.tuples(st.just(shape[0]), _sparse_rows(shape[0], shape[0], shape[1])))
+
+
+@pytest.mark.parametrize("field", [QQ, FieldFp(7)], ids=["Q", "F7"])
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(square_matrices)
+def test_inverse_matches_sympy(field, system):
+    dm = pytest.importorskip("sympy.polys.matrices")
+    sympy = pytest.importorskip("sympy")
+    n, entries = system
+    a = Matrix(field, n, n, [[field.parse(str(v)) for v in row] for row in entries])
+    inv = inverse(a)
+    if n == 0:
+        assert inv == Matrix(field, 0, 0, [])
+        return
+    if field == QQ:
+        dom = sympy.QQ
+        ref = dm.DomainMatrix([[dom(v.numerator, v.denominator) for v in row]
+                               for row in entries], (n, n), dom)
+
+        def back(x):
+            return Fraction(int(x.numerator), int(x.denominator))
+    else:
+        dom = sympy.GF(field.p)
+        ref = dm.DomainMatrix([[dom(v.numerator) / dom(v.denominator) for v in row]
+                               for row in entries], (n, n), dom)
+
+        def back(x):
+            return int(x) % field.p
+    if ref.rank() < n:
+        assert inv is None
+        return
+    assert inv.data == [[back(x) for x in row] for row in ref.inv().to_list()]
+    assert a.mul(inv) == Matrix.identity(field, n) == inv.mul(a)
+
+
+def test_inverse_needs_a_square_matrix():
+    with pytest.raises(UsageError):
+        inverse(Matrix.zero(QQ, 2, 3))
