@@ -500,13 +500,13 @@ class BalancedTensor:
     ``project_head`` collapses its leading slots first.
 
     The outer bimodule structure (the left action of the first factor, the
-    right action of the last) is carried through every pairwise quotient as
-    q.proj·(A (x) I)·q.sect, which equals proj·A·sect, the value
-    ``descend_slot`` gives.  It is installed as is when it is known to
-    descend: the right action when the last factor's actions commute, the
-    left one when those of every factor but the last do (each module decides
-    this once).  Otherwise the exact ``descend_slot`` check runs for that
-    side, and an action that does not descend raises AxiomError.
+    right action of the last) is proj·A·sect, the value ``descend_slot``
+    gives.  It is built on first read of ``left_act``/``right_act``, column
+    by column over the picks, when it is known to descend: the right action
+    when the last factor's actions commute, the left one when those of every
+    factor but the last do (each module decides this once).  Otherwise the
+    exact ``descend_slot`` check runs for that side in the constructor, and
+    an action that does not descend raises AxiomError.
     """
 
     def __init__(self, factors, algebras, name=None):
@@ -537,39 +537,67 @@ class BalancedTensor:
         self.right_alg = factors[-1].right_alg
         self._build()
         self.dim = len(self._picks)
+        self._left_act = self._right_act = None
         if not all(m.actions_commute() for m in factors[:-1]):
-            self.left_act = [self.descend_slot(0, a) for a in factors[0].left_act]
+            self._left_act = [self.descend_slot(0, a) for a in factors[0].left_act]
         if not factors[-1].actions_commute():
-            self.right_act = [self.descend_slot(len(factors) - 1, a)
-                              for a in factors[-1].right_act]
-        for side, acts in (("left", self.left_act), ("right", self.right_act)):
-            if None in acts:
+            self._right_act = [self.descend_slot(len(factors) - 1, a)
+                               for a in factors[-1].right_act]
+        for side, acts in (("left", self._left_act), ("right", self._right_act)):
+            if acts is not None and None in acts:
                 raise AxiomError("tensor %s: outer %s action does not descend"
                                  % (self.name, side))
+
+    @property
+    def left_act(self):
+        """The outer left action, of the first factor's left algebra; built
+        on first read."""
+        if self._left_act is None:
+            self._left_act = [self._slot_action(0, a) for a in self.factors[0].left_act]
+        return self._left_act
+
+    @property
+    def right_act(self):
+        """The outer right action, of the last factor's right algebra; built
+        on first read."""
+        if self._right_act is None:
+            last = len(self.factors) - 1
+            self._right_act = [self._slot_action(last, a)
+                               for a in self.factors[last].right_act]
+        return self._right_act
 
     def _build(self):
         """Iterated pairwise quotients Q_k = Q_{k-1} (x)_{B_k} M_k.  The
         relation rows come sparse from the slot-group kernel, and the
         projection on the full ambient space is kept as sparse columns
         (_pcols, in the form _apply_group reads), composed column by column
-        through each step, as are the outer actions; every section is a
-        coordinate selection, so sect is kept as the ambient coordinate each
-        quotient coordinate picks."""
+        through each step; every section is a coordinate selection, so sect
+        is kept as the ambient coordinate each quotient coordinate picks.
+        The one action a step reads is the right action R_b of the quotient
+        so far, at that step's balancing indices b alone: the last factor's
+        R_b carried through the previous quotient as q.proj·(I (x) R_b)·q.sect,
+        kept as sparse columns.  The outer actions are built on first read
+        (left_act, right_act)."""
         f = self.field
         zero = f.zero
-        cur = self.factors[0]
-        cur_dim = cur.dim
+        cur_dim = self.factors[0].dim
         pcols = [[(a, f.one)] for a in range(cur_dim)]
         picks = list(range(cur_dim))
-        left_acts = list(cur.left_act)
-        right_acts = list(cur.right_act)
         for step, alg in enumerate(self.algebras):
-            nxt = self.factors[step + 1]
+            last, nxt = self.factors[step], self.factors[step + 1]
             n = nxt.dim
             # the relations span the images of R_b (x) I - I (x) L_b
             rels = []
-            for b in _balancing_indices(self.factors[step], alg, nxt):
-                r_b = _slot_group(1, right_acts[b], n)
+            for b in _balancing_indices(last, alg, nxt):
+                if step == 0:
+                    r_b = _slot_group(1, last.right_act[b], n)
+                else:
+                    # column j of q.proj·(I (x) R_b)·q.sect for the last
+                    # quotient q combines its sparse columns along
+                    # (I (x) R_b)·e_{kept[j]}
+                    carried = _slot_group(last_dim, last.right_act[b], 1)
+                    r_b = (1, [_combine_cols(f, q.cols, _unit_image(carried, p))
+                               for p in q.kept], cur_dim, n)
                 l_b = _slot_group(cur_dim, nxt.left_act[b], 1)
                 for p in range(cur_dim * n):
                     row = {}
@@ -579,13 +607,6 @@ class BalancedTensor:
                         row[k] = f.sub(row.get(k, zero), c)
                     rels.append({k: c for k, c in row.items() if c})
             q = quotient(f, cur_dim * n, rels)
-            to_q = (1, q.cols, q.dim, 1)
-
-            def carry(group):
-                # q.proj·X·q.sect for X = I_left (x) mat (x) I_right
-                cols = [_apply_pairs(f, _unit_image(group, p), to_q) for p in q.kept]
-                return Matrix(f, q.dim, q.dim, cols).transpose()
-
             # column (a, j) of q.proj·(proj (x) I_n) combines the columns
             # (r, j) of q.proj with the entries (r, v) of column a of proj,
             # which is the identity at the first step
@@ -593,14 +614,10 @@ class BalancedTensor:
                 [_combine_cols(f, q.cols, [(r * n + j, v) for r, v in col])
                  for col in pcols for j in range(n)]
             picks = [picks[p // n] * n + p % n for p in q.kept]
-            left_acts = [carry(_slot_group(1, a, n)) for a in left_acts]
-            right_acts = [carry(_slot_group(cur_dim, a, 1)) for a in nxt.right_act]
-            cur_dim = q.dim
+            last_dim, cur_dim = cur_dim, q.dim
         self._pcols = pcols
         self._picks = picks
         self._proj = self._sect = None
-        self.left_act = left_acts
-        self.right_act = right_acts
 
     def _to_q(self):
         """The projection in the slot-group form _apply_group reads."""
@@ -677,19 +694,28 @@ class BalancedTensor:
         return Matrix(self.field, amb_map.rows, self.dim,
                       [[row[p] for p in self._picks] for row in amb_map.data])
 
-    def descend_slot(self, slot, mat):
-        """Quotient matrix proj·A·sect induced by an endomorphism A of one
-        slot, or None when it does not preserve the balancing relations:
-        column a of proj·A is the sparse columns of proj combined along
-        A's image of e_a, so no ambient operator is built."""
-        f = self.field
+    def _slot_cols(self, slot, mat, points):
+        """The columns p of proj·A at the given ambient points, for an
+        endomorphism A of one slot: column p is the sparse columns of proj
+        combined along A's image of e_p, so no ambient operator is built."""
         group = _slot_group(prod(self.dims[:slot]), mat, self.strides[slot])
         to_q = self._to_q()
-        proj_a = [_apply_pairs(f, _unit_image(group, p), to_q)
-                  for p in range(self.ambient_dim)]
+        return [_apply_pairs(self.field, _unit_image(group, p), to_q) for p in points]
+
+    def _slot_action(self, slot, mat):
+        """proj·A·sect for an endomorphism A of one slot: the columns of
+        proj·A at the picks."""
+        return Matrix(self.field, self.dim, self.dim,
+                      self._slot_cols(slot, mat, self._picks)).transpose()
+
+    def descend_slot(self, slot, mat):
+        """Quotient matrix proj·A·sect induced by an endomorphism A of one
+        slot, or None when it does not preserve the balancing relations."""
+        proj_a = self._slot_cols(slot, mat, range(self.ambient_dim))
         if not self._descends(proj_a):
             return None
-        return Matrix(f, self.dim, self.dim, [proj_a[p] for p in self._picks]).transpose()
+        return Matrix(self.field, self.dim, self.dim,
+                      [proj_a[p] for p in self._picks]).transpose()
 
     def proj(self):
         """The projection as a dense Matrix, built on first use."""

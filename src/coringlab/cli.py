@@ -16,7 +16,7 @@ import os
 import sys
 import time
 
-from .exactla import AxiomError, FieldFp, UsageError, rank
+from .exactla import AxiomError, FieldFp, UsageError
 from .extension import (ExtContext, check_colinear_maps_remain_colinear,
                         convolution_algebra, convolution_inverse,
                         induced_D_coaction, purity_check, remark_k_coincidence)
@@ -364,7 +364,7 @@ def cmd_galois(args):
     report.add("canonical map at the base", "bijective" if can_a.bijective
                else "not bijective",
                details="%dx%d, rank %d" % (can_a.matrix.rows, can_a.matrix.cols,
-                                           rank(can_a.matrix)))
+                                           can_a.rank()))
     sys.stdout.write(report.canonical_body())
     report.print_summary()
     return EXIT_MATH if report.failed() else EXIT_OK

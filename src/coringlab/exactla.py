@@ -17,6 +17,7 @@ form, so identical inputs produce bit-identical outputs.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from fractions import Fraction
 from operator import index
 
@@ -502,9 +503,15 @@ def solve_linear(a, b):
 
 
 def inverse(m):
-    """The inverse of the square matrix m, or None when m is singular: one
-    reduction of [m | I], whose pivots are the columns of m exactly when m
-    is invertible, and then its right half is the inverse."""
+    """The inverse of the square matrix m, or None when m is singular."""
+    return rank_inverse(m)[1]
+
+
+def rank_inverse(m):
+    """(rank, inverse) of the square matrix m, the inverse None when m is
+    singular: one reduction of [m | I].  Its pivots in the columns of m
+    count the rank, and they are all of them exactly when m is invertible;
+    then the right half is the inverse."""
     if m.rows != m.cols:
         raise UsageError("inverse of a non-square %dx%d matrix" % (m.rows, m.cols))
     f = m.field
@@ -514,8 +521,8 @@ def inverse(m):
         row[n + i] = f.one
     pivots, prows = _echelon(f, rows, 2 * n)
     if pivots[:n] != list(range(n)):
-        return None
-    return _matrix(f, n, n, [[row.get(n + j, f.zero) for j in range(n)] for row in prows])
+        return bisect_left(pivots, n), None
+    return n, _matrix(f, n, n, [[row.get(n + j, f.zero) for j in range(n)] for row in prows])
 
 
 # ---------------------------------------------------------------------------

@@ -39,8 +39,8 @@ from .algmod import (BalancedTensor, FBimodule, fgp_check, generator_check,
                      hom_space, span_witness, summand_witnesses)
 from .coring import EndAlgebra, colinear_homs
 from .exactla import (AxiomError, Matrix, UsageError, flatten_matrix, inverse,
-                      rank, side_by_side, solve_linear, unflatten, unit_vec,
-                      vec_scale, zero_vec)
+                      rank, rank_inverse, side_by_side, solve_linear, unflatten,
+                      unit_vec, vec_scale, zero_vec)
 from .extension import tensor_comodule
 
 SEARCH_SWEEP_CAP = 6      # exhaustive {-1,0,1} sweep up to this many basis maps
@@ -95,10 +95,17 @@ class CanonicalMap:
         if self.matrix is None:
             raise AxiomError("canonical map is not balanced over the "
                              "endomorphism algebra")
-        # one reduction decides bijectivity and gives the inverse
+        # one reduction decides bijectivity and gives the inverse and the rank
         square = self.tens.dim == self.nc.dim
-        self._inverse = inverse(self.matrix) if square else None
+        self._rank, self._inverse = rank_inverse(self.matrix) if square else (None, None)
         self.bijective = self._inverse is not None
+
+    def rank(self):
+        """The rank of the map: kept from the inversion when the map is
+        square, else one reduction on first use."""
+        if self._rank is None:
+            self._rank = rank(self.matrix)
+        return self._rank
 
     def inverse(self):
         if not self.bijective:

@@ -28,13 +28,24 @@ def _ser_matrix(field, m):
             "entries": [field.fmt(v) for row in m.data for v in row]}
 
 
-def _scalar(field, s, what):
-    if not isinstance(s, str):
-        raise ParseError("%s: scalar %r is not a string" % (what, s))
-    return field.parse(s)
+class _Scalars:
+    """The field's parse for one load, each distinct scalar string parsed
+    once (files repeat "0", "1" and "-1" throughout)."""
+
+    def __init__(self, field):
+        self.field = field
+        self._parsed = {}
+
+    def __call__(self, s, what):
+        if not isinstance(s, str):
+            raise ParseError("%s: scalar %r is not a string" % (what, s))
+        val = self._parsed.get(s)
+        if val is None:
+            val = self._parsed[s] = self.field.parse(s)
+        return val
 
 
-def _de_matrix(field, obj, what="matrix", shape=None):
+def _de_matrix(scalars, obj, what="matrix", shape=None):
     """A matrix block; shape, when given, is the required (rows, cols)."""
     try:
         rows, cols = int(obj["rows"]), int(obj["cols"])
@@ -45,8 +56,8 @@ def _de_matrix(field, obj, what="matrix", shape=None):
         raise ParseError("%s: negative shape %dx%d" % (what, rows, cols))
     if shape is not None and (rows, cols) != shape:
         raise ParseError("%s: expected %dx%d, got %dx%d" % ((what,) + shape + (rows, cols)))
-    vals = [_scalar(field, s, what) for s in _de_list(entries, what, rows * cols)]
-    return Matrix(field, rows, cols,
+    vals = [scalars(s, what) for s in _de_list(entries, what, rows * cols)]
+    return Matrix(scalars.field, rows, cols,
                   [vals[i * cols:(i + 1) * cols] for i in range(rows)])
 
 
@@ -54,8 +65,8 @@ def _ser_vector(field, v):
     return [field.fmt(x) for x in v]
 
 
-def _de_vector(field, obj, what, length):
-    return [_scalar(field, s, what) for s in _de_list(obj, what, length)]
+def _de_vector(scalars, obj, what, length):
+    return [scalars(s, what) for s in _de_list(obj, what, length)]
 
 
 def _de_list(obj, what, length):
@@ -274,6 +285,7 @@ def load_workspace(text, field_override=None):
         raise ParseError("field reduction is only defined for rational files")
     ws = Workspace(field)
     triv = trivial_algebra(field)
+    scalars = _Scalars(field)
 
     def alg_of(name, what):
         if name is None:
@@ -283,10 +295,10 @@ def load_workspace(text, field_override=None):
     for name in _section(data, "algebras"):
         blk, what = _de_block(data, "algebras", name, ("dim", "mul", "unit"))
         dim = _de_dim(blk["dim"], what)
-        mul = [[_de_vector(field, vec, what, dim)
+        mul = [[_de_vector(scalars, vec, what, dim)
                 for vec in _de_list(row, what, dim)]
                for row in _de_list(blk["mul"], what, dim)]
-        unit = _de_vector(field, blk["unit"], what, dim)
+        unit = _de_vector(scalars, blk["unit"], what, dim)
         alg = FiniteAlgebra(field, dim, mul, unit, name=name)
         ws.add_algebra(name, alg)
     for name in _section(data, "modules"):
@@ -295,10 +307,10 @@ def load_workspace(text, field_override=None):
         right = alg_of(blk.get("right"), what)
         dim = _de_dim(blk["dim"], what)
         mod = FBimodule(left, right, dim,
-                        [_de_matrix(field, m, "left action of %s" % name, (dim, dim))
+                        [_de_matrix(scalars, m, "left action of %s" % name, (dim, dim))
                          for m in _de_list(blk["left_act"], "left action of %s" % name,
                                            left.dim)],
-                        [_de_matrix(field, m, "right action of %s" % name, (dim, dim))
+                        [_de_matrix(scalars, m, "right action of %s" % name, (dim, dim))
                          for m in _de_list(blk["right_act"], "right action of %s" % name,
                                            right.dim)], name=name)
         ws.add_module(name, mod, blk.get("left"), blk.get("right"))
@@ -309,9 +321,9 @@ def load_workspace(text, field_override=None):
         carrier = _lookup(ws.modules, blk["carrier"], what, "module")
         if carrier.left_alg.dim != base.dim or carrier.right_alg.dim != base.dim:
             raise ParseError("%s: carrier is not a bimodule over the base" % what)
-        c = Coring(base, carrier, _de_matrix(field, blk["coproduct"],
+        c = Coring(base, carrier, _de_matrix(scalars, blk["coproduct"],
                                              "coproduct of %s" % name),
-                   _de_matrix(field, blk["counit"], "counit of %s" % name),
+                   _de_matrix(scalars, blk["counit"], "counit of %s" % name),
                    name=name)
         ws.add_coring(name, c, blk["base"], blk["carrier"])
     for name in _section(data, "comodules"):
@@ -321,13 +333,13 @@ def load_workspace(text, field_override=None):
         if carrier.right_alg.dim != coring.base.dim:
             raise ParseError("%s: carrier is not a right module over the base" % what)
         m = Comodule(coring, carrier,
-                     _de_matrix(field, blk["coaction"], "coaction of %s" % name),
+                     _de_matrix(scalars, blk["coaction"], "coaction of %s" % name),
                      name=name)
         ws.add_comodule(name, m, blk["coring"], blk["carrier"])
     for name in _section(data, "grouplikes"):
         blk, what = _de_block(data, "grouplikes", name, ("coring", "vector"))
         coring = _lookup(ws.corings, blk["coring"], what, "coring")
-        g = Grouplike(coring, _de_vector(field, blk["vector"], what, coring.dim))
+        g = Grouplike(coring, _de_vector(scalars, blk["vector"], what, coring.dim))
         ws.add_grouplike(name, g, blk["coring"])
     for name in _section(data, "extensions"):
         blk, what = _de_block(data, "extensions", name,
@@ -337,11 +349,11 @@ def load_workspace(text, field_override=None):
         split = blk.get("split_map")
         ext = CoringExtension(
             inner, outer,
-            [_de_matrix(field, m, "right action of %s" % name, (inner.dim, inner.dim))
+            [_de_matrix(scalars, m, "right action of %s" % name, (inner.dim, inner.dim))
              for m in _de_list(blk["right_l_action"], "right action of %s" % name,
                                outer.base.dim)],
-            _de_matrix(field, blk["tau"], "outer coaction of %s" % name),
-            split_map=_de_matrix(field, split, "split map of %s" % name,
+            _de_matrix(scalars, blk["tau"], "outer coaction of %s" % name),
+            split_map=_de_matrix(scalars, split, "split map of %s" % name,
                                  (inner.base.dim, outer.base.dim))
             if split is not None else None,
             name=name)
@@ -350,7 +362,7 @@ def load_workspace(text, field_override=None):
         blk, what = _de_block(data, "maps", name, ("source", "target", "matrix"))
         src = tuple(_de_list(blk["source"], "%s source" % what, 2))
         tgt = tuple(_de_list(blk["target"], "%s target" % what, 2))
-        mat = _de_matrix(field, blk["matrix"], "map %s" % name)
+        mat = _de_matrix(scalars, blk["matrix"], "map %s" % name)
         for ref, expect, axis in ((src, mat.cols, "source"),
                                   (tgt, mat.rows, "target")):
             try:

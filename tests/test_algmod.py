@@ -16,16 +16,16 @@ from coringlab.algmod import (BalancedTensor, FBimodule, FiniteAlgebra,
                               non_multiplicative_at, span_witness, tensor_algebra,
                               trivial_algebra, zero_algebra)
 from coringlab.cli import main
-from coringlab.coring import Grouplike
+from coringlab.coring import Comodule, Grouplike
 from coringlab.exactla import (AxiomError, FieldFp, Matrix, QQ, UsageError,
-                               flatten_matrix, inverse, kernel, rank, solve_linear,
-                               unit_vec)
+                               flatten_matrix, from_sparse_cols, inverse, kernel,
+                               quotient, rank, solve_linear, unit_vec)
 from coringlab.extension import ExtContext, purity_check
 from coringlab.galois import CanonicalMap, regular_right_module
 from coringlab.morita import ModuleContext, context_M
 from coringlab.workspace import load_workspace_file
 from coringlab.zoo import (FIXTURES, entwining_coring, group_algebra,
-                           group_hopf_algebra, hopf_entwining,
+                           group_hopf_algebra, grouplike_basis_coalgebra, hopf_entwining,
                            product_field_algebra, quotient_polynomial_algebra)
 
 F = QQ
@@ -310,6 +310,31 @@ def _ref_descend_slot(tens, slot, mat):
     return proj_op.mul(tens.sect())
 
 
+def _ref_carried_actions(tens):
+    """The outer actions carried through every pairwise quotient, step by
+    step with the krons built out: the quotient q of Q (x) M by the images
+    of R_b (x) I - I (x) L_b, then q.proj·(A (x) I)·q.sect for each left
+    action A of Q and q.proj·(I (x) A)·q.sect for each right action A of M."""
+    f = tens.field
+    cur_dim = tens.factors[0].dim
+    left, right = list(tens.factors[0].left_act), list(tens.factors[0].right_act)
+    for step, alg in enumerate(tens.algebras):
+        nxt = tens.factors[step + 1]
+        n = nxt.dim
+        ident_q, ident_n = Matrix.identity(f, cur_dim), Matrix.identity(f, n)
+        rels = []
+        for b in _balancing_indices(tens.factors[step], alg, nxt):
+            op = right[b].kron(ident_n).sub(ident_q.kron(nxt.left_act[b]))
+            rels += [{k: c for k, c in enumerate(col) if c} for col in op.transpose().data]
+        q = quotient(f, cur_dim * n, rels)
+        proj = from_sparse_cols(f, q.dim, q.cols)
+        sect = Matrix.from_cols(f, cur_dim * n, [unit_vec(f, cur_dim * n, p) for p in q.kept])
+        left = [proj.mul(a.kron(ident_n)).mul(sect) for a in left]
+        right = [proj.mul(ident_q.kron(a)).mul(sect) for a in nxt.right_act]
+        cur_dim = q.dim
+    return left, right
+
+
 def _fixture_tensors(ws):
     """The balanced tensors of the corings, comodules and extensions of a
     workspace (C (x) C and C (x) C (x) C, M (x) C and M (x) C (x) C, and the
@@ -370,9 +395,10 @@ def test_descend_matches_relation_kernel(workspaces):
 
 @pytest.mark.parametrize("field", [QQ, FieldFp(7)], ids=["Q", "F7"])
 def test_carried_outer_actions_match_both_descent_routes(field):
-    # the outer actions carried through the pairwise quotients are what
-    # descend_slot and the relation-kernel definition give, and sect is a
-    # coordinate selection, which the column picks rely on
+    # the outer actions carried through the pairwise quotients are the ones
+    # the tensor builds on demand, and what descend_slot and the
+    # relation-kernel definition give; sect is a coordinate selection,
+    # which the column picks rely on
     checked = 0
     for name in sorted(FIXTURES):
         ws = load_workspace_file(fixture_path(name), field_override=field)
@@ -380,10 +406,13 @@ def test_carried_outer_actions_match_both_descent_routes(field):
             for q in range(tens.dim):
                 assert [v for v in tens.sect().col(q) if v] == [field.one]
             last = len(tens.factors) - 1
-            for slot, acts, got in ((0, tens.factors[0].left_act, tens.left_act),
-                                    (last, tens.factors[-1].right_act, tens.right_act)):
-                assert len(got) == len(acts)
-                for mat, carried in zip(acts, got):
+            ref_left, ref_right = _ref_carried_actions(tens)
+            for slot, acts, got, ref in ((0, tens.factors[0].left_act, tens.left_act, ref_left),
+                                         (last, tens.factors[-1].right_act, tens.right_act,
+                                          ref_right)):
+                assert len(got) == len(acts) == len(ref)
+                for mat, built, carried in zip(acts, got, ref):
+                    assert built == carried
                     assert carried == tens.descend_slot(slot, mat)
                     assert carried == _ref_descend_slot(tens, slot, mat)
                     checked += 1
@@ -556,12 +585,10 @@ def test_generator_build_matches_the_all_basis_build(field, monkeypatch):
     assert shortened > 10
 
 
-def test_generator_build_matches_on_the_c4_chain(monkeypatch):
+def test_generator_build_matches_on_the_c4_chain(c4_chain, monkeypatch):
     # C (x)_A C (x)_A C of the C4 Hopf entwining over F7 has ambient 4096,
     # the cap
-    bial = group_hopf_algebra(FieldFp(7), _cyclic(4), name="H")
-    c, _ = entwining_coring(hopf_entwining(bial, bial.algebra, bial.delta))
-    ccc = c.ccc
+    ccc = c4_chain[2].ccc
     assert ccc.ambient_dim == 4096 and _uses_fewer_rows(ccc)
     _assert_same_build(ccc, _rebuilt_by_every_basis_element(ccc, monkeypatch))
 
@@ -584,11 +611,44 @@ def klein_chain():
     return _hopf_chain(FieldFp(7), [[i ^ j for j in range(4)] for i in range(4)])
 
 
+@pytest.fixture(scope="module")
+def c4_chain():
+    # the C4 Hopf entwining over F7, with the same tensor sizes
+    return _hopf_chain(FieldFp(7), _cyclic(4))
+
+
+@pytest.mark.parametrize("chain", ["c4_chain", "klein_chain"])
+def test_outer_actions_match_the_carry_at_the_cap(chain, request):
+    c = request.getfixturevalue(chain)[2]
+    for tens in (c.cc, c.ccc):
+        ref_left, ref_right = _ref_carried_actions(tens)
+        assert tens.left_act == ref_left
+        assert tens.right_act == ref_right
+
+
 def test_c2xc2_chain_at_the_cap(klein_chain):
     bial, ent, c = klein_chain
     unit = list(bial.algebra.unit)
     assert (c.dim, c.cc.dim, c.ccc.dim, c.ccc.ambient_dim) == (16, 64, 256, 4096)
     assert Grouplike(c, ent.ad.pure_tensor([unit, unit])).validate() is True
+
+
+def test_grouplike_coalgebra_at_the_cap_builds_no_outer_action_of_its_cubes(monkeypatch):
+    # k^16 with a basis of grouplikes, a coring over k: there are no
+    # balancing relations, so C (x) C (x) C and Creg (x) C (x) C keep all
+    # 4096 ambient coordinates, and validation reads no outer action of them
+    built = []
+    slot_cols = BalancedTensor._slot_cols
+    monkeypatch.setattr(BalancedTensor, "_slot_cols",
+                        lambda tens, *args: built.append(tens) or slot_cols(tens, *args))
+    c = grouplike_basis_coalgebra(FieldFp(7), 16)
+    assert c.validate() is True
+    carrier = FBimodule.right_module(c.base, c.dim, list(c.carrier.right_act), name="Creg")
+    creg = Comodule(c, carrier, c.coproduct, name="Creg")
+    assert creg.validate() is True
+    assert (c.ccc.dim, creg.mcc.dim) == (4096, 4096)
+    assert c.cc in built
+    assert not any(tens is c.ccc or tens is creg.mcc for tens in built)
 
 
 @pytest.mark.parametrize("chain", ["C3 Q", "C3 F7", "C2xC2 F7"])

@@ -14,6 +14,7 @@ from hypothesis import given, settings, strategies as st
 from coringlab import algmod, cli, extension, galois, morita
 from coringlab.cli import main
 from coringlab.exactla import AxiomError, QQ
+from coringlab.workspace import load_workspace
 from conftest import fixture_path
 from perturb import apply_perturbation, perturbation_sites
 
@@ -285,6 +286,47 @@ def test_malformed_input_exit2(capsys, tmp_path, mutate):
     assert code == 2
     assert out == ""
     assert err.startswith("parse error:") and err.count("\n") == 1
+
+
+def _scalar_strings(obj, scalar=False):
+    """The scalar strings of a workspace document, in no particular order."""
+    if isinstance(obj, str) and scalar:
+        yield obj
+    elif isinstance(obj, list):
+        for item in obj:
+            yield from _scalar_strings(item, scalar)
+    elif isinstance(obj, dict):
+        for key, item in obj.items():
+            yield from _scalar_strings(item, scalar or key in ("entries", "mul", "unit",
+                                                                "vector"))
+
+
+def test_each_scalar_string_is_parsed_once_per_load(monkeypatch):
+    parse = type(QQ).parse
+    parsed = []
+    monkeypatch.setattr(type(QQ), "parse", lambda field, s: parsed.append(s) or parse(field, s))
+    with open(fixture_path("E2")) as handle:
+        text = handle.read()
+    strings = list(_scalar_strings(json.loads(text)))
+    first = load_workspace(text)
+    assert sorted(parsed) == sorted(set(strings)) and len(parsed) < len(strings) // 10
+    parsed.clear()
+    second = load_workspace(text)
+    assert sorted(parsed) == sorted(set(strings))
+    assert first.canonical_text() == second.canonical_text()
+
+
+@pytest.mark.parametrize("first, then", [("1/0", "x"), ("x", "x"), ("x", 1)],
+                         ids=["two-bad", "repeated-bad", "bad-then-int"])
+def test_bad_scalar_is_reported_at_its_first_entry(capsys, tmp_path, first, then):
+    doc = _e2_doc()
+    unit = doc["algebras"]["A"]["unit"]
+    unit[0], unit[1] = first, then
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run_cli(capsys, "validate", str(path))
+    assert code == 2 and out == ""
+    assert err.count("\n") == 1 and repr(first) in err
 
 
 def test_oversized_modulus_exit2_quickly(capsys, tmp_path):

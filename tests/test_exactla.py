@@ -11,7 +11,8 @@ from coringlab.algmod import span_witness
 from coringlab.cli import main
 from coringlab.exactla import (FieldFp, FieldQ, Matrix, QQ, Subspace, UsageError,
                                flatten_matrix, from_sparse_cols, image, inverse,
-                               kernel, quotient, rank, rref, solve_linear, unit_vec)
+                               kernel, quotient, rank, rank_inverse, rref, solve_linear,
+                               unit_vec)
 from conftest import fixture_path
 
 F = QQ
@@ -462,6 +463,8 @@ def test_inverse_matches_sympy(field, system):
 
         def back(x):
             return int(x) % field.p
+    # the reduction that inverts also counts the rank
+    assert rank_inverse(a)[0] == ref.rank() == rank(a)
     if ref.rank() < n:
         assert inv is None
         return

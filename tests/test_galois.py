@@ -68,6 +68,24 @@ def test_can_map_zero_comodule(bundles):
     assert not cm.bijective
 
 
+def test_can_map_rank_is_kept_from_the_inversion(bundles, monkeypatch):
+    # a square canonical map takes its rank from the reduction that inverts
+    # it; a non-square one (the zero comodule's) reduces once, on first use
+    maps = [CanonicalMap(b.sigma, regular_right_module(b.sigma.coring.base, 1),
+                         end=b.cm.end) for b in bundles.values()]
+    c = bundles["E3"].sigma.coring
+    maps.append(CanonicalMap(zero_comodule(c), regular_right_module(c.base, 1)))
+    expected = [rank(cm.matrix) for cm in maps]
+    calls = []
+    monkeypatch.setattr(galois, "rank", lambda m: calls.append(m) or rank(m))
+    for cm, want in zip(maps, expected):
+        square = cm.matrix.rows == cm.matrix.cols
+        assert cm.rank() == cm.rank() == want
+        assert len(calls) == (0 if square else 1)
+        calls.clear()
+    assert any(cm.matrix.rows != cm.matrix.cols for cm in maps)
+
+
 def test_galois_verdicts(bundles):
     assert galois_check(bundles["E3"].sigma, end=bundles["E3"].cm.end)["verdict"] \
         == "certified-Galois"

@@ -7,16 +7,19 @@
 
 - no ``.mul``/``.mul_vec`` product involves ``_proj`` or ``proj()``, as the
   receiver or as an argument;
-- ``BalancedTensor._build`` makes no dense ambient-sized matrix or vector:
-  it calls none of ``Matrix.zero``, ``Matrix.identity``, ``zero_vec`` and
-  ``unit_vec``.
+- ``BalancedTensor._build`` makes no dense matrix or ambient-sized vector:
+  it constructs no ``Matrix``, neither with ``Matrix(...)`` nor through a
+  ``Matrix`` constructor, and calls none of ``transpose``,
+  ``from_sparse_cols``, ``zero_vec`` and ``unit_vec``.  The outer actions
+  are built on first read, outside it.
 """
 
 import ast
 import os
 
 ALGMOD = os.path.join(os.path.dirname(__file__), "..", "src", "coringlab", "algmod.py")
-DENSE_BUILDERS = {"zero", "identity", "zero_vec", "unit_vec"}
+DENSE_BUILDERS = {"zero", "identity", "zero_vec", "unit_vec", "transpose",
+                  "from_sparse_cols", "Matrix"}
 
 
 def _tree():
@@ -53,6 +56,9 @@ def test_build_makes_no_dense_ambient_arrays():
             func = node.func
             called = func.attr if isinstance(func, ast.Attribute) else \
                 getattr(func, "id", None)
-            if called in DENSE_BUILDERS:
+            # Matrix(...) itself, or any Matrix.<constructor>(...)
+            on_matrix = isinstance(func, ast.Attribute) and \
+                getattr(func.value, "id", None) == "Matrix"
+            if called in DENSE_BUILDERS or on_matrix:
                 stray.append((called, node.lineno))
     assert stray == []
