@@ -17,8 +17,8 @@ from __future__ import annotations
 from math import prod
 
 from .exactla import (AxiomError, Matrix, Subspace, UsageError, flatten_matrix,
-                      from_sparse_cols, kernel, quotient, side_by_side, solve_linear,
-                      unflatten, unit_vec, vec_scale, zero_vec)
+                      from_sparse_cols, kernel, modulus, quotient, side_by_side,
+                      solve_linear, unflatten, unit_vec, vec_scale, zero_vec)
 
 
 def _combination(field, dim, mats, vec):
@@ -403,57 +403,61 @@ def _chain_index(dims):
     return strides
 
 
+def _sparse_cols(mat, rows=None):
+    """The nonzero (row, value) entries of each column of mat, row r named
+    rows[r] when rows is given."""
+    cols = [[] for _ in range(mat.cols)]
+    for r, row in enumerate(mat.data):
+        name = r if rows is None else rows[r]
+        for j, v in enumerate(row):
+            if v:
+                cols[j].append((name, v))
+    return cols
+
+
 def _slot_group(left, mat, right):
     """(left, nonzero entries of each column of mat, mat.rows, right): the
-    operator I_left (x) mat (x) I_right in the form _apply_group reads."""
-    cols = [[(i, c) for i, c in enumerate(col) if c] for col in mat.transpose().data]
-    return left, cols, mat.rows, right
+    operator I_left (x) mat (x) I_right in the form _apply_sparse reads."""
+    return left, _sparse_cols(mat), mat.rows, right
 
 
-def _apply_group(field, vec, group):
-    """(I_left (x) mat (x) I_right)·vec for an ambient vector laid out
-    row-major as (left, mat.cols, right); the result is laid out as
-    (left, mat.rows, right).  Only the nonzero entries of vec are visited."""
-    return _apply_pairs(field, enumerate(vec), group)
-
-
-def _apply_pairs(field, pairs, group):
-    """_apply_group for a vector given by its (index, value) entries."""
-    left, cols, n_out, right = group
-    out = [field.zero] * (left * n_out * right)
+def _apply_sparse(vecs, group, p):
+    """(I_left (x) mat (x) I_right)·v for each v in vecs, given by its
+    nonzero (index, value) entries laid out row-major as (left, mat.cols,
+    right): the nonzero entries of the images, in order, laid out as (left,
+    mat.rows, right).  The arithmetic is inline, one reduction mod p per
+    update over F_p (p None over Q), so no vector is ever dense.  The one
+    slot-group kernel: induced maps, the relations and projections of
+    _build, the slot actions, the descent checks and pure tensors all go
+    through it, a whole batch of vectors per call."""
+    _, cols, n_out, right = group
     block_in = len(cols) * right
     block_out = n_out * right
-    add, mul = field.add, field.mul
-    for p, v in pairs:
-        if not v:
-            continue
-        l, rest = divmod(p, block_in)
-        j, off = divmod(rest, right)
-        base = l * block_out + off
-        for i, c in cols[j]:
-            k = base + i * right
-            out[k] = add(out[k], mul(c, v))
-    return out
+    images = []
+    for pairs in vecs:
+        acc = {}
+        get = acc.get
+        for q, v in pairs:
+            l, rest = divmod(q, block_in)
+            j, off = divmod(rest, right)
+            base = l * block_out + off
+            if p is None:
+                for i, c in cols[j]:
+                    k = base + i * right
+                    acc[k] = get(k, 0) + c * v
+            else:
+                for i, c in cols[j]:
+                    k = base + i * right
+                    acc[k] = (get(k, 0) + c * v) % p
+        images.append([(k, c) for k, c in acc.items() if c])
+    return images
 
 
-def _combine_cols(field, cols, pairs):
-    """The sparse column sum of v·cols[p] over the (p, v) in pairs."""
-    add, mul, zero = field.add, field.mul, field.zero
-    acc = {}
-    for p, v in pairs:
-        for i, c in cols[p]:
-            acc[i] = add(acc.get(i, zero), mul(c, v))
-    return [(i, c) for i, c in acc.items() if c]
-
-
-def _unit_image(group, p):
-    """The nonzero (index, value) entries of the group's operator applied to
-    the unit vector e_p."""
-    _, cols, n_out, right = group
-    l, rest = divmod(p, len(cols) * right)
-    j, off = divmod(rest, right)
-    base = l * n_out * right + off
-    return [(base + i * right, c) for i, c in cols[j]]
+def _push(vecs, groups, p):
+    """Sparse vectors through the slot groups in turn."""
+    for group in groups:
+        vecs = _apply_sparse(vecs, group, p)
+    return vecs
 
 
 def _balancing_indices(left, alg, right):
@@ -493,11 +497,15 @@ class BalancedTensor:
     - an operator A on one slot preserves them iff proj·A = induced·proj
       with induced = proj·A·sect (``descend_slot``).
 
-    ``src.induced(dst, [(slot, F), ...])`` is the one way to build a map
-    between balanced tensors out of per-slot maps: it owns the row-major
-    ambient layout, so callers never form identity krons.  When the image
-    is to be read in a tensor whose first factor is this quotient,
-    ``project_head`` collapses its leading slots first.
+    ``src.induced(dst, [(slot, F), ...], at=X)`` is the one way to build a
+    map between balanced tensors out of per-slot maps: it owns the
+    row-major ambient layout, so callers never form identity krons.  It
+    returns the map evaluated at the columns of X (the whole map when X is
+    omitted), each pushed through the slots as its nonzero (index, value)
+    entries, so a composite (F (x) G)∘Delta costs C.dim sparse vectors and
+    never the whole map on C (x)_A C.  When the image is to be read in a
+    tensor whose first factor is this quotient, ``project_head`` collapses
+    its leading slots first.
 
     The outer bimodule structure (the left action of the first factor, the
     right action of the last) is proj·A·sect, the value ``descend_slot``
@@ -570,7 +578,7 @@ class BalancedTensor:
         """Iterated pairwise quotients Q_k = Q_{k-1} (x)_{B_k} M_k.  The
         relation rows come sparse from the slot-group kernel, and the
         projection on the full ambient space is kept as sparse columns
-        (_pcols, in the form _apply_group reads), composed column by column
+        (_pcols, in the form _apply_sparse reads), composed column by column
         through each step; every section is a coordinate selection, so sect
         is kept as the ambient coordinate each quotient coordinate picks.
         The one action a step reads is the right action R_b of the quotient
@@ -579,7 +587,7 @@ class BalancedTensor:
         kept as sparse columns.  The outer actions are built on first read
         (left_act, right_act)."""
         f = self.field
-        zero = f.zero
+        zero, one, mod = f.zero, f.one, modulus(f)
         cur_dim = self.factors[0].dim
         pcols = [[(a, f.one)] for a in range(cur_dim)]
         picks = list(range(cur_dim))
@@ -593,26 +601,26 @@ class BalancedTensor:
                     r_b = _slot_group(1, last.right_act[b], n)
                 else:
                     # column j of q.proj·(I (x) R_b)·q.sect for the last
-                    # quotient q combines its sparse columns along
-                    # (I (x) R_b)·e_{kept[j]}
+                    # quotient q: (I (x) R_b)·e_{kept[j]}, then q.proj
                     carried = _slot_group(last_dim, last.right_act[b], 1)
-                    r_b = (1, [_combine_cols(f, q.cols, _unit_image(carried, p))
-                               for p in q.kept], cur_dim, n)
+                    r_b = (1, _push([[(k, one)] for k in q.kept], (carried, q_group), mod),
+                           cur_dim, n)
                 l_b = _slot_group(cur_dim, nxt.left_act[b], 1)
-                for p in range(cur_dim * n):
-                    row = {}
-                    for k, c in _unit_image(r_b, p):
-                        row[k] = f.add(row.get(k, zero), c)
-                    for k, c in _unit_image(l_b, p):
-                        row[k] = f.sub(row.get(k, zero), c)
-                    rels.append({k: c for k, c in row.items() if c})
+                units = [[(k, one)] for k in range(cur_dim * n)]
+                for r_img, l_img in zip(_apply_sparse(units, r_b, mod),
+                                        _apply_sparse(units, l_b, mod)):
+                    row = dict(r_img)
+                    for i, c in l_img:
+                        row[i] = f.sub(row.get(i, zero), c)
+                    rels.append({i: c for i, c in row.items() if c})
             q = quotient(f, cur_dim * n, rels)
-            # column (a, j) of q.proj·(proj (x) I_n) combines the columns
-            # (r, j) of q.proj with the entries (r, v) of column a of proj,
-            # which is the identity at the first step
+            q_group = (1, q.cols, q.dim, 1)
+            # column (a, j) of q.proj·(proj (x) I_n) is q.proj applied to
+            # the entries (r·n + j, v) for the entries (r, v) of column a of
+            # proj, which is the identity at the first step
             pcols = q.cols if step == 0 else \
-                [_combine_cols(f, q.cols, [(r * n + j, v) for r, v in col])
-                 for col in pcols for j in range(n)]
+                _apply_sparse([[(r * n + j, v) for r, v in col]
+                               for col in pcols for j in range(n)], q_group, mod)
             picks = [picks[p // n] * n + p % n for p in q.kept]
             last_dim, cur_dim = cur_dim, q.dim
         self._pcols = pcols
@@ -620,16 +628,21 @@ class BalancedTensor:
         self._proj = self._sect = None
 
     def _to_q(self):
-        """The projection in the slot-group form _apply_group reads."""
+        """The projection in the slot-group form _apply_sparse reads."""
         return 1, self._pcols, self.dim, 1
 
-    def induced(self, dst, factors):
-        """dst.proj·(F_1 (x) ... (x) F_k)·sect, or the ambient image when dst
-        is None.  factors are (slot, F) pairs in slot order: F reads the
-        fewest slots from there whose dimensions multiply to its column count
-        and may have any number of rows; other slots carry the identity.  The
-        F act on the columns of sect slot group by slot group, and the sparse
-        columns of dst.proj last, so no ambient operator is built."""
+    def induced(self, dst, factors, at=None):
+        """dst.proj·(F_1 (x) ... (x) F_k)·sect·X, or the ambient image when
+        dst is None, for X = at (the identity when at is None).  factors are
+        (slot, F) pairs in slot order: F reads the fewest slots from there
+        whose dimensions multiply to its column count and may have any
+        number of rows; other slots carry the identity.  Each column of X,
+        lifted through sect to its nonzero entries at the picks, passes
+        through the F slot group by slot group and the sparse columns of
+        dst.proj last, as (index, value) entries, so no ambient operator or
+        vector is built and the cost follows the columns of X: a structure
+        check (F (x) G)∘Delta passes at=Delta and pushes C.dim vectors, not
+        one per basis vector of C (x)_A C."""
         dims = self.dims
         groups = []
         left, pos = 1, 0
@@ -653,69 +666,65 @@ class BalancedTensor:
                                  "dimension %d" % (self.name, left, dst.name, dst.ambient_dim))
             groups.append(dst._to_q())
             left = dst.dim
-        cols = []
-        for p in self._picks:
-            vec = unit_vec(self.field, self.ambient_dim, p)
-            for group in groups:
-                vec = _apply_group(self.field, vec, group)
-            cols.append(vec)
-        return Matrix(self.field, self.dim, left, cols).transpose()
+        if at is None:
+            starts = [[(q, self.field.one)] for q in self._picks]
+        elif at.rows != self.dim:
+            raise UsageError("a map out of %s (dimension %d) cannot be evaluated at "
+                             "a %dx%d matrix" % (self.name, self.dim, at.rows, at.cols))
+        else:
+            starts = _sparse_cols(at, self._picks)
+        p = modulus(self.field)
+        return from_sparse_cols(self.field, left, _push(starts, groups, p))
 
     def project_head(self, image, rest):
         """(proj (x) I_rest)·image for an image whose rows are laid out as
         (this tensor's ambient, rest): the leading slots collapse to the
-        quotient through the sparse columns of proj, with no ambient
-        operator."""
+        quotient through the sparse columns of proj, column by column over
+        the nonzero entries of the image, with no ambient operator."""
         group = (1, self._pcols, self.dim, rest)
-        cols = [_apply_group(self.field, col, group) for col in image.transpose().data]
-        return Matrix(self.field, image.cols, self.dim * rest, cols).transpose()
+        p = modulus(self.field)
+        return from_sparse_cols(self.field, self.dim * rest,
+                                _apply_sparse(_sparse_cols(image), group, p))
 
-    def _descends(self, cols):
-        """Whether the map with these ambient columns vanishes on the
+    def _descends(self, cols, rows):
+        """Whether the map with these ambient columns, given by their
+        nonzero (row, value) entries among rows rows, vanishes on the
         relations: each column equals the combination of the picked columns
         that the same column of proj names, i.e. map = (map·sect)·proj."""
-        f = self.field
-        picked = [cols[p] for p in self._picks]
-        for col, pcol in zip(cols, self._pcols):
-            acc = [f.zero] * len(col)
-            for i, c in pcol:
-                for r, v in enumerate(picked[i]):
-                    if v:
-                        acc[r] = f.add(acc[r], f.mul(c, v))
-            if acc != col:
-                return False
-        return True
+        picked = (1, [cols[p] for p in self._picks], rows, 1)
+        mod = modulus(self.field)
+        return all(dict(comb) == dict(col)
+                   for col, comb in zip(cols, _apply_sparse(self._pcols, picked, mod)))
 
     def descend_map(self, amb_map):
         """Quotient form amb_map·sect of a map out of the ambient space, or
         None when amb_map does not vanish on the balancing relations."""
-        if not self._descends(amb_map.transpose().data):
+        if not self._descends(_sparse_cols(amb_map), amb_map.rows):
             return None
         return Matrix(self.field, amb_map.rows, self.dim,
                       [[row[p] for p in self._picks] for row in amb_map.data])
 
     def _slot_cols(self, slot, mat, points):
-        """The columns p of proj·A at the given ambient points, for an
-        endomorphism A of one slot: column p is the sparse columns of proj
-        combined along A's image of e_p, so no ambient operator is built."""
+        """The nonzero entries of the columns p of proj·A at the given
+        ambient points, for an endomorphism A of one slot: A's image of e_p,
+        then the sparse columns of proj, so no ambient operator is built."""
         group = _slot_group(prod(self.dims[:slot]), mat, self.strides[slot])
-        to_q = self._to_q()
-        return [_apply_pairs(self.field, _unit_image(group, p), to_q) for p in points]
+        to_q, one, mod = self._to_q(), self.field.one, modulus(self.field)
+        return _push([[(p, one)] for p in points], (group, to_q), mod)
 
     def _slot_action(self, slot, mat):
         """proj·A·sect for an endomorphism A of one slot: the columns of
         proj·A at the picks."""
-        return Matrix(self.field, self.dim, self.dim,
-                      self._slot_cols(slot, mat, self._picks)).transpose()
+        return from_sparse_cols(self.field, self.dim,
+                                self._slot_cols(slot, mat, self._picks))
 
     def descend_slot(self, slot, mat):
         """Quotient matrix proj·A·sect induced by an endomorphism A of one
         slot, or None when it does not preserve the balancing relations."""
         proj_a = self._slot_cols(slot, mat, range(self.ambient_dim))
-        if not self._descends(proj_a):
+        if not self._descends(proj_a, self.dim):
             return None
-        return Matrix(self.field, self.dim, self.dim,
-                      [proj_a[p] for p in self._picks]).transpose()
+        return from_sparse_cols(self.field, self.dim, [proj_a[p] for p in self._picks])
 
     def proj(self):
         """The projection as a dense Matrix, built on first use."""
@@ -743,7 +752,10 @@ class BalancedTensor:
         for d, vec in zip(self.dims, vecs):
             pairs = [(p * d + i, f.mul(c, v)) for p, c in pairs
                      for i, v in enumerate(vec) if v]
-        return _apply_pairs(f, pairs, self._to_q())
+        out = [f.zero] * self.dim
+        for i, c in _apply_sparse([pairs], self._to_q(), modulus(f))[0]:
+            out[i] = c
+        return out
 
     def lift_pairs(self, quot_vec):
         """Lift a quotient vector to a list of (multi-index, coefficient), in

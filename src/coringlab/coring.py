@@ -43,24 +43,6 @@ class Coring:
                                        [self.base, self.base])
         return self._ccc
 
-    # -- structural maps on the quotient tensors
-
-    def eps_then_act(self):
-        """[C (x)_A C] -> C,  c (x) c' -> eps(c)·c'."""
-        return self.carrier.left_eval().mul(self.cc.induced(None, [(0, self.counit)]))
-
-    def act_then_eps(self):
-        """[C (x)_A C] -> C,  c (x) c' -> c·eps(c')."""
-        return self.carrier.right_eval().mul(self.cc.induced(None, [(1, self.counit)]))
-
-    def delta_on_left(self):
-        """[C (x)_A C] -> [C (x)_A C (x)_A C] applying the coproduct on slot 0."""
-        return self.cc.induced(self.ccc, [(0, self.cc.sect().mul(self.coproduct))])
-
-    def delta_on_right(self):
-        """Same, applying the coproduct on slot 1."""
-        return self.cc.induced(self.ccc, [(1, self.cc.sect().mul(self.coproduct))])
-
     def validate(self):
         self.base.validate()
         self.carrier.validate()
@@ -79,12 +61,17 @@ class Coring:
             if self.counit.mul(ra) != self.base.rmul(i).mul(self.counit):
                 raise AxiomError("coring %s: counit not right A-linear at basis %d"
                                  % (self.name, i))
+        # each identity is evaluated at Delta: C.dim vectors through the tensors
         ident = Matrix.identity(f, self.dim)
-        if self.eps_then_act().mul(self.coproduct) != ident:
+        delta, lift = self.coproduct, self.cc.sect().mul(self.coproduct)
+        if self.carrier.left_eval().mul(
+                self.cc.induced(None, [(0, self.counit)], at=delta)) != ident:
             raise AxiomError("coring %s: counitality (eps(x)C)∘Delta = id fails" % self.name)
-        if self.act_then_eps().mul(self.coproduct) != ident:
+        if self.carrier.right_eval().mul(
+                self.cc.induced(None, [(1, self.counit)], at=delta)) != ident:
             raise AxiomError("coring %s: counitality (C(x)eps)∘Delta = id fails" % self.name)
-        if self.delta_on_left().mul(self.coproduct) != self.delta_on_right().mul(self.coproduct):
+        if self.cc.induced(self.ccc, [(0, lift)], at=delta) != \
+                self.cc.induced(self.ccc, [(1, lift)], at=delta):
             raise AxiomError("coring %s: coassociativity fails" % self.name)
         return True
 
@@ -130,19 +117,15 @@ class Comodule:
     def left_alg(self):
         return self.carrier.left_alg
 
-    def counit_collapse(self):
-        """[M (x)_A C] -> M,  m (x) c -> m·eps(c)."""
-        return self.carrier.right_eval().mul(
-            self.mc.induced(None, [(1, self.coring.counit)]))
+    def coaction_on_left(self, at=None):
+        """[M (x)_A C] -> [M (x)_A C (x)_A C] applying the coaction on slot 0,
+        evaluated at the columns of at (see BalancedTensor.induced)."""
+        return self.mc.induced(self.mcc, [(0, self.mc.sect().mul(self.coaction))], at=at)
 
-    def coaction_on_left(self):
-        """[M (x)_A C] -> [M (x)_A C (x)_A C] applying the coaction on slot 0."""
-        return self.mc.induced(self.mcc, [(0, self.mc.sect().mul(self.coaction))])
-
-    def delta_on_right(self):
+    def delta_on_right(self, at=None):
         """Same, applying the coproduct on slot 1."""
         c = self.coring
-        return self.mc.induced(self.mcc, [(1, c.cc.sect().mul(c.coproduct))])
+        return self.mc.induced(self.mcc, [(1, c.cc.sect().mul(c.coproduct))], at=at)
 
     def validate(self):
         self.carrier.validate()
@@ -156,9 +139,12 @@ class Comodule:
             if self.coaction.mul(self.carrier.left_act[i]) != self.mc.left_act[i].mul(self.coaction):
                 raise AxiomError("comodule %s: coaction not left %s-linear at basis %d"
                                  % (self.name, self.carrier.left_alg.name, i))
-        if self.counit_collapse().mul(self.coaction) != Matrix.identity(self.field, self.dim):
+        rho = self.coaction
+        collapse = self.carrier.right_eval().mul(
+            self.mc.induced(None, [(1, self.coring.counit)], at=rho))
+        if collapse != Matrix.identity(self.field, self.dim):
             raise AxiomError("comodule %s: counitality fails" % self.name)
-        if self.coaction_on_left().mul(self.coaction) != self.delta_on_right().mul(self.coaction):
+        if self.coaction_on_left(at=rho) != self.delta_on_right(at=rho):
             raise AxiomError("comodule %s: coassociativity fails" % self.name)
         return True
 
@@ -225,7 +211,7 @@ class DualRing:
     def hit(self, f):
         """C -> C, x -> x^(1)·f(x^(2)), for f in the left dual."""
         c = self.coring
-        return c.carrier.right_eval().mul(c.cc.induced(None, [(1, f)])).mul(c.coproduct)
+        return c.carrier.right_eval().mul(c.cc.induced(None, [(1, f)], at=c.coproduct))
 
     @property
     def dim(self):
@@ -245,7 +231,7 @@ def dual_action(comodule, dual=None):
     """
     dual = dual or DualRing(comodule.coring)
     right_eval = comodule.carrier.right_eval()
-    acts = [right_eval.mul(comodule.mc.induced(None, [(1, f)])).mul(comodule.coaction)
+    acts = [right_eval.mul(comodule.mc.induced(None, [(1, f)], at=comodule.coaction))
             for f in dual.eval_mats]
     mod = FBimodule(comodule.carrier.left_alg, dual.algebra, comodule.dim,
                     list(comodule.carrier.left_act), acts,

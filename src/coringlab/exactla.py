@@ -384,6 +384,12 @@ def unit_vec(field, n, i):
 ELIMINATION_BUDGET = 10 ** 7
 
 
+def modulus(field):
+    """p over F_p, None over Q: how the sparse kernels do their arithmetic
+    inline, one reduction mod p per update over F_p."""
+    return field.p if isinstance(field, FieldFp) else None
+
+
 def _echelon(field, rows, ncols):
     """Incremental sparse Gauss-Jordan elimination of rows, {col: value}
     maps without zero values, which it consumes.
@@ -399,7 +405,7 @@ def _echelon(field, rows, ncols):
 
     Raises UsageError once the entry updates pass ELIMINATION_BUDGET.
     """
-    p = field.p if isinstance(field, FieldFp) else None
+    p = modulus(field)
     inv = field.inv
     piv = {}
     work = 0

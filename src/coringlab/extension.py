@@ -69,30 +69,19 @@ class CoringExtension:
                                         [self.inner.base, self.outer.base])
         return self._ccld
 
-    # -- structural composites
-
-    def _tau_counit_collapse(self):
-        return self.carrier_l.right_eval().mul(
-            self.cld.induced(None, [(1, self.outer.counit)]))
-
-    def _tau_on_left(self):
-        return self.cld.induced(self.cldd, [(0, self.cld.sect().mul(self.tau))])
-
-    def _outer_delta_on_right(self):
-        d = self.outer
-        return self.cld.induced(self.cldd, [(1, d.cc.sect().mul(d.coproduct))])
+    # -- structural composites, evaluated at Delta or tau
 
     def bicomodule_lhs(self):
         """(C (x) tau) ∘ Delta, into the mixed chain."""
         c = self.inner
-        return c.cc.induced(self.ccld, [(1, self.cld.sect().mul(self.tau))]) \
-            .mul(c.coproduct)
+        return c.cc.induced(self.ccld, [(1, self.cld.sect().mul(self.tau))],
+                            at=c.coproduct)
 
     def bicomodule_rhs(self):
         """(Delta (x) D) ∘ tau, into the mixed chain."""
         c = self.inner
-        return self.cld.induced(self.ccld, [(0, c.cc.sect().mul(c.coproduct))]) \
-            .mul(self.tau)
+        return self.cld.induced(self.ccld, [(0, c.cc.sect().mul(c.coproduct))],
+                                at=self.tau)
 
     def validate(self):
         c, d = self.inner, self.outer
@@ -106,9 +95,13 @@ class CoringExtension:
             if self.tau.mul(self.right_l_act[i]) != self.cld.right_act[i].mul(self.tau):
                 raise AxiomError("extension %s: outer coaction not right L-linear at "
                                  "basis %d" % (self.name, i))
-        if self._tau_counit_collapse().mul(self.tau) != Matrix.identity(f, c.dim):
+        tau = self.tau
+        collapse = self.carrier_l.right_eval().mul(
+            self.cld.induced(None, [(1, d.counit)], at=tau))
+        if collapse != Matrix.identity(f, c.dim):
             raise AxiomError("extension %s: outer coaction not counital" % self.name)
-        if self._tau_on_left().mul(self.tau) != self._outer_delta_on_right().mul(self.tau):
+        if self.cld.induced(self.cldd, [(0, self.cld.sect().mul(tau))], at=tau) != \
+                self.cld.induced(self.cldd, [(1, d.cc.sect().mul(d.coproduct))], at=tau):
             raise AxiomError("extension %s: outer coaction not coassociative" % self.name)
         for i in range(d.base.dim):
             induced = c.cc.descend_slot(1, self.right_l_act[i])
@@ -136,7 +129,7 @@ def induced_right_l_action(ext, m):
     """Right L-action m·l = m^[0]·eps(m^[1]·l) on a comodule of the inner coring."""
     counit = ext.inner.counit
     right_eval = m.carrier.right_eval()
-    acts = [right_eval.mul(m.mc.induced(None, [(1, counit.mul(r))])).mul(m.coaction)
+    acts = [right_eval.mul(m.mc.induced(None, [(1, counit.mul(r))], at=m.coaction))
             for r in ext.right_l_act]
     l = ext.outer.base
     probe = FBimodule.right_module(l, m.dim, acts, name=m.name + " as L-module")
@@ -144,7 +137,7 @@ def induced_right_l_action(ext, m):
     # the coaction is right L-linear for this action
     for i in range(l.dim):
         if m.coaction.mul(acts[i]) != \
-                m.mc.induced(m.mc, [(1, ext.right_l_act[i])]).mul(m.coaction):
+                m.mc.induced(m.mc, [(1, ext.right_l_act[i])], at=m.coaction):
             raise AxiomError("induced right L-action is not compatible with the "
                              "coaction on %s" % m.name)
     return acts
@@ -226,13 +219,12 @@ def induced_D_coaction(ext, m):
     md = BalancedTensor([carrier, ext.outer.carrier], [ext.outer.base])
     # m -> m^[0]·eps(m^[1]_[0]) (x) m^[1]_[1] = sum_a m^[0]·a (x) z_a(m^[1]), where
     # (eps (x) D)∘tau = sum_a a (x) z_a over the basis of A
-    z = ext.cld.induced(None, [(0, c.counit)]).mul(ext.tau)
+    z = ext.cld.induced(None, [(0, c.counit)], at=ext.tau)
     ddim = ext.outer.dim
-    tau_m = Matrix.zero(f, md.dim, m.mc.dim)
+    tau_m = Matrix.zero(f, md.dim, m.dim)
     for a, act in enumerate(m.carrier.right_act):
         z_a = Matrix(f, ddim, c.dim, z.data[a * ddim:(a + 1) * ddim])
-        tau_m = tau_m.add(m.mc.induced(md, [(0, act), (1, z_a)]))
-    tau_m = tau_m.mul(m.coaction)
+        tau_m = tau_m.add(m.mc.induced(md, [(0, act), (1, z_a)], at=m.coaction))
     out = Comodule(ext.outer, carrier, tau_m, name=m.name)
     out.validate()
     return out
@@ -256,7 +248,7 @@ def check_colinear_maps_remain_colinear(ext, pairs):
     for (m, n, dm, dn) in pairs:
         for h in colinear_homs(m, n).basis:
             lhs = dn.coaction.mul(h)
-            rhs = dm.mc.induced(dn.mc, [(0, h)]).mul(dm.coaction)
+            rhs = dm.mc.induced(dn.mc, [(0, h)], at=dm.coaction)
             if lhs != rhs:
                 raise AxiomError("an inner-colinear map %s -> %s fails to be "
                                  "outer-colinear" % (m.name, n.name))
@@ -283,7 +275,7 @@ class QTildeModule:
         c = ext.inner
         self.sigma_dual = sd = sigma_dual
         # (xi_s (x) C)∘rho for each basis element xi_s of Sigma*
-        self.xi_rho = [sigma.mc.induced(None, [(0, xi)]).mul(sigma.coaction)
+        self.xi_rho = [sigma.mc.induced(None, [(0, xi)], at=sigma.coaction)
                        for xi in sd.basis]
         left_eval = c.carrier.left_eval()
         xi_coact = [left_eval.mul(comp) for comp in self.xi_rho]
@@ -493,7 +485,7 @@ class ExtContext:
         c, d = ext.inner, ext.outer
         napply = self.apply_t
         vp_mats = [self.p_space.coords_matrix(
-            (napply.mul(d.cc.induced(None, [(0, v), (1, p)])).mul(d.coproduct)
+            (napply.mul(d.cc.induced(None, [(0, v), (1, p)], at=d.coproduct))
              for p in self.p_basis),
             "extension context: the first action formula escapes the colinear maps")
             for v in self.v_basis]
@@ -501,8 +493,8 @@ class ExtContext:
         pu_mats = []
         uq_mats = []
         for u in self.u_basis:
-            pu_op = right_eval.mul(sigma.mc.induced(None, [(1, c.counit.mul(u))])) \
-                .mul(sigma.coaction)
+            pu_op = right_eval.mul(sigma.mc.induced(None, [(1, c.counit.mul(u))],
+                                                    at=sigma.coaction))
             pu_mats.append(self.p_space.coords_matrix(
                 (pu_op.mul(p) for p in self.p_basis),
                 "extension context: the second action formula escapes the colinear "
@@ -514,7 +506,7 @@ class ExtContext:
         ev_compose = FBimodule.right_module(self.t_alg, self.qt.sigma_dual.dim,
                                             self._sigma_dual_t_action()).right_eval()
         qv_mats = [self.qt.space.coords_matrix(
-            (ev_compose.mul(ext.cld.induced(None, [(0, q), (1, v)])).mul(ext.tau)
+            (ev_compose.mul(ext.cld.induced(None, [(0, q), (1, v)], at=ext.tau))
              for q in self.qt.basis),
             "extension context: the fourth action formula escapes the bimodule")
             for v in self.v_basis]
@@ -540,12 +532,12 @@ class ExtContext:
         c = ext.inner
         right_eval, left_eval, xi_rho = self._black_parts
         # form 1: c^(1)·q(c^(2)_[0])( p(c^(2)_[1]) )
-        inner = self.pair_eval.mul(ext.cld.induced(None, [(0, q), (1, p)])).mul(ext.tau)
-        form1 = right_eval.mul(c.cc.induced(None, [(1, inner)])).mul(c.coproduct)
+        inner = self.pair_eval.mul(ext.cld.induced(None, [(0, q), (1, p)], at=ext.tau))
+        form1 = right_eval.mul(c.cc.induced(None, [(1, inner)], at=c.coproduct))
         # form 2: q(c_[0])( p(c_[1])^[0] )·p(c_[1])^[1]: q lands in Sigma* (x) D,
         # then xi_s (x) d -> xi_s(p(d)^[0]) (x) p(d)^[1] for the basis xi_s of Sigma*
         evaluate = side_by_side(f, c.base.dim * c.dim, (comp.mul(p) for comp in xi_rho))
-        form2 = left_eval.mul(evaluate).mul(ext.cld.induced(None, [(0, q)])).mul(ext.tau)
+        form2 = left_eval.mul(evaluate).mul(ext.cld.induced(None, [(0, q)], at=ext.tau))
         if form1 != form2:
             raise AxiomError("the two forms of the first connecting map disagree "
                              "(broken outer coaction)")
@@ -628,7 +620,7 @@ def convolution_algebra(d, alg, eta=None, name=None):
     space = hom_space(d.carrier, ring, left_linear=True, right_linear=True)
     mult = alg.mult_eval()
     alg_out = space.algebra(
-        lambda x, y: mult.mul(d.cc.induced(None, [(0, x), (1, y)])).mul(d.coproduct),
+        lambda x, y: mult.mul(d.cc.induced(None, [(0, x), (1, y)], at=d.coproduct)),
         eta.mul(d.counit),
         name or ("Conv(%s,%s)" % (d.name, alg.name) if space.dim else "Conv"),
         "convolution product escapes the bilinear maps",

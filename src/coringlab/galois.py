@@ -90,7 +90,7 @@ class CanonicalMap:
         self.nc = BalancedTensor([n_mod, c.carrier], [c.base])
         # the block of h_b (x) - is (h_b (x) C)∘rho
         self.matrix = self.tens.descend_map(side_by_side(
-            f, self.nc.dim, (sigma.mc.induced(self.nc, [(0, h)]).mul(sigma.coaction)
+            f, self.nc.dim, (sigma.mc.induced(self.nc, [(0, h)], at=sigma.coaction)
                              for h in self.hom_basis)))
         if self.matrix is None:
             raise AxiomError("canonical map is not balanced over the "
@@ -201,12 +201,12 @@ def witness_splitting(ext_ctx, m, dst, pairs, space, message):
     f = ext_ctx.field
     md = ext_ctx.outer_comodule(m)
     sd = ext_ctx.qt.sigma_dual
-    total = Matrix.zero(f, dst.dim, md.mc.dim)
+    total = Matrix.zero(f, dst.dim, m.dim)
     for jt, j in pairs:
         k = space.coords_matrix((sd.pairing(m, unit_vec(f, m.dim, m0), jt)
                                  for m0 in range(m.dim)), message)
-        total = total.add(md.mc.induced(dst, [(0, k), (1, j)]))
-    return total.mul(md.coaction)
+        total = total.add(md.mc.induced(dst, [(0, k), (1, j)], at=md.coaction))
+    return total
 
 
 def normal_basis_check(ext_ctx, cleft_data=None):
@@ -465,7 +465,7 @@ def check_jids(ext_ctx, witnesses, comodules):
     pair = ext_ctx.pair_eval
     total = None
     for (jt, j) in witnesses:
-        term = pair.mul(ext.cld.induced(None, [(0, jt), (1, j)])).mul(ext.tau)
+        term = pair.mul(ext.cld.induced(None, [(0, jt), (1, j)], at=ext.tau))
         total = term if total is None else total.add(term)
     if total is None:
         total = Matrix.zero(f, c.base.dim, c.dim)
@@ -552,7 +552,7 @@ def check_equivariant_projectivity(ext_ctx):
             raise AxiomError("coretraction is not equivariant")
     # colinearity over the outer coring
     lhs = tsd.coaction.mul(sect)
-    rhs = sigma_d.mc.induced(tsd.mc, [(0, sect)]).mul(sigma_d.coaction)
+    rhs = sigma_d.mc.induced(tsd.mc, [(0, sect)], at=sigma_d.coaction)
     if lhs != rhs:
         raise AxiomError("coretraction is not colinear")
     return {"applicable": True, "passed": True}
@@ -690,9 +690,8 @@ def _tensor_fullyfaithful(cm):
         etainv = Matrix.zero(f, n_mod.dim, len(homs))
         right_eval = n_mod.right_eval()
         for xvec, c_q in splits:
-            act = right_eval.mul(tens_n.induced(None, [(1, c_q)]))
-            etainv = etainv.add(act.mul(Matrix.from_cols(
-                f, tens_n.dim, [hmat.mul_vec(xvec) for hmat in homs])))
+            at = Matrix.from_cols(f, tens_n.dim, [hmat.mul_vec(xvec) for hmat in homs])
+            etainv = etainv.add(right_eval.mul(tens_n.induced(None, [(1, c_q)], at=at)))
         if etainv.mul(eta) != Matrix.identity(f, n_mod.dim):
             raise AxiomError("adjunction unit inverse fails on %s (left)" % n_mod.name)
         if eta.mul(etainv) != Matrix.identity(f, len(homs)):
@@ -781,10 +780,11 @@ def _rebuild_witnesses(ext_ctx, td_tens, pairs, can_a):
         raise AxiomError("constructive direction needs an invertible canonical map")
     caninv = can_a.inverse()
     sd = ext_ctx.qt.sigma_dual
-    # T (x)_L D -> T, t (x) d -> t·eps(d)
-    t_eps = ext_ctx.t_bim.right_eval().mul(td_tens.induced(None, [(1, d.counit)]))
+    t_eval = ext_ctx.t_bim.right_eval()
     out = []
     for (kappa, kappatilde) in pairs:
+        # T (x)_L D -> T, t (x) d -> t·eps(d), after kappa
+        t_eps = t_eval.mul(td_tens.induced(None, [(1, d.counit)], at=kappa))
         j_cols = [kappatilde.mul_vec(td_tens.pure_tensor(
             [list(t_alg.unit), unit_vec(f, d.dim, dd)])) for dd in range(d.dim)]
         j_mat = Matrix.from_cols(f, sigma.dim, j_cols)
@@ -795,7 +795,7 @@ def _rebuild_witnesses(ext_ctx, td_tens, pairs, can_a):
             y = caninv.mul_vec(vtarget)
             acc = zero_vec(f, sd.dim)
             for ((hb, xj), w) in can_a.tens.lift_pairs(y):
-                tmat = end.space.element(t_eps.mul_vec(kappa.col(xj)))
+                tmat = end.space.element(t_eps.col(xj))
                 phi = can_a.hom_basis[hb].mul(tmat)
                 coords = sd.coords(phi)
                 if coords is None:

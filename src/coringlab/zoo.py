@@ -184,7 +184,7 @@ class BialgebraData:
             mult = h.mult_eval()
             target = Matrix.column(f, list(h.unit)).mul(self.eps)
             for slot in (0, 1):
-                conv = mult.mul(d.cc.induced(None, [(slot, self.antipode)])).mul(d.coproduct)
+                conv = mult.mul(d.cc.induced(None, [(slot, self.antipode)], at=d.coproduct))
                 if conv != target:
                     raise AxiomError("bialgebra %s: antipode axiom fails" % self.name)
         self._valid = True
@@ -266,19 +266,17 @@ class EntwiningStructure:
         # (entwa): psi∘(D (x) mult) = (mult (x) D)∘(A (x) psi)∘(psi (x) A)
         lhs = psi.mul(daa.induced(self.da, [(1, mult)]))
         s1 = daa.induced(ada, [(0, psi_amb)])
-        s2 = ada.induced(aad, [(1, psi_amb)])
-        s3 = aad.induced(self.ad, [(0, mult)])
-        if lhs != s3.mul(s2).mul(s1):
+        s2 = ada.induced(aad, [(1, psi_amb)], at=s1)
+        if lhs != aad.induced(self.ad, [(0, mult)], at=s2):
             raise AxiomError("entwining %s: multiplicativity axiom fails" % self.name)
         # (entwc): (A (x) Delta)∘psi = (psi (x) D)∘(D (x) psi)∘(Delta (x) A)
         add = BalancedTensor([self.a_bim, d.carrier, d.carrier], [l, l])
         dda = BalancedTensor([d.carrier, d.carrier, self.a_bim], [l, l])
         dad = BalancedTensor([d.carrier, self.a_bim, d.carrier], [l, l])
-        lhs = self.ad.induced(add, [(1, delta_amb)]).mul(psi)
+        lhs = self.ad.induced(add, [(1, delta_amb)], at=psi)
         s1 = self.da.induced(dda, [(0, delta_amb)])
-        s2 = dda.induced(dad, [(1, psi_amb)])
-        s3 = dad.induced(add, [(0, psi_amb)])
-        if lhs != s3.mul(s2).mul(s1):
+        s2 = dda.induced(dad, [(1, psi_amb)], at=s1)
+        if lhs != dad.induced(add, [(0, psi_amb)], at=s2):
             raise AxiomError("entwining %s: comultiplicativity axiom fails" % self.name)
         one_a = list(a.unit)
         if not self.weak:
@@ -290,28 +288,29 @@ class EntwiningStructure:
                     raise AxiomError("entwining %s: unit axiom fails at basis %d"
                                      % (self.name, j))
             # (entwd): (A (x) eps)∘psi = eps (x) A
-            if self._a_eps().mul(psi) != self._eps_a():
+            if self._a_eps(at=psi) != self._eps_a():
                 raise AxiomError("entwining %s: counit axiom fails" % self.name)
         else:
             e_map = self._e_map()
             # (wentwb): psi∘(D (x) 1) = (e (x) D)∘Delta
-            ed = d.cc.induced(self.ad, [(0, e_map)]).mul(d.coproduct)
+            ed = d.cc.induced(self.ad, [(0, e_map)], at=d.coproduct)
             for j in range(d.dim):
                 lhsv = psi.mul_vec(self.da.pure_tensor([unit_vec(f, d.dim, j), one_a]))
                 if lhsv != ed.col(j):
                     raise AxiomError("weak entwining %s: unit axiom fails at basis %d"
                                      % (self.name, j))
             # (wentwd): (A (x) eps)∘psi = mult∘(e (x) A)
-            lhs = self._a_eps().mul(psi)
+            lhs = self._a_eps(at=psi)
             rhs = mult.mul(self.da.induced(None, [(0, e_map)]))
             if lhs != rhs:
                 raise AxiomError("weak entwining %s: counit axiom fails" % self.name)
         self._valid = True
         return True
 
-    def _a_eps(self):
-        """[A (x) D] -> A, a (x) d -> a·eps(d) (through the right L-action)."""
-        return self.a_bim.right_eval().mul(self.ad.induced(None, [(1, self.d.counit)]))
+    def _a_eps(self, at=None):
+        """[A (x) D] -> A, a (x) d -> a·eps(d) (through the right L-action),
+        evaluated at the columns of at (see BalancedTensor.induced)."""
+        return self.a_bim.right_eval().mul(self.ad.induced(None, [(1, self.d.counit)], at=at))
 
     def _eps_a(self):
         """[D (x) A] -> A, d (x) a -> eps(d)·a."""
@@ -321,10 +320,9 @@ class EntwiningStructure:
         """e = (A (x) eps)∘psi∘(D (x) 1): D -> A."""
         f = self.field
         one_a = list(self.a.unit)
-        cols = [self._a_eps().mul_vec(self.psi.mul_vec(
-            self.da.pure_tensor([unit_vec(f, self.d.dim, j), one_a])))
-            for j in range(self.d.dim)]
-        return Matrix.from_cols(f, self.a.dim, cols)
+        d_one = Matrix.from_cols(f, self.da.dim, [
+            self.da.pure_tensor([unit_vec(f, self.d.dim, j), one_a]) for j in range(self.d.dim)])
+        return self._a_eps(at=self.psi.mul(d_one))
 
 
 # ---------------------------------------------------------------------------
@@ -429,7 +427,7 @@ def weak_entwining_coring(ent):
     chi = Matrix.from_cols(f, n * m, [psi.mul_vec(ent.da.pure_tensor([unit_vec(f, m, dd), one]))
                                       for dd in range(m)])  # d -> psi(d (x) 1)
     # p(a (x) d) = a·psi(d (x) 1), one block of columns per basis element a
-    p_amb = side_by_side(f, n * m, (ent.ad.induced(None, [(0, a.lmul(i))]).mul(chi)
+    p_amb = side_by_side(f, n * m, (ent.ad.induced(None, [(0, a.lmul(i))], at=chi)
                                     for i in range(n)))
     if p_amb.mul(p_amb) != p_amb:
         raise AxiomError("weak entwining: the canonical projection is not idempotent")
@@ -676,8 +674,8 @@ def partial_action_coring(pa):
                 for r in range(a.dim):
                     fw.data[r][offs[s] + q] = col[r]
         # pi_w(c) = c^(1)·f_w(c^(2))
-        pi_mats.append(carrier.right_eval().mul(c.cc.induced(None, [(1, fw)]))
-                       .mul(c.coproduct))
+        pi_mats.append(carrier.right_eval().mul(c.cc.induced(None, [(1, fw)],
+                                                             at=c.coproduct)))
     tau_amb = Matrix.zero(f, cdim * n, cdim)
     for j in range(cdim):
         for w in range(n):

@@ -636,19 +636,47 @@ def test_c2xc2_chain_at_the_cap(klein_chain):
 def test_grouplike_coalgebra_at_the_cap_builds_no_outer_action_of_its_cubes(monkeypatch):
     # k^16 with a basis of grouplikes, a coring over k: there are no
     # balancing relations, so C (x) C (x) C and Creg (x) C (x) C keep all
-    # 4096 ambient coordinates, and validation reads no outer action of them
+    # 4096 ambient coordinates, and validation reads no outer action of them;
+    # each structure identity is evaluated at Delta or rho, so every induced
+    # map out of C (x) C or Creg (x) C pushes C.dim = 16 vectors, one per
+    # column, and not one per basis vector of the 256-dimensional tensor
     built = []
     slot_cols = BalancedTensor._slot_cols
     monkeypatch.setattr(BalancedTensor, "_slot_cols",
                         lambda tens, *args: built.append(tens) or slot_cols(tens, *args))
+    pushed = []  # [src, dst, vectors pushed] per induced call
+    inside = []  # the entry of the induced call running, if any
+    induced, push = BalancedTensor.induced, algmod._push
+
+    def counting_induced(src, dst, factors, at=None):
+        pushed.append([src, dst, 0])
+        inside.append(pushed[-1])
+        try:
+            return induced(src, dst, factors, at=at)
+        finally:
+            inside.pop()
+
+    def counting_push(vecs, *args):
+        if inside:
+            inside[-1][2] += len(vecs)
+        return push(vecs, *args)
+
+    monkeypatch.setattr(BalancedTensor, "induced", counting_induced)
+    monkeypatch.setattr(algmod, "_push", counting_push)
     c = grouplike_basis_coalgebra(FieldFp(7), 16)
     assert c.validate() is True
     carrier = FBimodule.right_module(c.base, c.dim, list(c.carrier.right_act), name="Creg")
     creg = Comodule(c, carrier, c.coproduct, name="Creg")
     assert creg.validate() is True
-    assert (c.ccc.dim, creg.mcc.dim) == (4096, 4096)
+    assert (c.cc.dim, c.ccc.dim, creg.mc.dim, creg.mcc.dim) == (256, 4096, 256, 4096)
     assert c.cc in built
     assert not any(tens is c.ccc or tens is creg.mcc for tens in built)
+    into_cubes = [(src, n) for src, dst, n in pushed if dst is c.ccc or dst is creg.mcc]
+    # two sides per coassociativity check; the coalgebra validates when built too
+    assert sum(src is c.cc for src, _ in into_cubes) == 4
+    assert sum(src is creg.mc for src, _ in into_cubes) == 2
+    assert [n for _, n in into_cubes] == [16] * 6
+    assert all(n == 16 for src, _, n in pushed if src is c.cc or src is creg.mc)
 
 
 @pytest.mark.parametrize("chain", ["C3 Q", "C3 F7", "C2xC2 F7"])
@@ -671,6 +699,93 @@ def test_sparse_paths_match_their_dense_definitions(chain, klein_chain):
         amb = [functools.reduce(f.mul, entries, f.one)
                for entries in itertools.product(*vecs)]
         assert tens.pure_tensor(vecs) == tens.proj().mul_vec(amb)
+
+
+def _structure_cases(ws):
+    """(src, dst, factors, X) of the structure checks of a workspace: the
+    coassociativity sides and a counit collapse of each coring at Delta, of
+    each comodule at rho and of each extension's outer coaction at tau, and
+    the bicomodule sides into the mixed chain."""
+    for c in ws.corings.values():
+        lift = c.cc.sect().mul(c.coproduct)
+        yield from ((c.cc, c.ccc, [(slot, lift)], c.coproduct) for slot in (0, 1))
+        yield c.cc, None, [(1, c.counit)], c.coproduct
+    for m in ws.comodules.values():
+        c = m.coring
+        yield m.mc, m.mcc, [(0, m.mc.sect().mul(m.coaction))], m.coaction
+        yield m.mc, m.mcc, [(1, c.cc.sect().mul(c.coproduct))], m.coaction
+        yield m.mc, None, [(1, c.counit)], m.coaction
+    for ext in ws.extensions.values():
+        c, d = ext.inner, ext.outer
+        tau = ext.cld.sect().mul(ext.tau)
+        yield ext.cld, ext.cldd, [(0, tau)], ext.tau
+        yield ext.cld, ext.cldd, [(1, d.cc.sect().mul(d.coproduct))], ext.tau
+        yield ext.cld, None, [(0, c.counit), (1, d.counit)], ext.tau
+        yield c.cc, ext.ccld, [(1, tau)], c.coproduct
+        yield ext.cld, ext.ccld, [(0, c.cc.sect().mul(c.coproduct))], ext.tau
+
+
+def _slot_map_cases(tensors, rng):
+    """(src, dst, factors) on each tensor: one slot map into the tensor
+    itself and into the ambient space, and two, each changing its slot's
+    size when read in the ambient space."""
+    for tens, slots in tensors:
+        f, last = tens.field, len(tens.dims) - 1
+        for slot, mat in slots[:2]:
+            yield tens, tens, [(slot, mat)]
+            yield tens, None, [(slot, mat)]
+        ends = [_random_matrix(f, tens.dims[s], tens.dims[s], rng) for s in (0, last)]
+        yield tens, tens, [(0, ends[0]), (last, ends[1])]
+        ends = [_random_matrix(f, rng.randint(1, 3), tens.dims[s], rng) for s in (0, last)]
+        yield tens, None, [(0, ends[0]), (last, ends[1])]
+
+
+def _chain_tensors(ent, c):
+    """The tensors of a Hopf entwining chain with the slot maps they carry."""
+    for tens in (ent.ad, ent.da, c.cc, c.ccc):
+        yield tens, [(0, a) for a in tens.factors[0].left_act]
+
+
+@pytest.mark.parametrize("over", ["Q", "F7"])
+def test_induced_at_matches_the_induced_map_times_at(over, workspaces, workspaces_f7,
+                                                     klein_chain):
+    # src.induced(dst, F, at=X) == src.induced(dst, F)·X on the 2- and
+    # 3-factor tensors of the eight fixtures and of the C3 (and, over F7,
+    # C2 x C2) chains: at the structure map a check evaluates at, at a
+    # seeded random X and at an X with no columns
+    field = QQ if over == "Q" else FieldFp(7)
+    rng = random.Random(23)
+    cases, tensors = [], []
+    for ws in (workspaces if over == "Q" else workspaces_f7).values():
+        cases += list(_structure_cases(ws))
+        tensors += list(_fixture_tensors(ws))
+    chains = [_hopf_chain(field, _cyclic(3))] + ([klein_chain] if over == "F7" else [])
+    for _, ent, c in chains:
+        lift = c.cc.sect().mul(c.coproduct)
+        cases += [(c.cc, c.ccc, [(slot, lift)], c.coproduct) for slot in (0, 1)]
+        cases.append((c.cc, None, [(0, c.counit)], c.coproduct))
+        tensors += list(_chain_tensors(ent, c))
+    checked = 0
+    for src, dst, factors, delta in cases:
+        for at in (delta, _random_matrix(field, src.dim, 2, rng), Matrix.zero(field, src.dim, 0)):
+            assert src.induced(dst, factors, at=at) == src.induced(dst, factors).mul(at)
+            checked += 1
+    for src, dst, factors in _slot_map_cases(tensors, rng):
+        for at in (_random_matrix(field, src.dim, 3, rng), Matrix.zero(field, src.dim, 0)):
+            assert src.induced(dst, factors, at=at) == src.induced(dst, factors).mul(at)
+            checked += 1
+    assert checked > 1000
+
+
+def test_induced_at_a_matrix_of_the_wrong_height_is_refused(e2):
+    c = e2.corings["C"]
+    for rows in (c.cc.dim - 1, c.cc.dim + 1):
+        with pytest.raises(UsageError) as err:
+            c.cc.induced(None, [(1, c.counit)], at=Matrix.zero(c.field, rows, 2))
+        message = str(err.value)
+        assert "\n" not in message
+        assert message == "a map out of C(x)C (dimension %d) cannot be evaluated at a " \
+            "%dx2 matrix" % (c.cc.dim, rows)
 
 
 def _random_basis_module(field, dim):
