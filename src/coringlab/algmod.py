@@ -331,11 +331,13 @@ class FBimodule:
                 if self.right_act[j].mul(self.right_act[i]) != self.right_act_vec(ra.mul[i][j]):
                     raise AxiomError("module %s: right action not associative at (%d,%d)"
                                      % (self.name, i, j))
-        for i in range(la.dim):
-            for j in range(ra.dim):
-                if self.left_act[i].mul(self.right_act[j]) != self.right_act[j].mul(self.left_act[i]):
-                    raise AxiomError("module %s: left and right actions do not commute at (%d,%d)"
-                                     % (self.name, i, j))
+        if not self.actions_commute():
+            # decided once per module; name the first pair that fails
+            l, r = self.left_act, self.right_act
+            i, j = next((i, j) for i in range(la.dim) for j in range(ra.dim)
+                        if l[i].mul(r[j]) != r[j].mul(l[i]))
+            raise AxiomError("module %s: left and right actions do not commute at (%d,%d)"
+                             % (self.name, i, j))
         self._valid = True
         return True
 
@@ -427,9 +429,9 @@ def _apply_sparse(vecs, group, p):
     right): the nonzero entries of the images, in order, laid out as (left,
     mat.rows, right).  The arithmetic is inline, one reduction mod p per
     update over F_p (p None over Q), so no vector is ever dense.  The one
-    slot-group kernel: induced maps, the relations and projections of
-    _build, the slot actions, the descent checks and pure tensors all go
-    through it, a whole batch of vectors per call."""
+    slot-group kernel: induced maps, the carried actions of _build, the
+    projection steps, the slot actions, the descent checks and pure tensors
+    all go through it, a whole batch of vectors per call."""
     _, cols, n_out, right = group
     block_in = len(cols) * right
     block_out = n_out * right
@@ -483,14 +485,17 @@ class BalancedTensor:
     same relations, so the quotient is the same (over the ground field:
     no relations and no row reduction).  Otherwise every basis element b
     takes part.  The relation rows are sparse, and the projection is kept
-    as sparse columns (``_pcols``, column a the nonzero (row, value)
-    entries of proj·e_a), which the slot-group kernel applies directly; the
-    section picks the ambient coordinates ``_picks``.  ``proj()`` and
-    ``sect()`` build the dense matrices on demand, once per tensor, for
-    callers that want a Matrix.  The pair splits the full ambient space
-    (proj·sect = 1), so the relations are ker(proj) = im(1 - sect·proj) and
-    balancing is decided by two operator identities, without ever forming
-    the relation kernel:
+    as one factor per step (``_steps``, each step's quotient), which the
+    slot-group kernel applies in turn (``_chain``); the section picks the
+    ambient coordinates ``_picks``.  A tensor built with ``prefix=T``, T a
+    tensor over its leading factors and algebras (the very objects), resumes
+    from T's steps and picks and runs only the new steps: C (x)_A C (x)_A C
+    on C (x)_A C.  The composed sparse columns (``_proj_cols``) and the
+    dense ``proj()`` and ``sect()`` are built on demand, once per tensor,
+    for the descent checks and for callers that want a Matrix.  The pair
+    splits the full ambient space (proj·sect = 1), so the relations are
+    ker(proj) = im(1 - sect·proj) and balancing is decided by two operator
+    identities, without ever forming the relation kernel:
 
     - a map M out of the ambient space vanishes on the relations iff
       M = (M·sect)·proj (``descend_map``);
@@ -517,7 +522,7 @@ class BalancedTensor:
     an action that does not descend raises AxiomError.
     """
 
-    def __init__(self, factors, algebras, name=None):
+    def __init__(self, factors, algebras, name=None, prefix=None):
         if len(algebras) != len(factors) - 1:
             raise UsageError("need one balancing algebra per adjacent pair")
         field = factors[0].field
@@ -540,10 +545,16 @@ class BalancedTensor:
                              "cap of 4096" % ambient)
         self.ambient_dim = ambient
         self.name = name or "(x)".join(m.name for m in factors)
+        # the factors fix the algebras (checked above), so the same factor
+        # objects mean the same steps
+        if prefix is not None and not (len(prefix.factors) <= len(factors) and all(
+                a is b for a, b in zip(prefix.factors, factors))):
+            raise UsageError("tensor %s cannot resume from %s: its factors and algebras "
+                             "are not the leading ones" % (self.name, prefix.name))
         # outer bimodule structure over (left alg of first, right alg of last)
         self.left_alg = factors[0].left_alg
         self.right_alg = factors[-1].right_alg
-        self._build()
+        self._build(prefix)
         self.dim = len(self._picks)
         self._left_act = self._right_act = None
         if not all(m.actions_commute() for m in factors[:-1]):
@@ -574,62 +585,80 @@ class BalancedTensor:
                                for a in self.factors[last].right_act]
         return self._right_act
 
-    def _build(self):
-        """Iterated pairwise quotients Q_k = Q_{k-1} (x)_{B_k} M_k.  The
-        relation rows come sparse from the slot-group kernel, and the
-        projection on the full ambient space is kept as sparse columns
-        (_pcols, in the form _apply_sparse reads), composed column by column
-        through each step; every section is a coordinate selection, so sect
-        is kept as the ambient coordinate each quotient coordinate picks.
-        The one action a step reads is the right action R_b of the quotient
-        so far, at that step's balancing indices b alone: the last factor's
-        R_b carried through the previous quotient as q.proj·(I (x) R_b)·q.sect,
-        kept as sparse columns.  The outer actions are built on first read
-        (left_act, right_act)."""
+    def _build(self, prefix):
+        """Iterated pairwise quotients Q_k = Q_{k-1} (x)_{B_k} M_k, resumed
+        after the steps of prefix when given: its steps are the same echelon
+        results, so the tensor is the same.  The relation rows of
+        R_b (x) I - I (x) L_b are read off the sparse columns of R_b and
+        L_b, with no vector pushed.  R_b is the right action of the quotient
+        so far, at that step's balancing indices b alone: after the first
+        step, the last factor's R_b carried through the last quotient q as
+        q.proj·(I (x) R_b)·q.sect.  Each step keeps its QuotientSpace
+        (_steps): the projection is their chain, one slot group per step
+        (_chain), and its composed sparse columns (_proj_cols) are built on
+        first read.  Every section is a coordinate selection, so sect is
+        kept as the ambient coordinate each quotient coordinate picks.  The
+        outer actions are built on first read (left_act, right_act)."""
         f = self.field
-        zero, one, mod = f.zero, f.one, modulus(f)
-        cur_dim = self.factors[0].dim
-        pcols = [[(a, f.one)] for a in range(cur_dim)]
-        picks = list(range(cur_dim))
-        for step, alg in enumerate(self.algebras):
+        zero, mod = f.zero, modulus(f)
+        if prefix is None:
+            steps, picks = [], list(range(self.dims[0]))
+        else:
+            steps, picks = list(prefix._steps), prefix._picks
+        cur_dim = len(picks)
+        for step, alg in enumerate(self.algebras[len(steps):], len(steps)):
             last, nxt = self.factors[step], self.factors[step + 1]
             n = nxt.dim
-            # the relations span the images of R_b (x) I - I (x) L_b
             rels = []
             for b in _balancing_indices(last, alg, nxt):
-                if step == 0:
-                    r_b = _slot_group(1, last.right_act[b], n)
-                else:
-                    # column j of q.proj·(I (x) R_b)·q.sect for the last
-                    # quotient q: (I (x) R_b)·e_{kept[j]}, then q.proj
-                    carried = _slot_group(last_dim, last.right_act[b], 1)
-                    r_b = (1, _push([[(k, one)] for k in q.kept], (carried, q_group), mod),
-                           cur_dim, n)
-                l_b = _slot_group(cur_dim, nxt.left_act[b], 1)
-                units = [[(k, one)] for k in range(cur_dim * n)]
-                for r_img, l_img in zip(_apply_sparse(units, r_b, mod),
-                                        _apply_sparse(units, l_b, mod)):
-                    row = dict(r_img)
-                    for i, c in l_img:
-                        row[i] = f.sub(row.get(i, zero), c)
-                    rels.append({i: c for i, c in row.items() if c})
+                r_cols = _sparse_cols(last.right_act[b])
+                if steps:
+                    # column j of q.proj·(I (x) R_b)·q.sect: R_b's column i
+                    # shifted into block a, for kept[j] = (a, i), then q.proj
+                    q, d = steps[-1], last.dim
+                    r_cols = _apply_sparse([[(k - k % d + r, c) for r, c in r_cols[k % d]]
+                                            for k in q.kept], (1, q.cols, q.dim, 1), mod)
+                l_cols = _sparse_cols(nxt.left_act[b])
+                # the relation at e_i (x) e_j: column i of R_b laid out as
+                # (., j), minus column j of L_b laid out as (i, .)
+                for i in range(cur_dim):
+                    for j in range(n):
+                        row = {r * n + j: c for r, c in r_cols[i]}
+                        for r, c in l_cols[j]:
+                            k = i * n + r
+                            row[k] = f.sub(row.get(k, zero), c)
+                        rels.append({k: c for k, c in row.items() if c})
             q = quotient(f, cur_dim * n, rels)
-            q_group = (1, q.cols, q.dim, 1)
-            # column (a, j) of q.proj·(proj (x) I_n) is q.proj applied to
-            # the entries (r·n + j, v) for the entries (r, v) of column a of
-            # proj, which is the identity at the first step
-            pcols = q.cols if step == 0 else \
-                _apply_sparse([[(r * n + j, v) for r, v in col]
-                               for col in pcols for j in range(n)], q_group, mod)
+            steps.append(q)
             picks = [picks[p // n] * n + p % n for p in q.kept]
-            last_dim, cur_dim = cur_dim, q.dim
-        self._pcols = pcols
+            cur_dim = q.dim
+        self._steps = steps
         self._picks = picks
-        self._proj = self._sect = None
+        self._pcols = self._proj = self._sect = None
 
-    def _to_q(self):
-        """The projection in the slot-group form _apply_sparse reads."""
-        return 1, self._pcols, self.dim, 1
+    def _chain(self, rest=1):
+        """The projection (x) I_rest as one slot group per step, in the
+        form _push reads: step s applies its quotient to the leading slots
+        and the identity to the factors after it and to rest."""
+        dims = self.dims
+        return [(1, q.cols, q.dim, prod(dims[s + 2:]) * rest)
+                for s, q in enumerate(self._steps)]
+
+    def _proj_cols(self):
+        """The sparse columns of the whole projection, column a the nonzero
+        (row, value) entries of proj·e_a: the steps composed column by
+        column, on first read (_descends and proj() read it)."""
+        if self._pcols is None:
+            f, steps, dims = self.field, self._steps, self.dims
+            pcols = steps[0].cols if steps else [[(a, f.one)] for a in range(dims[0])]
+            # column (a, j) of q.proj·(proj (x) I_n) is q.proj applied to
+            # the entries (r·n + j, v) for the entries (r, v) of column a
+            for q, n in zip(steps[1:], dims[2:]):
+                pcols = _apply_sparse([[(r * n + j, v) for r, v in col]
+                                       for col in pcols for j in range(n)],
+                                      (1, q.cols, q.dim, 1), modulus(f))
+            self._pcols = pcols
+        return self._pcols
 
     def induced(self, dst, factors, at=None):
         """dst.proj·(F_1 (x) ... (x) F_k)·sect·X, or the ambient image when
@@ -664,7 +693,7 @@ class BalancedTensor:
             if left != dst.ambient_dim:
                 raise UsageError("the image of %s has %d coordinates, but %s has ambient "
                                  "dimension %d" % (self.name, left, dst.name, dst.ambient_dim))
-            groups.append(dst._to_q())
+            groups += dst._chain()
             left = dst.dim
         if at is None:
             starts = [[(q, self.field.one)] for q in self._picks]
@@ -679,12 +708,11 @@ class BalancedTensor:
     def project_head(self, image, rest):
         """(proj (x) I_rest)·image for an image whose rows are laid out as
         (this tensor's ambient, rest): the leading slots collapse to the
-        quotient through the sparse columns of proj, column by column over
-        the nonzero entries of the image, with no ambient operator."""
-        group = (1, self._pcols, self.dim, rest)
+        quotient through the steps of proj, column by column over the
+        nonzero entries of the image, with no ambient operator."""
         p = modulus(self.field)
         return from_sparse_cols(self.field, self.dim * rest,
-                                _apply_sparse(_sparse_cols(image), group, p))
+                                _push(_sparse_cols(image), self._chain(rest), p))
 
     def _descends(self, cols, rows):
         """Whether the map with these ambient columns, given by their
@@ -694,7 +722,7 @@ class BalancedTensor:
         picked = (1, [cols[p] for p in self._picks], rows, 1)
         mod = modulus(self.field)
         return all(dict(comb) == dict(col)
-                   for col, comb in zip(cols, _apply_sparse(self._pcols, picked, mod)))
+                   for col, comb in zip(cols, _apply_sparse(self._proj_cols(), picked, mod)))
 
     def descend_map(self, amb_map):
         """Quotient form amb_map·sect of a map out of the ambient space, or
@@ -707,10 +735,10 @@ class BalancedTensor:
     def _slot_cols(self, slot, mat, points):
         """The nonzero entries of the columns p of proj·A at the given
         ambient points, for an endomorphism A of one slot: A's image of e_p,
-        then the sparse columns of proj, so no ambient operator is built."""
+        then the steps of proj, so no ambient operator is built."""
         group = _slot_group(prod(self.dims[:slot]), mat, self.strides[slot])
-        to_q, one, mod = self._to_q(), self.field.one, modulus(self.field)
-        return _push([[(p, one)] for p in points], (group, to_q), mod)
+        one, mod = self.field.one, modulus(self.field)
+        return _push([[(p, one)] for p in points], [group] + self._chain(), mod)
 
     def _slot_action(self, slot, mat):
         """proj·A·sect for an endomorphism A of one slot: the columns of
@@ -729,7 +757,7 @@ class BalancedTensor:
     def proj(self):
         """The projection as a dense Matrix, built on first use."""
         if self._proj is None:
-            self._proj = from_sparse_cols(self.field, self.dim, self._pcols)
+            self._proj = from_sparse_cols(self.field, self.dim, self._proj_cols())
         return self._proj
 
     def sect(self):
@@ -746,14 +774,14 @@ class BalancedTensor:
 
     def pure_tensor(self, vecs):
         """Quotient coordinates of v1 (x) ... (x) vn: the nonzero entries of
-        the ambient vector, projected through the sparse columns of proj."""
+        the ambient vector, projected through the steps of proj."""
         f = self.field
         pairs = [(0, f.one)]
         for d, vec in zip(self.dims, vecs):
             pairs = [(p * d + i, f.mul(c, v)) for p, c in pairs
                      for i, v in enumerate(vec) if v]
         out = [f.zero] * self.dim
-        for i, c in _apply_sparse([pairs], self._to_q(), modulus(f))[0]:
+        for i, c in _push([pairs], self._chain(), modulus(f))[0]:
             out[i] = c
         return out
 

@@ -40,7 +40,7 @@ class Coring:
     def ccc(self):
         if self._ccc is None:
             self._ccc = BalancedTensor([self.carrier, self.carrier, self.carrier],
-                                       [self.base, self.base])
+                                       [self.base, self.base], prefix=self.cc)
         return self._ccc
 
     def validate(self):
@@ -110,7 +110,7 @@ class Comodule:
         if self._mcc is None:
             self._mcc = BalancedTensor([self.carrier, self.coring.carrier,
                                         self.coring.carrier],
-                                       [self.coring.base, self.coring.base])
+                                       [self.coring.base, self.coring.base], prefix=self.mc)
         return self._mcc
 
     @property

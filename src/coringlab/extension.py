@@ -50,7 +50,7 @@ class CoringExtension:
         self.cld = BalancedTensor([self.carrier_l, outer.carrier], [l],
                                   name=inner.name + "(x)" + outer.name)
         self.cldd = BalancedTensor([self.carrier_l, outer.carrier, outer.carrier],
-                                   [l, l])
+                                   [l, l], prefix=self.cld)
         self._ccld = None
         if tau.rows == self.cld.ambient_dim and tau.rows != self.cld.dim:
             tau = self.cld.proj().mul(tau)

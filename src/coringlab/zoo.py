@@ -260,8 +260,8 @@ class EntwiningStructure:
         psi_amb = self.psi_ambient()
         mult = a.mult_eval()
         delta_amb = d.cc.sect().mul(d.coproduct)
-        daa = BalancedTensor([d.carrier, self.a_bim, self.a_bim], [l, l])
-        ada = BalancedTensor([self.a_bim, d.carrier, self.a_bim], [l, l])
+        daa = BalancedTensor([d.carrier, self.a_bim, self.a_bim], [l, l], prefix=self.da)
+        ada = BalancedTensor([self.a_bim, d.carrier, self.a_bim], [l, l], prefix=self.ad)
         aad = BalancedTensor([self.a_bim, self.a_bim, d.carrier], [l, l])
         # (entwa): psi∘(D (x) mult) = (mult (x) D)∘(A (x) psi)∘(psi (x) A)
         lhs = psi.mul(daa.induced(self.da, [(1, mult)]))
@@ -270,9 +270,10 @@ class EntwiningStructure:
         if lhs != aad.induced(self.ad, [(0, mult)], at=s2):
             raise AxiomError("entwining %s: multiplicativity axiom fails" % self.name)
         # (entwc): (A (x) Delta)∘psi = (psi (x) D)∘(D (x) psi)∘(Delta (x) A)
-        add = BalancedTensor([self.a_bim, d.carrier, d.carrier], [l, l])
-        dda = BalancedTensor([d.carrier, d.carrier, self.a_bim], [l, l])
-        dad = BalancedTensor([d.carrier, self.a_bim, d.carrier], [l, l])
+        add = BalancedTensor([self.a_bim, d.carrier, d.carrier], [l, l], prefix=self.ad)
+        dda = BalancedTensor([d.carrier, d.carrier, self.a_bim], [l, l],
+                             prefix=d.cc if d.base is l else None)
+        dad = BalancedTensor([d.carrier, self.a_bim, d.carrier], [l, l], prefix=self.da)
         lhs = self.ad.induced(add, [(1, delta_amb)], at=psi)
         s1 = self.da.induced(dda, [(0, delta_amb)])
         s2 = dda.induced(dad, [(1, psi_amb)], at=s1)

@@ -99,6 +99,25 @@ def test_regular_bimodule_valid(a_quad):
     FBimodule.regular(a_quad).validate()
 
 
+def test_module_validation_names_the_first_pair_of_actions_that_do_not_commute(a_quad):
+    # A (+) A with A acting blockwise on the left, and on the right through
+    # the regular right action conjugated by a shear that mixes the blocks:
+    # each side is a module, but the two sides do not commute
+    reg = FBimodule.regular(a_quad)
+    two = FBimodule.direct_sum([reg, reg], name="AA")
+    shear = Matrix.identity(F, 4)
+    shear.data[0][2] = F.one
+    right = [shear.mul(r).mul(inverse(shear)) for r in two.right_act]
+    bad = FBimodule(a_quad, a_quad, 4, two.left_act, right, name="bad")
+    failing = [(i, j) for i, l in enumerate(bad.left_act) for j, r in enumerate(right)
+               if l.mul(r) != r.mul(l)]
+    assert failing and not bad.actions_commute()
+    with pytest.raises(AxiomError) as err:
+        bad.validate()
+    assert str(err.value) == "module bad: left and right actions do not commute at (%d,%d)" \
+        % failing[0]
+
+
 def test_tensor_unit_balancing(a_quad):
     reg = FBimodule.regular(a_quad)
     t = BalancedTensor([reg, reg], [a_quad])
@@ -677,6 +696,150 @@ def test_grouplike_coalgebra_at_the_cap_builds_no_outer_action_of_its_cubes(monk
     assert sum(src is creg.mc for src, _ in into_cubes) == 2
     assert [n for _, n in into_cubes] == [16] * 6
     assert all(n == 16 for src, _, n in pushed if src is c.cc or src is creg.mc)
+
+
+def test_grouplike_coalgebra_cubes_run_only_their_last_step(monkeypatch):
+    # k^16 as above: C (x) C (x) C resumes from C (x) C and Creg (x) C (x) C
+    # from Creg (x) C, so each runs one quotient, its last step; and no
+    # batch of 4096 vectors, one per ambient coordinate of a cube, goes
+    # through the kernel: validation composes no projection of the cubes
+    runs = {}  # tensor -> quotients run while it was built
+    building, batches = [], []
+    init, quotient, apply_sparse = BalancedTensor.__init__, algmod.quotient, \
+        algmod._apply_sparse
+
+    def counting_init(self, *args, **kwargs):
+        building.append(self)
+        try:
+            init(self, *args, **kwargs)
+        finally:
+            building.pop()
+
+    def counting_quotient(*args):
+        runs[building[-1]] = runs.get(building[-1], 0) + 1
+        return quotient(*args)
+
+    def counting_apply(vecs, *args):
+        batches.append(len(vecs))
+        return apply_sparse(vecs, *args)
+
+    monkeypatch.setattr(BalancedTensor, "__init__", counting_init)
+    monkeypatch.setattr(algmod, "quotient", counting_quotient)
+    monkeypatch.setattr(algmod, "_apply_sparse", counting_apply)
+    c = grouplike_basis_coalgebra(FieldFp(7), 16)
+    carrier = FBimodule.right_module(c.base, c.dim, list(c.carrier.right_act), name="Creg")
+    creg = Comodule(c, carrier, c.coproduct, name="Creg")
+    assert creg.validate() is True
+    assert (c.ccc.ambient_dim, creg.mcc.ambient_dim) == (4096, 4096)
+    assert [runs[t] for t in (c.cc, c.ccc, creg.mc, creg.mcc)] == [1, 1, 1, 1]
+    assert batches and max(batches) < 4096
+
+
+def _recording_resumed(monkeypatch):
+    """Record (tensor, prefix) for every tensor built with a prefix while
+    the returned list lives in the patched constructor."""
+    resumed = []
+    init = BalancedTensor.__init__
+
+    def recording_init(self, factors, algebras, name=None, prefix=None):
+        init(self, factors, algebras, name=name, prefix=prefix)
+        if prefix is not None:
+            resumed.append((self, prefix))
+
+    monkeypatch.setattr(BalancedTensor, "__init__", recording_init)
+    return resumed
+
+
+@pytest.mark.parametrize("field", [QQ, FieldFp(7)], ids=["Q", "F7"])
+def test_resumed_tensors_match_the_build_from_scratch(field, monkeypatch):
+    # every tensor built on a prefix (C (x) C (x) C on C (x) C, M (x) C (x) C
+    # on M (x) C, C (x)_L D (x)_L D on C (x)_L D, and the triples of the
+    # entwining axioms on D (x) A, A (x) D and D (x) D), over the eight
+    # fixtures and the C3, C4 and C2 x C2 chains (the last two at the cap):
+    # the same picks, projection and outer actions as the tensor built from
+    # factor 0, and the same induced maps into it, at Delta, rho and tau
+    # and through a seeded random map on the prefix's last slot
+    rng = random.Random(29)
+    resumed = _recording_resumed(monkeypatch)
+    cases = []
+    for name in sorted(FIXTURES):
+        ws = load_workspace_file(fixture_path(name), field_override=field)
+        list(_fixture_tensors(ws))
+        cases += list(_structure_cases(ws))
+    tables = [_cyclic(3)]
+    if field != QQ:
+        tables += [_cyclic(4), [[i ^ j for j in range(4)] for i in range(4)]]
+    for table in tables:
+        _, _, c = _hopf_chain(field, table)
+        lift = c.cc.sect().mul(c.coproduct)
+        cases += [(c.cc, c.ccc, [(slot, lift)], c.coproduct) for slot in (0, 1)]
+    monkeypatch.undo()
+    scratch = {}
+    for tens, prefix in resumed:
+        ref = BalancedTensor(tens.factors, tens.algebras, name=tens.name)
+        scratch[tens] = ref
+        _assert_same_build(tens, ref)
+        last = len(prefix.dims) - 1
+        step = _random_matrix(field, prefix.dims[last] * tens.dims[last + 1],
+                              prefix.dims[last], rng)
+        at = _random_matrix(field, prefix.dim, 2, rng)
+        assert prefix.induced(tens, [(last, step)], at=at) == \
+            prefix.induced(ref, [(last, step)], at=at)
+    checked = 0
+    for src, dst, factors, at in cases:
+        if dst in scratch:
+            assert src.induced(dst, factors, at=at) == \
+                src.induced(scratch[dst], factors, at=at)
+            checked += 1
+    # per chain: D (x) A (x) A and D (x) A (x) D on D (x) A, A (x) D (x) A
+    # and A (x) D (x) D on A (x) D, and D (x) D (x) A and the coalgebra's
+    # cube on D (x) D
+    on = [prefix.name for _, prefix in resumed]
+    assert [on.count(n) for n in ("D(x)A", "A(x)D", "H(x)H")] == [2 * len(tables)] * 3
+    assert checked > 40
+
+
+def test_resumed_grouplike_coalgebra_cubes_match_the_build_from_scratch(monkeypatch):
+    # at the cap over k the cubes keep all 4096 coordinates: their sparse
+    # projection columns and picks are compared, not a dense 4096 x 4096
+    # projection or outer action
+    resumed = _recording_resumed(monkeypatch)
+    c = grouplike_basis_coalgebra(FieldFp(7), 16)
+    carrier = FBimodule.right_module(c.base, c.dim, list(c.carrier.right_act), name="Creg")
+    creg = Comodule(c, carrier, c.coproduct, name="Creg")
+    creg.validate()
+    monkeypatch.undo()
+    assert [t for t, _ in resumed] == [c.ccc, creg.mcc]
+    cases = [(c.cc, c.ccc, [(slot, c.cc.sect().mul(c.coproduct))], c.coproduct)
+             for slot in (0, 1)]
+    cases += [(creg.mc, creg.mcc, [(0, creg.mc.sect().mul(creg.coaction))], creg.coaction)]
+    for src, dst, factors, at in cases:
+        ref = BalancedTensor(dst.factors, dst.algebras, name=dst.name)
+        assert dst._picks == ref._picks
+        assert repr(dst._proj_cols()) == repr(ref._proj_cols())
+        assert src.induced(dst, factors, at=at) == src.induced(ref, factors, at=at)
+
+
+def test_a_prefix_over_other_factors_or_algebras_is_refused(e2):
+    c = e2.corings["C"]
+    carrier, base = c.carrier, c.base
+    twin = FBimodule(carrier.left_alg, carrier.right_alg, carrier.dim, carrier.left_act,
+                     carrier.right_act, name=carrier.name)
+    other = BalancedTensor([carrier, twin], [base], name="C(x)C")
+    with pytest.raises(UsageError) as err:
+        BalancedTensor([carrier, carrier, carrier], [base, base], name="C(x)C(x)C",
+                       prefix=other)
+    assert str(err.value) == "tensor C(x)C(x)C cannot resume from C(x)C: its factors " \
+        "and algebras are not the leading ones"
+    # k^2 over two trivial algebras: equal matrices, other module and
+    # algebra objects (a factor fixes its algebras); and a longer prefix
+    k = trivial_algebra(c.field)
+    left = FBimodule.trivial(c.field, 2, over=k)
+    flat = FBimodule.trivial(c.field, 2)
+    with pytest.raises(UsageError, match="^tensor .* cannot resume from .*leading ones$"):
+        BalancedTensor([left, left], [k], prefix=BalancedTensor([flat, flat], [flat.right_alg]))
+    with pytest.raises(UsageError, match="^tensor .* cannot resume from .*leading ones$"):
+        BalancedTensor([carrier, carrier], [base], prefix=c.ccc)
 
 
 @pytest.mark.parametrize("chain", ["C3 Q", "C3 F7", "C2xC2 F7"])

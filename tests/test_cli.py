@@ -553,9 +553,9 @@ def test_one_t_tensor_d_per_command(capsys, monkeypatch, argv):
     built = []
     init = algmod.BalancedTensor.__init__
 
-    def counted(self, factors, algebras, name=None):
+    def counted(self, factors, algebras, name=None, prefix=None):
         built.append(name)
-        init(self, factors, algebras, name=name)
+        init(self, factors, algebras, name=name, prefix=prefix)
 
     monkeypatch.setattr(algmod.BalancedTensor, "__init__", counted)
     code, _, _ = run_cli(capsys, *argv)

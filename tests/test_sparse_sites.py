@@ -1,9 +1,9 @@
 """Tooling: balanced tensors keep their projection sparse.
 
-``BalancedTensor`` keeps the quotient projection as sparse columns
-(``_pcols``) and applies it through the slot-group kernel; the dense
-``proj()``/``sect()`` matrices are built on demand for callers outside
-``algmod``.  So inside ``algmod``:
+``BalancedTensor`` keeps the quotient projection as one sparse factor per
+step (``_steps``) and applies it through the slot-group kernel; its composed
+sparse columns and the dense ``proj()``/``sect()`` matrices are built on
+demand.  So inside ``algmod``:
 
 - no ``.mul``/``.mul_vec`` product involves ``_proj`` or ``proj()``, as the
   receiver or as an argument;
