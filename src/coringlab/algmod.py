@@ -646,18 +646,12 @@ class BalancedTensor:
 
     def _proj_cols(self):
         """The sparse columns of the whole projection, column a the nonzero
-        (row, value) entries of proj·e_a: the steps composed column by
-        column, on first read (_descends and proj() read it)."""
+        (row, value) entries of proj·e_a: the ambient unit vectors pushed
+        through the steps, on first read (_descends and proj() read it)."""
         if self._pcols is None:
-            f, steps, dims = self.field, self._steps, self.dims
-            pcols = steps[0].cols if steps else [[(a, f.one)] for a in range(dims[0])]
-            # column (a, j) of q.proj·(proj (x) I_n) is q.proj applied to
-            # the entries (r·n + j, v) for the entries (r, v) of column a
-            for q, n in zip(steps[1:], dims[2:]):
-                pcols = _apply_sparse([[(r * n + j, v) for r, v in col]
-                                       for col in pcols for j in range(n)],
-                                      (1, q.cols, q.dim, 1), modulus(f))
-            self._pcols = pcols
+            one = self.field.one
+            self._pcols = _push([[(a, one)] for a in range(self.ambient_dim)],
+                                self._chain(), modulus(self.field))
         return self._pcols
 
     def induced(self, dst, factors, at=None):

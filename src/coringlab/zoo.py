@@ -271,8 +271,7 @@ class EntwiningStructure:
             raise AxiomError("entwining %s: multiplicativity axiom fails" % self.name)
         # (entwc): (A (x) Delta)∘psi = (psi (x) D)∘(D (x) psi)∘(Delta (x) A)
         add = BalancedTensor([self.a_bim, d.carrier, d.carrier], [l, l], prefix=self.ad)
-        dda = BalancedTensor([d.carrier, d.carrier, self.a_bim], [l, l],
-                             prefix=d.cc if d.base is l else None)
+        dda = BalancedTensor([d.carrier, d.carrier, self.a_bim], [l, l], prefix=d.cc)
         dad = BalancedTensor([d.carrier, self.a_bim, d.carrier], [l, l], prefix=self.da)
         lhs = self.ad.induced(add, [(1, delta_amb)], at=psi)
         s1 = self.da.induced(dda, [(0, delta_amb)])
