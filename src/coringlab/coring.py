@@ -87,13 +87,15 @@ class Comodule:
     comodule an L-C bicomodule.
     """
 
-    def __init__(self, coring, carrier, coaction, name="M"):
+    def __init__(self, coring, carrier, coaction, name="M", mc=None):
         self.coring = coring
         self.carrier = carrier
         self.name = name
         self.field = coring.field
-        self.mc = BalancedTensor([carrier, coring.carrier], [coring.base],
-                                 name=name + "(x)C")
+        # mc: the tensor M (x)_A C over these very carriers, when the caller
+        # has already built it
+        self.mc = mc or BalancedTensor([carrier, coring.carrier], [coring.base],
+                                       name=name + "(x)C")
         self._mcc = None
         if coaction.rows == self.mc.ambient_dim and coaction.rows != self.mc.dim:
             coaction = self.mc.proj().mul(coaction)

@@ -189,8 +189,7 @@ def _pure_for(ext, m):
     mcc_l = FBimodule.right_module(l, m.mcc.dim, [m.mcc.induced(m.mcc, [(2, r)])
                                                   for r in ext.right_l_act],
                                    name=m.name + "(x)C(x)C")
-    dd = BalancedTensor([ext.outer.carrier, ext.outer.carrier], [l])
-    x_mod = dd.as_bimodule(name="D(x)D")
+    x_mod = ext.outer.cc.as_bimodule(name="D(x)D")
     t1 = BalancedTensor([m_l, x_mod], [l])
     t2 = BalancedTensor([mc_l, x_mod], [l])
     t3 = BalancedTensor([mcc_l, x_mod], [l])
@@ -225,7 +224,7 @@ def induced_D_coaction(ext, m):
     for a, act in enumerate(m.carrier.right_act):
         z_a = Matrix(f, ddim, c.dim, z.data[a * ddim:(a + 1) * ddim])
         tau_m = tau_m.add(m.mc.induced(md, [(0, act), (1, z_a)], at=m.coaction))
-    out = Comodule(ext.outer, carrier, tau_m, name=m.name)
+    out = Comodule(ext.outer, carrier, tau_m, name=m.name, mc=md)
     out.validate()
     return out
 

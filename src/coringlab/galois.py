@@ -27,7 +27,8 @@ are the independent routes the operator forms are checked against.
 Searches for invertible elements are deterministic: a candidate derived from
 invertibility data first, then a bounded small-integer sweep, then a fixed
 number of seeded pseudorandom trials, with "not found" always reported as
-inconclusive unless dimensions already refute.
+inconclusive unless dimensions already refute.  The dimensions are compared
+before any candidate is tried, and no search looks for a grade they refute.
 """
 
 from __future__ import annotations
@@ -216,6 +217,13 @@ def normal_basis_check(ext_ctx, cleft_data=None):
     deterministically (candidate from invertibility data, then sweep, then
     seeded trials); weak: a single split pair, searched the same way, with
     the family-level membership test as a sound negative certificate.
+
+    The dimensions decide first, and the sweep looks only for what they
+    leave open.  An isomorphism needs dim Sigma = dim T (x) D, so any gap
+    disproves the full grade and the sweep stops at its first split pair.
+    A split pair lam∘kappa = id_Sigma makes kappa injective, so
+    dim Sigma > dim T (x) D disproves the weak grade as well, and no
+    candidate is swept.
     """
     sigma = ext_ctx.sigma
     f = ext_ctx.field
@@ -281,7 +289,8 @@ def normal_basis_check(ext_ctx, cleft_data=None):
         try_kappa(kappa)
         if full_found is not None and weak_found is not None:
             break
-    if full_found is None or weak_found is None:
+    # a dimension excess has settled both grades: no candidate is swept
+    if (full_found is None or weak_found is None) and sigma.dim <= td_com.dim:
         for coeffs in seen_coeffs:
             kappa = space_st.element(coeffs)
             try_kappa(kappa)
@@ -319,6 +328,14 @@ def cleft_check(ext_ctx, j=None, jtilde=None):
     reported as unresolved.  The search runs once per context; its result is
     kept on the context and returned by every later call.
 
+    The dimensions of Sigma and T (x)_L D (T = End^C(Sigma)) settle what
+    the search is for.  Sigma is cleft exactly when it is Galois with a
+    normal basis Sigma ≅ T (x)_L D, so when the dimensions differ no j is
+    graded 'cleft': the joint system is not solved, and the sweep returns
+    its first weak hit.  A weak pair makes Sigma a summand of T (x)_L D
+    (the weak normal basis lam∘kappa = id_Sigma, kappa injective), so
+    dim Sigma > dim T (x)_L D refutes the weak grade before any candidate.
+
     Both identities are read off ExtContext.connecting_matrix, so no
     candidate evaluates a connecting map element by element.
     """
@@ -341,9 +358,10 @@ def _grade_coords(ext_ctx, j_coords, target, weak_wanted=True):
     """Grade the section with coordinates j_coords in the colinear maps.
 
     The first identity alone is solved for the intertwiner, then both
-    jointly; a section failing the first fails both.  Returns (grade,
-    intertwiner coordinates) or None.  With weak_wanted False only the
-    grade 'cleft' is looked for.
+    jointly; a section failing the first fails both, and the joint system
+    is not solved when the dimensions refute 'cleft' (_cleft_possible).
+    Returns (grade, intertwiner coordinates) or None.  With weak_wanted
+    False only the grade 'cleft' is looked for.
     """
     f = ext_ctx.field
     conn = ext_ctx.connecting_matrix(j_coords)
@@ -354,7 +372,8 @@ def _grade_coords(ext_ctx, j_coords, target, weak_wanted=True):
                             target[:nblack])
         if weak is None:
             return None
-    full = solve_linear(conn, target) if conn.cols else None
+    full = solve_linear(conn, target) \
+        if conn.cols and _cleft_possible(ext_ctx) else None
     if full is not None:
         return "cleft", full
     if weak is not None:
@@ -387,14 +406,24 @@ def _cleft_for_j(ext_ctx, j, jtilde):
     return CleftData(j, jtilde, "weak-cleft")
 
 
+def _cleft_possible(ext_ctx):
+    """Whether the dimensions leave the grade 'cleft' open: cleft is Galois
+    with a normal basis Sigma ≅ T (x)_L D, so dim Sigma = dim T (x)_L D."""
+    return ext_ctx.sigma.dim == ext_ctx.td[0].dim
+
+
 def _cleft_without_data(ext_ctx):
+    """The undirected sweep over the colinear sections j (see cleft_check).
+
+    A dimension excess of Sigma over T (x)_L D refutes even the weak grade
+    (a weak pair splits Sigma off T (x)_L D); a deficit refutes 'cleft'
+    (cleft is Galois with Sigma ≅ T (x)_L D), so the sweep returns its
+    first weak hit and solves no joint system."""
     f = ext_ctx.field
     # no data: a failed identity-membership certifies the negative
     surj, _ = ext_ctx.context.connecting(1)
     if not surj:
         return CleftData(None, None, "not-cleft")
-    # a single invertible pair forces the comodule to split off one copy of
-    # T (x) D, so a dimension excess refutes even the weak grade
     if ext_ctx.sigma.dim > ext_ctx.td[0].dim:
         return CleftData(None, None, "not-cleft")
     target = _cleft_targets(ext_ctx)
@@ -405,7 +434,7 @@ def _cleft_without_data(ext_ctx):
             continue
         best = CleftData(ext_ctx.p_space.element(coeffs),
                          ext_ctx.qt.space.element(got[1]), got[0])
-        if got[0] == "cleft":
+        if got[0] == "cleft" or not _cleft_possible(ext_ctx):
             return best
     if best is not None:
         return best

@@ -96,19 +96,15 @@ def group_function_coring(field, table, name="k(G)"):
     n = len(table)
     inv = inverse_table(table)
     carrier = FBimodule.trivial(field, n, name=name)
-    k = carrier.right_alg
-    cc = BalancedTensor([carrier, carrier], [k])
-    cols = []
+    # Delta(u_s) = sum_t u_t (x) u_{t^{-1} s}, in the plain tensor square:
+    # over k, C (x) C has no balancing relations, so Coring takes it as it is
+    coproduct = Matrix.zero(field, n * n, n)
     for s in range(n):
-        amb = zero_vec(field, n * n)
         for t in range(n):
-            # u_t (x) u_{t^{-1} s}
-            amb[t * n + table[inv[t]][s]] = field.one
-        cols.append(cc.proj().mul_vec(amb))
-    coproduct = Matrix.from_cols(field, cc.dim, cols)
+            coproduct.data[t * n + table[inv[t]][s]][s] = field.one
     counit = Matrix.from_rows(field, [[field.one if s == 0 else field.zero
                                        for s in range(n)]])
-    c = Coring(k, carrier, coproduct, counit, name=name)
+    c = Coring(carrier.right_alg, carrier, coproduct, counit, name=name)
     c.validate()
     return c
 
@@ -117,14 +113,11 @@ def k_coalgebra_coring(field, dim, delta_ambient, eps_row, name="D"):
     """A coalgebra over the ground field, wrapped as a coring.
 
     delta_ambient maps basis vectors to the plain tensor square (dim^2
-    column entries, row-major).
+    column entries, row-major), which over k is C (x) C itself: there are no
+    balancing relations.
     """
     carrier = FBimodule.trivial(field, dim, name=name)
-    k = carrier.right_alg
-    cc = BalancedTensor([carrier, carrier], [k])
-    coproduct = cc.proj().mul(delta_ambient)
-    counit = eps_row
-    c = Coring(k, carrier, coproduct, counit, name=name)
+    c = Coring(carrier.right_alg, carrier, delta_ambient, eps_row, name=name)
     c.validate()
     return c
 

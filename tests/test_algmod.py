@@ -733,6 +733,11 @@ def test_grouplike_coalgebra_cubes_run_only_their_last_step(monkeypatch):
     assert (c.ccc.ambient_dim, creg.mcc.ambient_dim) == (4096, 4096)
     assert [runs[t] for t in (c.cc, c.ccc, creg.mc, creg.mcc)] == [1, 1, 1, 1]
     assert batches and max(batches) < 4096
+    # the builder hands Coring its ambient coproduct and builds no C (x) C
+    # of its own: one 256-coordinate quotient for C (x) C, not two
+    squares = [t for t in runs if len(t.factors) == 2 and
+               all(m is c.carrier for m in t.factors)]
+    assert squares == [c.cc] and runs[c.cc] == 1
 
 
 def _recording_resumed(monkeypatch):

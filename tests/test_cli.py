@@ -17,6 +17,7 @@ from coringlab.exactla import AxiomError, QQ
 from coringlab.workspace import load_workspace
 from conftest import fixture_path
 from perturb import apply_perturbation, perturbation_sites
+from test_contract import ROOT, WORKLOADS
 
 
 def run_cli(capsys, *argv):
@@ -375,18 +376,91 @@ def test_cleft_sweeps_once_by_contraction(capsys, monkeypatch):
                         counted("white", extension.ExtContext.diamond_white))
     monkeypatch.setattr(galois, "_grade_coords",
                         counted("grade", galois._grade_coords))
+    returned = []
+    sweep = galois._cleft_without_data
+    monkeypatch.setattr(galois, "_cleft_without_data",
+                        lambda ec: returned.append((ec, sweep(ec))) or returned[-1][1])
     code, out, _ = run_cli(capsys, "cleft", fixture_path("E4"), "--sigma", "Sigma",
                            "--extension", "ext")
     assert code == 0
     grades = {c["check_id"]: c["verdict"] for c in json.loads(out)["checks"]}
     assert grades["invertibility grade"] == "weak-cleft"
-    # E4 has three colinear basis maps and no cleft candidate, so one sweep
-    # grades every candidate exactly once
-    assert events.count("grade") == len(list(galois._candidate_vectors(3, QQ)))
+    # on E4 dim Sigma < dim T (x)_L D refutes 'cleft', so the sweep stops at
+    # its first weak hit, sweep index 3 of the 90 candidates over three
+    # colinear basis maps
+    assert events.count("grade") == 4
+    [(ec, found)] = returned
+    target = galois._cleft_targets(ec)
+    for coeffs in galois._candidate_vectors(len(ec.p_basis), QQ):
+        got = galois._grade_coords(ec, coeffs, target)
+        if got is not None:
+            break
+    assert got[0] == found.grade == "weak-cleft"
+    assert found.j == ec.p_space.element(coeffs)
+    assert found.jtilde == ec.qt.space.element(got[1])
     first = events.index("grade")
     assert "black" not in events[first:] and "white" not in events[first:]
     # the context evaluates both maps once per basis pair (3 x 3)
     assert events.count("black") == events.count("white") == 9
+
+
+def test_no_sweep_grades_a_candidate_the_dimensions_have_decided(monkeypatch):
+    """Over the 48 benchmark commands with --reduce 7: when dim Sigma and
+    dim T (x)_L D differ, the cleft sweep solves no joint system and the
+    normal-basis sweep inverts no candidate, each stops at its first weak
+    hit, and with dim Sigma the larger neither grades a candidate at all."""
+    sweeps, open_sweeps = [], []
+
+    def sweep(kind, fn):
+        def wrapper(ec, *args, **kwargs):
+            open_sweeps.append((kind, ec, []))
+            try:
+                return fn(ec, *args, **kwargs)
+            finally:
+                sweeps.append(open_sweeps.pop())
+        return wrapper
+
+    def graded(kind, fn, event):
+        def wrapper(*args, **kwargs):
+            got = fn(*args, **kwargs)
+            if open_sweeps and open_sweeps[-1][0] == kind:
+                open_sweeps[-1][2].append(event(args, got))
+            return got
+        return wrapper
+
+    for name in ("_cleft_without_data", "_cleft_for_j"):
+        monkeypatch.setattr(galois, name, sweep("cleft", getattr(galois, name)))
+    monkeypatch.setattr(galois, "normal_basis_check",
+                        sweep("nb", galois.normal_basis_check))
+    monkeypatch.setattr(galois, "_grade_coords", graded(
+        "cleft", galois._grade_coords, lambda args, got: ("hit", got is not None)))
+    monkeypatch.setattr(galois, "solve_linear", graded(
+        "cleft", galois.solve_linear, lambda args, got: ("solve", len(args[1]))))
+    monkeypatch.setattr(galois, "span_witness", graded(
+        "nb", galois.span_witness, lambda args, got: ("hit", got is not None)))
+    monkeypatch.setattr(galois, "inverse", graded(
+        "nb", galois.inverse, lambda args, got: ("invert", got is not None)))
+    monkeypatch.chdir(ROOT)
+    argvs = WORKLOADS.cli_argvs(["--reduce", "7"])
+    assert len(argvs) == 48
+    for argv in argvs:
+        with contextlib.redirect_stdout(io.StringIO()), \
+                contextlib.redirect_stderr(io.StringIO()):
+            main(list(argv))
+    decided = {"cleft": 0, "nb": 0}
+    for kind, ec, events in sweeps:
+        if not events or ec.sigma.dim == ec.td[0].dim:
+            continue
+        decided[kind] += 1
+        assert ec.sigma.dim < ec.td[0].dim, (kind, events)
+        joint = len(galois._cleft_targets(ec))
+        assert ("solve", joint) not in events and \
+            not any(e[0] == "invert" for e in events), (kind, events)
+        hits = [e[1] for e in events if e[0] == "hit"]
+        assert not any(hits[:-1]), (kind, hits)
+    # E4, E5 and D1 sweep below the dimension of T (x)_L D; E5's cleft
+    # command grades a supplied pair, so it sweeps only in theorems
+    assert decided == {"cleft": 5, "nb": 6}
 
 
 THEOREMS_E2 = ("theorems", fixture_path("E2"), "--sigma", "Sigma", "--extension", "ext")
@@ -563,6 +637,26 @@ def test_one_t_tensor_d_per_command(capsys, monkeypatch, argv):
     # the cleft search, the normal basis check and the surjectivity
     # criterion share the context's T (x)_L D
     assert built.count("T(x)D") == 1
+
+
+@pytest.mark.parametrize("argv", [("morita",) + THEOREMS_E2[1:], THEOREMS_E2],
+                         ids=["morita", "theorems"])
+def test_no_tensor_is_built_twice_over_the_same_factors(capsys, monkeypatch, argv):
+    built = []  # (factors, algebras) of each tensor, kept alive so ids stay apart
+    init = algmod.BalancedTensor.__init__
+
+    def counted(self, factors, algebras, name=None, prefix=None):
+        built.append((list(factors), list(algebras)))
+        init(self, factors, algebras, name=name, prefix=prefix)
+
+    monkeypatch.setattr(algmod.BalancedTensor, "__init__", counted)
+    code, _, _ = run_cli(capsys, *argv)
+    assert code == 0
+    names = ["(x)".join(m.name for m in factors) for factors, _ in built]
+    keys = [tuple(map(id, factors + algebras)) for factors, algebras in built]
+    repeated = sorted({names[i] for i, key in enumerate(keys) if key in keys[:i]})
+    # Sigma's outer comodule keeps the Sigma (x)_L D its coaction was built in
+    assert repeated == [] and "Sigma(x)D_carrier" in names
 
 
 @pytest.mark.parametrize("argv", [("morita",) + THEOREMS_E2[1:],

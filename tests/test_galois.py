@@ -167,6 +167,63 @@ def test_normal_basis_weak_on_padded_target(bundles):
     assert back.mul(kappa) == Matrix.identity(F, b.sigma.dim)
 
 
+def test_a_dimension_excess_sweeps_no_normal_basis_candidate(bundles, monkeypatch):
+    # E3: Sigma is a summand of a power of T (x)_L D, but dim Sigma = 2 > 1
+    # disproves both grades before any candidate
+    graded, drawn = [], []
+    witness, invert, candidates = galois.span_witness, galois.inverse, \
+        galois._candidate_vectors
+    monkeypatch.setattr(galois, "span_witness",
+                        lambda *args: graded.append("weak") or witness(*args))
+    monkeypatch.setattr(galois, "inverse",
+                        lambda *args: graded.append("full") or invert(*args))
+    monkeypatch.setattr(galois, "_candidate_vectors",
+                        lambda *args: (drawn.append(v) or v for v in candidates(*args)))
+    nb = normal_basis_check(bundles["E3"].ec)
+    assert graded == [] and drawn == []
+    assert sorted(nb) == ["family_summand", "family_witnesses", "full", "grade",
+                          "sigma_dim", "td_dim", "weak"]
+    assert (nb["sigma_dim"], nb["td_dim"], nb["family_summand"]) == (2, 1, True)
+    assert (nb["grade"], nb["full"], nb["weak"]) == \
+        ("none", "disproved (dimension)", "disproved (dimension)")
+
+
+def _joint_solves(monkeypatch):
+    """The right-hand side lengths of galois' solve_linear calls, in order."""
+    sizes = []
+    solve = galois.solve_linear
+    monkeypatch.setattr(galois, "solve_linear",
+                        lambda mat, rhs: sizes.append(len(rhs)) or solve(mat, rhs))
+    return sizes
+
+
+@pytest.mark.parametrize("over", ["Q", "F7"])
+def test_equal_dimensions_still_solve_the_joint_system(over, workspaces, workspaces_f7,
+                                                       monkeypatch):
+    sizes = _joint_solves(monkeypatch)
+    for name in ("E1", "E2", "G1"):
+        ec = ContextBundle((workspaces if over == "Q" else workspaces_f7)[name]).ec
+        joint = len(galois._cleft_targets(ec))
+        del sizes[:]
+        cd = cleft_check(ec)
+        assert ec.sigma.dim == ec.td[0].dim
+        assert cd.grade == "cleft" and joint in sizes, name
+        nb = normal_basis_check(ec, cleft_data=cd)
+        assert (nb["grade"], nb["full"], nb["weak"]) == ("full", "found", "implied")
+
+
+def test_a_supplied_section_below_the_dimension_solves_no_joint_system(bundles,
+                                                                       monkeypatch):
+    # E5: dim Sigma = 1 < 2 = dim T (x)_L D, so only the weak grade is open
+    b = bundles["E5"]
+    sizes = _joint_solves(monkeypatch)
+    cd = cleft_check(b.ec, j=b.ws.maps["lambda"])
+    assert cd.grade == "weak-cleft"
+    assert sizes == [b.ext.inner.dim ** 2]
+    assert b.ec.diamond_black(cd.jtilde, cd.j) == \
+        Matrix.identity(F, b.ext.inner.dim)
+
+
 # ---------------------------------------------------------------------------
 # cleftness
 
