@@ -73,6 +73,16 @@ class FiniteAlgebra:
                       for j in range(dim)]
         self._gens = None
         self._mult_eval = None
+        self._valid = None
+
+    def is_valid(self):
+        """Whether validate passes (decided once per algebra)."""
+        if self._valid is None:
+            try:
+                self.validate()
+            except (AxiomError, UsageError):
+                self._valid = False
+        return self._valid
 
     def lmul(self, i):
         return self._lmul[i]
@@ -118,7 +128,61 @@ class FiniteAlgebra:
             self._gens = gens
         return self._gens
 
+    def generators_decide(self, *modules):
+        """The premise of first_failing for identities between the actions
+        of this algebra on the given modules (and on itself): the algebra
+        and every module are valid.  A caller also checks that each module
+        is over this very algebra object on the side that acts."""
+        return self.is_valid() and all(m.is_valid() for m in modules)
+
+    def deciding_indices(self, premise):
+        """The generators when premise holds, every basis index otherwise."""
+        return self.generators() if premise else range(self.dim)
+
+    def first_failing(self, holds, premise, rows=None):
+        """The first basis index b at which holds(b) is false, or None; with
+        rows, the first pair (i, b), i in range(rows), in row-major order at
+        which holds(i, b) is false.
+
+        When premise holds, holds is first tried at the generators b alone
+        (generators_decide gives the usual premise); only when one of them
+        fails is every index scanned, in order, so the first failure found
+        is the one a scan of the whole basis finds.  The generators decide
+        every identity between two unital actions that are multiplicative
+        (φ(ab) = φ(a)φ(b), or φ(b)φ(a) for a right action): the actions of
+        a valid algebra on itself, of valid modules over it, and those made
+        of them, such as the outer actions of a balanced tensor of valid
+        modules.  Each set S below is a subspace containing 1, and closed
+        under b -> b·g for every generator g once the check holds at g (at
+        every (a, g) for a pair); the words in the generators span the
+        algebra (generators() is that closure), so S is everything.
+
+        - Multiplicativity of φ, checked at (a, g):
+          S = {b : φ(ab) = φ(a)φ(b) for all a}, and for b in S
+          φ(a(bg)) = φ((ab)g) = φ(ab)φ(g) = φ(a)φ(b)φ(g) = φ(a)φ(bg),
+          by associativity of A in the first step (for the algebra's own
+          multiplication that step is b in S, so there unitality is the
+          whole premise).
+        - A map X intertwining two actions φ and ψ (a linear map, a
+          commuting action, an operator that descends to a quotient):
+          S = {b : X·φ(b) = ψ(b)·X}, and X·φ(bg) = X·φ(b)φ(g) =
+          ψ(b)·X·φ(g) = ψ(b)ψ(g)·X = ψ(bg)·X.
+        """
+        def first(indices):
+            if rows is None:
+                return next((b for b in indices if not holds(b)), None)
+            return next(((i, b) for i in range(rows) for b in indices
+                         if not holds(i, b)), None)
+
+        indices = self.deciding_indices(premise)
+        found = first(indices)
+        if found is not None and len(indices) < self.dim:
+            found = first(range(self.dim))
+        return found
+
     def validate(self):
+        if self._valid:
+            return True
         f = self.field
         n = self.dim
         lu = self.lmul_vec(self.unit)
@@ -128,14 +192,15 @@ class FiniteAlgebra:
             raise AxiomError("algebra %s: unitality fails (1*a != a)" % self.name)
         if ru != ident:
             raise AxiomError("algebra %s: unitality fails (a*1 != a)" % self.name)
-        for i in range(n):
-            for j in range(n):
-                # (e_i e_j) e_k  vs  e_i (e_j e_k), as matrices acting on e_k
-                lhs = self.lmul_vec(self.mul[i][j])
-                rhs = self._lmul[i].mul(self._lmul[j])
-                if lhs != rhs:
-                    raise AxiomError("algebra %s: associativity fails at basis pair (%d,%d)"
-                                     % (self.name, i, j))
+        # (e_i e_j) e_k  vs  e_i (e_j e_k), as matrices acting on e_k; the
+        # unitality just checked is the whole premise
+        at = self.first_failing(
+            lambda i, j: self.lmul_vec(self.mul[i][j]) == self._lmul[i].mul(self._lmul[j]),
+            True, rows=n)
+        if at is not None:
+            raise AxiomError("algebra %s: associativity fails at basis pair (%d,%d)"
+                             % ((self.name,) + at))
+        self._valid = True
         return True
 
     def mult_eval(self):
@@ -211,7 +276,9 @@ class FBimodule:
 
     def actions_commute(self):
         """Whether every left action matrix commutes with every right one
-        (decided once per module; validate reports where it fails)."""
+        (decided once per module: by validate, on the generators, once both
+        actions are known to be multiplicative, and over every pair when
+        read first; validate reports where it fails)."""
         if self._commute is None:
             self._commute = all(l.mul(r) == r.mul(l)
                                 for l in self.left_act for r in self.right_act)
@@ -320,24 +387,30 @@ class FBimodule:
             raise AxiomError("module %s: left action not unital" % self.name)
         if self.right_act_vec(ra.unit) != ident:
             raise AxiomError("module %s: right action not unital" % self.name)
-        for i in range(la.dim):
-            for j in range(la.dim):
-                if self.left_act[i].mul(self.left_act[j]) != self.left_act_vec(la.mul[i][j]):
-                    raise AxiomError("module %s: left action not associative at (%d,%d)"
-                                     % (self.name, i, j))
-        for i in range(ra.dim):
-            for j in range(ra.dim):
-                # (m.e_i).e_j = m.(e_i e_j)
-                if self.right_act[j].mul(self.right_act[i]) != self.right_act_vec(ra.mul[i][j]):
-                    raise AxiomError("module %s: right action not associative at (%d,%d)"
-                                     % (self.name, i, j))
-        if not self.actions_commute():
-            # decided once per module; name the first pair that fails
-            l, r = self.left_act, self.right_act
-            i, j = next((i, j) for i in range(la.dim) for j in range(ra.dim)
-                        if l[i].mul(r[j]) != r[j].mul(l[i]))
-            raise AxiomError("module %s: left and right actions do not commute at (%d,%d)"
-                             % (self.name, i, j))
+        l, r = self.left_act, self.right_act
+        at = la.first_failing(lambda i, j: l[i].mul(l[j]) == self.left_act_vec(la.mul[i][j]),
+                              la.is_valid(), rows=la.dim)
+        if at is not None:
+            raise AxiomError("module %s: left action not associative at (%d,%d)"
+                             % ((self.name,) + at))
+        # (m.e_i).e_j = m.(e_i e_j)
+        at = ra.first_failing(lambda i, j: r[j].mul(r[i]) == self.right_act_vec(ra.mul[i][j]),
+                              ra.is_valid(), rows=ra.dim)
+        if at is not None:
+            raise AxiomError("module %s: right action not associative at (%d,%d)"
+                             % ((self.name,) + at))
+        if self._commute is not True:
+            # both actions are multiplicative now: decided on the generators,
+            # naming the first pair that fails
+            def first_noncommuting(i):
+                return ra.first_failing(lambda j: l[i].mul(r[j]) == r[j].mul(l[i]),
+                                        ra.is_valid())
+
+            i = la.first_failing(lambda i: first_noncommuting(i) is None, la.is_valid())
+            self._commute = i is None
+            if i is not None:
+                raise AxiomError("module %s: left and right actions do not commute at (%d,%d)"
+                                 % (self.name, i, first_noncommuting(i)))
         self._valid = True
         return True
 
@@ -358,6 +431,13 @@ class FBimodule:
                                                  self.right_alg.name, self.dim)
 
 
+def _linearity_premise(alg, other, m, n):
+    """Whether linearity of maps m -> n over alg (other on n's side) is
+    decided on alg's generators: the same algebra object, and valid
+    modules (FiniteAlgebra.first_failing)."""
+    return alg is other and alg.generators_decide(m, n)
+
+
 class FLinearMap:
     """Linear map between bimodule carriers with verified linearity flags."""
 
@@ -373,20 +453,25 @@ class FLinearMap:
         self.verify_flags()
 
     def verify_flags(self):
+        src, tgt, mat = self.source, self.target, self.matrix
         if self.left_linear:
-            la, lb = self.source.left_alg, self.target.left_alg
+            la, lb = src.left_alg, tgt.left_alg
             if la.dim != lb.dim:
                 raise UsageError("left algebras differ")
-            for i in range(la.dim):
-                if self.matrix.mul(self.source.left_act[i]) != self.target.left_act[i].mul(self.matrix):
-                    raise AxiomError("map is not left %s-linear at basis %d" % (la.name, i))
+            i = la.first_failing(
+                lambda i: mat.mul(src.left_act[i]) == tgt.left_act[i].mul(mat),
+                _linearity_premise(la, lb, src, tgt))
+            if i is not None:
+                raise AxiomError("map is not left %s-linear at basis %d" % (la.name, i))
         if self.right_linear:
-            ra, rb = self.source.right_alg, self.target.right_alg
+            ra, rb = src.right_alg, tgt.right_alg
             if ra.dim != rb.dim:
                 raise UsageError("right algebras differ")
-            for i in range(ra.dim):
-                if self.matrix.mul(self.source.right_act[i]) != self.target.right_act[i].mul(self.matrix):
-                    raise AxiomError("map is not right %s-linear at basis %d" % (ra.name, i))
+            i = ra.first_failing(
+                lambda i: mat.mul(src.right_act[i]) == tgt.right_act[i].mul(mat),
+                _linearity_premise(ra, rb, src, tgt))
+            if i is not None:
+                raise AxiomError("map is not right %s-linear at basis %d" % (ra.name, i))
         return True
 
     def __repr__(self):
@@ -464,14 +549,12 @@ def _push(vecs, groups, p):
 
 def _balancing_indices(left, alg, right):
     """The basis indices b whose relations ρ_b = R_b (x) I - I (x) L_b span
-    the balancing of left (x)_alg right.  When both are valid modules over this
-    very algebra, its generators do: ρ_1 = 0 by unitality, and
-    ρ_{sg}(x (x) y) = ρ_g(x·s (x) y) + ρ_s(x (x) g·y) by associativity.
-    Otherwise every basis index does."""
-    if left.right_alg is alg and right.left_alg is alg and \
-            left.is_valid() and right.is_valid():
-        return alg.generators()
-    return range(alg.dim)
+    the balancing of left (x)_alg right.  Under first_failing's premise (the
+    algebra and both modules valid, over this very algebra), its generators
+    do: ρ_1 = 0 by unitality, and ρ_{sg}(x (x) y) = ρ_g(x·s (x) y) +
+    ρ_s(x (x) g·y) by associativity.  Otherwise every basis index does."""
+    return alg.deciding_indices(left.right_alg is alg and right.left_alg is alg and
+                                alg.generators_decide(left, right))
 
 
 class BalancedTensor:
@@ -863,7 +946,9 @@ def sandwich_terms(p, w, left, right, sign=1):
 def hom_space(m, n, left_linear=False, right_linear=False, extra_constraints=()):
     """The space of linear maps M -> N with the flagged linearities, as a
     MatrixSpace in its canonical basis; every basis map has its flags
-    verified.
+    verified.  A linearity is imposed at the algebra's generators alone when
+    both modules are valid over that very algebra object: the same
+    equations hold (FiniteAlgebra.first_failing), so the same space.
 
     extra_constraints follow the solve_map_space convention and are imposed
     on top of the linearity equations.
@@ -871,15 +956,17 @@ def hom_space(m, n, left_linear=False, right_linear=False, extra_constraints=())
     field = m.field
     constraints = []
     if left_linear:
-        if m.left_alg.dim != n.left_alg.dim:
+        la = m.left_alg
+        if la.dim != n.left_alg.dim:
             raise UsageError("hom_space: left algebras differ")
-        for i in range(m.left_alg.dim):
+        for i in la.deciding_indices(_linearity_premise(la, n.left_alg, m, n)):
             constraints.append([(Matrix.identity(field, n.dim), m.left_act[i], +1),
                                 (n.left_act[i], Matrix.identity(field, m.dim), -1)])
     if right_linear:
-        if m.right_alg.dim != n.right_alg.dim:
+        ra = m.right_alg
+        if ra.dim != n.right_alg.dim:
             raise UsageError("hom_space: right algebras differ")
-        for i in range(m.right_alg.dim):
+        for i in ra.deciding_indices(_linearity_premise(ra, n.right_alg, m, n)):
             constraints.append([(Matrix.identity(field, n.dim), m.right_act[i], +1),
                                 (n.right_act[i], Matrix.identity(field, m.dim), -1)])
     constraints.extend(extra_constraints)

@@ -47,20 +47,24 @@ class Coring:
         self.base.validate()
         self.carrier.validate()
         f = self.field
-        for i in range(self.base.dim):
+        a, cc = self.base, self.cc
+
+        def failure(i):
             la, ra = self.carrier.left_act[i], self.carrier.right_act[i]
-            if self.coproduct.mul(la) != self.cc.left_act[i].mul(self.coproduct):
-                raise AxiomError("coring %s: coproduct not left A-linear at basis %d"
-                                 % (self.name, i))
-            if self.coproduct.mul(ra) != self.cc.right_act[i].mul(self.coproduct):
-                raise AxiomError("coring %s: coproduct not right A-linear at basis %d"
-                                 % (self.name, i))
-            if self.counit.mul(la) != self.base.lmul(i).mul(self.counit):
-                raise AxiomError("coring %s: counit not left A-linear at basis %d"
-                                 % (self.name, i))
-            if self.counit.mul(ra) != self.base.rmul(i).mul(self.counit):
-                raise AxiomError("coring %s: counit not right A-linear at basis %d"
-                                 % (self.name, i))
+            if self.coproduct.mul(la) != cc.left_act[i].mul(self.coproduct):
+                return "coproduct not left A-linear"
+            if self.coproduct.mul(ra) != cc.right_act[i].mul(self.coproduct):
+                return "coproduct not right A-linear"
+            if self.counit.mul(la) != a.lmul(i).mul(self.counit):
+                return "counit not left A-linear"
+            if self.counit.mul(ra) != a.rmul(i).mul(self.counit):
+                return "counit not right A-linear"
+            return None
+
+        # the actions of A on C, on C (x)_A C (made of C) and on itself
+        i = a.first_failing(lambda i: failure(i) is None, a.generators_decide(*cc.factors))
+        if i is not None:
+            raise AxiomError("coring %s: %s at basis %d" % (self.name, failure(i), i))
         # each identity is evaluated at Delta: C.dim vectors through the tensors
         ident = Matrix.identity(f, self.dim)
         delta, lift = self.coproduct, self.cc.sect().mul(self.coproduct)
@@ -133,15 +137,23 @@ class Comodule:
         self.carrier.validate()
         if self.carrier.right_alg.dim != self.coring.base.dim:
             raise UsageError("comodule %s: carrier is not a module over the base" % self.name)
-        for i in range(self.coring.base.dim):
-            if self.coaction.mul(self.carrier.right_act[i]) != self.mc.right_act[i].mul(self.coaction):
-                raise AxiomError("comodule %s: coaction not right A-linear at basis %d"
-                                 % (self.name, i))
-        for i in range(self.carrier.left_alg.dim):
-            if self.coaction.mul(self.carrier.left_act[i]) != self.mc.left_act[i].mul(self.coaction):
-                raise AxiomError("comodule %s: coaction not left %s-linear at basis %d"
-                                 % (self.name, self.carrier.left_alg.name, i))
-        rho = self.coaction
+        rho, mc, m = self.coaction, self.mc, self.carrier
+        # M (x)_A C is made of M and of the coring's carrier, so both are in
+        # the premise: an invalid C can leave its right action not
+        # multiplicative
+        a = self.coring.base
+        i = a.first_failing(lambda i: rho.mul(m.right_act[i]) == mc.right_act[i].mul(rho),
+                            m.right_alg is a and mc.right_alg is a and
+                            a.generators_decide(m, *mc.factors))
+        if i is not None:
+            raise AxiomError("comodule %s: coaction not right A-linear at basis %d"
+                             % (self.name, i))
+        l = m.left_alg
+        i = l.first_failing(lambda i: rho.mul(m.left_act[i]) == mc.left_act[i].mul(rho),
+                            mc.left_alg is l and l.generators_decide(m, *mc.factors))
+        if i is not None:
+            raise AxiomError("comodule %s: coaction not left %s-linear at basis %d"
+                             % (self.name, l.name, i))
         collapse = self.carrier.right_eval().mul(
             self.mc.induced(None, [(1, self.coring.counit)], at=rho))
         if collapse != Matrix.identity(self.field, self.dim):

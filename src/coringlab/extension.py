@@ -87,15 +87,22 @@ class CoringExtension:
         c, d = self.inner, self.outer
         f = self.field
         self.carrier_l.validate()
-        for i in range(c.base.dim):
-            if self.tau.mul(c.carrier.left_act[i]) != self.cld.left_act[i].mul(self.tau):
-                raise AxiomError("extension %s: outer coaction not left A-linear at "
-                                 "basis %d" % (self.name, i))
-        for i in range(d.base.dim):
-            if self.tau.mul(self.right_l_act[i]) != self.cld.right_act[i].mul(self.tau):
-                raise AxiomError("extension %s: outer coaction not right L-linear at "
-                                 "basis %d" % (self.name, i))
-        tau = self.tau
+        tau, cld = self.tau, self.cld
+        # C (x)_L D is made of D's carrier and of C as an A-L bimodule, whose
+        # left action matrices are C's
+        a, l = c.base, d.base
+        i = a.first_failing(
+            lambda i: tau.mul(c.carrier.left_act[i]) == cld.left_act[i].mul(tau),
+            cld.left_alg is a and a.generators_decide(*cld.factors))
+        if i is not None:
+            raise AxiomError("extension %s: outer coaction not left A-linear at "
+                             "basis %d" % (self.name, i))
+        i = l.first_failing(
+            lambda i: tau.mul(self.right_l_act[i]) == cld.right_act[i].mul(tau),
+            cld.right_alg is l and l.generators_decide(*cld.factors))
+        if i is not None:
+            raise AxiomError("extension %s: outer coaction not right L-linear at "
+                             "basis %d" % (self.name, i))
         collapse = self.carrier_l.right_eval().mul(
             self.cld.induced(None, [(1, d.counit)], at=tau))
         if collapse != Matrix.identity(f, c.dim):
@@ -103,14 +110,22 @@ class CoringExtension:
         if self.cld.induced(self.cldd, [(0, self.cld.sect().mul(tau))], at=tau) != \
                 self.cld.induced(self.cldd, [(1, d.cc.sect().mul(d.coproduct))], at=tau):
             raise AxiomError("extension %s: outer coaction not coassociative" % self.name)
-        for i in range(d.base.dim):
+        # the operators I (x) r of the right L-action on C (x)_A C: those
+        # that keep the balancing relations form an algebra, and the induced
+        # ones are multiplicative, so the generators decide both checks
+
+        def right_l_linear(i):
             induced = c.cc.descend_slot(1, self.right_l_act[i])
-            if induced is None:
+            return induced is not None and \
+                c.coproduct.mul(self.right_l_act[i]) == induced.mul(c.coproduct)
+
+        i = l.first_failing(right_l_linear, l.generators_decide(self.carrier_l))
+        if i is not None:
+            if c.cc.descend_slot(1, self.right_l_act[i]) is None:
                 raise AxiomError("extension %s: right L-action does not descend to "
                                  "C (x)_A C" % self.name)
-            if c.coproduct.mul(self.right_l_act[i]) != induced.mul(c.coproduct):
-                raise AxiomError("extension %s: coproduct not right L-linear at "
-                                 "basis %d" % (self.name, i))
+            raise AxiomError("extension %s: coproduct not right L-linear at "
+                             "basis %d" % (self.name, i))
         if self.bicomodule_lhs() != self.bicomodule_rhs():
             raise AxiomError("extension %s: coproduct is not colinear for the outer "
                              "coaction" % self.name)

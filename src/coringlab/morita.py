@@ -56,15 +56,24 @@ class MoritaContext:
     def validate(self):
         self.bim12.validate()
         self.bim21.validate()
-        # conn1 is alg2-alg2 bilinear on [bim21 (x) bim12], conn2 alg1-alg1
+        # conn1 is alg2-alg2 bilinear on [bim21 (x) bim12], conn2 alg1-alg1:
+        # at the first basis element where either side fails, the left one
+        # is named first
         for which, conn, tens, alg in (("first", self.conn1, self.tens21, self.alg2),
                                        ("second", self.conn2, self.tens12, self.alg1)):
-            for i in range(alg.dim):
-                for side, act, mult in (("left", tens.left_act, alg.lmul),
-                                        ("right", tens.right_act, alg.rmul)):
-                    if conn.mul(act[i]) != mult(i).mul(conn):
-                        raise AxiomError("%s: %s connecting map not %s %s-linear"
-                                         % (self.name, which, side, alg.name))
+            def failing_side(i):
+                if conn.mul(tens.left_act[i]) != alg.lmul(i).mul(conn):
+                    return "left"
+                if conn.mul(tens.right_act[i]) != alg.rmul(i).mul(conn):
+                    return "right"
+                return None
+
+            i = alg.first_failing(lambda i: failing_side(i) is None,
+                                  tens.left_alg is alg and tens.right_alg is alg and
+                                  alg.generators_decide(*tens.factors))
+            if i is not None:
+                raise AxiomError("%s: %s connecting map not %s %s-linear"
+                                 % (self.name, which, failing_side(i), alg.name))
         self._mixed_associativity()
         return True
 

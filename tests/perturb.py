@@ -123,12 +123,9 @@ def validate_everything(ws):
         ws.extensions[name].validate()
 
 
-def run_perturbations(data, ws, count=20):
-    """Perturb the first `count` sites; return the list of failures raised.
-
-    Each perturbed file must fail at least one structural validator.
-    """
-    import json
+def chosen_perturbations(data, ws, count=20):
+    """`count` (site, delta) pairs spread evenly over the sites, in order;
+    when there are fewer sites, the sites again with larger deltas."""
     sites = list(perturbation_sites(data, ws))
     if not sites:
         raise AssertionError("no perturbation sites found")
@@ -141,8 +138,17 @@ def run_perturbations(data, ws, count=20):
             delta += 1
         chosen.append((sites[idx], delta))
         idx += max(1, len(sites) // count) if delta == 1 else 1
+    return chosen
+
+
+def run_perturbations(data, ws, count=20):
+    """Perturb the chosen sites; return the list of failures raised.
+
+    Each perturbed file must fail at least one structural validator.
+    """
+    import json
     outcomes = []
-    for site, d in chosen:
+    for site, d in chosen_perturbations(data, ws, count):
         perturbed = apply_perturbation(data, site, delta=d)
         try:
             ws2 = load_workspace(json.dumps(perturbed))

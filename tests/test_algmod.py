@@ -1,14 +1,18 @@
 """Algebra/bimodule layer: balanced tensors, hom spaces, certificates."""
 
+import contextlib
 import functools
+import io
 import itertools
 import json
+import os
 import random
 
 import pytest
 
 from conftest import fixture_path
-from perturb import apply_perturbation
+from perturb import apply_perturbation, chosen_perturbations
+from test_contract import ROOT, WORKLOADS
 from coringlab import algmod
 from coringlab.algmod import (BalancedTensor, FBimodule, FiniteAlgebra,
                               MatrixSpace, _balancing_indices, algebra_map_check,
@@ -16,14 +20,14 @@ from coringlab.algmod import (BalancedTensor, FBimodule, FiniteAlgebra,
                               non_multiplicative_at, span_witness, tensor_algebra,
                               trivial_algebra, zero_algebra)
 from coringlab.cli import main
-from coringlab.coring import Comodule, Grouplike
+from coringlab.coring import Comodule, Grouplike, grouplike_comodule
 from coringlab.exactla import (AxiomError, FieldFp, Matrix, QQ, UsageError,
                                flatten_matrix, from_sparse_cols, inverse, kernel,
                                quotient, rank, solve_linear, unit_vec)
 from coringlab.extension import ExtContext, purity_check
 from coringlab.galois import CanonicalMap, regular_right_module
 from coringlab.morita import ModuleContext, context_M
-from coringlab.workspace import load_workspace_file
+from coringlab.workspace import ParseError, load_workspace, load_workspace_file
 from coringlab.zoo import (FIXTURES, entwining_coring, group_algebra,
                            group_hopf_algebra, grouplike_basis_coalgebra, hopf_entwining,
                            product_field_algebra, quotient_polynomial_algebra)
@@ -656,7 +660,8 @@ def test_grouplike_coalgebra_at_the_cap_builds_no_outer_action_of_its_cubes(monk
     # k^16 with a basis of grouplikes, a coring over k: there are no
     # balancing relations, so C (x) C (x) C and Creg (x) C (x) C keep all
     # 4096 ambient coordinates, and validation reads no outer action of them;
-    # each structure identity is evaluated at Delta or rho, so every induced
+    # k has no generators, so the k-linearity checks read none of C (x) C
+    # either; each structure identity is evaluated at Delta or rho, so every induced
     # map out of C (x) C or Creg (x) C pushes C.dim = 16 vectors, one per
     # column, and not one per basis vector of the 256-dimensional tensor
     built = []
@@ -688,8 +693,8 @@ def test_grouplike_coalgebra_at_the_cap_builds_no_outer_action_of_its_cubes(monk
     creg = Comodule(c, carrier, c.coproduct, name="Creg")
     assert creg.validate() is True
     assert (c.cc.dim, c.ccc.dim, creg.mc.dim, creg.mcc.dim) == (256, 4096, 256, 4096)
-    assert c.cc in built
-    assert not any(tens is c.ccc or tens is creg.mcc for tens in built)
+    assert not any(tens is c.cc or tens is c.ccc or tens is creg.mcc for tens in built)
+    assert c.cc._left_act is None and c.cc._right_act is None
     into_cubes = [(src, n) for src, dst, n in pushed if dst is c.ccc or dst is creg.mcc]
     # two sides per coassociativity check; the coalgebra validates when built too
     assert sum(src is c.cc for src, _ in into_cubes) == 4
@@ -1233,3 +1238,131 @@ def test_module_shapes_match_their_dense_definitions():
     assert through.left_act == [a.lmul(i) for i in range(2)]
     assert through.right_act == [a.rmul(i) for i in range(2)]
     through.validate()
+
+
+# ---------------------------------------------------------------------------
+# action identities decided on the generators (FiniteAlgebra.first_failing)
+
+
+def _both_ways(run, monkeypatch):
+    """run() as it is, and again with every basis index deciding each
+    action identity, hom-space linearity and balancing step."""
+    got = run()
+    with monkeypatch.context() as patch:
+        patch.setattr(FiniteAlgebra, "deciding_indices",
+                      lambda alg, premise: range(alg.dim))
+        ref = run()
+    return got, ref
+
+
+def _command(argv):
+    out = io.StringIO()
+    cwd = os.getcwd()
+    os.chdir(ROOT)
+    try:
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+            code = main(list(argv))
+    finally:
+        os.chdir(cwd)
+    return code, out.getvalue()
+
+
+def test_generator_checks_give_the_commands_the_same_stdout(monkeypatch):
+    argvs = WORKLOADS.cli_argvs([]) + WORKLOADS.cli_argvs(["--reduce", "7"])
+    got, ref = _both_ways(lambda: [_command(argv) for argv in argvs], monkeypatch)
+    assert len(got) == 96 and got == ref
+
+
+def _verdicts(text):
+    """Each validator's verdict on a workspace document, every one run, in
+    the order of the validate command."""
+    try:
+        ws = load_workspace(text)
+    except (AxiomError, UsageError, ParseError) as exc:
+        return ["load: %s" % exc]
+    out = []
+    for table in (ws.algebras, ws.modules, ws.corings, ws.comodules, ws.grouplikes,
+                  ws.extensions):
+        for name in sorted(table):
+            try:
+                out.append(table[name].validate())
+            except (AxiomError, UsageError) as exc:
+                out.append(str(exc))
+    return out
+
+
+def test_generator_checks_give_the_perturbations_the_same_verdicts(monkeypatch):
+    docs = []
+    for name in sorted(FIXTURES):
+        with open(fixture_path(name)) as handle:
+            data = json.load(handle)
+        ws = load_workspace_file(fixture_path(name))
+        docs += [json.dumps(apply_perturbation(data, site, delta=delta))
+                 for site, delta in chosen_perturbations(data, ws)]
+    got, ref = _both_ways(lambda: [_verdicts(doc) for doc in docs], monkeypatch)
+    assert len(got) == 160 and got == ref
+    assert all(any(v is not True for v in verdicts) for verdicts in got)
+
+
+def _chain_results(table):
+    bial, ent, c = _hopf_chain(FieldFp(7), table)
+    unit = list(bial.algebra.unit)
+    sigma = grouplike_comodule(Grouplike(c, ent.ad.pure_tensor([unit, unit])))
+    return [repr(x) for x in (c.coproduct.data, c.counit.data, c.cc._picks,
+                              sigma.coaction.data, sigma.mc._picks)] + \
+        [c.validate(), sigma.validate(), c.ccc.dim]
+
+
+@pytest.mark.parametrize("table", [_cyclic(2), _cyclic(3), _cyclic(4),
+                                   [[i ^ j for j in range(4)] for i in range(4)]],
+                         ids=["C2", "C3", "C4", "C2xC2"])
+def test_generator_checks_give_the_zoo_chains_the_same_results(table, monkeypatch):
+    got, ref = _both_ways(lambda: _chain_results(table), monkeypatch)
+    assert got == ref
+
+
+def _twisted_c3():
+    """k·1 + k·x + k·y with x·x = y, x·y = y·x = 1 as in C3, but y·y = 0:
+    unital, generated by x, not associative."""
+    f = F
+    e = [unit_vec(f, 3, i) for i in range(3)]
+    zero = [f.zero] * 3
+    mul = [[e[0], e[1], e[2]], [e[1], e[2], e[0]], [e[2], e[0], zero]]
+    return FiniteAlgebra(f, 3, mul, e[0], name="T")
+
+
+def test_a_non_associative_algebra_names_its_first_failing_pair():
+    t = _twisted_c3()
+    assert t.generators() == [1]
+    with pytest.raises(AxiomError) as err:
+        t.validate()
+    assert str(err.value) == "algebra T: associativity fails at basis pair (1,1)"
+    assert not t.is_valid()
+
+
+def test_a_module_over_a_non_associative_algebra_names_its_first_failing_pair():
+    # C3's regular action: associative at every (i, x) for the generator x,
+    # and not at (y, y), since y·y = 0 in T
+    t = _twisted_c3()
+    c3 = FBimodule.regular(group_algebra(F, _cyclic(3)))
+    m = FBimodule.left_module(t, 3, c3.left_act, name="M")
+    assert all(m.left_act[i].mul(m.left_act[1]) == m.left_act_vec(t.mul[i][1])
+               for i in range(3))
+    with pytest.raises(AxiomError) as err:
+        m.validate()
+    assert str(err.value) == "module M: left action not associative at (2,2)"
+
+
+def test_a_comodule_over_a_coring_with_a_non_unital_carrier_keeps_its_message():
+    # E1's base is k, which has no generators: only the coring's carrier in
+    # the premise sends the check over the basis, where it fails
+    with open(fixture_path("E1")) as handle:
+        data = json.load(handle)
+    doc = apply_perturbation(data, ("modules", "C_carrier", "right_act", 0, 0))
+    ws = load_workspace(json.dumps(doc))
+    sigma = ws.comodules["Sigma"]
+    assert sigma.coring.base.generators() == [] and sigma.carrier.is_valid()
+    assert not sigma.coring.carrier.is_valid()
+    with pytest.raises(AxiomError) as err:
+        sigma.validate()
+    assert str(err.value) == "comodule Sigma: coaction not right A-linear at basis 0"
