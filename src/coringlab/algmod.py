@@ -885,6 +885,32 @@ class BalancedTensor:
 # hom spaces
 
 
+def constraint_rows(src_dim, tgt_dim, terms, field):
+    """For the (U, V, sign) terms of one constraint, the coefficient rows of
+    the entries (p, q) of sum sign * U·X·V, row-major in (p, q), in the
+    unknown X (tgt_dim x src_dim, flattened row-major)."""
+    nunk = src_dim * tgt_dim
+    out = []
+    for p in range(terms[0][0].rows):
+        for q in range(terms[0][1].cols):
+            row = zero_vec(field, nunk)
+            for (u, v, sign) in terms:
+                for i in range(tgt_dim):
+                    uc = u.data[p][i]
+                    if uc == field.zero:
+                        continue
+                    for j in range(src_dim):
+                        vc = v.data[j][q]
+                        if vc == field.zero:
+                            continue
+                        c = field.mul(uc, vc)
+                        if sign < 0:
+                            c = field.neg(c)
+                        row[i * src_dim + j] = field.add(row[i * src_dim + j], c)
+            out.append(row)
+    return out
+
+
 def solve_map_space(src_dim, tgt_dim, constraints, field):
     """The space {X : all constraints vanish}, in its canonical basis.
 
@@ -892,32 +918,8 @@ def solve_map_space(src_dim, tgt_dim, constraints, field):
     sum sign * U·X·V = 0; unknown X is tgt_dim x src_dim, flattened row-major.
     """
     nunk = src_dim * tgt_dim
-    rows = []
-    for terms in constraints:
-        if not terms:
-            continue
-        p_rows = terms[0][0].rows
-        q_cols = terms[0][1].cols
-        for p in range(p_rows):
-            for q in range(q_cols):
-                row = zero_vec(field, nunk)
-                nonzero = False
-                for (u, v, sign) in terms:
-                    for i in range(tgt_dim):
-                        uc = u.data[p][i]
-                        if uc == field.zero:
-                            continue
-                        for j in range(src_dim):
-                            vc = v.data[j][q]
-                            if vc == field.zero:
-                                continue
-                            c = field.mul(uc, vc)
-                            if sign < 0:
-                                c = field.neg(c)
-                            row[i * src_dim + j] = field.add(row[i * src_dim + j], c)
-                            nonzero = True
-                if nonzero:
-                    rows.append(row)
+    rows = [row for terms in constraints if terms
+            for row in constraint_rows(src_dim, tgt_dim, terms, field)]
     if not rows:
         sub = Subspace.full(field, nunk)
     else:

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from .algmod import (BalancedTensor, FBimodule, FiniteAlgebra, endo_algebra,
                      hom_space, sandwich_terms)
-from .exactla import AxiomError, Matrix, UsageError, unit_vec, zero_vec
+from .exactla import AxiomError, Matrix, UsageError, side_by_side, unit_vec
 
 
 class Coring:
@@ -344,23 +344,21 @@ def comodule_direct_sum(m1, m2, name=None):
     """Direct sum of two comodules over the same coring (and left algebra)."""
     if m1.coring is not m2.coring:
         raise UsageError("direct sum of comodules over different corings")
-    if m1.carrier.left_alg.dim != m2.carrier.left_alg.dim:
+    if m1.carrier.left_alg is not m2.carrier.left_alg:
         raise UsageError("direct sum with mismatched left algebras")
     c = m1.coring
     field = m1.field
-    carrier = FBimodule.direct_sum([m1.carrier, m2.carrier],
-                                   name=name or (m1.name + "+" + m2.name))
-    mc = BalancedTensor([carrier, c.carrier], [c.base])
-    cols = []
+    name = name or (m1.name + "+" + m2.name)
+    carrier = FBimodule.direct_sum([m1.carrier, m2.carrier], name=name)
+    mc = BalancedTensor([carrier, c.carrier], [c.base], name=name + "(x)C")
+    # each summand's coaction, with its inclusion into the sum on the M slot
+    blocks = []
     for src, offset in ((m1, 0), (m2, m1.dim)):
-        for j in range(src.dim):
-            amb = zero_vec(field, mc.ambient_dim)
-            for (multi, coeff) in src.mc.lift_pairs(src.coaction.col(j)):
-                mi, ci = multi
-                amb[(offset + mi) * c.dim + ci] = coeff
-            cols.append(mc.proj().mul_vec(amb))
-    coaction = Matrix.from_cols(field, mc.dim, cols)
-    out = Comodule(c, carrier, coaction, name=name or (m1.name + "+" + m2.name))
+        inclusion = Matrix.from_cols(field, carrier.dim, [
+            unit_vec(field, carrier.dim, offset + i) for i in range(src.dim)])
+        blocks.append(src.mc.induced(mc, [(0, inclusion)], at=src.coaction))
+    coaction = side_by_side(field, mc.dim, blocks)
+    out = Comodule(c, carrier, coaction, name=name, mc=mc)
     out.validate()
     return out
 

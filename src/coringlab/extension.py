@@ -23,11 +23,11 @@ from __future__ import annotations
 
 from functools import cached_property
 
-from .algmod import (BalancedTensor, FBimodule, algebra_map_check, endo_algebra,
-                     hom_space, sandwich_terms, summand_witnesses)
+from .algmod import (BalancedTensor, FBimodule, algebra_map_check, constraint_rows,
+                     endo_algebra, hom_space, sandwich_terms, summand_witnesses)
 from .coring import Comodule, colinear_homs, colinearity_constraint
-from .exactla import (AxiomError, Matrix, UsageError, image, kernel, rank,
-                      side_by_side, solve_linear, vec_scale)
+from .exactla import (AxiomError, Matrix, UsageError, flatten_matrix, image, kernel,
+                      rank, side_by_side, solve_linear, unflatten)
 from .morita import MoritaContext, morphism_failure
 
 
@@ -561,7 +561,7 @@ class ExtContext:
         """Second connecting map on elements: d -> p(d)^[0] q(p(d)^[1])(-)."""
         sd = self.qt.sigma_dual
         return self.end.space.coords_matrix(
-            (sd.pairing(self.sigma, p.col(di), q) for di in range(self.ext.outer.dim)),
+            sd.pairing(self.sigma, p, q),
             "second connecting map leaves the endomorphism algebra")
 
     def _build_context(self):
@@ -647,42 +647,25 @@ def convolution_inverse(d, alg, lam):
 
     Solves lam * x = unit and x * lam = unit simultaneously as one linear
     system; the returned inverse is the canonical echelon solution.  Only
-    over the trivial base, where the unit is 1_A·eps_D.
+    over the trivial base, where the unit is 1_A·eps_D.  The two products
+    are the sandwiches mult·(A (x) X)·(lam (x) D)·Delta and
+    mult·(X (x) A)·(D (x) lam)·Delta, their rows assembled by constraint_rows
+    as solve_map_space assembles its own.
     """
     f = d.field
     if d.base.dim != 1:
         raise UsageError("convolution inverse over a nontrivial base needs the "
                          "unit map L -> A")
     addim, ddim = alg.dim, d.dim
-    nunk = addim * ddim
-    unit_mat = Matrix.from_cols(f, addim, [list(alg.unit)]).mul(d.counit)
-    rows = []
-    rhs = []
-    for prefactor_left in (True, False):
-        for di in range(ddim):
-            target = unit_mat.col(di)
-            coeff = [[f.zero] * nunk for _ in range(addim)]
-            for ((d1, d2), w) in d.cc.lift_pairs(d.coproduct.col(di)):
-                if prefactor_left:
-                    lmat = alg.lmul_vec(vec_scale(f, w, lam.col(d1)))
-                    slot = d2
-                else:
-                    lmat = alg.rmul_vec(vec_scale(f, w, lam.col(d2)))
-                    slot = d1
-                for s in range(addim):
-                    col = lmat.col(s)
-                    for r in range(addim):
-                        if col[r] != f.zero:
-                            coeff[r][s * ddim + slot] = f.add(coeff[r][s * ddim + slot],
-                                                              col[r])
-            for r in range(addim):
-                rows.append(coeff[r])
-                rhs.append(target[r])
-    sol = solve_linear(Matrix.from_rows(f, rows), rhs)
+    unit = flatten_matrix(Matrix.from_cols(f, addim, [list(alg.unit)]).mul(d.counit))
+    mult = alg.mult_eval()
+    sides = (sandwich_terms(mult, d.cc.induced(None, [(0, lam)], at=d.coproduct), addim, 1),
+             sandwich_terms(mult, d.cc.induced(None, [(1, lam)], at=d.coproduct), 1, addim))
+    rows = [row for terms in sides for row in constraint_rows(ddim, addim, terms, f)]
+    sol = solve_linear(Matrix.from_rows(f, rows), unit + unit)
     if sol is None:
         return None
-    return Matrix(f, addim, ddim, [list(sol[i * ddim:(i + 1) * ddim])
-                                   for i in range(addim)])
+    return unflatten(f, addim, ddim, sol)
 
 
 # ---------------------------------------------------------------------------

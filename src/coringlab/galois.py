@@ -21,8 +21,13 @@ normal-basis candidate, the coretraction and the counit inverse) and
 extension.tensor_comodule (M (x)_B N with the coaction M (x) rho_N, for
 T (x)_L Sigma and N (x)_T Sigma).  T (x)_L D, Sigma as a T-D bicomodule and
 the hom spaces between them are built once, on first use, by ExtContext.
-check_jids and check_dual_basis_from_witnesses stay element by element: they
-are the independent routes the operator forms are checked against.
+Every Sweedler sum is one induced(..., at=X) map followed by an evaluation
+matrix: the generator witness is the pairing after (jtilde (x) j)∘tau, and
+the rebuilt intertwiners compose after one lift of can_A^-1(1 (x) c_k) for
+all k.  check_jids and check_dual_basis_from_witnesses stay element by
+element: they are the independent routes the operator forms are checked
+against; can_inverse_from_witnesses rebuilds the canonical inverse element
+by element as the oracle it is compared with.
 
 Searches for invertible elements are deterministic: a candidate derived from
 invertibility data first, then a bounded small-integer sweep, then a fixed
@@ -204,8 +209,7 @@ def witness_splitting(ext_ctx, m, dst, pairs, space, message):
     sd = ext_ctx.qt.sigma_dual
     total = Matrix.zero(f, dst.dim, m.dim)
     for jt, j in pairs:
-        k = space.coords_matrix((sd.pairing(m, unit_vec(f, m.dim, m0), jt)
-                                 for m0 in range(m.dim)), message)
+        k = space.coords_matrix(sd.pairing(m, Matrix.identity(f, m.dim), jt), message)
         total = total.add(md.mc.induced(dst, [(0, k), (1, j)], at=md.coaction))
     return total
 
@@ -539,14 +543,13 @@ def check_generator_property(ext_ctx):
     cvec = solve_linear(c.counit, list(c.base.unit))
     if cvec is None:
         return {"applicable": False, "reason": "counit not surjective"}
-    sd = ext_ctx.qt.sigma_dual
-    total = zero_vec(f, c.base.dim)
+    # sum_l jtilde_l(c_[0])(j_l(c_[1])), the pairing after tau at c
+    at = ext.tau.mul(Matrix.column(f, cvec))
+    total = Matrix.zero(f, c.base.dim, 1)
     for (jt, j) in witnesses:
-        for ((ck, dd), w) in ext.cld.lift_pairs(ext.tau.mul_vec(cvec)):
-            xi = sd.space.element(vec_scale(f, w, jt.col(ck)))
-            jd = j.col(dd)
-            total = [f.add(u, v) for u, v in zip(total, xi.mul_vec(jd))]
-    if total != list(c.base.unit):
+        total = total.add(ext_ctx.pair_eval.mul(
+            ext.cld.induced(None, [(0, jt), (1, j)], at=at)))
+    if total.col(0) != list(c.base.unit):
         raise AxiomError("generator witness does not evaluate to the unit")
     gen = generator_check(sigma.carrier, "right", c.base)
     if gen is None:
@@ -807,9 +810,16 @@ def _rebuild_witnesses(ext_ctx, td_tens, pairs, can_a):
     d = ext.outer
     if not can_a.bijective:
         raise AxiomError("constructive direction needs an invertible canonical map")
-    caninv = can_a.inverse()
     sd = ext_ctx.qt.sigma_dual
     t_eval = ext_ctx.t_bim.right_eval()
+    c = ext.inner
+    # can_a^-1(1 (x) c_k) for every k, in Hom(Sigma, A) (x)_T Sigma
+    ys = can_a.inverse().mul(Matrix.from_cols(f, can_a.nc.dim, [
+        can_a.nc.pure_tensor([list(c.base.unit), unit_vec(f, c.dim, ck)])
+        for ck in range(c.dim)]))
+    # h_b (x) t -> h_b∘t, flattened, on the ambient Hom(Sigma, A) x T
+    compose = Matrix.from_cols(f, c.base.dim * sigma.dim, [
+        flatten_matrix(h.mul(t)) for h in can_a.hom_basis for t in end.basis_maps])
     out = []
     for (kappa, kappatilde) in pairs:
         # T (x)_L D -> T, t (x) d -> t·eps(d), after kappa
@@ -817,21 +827,11 @@ def _rebuild_witnesses(ext_ctx, td_tens, pairs, can_a):
         j_cols = [kappatilde.mul_vec(td_tens.pure_tensor(
             [list(t_alg.unit), unit_vec(f, d.dim, dd)])) for dd in range(d.dim)]
         j_mat = Matrix.from_cols(f, sigma.dim, j_cols)
-        jt_cols = []
-        for ck in range(ext.inner.dim):
-            vtarget = can_a.nc.pure_tensor([list(ext.inner.base.unit),
-                                            unit_vec(f, ext.inner.dim, ck)])
-            y = caninv.mul_vec(vtarget)
-            acc = zero_vec(f, sd.dim)
-            for ((hb, xj), w) in can_a.tens.lift_pairs(y):
-                tmat = end.space.element(t_eps.col(xj))
-                phi = can_a.hom_basis[hb].mul(tmat)
-                coords = sd.coords(phi)
-                if coords is None:
-                    raise AxiomError("rebuilt intertwiner leaves the dual module")
-                acc = [f.add(u, f.mul(w, v)) for u, v in zip(acc, coords)]
-            jt_cols.append(acc)
-        jt_mat = Matrix.from_cols(f, sd.dim, jt_cols)
+        # jtilde(c_k) = sum h_b∘t_eps(x) over can_a^-1(1 (x) c_k) = sum h_b (x) x
+        phis = compose.mul(can_a.tens.induced(None, [(1, t_eps)], at=ys))
+        jt_mat = sd.space.coords_matrix(
+            (unflatten(f, c.base.dim, sigma.dim, phis.col(ck)) for ck in range(c.dim)),
+            "rebuilt intertwiner leaves the dual module")
         if ext_ctx.qt.coords(jt_mat) is None:
             raise AxiomError("rebuilt intertwiner is not in the bimodule")
         if ext_ctx.p_space.coords(j_mat) is None:

@@ -25,7 +25,7 @@ from .algmod import (BalancedTensor, FBimodule, endo_algebra, fgp_check,
                      hom_space, non_multiplicative_at, sandwich_terms)
 from .coring import DualRing, EndAlgebra, dual_action
 from .exactla import (AxiomError, Matrix, UsageError, rank, side_by_side,
-                      solve_linear, unit_vec, vec_scale, zero_vec)
+                      solve_linear, unflatten, unit_vec)
 
 
 class MoritaContext:
@@ -94,7 +94,10 @@ class MoritaContext:
         two-sided ideal of the target algebra, which is everything exactly
         when it holds the unit: one solve of conn·z = 1 decides.  The
         witnesses are element pairs whose images under the map sum to the
-        unit, or None when the map is not surjective.
+        unit, or None when the map is not surjective: z lifted to the
+        ambient pair basis (tens.induced with no slot map), read as
+        dims[0] blocks of length dims[1], one pair (e_i, block i) for each
+        nonzero block, i ascending.
         """
         if which == 1:
             conn, tens, target = self.conn1, self.tens21, self.alg2
@@ -106,13 +109,11 @@ class MoritaContext:
             z = solve_linear(conn, list(target.unit))
             witnesses = None
             if z is not None:
-                # the lifted pairs (i, j) are distinct: group them by i
                 f = self.field
-                grouped = {}
-                for ((i, j), coeff) in tens.lift_pairs(z):
-                    grouped.setdefault(i, zero_vec(f, tens.dims[1]))[j] = coeff
-                witnesses = [(unit_vec(f, tens.dims[0], i), vec)
-                             for i, vec in grouped.items()]
+                lift = tens.induced(None, [], at=Matrix.column(f, z)).col(0)
+                n = tens.dims[1]
+                witnesses = [(unit_vec(f, tens.dims[0], i), lift[i * n:(i + 1) * n])
+                             for i in range(tens.dims[0]) if any(lift[i * n:(i + 1) * n])]
             self._connecting[which] = (z is not None, witnesses)
         return self._connecting[which]
 
@@ -224,16 +225,19 @@ class SigmaDual:
     def coords(self, mat):
         return self.space.coords(mat)
 
-    def pairing(self, m, vec, jt):
-        """The map Sigma -> M, y -> v^[0]·jt(v^[1])(y), at the element v = vec
-        of the comodule m, for jt: C -> Sigma* in Sigma*-coordinates."""
-        f = self.sigma.field
-        orbits = m.carrier.right_orbits()
-        out = Matrix.zero(f, m.dim, self.sigma.dim)
-        for ((x, ck), w) in m.mc.lift_pairs(m.coaction.mul_vec(vec)):
-            xi = self.space.element(vec_scale(f, w, jt.col(ck)))
-            out = out.add(orbits[x].mul(xi))
-        return out
+    def pairing(self, m, at, jt):
+        """The maps Sigma -> M, y -> v^[0]·jt(v^[1])(y), one at each column v
+        of at, an element of the comodule m, for jt: C -> Sigma* in
+        Sigma*-coordinates: jt(c) as an A x Sigma block (the flattened
+        basis of Sigma* times jt) on the C slot of the lifted coaction, then
+        M's right action on the (M, A) slots."""
+        f, n = self.sigma.field, self.sigma.dim
+        adim = self.sigma.coring.base.dim
+        blocks = self.space.span.basis_matrix_cols().mul(jt)
+        lifted = m.mc.induced(None, [(1, blocks)], at=m.coaction.mul(at))
+        right_eval = m.carrier.right_eval()
+        return [right_eval.mul(unflatten(f, m.dim * adim, n, lifted.col(v)))
+                for v in range(at.cols)]
 
 
 class QModule:
@@ -278,25 +282,36 @@ class QModule:
     # -- element helpers
 
     def _verify_pointwise(self):
-        """Independent pointwise re-check of the defining relation."""
+        """Re-check of the defining relation q(x^[0])(c)·x^[1] =
+        c^(1)·q(x)(c^(2)) at every basis pair (x_j, c_k), for every basis
+        element q, naming the first failing pair in (j, k) order.  Each side
+        is one induced map for all pairs: the coaction with x -> (q(x)(c_k))_k
+        on the Sigma slot, then C's left_eval; the coproduct with
+        c -> (q(x_j)(c))_j on its second slot, then C's right_eval.  It stays
+        independent of the solve in __init__: it evaluates q on elements and
+        reads none of the solve's terms (P_k, U_k and the hits behind them,
+        sandwich_terms, the dense lift sect·rho)."""
         sigma, c = self.sigma, self.sigma.coring
-        field = self.field
+        f, n, cdim, adim = self.field, sigma.dim, c.dim, c.base.dim
+        left_eval, right_eval = c.carrier.left_eval(), c.carrier.right_eval()
+        block = adim * cdim
         for q in self.basis:
-            for j in range(sigma.dim):
-                for k in range(c.dim):
-                    lhs = zero_vec(field, c.dim)
-                    for ((m, cp), w) in sigma.mc.lift_pairs(sigma.coaction.col(j)):
-                        fvec = self.dual.element_eval(q.col(m)).col(k)
-                        lhs = [field.add(u, v) for u, v in zip(
-                            lhs, c.carrier.left_orbits()[cp].mul_vec(vec_scale(field, w, fvec)))]
-                    rhs = zero_vec(field, c.dim)
-                    for ((c1, c2), w) in c.cc.lift_pairs(c.coproduct.col(k)):
-                        fvec = self.dual.element_eval(q.col(j)).col(c2)
-                        rhs = [field.add(u, v) for u, v in zip(
-                            rhs, c.carrier.right_orbits()[c1].mul_vec(vec_scale(field, w, fvec)))]
-                    if lhs != rhs:
-                        raise AxiomError("Q basis element fails its defining relation "
-                                         "at basis pair (%d,%d)" % (j, k))
+            evals = [self.dual.element_eval(q.col(m)) for m in range(n)]
+            # x_m -> q(x_m)(c_k) for every k, rows (k, a)
+            at_c = Matrix(f, cdim * adim, n, [[ev.data[a][k] for ev in evals]
+                                              for k in range(cdim) for a in range(adim)])
+            lhs = sigma.mc.induced(None, [(0, at_c)], at=sigma.coaction)
+            lhs = [left_eval.mul(Matrix(f, block, n, lhs.data[k * block:(k + 1) * block]))
+                   for k in range(cdim)]
+            # c -> q(x_j)(c) for every j, rows (a, j)
+            of_x = Matrix(f, adim * n, cdim, [ev.row(a) for a in range(adim) for ev in evals])
+            rhs = c.cc.induced(None, [(1, of_x)], at=c.coproduct)
+            rhs = [right_eval.mul(unflatten(f, block, n, rhs.col(k))) for k in range(cdim)]
+            if lhs != rhs:
+                j, k = next((j, k) for j in range(n) for k in range(cdim)
+                            if lhs[k].col(j) != rhs[k].col(j))
+                raise AxiomError("Q basis element fails its defining relation "
+                                 "at basis pair (%d,%d)" % (j, k))
 
     def _switch(self, q):
         """The switched-argument element of Hom(C, Sigma*), in Sigma*-coords."""

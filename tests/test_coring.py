@@ -2,12 +2,12 @@
 
 import pytest
 
-from coringlab.algmod import FBimodule, trivial_algebra
+from coringlab.algmod import FBimodule, FiniteAlgebra, trivial_algebra
 from coringlab.coring import (Comodule, DualRing, EndAlgebra, Grouplike,
                               co_opposite, colinear_homs, comodule_direct_sum,
                               dual_action, grouplike_comodule, trivial_coring,
                               zero_comodule)
-from coringlab.exactla import AxiomError, Matrix, QQ
+from coringlab.exactla import AxiomError, Matrix, QQ, UsageError, zero_vec
 
 F = QQ
 
@@ -107,11 +107,42 @@ def test_grouplike_e4_is_sum_of_components(e4):
     assert c.counit.mul_vec(g.element) == list(e4.algebras["A"].unit)
 
 
+def _ref_direct_sum_coaction(m1, m2, mc):
+    """The coaction of m1 (+) m2 into mc, each summand's coaction lifted one
+    vector at a time, shifted into its block and projected."""
+    field, c = m1.field, m1.coring
+    cols = []
+    for src, offset in ((m1, 0), (m2, m1.dim)):
+        for j in range(src.dim):
+            amb = zero_vec(field, mc.ambient_dim)
+            for ((mi, ci), coeff) in src.mc.lift_pairs(src.coaction.col(j)):
+                amb[(offset + mi) * c.dim + ci] = coeff
+            cols.append(mc.proj().mul_vec(amb))
+    return Matrix.from_cols(field, mc.dim, cols)
+
+
 def test_comodule_direct_sum(e2):
     sigma = e2.comodules["Sigma"]
     both = comodule_direct_sum(sigma, sigma, name="SS")
     both.validate()
     assert both.dim == 2 * sigma.dim
+    assert both.coaction == _ref_direct_sum_coaction(sigma, sigma, both.mc)
+    plus = e2.comodules["SigmaPlus"]
+    assert plus.coaction == _ref_direct_sum_coaction(sigma, sigma, plus.mc)
+
+
+def test_direct_sum_needs_the_same_left_algebra(e2):
+    # a copy of Sigma whose left algebra is another object of equal dimension
+    sigma = e2.comodules["Sigma"]
+    la = sigma.carrier.left_alg
+    twin = FiniteAlgebra(la.field, la.dim, la.mul, la.unit, name=la.name)
+    carrier = FBimodule(twin, sigma.carrier.right_alg, sigma.dim,
+                        list(sigma.carrier.left_act), list(sigma.carrier.right_act),
+                        name="Twin")
+    other = Comodule(sigma.coring, carrier, sigma.coaction, name="Twin")
+    other.validate()
+    with pytest.raises(UsageError, match="^direct sum with mismatched left algebras$"):
+        comodule_direct_sum(sigma, other)
 
 
 def test_zero_comodule(e2):

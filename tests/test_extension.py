@@ -9,8 +9,8 @@ from coringlab.algmod import FBimodule, trivial_algebra
 from coringlab.cli import _jtilde_from_map
 from coringlab.coring import Comodule
 from coringlab.exactla import (AxiomError, FieldFp, Matrix, QQ, Subspace,
-                               UsageError, flatten_matrix, kernel, rank, unflatten,
-                               vec_scale, zero_vec)
+                               UsageError, flatten_matrix, kernel, rank, solve_linear,
+                               unflatten, vec_scale, zero_vec)
 from coringlab.extension import (CoringExtension, ExtContext, QTildeModule,
                                  check_colinear_maps_remain_colinear,
                                  convolution_algebra,
@@ -197,11 +197,42 @@ def test_convolution_unit_over_a_nontrivial_base():
         convolution_inverse(d, a, eta)
 
 
+def _ref_convolution_inverse(d, alg, lam):
+    """lam * x = 1 and x * lam = 1 written out one lifted vector of Delta at
+    a time, rows in (side, d, a) order, then solved: the canonical solution
+    as a matrix, or None."""
+    f = d.field
+    addim, ddim = alg.dim, d.dim
+    unit_mat = Matrix.from_cols(f, addim, [list(alg.unit)]).mul(d.counit)
+    rows, rhs = [], []
+    for prefactor_left in (True, False):
+        for di in range(ddim):
+            coeff = [[f.zero] * (addim * ddim) for _ in range(addim)]
+            for ((d1, d2), w) in d.cc.lift_pairs(d.coproduct.col(di)):
+                if prefactor_left:
+                    lmat, slot = alg.lmul_vec(vec_scale(f, w, lam.col(d1))), d2
+                else:
+                    lmat, slot = alg.rmul_vec(vec_scale(f, w, lam.col(d2))), d1
+                for s in range(addim):
+                    for r, v in enumerate(lmat.col(s)):
+                        coeff[r][s * ddim + slot] = f.add(coeff[r][s * ddim + slot], v)
+            rows += coeff
+            rhs += unit_mat.col(di)
+    sol = solve_linear(Matrix.from_rows(f, rows), rhs)
+    return None if sol is None else unflatten(f, addim, ddim, sol)
+
+
+def _checked_inverse(d, alg, lam):
+    inv = convolution_inverse(d, alg, lam)
+    assert inv == _ref_convolution_inverse(d, alg, lam)
+    return inv
+
+
 def test_convolution_inverse_unit():
     d = group_function_coring(F, [[0, 1], [1, 0]])
     a = trivial_algebra(F)
     unit = Matrix.from_rows(F, [[F.one, F.zero]])  # eps-shaped map
-    inv = convolution_inverse(d, a, unit)
+    inv = _checked_inverse(d, a, unit)
     assert inv == unit
 
 
@@ -210,7 +241,7 @@ def test_convolution_inverse_antipode(e2):
     ext = e2.extensions["ext"]
     a = e2.algebras["A"]
     lam = Matrix.identity(F, 2)
-    inv = convolution_inverse(ext.outer, a, lam)
+    inv = _checked_inverse(ext.outer, a, lam)
     assert inv == e2.maps["lambda_bar"]
 
 
@@ -218,7 +249,36 @@ def test_convolution_inverse_zero_map(e2):
     ext = e2.extensions["ext"]
     a = e2.algebras["A"]
     zero = Matrix.zero(F, 2, 2)
-    assert convolution_inverse(ext.outer, a, zero) is None
+    assert _checked_inverse(ext.outer, a, zero) is None
+
+
+def _ref_pairing(sd, m, vec, jt):
+    """y -> v^[0]·jt(v^[1])(y) at v = vec, summed one lifted vector of the
+    coaction at a time."""
+    f = sd.sigma.field
+    orbits = m.carrier.right_orbits()
+    out = Matrix.zero(f, m.dim, sd.sigma.dim)
+    for ((x, ck), w) in m.mc.lift_pairs(m.coaction.mul_vec(vec)):
+        out = out.add(orbits[x].mul(sd.space.element(vec_scale(f, w, jt.col(ck)))))
+    return out
+
+
+def test_pairing_matches_the_lifted_vector_reference(bundles):
+    # on E2's Sigma and SigmaPlus, at every basis element, for every basis
+    # element of Qtilde; and at the colinear maps D -> Sigma, as
+    # diamond_white evaluates it
+    ec = bundles["E2"].ec
+    sd = ec.qt.sigma_dual
+    ws = bundles["E2"].ws
+    for m in (ws.comodules["Sigma"], ws.comodules["SigmaPlus"]):
+        ident = Matrix.identity(F, m.dim)
+        for jt in ec.qt.basis:
+            assert sd.pairing(m, ident, jt) == [_ref_pairing(sd, m, ident.col(v), jt)
+                                                for v in range(m.dim)]
+    for p in ec.p_basis:
+        for jt in ec.qt.basis:
+            assert sd.pairing(ec.sigma, p, jt) == [_ref_pairing(sd, ec.sigma, p.col(d), jt)
+                                                   for d in range(p.cols)]
 
 
 def test_induced_right_action_is_module(e4):

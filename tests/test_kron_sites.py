@@ -8,24 +8,24 @@ the code below may still call ``.kron(``, each for a stated reason:
 - ``weak_entwining_coring`` and ``entwining_coring`` compose two ambient
   layers with no quotient between them.
 
-Likewise the galois constructions build their maps into tensors with
-``induced``, not by lifting one vector at a time (``lift_pairs``) and
-re-assembling pure tensors (``pure_tensor``).  Only these keep such loops:
+Every Sweedler sum of the library (the pairings, the defining relation of
+Q, the coproduct and counit of A (x)_B A, the convolution products, the
+coaction of a direct sum, the generator witness, the rebuilt intertwiners)
+is one ``induced(..., at=X)`` map followed by an evaluation matrix.  Outside
+``algmod`` only these lift a quotient vector to its ambient pairs
+(``lift_pairs``), and in ``morita``, ``extension`` and ``galois`` only these
+re-assemble pure tensors (``pure_tensor``):
 
 - ``check_jids`` and ``check_dual_basis_from_witnesses`` evaluate the
-  reconstruction identities element by element, an independent route to
-  what the operator forms compute;
-- ``can_inverse_from_witnesses``, ``check_generator_property`` and
-  ``_rebuild_witnesses`` evaluate witnesses on chosen elements.
+  reconstruction identities element by element, the independent routes
+  the operator forms are checked against;
+- ``can_inverse_from_witnesses`` rebuilds the canonical inverse element by
+  element, the oracle it is compared with;
+- ``_rebuild_witnesses`` (pure tensors only) forms the inputs 1 (x) c and
+  1_T (x) d at which it evaluates.
 
 Every corner space of the Morita contexts is one ``hom_space`` solve of
-operator terms, so ``solve_map_space`` has no other caller, and ``morita``
-and ``extension`` lift vectors only in their elementwise routes:
-
-- ``QModule._verify_pointwise`` re-checks the defining relation of Q;
-- ``SigmaDual.pairing`` evaluates on elements, and
-  ``MoritaContext.connecting`` lifts its unit preimage to witness pairs;
-- ``convolution_inverse`` solves for one inverse, not a space.
+operator terms, so ``solve_map_space`` has no other caller.
 
 Mixed associativity compares one operator per basis pair, read off the
 connecting maps on ambient pair bases, so it lifts no vectors.
@@ -35,6 +35,8 @@ import ast
 import glob
 import os
 
+import pytest
+
 SRC = os.path.join(os.path.dirname(__file__), "..", "src", "coringlab")
 ALLOWED = {("morita.py", "morphism_failure"),
            ("zoo.py", "weak_entwining_coring"),
@@ -43,16 +45,12 @@ ALLOWED = {("morita.py", "morphism_failure"),
 # bound keeps them from growing more
 MAX_OUTSIDE_KERNEL = 17
 
-GALOIS_LOOPS = {"can_inverse_from_witnesses", "check_jids",
-                "check_generator_property", "_rebuild_witnesses",
-                "check_dual_basis_from_witnesses"}
-MAX_GALOIS_LOOPS = 13
-
-CONTEXT_LOOPS = {("morita.py", "QModule._verify_pointwise"),
-                 ("morita.py", "SigmaDual.pairing"),
-                 ("morita.py", "MoritaContext.connecting"),
-                 ("extension.py", "convolution_inverse")}
-MAX_CONTEXT_LOOPS = 5
+LIFTS = {("galois.py", "can_inverse_from_witnesses"), ("galois.py", "check_jids"),
+         ("galois.py", "check_dual_basis_from_witnesses")}
+PURE_TENSORS = {("galois.py", "can_inverse_from_witnesses"),
+                ("galois.py", "check_dual_basis_from_witnesses"),
+                ("galois.py", "_rebuild_witnesses")}
+CONTEXT_MODULES = ("morita.py", "extension.py", "galois.py")
 
 
 def _calls(path, attrs):
@@ -100,15 +98,6 @@ def test_only_the_allowed_functions_build_krons():
     assert outside_kernel <= MAX_OUTSIDE_KERNEL
 
 
-def test_galois_lifts_vectors_only_in_the_named_checks():
-    found = _calls(os.path.join(SRC, "galois.py"), ("lift_pairs", "pure_tensor"))
-    stray = ["galois.py:%d in %s" % (line, scope or "<module>")
-             for scope, line in found if scope not in GALOIS_LOOPS]
-    assert stray == []
-    assert {scope for scope, _ in found} == GALOIS_LOOPS
-    assert len(found) <= MAX_GALOIS_LOOPS
-
-
 def test_only_hom_space_solves_map_spaces():
     found = [(os.path.basename(path), scope)
              for path in sorted(glob.glob(os.path.join(SRC, "*.py")))
@@ -116,12 +105,21 @@ def test_only_hom_space_solves_map_spaces():
     assert found == [("algmod.py", "hom_space")]
 
 
-def test_contexts_lift_vectors_only_in_the_elementwise_routes():
-    found = [(name, scope, line) for name in ("morita.py", "extension.py")
-             for scope, line in _calls(os.path.join(SRC, name),
-                                       ("lift_pairs", "pure_tensor"))]
+@pytest.mark.parametrize("called, modules, allowed, most", [
+    ("lift_pairs", None, LIFTS, 7),
+    ("pure_tensor", CONTEXT_MODULES, PURE_TENSORS, 4)], ids=["lift_pairs", "pure_tensor"])
+def test_vectors_are_lifted_only_in_the_elementwise_routes(called, modules, allowed,
+                                                           most):
+    """called appears only in the allowed functions, each still using it,
+    at most this many times: in every module but algmod (modules None), or
+    in the named ones."""
+    found = [(name, scope, line)
+             for name in (modules or sorted(os.path.basename(path) for path in
+                                            glob.glob(os.path.join(SRC, "*.py"))))
+             if name != "algmod.py"
+             for scope, line in _calls(os.path.join(SRC, name), (called,))]
     stray = ["%s:%d in %s" % (name, line, scope or "<module>")
-             for name, scope, line in found if (name, scope) not in CONTEXT_LOOPS]
+             for name, scope, line in found if (name, scope) not in allowed]
     assert stray == []
-    assert {(name, scope) for name, scope, _ in found} == CONTEXT_LOOPS
-    assert len(found) <= MAX_CONTEXT_LOOPS
+    assert {(name, scope) for name, scope, _ in found} == allowed
+    assert len(found) <= most

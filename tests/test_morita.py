@@ -1,6 +1,7 @@
 """Morita contexts: the connecting bimodule, both contexts, the comparison
 morphism, surjectivity witnesses and strictness."""
 
+import copy
 import functools
 
 import pytest
@@ -337,11 +338,67 @@ def _ref_q_space(sigma, dual):
     return [unflatten(field, ddim, sdim, v) for v in sol.basis]
 
 
-def test_q_operator_relation_matches_the_row_reference(workspaces, workspaces_f7,
-                                                       hopf_c3_f7):
+def _every_comodule(workspaces, workspaces_f7, hopf_c3_f7):
+    """Every comodule of the Q and F7 workspaces, then the C3 Hopf chain's
+    Sigma over F7."""
     comodules = [com for wss in (workspaces, workspaces_f7) for ws in wss.values()
                  for com in ws.comodules.values()]
-    comodules.append(hopf_c3_f7[1])
-    for sigma in comodules:
+    return comodules + [hopf_c3_f7[1]]
+
+
+def test_q_operator_relation_matches_the_row_reference(workspaces, workspaces_f7,
+                                                       hopf_c3_f7):
+    for sigma in _every_comodule(workspaces, workspaces_f7, hopf_c3_f7):
         q = QModule(sigma, DualRing(sigma.coring), EndAlgebra(sigma))
         assert q.space.basis == _ref_q_space(sigma, q.dual), sigma.name
+
+
+def _ref_verify_pointwise(q):
+    """The defining relation q(x^[0])(c_k)·x^[1] = c_k^(1)·q(x_j)(c_k^(2))
+    summed one lifted vector at a time, for every basis element and basis
+    pair (j, k) in order: the message of the first failure, or None."""
+    sigma, c = q.sigma, q.sigma.coring
+    field = q.field
+    for qb in q.basis:
+        for j in range(sigma.dim):
+            for k in range(c.dim):
+                lhs = zero_vec(field, c.dim)
+                for ((m, cp), w) in sigma.mc.lift_pairs(sigma.coaction.col(j)):
+                    fvec = q.dual.element_eval(qb.col(m)).col(k)
+                    lhs = [field.add(u, v) for u, v in zip(
+                        lhs, c.carrier.left_orbits()[cp].mul_vec(vec_scale(field, w, fvec)))]
+                rhs = zero_vec(field, c.dim)
+                for ((c1, c2), w) in c.cc.lift_pairs(c.coproduct.col(k)):
+                    fvec = q.dual.element_eval(qb.col(j)).col(c2)
+                    rhs = [field.add(u, v) for u, v in zip(
+                        rhs, c.carrier.right_orbits()[c1].mul_vec(vec_scale(field, w, fvec)))]
+                if lhs != rhs:
+                    return ("Q basis element fails its defining relation at basis pair "
+                            "(%d,%d)" % (j, k))
+    return None
+
+
+def test_pointwise_recheck_matches_the_lifted_vector_reference(workspaces, workspaces_f7,
+                                                              hopf_c3_f7):
+    """Both forms pass on every comodule; with one entry of a basis element
+    bumped (each element of each Q space over Q in turn), both name the same
+    first failing pair, or both pass when the bumped map still satisfies
+    the relation."""
+    messages = []
+    for sigma in _every_comodule(workspaces, workspaces_f7, hopf_c3_f7):
+        q = QModule(sigma, DualRing(sigma.coring), EndAlgebra(sigma))
+        assert _ref_verify_pointwise(q) is None, sigma.name
+        assert _outcome(q._verify_pointwise) is None, sigma.name
+        if sigma.field != QQ:
+            continue
+        for b, qb in enumerate(q.basis):
+            bumped = qb.copy()
+            r, col = b % qb.rows, (b * 7 + 3) % qb.cols
+            bumped.data[r][col] = QQ.add(bumped.data[r][col], QQ.one)
+            probe = copy.copy(q)
+            probe.basis = q.basis[:b] + [bumped] + q.basis[b + 1:]
+            expected = _ref_verify_pointwise(probe)
+            assert _outcome(probe._verify_pointwise) == expected, (sigma.name, b)
+            messages.append(expected)
+    failed = [m for m in messages if m is not None]
+    assert len(set(failed)) > 3 and len(failed) > len(messages) // 2

@@ -405,22 +405,50 @@ def test_global_action_colinear_sections_satisfy_literal_identity(bundles):
 # canonical corings over a subalgebra
 
 
+def _ref_sweedler(a, c, tens):
+    """Delta(a (x) b) = (a (x) 1) (x) (1 (x) b) and eps(a (x) b) = ab summed
+    one lifted vector at a time over the basis of tens = A (x)_B A."""
+    f, cc = a.field, c.cc
+    one = list(a.unit)
+    delta_cols, eps_cols = [], []
+    for q in range(tens.dim):
+        dcol, ecol = [f.zero] * cc.dim, [f.zero] * a.dim
+        for ((i, j), w) in tens.lift_pairs(unit_vec(f, tens.dim, q)):
+            left = tens.pure_tensor([unit_vec(f, a.dim, i), one])
+            right = tens.pure_tensor([one, unit_vec(f, a.dim, j)])
+            dcol = [f.add(u, f.mul(w, v)) for u, v in zip(dcol, cc.pure_tensor([left, right]))]
+            ecol = [f.add(u, f.mul(w, v)) for u, v in zip(ecol, a.mul[i][j])]
+        delta_cols.append(dcol)
+        eps_cols.append(ecol)
+    return Matrix.from_cols(f, cc.dim, delta_cols), Matrix.from_cols(f, a.dim, eps_cols)
+
+
+def _checked_sweedler(a, b, inc):
+    c, g, tens = sweedler_coring(a, b, inc)
+    assert (c.coproduct, c.counit) == _ref_sweedler(a, c, tens)
+    return c, g
+
+
 def test_sweedler_trivial_inclusion():
     a = quotient_polynomial_algebra(F, [F.of_int(2), F.zero], name="A")
     b, inc = subalgebra_from_span(a, [[F.one, F.zero], [F.zero, F.one]],
                                   name="A")
-    c, g, _ = sweedler_coring(a, b, inc)
+    c, g = _checked_sweedler(a, b, inc)
     assert c.dim == a.dim  # A (x)_A A collapses
 
 
 def test_sweedler_e3_shape(e3):
     assert e3.corings["C"].dim == 4
+    # E3's construction: Q(sqrt 2) over Q
+    a = quotient_polynomial_algebra(F, [F.of_int(2), F.zero], name="A")
+    b, inc = subalgebra_from_span(a, [[F.one, F.zero]], name="B")
+    assert _checked_sweedler(a, b, inc)[0].dim == 4
 
 
 def test_sweedler_diagonal_in_product():
     a = product_field_algebra(F, 2, name="A")
     b, inc = subalgebra_from_span(a, [[F.one, F.one]], name="B")
-    c, g, _ = sweedler_coring(a, b, inc)
+    c, g = _checked_sweedler(a, b, inc)
     assert c.dim == 4
     sigma = grouplike_comodule(g, name="S")
     from coringlab.galois import galois_check
