@@ -10,6 +10,13 @@ trivial one-dimensional algebra on the inert side, so a single hom-space
 solver with linearity flags, hom_space, covers all four hom flavours and
 every further relation reaches it as operator terms), an algebra over a base
 through a unit map (through), direct sums (direct_sum), regular and trivial.
+
+Validity (Checked): validate() runs an object's full check whenever it is
+called; is_valid() decides it once per object.  A construction whose output
+is valid by an argument written in its own docstring, once every input of it
+is valid, calls vouch on that output: is_valid() then answers True with no
+check.  That is the one path by which an object counts as valid unchecked,
+and an invalid input never takes it.
 """
 
 from __future__ import annotations
@@ -49,7 +56,52 @@ def _orbits(field, dim, acts):
             for x in range(dim)]
 
 
-class FiniteAlgebra:
+class Checked:
+    """Validity decided once per object: validate() runs the full check each
+    time it is called (a subclass may return at once once it has passed) and
+    sets _valid; is_valid() runs it at most once, and not at all for an
+    object a construction vouched for (vouch)."""
+
+    _valid = None
+    _vouched = False
+
+    def is_valid(self):
+        """Whether validate passes (decided once per object); True without
+        a check for a vouched object."""
+        if self._vouched:
+            return True
+        if self._valid is None:
+            try:
+                self.validate()
+            except (AxiomError, UsageError):
+                self._valid = False
+        return self._valid
+
+
+def vouch(obj, *inputs, check=None):
+    """The one seam through which a construction vouches for its output.
+
+    The construction calls it when obj is valid by the argument in its own
+    docstring as soon as every input is valid.  When every input is valid
+    (is_valid, a lookup for an input already checked or vouched for), obj
+    is marked vouched, so obj.is_valid() answers True with no check, and
+    True is returned.  Otherwise nothing is marked, check (when given) runs
+    and False is returned; a construction that checked its output before it
+    vouched passes that check as check, so an invalid input raises the very
+    AxiomError it raised before.  check, else obj.validate, is the output's
+    full check, which a test can run at every vouched output by replacing
+    this function.  obj.validate() itself is unchanged: it still runs the
+    full check whenever it is called.
+    """
+    if all(x.is_valid() for x in inputs):
+        obj._vouched = True
+        return True
+    if check is not None:
+        check()
+    return False
+
+
+class FiniteAlgebra(Checked):
     """Associative unital algebra given by structure constants.
 
     mul[i][j] is the coordinate vector of e_i * e_j; unit is the coordinate
@@ -73,16 +125,6 @@ class FiniteAlgebra:
                       for j in range(dim)]
         self._gens = None
         self._mult_eval = None
-        self._valid = None
-
-    def is_valid(self):
-        """Whether validate passes (decided once per algebra)."""
-        if self._valid is None:
-            try:
-                self.validate()
-            except (AxiomError, UsageError):
-                self._valid = False
-        return self._valid
 
     def lmul(self, i):
         return self._lmul[i]
@@ -215,8 +257,11 @@ class FiniteAlgebra:
 
 
 def trivial_algebra(field):
-    """The ground field as a one-dimensional algebra."""
-    return FiniteAlgebra(field, 1, [[[field.one]]], [field.one], name="k")
+    """The ground field as a one-dimensional algebra, vouched for: 1·1 = 1
+    is associative and unital."""
+    k = FiniteAlgebra(field, 1, [[[field.one]]], [field.one], name="k")
+    vouch(k)
+    return k
 
 
 def tensor_algebra(a, b):
@@ -252,7 +297,7 @@ def algebra_map_check(src, dst, mat):
     return mat.mul_vec(src.unit) == dst.unit and non_multiplicative_at(src, dst, mat) is None
 
 
-class FBimodule:
+class FBimodule(Checked):
     """Finite-dimensional (left_alg, right_alg)-bimodule with action matrices.
 
     left_act[i] is the matrix of the action of the i-th basis element of
@@ -270,7 +315,6 @@ class FBimodule:
         self.name = name
         self.field = left_alg.field
         self._commute = None
-        self._valid = None
         self._fgp = {}
         self._built = {}
 
@@ -278,20 +322,15 @@ class FBimodule:
         """Whether every left action matrix commutes with every right one
         (decided once per module: by validate, on the generators, once both
         actions are known to be multiplicative, and over every pair when
-        read first; validate reports where it fails)."""
+        read first; validate reports where it fails).  A vouched module is a
+        bimodule, so True with no product, and nothing is kept that would
+        spare validate its own check."""
         if self._commute is None:
+            if self._vouched:
+                return True
             self._commute = all(l.mul(r) == r.mul(l)
                                 for l in self.left_act for r in self.right_act)
         return self._commute
-
-    def is_valid(self):
-        """Whether validate passes (decided once per module)."""
-        if self._valid is None:
-            try:
-                self.validate()
-            except (AxiomError, UsageError):
-                self._valid = False
-        return self._valid
 
     @staticmethod
     def trivial(field, dim, name="V", over=None):
@@ -317,11 +356,15 @@ class FBimodule:
 
     @staticmethod
     def regular(alg, name=None):
-        """The algebra as a bimodule over itself."""
-        return FBimodule(alg, alg, alg.dim,
-                         [alg.lmul(i) for i in range(alg.dim)],
-                         [alg.rmul(j) for j in range(alg.dim)],
-                         name=name or alg.name)
+        """The algebra as a bimodule over itself; vouched for when the
+        algebra is valid, whose associativity and unitality are exactly the
+        module axioms of this bimodule."""
+        out = FBimodule(alg, alg, alg.dim,
+                        [alg.lmul(i) for i in range(alg.dim)],
+                        [alg.rmul(j) for j in range(alg.dim)],
+                        name=name or alg.name)
+        vouch(out, alg)
+        return out
 
     @staticmethod
     def through(alg, base, eta, name=None):
@@ -335,7 +378,8 @@ class FBimodule:
     @staticmethod
     def direct_sum(mods, name):
         """M_1 (+) ... (+) M_n over the algebras of M_1, every action matrix
-        block diagonal."""
+        block diagonal.  Vouched for when every M_i is valid over those very
+        algebra objects: each identity of a bimodule holds block by block."""
         first = mods[0]
         f = first.field
         dim = sum(m.dim for m in mods)
@@ -348,10 +392,14 @@ class FBimodule:
                 off += mat.cols
             return Matrix(f, dim, dim, data)
 
-        return FBimodule(first.left_alg, first.right_alg, dim,
-                         [block(mats) for mats in zip(*(m.left_act for m in mods))],
-                         [block(mats) for mats in zip(*(m.right_act for m in mods))],
-                         name=name)
+        out = FBimodule(first.left_alg, first.right_alg, dim,
+                        [block(mats) for mats in zip(*(m.left_act for m in mods))],
+                        [block(mats) for mats in zip(*(m.right_act for m in mods))],
+                        name=name)
+        if all(m.left_alg is first.left_alg and m.right_alg is first.right_alg
+               for m in mods):
+            vouch(out, *mods)
+        return out
 
     def left_act_vec(self, vec):
         """Matrix of the left action of the element with coordinates vec."""
@@ -846,8 +894,16 @@ class BalancedTensor:
         return self._sect
 
     def as_bimodule(self, name=None):
-        return FBimodule(self.left_alg, self.right_alg, self.dim,
-                         self.left_act, self.right_act, name=name or self.name)
+        """The quotient as a bimodule under its outer actions; vouched for
+        when every factor and balancing algebra is valid.  Then every
+        factor's actions commute, so R_b (x) I - I (x) L_b commutes with the
+        outer actions, which keep the relations: each outer action is
+        proj·A·sect for an A that descends, and descended actions stay
+        unital, associative and commuting."""
+        out = FBimodule(self.left_alg, self.right_alg, self.dim,
+                        self.left_act, self.right_act, name=name or self.name)
+        vouch(out, *self.factors, *self.algebras)
+        return out
 
     def pure_tensor(self, vecs):
         """Quotient coordinates of v1 (x) ... (x) vn: the nonzero entries of
@@ -947,10 +1003,15 @@ def sandwich_terms(p, w, left, right, sign=1):
 
 def hom_space(m, n, left_linear=False, right_linear=False, extra_constraints=()):
     """The space of linear maps M -> N with the flagged linearities, as a
-    MatrixSpace in its canonical basis; every basis map has its flags
-    verified.  A linearity is imposed at the algebra's generators alone when
-    both modules are valid over that very algebra object: the same
-    equations hold (FiniteAlgebra.first_failing), so the same space.
+    MatrixSpace in its canonical basis.  A linearity is imposed at the
+    algebra's generators alone when both modules are valid over that very
+    algebra object: the same equations hold (FiniteAlgebra.first_failing),
+    so the same space.
+
+    The space is vouched for with no premise: the solve imposed exactly the
+    equations FLinearMap.verify_flags checks, at the indices it checks them
+    (the generators under the same premise, every basis index otherwise),
+    so every basis map has its flags.
 
     extra_constraints follow the solve_map_space convention and are imposed
     on top of the linearity equations.
@@ -973,8 +1034,9 @@ def hom_space(m, n, left_linear=False, right_linear=False, extra_constraints=())
                                 (n.right_act[i], Matrix.identity(field, m.dim), -1)])
     constraints.extend(extra_constraints)
     space = solve_map_space(m.dim, n.dim, constraints, field)
-    for mat in space.basis:
-        FLinearMap(m, n, mat, left_linear=left_linear, right_linear=right_linear)
+    vouch(space, check=lambda: [FLinearMap(m, n, mat, left_linear=left_linear,
+                                           right_linear=right_linear)
+                                for mat in space.basis])
     return space
 
 
@@ -1066,10 +1128,12 @@ class MatrixSpace:
 
     def algebra(self, product, unit, name, product_message, unit_message):
         """The algebra on the space with e_i·e_j = product(b_i, b_j) and unit
-        matrix unit, validated; the zero algebra when the space is 0.
-        Raises AxiomError(product_message) when a product leaves the space
+        matrix unit; the zero algebra when the space is 0.  Raises
+        AxiomError(product_message) when a product leaves the space
         (product_message may be a function of (i, j)), and
-        AxiomError(unit_message) when the unit does."""
+        AxiomError(unit_message) when the unit does.  Associativity and
+        unitality are not checked here: each caller vouches for them by its
+        own argument, or validates."""
         if not self.basis:
             return zero_algebra(self.field, name=name)
         n = self.dim
@@ -1082,22 +1146,26 @@ class MatrixSpace:
         unit_coords = self.coords(unit)
         if unit_coords is None:
             raise AxiomError(unit_message)
-        alg = FiniteAlgebra(self.field, n, mul, unit_coords, name=name)
-        alg.validate()
-        return alg
+        return FiniteAlgebra(self.field, n, mul, unit_coords, name=name)
 
 
 def endo_algebra(space, name="End", opposite=False):
     """FiniteAlgebra structure on a composition-closed space of endomorphisms.
 
     Multiplication is composition t*t' = t∘t' (or t'∘t when opposite=True).
-    Raises AxiomError when the span is not closed under composition.
+    Raises AxiomError when the span is not closed under composition, or
+    misses the identity.  Vouched for with no premise: a span of matrices
+    closed under composition and holding the identity is a unital
+    subalgebra of the matrix algebra (or of its opposite), and composition
+    is associative.
     """
-    return space.algebra(
+    alg = space.algebra(
         (lambda s, t: t.mul(s)) if opposite else (lambda s, t: s.mul(t)),
         Matrix.identity(space.field, space.rows), name,
         lambda i, j: "%s: not closed under composition at (%d,%d)" % (name, i, j),
         "%s: identity map is not in the span" % name)
+    vouch(alg)
+    return alg
 
 
 def zero_algebra(field, name="0"):

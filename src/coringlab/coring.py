@@ -8,13 +8,15 @@ projection/section pairs.
 
 from __future__ import annotations
 
-from .algmod import (BalancedTensor, FBimodule, FiniteAlgebra, endo_algebra,
-                     hom_space, sandwich_terms)
+from .algmod import (BalancedTensor, Checked, FBimodule, FiniteAlgebra, endo_algebra,
+                     hom_space, sandwich_terms, vouch)
 from .exactla import AxiomError, Matrix, UsageError, side_by_side, unit_vec
 
 
-class Coring:
-    """A-coring: an A-A bimodule with coassociative counital coproduct."""
+class Coring(Checked):
+    """A-coring: an A-A bimodule with coassociative counital coproduct.
+    validate() checks the base, the carrier and every coring axiom each time
+    it is called; is_valid() decides it once (algmod.Checked)."""
 
     def __init__(self, base, carrier, coproduct, counit, name="C"):
         self.base = base
@@ -77,18 +79,21 @@ class Coring:
         if self.cc.induced(self.ccc, [(0, lift)], at=delta) != \
                 self.cc.induced(self.ccc, [(1, lift)], at=delta):
             raise AxiomError("coring %s: coassociativity fails" % self.name)
+        self._valid = True
         return True
 
     def __repr__(self):
         return "Coring(%s over %s, dim %d)" % (self.name, self.base.name, self.dim)
 
 
-class Comodule:
+class Comodule(Checked):
     """Right comodule of a coring, optionally with a compatible left action.
 
     The left slot carries the trivial algebra for plain comodules; filling it
     with an algebra L (and checking the coaction is left L-linear) makes the
-    comodule an L-C bicomodule.
+    comodule an L-C bicomodule.  validate() checks the carrier and every
+    comodule axiom each time it is called, not the coring; is_valid()
+    decides it once (algmod.Checked).
     """
 
     def __init__(self, coring, carrier, coaction, name="M", mc=None):
@@ -160,6 +165,7 @@ class Comodule:
             raise AxiomError("comodule %s: counitality fails" % self.name)
         if self.coaction_on_left(at=rho) != self.delta_on_right(at=rho):
             raise AxiomError("comodule %s: coassociativity fails" % self.name)
+        self._valid = True
         return True
 
     def __repr__(self):
@@ -197,6 +203,14 @@ class DualRing:
     canonical basis, the A-A bimodule structure and the unit map from A,
     and keeps ``hits``, the hit map x -> x^(1)·f(x^(2)) of each basis map
     f, computed once.
+
+    Both structures are vouched for when the coring is valid (and checked
+    otherwise).  The product is associative: (f(gh))(x) and ((fg)h)(x) are
+    both h(x^(1)·g(x^(2)·f(x^(3)))) by coassociativity and the left
+    A-linearity of the maps.  The counit is its unit: (eps f)(x) =
+    f(x^(1)·eps(x^(2))) = f(x) and (f eps)(x) = eps(x^(1))·f(x^(2)) =
+    f(x) by counitality.  (a·f)(c) = f(c·a) and (f·a)(c) = f(c)·a make an
+    A-A bimodule because C is one and A is associative.
     """
 
     def __init__(self, coring):
@@ -212,6 +226,7 @@ class DualRing:
             lambda f, g: g.mul(hit_of[id(f)]), coring.counit, name,
             "dual ring of %s: product escapes the hom space" % coring.name,
             "dual ring of %s: counit is not in the hom space" % coring.name)
+        vouch(self.algebra, coring, check=self.algebra.validate)
         # A-A bimodule structure: (a·f)(c) = f(c·a), (f·a)(c) = f(c)·a
         escape = "dual ring: bimodule action escapes the hom space"
         left_act = [self.space.coords_matrix(
@@ -220,7 +235,7 @@ class DualRing:
         right_act = [self.space.coords_matrix(
             (a.rmul(i).mul(m) for m in self.eval_mats), escape) for i in range(a.dim)]
         self.module = FBimodule(a, a, self.space.dim, left_act, right_act, name=name)
-        self.module.validate()
+        vouch(self.module, coring, check=self.module.validate)
 
     def hit(self, f):
         """C -> C, x -> x^(1)·f(x^(2)), for f in the left dual."""
@@ -240,8 +255,11 @@ def dual_action(comodule, dual=None):
     """Right action of the left dual ring on a comodule: x·f = x^[0] f(x^[1]).
 
     Returns (dual, module) where module is the carrier rewrapped as a
-    (left_alg, *C)-bimodule; every comodule axiom needed for the action to be
-    associative and unital is re-verified by the bimodule validator.
+    (left_alg, *C)-bimodule.  It is vouched for when the comodule and its
+    coring are valid (and checked otherwise): x·eps = x^[0]·eps(x^[1]) = x
+    by counitality, (x·f)·g = x^[0]·g(x^[1]·f(x^[2])) = x·(fg) by
+    coassociativity and right A-linearity of the coaction, and the left
+    action commutes with it because the coaction is left linear.
     """
     dual = dual or DualRing(comodule.coring)
     right_eval = comodule.carrier.right_eval()
@@ -250,7 +268,7 @@ def dual_action(comodule, dual=None):
     mod = FBimodule(comodule.carrier.left_alg, dual.algebra, comodule.dim,
                     list(comodule.carrier.left_act), acts,
                     name=comodule.name + " as *%s-module" % comodule.coring.name)
-    mod.validate()
+    vouch(mod, comodule, comodule.coring, check=mod.validate)
     return dual, mod
 
 
@@ -309,13 +327,18 @@ class EndAlgebra:
 
 
 def grouplike_comodule(g, name=None):
-    """The base algebra as a comodule via a grouplike: rho(a) = g·a."""
+    """The base algebra as a comodule via a grouplike: rho(a) = g·a.
+
+    The grouplike is checked on entry; the comodule is vouched for when the
+    coring is valid (and checked otherwise): eps(g·a) = eps(g)·a = a and
+    Delta(g·a) = g (x) g·a, by the right A-linearity of eps and Delta."""
     g.validate()
     c = g.coring
     a = c.base
     field = c.field
     carrier = FBimodule.right_module(a, a.dim, [a.rmul(j) for j in range(a.dim)],
                                      name=name or a.name)
+    vouch(carrier, a)
     mc = BalancedTensor([carrier, c.carrier], [a])
     cols = []
     for j in range(a.dim):
@@ -323,12 +346,14 @@ def grouplike_comodule(g, name=None):
         cols.append(mc.pure_tensor([list(a.unit), ga]))
     coaction = Matrix.from_cols(field, mc.dim, cols)
     out = Comodule(c, carrier, coaction, name=name or a.name)
-    out.validate()
+    vouch(out, c, check=out.validate)
     return out
 
 
 def trivial_coring(a, name=None):
-    """The base algebra as a coring over itself (Delta = canonical iso, eps = id)."""
+    """The base algebra as a coring over itself (Delta = canonical iso, eps = id).
+    Vouched for when the algebra is valid (and checked otherwise): every
+    axiom is the unitality or associativity of A."""
     carrier = FBimodule.regular(a, name=name or a.name)
     cc = BalancedTensor([carrier, carrier], [a])
     cols = [cc.pure_tensor([unit_vec(a.field, a.dim, j), list(a.unit)])
@@ -336,12 +361,14 @@ def trivial_coring(a, name=None):
     coproduct = Matrix.from_cols(a.field, cc.dim, cols)
     counit = Matrix.identity(a.field, a.dim)
     c = Coring(a, carrier, coproduct, counit, name=name or a.name)
-    c.validate()
+    vouch(c, a, check=c.validate)
     return c
 
 
 def comodule_direct_sum(m1, m2, name=None):
-    """Direct sum of two comodules over the same coring (and left algebra)."""
+    """Direct sum of two comodules over the same coring (and left algebra).
+    Vouched for when both are valid (and checked otherwise): every comodule
+    identity holds block by block."""
     if m1.coring is not m2.coring:
         raise UsageError("direct sum of comodules over different corings")
     if m1.carrier.left_alg is not m2.carrier.left_alg:
@@ -359,7 +386,7 @@ def comodule_direct_sum(m1, m2, name=None):
         blocks.append(src.mc.induced(mc, [(0, inclusion)], at=src.coaction))
     coaction = side_by_side(field, mc.dim, blocks)
     out = Comodule(c, carrier, coaction, name=name, mc=mc)
-    out.validate()
+    vouch(out, m1, m2, check=out.validate)
     return out
 
 
@@ -373,18 +400,23 @@ def zero_comodule(c, name="0"):
 
 
 def opposite_algebra(a):
+    """A^op, vouched for when A is valid (and checked otherwise): the same
+    products read backwards are associative with the same unit."""
     mul = [[a.mul[j][i] for j in range(a.dim)] for i in range(a.dim)]
     out = FiniteAlgebra(a.field, a.dim, mul, a.unit, name=a.name + "^op")
-    out.validate()
+    vouch(out, a, check=out.validate)
     return out
 
 
 def co_opposite(c, name=None):
     """The co-opposite coring over A^op: same carrier with sides swapped and
-    twisted coproduct.  Left comodules of c are right comodules of this."""
+    twisted coproduct.  Left comodules of c are right comodules of this.
+    Vouched for when c is valid (and checked otherwise): each axiom is the
+    mirror image of one of c's."""
     aop = opposite_algebra(c.base)
     carrier = FBimodule(aop, aop, c.dim, list(c.carrier.right_act),
                         list(c.carrier.left_act), name=(name or c.name + "^cop"))
+    vouch(carrier, c)
     cc = BalancedTensor([carrier, carrier], [aop])
     field = c.field
     n = c.dim
@@ -394,5 +426,5 @@ def co_opposite(c, name=None):
             twist.data[j * n + i][i * n + j] = field.one
     coproduct = cc.proj().mul(twist).mul(c.cc.sect()).mul(c.coproduct)
     out = Coring(aop, carrier, coproduct, c.counit, name=name or c.name + "^cop")
-    out.validate()
+    vouch(out, c, check=out.validate)
     return out

@@ -23,16 +23,20 @@ from __future__ import annotations
 
 from functools import cached_property
 
-from .algmod import (BalancedTensor, FBimodule, algebra_map_check, constraint_rows,
-                     endo_algebra, hom_space, sandwich_terms, summand_witnesses)
+from .algmod import (BalancedTensor, Checked, FBimodule, algebra_map_check,
+                     constraint_rows, endo_algebra, hom_space, sandwich_terms,
+                     summand_witnesses, vouch)
 from .coring import Comodule, colinear_homs, colinearity_constraint
 from .exactla import (AxiomError, Matrix, UsageError, flatten_matrix, image, kernel,
                       rank, side_by_side, solve_linear, unflatten)
 from .morita import MoritaContext, morphism_failure
 
 
-class CoringExtension:
-    """An outer coring (over L) extending an inner coring (over A)."""
+class CoringExtension(Checked):
+    """An outer coring (over L) extending an inner coring (over A).
+    validate() checks the inner carrier as an A-L bimodule and every axiom
+    of the extension each time it is called, not the two corings;
+    is_valid() decides it once (algmod.Checked)."""
 
     def __init__(self, inner, outer, right_l_act, tau, split_map=None, name="ext"):
         self.inner = inner
@@ -129,6 +133,7 @@ class CoringExtension:
         if self.bicomodule_lhs() != self.bicomodule_rhs():
             raise AxiomError("extension %s: coproduct is not colinear for the outer "
                              "coaction" % self.name)
+        self._valid = True
         return True
 
     def __repr__(self):
@@ -140,22 +145,42 @@ class CoringExtension:
 # induced structures on comodules
 
 
+def _extension_parts(ext, m):
+    """What the structures induced on a comodule m of the inner coring rest
+    on: the extension, both corings and m."""
+    return ext, ext.inner, ext.outer, m
+
+
 def induced_right_l_action(ext, m):
-    """Right L-action m·l = m^[0]·eps(m^[1]·l) on a comodule of the inner coring."""
+    """Right L-action m·l = m^[0]·eps(m^[1]·l) on a comodule of the inner
+    coring.
+
+    Vouched for when the extension, both corings and m are valid (and
+    checked otherwise: a right L-module, with the coaction right L-linear).
+    Delta(c·l) = c^(1) (x) c^(2)·l and counitality give
+    c^(1)·eps(c^(2)·l) = c·l, so by coassociativity of the coaction
+    rho(m·l) = m^[0] (x) m^[1]·eps(m^[2]·l) = m^[0] (x) m^[1]·l, and then
+    (m·l)·l' = m^[0]·eps(m^[1]·l·l') = m·(ll') and m·1 = m."""
     counit = ext.inner.counit
     right_eval = m.carrier.right_eval()
     acts = [right_eval.mul(m.mc.induced(None, [(1, counit.mul(r))], at=m.coaction))
             for r in ext.right_l_act]
     l = ext.outer.base
     probe = FBimodule.right_module(l, m.dim, acts, name=m.name + " as L-module")
-    probe.validate()
-    # the coaction is right L-linear for this action
-    for i in range(l.dim):
-        if m.coaction.mul(acts[i]) != \
+    vouch(probe, *_extension_parts(ext, m),
+          check=lambda: probe.validate() and _coaction_l_linear(ext, m, acts))
+    return acts
+
+
+def _coaction_l_linear(ext, m, acts):
+    """Raise unless the coaction of m is right L-linear for the induced
+    action acts, at every basis index of L."""
+    for i, act in enumerate(acts):
+        if m.coaction.mul(act) != \
                 m.mc.induced(m.mc, [(1, ext.right_l_act[i])], at=m.coaction):
             raise AxiomError("induced right L-action is not compatible with the "
                              "coaction on %s" % m.name)
-    return acts
+    return True
 
 
 def purity_check(ext, comodules):
@@ -195,8 +220,15 @@ def _pure_for(ext, m):
     """Whether the equalizer comparison is bijective for m, with X = D (x)_L D:
     rho_M (x) X is injective (one image, whose dimension decides) and that
     image is the kernel of the difference of the two maps
-    (M (x) C) (x)_L X -> (M (x) C (x) C) (x)_L X."""
+    (M (x) C) (x)_L X -> (M (x) C (x) C) (x)_L X.
+
+    The three right L-modules are vouched for when the extension, both
+    corings and m are valid: M with the induced action
+    (induced_right_l_action), and M (x)_A C and M (x)_A C (x)_A C with L
+    acting on the last slot, where each r of the right L-action on C is
+    left A-linear, so I (x) r descends and the actions are C's."""
     l = ext.outer.base
+    parts = _extension_parts(ext, m)
     m_l = FBimodule.right_module(l, m.dim, induced_right_l_action(ext, m), name=m.name)
     mc_l = FBimodule.right_module(l, m.mc.dim, [m.mc.induced(m.mc, [(1, r)])
                                                 for r in ext.right_l_act],
@@ -204,6 +236,8 @@ def _pure_for(ext, m):
     mcc_l = FBimodule.right_module(l, m.mcc.dim, [m.mcc.induced(m.mcc, [(2, r)])
                                                   for r in ext.right_l_act],
                                    name=m.name + "(x)C(x)C")
+    for mod in (m_l, mc_l, mcc_l):
+        vouch(mod, *parts)
     x_mod = ext.outer.cc.as_bimodule(name="D(x)D")
     t1 = BalancedTensor([m_l, x_mod], [l])
     t2 = BalancedTensor([mc_l, x_mod], [l])
@@ -220,7 +254,14 @@ def induced_D_coaction(ext, m):
     """The outer comodule structure on a comodule of the inner coring.
 
     Requires a purity certificate.  Installs the induced right L-action
-    first, then returns a comodule of the outer coring.
+    first, then returns a comodule of the outer coring, with the coaction
+    m -> m^[0]·eps(m^[1]_[0]) (x) m^[1]_[1].  It is vouched for when the
+    extension, both corings and m are valid (and checked otherwise), by
+    the lemma that a coring extension makes every right C-comodule a right
+    D-comodule this way: the bicomodule identity of C gives
+    c^(1) (x) c^(2)_[0] (x) c^(2)_[1] = c_[0]^(1) (x) c_[0]^(2) (x) c_[1],
+    so the formula sends C itself to tau, and counitality and
+    coassociativity follow from those of tau and of the coaction of m.
     """
     if ext.purity_certificate in ("unchecked", "not-pure"):
         raise UsageError("induced coaction refused: extension %s has purity "
@@ -230,6 +271,8 @@ def induced_D_coaction(ext, m):
     carrier = FBimodule(m.carrier.left_alg, ext.outer.base, m.dim,
                         list(m.carrier.left_act), induced_right_l_action(ext, m),
                         name=m.name)
+    # the left action commutes with the induced right one: rho is left linear
+    vouch(carrier, *_extension_parts(ext, m))
     md = BalancedTensor([carrier, ext.outer.carrier], [ext.outer.base])
     # m -> m^[0]·eps(m^[1]_[0]) (x) m^[1]_[1] = sum_a m^[0]·a (x) z_a(m^[1]), where
     # (eps (x) D)∘tau = sum_a a (x) z_a over the basis of A
@@ -240,7 +283,7 @@ def induced_D_coaction(ext, m):
         z_a = Matrix(f, ddim, c.dim, z.data[a * ddim:(a + 1) * ddim])
         tau_m = tau_m.add(m.mc.induced(md, [(0, act), (1, z_a)], at=m.coaction))
     out = Comodule(ext.outer, carrier, tau_m, name=m.name, mc=md)
-    out.validate()
+    vouch(out, *_extension_parts(ext, m), check=out.validate)
     return out
 
 
@@ -248,7 +291,7 @@ def tensor_comodule(m, n_carrier, coring, rho, name):
     """M (x)_B N with the coaction M (x) rho_N, for a right B-module m and a
     right comodule N of coring given by its carrier (a left B-module) and
     rho = sect·rho_N, laid out N x C.  Returns (comodule, tensor), the
-    comodule not yet validated.
+    comodule neither checked nor vouched for: that is its caller's.
 
     M (x) rho_N lands in M x N x C; proj (x) C takes that to the image's
     layout (M (x)_B N) x C, which the comodule projects to its own tensor."""
@@ -355,11 +398,16 @@ class ExtContext:
             raise UsageError("the comodule's left algebra does not match the outer base")
         eta = self.end.unit_map_from(l) if t_alg.dim else Matrix.zero(f, 0, l.dim)
         self.eta = eta
-        # T as a (T, L)-bimodule: left multiplication, and L through eta
+        # T as a (T, L)-bimodule: left multiplication, and L through eta;
+        # vouched for when Sigma is valid over this very L: eta(l) is left
+        # multiplication by l, so eta is a unital algebra map into T, whose
+        # product is composition
         self.t_bim = FBimodule(t_alg, l, t_alg.dim,
                                [t_alg.lmul(i) for i in range(t_alg.dim)],
                                [t_alg.rmul_vec(eta.col(i)) for i in range(l.dim)],
                                name="T")
+        if sigma.carrier.left_alg is l:
+            vouch(self.t_bim, sigma, l)
         self.sigma_d = induced_D_coaction(ext, sigma)
         self._outer = {sigma: self.sigma_d}
         # ----- corner 2: bicolinear coring endomorphisms, opposite product
@@ -398,21 +446,29 @@ class ExtContext:
     @cached_property
     def td(self):
         """(comodule, tensor) of T (x)_L D: the T-D bicomodule with left
-        multiplication and the coaction T (x) Delta_D, validated."""
+        multiplication and the coaction T (x) Delta_D.  Vouched for when T
+        (as a (T, L)-bimodule) and D are valid (and checked otherwise): the
+        coaction is Delta_D on the D slot, so it is counital, coassociative
+        and left T-linear because Delta_D is counital, coassociative and
+        left L-linear."""
         d = self.ext.outer
         com, tens = tensor_comodule(self.t_bim, d.carrier, d,
                                     d.cc.sect().mul(d.coproduct), "T(x)D")
-        com.validate()
+        vouch(com, self.t_bim, d, check=com.validate)
         return com, tens
 
     @cached_property
     def sigma_bi(self):
         """Sigma as a T-D bicomodule: the outer comodule with T acting on the
-        left."""
+        left.  Its carrier is vouched for when the outer comodule and what
+        it is induced from are valid: T acts by composition, and a colinear
+        t commutes with the induced right L-action,
+        t(x·l) = t(x)^[0]·eps(t(x)^[1]·l) = t(x)·l."""
         sigma, sigma_d = self.sigma, self.sigma_d
         carrier = FBimodule(self.t_alg, self.ext.outer.base, sigma.dim,
                             list(self.end.basis_maps), sigma_d.carrier.right_act,
                             name=sigma.name)
+        vouch(carrier, sigma_d, *_extension_parts(self.ext, sigma))
         return Comodule(self.ext.outer, carrier, sigma_d.coaction, name=sigma.name)
 
     @cached_property
@@ -622,7 +678,12 @@ def convolution_algebra(d, alg, eta=None, name=None):
     eta∘eps_D.
 
     alg is an L-ring via eta: L -> alg (defaults to the identity when L is
-    the trivial algebra).  Returns (algebra, space of bilinear maps).
+    the trivial algebra).  Returns (algebra, space of bilinear maps).  The
+    algebra is vouched for when D and alg are valid (and checked otherwise):
+    x (x) y -> f(x)·g(y) is balanced, f(x·l)·g(y) = f(x)·eta(l)·g(y) =
+    f(x)·g(l·y), so the product is well defined; it is associative by
+    coassociativity of D and associativity of alg, and eta∘eps_D is its
+    unit by counitality, f(x_(1))·eta(eps(x_(2))) = f(x_(1)·eps(x_(2))).
     """
     f = d.field
     if d.base.dim != 1 and eta is None:
@@ -639,18 +700,24 @@ def convolution_algebra(d, alg, eta=None, name=None):
         name or ("Conv(%s,%s)" % (d.name, alg.name) if space.dim else "Conv"),
         "convolution product escapes the bilinear maps",
         "convolution unit escapes the bilinear maps")
+    vouch(alg_out, d, alg, check=alg_out.validate)
     return alg_out, space
 
 
 def convolution_inverse(d, alg, lam):
-    """Two-sided convolution inverse of a k-linear map D -> A, or None.
+    """Convolution inverse of a k-linear map D -> A, or None.
 
-    Solves lam * x = unit and x * lam = unit simultaneously as one linear
-    system; the returned inverse is the canonical echelon solution.  Only
-    over the trivial base, where the unit is 1_A·eps_D.  The two products
-    are the sandwiches mult·(A (x) X)·(lam (x) D)·Delta and
-    mult·(X (x) A)·(D (x) lam)·Delta, their rows assembled by constraint_rows
-    as solve_map_space assembles its own.
+    Solves lam * x = unit alone; the returned inverse is the canonical
+    echelon solution.  Only over the trivial base, where the unit is
+    1_A·eps_D.  For a valid coring D and algebra A, Hom(D, A) under
+    convolution is a finite-dimensional algebra, and there a right inverse
+    is unique and two-sided: lam * x = 1 makes r -> lam * r surjective,
+    hence injective, and lam * (x * lam) = lam = lam * 1 gives x * lam = 1;
+    any other right inverse x' = (x * lam) * x' = x.  So the solutions of
+    lam * x = 1 are exactly the two-sided inverse, when there is one, and
+    solving x * lam = 1 as well would only double the rows.  The product is
+    the sandwich mult·(A (x) X)·(lam (x) D)·Delta, its rows assembled by
+    constraint_rows as solve_map_space assembles its own.
     """
     f = d.field
     if d.base.dim != 1:
@@ -658,11 +725,9 @@ def convolution_inverse(d, alg, lam):
                          "unit map L -> A")
     addim, ddim = alg.dim, d.dim
     unit = flatten_matrix(Matrix.from_cols(f, addim, [list(alg.unit)]).mul(d.counit))
-    mult = alg.mult_eval()
-    sides = (sandwich_terms(mult, d.cc.induced(None, [(0, lam)], at=d.coproduct), addim, 1),
-             sandwich_terms(mult, d.cc.induced(None, [(1, lam)], at=d.coproduct), 1, addim))
-    rows = [row for terms in sides for row in constraint_rows(ddim, addim, terms, f)]
-    sol = solve_linear(Matrix.from_rows(f, rows), unit + unit)
+    terms = sandwich_terms(alg.mult_eval(),
+                           d.cc.induced(None, [(0, lam)], at=d.coproduct), addim, 1)
+    sol = solve_linear(Matrix.from_rows(f, constraint_rows(ddim, addim, terms, f)), unit)
     if sol is None:
         return None
     return unflatten(f, addim, ddim, sol)

@@ -42,7 +42,7 @@ import itertools
 import random
 
 from .algmod import (BalancedTensor, FBimodule, fgp_check, generator_check,
-                     hom_space, span_witness, summand_witnesses)
+                     hom_space, span_witness, summand_witnesses, vouch)
 from .coring import EndAlgebra, colinear_homs
 from .exactla import (AxiomError, Matrix, UsageError, flatten_matrix, inverse,
                       rank, rank_inverse, side_by_side, solve_linear, unflatten,
@@ -59,19 +59,25 @@ SEARCH_SEED = 20060410
 
 
 def sigma_over_end(sigma, end):
-    """Sigma as a (T, A)-bimodule, T = End^C(Sigma) acting by evaluation."""
-    return FBimodule(end.algebra, sigma.carrier.right_alg, sigma.dim,
-                     list(end.basis_maps), list(sigma.carrier.right_act),
-                     name=sigma.name)
+    """Sigma as a (T, A)-bimodule, T = End^C(Sigma) acting by evaluation;
+    vouched for when Sigma's carrier is valid: T's product is composition
+    and its maps are right A-linear."""
+    out = FBimodule(end.algebra, sigma.carrier.right_alg, sigma.dim,
+                    list(end.basis_maps), list(sigma.carrier.right_act),
+                    name=sigma.name)
+    vouch(out, sigma.carrier, end.algebra)
+    return out
 
 
 def hom_tensor_sigma(space, sigma, end, name, message):
     """Hom(Sigma, N) (x)_T Sigma for a MatrixSpace of maps Sigma -> N, with T
     acting on the maps by precomposition; AxiomError(message) when that
-    action leaves the space."""
+    action leaves the space.  The maps form a right T-module, vouched for:
+    h·t·t' = h∘t∘t' = h·(tt') and h·1 = h, T's product being composition."""
     right_acts = [space.coords_matrix((h.mul(t) for h in space.basis), message)
                   for t in end.basis_maps]
     hom_mod = FBimodule.right_module(end.algebra, space.dim, right_acts, name=name)
+    vouch(hom_mod, end.algebra)
     return BalancedTensor([hom_mod, sigma_over_end(sigma, end)], [end.algebra])
 
 
@@ -120,8 +126,10 @@ class CanonicalMap:
 
 
 def regular_right_module(alg, copies=1, name=None):
-    """The free right module of the given rank over an algebra."""
+    """The free right module of the given rank over an algebra, vouched for
+    when the algebra is valid (FBimodule.regular, direct_sum)."""
     free = FBimodule.right_module(alg, alg.dim, [alg.rmul(i) for i in range(alg.dim)])
+    vouch(free, alg)
     return FBimodule.direct_sum([free] * copies,
                                 name=name or ("%s^%d" % (alg.name, copies)))
 
@@ -706,9 +714,12 @@ def _tensor_fullyfaithful(cm):
               for (xvec, qvec) in wit]
     results = []
     for n_mod in samples_t:
+        # N (x)_T Sigma with N (x) rho: vouched for when N and Sigma are
+        # valid (and checked otherwise), since rho is left T-linear (T is
+        # colinear) and counital and coassociative
         ncom, tens_n = tensor_comodule(n_mod, sigma_t, sigma.coring, rho,
                                        n_mod.name + "(x)Sigma")
-        ncom.validate()
+        vouch(ncom, n_mod, sigma_t, sigma, check=ncom.validate)
         space = colinear_homs(sigma, ncom)
         homs = space.basis
         # the unit n -> (x -> n (x) x): block n of the columns of proj

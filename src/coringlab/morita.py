@@ -22,7 +22,7 @@ from __future__ import annotations
 from functools import cached_property
 
 from .algmod import (BalancedTensor, FBimodule, endo_algebra, fgp_check,
-                     hom_space, non_multiplicative_at, sandwich_terms)
+                     hom_space, non_multiplicative_at, sandwich_terms, vouch)
 from .coring import DualRing, EndAlgebra, dual_action
 from .exactla import (AxiomError, Matrix, UsageError, rank, side_by_side,
                       solve_linear, unflatten, unit_vec)
@@ -200,7 +200,11 @@ def morphism_failure(src, dst, phi1, phi2, phi12, phi21):
 
 
 class SigmaDual:
-    """Hom_A(Sigma, A) as an (A, L)-bimodule with canonical basis."""
+    """Hom_A(Sigma, A) as an (A, L)-bimodule with canonical basis.
+
+    The bimodule is vouched for when A and Sigma's carrier are valid (and
+    checked otherwise): A acts by left multiplication and L by precomposing
+    with its left action on Sigma, and the two commute."""
 
     def __init__(self, sigma):
         self.sigma = sigma
@@ -216,7 +220,7 @@ class SigmaDual:
             for i in range(lalg.dim)]
         self.module = FBimodule(a, lalg, self.dim, left_act, right_act,
                                 name=sigma.name + "*")
-        self.module.validate()
+        vouch(self.module, a, sigma.carrier, check=self.module.validate)
 
     @property
     def dim(self):
@@ -400,18 +404,22 @@ class ComoduleContext:
 class ModuleContext:
     """The module-theoretic context over the dual ring of a comodule
     context: the endomorphisms and the maps into the dual ring that are
-    linear over it."""
+    linear over it.  Sigma as a right *C-module is vouched for when Sigma
+    and its coring are valid (coring.dual_action's argument), and *C over
+    itself when *C is valid."""
 
     def __init__(self, cm):
         sigma, dual = cm.sigma, cm.dual
         plain = FBimodule.right_module(dual.algebra, sigma.dim, cm.dualact_mats,
                                        name=sigma.name)
+        vouch(plain, sigma, sigma.coring)
         self.end_space = hom_space(plain, plain, right_linear=True)
         end_alg = endo_algebra(self.end_space, name="End_*%s(%s)"
                                % (sigma.coring.name, sigma.name))
         dual_reg = FBimodule.right_module(dual.algebra, dual.dim,
                                           [dual.algebra.rmul(i) for i in range(dual.dim)],
                                           name=dual.algebra.name)
+        vouch(dual_reg, dual.algebra)
         self.homs = hom_space(plain, dual_reg, right_linear=True)
         name = "module context(%s)" % sigma.name
         bim21 = _hom_bimodule(self.homs, dual, end_alg, self.end_space.basis, "Q",

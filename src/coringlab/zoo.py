@@ -715,6 +715,7 @@ def subalgebra_from_span(a, vectors, name="B"):
     b = space.algebra(lambda x, y: Matrix.column(f, a.multiply(x.col(0), y.col(0))),
                       Matrix.column(f, list(a.unit)), name,
                       "span is not closed under multiplication", unit_message)
+    b.validate()
     return b, sub.basis_matrix_cols()
 
 
@@ -731,14 +732,15 @@ def sweedler_coring(a, b, b_inc, name=None):
     ba.validate()
     tens = BalancedTensor([ab, ba], [b], name=(name or "A(x)A"))
     carrier = tens.as_bimodule(name=name or "A(x)A")
-    cc = BalancedTensor([carrier, carrier], [a])
     one = list(a.unit)
     # Delta(a (x) b) = (a (x) 1) (x)_A (1 (x) b) and eps(a (x) b) = ab; the
-    # multiplication descends since A is associative, which ab.validate checked
+    # multiplication descends since A is associative, which ab.validate
+    # checked.  Delta is given on the ambient C x C, and the coring projects
+    # it to the C (x)_A C it builds.
     units = [unit_vec(f, a.dim, i) for i in range(a.dim)]
     left = Matrix.from_cols(f, tens.dim, [tens.pure_tensor([e, one]) for e in units])
     right = Matrix.from_cols(f, tens.dim, [tens.pure_tensor([one, e]) for e in units])
-    coproduct = tens.induced(cc, [(0, left), (1, right)])
+    coproduct = tens.induced(None, [(0, left), (1, right)])
     counit = tens.descend_map(a.mult_eval())
     c = Coring(a, carrier, coproduct, counit, name=name or "A(x)A")
     c.validate()

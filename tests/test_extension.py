@@ -5,7 +5,7 @@ import random
 
 import pytest
 
-from coringlab.algmod import FBimodule, trivial_algebra
+from coringlab.algmod import FBimodule, constraint_rows, sandwich_terms, trivial_algebra
 from coringlab.cli import _jtilde_from_map
 from coringlab.coring import Comodule
 from coringlab.exactla import (AxiomError, FieldFp, Matrix, QQ, Subspace,
@@ -222,8 +222,28 @@ def _ref_convolution_inverse(d, alg, lam):
     return None if sol is None else unflatten(f, addim, ddim, sol)
 
 
+def _stacked_convolution_inverse(d, alg, lam):
+    """lam * x = 1 and x * lam = 1 solved as one stacked system, the two
+    sandwiches mult·(A (x) X)·(lam (x) D)·Delta and
+    mult·(X (x) A)·(D (x) lam)·Delta: the form convolution_inverse solved
+    before it dropped the mirrored half."""
+    f = d.field
+    addim, ddim = alg.dim, d.dim
+    unit = flatten_matrix(Matrix.from_cols(f, addim, [list(alg.unit)]).mul(d.counit))
+    mult = alg.mult_eval()
+    sides = (sandwich_terms(mult, d.cc.induced(None, [(0, lam)], at=d.coproduct), addim, 1),
+             sandwich_terms(mult, d.cc.induced(None, [(1, lam)], at=d.coproduct), 1, addim))
+    rows = [row for terms in sides for row in constraint_rows(ddim, addim, terms, f)]
+    sol = solve_linear(Matrix.from_rows(f, rows), unit + unit)
+    return None if sol is None else unflatten(f, addim, ddim, sol)
+
+
 def _checked_inverse(d, alg, lam):
+    """convolution_inverse, which solves lam * x = 1 alone, against the
+    stacked two-sided system in operator form and written out element by
+    element."""
     inv = convolution_inverse(d, alg, lam)
+    assert inv == _stacked_convolution_inverse(d, alg, lam)
     assert inv == _ref_convolution_inverse(d, alg, lam)
     return inv
 
@@ -250,6 +270,13 @@ def test_convolution_inverse_zero_map(e2):
     a = e2.algebras["A"]
     zero = Matrix.zero(F, 2, 2)
     assert _checked_inverse(ext.outer, a, zero) is None
+
+
+def test_convolution_inverse_of_the_e5_section(e5):
+    # E5 is a weak entwining: its section lambda has the weak inverse
+    # lambda_bar and no two-sided convolution inverse, in either form
+    ext = e5.extensions["ext"]
+    assert _checked_inverse(ext.outer, ext.inner.base, e5.maps["lambda"]) is None
 
 
 def _ref_pairing(sd, m, vec, jt):

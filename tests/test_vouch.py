@@ -1,0 +1,331 @@
+"""Constructions vouch for what they build, and tier-1 still runs every
+check they skip.
+
+A construction whose output is valid by an argument in its docstring, once
+every input is valid, hands that output to ``algmod.vouch``: ``is_valid()``
+then answers True with no check, while ``validate()`` still runs the full
+check whenever it is called.  The tests here:
+
+- run the 96 benchmark commands, the C2 and C3 tensor chains over F7 and
+  the zoo's fixture builders once as they are and once with the seam
+  running the full check of every output it vouches for (``validate()``,
+  or the linearity flags of each ``hom_space`` basis map), and compare
+  exit codes, stdout, error messages and built structures;
+- build outputs from invalid inputs and check that nothing is vouched for
+  and each error is the one the construction raised before it vouched;
+- hold every check call in ``src`` (outside ``zoo``, whose builders check
+  what they build) to an allow-list, each entry tagged with the kind of
+  check it is: ``input`` (the structures a user hands in), ``printed`` (a
+  check whose verdict the command reports) or ``independent`` (a second
+  route to a fact, run to cross-check the first).
+"""
+
+import ast
+import contextlib
+import glob
+import io
+import json
+import os
+import sys
+
+import pytest
+
+from coringlab.algmod import FBimodule, FiniteAlgebra, vouch
+from coringlab.cli import main
+from coringlab.coring import DualRing, co_opposite, comodule_direct_sum, trivial_coring
+from coringlab.exactla import QQ, AxiomError, FieldFp, Matrix, UsageError
+from coringlab.extension import induced_D_coaction
+from coringlab.workspace import load_workspace
+from coringlab.zoo import FIXTURES, build_fixture, group_algebra, product_field_algebra
+
+from test_contract import ROOT, WORKLOADS
+from test_kron_sites import SRC
+
+CHECKS = ("validate", "verify_flags", "_verify_pointwise")
+
+
+# ---------------------------------------------------------------------------
+# every vouched output passes its full check
+
+
+def _seam_modules():
+    """The coringlab modules that call the seam, each by its own name."""
+    return [module for name, module in sorted(sys.modules.items())
+            if name.startswith("coringlab") and getattr(module, "vouch", None) is vouch]
+
+
+def _check_at_the_seam(patch):
+    """Make the seam run the full check of every output it vouches for;
+    returns the list the checked outputs are appended to."""
+    checked = []
+
+    def checking_vouch(obj, *inputs, check=None):
+        vouched = vouch(obj, *inputs, check=check)
+        if vouched:
+            (check or obj.validate)()
+            checked.append(obj)
+        return vouched
+
+    for module in _seam_modules():
+        patch.setattr(module, "vouch", checking_vouch)
+    return checked
+
+
+def _command(argv):
+    """(exit code, stdout, the stderr lines other than the timing summary)."""
+    out, err = io.StringIO(), io.StringIO()
+    cwd = os.getcwd()
+    os.chdir(ROOT)
+    try:
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(list(argv))
+    finally:
+        os.chdir(cwd)
+    return code, out.getvalue(), [line for line in err.getvalue().splitlines()
+                                  if not line.startswith("[")]
+
+
+def _outcome(build):
+    try:
+        return build()
+    except (AxiomError, UsageError) as exc:
+        return "%s: %s" % (type(exc).__name__, exc)
+
+
+def _coring_text(c):
+    return repr((c.coproduct.data, c.counit.data, c.carrier.left_act, c.carrier.right_act,
+                 c.is_valid()))
+
+
+def _builders():
+    """The zoo's fixture builders over Q and F7, and the coring constructions
+    the fixtures do not reach, each giving a text to compare."""
+    out = [lambda name=name, field=field: build_fixture(name, field).canonical_text()
+           for name in sorted(FIXTURES) for field in (QQ, FieldFp(7))]
+
+    def coring_constructions():
+        ws = build_fixture("E2")
+        sigma = ws.comodules["Sigma"]
+        plus = comodule_direct_sum(sigma, sigma)
+        return [_coring_text(co_opposite(ws.corings["C"])),
+                _coring_text(trivial_coring(product_field_algebra(QQ, 3))),
+                repr((plus.coaction.data, plus.is_valid()))]
+
+    return out + [coring_constructions]
+
+
+def _everything():
+    argvs = WORKLOADS.cli_argvs([]) + WORKLOADS.cli_argvs(["--reduce", "7"])
+    return ([_command(argv) for argv in argvs],
+            [_outcome(op.thunk) for op in WORKLOADS.tensor_ops()],
+            [_outcome(build) for build in _builders()])
+
+
+def test_every_vouched_output_passes_its_full_check(monkeypatch):
+    commands, chains, builds = got = _everything()
+    assert len(commands) == 96 and len(chains) == 2
+    with monkeypatch.context() as patch:
+        checked = _check_at_the_seam(patch)
+        ref = _everything()
+        assert checked
+    assert got == ref
+    # the hom-space flags, every algebra kind and every induced comodule
+    # took part
+    kinds = {type(obj).__name__ for obj in checked}
+    assert kinds == {"MatrixSpace", "FiniteAlgebra", "FBimodule", "Comodule", "Coring"}
+
+
+# ---------------------------------------------------------------------------
+# an invalid input leaves the output unvouched, and checked as before
+
+
+def _perturbed(fixture, path):
+    """A workspace with the scalar at path raised by one, loaded without
+    validation, as the reject workload's site of that path perturbs it."""
+    data = WORKLOADS.load_fixture(fixture)
+    return load_workspace(json.dumps(WORKLOADS.bump(data, path)))
+
+
+# reject E1 #14: the first right action matrix of C's carrier, so C is no
+# coring and Sigma no comodule
+E1_14 = ("modules", "C_carrier", "right_act", 0, "entries", 0)
+# E1 #5: the first coproduct entry of the outer coring D
+E1_5 = ("corings", "D", "coproduct", "entries", 0)
+
+
+def _recording_seam(patch):
+    offered = []
+
+    def recording_vouch(obj, *inputs, check=None):
+        offered.append(obj)
+        return vouch(obj, *inputs, check=check)
+
+    for module in _seam_modules():
+        patch.setattr(module, "vouch", recording_vouch)
+    return offered
+
+
+def _induced(offered):
+    """The induced L-action, carrier and comodule among the outputs offered
+    to the seam (the trivial algebras of one-sided modules are vouched for
+    with no premise)."""
+    return [obj for obj in offered if not isinstance(obj, FiniteAlgebra)]
+
+
+def test_the_reject_sites_are_the_ones_named():
+    sites = WORKLOADS.scalar_sites(WORKLOADS.load_fixture("E1"))
+    assert (sites[14], sites[5]) == (E1_14, E1_5)
+
+
+def test_an_invalid_coring_leaves_its_dual_ring_unvouched(monkeypatch):
+    ws = _perturbed("E1", E1_14)
+    c = ws.corings["C"]
+    assert not c.is_valid()
+    offered = _recording_seam(monkeypatch)
+    with pytest.raises(AxiomError) as err:
+        DualRing(c)
+    # the message the dual ring's own check gave before it was vouched for
+    assert str(err.value) == "algebra *C: unitality fails (1*a != a)"
+    dual_alg = [obj for obj in offered if getattr(obj, "name", None) == "*C"]
+    assert len(dual_alg) == 1 and not dual_alg[0]._vouched
+
+
+def test_an_invalid_comodule_leaves_its_induced_comodule_unvouched(monkeypatch):
+    ws = _perturbed("E1", E1_14)
+    ext, sigma = ws.extensions["ext"], ws.comodules["Sigma"]
+    assert ext.is_valid() and not ext.inner.is_valid() and not sigma.is_valid()
+    # purity_check refuses the perturbed extension; the gate is opened by
+    # hand so the construction runs on its invalid inputs
+    ext.purity_certificate = "pure-by-split"
+    offered = _recording_seam(monkeypatch)
+    out = induced_D_coaction(ext, sigma)
+    assert out.is_valid()
+    assert _induced(offered) and not any(obj._vouched for obj in _induced(offered))
+
+
+def test_an_invalid_outer_coring_leaves_the_induced_comodule_checked(monkeypatch):
+    # D's coproduct is broken, and with it the extension, whose
+    # coassociativity reads it; C and Sigma are valid, so a premise on them
+    # alone would vouch for a comodule that is not coassociative
+    ws = _perturbed("E1", E1_5)
+    ext, sigma = ws.extensions["ext"], ws.comodules["Sigma"]
+    assert ext.inner.is_valid() and sigma.is_valid()
+    assert not ext.outer.is_valid() and not ext.is_valid()
+    ext.purity_certificate = "pure-by-split"
+    offered = _recording_seam(monkeypatch)
+    with pytest.raises(AxiomError) as err:
+        induced_D_coaction(ext, sigma)
+    assert str(err.value) == "comodule Sigma: coassociativity fails"
+    assert _induced(offered) and not any(obj._vouched for obj in _induced(offered))
+
+
+def _noncommuting():
+    """k x k acting on k^2 by the diagonal matrix units on the left and C2
+    by the swap on the right: each side a module, the two not commuting."""
+    f = QQ
+    swap = Matrix.from_rows(f, [[f.zero, f.one], [f.one, f.zero]])
+    e00 = Matrix.from_rows(f, [[f.one, f.zero], [f.zero, f.zero]])
+    e11 = Matrix.from_rows(f, [[f.zero, f.zero], [f.zero, f.one]])
+    return FBimodule(product_field_algebra(f, 2, name="A"),
+                     group_algebra(f, [[0, 1], [1, 0]], name="C2"), 2,
+                     [e00, e11], [Matrix.identity(f, 2), swap], name="M")
+
+
+def test_validate_still_runs_the_full_check_of_a_vouched_object():
+    m = _noncommuting()
+    assert vouch(m)
+    assert m.is_valid() and m.actions_commute()
+    with pytest.raises(AxiomError) as err:
+        m.validate()
+    assert str(err.value) == "module M: left and right actions do not commute at (0,1)"
+    t = FiniteAlgebra(QQ, 1, [[[QQ.of_int(2)]]], [QQ.one], name="T")
+    assert vouch(t) and t.is_valid()
+    with pytest.raises(AxiomError):
+        t.validate()
+
+
+def test_the_seam_vouches_only_when_every_input_is_valid():
+    bad = FiniteAlgebra(QQ, 1, [[[QQ.of_int(2)]]], [QQ.one], name="T")
+    out = FBimodule.regular(bad)
+    assert not bad.is_valid() and not out._vouched
+    assert FBimodule.regular(product_field_algebra(QQ, 2))._vouched
+    calls = []
+    assert not vouch(FiniteAlgebra(QQ, 1, [[[QQ.one]]], [QQ.one]), bad,
+                     check=lambda: calls.append(1))
+    assert calls == [1]
+
+
+# ---------------------------------------------------------------------------
+# every check call in src is an input, printed or independent check
+
+INPUT, PRINTED, INDEPENDENT = "input", "printed", "independent"
+# (module, enclosing function) -> kind; calls inside the check= argument of
+# a vouch call are the seam's and need no entry
+ALLOWED = {
+    # an object no construction vouched for is an input: its check runs
+    # once, the first time its validity is asked
+    ("algmod.py", "Checked.is_valid"): INPUT,
+    # a linear map handed in is checked when it is built
+    ("algmod.py", "FLinearMap.__init__"): INPUT,
+    # a coring's, comodule's and extension's checks include their carriers
+    ("coring.py", "Coring.validate"): INPUT,
+    ("coring.py", "Comodule.validate"): INPUT,
+    ("extension.py", "CoringExtension.validate"): INPUT,
+    # the grouplike handed to grouplike_comodule
+    ("coring.py", "grouplike_comodule"): INPUT,
+    # the validate command and the load of every other command
+    ("cli.py", "cmd_validate"): INPUT,
+    ("workspace.py", "Workspace.validate_all"): INPUT,
+    # "extension axioms"
+    ("cli.py", "cmd_extension"): PRINTED,
+    # the context axioms ("comodule context axioms" and the module and
+    # extension contexts every later verdict rests on): each context's
+    # bimodules and MoritaContext.validate
+    ("morita.py", "MoritaContext.validate"): PRINTED,
+    ("morita.py", "_hom_bimodule"): PRINTED,
+    ("morita.py", "_eval_context"): PRINTED,
+    ("extension.py", "ExtContext._build_actions"): PRINTED,
+    ("extension.py", "ExtContext._build_context"): PRINTED,
+    # the defining relation of Q re-checked pointwise, apart from its solve
+    ("morita.py", "QModule.__init__"): INDEPENDENT,
+}
+
+
+def _check_sites(path):
+    """(enclosing qualified name, line) of every call of a check in a file,
+    and of every reference to one that is not called, outside the check=
+    argument of a vouch call."""
+    with open(path, encoding="utf-8") as handle:
+        tree = ast.parse(handle.read(), filename=path)
+    found = []
+
+    def walk(node, scope):
+        if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "vouch":
+            for child in [node.func] + node.args + [k for k in node.keywords
+                                                    if k.arg != "check"]:
+                walk(child, scope)
+            return
+        if isinstance(node, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+            scope = scope + (node.name,)
+        if isinstance(node, ast.Attribute) and node.attr in CHECKS:
+            found.append((".".join(scope), node.lineno))
+        for child in ast.iter_child_nodes(node):
+            walk(child, scope)
+
+    walk(tree, ())
+    return found
+
+
+def test_every_check_call_outside_the_zoo_is_allowed():
+    found = {}
+    for path in sorted(glob.glob(os.path.join(SRC, "*.py"))):
+        name = os.path.basename(path)
+        if name == "zoo.py":
+            continue
+        for scope, line in _check_sites(path):
+            found.setdefault((name, scope), []).append(line)
+    stray = ["%s:%s in %s" % (name, lines, scope)
+             for (name, scope), lines in sorted(found.items())
+             if (name, scope) not in ALLOWED]
+    assert stray == []
+    assert set(found) == set(ALLOWED)

@@ -445,6 +445,25 @@ def test_sweedler_e3_shape(e3):
     assert _checked_sweedler(a, b, inc)[0].dim == 4
 
 
+def test_sweedler_coring_builds_its_square_once(monkeypatch):
+    # E3's inclusion Q ⊂ Q(sqrt 2): Delta is handed over on the ambient
+    # C x C and the coring projects it, so C (x)_A C is built once
+    from coringlab import algmod
+    built = []
+    init = algmod.BalancedTensor.__init__
+
+    def counting_init(self, factors, algebras, name=None, prefix=None):
+        built.append(list(factors))
+        init(self, factors, algebras, name=name, prefix=prefix)
+
+    monkeypatch.setattr(algmod.BalancedTensor, "__init__", counting_init)
+    a = quotient_polynomial_algebra(F, [F.of_int(2), F.zero], name="A")
+    b, inc = subalgebra_from_span(a, [[F.one, F.zero]], name="B")
+    c, _, _ = sweedler_coring(a, b, inc, name="C")
+    squares = [f for f in built if len(f) == 2 and all(m is c.carrier for m in f)]
+    assert len(squares) == 1 and c.cc.factors == [c.carrier, c.carrier]
+
+
 def test_sweedler_diagonal_in_product():
     a = product_field_algebra(F, 2, name="A")
     b, inc = subalgebra_from_span(a, [[F.one, F.one]], name="B")
