@@ -621,12 +621,14 @@ class BalancedTensor:
     ambient coordinates ``_picks``.  A tensor built with ``prefix=T``, T a
     tensor over its leading factors and algebras (the very objects), resumes
     from T's steps and picks and runs only the new steps: C (x)_A C (x)_A C
-    on C (x)_A C.  The composed sparse columns (``_proj_cols``) and the
-    dense ``proj()`` and ``sect()`` are built on demand, once per tensor,
-    for the descent checks and for callers that want a Matrix.  The pair
-    splits the full ambient space (proj·sect = 1), so the relations are
-    ker(proj) = im(1 - sect·proj) and balancing is decided by two operator
-    identities, without ever forming the relation kernel:
+    on C (x)_A C.  The composed sparse columns (``_proj_cols``) are built
+    on demand, once per tensor, for the descent checks, and the dense
+    ``proj()`` from them, for callers that read its columns or multiply a
+    map by it.  No dense section is built: ``lift(X)`` is sect·X, the rows
+    of X placed at the picks, and ``project_head`` applies proj through the
+    steps.  The pair splits the full ambient space (proj·sect = 1), so the
+    relations are ker(proj) = im(1 - sect·proj) and balancing is decided by
+    two operator identities, without ever forming the relation kernel:
 
     - a map M out of the ambient space vanishes on the relations iff
       M = (M·sect)·proj (``descend_map``);
@@ -765,7 +767,7 @@ class BalancedTensor:
             cur_dim = q.dim
         self._steps = steps
         self._picks = picks
-        self._pcols = self._proj = self._sect = None
+        self._pcols = self._proj = None
 
     def _chain(self, rest=1):
         """The projection (x) I_rest as one slot group per step, in the
@@ -885,13 +887,17 @@ class BalancedTensor:
             self._proj = from_sparse_cols(self.field, self.dim, self._proj_cols())
         return self._proj
 
-    def sect(self):
-        """The section as a dense Matrix, built on first use."""
-        if self._sect is None:
-            self._sect = from_sparse_cols(
-                self.field, self.ambient_dim,
-                [[(p, self.field.one)] for p in self._picks])
-        return self._sect
+    def lift(self, x):
+        """sect·x for a map x into the quotient: the rows of x placed at the
+        picked ambient coordinates, every other row zero, with no product."""
+        if x.rows != self.dim:
+            raise UsageError("a %dx%d matrix cannot be lifted from %s (dimension %d)"
+                             % (x.rows, x.cols, self.name, self.dim))
+        z = self.field.zero
+        data = [[z] * x.cols for _ in range(self.ambient_dim)]
+        for p, row in zip(self._picks, x.data):
+            data[p] = list(row)
+        return Matrix(self.field, self.ambient_dim, x.cols, data)
 
     def as_bimodule(self, name=None):
         """The quotient as a bimodule under its outer actions; vouched for

@@ -72,6 +72,13 @@ class Report:
             line = "[%sms] %s: %s" % (ms, c["check_id"], c["verdict"])
             sys.stderr.write(line[:width] + "\n")
 
+    def finish(self):
+        """Write the canonical body to stdout and the timed summary to
+        stderr; the exit code, EXIT_MATH when a check failed."""
+        sys.stdout.write(self.canonical_body())
+        self.print_summary()
+        return EXIT_MATH if self.failed() else EXIT_OK
+
 
 def _columns():
     try:
@@ -93,6 +100,16 @@ def timed(report, check_id, fn, grade="exact"):
     verdict, extra = out if isinstance(out, tuple) else (out, None)
     report.add(check_id, verdict, grade=grade, details=extra, time_ms=ms)
     return out
+
+
+def _trivial_outer_collapse(report, ec):
+    """Over the trivial outer coring (k over k) the extension context
+    coincides with the comodule context: check it, timed."""
+    outer = ec.ext.outer
+    if outer.dim == 1 and outer.base.dim == 1:
+        timed(report, "trivial outer coring collapse",
+              lambda: "coincides" if remark_k_coincidence(ec)["coincides"]
+              else "fail: differs")
 
 
 def _fmt_witness_pairs(field, pairs):
@@ -170,35 +187,13 @@ def _jtilde_from_map(ext_ctx, mat):
 def cmd_validate(args):
     ws = _load(args, validate=False)
     report = Report(args.file, ws.field)
-    ok = True
-
-    def run(check_id, fn):
-        nonlocal ok
-        start = time.perf_counter()
-        try:
-            fn()
-            verdict = "pass"
-        except AxiomError as exc:
-            verdict = "fail: %s" % exc
-            ok = False
-        report.add(check_id, verdict,
-                   time_ms=(time.perf_counter() - start) * 1000.0)
-
-    for name in sorted(ws.algebras):
-        run("algebra %s" % name, ws.algebras[name].validate)
-    for name in sorted(ws.modules):
-        run("module %s" % name, ws.modules[name].validate)
-    for name in sorted(ws.corings):
-        run("coring %s" % name, ws.corings[name].validate)
-    for name in sorted(ws.comodules):
-        run("comodule %s" % name, ws.comodules[name].validate)
-    for name in sorted(ws.grouplikes):
-        run("grouplike %s" % name, ws.grouplikes[name].validate)
-    for name in sorted(ws.extensions):
-        run("extension %s" % name, ws.extensions[name].validate)
-    sys.stdout.write(report.canonical_body())
-    report.print_summary()
-    return EXIT_OK if ok else EXIT_MATH
+    for kind, table in (("algebra", ws.algebras), ("module", ws.modules),
+                        ("coring", ws.corings), ("comodule", ws.comodules),
+                        ("grouplike", ws.grouplikes), ("extension", ws.extensions)):
+        for name in sorted(table):
+            check = table[name].validate
+            timed(report, "%s %s" % (kind, name), lambda: check() and "pass")
+    return report.finish()
 
 
 def cmd_morita(args):
@@ -238,13 +233,8 @@ def cmd_morita(args):
                        "yes" if ectx.connecting(k)[0] else "no")
         timed(report, "extension strictness",
               lambda: "strict" if ectx.strict else "not strict")
-        if ext.outer.dim == 1 and ext.outer.base.dim == 1:
-            timed(report, "trivial outer coring collapse",
-                  lambda: "coincides" if remark_k_coincidence(ec)["coincides"]
-                  else "fail: differs")
-    sys.stdout.write(report.canonical_body())
-    report.print_summary()
-    return EXIT_MATH if report.failed() else EXIT_OK
+        _trivial_outer_collapse(report, ec)
+    return report.finish()
 
 
 def cmd_extension(args):
@@ -280,9 +270,7 @@ def cmd_extension(args):
     else:
         report.add("convolution algebra dimension",
                    "skipped (no unit map for the outer base)")
-    sys.stdout.write(report.canonical_body())
-    report.print_summary()
-    return EXIT_MATH if report.failed() else EXIT_OK
+    return report.finish()
 
 
 def _shaped_map(ws, name, flag, shape, rows, cols):
@@ -346,9 +334,7 @@ def cmd_cleft(args):
         report.add("convolution inverse of the section",
                    "exists" if inv is not None else "none",
                    time_ms=(time.perf_counter() - start) * 1000.0)
-    sys.stdout.write(report.canonical_body())
-    report.print_summary()
-    return EXIT_MATH if report.failed() else EXIT_OK
+    return report.finish()
 
 
 def cmd_galois(args):
@@ -365,9 +351,7 @@ def cmd_galois(args):
                else "not bijective",
                details="%dx%d, rank %d" % (can_a.matrix.rows, can_a.matrix.cols,
                                            can_a.rank()))
-    sys.stdout.write(report.canonical_body())
-    report.print_summary()
-    return EXIT_MATH if report.failed() else EXIT_OK
+    return report.finish()
 
 
 SUITES = ("all", "weak", "strong", "surjectivity", "jJ", "diamond")
@@ -375,7 +359,7 @@ SUITES = ("all", "weak", "strong", "surjectivity", "jJ", "diamond")
 
 def cmd_theorems(args):
     ws = _load(args)
-    sigma, ext, ec, j, jt = _build_ext_ctx(ws, args)
+    sigma, _, ec, j, jt = _build_ext_ctx(ws, args)
     report = Report("%s --sigma %s --extension %s --suite %s"
                     % (args.file, args.sigma, args.extension, args.suite),
                     ws.field)
@@ -433,13 +417,8 @@ def cmd_theorems(args):
         timed(report, "strictness three-way agreement",
               lambda: fmt_na(verify_strictness_three_way(ec.cm, samples_c)),
               grade="on-samples")
-        if ext.outer.dim == 1 and ext.outer.base.dim == 1:
-            timed(report, "trivial outer coring collapse",
-                  lambda: "coincides" if remark_k_coincidence(ec)["coincides"]
-                  else "fail: differs")
-    sys.stdout.write(report.canonical_body())
-    report.print_summary()
-    return EXIT_MATH if report.failed() else EXIT_OK
+        _trivial_outer_collapse(report, ec)
+    return report.finish()
 
 
 def _jsonable(obj):

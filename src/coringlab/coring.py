@@ -1,9 +1,11 @@
 """Corings, comodules, grouplike elements, dual rings and colinear hom-spaces.
 
 Coproducts and coactions always land in the balanced-tensor quotient, never
-in the ambient k-tensor space; every compatibility identity is therefore an
-exact matrix equality between composites built from canonical
-projection/section pairs.
+in the ambient k-tensor space; each structure also keeps the ambient form of
+its map, the section applied once at construction (coproduct_amb,
+coaction_amb), for the slot maps that read it.  Every compatibility identity
+is an exact matrix equality between composites built by
+BalancedTensor.induced.
 """
 
 from __future__ import annotations
@@ -26,12 +28,13 @@ class Coring(Checked):
         self.cc = BalancedTensor([carrier, carrier], [base], name=name + "(x)" + name)
         self._ccc = None
         if coproduct.rows == self.cc.ambient_dim and coproduct.rows != self.cc.dim:
-            coproduct = self.cc.proj().mul(coproduct)
+            coproduct = self.cc.project_head(coproduct, 1)
         if coproduct.rows != self.cc.dim or coproduct.cols != carrier.dim:
             raise UsageError("coring %s: coproduct has wrong shape" % name)
         if counit.rows != base.dim or counit.cols != carrier.dim:
             raise UsageError("coring %s: counit has wrong shape" % name)
         self.coproduct = coproduct
+        self.coproduct_amb = self.cc.lift(coproduct)
         self.counit = counit
 
     @property
@@ -69,7 +72,7 @@ class Coring(Checked):
             raise AxiomError("coring %s: %s at basis %d" % (self.name, failure(i), i))
         # each identity is evaluated at Delta: C.dim vectors through the tensors
         ident = Matrix.identity(f, self.dim)
-        delta, lift = self.coproduct, self.cc.sect().mul(self.coproduct)
+        delta, lift = self.coproduct, self.coproduct_amb
         if self.carrier.left_eval().mul(
                 self.cc.induced(None, [(0, self.counit)], at=delta)) != ident:
             raise AxiomError("coring %s: counitality (eps(x)C)∘Delta = id fails" % self.name)
@@ -107,10 +110,11 @@ class Comodule(Checked):
                                        name=name + "(x)C")
         self._mcc = None
         if coaction.rows == self.mc.ambient_dim and coaction.rows != self.mc.dim:
-            coaction = self.mc.proj().mul(coaction)
+            coaction = self.mc.project_head(coaction, 1)
         if coaction.rows != self.mc.dim or coaction.cols != carrier.dim:
             raise UsageError("comodule %s: coaction has wrong shape" % name)
         self.coaction = coaction
+        self.coaction_amb = self.mc.lift(coaction)
 
     @property
     def dim(self):
@@ -131,12 +135,11 @@ class Comodule(Checked):
     def coaction_on_left(self, at=None):
         """[M (x)_A C] -> [M (x)_A C (x)_A C] applying the coaction on slot 0,
         evaluated at the columns of at (see BalancedTensor.induced)."""
-        return self.mc.induced(self.mcc, [(0, self.mc.sect().mul(self.coaction))], at=at)
+        return self.mc.induced(self.mcc, [(0, self.coaction_amb)], at=at)
 
     def delta_on_right(self, at=None):
         """Same, applying the coproduct on slot 1."""
-        c = self.coring
-        return self.mc.induced(self.mcc, [(1, c.cc.sect().mul(c.coproduct))], at=at)
+        return self.mc.induced(self.mcc, [(1, self.coring.coproduct_amb)], at=at)
 
     def validate(self):
         self.carrier.validate()
@@ -278,8 +281,8 @@ def dual_action(comodule, dual=None):
 
 def colinearity_constraint(rho, tens, w):
     """Constraint terms for rho∘X = (X (x) C)∘rho_M: rho is the target
-    coaction, into the two-factor tensor tens = N (x) C, and w = sect·rho_M
-    the source coaction in the ambient M x C."""
+    coaction, into the two-factor tensor tens = N (x) C, and w the source
+    comodule's coaction_amb, its coaction in the ambient M x C."""
     return [(rho, Matrix.identity(rho.field, w.cols), +1)] + \
         sandwich_terms(tens.proj(), w, 1, tens.dims[1], sign=-1)
 
@@ -292,7 +295,7 @@ def colinear_homs(m, n, left_linear=False):
     """
     if m.coring is not n.coring:
         raise UsageError("colinear_homs: comodules over different corings")
-    colinear = colinearity_constraint(n.coaction, n.mc, m.mc.sect().mul(m.coaction))
+    colinear = colinearity_constraint(n.coaction, n.mc, m.coaction_amb)
     return hom_space(m.carrier, n.carrier, left_linear=left_linear,
                      right_linear=True, extra_constraints=[colinear])
 
@@ -410,21 +413,17 @@ def opposite_algebra(a):
 
 def co_opposite(c, name=None):
     """The co-opposite coring over A^op: same carrier with sides swapped and
-    twisted coproduct.  Left comodules of c are right comodules of this.
+    twisted coproduct, handed over in the ambient C x C, where row (j, i)
+    is row (i, j) of c's.  Left comodules of c are right comodules of this.
     Vouched for when c is valid (and checked otherwise): each axiom is the
     mirror image of one of c's."""
     aop = opposite_algebra(c.base)
     carrier = FBimodule(aop, aop, c.dim, list(c.carrier.right_act),
                         list(c.carrier.left_act), name=(name or c.name + "^cop"))
     vouch(carrier, c)
-    cc = BalancedTensor([carrier, carrier], [aop])
-    field = c.field
-    n = c.dim
-    twist = Matrix.zero(field, n * n, n * n)
-    for i in range(n):
-        for j in range(n):
-            twist.data[j * n + i][i * n + j] = field.one
-    coproduct = cc.proj().mul(twist).mul(c.cc.sect()).mul(c.coproduct)
-    out = Coring(aop, carrier, coproduct, c.counit, name=name or c.name + "^cop")
+    n, amb = c.dim, c.coproduct_amb.data
+    twisted = Matrix(c.field, n * n, n, [list(amb[i * n + j]) for j in range(n)
+                                         for i in range(n)])
+    out = Coring(aop, carrier, twisted, c.counit, name=name or c.name + "^cop")
     vouch(out, c, check=out.validate)
     return out

@@ -57,10 +57,11 @@ class CoringExtension(Checked):
                                    [l, l], prefix=self.cld)
         self._ccld = None
         if tau.rows == self.cld.ambient_dim and tau.rows != self.cld.dim:
-            tau = self.cld.proj().mul(tau)
+            tau = self.cld.project_head(tau, 1)
         if tau.rows != self.cld.dim or tau.cols != inner.dim:
             raise UsageError("extension %s: coaction matrix has wrong shape" % name)
         self.tau = tau
+        self.tau_amb = self.cld.lift(tau)
         self.purity_certificate = "unchecked"
         self.purity_detail = None
 
@@ -78,14 +79,11 @@ class CoringExtension(Checked):
     def bicomodule_lhs(self):
         """(C (x) tau) ∘ Delta, into the mixed chain."""
         c = self.inner
-        return c.cc.induced(self.ccld, [(1, self.cld.sect().mul(self.tau))],
-                            at=c.coproduct)
+        return c.cc.induced(self.ccld, [(1, self.tau_amb)], at=c.coproduct)
 
     def bicomodule_rhs(self):
         """(Delta (x) D) ∘ tau, into the mixed chain."""
-        c = self.inner
-        return self.cld.induced(self.ccld, [(0, c.cc.sect().mul(c.coproduct))],
-                                at=self.tau)
+        return self.cld.induced(self.ccld, [(0, self.inner.coproduct_amb)], at=self.tau)
 
     def validate(self):
         c, d = self.inner, self.outer
@@ -111,8 +109,8 @@ class CoringExtension(Checked):
             self.cld.induced(None, [(1, d.counit)], at=tau))
         if collapse != Matrix.identity(f, c.dim):
             raise AxiomError("extension %s: outer coaction not counital" % self.name)
-        if self.cld.induced(self.cldd, [(0, self.cld.sect().mul(tau))], at=tau) != \
-                self.cld.induced(self.cldd, [(1, d.cc.sect().mul(d.coproduct))], at=tau):
+        if self.cld.induced(self.cldd, [(0, self.tau_amb)], at=tau) != \
+                self.cld.induced(self.cldd, [(1, d.coproduct_amb)], at=tau):
             raise AxiomError("extension %s: outer coaction not coassociative" % self.name)
         # the operators I (x) r of the right L-action on C (x)_A C: those
         # that keep the balancing relations form an algebra, and the induced
@@ -290,8 +288,9 @@ def induced_D_coaction(ext, m):
 def tensor_comodule(m, n_carrier, coring, rho, name):
     """M (x)_B N with the coaction M (x) rho_N, for a right B-module m and a
     right comodule N of coring given by its carrier (a left B-module) and
-    rho = sect·rho_N, laid out N x C.  Returns (comodule, tensor), the
-    comodule neither checked nor vouched for: that is its caller's.
+    rho, the ambient form of rho_N (coaction_amb), laid out N x C.  Returns
+    (comodule, tensor), the comodule neither checked nor vouched for: that
+    is its caller's.
 
     M (x) rho_N lands in M x N x C; proj (x) C takes that to the image's
     layout (M (x)_B N) x C, which the comodule projects to its own tensor."""
@@ -336,7 +335,7 @@ class QTildeModule:
                        for xi in sd.basis]
         left_eval = c.carrier.left_eval()
         xi_coact = [left_eval.mul(comp) for comp in self.xi_rho]
-        delta = c.cc.sect().mul(c.coproduct)
+        delta = c.coproduct_amb
         ident = Matrix.identity(f, c.dim)
         relations = []
         a_dim = c.base.dim
@@ -419,7 +418,7 @@ class ExtContext:
         self.p_space = hom_space(d.carrier, self.sigma_d.carrier, left_linear=True,
                                  extra_constraints=[colinearity_constraint(
                                      self.sigma_d.coaction, self.sigma_d.mc,
-                                     d.cc.sect().mul(d.coproduct))])
+                                     d.coproduct_amb)])
         self.p_basis = self.p_space.basis
         # ----- corner 4, and its embedding into Q
         self.qt = QTildeModule(ext, cm.q.sigma_dual)
@@ -452,8 +451,7 @@ class ExtContext:
         and left T-linear because Delta_D is counital, coassociative and
         left L-linear."""
         d = self.ext.outer
-        com, tens = tensor_comodule(self.t_bim, d.carrier, d,
-                                    d.cc.sect().mul(d.coproduct), "T(x)D")
+        com, tens = tensor_comodule(self.t_bim, d.carrier, d, d.coproduct_amb, "T(x)D")
         vouch(com, self.t_bim, d, check=com.validate)
         return com, tens
 
@@ -520,12 +518,11 @@ class ExtContext:
         c = ext.inner
         # left colinear: Delta∘u = (C (x) u)∘Delta
         left = [(c.coproduct, Matrix.identity(f, c.dim), +1)]
-        left.extend(sandwich_terms(c.cc.proj(), c.cc.sect().mul(c.coproduct), c.dim, 1,
-                                   sign=-1))
+        left.extend(sandwich_terms(c.cc.proj(), c.coproduct_amb, c.dim, 1, sign=-1))
         return hom_space(ext.carrier_l, ext.carrier_l, left_linear=True,
                          right_linear=True,
                          extra_constraints=[left, colinearity_constraint(
-                             ext.tau, ext.cld, ext.cld.sect().mul(ext.tau))])
+                             ext.tau, ext.cld, ext.tau_amb)])
 
     def _v_unit_matrix(self):
         """d -> eps_D(d)·1_T."""

@@ -579,12 +579,11 @@ def check_equivariant_projectivity(ext_ctx):
     sigma_d = ext_ctx.sigma_d
     sig_l = FBimodule(d.base, d.base, sigma.dim, list(sigma.carrier.left_act),
                       sigma_d.carrier.right_act, name=sigma.name)
-    tsd, ts = tensor_comodule(ext_ctx.t_bim, sig_l, d,
-                              sigma_d.mc.sect().mul(sigma_d.coaction), "T(x)Sigma")
+    tsd, ts = tensor_comodule(ext_ctx.t_bim, sig_l, d, sigma_d.coaction_amb, "T(x)Sigma")
     sect = witness_splitting(ext_ctx, sigma, ts, witnesses, end.space,
                              "coretraction leaves the endomorphism algebra")
     # the action map and the section compose to the identity
-    if ext_ctx.apply_t.mul(ts.sect()).mul(sect) != Matrix.identity(f, sigma.dim):
+    if ext_ctx.apply_t.mul(ts.lift(sect)) != Matrix.identity(f, sigma.dim):
         raise AxiomError("coretraction is not a section of the action")
     # T-linearity: sect(t(x)) = t·sect(x)
     for t, t_map in enumerate(end.basis_maps):
@@ -704,7 +703,7 @@ def _tensor_fullyfaithful(cm):
     f = sigma.field
     sdim = sigma.dim
     sigma_t = sigma_over_end(sigma, cm.end)
-    rho = sigma.mc.sect().mul(sigma.coaction)
+    rho = sigma.coaction_amb
     # for each witness (x, q): x and the map y -> conn2(y (x) q), Sigma -> T
     conn2_amb = cm.context.conn_amb[1]
     qdim = cm.q.dim

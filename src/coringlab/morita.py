@@ -263,7 +263,7 @@ class QModule:
         # one operator identity per basis element c_k of C:
         # P_k·(X (x) C)·rho = U_k·X, where P_k sends f (x) c to f(c_k)·c and
         # column b of U_k is c_k^(1)·f_b(c_k^(2))
-        rho = sigma.mc.sect().mul(sigma.coaction)
+        rho = sigma.coaction_amb
         ident = Matrix.identity(field, sigma.dim)
         relations = []
         for k in range(c.dim):
@@ -294,7 +294,7 @@ class QModule:
         c -> (q(x_j)(c))_j on its second slot, then C's right_eval.  It stays
         independent of the solve in __init__: it evaluates q on elements and
         reads none of the solve's terms (P_k, U_k and the hits behind them,
-        sandwich_terms, the dense lift sect·rho)."""
+        sandwich_terms, the ambient coaction)."""
         sigma, c = self.sigma, self.sigma.coring
         f, n, cdim, adim = self.field, sigma.dim, c.dim, c.base.dim
         left_eval, right_eval = c.carrier.left_eval(), c.carrier.right_eval()

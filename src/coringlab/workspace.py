@@ -210,14 +210,14 @@ class Workspace:
             base, carrier = self.coring_meta[name]
             out["corings"][name] = {
                 "base": base, "carrier": carrier,
-                "coproduct": _ser_matrix(f, c.cc.sect().mul(c.coproduct)),
+                "coproduct": _ser_matrix(f, c.coproduct_amb),
                 "counit": _ser_matrix(f, c.counit)}
         out["comodules"] = {}
         for name, m in self.comodules.items():
             coring, carrier = self.comodule_meta[name]
             out["comodules"][name] = {
                 "coring": coring, "carrier": carrier,
-                "coaction": _ser_matrix(f, m.mc.sect().mul(m.coaction))}
+                "coaction": _ser_matrix(f, m.coaction_amb)}
         out["grouplikes"] = {
             name: {"coring": self.grouplike_meta[name],
                    "vector": _ser_vector(f, g.element)}
@@ -227,7 +227,7 @@ class Workspace:
             inner, outer = self.extension_meta[name]
             entry = {"inner": inner, "outer": outer,
                      "right_l_action": [_ser_matrix(f, m) for m in e.right_l_act],
-                     "tau": _ser_matrix(f, e.cld.sect().mul(e.tau))}
+                     "tau": _ser_matrix(f, e.tau_amb)}
             entry["split_map"] = _ser_matrix(f, e.split_map) \
                 if e.split_map is not None else None
             out["extensions"][name] = entry

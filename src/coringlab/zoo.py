@@ -242,7 +242,7 @@ class EntwiningStructure:
 
     def psi_ambient(self):
         """The compatibility map at the ambient level D (x) A -> A (x) D."""
-        return self.ad.sect().mul(self.psi).mul(self.da.proj())
+        return self.ad.lift(self.psi).mul(self.da.proj())
 
     def validate(self):
         if self._valid:
@@ -252,7 +252,7 @@ class EntwiningStructure:
         psi = self.psi
         psi_amb = self.psi_ambient()
         mult = a.mult_eval()
-        delta_amb = d.cc.sect().mul(d.coproduct)
+        delta_amb = d.coproduct_amb
         daa = BalancedTensor([d.carrier, self.a_bim, self.a_bim], [l, l], prefix=self.da)
         ada = BalancedTensor([self.a_bim, d.carrier, self.a_bim], [l, l], prefix=self.ad)
         aad = BalancedTensor([self.a_bim, self.a_bim, d.carrier], [l, l])
@@ -340,7 +340,7 @@ def entwining_coring(ent):
     left_act = [ad.induced(ad, [(0, a.lmul(i))]) for i in range(a.dim)]
     # a (x) d -> a·psi(d (x) a_j): the multiplication in A is a second
     # ambient layer with no quotient before it
-    mult_d = ad.proj().mul(a.mult_eval().kron(ident_d))
+    mult_d = ad.project_head(a.mult_eval().kron(ident_d), 1)
     right_act = []
     for j in range(a.dim):
         ins_j = Matrix.zero(f, d.dim * a.dim, d.dim)
@@ -349,18 +349,16 @@ def entwining_coring(ent):
         right_act.append(mult_d.mul(ad.induced(None, [(1, ent.psi_ambient().mul(ins_j))])))
     carrier = FBimodule(a, a, ad.dim, left_act, right_act, name=a.name + "(x)" + d.name)
     carrier.validate()
-    delta_amb = d.cc.sect().mul(d.coproduct)
     unit_ins = Matrix.from_cols(f, ad.dim,
                                 [ad.pure_tensor([list(a.unit), unit_vec(f, d.dim, j)])
                                  for j in range(d.dim)])
-    p1 = ad.proj()
-    delta_split = ad.induced(None, [(1, delta_amb)])
-    delta_cols = p1.kron(unit_ins).mul(delta_split)
+    # tau(a (x) d) = (a (x) d^(1)) (x) d^(2); Delta puts 1 (x) d^(2) in the last slot
+    tau_amb = ad.project_head(ad.induced(None, [(1, d.coproduct_amb)]), d.dim)
+    delta_cols = Matrix.identity(f, ad.dim).kron(unit_ins).mul(tau_amb)
     counit = ent._a_eps()
     c = Coring(a, carrier, delta_cols, counit, name=a.name + "(x)" + d.name)
     c.validate()
     right_l = list(ad.right_act)
-    tau_amb = p1.kron(ident_d).mul(delta_split)
     split = None
     induced = all(right_l[i] == carrier.right_act_vec(ent.eta.col(i))
                   for i in range(l.dim))
@@ -451,7 +449,7 @@ def weak_entwining_coring(ent):
         right_act.append(restrict(amb, "the right action"))
     carrier = FBimodule(a, a, dim, left_act, right_act, name="C(%s)" % ent.name)
     carrier.validate()
-    delta_amb = d.cc.sect().mul(d.coproduct)
+    delta_amb = d.coproduct_amb
     # closure: (A (x) Delta) keeps the first two slots inside the carrier
     first_two = (p_amb.sub(Matrix.identity(f, n * m))).kron(ident_d) \
         .mul(Matrix.identity(f, n).kron(delta_amb)).mul(inc)

@@ -5,7 +5,7 @@ import pytest
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
-from coringlab.exactla import QQ
+from coringlab.exactla import QQ, from_sparse_cols
 from coringlab.workspace import load_workspace_file
 from coringlab.zoo import FIXTURES
 
@@ -15,6 +15,14 @@ FIXTURE_DIR = os.path.join(os.path.dirname(__file__), "..", "src", "coringlab",
 
 def fixture_path(name):
     return os.path.join(FIXTURE_DIR, name + ".json")
+
+
+def _sect(tens):
+    """The dense section of a balanced tensor, the reference for
+    ``BalancedTensor.lift``: column q the ambient unit vector at the
+    coordinate q picks."""
+    return from_sparse_cols(tens.field, tens.ambient_dim,
+                            [[(p, tens.field.one)] for p in tens._picks])
 
 
 @pytest.fixture(scope="session")
@@ -89,3 +97,30 @@ def hopf_c3_f7():
     c, ext = entwining_coring(ent)
     unit = list(bial.algebra.unit)
     return ext, grouplike_comodule(Grouplike(c, ent.ad.pure_tensor([unit, unit])))
+
+
+def matrix_unit_sweedler_corings(field):
+    """{name: (coring, grouplike)} of the Sweedler corings A (x)_B A of
+    M2 ⊇ diagonal and T2 ⊇ diagonal (T2 the upper triangular 2 x 2
+    matrices) over field: noncommutative bases, where C (x)_A C is a proper
+    quotient of C x C."""
+    from coringlab.algmod import FiniteAlgebra
+    from coringlab.zoo import subalgebra_from_span, sweedler_coring
+    out = {}
+    # the matrix units E_ij kept, in basis order: all of M2, or the upper
+    # triangle; the diagonal ones span B
+    for name, units in (("M2", [(0, 0), (0, 1), (1, 0), (1, 1)]),
+                        ("T2", [(0, 0), (0, 1), (1, 1)])):
+        n = len(units)
+
+        def unit(i, j):
+            return [field.one if u == (i, j) else field.zero for u in units]
+        mul = [[unit(i, l) if j == k else [field.zero] * n for (k, l) in units]
+               for (i, j) in units]
+        a = FiniteAlgebra(field, n, mul, list(map(field.add, unit(0, 0), unit(1, 1))),
+                          name=name)
+        a.validate()
+        b, inc = subalgebra_from_span(a, [unit(0, 0), unit(1, 1)], name="diag")
+        c, g, _ = sweedler_coring(a, b, inc, name="C(%s)" % name)
+        out[name] = c, g
+    return out

@@ -10,7 +10,7 @@ import random
 
 import pytest
 
-from conftest import fixture_path
+from conftest import _sect, fixture_path, matrix_unit_sweedler_corings
 from perturb import apply_perturbation, chosen_perturbations
 from test_contract import ROOT, WORKLOADS
 from coringlab import algmod
@@ -20,14 +20,15 @@ from coringlab.algmod import (BalancedTensor, FBimodule, FiniteAlgebra,
                               non_multiplicative_at, span_witness, tensor_algebra,
                               trivial_algebra, zero_algebra)
 from coringlab.cli import main
-from coringlab.coring import Comodule, Grouplike, grouplike_comodule
+from coringlab.coring import Comodule, Coring, Grouplike, grouplike_comodule
 from coringlab.exactla import (AxiomError, FieldFp, Matrix, QQ, UsageError,
                                flatten_matrix, from_sparse_cols, inverse, kernel,
                                quotient, rank, solve_linear, unit_vec)
-from coringlab.extension import ExtContext, purity_check
+from coringlab.extension import CoringExtension, ExtContext, purity_check
 from coringlab.galois import CanonicalMap, regular_right_module
 from coringlab.morita import ModuleContext, context_M
-from coringlab.workspace import ParseError, load_workspace, load_workspace_file
+from coringlab.workspace import (ParseError, _ser_matrix, load_workspace,
+                                 load_workspace_file)
 from coringlab.zoo import (FIXTURES, entwining_coring, group_algebra,
                            group_hopf_algebra, grouplike_basis_coalgebra, hopf_entwining,
                            product_field_algebra, quotient_polynomial_algebra)
@@ -162,8 +163,8 @@ def test_tensor_associativity_comparison(a_quad):
     # the canonical comparison with the two-step build is invertible
     pair = BalancedTensor([reg, reg], [a_quad])
     ident = Matrix.identity(F, reg.dim)
-    cmp_map = left.proj().mul(pair.sect().kron(ident).mul(
-        pair.proj().kron(ident))).mul(left.sect())
+    cmp_map = left.proj().mul(_sect(pair).kron(ident).mul(
+        pair.proj().kron(ident))).mul(_sect(left))
     assert rank(cmp_map) == left.dim
     assert inverse(cmp_map) is not None
 
@@ -301,7 +302,7 @@ def _ref_descend_map(tens, amb_map):
     rels = kernel(tens.proj()).basis
     if any(any(amb_map.mul_vec(rel)) for rel in rels):
         return None
-    return amb_map.mul(tens.sect())
+    return amb_map.mul(_sect(tens))
 
 
 def _ref_operator(tens, factors):
@@ -321,7 +322,7 @@ def _ref_operator(tens, factors):
 
 
 def _ref_induced(src, dst, factors):
-    out = _ref_operator(src, factors).mul(src.sect())
+    out = _ref_operator(src, factors).mul(_sect(src))
     return out if dst is None else dst.proj().mul(out)
 
 
@@ -330,7 +331,7 @@ def _ref_descend_slot(tens, slot, mat):
     proj_op = tens.proj().mul(_ref_operator(tens, [(slot, 1, mat)]))
     if any(any(proj_op.mul_vec(rel)) for rel in rels):
         return None
-    return proj_op.mul(tens.sect())
+    return proj_op.mul(_sect(tens))
 
 
 def _ref_carried_actions(tens):
@@ -427,7 +428,7 @@ def test_carried_outer_actions_match_both_descent_routes(field):
         ws = load_workspace_file(fixture_path(name), field_override=field)
         for tens, _ in _fixture_tensors(ws):
             for q in range(tens.dim):
-                assert [v for v in tens.sect().col(q) if v] == [field.one]
+                assert [v for v in _sect(tens).col(q) if v] == [field.one]
             last = len(tens.factors) - 1
             ref_left, ref_right = _ref_carried_actions(tens)
             for slot, acts, got, ref in ((0, tens.factors[0].left_act, tens.left_act, ref_left),
@@ -469,11 +470,11 @@ def test_induced_matches_kron_composite_on_fixture_tensors(field):
                 _ref_induced(tens, None, [(i, 1, m) for i, m in enumerate(maps)])
         for ext in ws.extensions.values():
             c, d = ext.inner, ext.outer
-            lift = c.cc.sect().mul(c.coproduct)
+            lift = _sect(c.cc).mul(c.coproduct)
             for slot in (0, 1):
                 assert c.cc.induced(c.ccc, [(slot, lift)]) == \
                     _ref_induced(c.cc, c.ccc, [(slot, 1, lift)])
-            tau = ext.cld.sect().mul(ext.tau)
+            tau = _sect(ext.cld).mul(ext.tau)
             assert c.cc.induced(ext.ccld, [(1, tau)]) == \
                 _ref_induced(c.cc, ext.ccld, [(1, 1, tau)])
             assert ext.cld.induced(None, [(0, c.counit), (1, d.counit)]) == \
@@ -500,7 +501,7 @@ def test_induced_matches_kron_composite_on_hopf_entwinings():
         assert daa.induced(ent.da, [(1, mult)]) == _ref_induced(daa, ent.da, [(1, 2, mult)])
         assert daa.induced(ada, [(0, psi_amb)]) == _ref_induced(daa, ada, [(0, 2, psi_amb)])
         # slot-count-changing factors on the coring
-        lift = c.cc.sect().mul(c.coproduct)
+        lift = _sect(c.cc).mul(c.coproduct)
         for slot in (0, 1):
             assert c.cc.induced(c.ccc, [(slot, lift)]) == \
                 _ref_induced(c.cc, c.ccc, [(slot, 1, lift)])
@@ -510,7 +511,7 @@ def test_induced_matches_kron_composite_on_hopf_entwinings():
         x, y = (_random_matrix(f, c.dim, c.dim, rng) for _ in range(2))
         assert c.cc.induced(c.cc, [(0, x), (1, y)]) == \
             _ref_induced(c.cc, c.cc, [(0, 1, x), (1, 1, y)])
-        tau = ext.cld.sect().mul(ext.tau)
+        tau = _sect(ext.cld).mul(ext.tau)
         assert ext.cld.induced(None, [(0, tau), (1, d.counit)]) == \
             _ref_induced(ext.cld, None, [(0, 1, tau), (1, 1, d.counit)])
 
@@ -781,7 +782,7 @@ def test_resumed_tensors_match_the_build_from_scratch(field, monkeypatch):
         tables += [_cyclic(4), [[i ^ j for j in range(4)] for i in range(4)]]
     for table in tables:
         _, _, c = _hopf_chain(field, table)
-        lift = c.cc.sect().mul(c.coproduct)
+        lift = _sect(c.cc).mul(c.coproduct)
         cases += [(c.cc, c.ccc, [(slot, lift)], c.coproduct) for slot in (0, 1)]
     monkeypatch.undo()
     scratch = {}
@@ -820,9 +821,9 @@ def test_resumed_grouplike_coalgebra_cubes_match_the_build_from_scratch(monkeypa
     creg.validate()
     monkeypatch.undo()
     assert [t for t, _ in resumed] == [c.ccc, creg.mcc]
-    cases = [(c.cc, c.ccc, [(slot, c.cc.sect().mul(c.coproduct))], c.coproduct)
+    cases = [(c.cc, c.ccc, [(slot, _sect(c.cc).mul(c.coproduct))], c.coproduct)
              for slot in (0, 1)]
-    cases += [(creg.mc, creg.mcc, [(0, creg.mc.sect().mul(creg.coaction))], creg.coaction)]
+    cases += [(creg.mc, creg.mcc, [(0, _sect(creg.mc).mul(creg.coaction))], creg.coaction)]
     for src, dst, factors, at in cases:
         ref = BalancedTensor(dst.factors, dst.algebras, name=dst.name)
         assert dst._picks == ref._picks
@@ -859,7 +860,7 @@ def test_sparse_paths_match_their_dense_definitions(chain, klein_chain):
     else:
         _, ent, c = _hopf_chain(QQ if chain == "C3 Q" else FieldFp(7), _cyclic(3))
     f = c.field
-    lift = c.cc.sect().mul(c.coproduct)
+    lift = _sect(c.cc).mul(c.coproduct)
     maps = [(c.cc, c.ccc, [(0, lift)]), (c.cc, c.ccc, [(1, lift)])]
     maps += [(tens, tens, [(0, act)]) for tens in (ent.ad, c.cc)
              for act in tens.factors[0].left_act]
@@ -867,7 +868,7 @@ def test_sparse_paths_match_their_dense_definitions(chain, klein_chain):
         assert src.induced(dst, factors) == dst.proj().mul(src.induced(None, factors))
     rng = random.Random(17)
     for tens in (ent.ad, c.cc, c.ccc):
-        assert tens.proj().mul(tens.sect()) == Matrix.identity(f, tens.dim)
+        assert tens.proj().mul(_sect(tens)) == Matrix.identity(f, tens.dim)
         vecs = [[f.of_int(rng.randint(-2, 2)) for _ in range(d)] for d in tens.dims]
         amb = [functools.reduce(f.mul, entries, f.one)
                for entries in itertools.product(*vecs)]
@@ -880,22 +881,22 @@ def _structure_cases(ws):
     each comodule at rho and of each extension's outer coaction at tau, and
     the bicomodule sides into the mixed chain."""
     for c in ws.corings.values():
-        lift = c.cc.sect().mul(c.coproduct)
+        lift = _sect(c.cc).mul(c.coproduct)
         yield from ((c.cc, c.ccc, [(slot, lift)], c.coproduct) for slot in (0, 1))
         yield c.cc, None, [(1, c.counit)], c.coproduct
     for m in ws.comodules.values():
         c = m.coring
-        yield m.mc, m.mcc, [(0, m.mc.sect().mul(m.coaction))], m.coaction
-        yield m.mc, m.mcc, [(1, c.cc.sect().mul(c.coproduct))], m.coaction
+        yield m.mc, m.mcc, [(0, _sect(m.mc).mul(m.coaction))], m.coaction
+        yield m.mc, m.mcc, [(1, _sect(c.cc).mul(c.coproduct))], m.coaction
         yield m.mc, None, [(1, c.counit)], m.coaction
     for ext in ws.extensions.values():
         c, d = ext.inner, ext.outer
-        tau = ext.cld.sect().mul(ext.tau)
+        tau = _sect(ext.cld).mul(ext.tau)
         yield ext.cld, ext.cldd, [(0, tau)], ext.tau
-        yield ext.cld, ext.cldd, [(1, d.cc.sect().mul(d.coproduct))], ext.tau
+        yield ext.cld, ext.cldd, [(1, _sect(d.cc).mul(d.coproduct))], ext.tau
         yield ext.cld, None, [(0, c.counit), (1, d.counit)], ext.tau
         yield c.cc, ext.ccld, [(1, tau)], c.coproduct
-        yield ext.cld, ext.ccld, [(0, c.cc.sect().mul(c.coproduct))], ext.tau
+        yield ext.cld, ext.ccld, [(0, _sect(c.cc).mul(c.coproduct))], ext.tau
 
 
 def _slot_map_cases(tensors, rng):
@@ -934,7 +935,7 @@ def test_induced_at_matches_the_induced_map_times_at(over, workspaces, workspace
         tensors += list(_fixture_tensors(ws))
     chains = [_hopf_chain(field, _cyclic(3))] + ([klein_chain] if over == "F7" else [])
     for _, ent, c in chains:
-        lift = c.cc.sect().mul(c.coproduct)
+        lift = _sect(c.cc).mul(c.coproduct)
         cases += [(c.cc, c.ccc, [(slot, lift)], c.coproduct) for slot in (0, 1)]
         cases.append((c.cc, None, [(0, c.counit)], c.coproduct))
         tensors += list(_chain_tensors(ent, c))
@@ -985,7 +986,7 @@ def test_balanced_tensor_of_a_random_basis_module(field, dim):
     m, a = _random_basis_module(field, dim)
     tens = BalancedTensor([m, m], [a])
     assert tens.dim == dim * dim // 2
-    assert tens.proj().mul(tens.sect()) == Matrix.identity(field, tens.dim)
+    assert tens.proj().mul(_sect(tens)) == Matrix.identity(field, tens.dim)
 
 
 def test_invalid_or_foreign_factors_balance_by_every_basis_element(monkeypatch):
@@ -1019,7 +1020,7 @@ def test_invalid_or_foreign_factors_balance_by_every_basis_element(monkeypatch):
 
 
 def _ref_lift_pairs(tens, vec):
-    amb = tens.sect().mul_vec(vec)
+    amb = _sect(tens).mul_vec(vec)
     # the ambient index of a multi-index is its row-major rank, so the
     # product runs through the ambient coordinates in order
     multis = itertools.product(*(range(d) for d in tens.dims))
@@ -1040,6 +1041,127 @@ def test_lift_pairs_matches_the_section_route(field):
                 assert tens.lift_pairs(vec) == _ref_lift_pairs(tens, vec)
                 checked += 1
     assert checked > 100
+
+
+# ---------------------------------------------------------------------------
+# the ambient forms of Delta, rho and tau against the dense section
+
+
+_FORMS = {Coring: ("cc", "coproduct"), Comodule: ("mc", "coaction"),
+          CoringExtension: ("cld", "tau")}
+
+
+def _structures(ws):
+    return [*ws.corings.values(), *ws.comodules.values(), *ws.extensions.values()]
+
+
+def _forms(obj):
+    """(tensor, quotient form, ambient form) of Delta, rho or tau."""
+    tens, form = _FORMS[type(obj)]
+    return getattr(obj, tens), getattr(obj, form), getattr(obj, form + "_amb")
+
+
+def _rebuild(obj, x):
+    """obj built again with x in place of its Delta, rho or tau."""
+    if isinstance(obj, Coring):
+        return Coring(obj.base, obj.carrier, x, obj.counit, name=obj.name)
+    if isinstance(obj, Comodule):
+        return Comodule(obj.coring, obj.carrier, x, name=obj.name)
+    return CoringExtension(obj.inner, obj.outer, obj.right_l_act, x,
+                           split_map=obj.split_map, name=obj.name)
+
+
+def _chain_structures(table):
+    """The structures of a Hopf entwining chain over F7: its coring, the
+    outer coring, Sigma through the grouplike 1 (x) 1, and the extension."""
+    bial, ent, _ = _hopf_chain(FieldFp(7), table)
+    c, ext = entwining_coring(ent)
+    unit = list(bial.algebra.unit)
+    return [c, ext.outer, grouplike_comodule(Grouplike(c, ent.ad.pure_tensor([unit, unit]))),
+            ext]
+
+
+def _sweedler_structures(field):
+    """The Sweedler corings of M2 ⊇ diagonal and T2 ⊇ diagonal and Sigma
+    through each grouplike."""
+    out = []
+    for c, g in matrix_unit_sweedler_corings(field).values():
+        assert c.cc.dim < c.cc.ambient_dim
+        out += [c, grouplike_comodule(g)]
+    return out
+
+
+@pytest.mark.parametrize("over", ["Q", "F7", "C2 F7", "C3 F7"])
+def test_lift_and_the_ambient_forms_match_the_dense_section(over, workspaces,
+                                                            workspaces_f7):
+    # lift(X) is sect·X, and the ambient form each structure keeps is sect
+    # times its quotient form; lift at the quotient form, at a seeded random
+    # X and at an X with no columns
+    if over in ("Q", "F7"):
+        structures = [obj for ws in (workspaces if over == "Q" else workspaces_f7).values()
+                      for obj in _structures(ws)]
+    else:
+        structures = _chain_structures(_cyclic(2 if over == "C2 F7" else 3))
+    rng = random.Random(31)
+    for obj in structures:
+        tens, quot, amb = _forms(obj)
+        sect = _sect(tens)
+        assert amb == sect.mul(quot)
+        for x in (quot, _random_matrix(tens.field, tens.dim, 2, rng),
+                  Matrix.zero(tens.field, tens.dim, 0)):
+            assert tens.lift(x) == sect.mul(x)
+    assert {type(obj) for obj in structures} == set(_FORMS)
+
+
+def test_lift_refuses_a_matrix_of_the_wrong_height(e2):
+    c = e2.corings["C"]
+    with pytest.raises(UsageError) as err:
+        c.cc.lift(Matrix.zero(c.field, c.cc.dim + 1, 2))
+    assert str(err.value) == "a %dx2 matrix cannot be lifted from C(x)C (dimension %d)" \
+        % (c.cc.dim + 1, c.cc.dim)
+
+
+@pytest.mark.parametrize("over", ["Q", "F7", "Sweedler Q", "Sweedler F3"])
+def test_constructors_project_ambient_input_like_the_dense_projection(
+        over, workspaces, workspaces_f7):
+    # an ambient Delta, rho or tau is projected through the sparse steps;
+    # the structure equals the one built from the dense proj·X, at X the
+    # structure's own ambient form (which gives the structure back) and at
+    # that form plus a fixed matrix with entries off the picked coordinates
+    if over in ("Q", "F7"):
+        structures = [obj for ws in (workspaces if over == "Q" else workspaces_f7).values()
+                      for obj in _structures(ws)]
+    else:
+        structures = _sweedler_structures(QQ if over == "Sweedler Q" else FieldFp(3))
+    for obj in structures:
+        tens, quot, amb = _forms(obj)
+        f = tens.field
+        filler = Matrix(f, tens.ambient_dim, quot.cols,
+                        [[f.of_int((3 * r + 5 * j) % 7 - 3) for j in range(quot.cols)]
+                         for r in range(tens.ambient_dim)])
+        for x in (amb, amb.add(filler)):
+            got, ref = _rebuild(obj, x), _rebuild(obj, tens.proj().mul(x))
+            got_tens, got_quot, got_amb = _forms(got)
+            assert got_quot == _forms(ref)[1]
+            assert got_amb == _forms(ref)[2] == _sect(got_tens).mul(got_quot)
+            if x is amb:
+                assert got_quot == quot
+
+
+@pytest.mark.parametrize("over", ["Q", "F7"])
+def test_to_json_writes_sect_times_each_quotient_form(over, workspaces, workspaces_f7):
+    # the coproduct, coaction and tau blocks a workspace writes are sect
+    # times the quotient form, whichever route builds the ambient form
+    for ws in (workspaces if over == "Q" else workspaces_f7).values():
+        out, f = ws.to_json(), ws.field
+        blocks = [(out["corings"][n]["coproduct"], c.cc, c.coproduct)
+                  for n, c in ws.corings.items()]
+        blocks += [(out["comodules"][n]["coaction"], m.mc, m.coaction)
+                   for n, m in ws.comodules.items()]
+        blocks += [(out["extensions"][n]["tau"], e.cld, e.tau)
+                   for n, e in ws.extensions.items()]
+        for block, tens, quot in blocks:
+            assert block == _ser_matrix(f, _sect(tens).mul(quot))
 
 
 # ---------------------------------------------------------------------------

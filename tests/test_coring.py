@@ -2,12 +2,13 @@
 
 import pytest
 
-from coringlab.algmod import FBimodule, FiniteAlgebra, trivial_algebra
-from coringlab.coring import (Comodule, DualRing, EndAlgebra, Grouplike,
+from conftest import _sect, matrix_unit_sweedler_corings
+from coringlab.algmod import BalancedTensor, FBimodule, FiniteAlgebra, trivial_algebra
+from coringlab.coring import (Comodule, Coring, DualRing, EndAlgebra, Grouplike,
                               co_opposite, colinear_homs, comodule_direct_sum,
-                              dual_action, grouplike_comodule, trivial_coring,
-                              zero_comodule)
-from coringlab.exactla import AxiomError, Matrix, QQ, UsageError, zero_vec
+                              dual_action, grouplike_comodule, opposite_algebra,
+                              trivial_coring, zero_comodule)
+from coringlab.exactla import AxiomError, FieldFp, Matrix, QQ, UsageError, zero_vec
 
 F = QQ
 
@@ -169,6 +170,43 @@ def test_co_opposite(e2):
     cop = co_opposite(e2.corings["C"])
     cop.validate()
     assert cop.dim == e2.corings["C"].dim
+
+
+def _ref_co_opposite(c):
+    """The co-opposite coring built through the dense twist of C x C:
+    proj·twist·sect·Delta in the C (x)_{A^op} C of its own carrier."""
+    aop = opposite_algebra(c.base)
+    carrier = FBimodule(aop, aop, c.dim, list(c.carrier.right_act),
+                        list(c.carrier.left_act), name=c.name + "^cop")
+    cc = BalancedTensor([carrier, carrier], [aop])
+    n = c.dim
+    twist = Matrix.zero(c.field, n * n, n * n)
+    for i in range(n):
+        for j in range(n):
+            twist.data[j * n + i][i * n + j] = c.field.one
+    coproduct = cc.proj().mul(twist).mul(_sect(c.cc)).mul(c.coproduct)
+    return Coring(aop, carrier, coproduct, c.counit, name=c.name + "^cop")
+
+
+@pytest.mark.parametrize("over", ["Q", "F7", "Sweedler Q", "Sweedler F3"])
+def test_co_opposite_matches_the_twist_reference(over, workspaces, workspaces_f7):
+    # the row-permuted ambient coproduct gives the twist construction's
+    # coproduct, on every fixture coring and on the Sweedler corings of
+    # M2 ⊇ diagonal and T2 ⊇ diagonal, which are not cocommutative
+    if over in ("Q", "F7"):
+        corings = [c for ws in (workspaces if over == "Q" else workspaces_f7).values()
+                   for c in ws.corings.values()]
+    else:
+        field = QQ if over == "Sweedler Q" else FieldFp(3)
+        corings = [c for c, _ in matrix_unit_sweedler_corings(field).values()]
+    for c in corings:
+        cop, ref = co_opposite(c), _ref_co_opposite(c)
+        assert cop.cc._picks == ref.cc._picks
+        assert cop.coproduct == ref.coproduct
+        assert cop.coproduct_amb == _sect(ref.cc).mul(ref.coproduct)
+        if over.startswith("Sweedler"):
+            assert cop.coproduct_amb != c.coproduct_amb
+            assert cop.validate()
 
 
 def test_comodule_validation_catches_broken_coaction(e2):

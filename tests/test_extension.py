@@ -23,7 +23,7 @@ from coringlab.workspace import load_workspace_file
 from coringlab.zoo import (build_fixture, grouplike_basis_coalgebra,
                            group_function_coring, product_field_algebra,
                            trivial_coring, trivial_extension)
-from conftest import ContextBundle, fixture_path
+from conftest import ContextBundle, _sect, fixture_path
 
 F = QQ
 
@@ -41,7 +41,7 @@ def test_trivial_extension_any_coring(e3):
 
 def test_extension_rejects_broken_coaction(e2):
     ext = e2.extensions["ext"]
-    bad = ext.cld.sect().mul(ext.tau).copy()
+    bad = _sect(ext.cld).mul(ext.tau).copy()
     bad.data[0][0] = F.add(bad.data[0][0], F.one)
     broken = CoringExtension(ext.inner, ext.outer, ext.right_l_act, bad,
                              name="broken")
@@ -60,7 +60,7 @@ def test_purity_split_rejects_wrong_map(e2):
     ext = e2.extensions["ext"]
     bad_split = Matrix.zero(F, 2, 1)
     broken = CoringExtension(ext.inner, ext.outer, ext.right_l_act,
-                             ext.cld.sect().mul(ext.tau), split_map=bad_split,
+                             _sect(ext.cld).mul(ext.tau), split_map=bad_split,
                              name="broken")
     with pytest.raises(AxiomError):
         purity_check(broken, [])
@@ -90,7 +90,7 @@ def test_induced_coaction_e2_is_group_grading(e2):
     tau = induced_D_coaction(ext, sigma)
     tau.validate()
     # the coaction of the comodule algebra: group elements are homogeneous
-    amb = tau.mc.sect().mul(tau.coaction)
+    amb = _sect(tau.mc).mul(tau.coaction)
     assert amb.col(0) == [F.one, F.zero, F.zero, F.zero]
     assert amb.col(1) == [F.zero, F.zero, F.zero, F.one]
 
@@ -101,7 +101,7 @@ def test_induced_coaction_e4_globalized_swap(e4):
     sigma = e4.comodules["Sigma"]
     tau = induced_D_coaction(ext, sigma)
     tau.validate()
-    amb = tau.mc.sect().mul(tau.coaction)
+    amb = _sect(tau.mc).mul(tau.coaction)
     # component at the nontrivial group element: the swap extended by the
     # identity on the third coordinate
     swap = [[F.zero, F.one, F.zero], [F.one, F.zero, F.zero],

@@ -4,7 +4,7 @@ from functools import cached_property
 
 import pytest
 
-from conftest import ContextBundle, fixture_path
+from conftest import ContextBundle, _sect, fixture_path
 from coringlab import cli, galois
 from coringlab.algmod import BalancedTensor, FBimodule, summand_witnesses, trivial_algebra
 from coringlab.coring import Comodule, colinear_homs, trivial_coring, zero_comodule
@@ -468,7 +468,7 @@ def _ideal_subcomodule_e4(ws):
     rights = [sel.mul(a.rmul(i)).mul(inc) for i in range(3)]
     carrier = FBimodule(k, a, 2, [Matrix.identity(F, 2)], rights, name="I")
     mc = BalancedTensor([carrier, c.carrier], [a])
-    amb = sigma.mc.sect().mul(sigma.coaction)
+    amb = _sect(sigma.mc).mul(sigma.coaction)
     cols = []
     for j in range(2):
         col = amb.col(j)

@@ -2,8 +2,20 @@
 
 ``BalancedTensor`` keeps the quotient projection as one sparse factor per
 step (``_steps``) and applies it through the slot-group kernel; its composed
-sparse columns and the dense ``proj()``/``sect()`` matrices are built on
-demand.  So inside ``algmod``:
+sparse columns and the dense ``proj()`` are built on demand.  It builds no
+dense section: ``lift(X)`` places the rows of X at the picked coordinates,
+and corings, comodules and extensions keep the ambient form of Delta, rho
+and tau, set once.  So in every module of ``src``:
+
+- nothing calls ``.sect()``;
+- ``.proj()`` is called only where a caller reads its columns or multiplies
+  a map by it (``PROJ_SITES``: the sandwich terms of
+  ``colinearity_constraint`` and ``ExtContext._solve_u``, the ambient
+  connecting maps ``MoritaContext.conn_amb``, the unit of
+  ``_tensor_fullyfaithful`` and ``EntwiningStructure.psi_ambient``), each
+  still calling it, at most ``MAX_PROJ_CALLS`` times in all.
+
+Inside ``algmod``:
 
 - no ``.mul``/``.mul_vec`` product involves ``_proj`` or ``proj()``, as the
   receiver or as an argument;
@@ -28,8 +40,14 @@ import ast
 import glob
 import os
 
+from test_kron_sites import _calls
+
 SRC = os.path.join(os.path.dirname(__file__), "..", "src", "coringlab")
 ALGMOD = os.path.join(SRC, "algmod.py")
+PROJ_SITES = {("coring.py", "colinearity_constraint"), ("extension.py", "ExtContext._solve_u"),
+              ("morita.py", "MoritaContext.__init__"), ("galois.py", "_tensor_fullyfaithful"),
+              ("zoo.py", "EntwiningStructure.psi_ambient")}
+MAX_PROJ_CALLS = 6
 DENSE_BUILDERS = {"zero", "identity", "zero_vec", "unit_vec", "transpose",
                   "from_sparse_cols", "Matrix"}
 
@@ -135,3 +153,22 @@ def test_no_induced_map_is_multiplied_on_the_right():
                     and any(_is_induced(arg) for arg in receiver.args)):
                 stray.append((os.path.basename(path), node.lineno))
     assert stray == []
+
+
+def _src_calls(called):
+    return [(os.path.basename(path), scope, line)
+            for path in sorted(glob.glob(os.path.join(SRC, "*.py")))
+            for scope, line in _calls(path, (called,))]
+
+
+def test_no_module_builds_a_dense_section():
+    assert _src_calls("sect") == []
+
+
+def test_the_dense_projection_is_read_only_where_its_columns_are():
+    found = _src_calls("proj")
+    stray = ["%s:%d in %s" % (name, line, scope or "<module>")
+             for name, scope, line in found if (name, scope) not in PROJ_SITES]
+    assert stray == []
+    assert {(name, scope) for name, scope, _ in found} == PROJ_SITES
+    assert len(found) <= MAX_PROJ_CALLS

@@ -20,6 +20,7 @@ from coringlab.zoo import (BialgebraData, EntwiningStructure, PartialGroupAction
                            product_field_algebra, quotient_polynomial_algebra,
                            subalgebra_from_span, sweedler_coring,
                            weak_entwining_coring, weak_cleft_translation)
+from conftest import _sect
 from perturb import run_perturbations
 
 F = QQ
@@ -370,7 +371,7 @@ def test_partial_action_colinear_sections_satisfy_shift_identity(bundles):
     inv = [0, 1]
     # the grading components pi_t on Sigma
     comps = []
-    amb = sigma_d.mc.sect().mul(sigma_d.coaction)
+    amb = _sect(sigma_d.mc).mul(sigma_d.coaction)
     for t in range(2):
         mat = Matrix.zero(F, 3, 3)
         for j in range(3):
