@@ -622,13 +622,13 @@ class BalancedTensor:
     tensor over its leading factors and algebras (the very objects), resumes
     from T's steps and picks and runs only the new steps: C (x)_A C (x)_A C
     on C (x)_A C.  The composed sparse columns (``_proj_cols``) are built
-    on demand, once per tensor, for the descent checks, and the dense
-    ``proj()`` from them, for callers that read its columns or multiply a
-    map by it.  No dense section is built: ``lift(X)`` is sect·X, the rows
-    of X placed at the picks, and ``project_head`` applies proj through the
-    steps.  The pair splits the full ambient space (proj·sect = 1), so the
-    relations are ker(proj) = im(1 - sect·proj) and balancing is decided by
-    two operator identities, without ever forming the relation kernel:
+    on demand, once per tensor, for the descent checks and the colinearity
+    terms (``colinearity_constraint``).  Neither the projection nor the
+    section is ever built dense: ``lift(X)`` is sect·X, the rows of X placed
+    at the picks, and ``project_head`` applies proj through the steps.  The
+    pair splits the full ambient space (proj·sect = 1), so the relations are
+    ker(proj) = im(1 - sect·proj) and balancing is decided by two operator
+    identities, without ever forming the relation kernel:
 
     - a map M out of the ambient space vanishes on the relations iff
       M = (M·sect)·proj (``descend_map``);
@@ -767,7 +767,7 @@ class BalancedTensor:
             cur_dim = q.dim
         self._steps = steps
         self._picks = picks
-        self._pcols = self._proj = None
+        self._pcols = None
 
     def _chain(self, rest=1):
         """The projection (x) I_rest as one slot group per step, in the
@@ -780,7 +780,8 @@ class BalancedTensor:
     def _proj_cols(self):
         """The sparse columns of the whole projection, column a the nonzero
         (row, value) entries of proj·e_a: the ambient unit vectors pushed
-        through the steps, on first read (_descends and proj() read it)."""
+        through the steps, on first read (_descends and
+        colinearity_constraint read it)."""
         if self._pcols is None:
             one = self.field.one
             self._pcols = _push([[(a, one)] for a in range(self.ambient_dim)],
@@ -880,12 +881,6 @@ class BalancedTensor:
         if not self._descends(proj_a, self.dim):
             return None
         return from_sparse_cols(self.field, self.dim, [proj_a[p] for p in self._picks])
-
-    def proj(self):
-        """The projection as a dense Matrix, built on first use."""
-        if self._proj is None:
-            self._proj = from_sparse_cols(self.field, self.dim, self._proj_cols())
-        return self._proj
 
     def lift(self, x):
         """sect·x for a map x into the quotient: the rows of x placed at the
@@ -993,18 +988,39 @@ def solve_map_space(src_dim, tgt_dim, constraints, field):
 def sandwich_terms(p, w, left, right, sign=1):
     """Terms (U, V, sign), one per index pair of the identity slots, whose
     sum of U·X·V is P·(I_left (x) X (x) I_right)·W."""
-    field = p.field
-    tgt = p.cols // (left * right)
+    return _sandwich(lambda ks: Matrix.from_cols(p.field, p.rows, [p.col(k) for k in ks]),
+                     p.cols // (left * right), w, left, right, sign)
+
+
+def _sandwich(u_cols, tgt, w, left, right, sign):
+    """sandwich_terms with U read through u_cols, which gives the matrix of
+    P's columns at the listed indices."""
     src = w.rows // (left * right)
     out = []
     for a in range(left):
         for c in range(right):
-            u = Matrix.from_cols(field, p.rows,
-                                 [p.col((a * tgt + n) * right + c) for n in range(tgt)])
-            v = Matrix(field, src, w.cols,
+            u = u_cols([(a * tgt + n) * right + c for n in range(tgt)])
+            v = Matrix(w.field, src, w.cols,
                        [w.row((a * src + m) * right + c) for m in range(src)])
             out.append((u, v, sign))
     return out
+
+
+def colinearity_constraint(rho, tens, w, slot=0):
+    """Constraint terms for rho∘X = proj·(X on slot)·w, X the unknown map
+    on one slot of the two-factor tensor tens and the identity on the
+    other: rho is the target's map into tens, and w the source's map in
+    its ambient form, rows laid out as (source, other factor) for slot 0
+    and (other factor, source) for slot 1.  Slot 0 makes X right colinear,
+    rho_N∘X = (X (x) C)∘rho_M; slot 1 makes u left colinear,
+    Delta∘u = (C (x) u)∘Delta.  The U terms are columns of proj, read from
+    the tensor's cached sparse columns, so no projection is rebuilt."""
+    other = tens.dims[1 - slot]
+    left, right = (1, other) if slot == 0 else (other, 1)
+    pcols = tens._proj_cols()
+    return [(rho, Matrix.identity(rho.field, w.cols), +1)] + _sandwich(
+        lambda ks: from_sparse_cols(tens.field, tens.dim, [pcols[k] for k in ks]),
+        tens.dims[slot], w, left, right, -1)
 
 
 def hom_space(m, n, left_linear=False, right_linear=False, extra_constraints=()):

@@ -10,8 +10,8 @@ BalancedTensor.induced.
 
 from __future__ import annotations
 
-from .algmod import (BalancedTensor, Checked, FBimodule, FiniteAlgebra, endo_algebra,
-                     hom_space, sandwich_terms, vouch)
+from .algmod import (BalancedTensor, Checked, FBimodule, FiniteAlgebra,
+                     colinearity_constraint, endo_algebra, hom_space, vouch)
 from .exactla import AxiomError, Matrix, UsageError, side_by_side, unit_vec
 
 
@@ -277,14 +277,6 @@ def dual_action(comodule, dual=None):
 
 # ---------------------------------------------------------------------------
 # colinear hom spaces
-
-
-def colinearity_constraint(rho, tens, w):
-    """Constraint terms for rho∘X = (X (x) C)∘rho_M: rho is the target
-    coaction, into the two-factor tensor tens = N (x) C, and w the source
-    comodule's coaction_amb, its coaction in the ambient M x C."""
-    return [(rho, Matrix.identity(rho.field, w.cols), +1)] + \
-        sandwich_terms(tens.proj(), w, 1, tens.dims[1], sign=-1)
 
 
 def colinear_homs(m, n, left_linear=False):

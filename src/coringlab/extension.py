@@ -24,9 +24,9 @@ from __future__ import annotations
 from functools import cached_property
 
 from .algmod import (BalancedTensor, Checked, FBimodule, algebra_map_check,
-                     constraint_rows, endo_algebra, hom_space, sandwich_terms,
-                     summand_witnesses, vouch)
-from .coring import Comodule, colinear_homs, colinearity_constraint
+                     colinearity_constraint, constraint_rows, endo_algebra, hom_space,
+                     sandwich_terms, summand_witnesses, vouch)
+from .coring import Comodule, colinear_homs
 from .exactla import (AxiomError, Matrix, UsageError, flatten_matrix, image, kernel,
                       rank, side_by_side, solve_linear, unflatten)
 from .morita import MoritaContext, morphism_failure
@@ -514,15 +514,15 @@ class ExtContext:
     # -- corner solvers
 
     def _solve_u(self):
-        ext, f = self.ext, self.field
+        """The bicolinear endomorphisms u: left colinear over C,
+        Delta∘u = (C (x) u)∘Delta, and right colinear over D through tau."""
+        ext = self.ext
         c = ext.inner
-        # left colinear: Delta∘u = (C (x) u)∘Delta
-        left = [(c.coproduct, Matrix.identity(f, c.dim), +1)]
-        left.extend(sandwich_terms(c.cc.proj(), c.coproduct_amb, c.dim, 1, sign=-1))
         return hom_space(ext.carrier_l, ext.carrier_l, left_linear=True,
                          right_linear=True,
-                         extra_constraints=[left, colinearity_constraint(
-                             ext.tau, ext.cld, ext.tau_amb)])
+                         extra_constraints=[
+                             colinearity_constraint(c.coproduct, c.cc, c.coproduct_amb, slot=1),
+                             colinearity_constraint(ext.tau, ext.cld, ext.tau_amb)])
 
     def _v_unit_matrix(self):
         """d -> eps_D(d)·1_T."""
@@ -625,15 +625,9 @@ class ExtContext:
         black = self.u_space.coords_matrix(
             (self.diamond_black(q, p) for q in self.qt.basis for p in self.p_basis),
             "first connecting map leaves the bicolinear endomorphisms")
-        conn1 = tens21.descend_map(black)
-        if conn1 is None:
-            raise AxiomError("first connecting map is not balanced")
         white = self.v_space.coords_matrix(
             (self.diamond_white(p, q) for p in self.p_basis for q in self.qt.basis),
             "second connecting map leaves the bilinear maps")
-        conn2 = tens12.descend_map(white)
-        if conn2 is None:
-            raise AxiomError("second connecting map is not balanced")
         # values on basis pairs, flattened: column j of _conn_sc stacks, for
         # each b, black(q_b, p_j) over white(p_j, q_b)
         black_vals = self.u_space.span.basis_matrix_cols().mul(black)
@@ -646,7 +640,7 @@ class ExtContext:
               for v in black_vals.col(b * npdim + j) + white_vals.col(j * nqdim + b)]
              for j in range(npdim)])
         self.context = MoritaContext(self.v_alg, self.u_alg, self.p_mod, self.q_mod,
-                                     conn1, conn2, tens21, tens12,
+                                     black, white, tens21, tens12,
                                      name="extension context(%s)" % self.sigma.name)
         self.context.validate()
 

@@ -44,9 +44,9 @@ import random
 from .algmod import (BalancedTensor, FBimodule, fgp_check, generator_check,
                      hom_space, span_witness, summand_witnesses, vouch)
 from .coring import EndAlgebra, colinear_homs
-from .exactla import (AxiomError, Matrix, UsageError, flatten_matrix, inverse,
-                      rank, rank_inverse, side_by_side, solve_linear, unflatten,
-                      unit_vec, vec_scale, zero_vec)
+from .exactla import (AxiomError, Matrix, UsageError, flatten_matrix, from_sparse_cols,
+                      inverse, rank, rank_inverse, side_by_side, solve_linear,
+                      unflatten, unit_vec, vec_scale, zero_vec)
 from .extension import tensor_comodule
 
 SEARCH_SWEEP_CAP = 6      # exhaustive {-1,0,1} sweep up to this many basis maps
@@ -721,10 +721,11 @@ def _tensor_fullyfaithful(cm):
         vouch(ncom, n_mod, sigma_t, sigma, check=ncom.validate)
         space = colinear_homs(sigma, ncom)
         homs = space.basis
-        # the unit n -> (x -> n (x) x): block n of the columns of proj
-        proj = tens_n.proj()
+        # the unit n -> (x -> n (x) x): the insertion x -> e_n (x) x, projected
         eta = space.coords_matrix(
-            (Matrix.from_cols(f, tens_n.dim, [proj.col(ni * sdim + x) for x in range(sdim)])
+            (tens_n.project_head(from_sparse_cols(f, tens_n.ambient_dim,
+                                                  [[(ni * sdim + x, f.one)]
+                                                   for x in range(sdim)]), 1)
              for ni in range(n_mod.dim)),
             "adjunction unit is not colinear on %s" % n_mod.name)
         # explicit inverse from the witnesses: h -> sum h(x)·conn2(- (x) q),

@@ -3,10 +3,11 @@ its module-theoretic companion, and the comparison morphism between them.
 
 Both contexts connect End-type algebras with the left dual ring of the
 coring through the comodule and a hom-type bimodule; connecting maps are
-realized as matrices on balanced-tensor quotients and all bilinearity and
-mixed-associativity identities are verified exactly.  Every corner space is
-one hom_space solve; for the connecting bimodule Q its defining relation is
-written as operator terms, one identity per basis element of the coring.
+given on pairs, descended once to matrices on balanced-tensor quotients,
+and all bilinearity and mixed-associativity identities are verified
+exactly.  Every corner space is one hom_space solve; for the connecting
+bimodule Q its defining relation is written as operator terms, one identity
+per basis element of the coring.
 
 Each context is built one way and validated once, when built.  The comodule
 context (context_M) holds the comodule, its endomorphism algebra, the dual
@@ -34,23 +35,28 @@ class MoritaContext:
     conn1 : [bim21 (x)_{alg1} bim12] -> alg2
     conn2 : [bim12 (x)_{alg2} bim21] -> alg1
 
-    conn_amb holds conn1·proj and conn2·proj, both maps on the ambient pair
-    bases, built once.
+    The maps are given on pairs, as the paper gives them: conn1_amb and
+    conn2_amb are maps on the ambient pair bases, kept as conn_amb.  Each is
+    descended once to its quotient form (conn1, conn2), and a map that does
+    not vanish on the balancing relations raises AxiomError.
     """
 
-    def __init__(self, alg1, alg2, bim12, bim21, conn1, conn2, tens21, tens12,
+    def __init__(self, alg1, alg2, bim12, bim21, conn1_amb, conn2_amb, tens21, tens12,
                  name="context"):
         self.alg1 = alg1
         self.alg2 = alg2
         self.bim12 = bim12
         self.bim21 = bim21
-        self.conn1 = conn1
-        self.conn2 = conn2
         self.tens21 = tens21
         self.tens12 = tens12
         self.name = name
         self.field = alg1.field
-        self.conn_amb = (conn1.mul(tens21.proj()), conn2.mul(tens12.proj()))
+        self.conn_amb = (conn1_amb, conn2_amb)
+        self.conn1 = tens21.descend_map(conn1_amb)
+        self.conn2 = tens12.descend_map(conn2_amb)
+        for which, conn in (("first", self.conn1), ("second", self.conn2)):
+            if conn is None:
+                raise AxiomError("%s: %s connecting map is not balanced" % (name, which))
         self._connecting = {}
 
     def validate(self):
@@ -361,15 +367,11 @@ def _eval_context(t_alg, t_space, dual, dualact_mats, q_space, bim21, sigma, nam
     tens21 = BalancedTensor([bim21, bim12], [t_alg], name="Q(x)Sigma")
     tens12 = BalancedTensor([bim12, bim21], [dual.algebra], name="Sigma(x)Q")
     # conn1: q (x) x -> q(x)
-    conn1 = tens21.descend_map(side_by_side(sigma.field, dual.dim, q_basis))
-    if conn1 is None:
-        raise AxiomError("%s: evaluation map is not balanced" % name)
+    conn1 = side_by_side(sigma.field, dual.dim, q_basis)
     # conn2: x (x) q -> (y -> x·q(y)), the right orbit map of x after q
-    conn2 = tens12.descend_map(t_space.coords_matrix(
+    conn2 = t_space.coords_matrix(
         (orbit.mul(q) for orbit in bim12.right_orbits() for q in q_basis),
-        "%s: second connecting map leaves the endomorphism algebra" % name))
-    if conn2 is None:
-        raise AxiomError("%s: second connecting map is not balanced" % name)
+        "%s: second connecting map leaves the endomorphism algebra" % name)
     ctx = MoritaContext(t_alg, dual.algebra, bim12, bim21, conn1, conn2,
                         tens21, tens12, name=name)
     ctx.validate()

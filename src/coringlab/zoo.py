@@ -11,6 +11,8 @@ against a tensor_algebra or the ground field where the target needs one.
 
 from __future__ import annotations
 
+from functools import cached_property
+
 from .algmod import (BalancedTensor, FBimodule, FiniteAlgebra, MatrixSpace,
                      non_multiplicative_at, tensor_algebra, trivial_algebra)
 from .coring import (Comodule, Coring, Grouplike, comodule_direct_sum,
@@ -208,10 +210,17 @@ def group_hopf_algebra(field, table, name="kG"):
 class EntwiningStructure:
     """A compatibility map D (x)_L A -> A (x)_L D (strict or weak).
 
-    Over the trivial base the tensor quotients are plain tensor products.
-    The weak axioms replace the unit/counit laws through the induced map
-    e = (A (x) eps) ∘ psi ∘ (D (x) 1).  The base defaults to that of D, and
-    validate runs once.
+    psi is given in its ambient form D x A -> A x D, kept as psi_amb, and
+    projected and descended once to the quotient form psi; a map whose
+    projection does not vanish on the balancing relations of D (x)_L A
+    raises AxiomError.  Then psi_amb takes every ambient d (x) a to a
+    representative of psi of its class, so psi_amb on two slots of a longer
+    tensor, projected, is psi there: the relations of A (x)_L D, tensored
+    with any factor, are relations of the longer tensor.  Over the trivial
+    base the tensor quotients are plain tensor products, so both forms are
+    the same matrix.  The weak axioms replace the unit/counit laws through the
+    induced map e = (A (x) eps) ∘ psi ∘ (D (x) 1).  The base defaults to
+    that of D, and validate runs once.
     """
 
     def __init__(self, a, d, psi, base=None, eta=None, weak=False, name="psi"):
@@ -234,23 +243,56 @@ class EntwiningStructure:
         self.a_bim = a_bim
         self.da = BalancedTensor([d.carrier, a_bim], [l], name="D(x)A")
         self.ad = BalancedTensor([a_bim, d.carrier], [l], name="A(x)D")
-        if psi.rows != self.ad.dim or psi.cols != self.da.dim:
+        if psi.rows != self.ad.ambient_dim or psi.cols != self.da.ambient_dim:
             raise UsageError("entwining map has shape %dx%d, expected %dx%d"
-                             % (psi.rows, psi.cols, self.ad.dim, self.da.dim))
-        self.psi = psi
+                             % (psi.rows, psi.cols, self.ad.ambient_dim,
+                                self.da.ambient_dim))
+        self.psi = self.da.descend_map(self.ad.project_head(psi, 1))
+        if self.psi is None:
+            raise AxiomError("entwining %s: the map is not balanced" % name)
+        self.psi_amb = psi
         self._valid = False
 
-    def psi_ambient(self):
-        """The compatibility map at the ambient level D (x) A -> A (x) D."""
-        return self.ad.lift(self.psi).mul(self.da.proj())
+    @cached_property
+    def d_one(self):
+        """D -> D (x)_L A, d -> d (x) 1."""
+        f, one_a = self.field, list(self.a.unit)
+        return Matrix.from_cols(f, self.da.dim, [
+            self.da.pure_tensor([unit_vec(f, self.d.dim, j), one_a]) for j in range(self.d.dim)])
+
+    @cached_property
+    def one_d(self):
+        """D -> A (x)_L D, d -> 1 (x) d."""
+        f, one_a = self.field, list(self.a.unit)
+        return Matrix.from_cols(f, self.ad.dim, [
+            self.ad.pure_tensor([one_a, unit_vec(f, self.d.dim, j)]) for j in range(self.d.dim)])
+
+    @cached_property
+    def right_act(self):
+        """The entwined right action of A on A (x)_L D, a (x) d -> a·psi(d (x) a_j),
+        one matrix per basis element a_j: psi's ambient columns at d (x) a_j
+        on the D slot, then the multiplication in A, a second ambient layer
+        with no quotient before it, projected."""
+        f, a, d, ad = self.field, self.a, self.d, self.ad
+        mult_d = ad.project_head(a.mult_eval().kron(Matrix.identity(f, d.dim)), 1)
+        psi = self.psi_amb
+        return [mult_d.mul(ad.induced(None, [(1, Matrix.from_cols(
+            f, psi.rows, [psi.col(dd * a.dim + j) for dd in range(d.dim)]))]))
+            for j in range(a.dim)]
+
+    def _unit_axiom(self, rhs, kind):
+        """psi∘(D (x) 1) = rhs, naming the first basis element of D where it
+        fails."""
+        lhs = self.psi.mul(self.d_one)
+        if lhs != rhs:
+            j = next(j for j in range(self.d.dim) if lhs.col(j) != rhs.col(j))
+            raise AxiomError("%s %s: unit axiom fails at basis %d" % (kind, self.name, j))
 
     def validate(self):
         if self._valid:
             return True
-        f = self.field
         a, d, l = self.a, self.d, self.base
-        psi = self.psi
-        psi_amb = self.psi_ambient()
+        psi, psi_amb = self.psi, self.psi_amb
         mult = a.mult_eval()
         delta_amb = d.coproduct_amb
         daa = BalancedTensor([d.carrier, self.a_bim, self.a_bim], [l, l], prefix=self.da)
@@ -271,27 +313,17 @@ class EntwiningStructure:
         s2 = dda.induced(dad, [(1, psi_amb)], at=s1)
         if lhs != dad.induced(add, [(0, psi_amb)], at=s2):
             raise AxiomError("entwining %s: comultiplicativity axiom fails" % self.name)
-        one_a = list(a.unit)
         if not self.weak:
             # (entwb): psi(d (x) 1) = 1 (x) d
-            for j in range(d.dim):
-                lhsv = psi.mul_vec(self.da.pure_tensor([unit_vec(f, d.dim, j), one_a]))
-                rhsv = self.ad.pure_tensor([one_a, unit_vec(f, d.dim, j)])
-                if lhsv != rhsv:
-                    raise AxiomError("entwining %s: unit axiom fails at basis %d"
-                                     % (self.name, j))
+            self._unit_axiom(self.one_d, "entwining")
             # (entwd): (A (x) eps)∘psi = eps (x) A
             if self._a_eps(at=psi) != self._eps_a():
                 raise AxiomError("entwining %s: counit axiom fails" % self.name)
         else:
             e_map = self._e_map()
             # (wentwb): psi∘(D (x) 1) = (e (x) D)∘Delta
-            ed = d.cc.induced(self.ad, [(0, e_map)], at=d.coproduct)
-            for j in range(d.dim):
-                lhsv = psi.mul_vec(self.da.pure_tensor([unit_vec(f, d.dim, j), one_a]))
-                if lhsv != ed.col(j):
-                    raise AxiomError("weak entwining %s: unit axiom fails at basis %d"
-                                     % (self.name, j))
+            self._unit_axiom(d.cc.induced(self.ad, [(0, e_map)], at=d.coproduct),
+                             "weak entwining")
             # (wentwd): (A (x) eps)∘psi = mult∘(e (x) A)
             lhs = self._a_eps(at=psi)
             rhs = mult.mul(self.da.induced(None, [(0, e_map)]))
@@ -311,11 +343,7 @@ class EntwiningStructure:
 
     def _e_map(self):
         """e = (A (x) eps)∘psi∘(D (x) 1): D -> A."""
-        f = self.field
-        one_a = list(self.a.unit)
-        d_one = Matrix.from_cols(f, self.da.dim, [
-            self.da.pure_tensor([unit_vec(f, self.d.dim, j), one_a]) for j in range(self.d.dim)])
-        return self._a_eps(at=self.psi.mul(d_one))
+        return self._a_eps(at=self.psi.mul(self.d_one))
 
 
 # ---------------------------------------------------------------------------
@@ -336,25 +364,13 @@ def entwining_coring(ent):
     f = ent.field
     a, d, l = ent.a, ent.d, ent.base
     ad = ent.ad
-    ident_d = Matrix.identity(f, d.dim)
     left_act = [ad.induced(ad, [(0, a.lmul(i))]) for i in range(a.dim)]
-    # a (x) d -> a·psi(d (x) a_j): the multiplication in A is a second
-    # ambient layer with no quotient before it
-    mult_d = ad.project_head(a.mult_eval().kron(ident_d), 1)
-    right_act = []
-    for j in range(a.dim):
-        ins_j = Matrix.zero(f, d.dim * a.dim, d.dim)
-        for dd in range(d.dim):
-            ins_j.data[dd * a.dim + j][dd] = f.one
-        right_act.append(mult_d.mul(ad.induced(None, [(1, ent.psi_ambient().mul(ins_j))])))
-    carrier = FBimodule(a, a, ad.dim, left_act, right_act, name=a.name + "(x)" + d.name)
+    carrier = FBimodule(a, a, ad.dim, left_act, list(ent.right_act),
+                        name=a.name + "(x)" + d.name)
     carrier.validate()
-    unit_ins = Matrix.from_cols(f, ad.dim,
-                                [ad.pure_tensor([list(a.unit), unit_vec(f, d.dim, j)])
-                                 for j in range(d.dim)])
     # tau(a (x) d) = (a (x) d^(1)) (x) d^(2); Delta puts 1 (x) d^(2) in the last slot
     tau_amb = ad.project_head(ad.induced(None, [(1, d.coproduct_amb)]), d.dim)
-    delta_cols = Matrix.identity(f, ad.dim).kron(unit_ins).mul(tau_amb)
+    delta_cols = Matrix.identity(f, ad.dim).kron(ent.one_d).mul(tau_amb)
     counit = ent._a_eps()
     c = Coring(a, carrier, delta_cols, counit, name=a.name + "(x)" + d.name)
     c.validate()
@@ -413,10 +429,8 @@ def weak_entwining_coring(ent):
     if ent.base.dim != 1:
         raise UsageError("weak entwining corings are built over the trivial base")
     n, m = a.dim, d.dim
-    psi = ent.psi  # trivial base: quotient coordinates are the plain tensor ones
-    one = list(a.unit)
-    chi = Matrix.from_cols(f, n * m, [psi.mul_vec(ent.da.pure_tensor([unit_vec(f, m, dd), one]))
-                                      for dd in range(m)])  # d -> psi(d (x) 1)
+    # trivial base: quotient coordinates are the plain tensor ones
+    chi = ent.psi.mul(ent.d_one)  # d -> psi(d (x) 1)
     # p(a (x) d) = a·psi(d (x) 1), one block of columns per basis element a
     p_amb = side_by_side(f, n * m, (ent.ad.induced(None, [(0, a.lmul(i))], at=chi)
                                     for i in range(n)))
@@ -439,14 +453,7 @@ def weak_entwining_coring(ent):
     ident_d = Matrix.identity(f, m)
     left_act = [restrict(a.lmul(i).kron(ident_d), "the left action")
                 for i in range(n)]
-    right_act = []
-    for j in range(n):
-        ins_j = Matrix.zero(f, m * n, m)
-        for dd in range(m):
-            ins_j.data[dd * n + j][dd] = f.one
-        amb = a.mult_eval().kron(ident_d).mul(
-            Matrix.identity(f, n).kron(ent.psi_ambient().mul(ins_j)))
-        right_act.append(restrict(amb, "the right action"))
+    right_act = [restrict(amb, "the right action") for amb in ent.right_act]
     carrier = FBimodule(a, a, dim, left_act, right_act, name="C(%s)" % ent.name)
     carrier.validate()
     delta_amb = d.coproduct_amb

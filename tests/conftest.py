@@ -25,6 +25,13 @@ def _sect(tens):
                             [[(p, tens.field.one)] for p in tens._picks])
 
 
+def _proj(tens):
+    """The dense projection of a balanced tensor, the reference for its
+    sparse steps: column a the quotient coordinates of the ambient unit
+    vector e_a."""
+    return from_sparse_cols(tens.field, tens.dim, tens._proj_cols())
+
+
 @pytest.fixture(scope="session")
 def workspaces():
     """All bundled fixtures, loaded once."""

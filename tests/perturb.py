@@ -9,6 +9,7 @@ perturbation is guaranteed to change the structure it encodes.
 from fractions import Fraction
 from copy import deepcopy
 
+from conftest import _proj
 from coringlab.exactla import AxiomError
 from coringlab.workspace import load_workspace
 
@@ -22,17 +23,17 @@ def _quotient_effective_rows(ws):
     out = {}
     for name in sorted(ws.corings):
         c = ws.corings[name]
-        proj = c.cc.proj()
+        proj = _proj(c.cc)
         out[("corings", name, "coproduct")] = [
             i for i in range(proj.cols) if any(proj.col(i))]
     for name in sorted(ws.comodules):
         m = ws.comodules[name]
-        proj = m.mc.proj()
+        proj = _proj(m.mc)
         out[("comodules", name, "coaction")] = [
             i for i in range(proj.cols) if any(proj.col(i))]
     for name in sorted(ws.extensions):
         e = ws.extensions[name]
-        proj = e.cld.proj()
+        proj = _proj(e.cld)
         out[("extensions", name, "tau")] = [
             i for i in range(proj.cols) if any(proj.col(i))]
     return out

@@ -10,7 +10,7 @@ import random
 
 import pytest
 
-from conftest import _sect, fixture_path, matrix_unit_sweedler_corings
+from conftest import _proj, _sect, fixture_path, matrix_unit_sweedler_corings
 from perturb import apply_perturbation, chosen_perturbations
 from test_contract import ROOT, WORKLOADS
 from coringlab import algmod
@@ -163,8 +163,8 @@ def test_tensor_associativity_comparison(a_quad):
     # the canonical comparison with the two-step build is invertible
     pair = BalancedTensor([reg, reg], [a_quad])
     ident = Matrix.identity(F, reg.dim)
-    cmp_map = left.proj().mul(_sect(pair).kron(ident).mul(
-        pair.proj().kron(ident))).mul(_sect(left))
+    cmp_map = _proj(left).mul(_sect(pair).kron(ident).mul(
+        _proj(pair).kron(ident))).mul(_sect(left))
     assert rank(cmp_map) == left.dim
     assert inverse(cmp_map) is not None
 
@@ -299,7 +299,7 @@ def test_group_algebra_builder():
 
 
 def _ref_descend_map(tens, amb_map):
-    rels = kernel(tens.proj()).basis
+    rels = kernel(_proj(tens)).basis
     if any(any(amb_map.mul_vec(rel)) for rel in rels):
         return None
     return amb_map.mul(_sect(tens))
@@ -323,12 +323,12 @@ def _ref_operator(tens, factors):
 
 def _ref_induced(src, dst, factors):
     out = _ref_operator(src, factors).mul(_sect(src))
-    return out if dst is None else dst.proj().mul(out)
+    return out if dst is None else _proj(dst).mul(out)
 
 
 def _ref_descend_slot(tens, slot, mat):
-    rels = kernel(tens.proj()).basis
-    proj_op = tens.proj().mul(_ref_operator(tens, [(slot, 1, mat)]))
+    rels = kernel(_proj(tens)).basis
+    proj_op = _proj(tens).mul(_ref_operator(tens, [(slot, 1, mat)]))
     if any(any(proj_op.mul_vec(rel)) for rel in rels):
         return None
     return proj_op.mul(_sect(tens))
@@ -393,11 +393,11 @@ def test_descend_matches_relation_kernel(workspaces):
     for ws in workspaces.values():
         for tens, slots in _fixture_tensors(ws):
             f = tens.field
-            rels = kernel(tens.proj()).basis
+            rels = kernel(_proj(tens)).basis
             # a balanced map R·proj, and the same map bumped on a relation
             r = Matrix.from_rows(f, [[f.of_int(rng.randint(-2, 2)) for _ in range(tens.dim)]
                                      for _ in range(3)])
-            good = r.mul(tens.proj())
+            good = r.mul(_proj(tens))
             assert tens.descend_map(good) == r == _ref_descend_map(tens, good)
             if rels:
                 k = next(i for i, v in enumerate(rels[0]) if v)
@@ -462,7 +462,7 @@ def test_induced_matches_kron_composite_on_fixture_tensors(field):
             for slot, mat in slots:
                 ref = _ref_induced(tens, None, [(slot, 1, mat)])
                 assert tens.induced(None, [(slot, mat)]) == ref
-                assert tens.induced(tens, [(slot, mat)]) == tens.proj().mul(ref)
+                assert tens.induced(tens, [(slot, mat)]) == _proj(tens).mul(ref)
                 checked += 1
             # a map on every slot at once, each changing its slot's size
             maps = [_random_matrix(field, rng.randint(0, 3), d, rng) for d in tens.dims]
@@ -494,7 +494,7 @@ def test_induced_matches_kron_composite_on_hopf_entwinings():
     rng = random.Random(3)
     for ent, (c, ext) in _hopf_entwinings():
         f, l, d = ent.field, ent.base, ent.d
-        mult, psi_amb = ent.a.mult_eval(), ent.psi_ambient()
+        mult, psi_amb = ent.a.mult_eval(), ent.psi_amb
         daa = BalancedTensor([d.carrier, ent.a_bim, ent.a_bim], [l, l])
         ada = BalancedTensor([ent.a_bim, d.carrier, ent.a_bim], [l, l])
         # two-slot factors, with and without a change in the slot count
@@ -587,7 +587,7 @@ def _rebuilt_by_every_basis_element(tens, monkeypatch):
 
 def _assert_same_build(got, ref):
     # repr keeps the scalar types, so equal entries are also equal bytes
-    assert repr(got.proj().data) == repr(ref.proj().data)
+    assert repr(_proj(got).data) == repr(_proj(ref).data)
     assert got._picks == ref._picks
     for acts, ref_acts in ((got.left_act, ref.left_act), (got.right_act, ref.right_act)):
         assert [repr(a.data) for a in acts] == [repr(a.data) for a in ref_acts]
@@ -865,14 +865,14 @@ def test_sparse_paths_match_their_dense_definitions(chain, klein_chain):
     maps += [(tens, tens, [(0, act)]) for tens in (ent.ad, c.cc)
              for act in tens.factors[0].left_act]
     for src, dst, factors in maps:
-        assert src.induced(dst, factors) == dst.proj().mul(src.induced(None, factors))
+        assert src.induced(dst, factors) == _proj(dst).mul(src.induced(None, factors))
     rng = random.Random(17)
     for tens in (ent.ad, c.cc, c.ccc):
-        assert tens.proj().mul(_sect(tens)) == Matrix.identity(f, tens.dim)
+        assert _proj(tens).mul(_sect(tens)) == Matrix.identity(f, tens.dim)
         vecs = [[f.of_int(rng.randint(-2, 2)) for _ in range(d)] for d in tens.dims]
         amb = [functools.reduce(f.mul, entries, f.one)
                for entries in itertools.product(*vecs)]
-        assert tens.pure_tensor(vecs) == tens.proj().mul_vec(amb)
+        assert tens.pure_tensor(vecs) == _proj(tens).mul_vec(amb)
 
 
 def _structure_cases(ws):
@@ -986,7 +986,7 @@ def test_balanced_tensor_of_a_random_basis_module(field, dim):
     m, a = _random_basis_module(field, dim)
     tens = BalancedTensor([m, m], [a])
     assert tens.dim == dim * dim // 2
-    assert tens.proj().mul(_sect(tens)) == Matrix.identity(field, tens.dim)
+    assert _proj(tens).mul(_sect(tens)) == Matrix.identity(field, tens.dim)
 
 
 def test_invalid_or_foreign_factors_balance_by_every_basis_element(monkeypatch):
@@ -1140,7 +1140,7 @@ def test_constructors_project_ambient_input_like_the_dense_projection(
                         [[f.of_int((3 * r + 5 * j) % 7 - 3) for j in range(quot.cols)]
                          for r in range(tens.ambient_dim)])
         for x in (amb, amb.add(filler)):
-            got, ref = _rebuild(obj, x), _rebuild(obj, tens.proj().mul(x))
+            got, ref = _rebuild(obj, x), _rebuild(obj, _proj(tens).mul(x))
             got_tens, got_quot, got_amb = _forms(got)
             assert got_quot == _forms(ref)[1]
             assert got_amb == _forms(ref)[2] == _sect(got_tens).mul(got_quot)

@@ -1,14 +1,18 @@
 """Corings, comodules, dual rings, colinear homs, grouplikes."""
 
+from types import SimpleNamespace
+
 import pytest
 
-from conftest import _sect, matrix_unit_sweedler_corings
-from coringlab.algmod import BalancedTensor, FBimodule, FiniteAlgebra, trivial_algebra
+from conftest import _proj, _sect, matrix_unit_sweedler_corings
+from coringlab.algmod import (BalancedTensor, FBimodule, FiniteAlgebra, colinearity_constraint,
+                             hom_space, sandwich_terms, trivial_algebra)
 from coringlab.coring import (Comodule, Coring, DualRing, EndAlgebra, Grouplike,
                               co_opposite, colinear_homs, comodule_direct_sum,
                               dual_action, grouplike_comodule, opposite_algebra,
                               trivial_coring, zero_comodule)
 from coringlab.exactla import AxiomError, FieldFp, Matrix, QQ, UsageError, zero_vec
+from coringlab.extension import ExtContext
 
 F = QQ
 
@@ -118,7 +122,7 @@ def _ref_direct_sum_coaction(m1, m2, mc):
             amb = zero_vec(field, mc.ambient_dim)
             for ((mi, ci), coeff) in src.mc.lift_pairs(src.coaction.col(j)):
                 amb[(offset + mi) * c.dim + ci] = coeff
-            cols.append(mc.proj().mul_vec(amb))
+            cols.append(_proj(mc).mul_vec(amb))
     return Matrix.from_cols(field, mc.dim, cols)
 
 
@@ -184,7 +188,7 @@ def _ref_co_opposite(c):
     for i in range(n):
         for j in range(n):
             twist.data[j * n + i][i * n + j] = c.field.one
-    coproduct = cc.proj().mul(twist).mul(_sect(c.cc)).mul(c.coproduct)
+    coproduct = _proj(cc).mul(twist).mul(_sect(c.cc)).mul(c.coproduct)
     return Coring(aop, carrier, coproduct, c.counit, name=c.name + "^cop")
 
 
@@ -215,3 +219,81 @@ def test_comodule_validation_catches_broken_coaction(e2):
     bad.data[0][0] = F.add(bad.data[0][0], F.one)
     with pytest.raises(AxiomError):
         Comodule(sigma.coring, sigma.carrier, bad, name="bad").validate()
+
+
+def _ref_colinearity_terms(rho, tens, w, slot):
+    """The colinearity terms read off the dense projection, the reference
+    for colinearity_constraint: sandwich_terms of proj with the identity on
+    the slot other than X's."""
+    other = tens.dims[1 - slot]
+    left, right = (1, other) if slot == 0 else (other, 1)
+    return [(rho, Matrix.identity(rho.field, w.cols), +1)] + \
+        sandwich_terms(_proj(tens), w, left, right, sign=-1)
+
+
+def _colinear_inputs(over, workspaces, workspaces_f7):
+    """(comodules grouped by input, corings, extensions): every fixture over
+    Q or F7, or the Sweedler corings of M2 ⊇ diagonal and T2 ⊇ diagonal
+    with Sigma from their grouplike, over Q or F3."""
+    if over in ("Q", "F7"):
+        spaces = (workspaces if over == "Q" else workspaces_f7).values()
+        return ([list(ws.comodules.values()) for ws in spaces],
+                [c for ws in spaces for c in ws.corings.values()],
+                [e for ws in spaces for e in ws.extensions.values()])
+    field = QQ if over == "Sweedler Q" else FieldFp(3)
+    built = matrix_unit_sweedler_corings(field).values()
+    return ([[grouplike_comodule(g, name="Sigma")] for _, g in built],
+            [c for c, _ in built], [])
+
+
+def _colinear_pairs(groups):
+    return [(m, n) for group in groups for m in group for n in group
+            if m.coring is n.coring]
+
+
+OVER = pytest.mark.parametrize("over", ["Q", "F7", "Sweedler Q", "Sweedler F3"])
+
+
+@OVER
+def test_colinearity_constraint_matches_the_dense_projection_reference(
+        over, workspaces, workspaces_f7):
+    # the same terms on both slots: slot 0 for each ordered pair of
+    # comodules over one coring and for each extension's tau, slot 1 for
+    # each coring on itself (the left-colinear half of ExtContext._solve_u)
+    groups, corings, extensions = _colinear_inputs(over, workspaces, workspaces_f7)
+    cases = [(n.coaction, n.mc, m.coaction_amb, 0) for m, n in _colinear_pairs(groups)]
+    cases += [(c.coproduct, c.cc, c.coproduct_amb, 1) for c in corings]
+    cases += [(e.tau, e.cld, e.tau_amb, 0) for e in extensions]
+    assert {case[3] for case in cases} == {0, 1}
+    for rho, tens, w, slot in cases:
+        assert colinearity_constraint(rho, tens, w, slot=slot) == \
+            _ref_colinearity_terms(rho, tens, w, slot)
+
+
+@OVER
+def test_colinear_homs_and_solve_u_match_the_dense_projection_reference(
+        over, workspaces, workspaces_f7):
+    # the same solved spaces in the same canonical bases
+    groups, corings, extensions = _colinear_inputs(over, workspaces, workspaces_f7)
+    for m, n in _colinear_pairs(groups):
+        ref = hom_space(m.carrier, n.carrier, right_linear=True,
+                        extra_constraints=[_ref_colinearity_terms(
+                            n.coaction, n.mc, m.coaction_amb, 0)])
+        assert colinear_homs(m, n).basis == ref.basis
+    for c in corings:
+        ref = hom_space(c.carrier, c.carrier, left_linear=True, right_linear=True,
+                        extra_constraints=[_ref_colinearity_terms(
+                            c.coproduct, c.cc, c.coproduct_amb, 1)])
+        got = hom_space(c.carrier, c.carrier, left_linear=True, right_linear=True,
+                        extra_constraints=[colinearity_constraint(
+                            c.coproduct, c.cc, c.coproduct_amb, slot=1)])
+        assert got.basis == ref.basis
+    for e in extensions:
+        c = e.inner
+        ref = hom_space(e.carrier_l, e.carrier_l, left_linear=True, right_linear=True,
+                        extra_constraints=[
+                            _ref_colinearity_terms(c.coproduct, c.cc, c.coproduct_amb, 1),
+                            _ref_colinearity_terms(e.tau, e.cld, e.tau_amb, 0)])
+        # _solve_u reads only the extension and its field
+        got = ExtContext._solve_u(SimpleNamespace(ext=e, field=e.field))
+        assert got.basis == ref.basis

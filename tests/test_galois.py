@@ -4,7 +4,7 @@ from functools import cached_property
 
 import pytest
 
-from conftest import ContextBundle, _sect, fixture_path
+from conftest import ContextBundle, _proj, _sect, fixture_path
 from coringlab import cli, galois
 from coringlab.algmod import BalancedTensor, FBimodule, summand_witnesses, trivial_algebra
 from coringlab.coring import Comodule, colinear_homs, trivial_coring, zero_comodule
@@ -476,7 +476,7 @@ def _ideal_subcomodule_e4(ws):
         for m in range(2):
             for ci in range(c.dim):
                 vec[m * c.dim + ci] = col[m * c.dim + ci]
-        cols.append(mc.proj().mul_vec(vec))
+        cols.append(_proj(mc).mul_vec(vec))
     sub = Comodule(c, carrier, Matrix.from_cols(F, mc.dim, cols), name="I")
     sub.validate()
     return sub

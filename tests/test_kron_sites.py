@@ -5,8 +5,10 @@ the code below may still call ``.kron(``, each for a stated reason:
 
 - ``morphism_failure`` compares connecting maps on ambient pair bases, for
   ``morphism_M_to_N`` and ``remark_k_coincidence`` alike;
-- ``weak_entwining_coring`` and ``entwining_coring`` compose two ambient
-  layers with no quotient between them.
+- ``EntwiningStructure.right_act`` (the entwined right action both
+  entwining corings read), ``weak_entwining_coring`` and
+  ``entwining_coring`` compose two ambient layers with no quotient between
+  them.
 
 Every Sweedler sum of the library (the pairings, the defining relation of
 Q, the coproduct and counit of A (x)_B A, the convolution products, the
@@ -39,11 +41,12 @@ import pytest
 
 SRC = os.path.join(os.path.dirname(__file__), "..", "src", "coringlab")
 ALLOWED = {("morita.py", "morphism_failure"),
+           ("zoo.py", "EntwiningStructure.right_act"),
            ("zoo.py", "weak_entwining_coring"),
            ("zoo.py", "entwining_coring")}
 # the allowed functions outside exactla and algmod hold this many calls; the
 # bound keeps them from growing more
-MAX_OUTSIDE_KERNEL = 16
+MAX_OUTSIDE_KERNEL = 14
 
 LIFTS = {("galois.py", "can_inverse_from_witnesses"), ("galois.py", "check_jids"),
          ("galois.py", "check_dual_basis_from_witnesses")}

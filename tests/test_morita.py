@@ -3,10 +3,11 @@ morphism, surjectivity witnesses and strictness."""
 
 import copy
 import functools
+import re
 
 import pytest
 
-from conftest import fixture_path
+from conftest import _proj, fixture_path
 from coringlab.algmod import FBimodule
 from coringlab.coring import DualRing, EndAlgebra, zero_comodule
 from coringlab.exactla import (AxiomError, FieldFp, Matrix, QQ, Subspace, kernel,
@@ -149,8 +150,11 @@ def test_first_witnesses_reconstruct_counit(bundles):
 
 
 def _with_conns(ctx, conn1, conn2, name="broken", bim12=None):
-    return MoritaContext(ctx.alg1, ctx.alg2, bim12 or ctx.bim12, ctx.bim21, conn1,
-                         conn2, ctx.tens21, ctx.tens12, name=name)
+    """The context with these quotient connecting maps, handed over in
+    their pair forms conn·proj."""
+    return MoritaContext(ctx.alg1, ctx.alg2, bim12 or ctx.bim12, ctx.bim21,
+                         conn1.mul(_proj(ctx.tens21)), conn2.mul(_proj(ctx.tens12)),
+                         ctx.tens21, ctx.tens12, name=name)
 
 
 def test_mixed_associativity_enforced(bundles):
@@ -290,6 +294,74 @@ def test_connecting_matches_the_rank_reference(field):
             assert ctx.connecting(which) == expected, (ctx.name, which)
             verdicts.add(expected[0])
     assert verdicts == {True, False}
+
+
+def _quotient_route(ctx, conn1, conn2):
+    """The context built from quotient connecting maps, its ambient forms
+    rebuilt as conn·proj: the reference route for contexts that take the
+    pair forms and descend them."""
+    ref = object.__new__(MoritaContext)
+    ref.__dict__.update(alg1=ctx.alg1, alg2=ctx.alg2, bim12=ctx.bim12, bim21=ctx.bim21,
+                        conn1=conn1, conn2=conn2, tens21=ctx.tens21, tens12=ctx.tens12,
+                        name=ctx.name, field=ctx.field, _connecting={},
+                        conn_amb=(conn1.mul(_proj(ctx.tens21)), conn2.mul(_proj(ctx.tens12))))
+    return ref
+
+
+def _result(thunk):
+    try:
+        return thunk()
+    except AxiomError as exc:
+        return "raised: %s" % exc
+
+
+@FIELDS
+def test_contexts_from_pair_forms_match_the_quotient_route(field):
+    # the pair forms the builders hand over are conn·proj exactly, and a
+    # context built from pair forms has the reference route's maps,
+    # validate messages, witnesses and strictness, on every fixture context and on
+    # doubled and bumped connecting maps
+    contexts = _fixture_contexts(field)
+    assert len(contexts) == 50
+    two = field.of_int(2)
+    outcomes, refused = set(), 0
+    for ctx in contexts:
+        assert ctx.conn_amb == _quotient_route(ctx, ctx.conn1, ctx.conn2).conn_amb
+        bumped1, bumped2 = ctx.conn1.copy(), ctx.conn2.copy()
+        if bumped1.rows and bumped1.cols:
+            bumped1.data[0][-1] = field.add(bumped1.data[0][-1], field.one)
+        if bumped2.rows and bumped2.cols:
+            bumped2.data[-1][0] = field.add(bumped2.data[-1][0], field.one)
+        for conn1, conn2 in ((ctx.conn1, ctx.conn2), (ctx.conn1.scale(two), ctx.conn2),
+                             (bumped1, ctx.conn2), (ctx.conn1, bumped2)):
+            got = _with_conns(ctx, conn1, conn2, name=ctx.name)
+            ref = _quotient_route(ctx, conn1, conn2)
+            assert (got.conn1, got.conn2, got.conn_amb) == (ref.conn1, ref.conn2, ref.conn_amb)
+            message = _result(got.validate)
+            assert message == _result(ref.validate), ctx.name
+            outcomes.add(message is True)
+            if message is True:
+                for which in (1, 2):
+                    assert got.connecting(which) == ref.connecting(which)
+                assert _result(lambda: got.strict) == _result(lambda: ref.strict)
+        # a pair form that does not vanish on the balancing relations: one
+        # more unit at an ambient pair the section does not pick
+        for which, tens in (("first", ctx.tens21), ("second", ctx.tens12)):
+            amb = ctx.conn_amb[which == "second"]
+            outside = sorted(set(range(tens.ambient_dim)) - set(tens._picks))
+            if not (outside and amb.rows):
+                continue
+            bad = amb.copy()
+            bad.data[0][outside[0]] = field.add(bad.data[0][outside[0]], field.one)
+            pair = [ctx.conn_amb[0], ctx.conn_amb[1]]
+            pair[which == "second"] = bad
+            with pytest.raises(AxiomError, match=r"^%s: %s connecting map is not balanced$"
+                               % (re.escape(ctx.name), which)):
+                MoritaContext(ctx.alg1, ctx.alg2, ctx.bim12, ctx.bim21, *pair,
+                              ctx.tens21, ctx.tens12, name=ctx.name)
+            refused += 1
+    assert outcomes == {True, False}
+    assert refused == 51
 
 
 def _ref_q_space(sigma, dual):

@@ -2,18 +2,18 @@
 
 ``BalancedTensor`` keeps the quotient projection as one sparse factor per
 step (``_steps``) and applies it through the slot-group kernel; its composed
-sparse columns and the dense ``proj()`` are built on demand.  It builds no
-dense section: ``lift(X)`` places the rows of X at the picked coordinates,
-and corings, comodules and extensions keep the ambient form of Delta, rho
-and tau, set once.  So in every module of ``src``:
+sparse columns (``_proj_cols``) are built on demand.  It builds neither a
+dense projection nor a dense section: ``lift(X)`` places the rows of X at
+the picked coordinates, ``project_head`` pushes a map through the steps,
+corings, comodules and extensions keep the ambient form of Delta, rho and
+tau, Morita contexts keep their connecting maps in the pair form they are
+given in, and an entwining keeps psi in its ambient form.  So:
 
-- nothing calls ``.sect()``;
-- ``.proj()`` is called only where a caller reads its columns or multiplies
-  a map by it (``PROJ_SITES``: the sandwich terms of
-  ``colinearity_constraint`` and ``ExtContext._solve_u``, the ambient
-  connecting maps ``MoritaContext.conn_amb``, the unit of
-  ``_tensor_fullyfaithful`` and ``EntwiningStructure.psi_ambient``), each
-  still calling it, at most ``MAX_PROJ_CALLS`` times in all.
+- ``BalancedTensor`` defines no ``proj`` or ``sect``;
+- in every module of ``src``, nothing calls ``.sect()``, and nothing names
+  ``.proj`` or ``._proj``;
+- ``_proj_cols`` is read only inside ``algmod`` (the descent checks and the
+  colinearity terms of ``colinearity_constraint``).
 
 Inside ``algmod``:
 
@@ -44,10 +44,6 @@ from test_kron_sites import _calls
 
 SRC = os.path.join(os.path.dirname(__file__), "..", "src", "coringlab")
 ALGMOD = os.path.join(SRC, "algmod.py")
-PROJ_SITES = {("coring.py", "colinearity_constraint"), ("extension.py", "ExtContext._solve_u"),
-              ("morita.py", "MoritaContext.__init__"), ("galois.py", "_tensor_fullyfaithful"),
-              ("zoo.py", "EntwiningStructure.psi_ambient")}
-MAX_PROJ_CALLS = 6
 DENSE_BUILDERS = {"zero", "identity", "zero_vec", "unit_vec", "transpose",
                   "from_sparse_cols", "Matrix"}
 
@@ -165,10 +161,19 @@ def test_no_module_builds_a_dense_section():
     assert _src_calls("sect") == []
 
 
-def test_the_dense_projection_is_read_only_where_its_columns_are():
-    found = _src_calls("proj")
-    stray = ["%s:%d in %s" % (name, line, scope or "<module>")
-             for name, scope, line in found if (name, scope) not in PROJ_SITES]
+def test_no_module_builds_or_reads_a_dense_projection():
+    tensor = next(n for n in _tree().body
+                  if isinstance(n, ast.ClassDef) and n.name == "BalancedTensor")
+    defined = {n.name for n in tensor.body if isinstance(n, ast.FunctionDef)}
+    assert not defined & {"proj", "sect"}
+    assert "_proj_cols" in defined
+    stray = []
+    for path in sorted(glob.glob(os.path.join(SRC, "*.py"))):
+        name = os.path.basename(path)
+        for node in ast.walk(_tree(path)):
+            if not isinstance(node, ast.Attribute):
+                continue
+            if node.attr in ("proj", "_proj") or (
+                    node.attr == "_proj_cols" and name != "algmod.py"):
+                stray.append("%s:%d .%s" % (name, node.lineno, node.attr))
     assert stray == []
-    assert {(name, scope) for name, scope, _ in found} == PROJ_SITES
-    assert len(found) <= MAX_PROJ_CALLS

@@ -6,7 +6,7 @@ from collections import Counter
 import pytest
 
 from coringlab import zoo
-from coringlab.algmod import FBimodule, FiniteAlgebra, trivial_algebra
+from coringlab.algmod import BalancedTensor, FBimodule, FiniteAlgebra, trivial_algebra
 from coringlab.coring import Comodule, Grouplike, colinear_homs, grouplike_comodule
 from coringlab.exactla import AxiomError, FieldFp, Matrix, QQ, unit_vec
 from coringlab.extension import ExtContext, purity_check
@@ -20,7 +20,7 @@ from coringlab.zoo import (BialgebraData, EntwiningStructure, PartialGroupAction
                            product_field_algebra, quotient_polynomial_algebra,
                            subalgebra_from_span, sweedler_coring,
                            weak_entwining_coring, weak_cleft_translation)
-from conftest import _sect
+from conftest import _proj, _sect
 from perturb import run_perturbations
 
 F = QQ
@@ -71,18 +71,154 @@ def test_hopf_entwining_c3_over_f7():
     g.validate()
 
 
-def test_l_base_entwining_trivial():
+def _l_trivial(psi, name="L-trivial"):
+    """An entwining of L = k x k with the trivial L-coring D = L over L."""
     l = product_field_algebra(F, 2, name="L")
-    d = __import__("coringlab.zoo", fromlist=["trivial_coring"]).trivial_coring(l, name="D")
-    a_unit = Matrix.identity(F, 2)
-    da_dim = 2  # D (x)_L L collapses to L
-    psi = Matrix.identity(F, 2)
-    ent = EntwiningStructure(l, d, psi, base=l, eta=a_unit, name="L-trivial")
+    d = zoo.trivial_coring(l, name="D")
+    return EntwiningStructure(l, d, psi, base=l, eta=Matrix.identity(F, 2), name=name)
+
+
+def _flip():
+    """The flip d (x) a -> a (x) d on the ambient L x L."""
+    psi = Matrix.zero(F, 4, 4)
+    for i in range(2):
+        for j in range(2):
+            psi.data[j * 2 + i][i * 2 + j] = F.one
+    return psi
+
+
+def test_l_base_entwining_trivial():
+    # D (x)_L L collapses to L, where the flip is the identity
+    ent = _l_trivial(_flip())
+    l = ent.a
+    assert ent.psi == Matrix.identity(F, 2)
     ent.validate()
     c, ext = entwining_coring(ent)
     assert c.dim == l.dim
     cert = purity_check(ext, [])
     assert cert == "pure-by-split"
+
+
+def test_entwining_that_is_not_balanced_is_refused():
+    # e_0 (x) e_1 is a balancing relation of D (x)_L L; sending it to
+    # e_0 (x) e_0, which is not zero in L (x)_L D, is not a map on the
+    # quotient
+    psi = Matrix.zero(F, 4, 4)
+    psi.data[0][1] = F.one
+    with pytest.raises(AxiomError, match=r"^entwining bad: the map is not balanced$"):
+        _l_trivial(psi, name="bad")
+
+
+def _cyclic(n):
+    return [[(i + j) % n for j in range(n)] for i in range(n)]
+
+
+def _entwinings():
+    """The Hopf entwinings of C2, C3 and C4 over F7, E5's weak entwining and
+    the flip over L = k x k, each built once."""
+    f7 = FieldFp(7)
+    for n in (2, 3, 4):
+        bial = group_hopf_algebra(f7, _cyclic(n), name="H")
+        yield hopf_entwining(bial, bial.algebra, bial.delta)
+    yield _weak_e5()
+    ent = _l_trivial(_flip())
+    ent.validate()
+    yield ent
+
+
+def _ref_psi_ambient(ent):
+    """psi's ambient form rebuilt from the quotient form, lift·proj: the
+    reference form."""
+    return ent.ad.lift(ent.psi).mul(_proj(ent.da))
+
+
+def _ref_right_act(ent, psi_amb):
+    """a (x) d -> a·psi(d (x) a_j) through dense krons and the dense
+    projection: proj·(mult (x) D)·(A (x) psi_amb·ins_j)·sect, ins_j the
+    insertion d -> d (x) a_j."""
+    f, n, m = ent.field, ent.a.dim, ent.d.dim
+    out = []
+    for j in range(n):
+        ins_j = Matrix.zero(f, m * n, m)
+        for dd in range(m):
+            ins_j.data[dd * n + j][dd] = f.one
+        amb = ent.a.mult_eval().kron(Matrix.identity(f, m)).mul(
+            Matrix.identity(f, n).kron(psi_amb.mul(ins_j)))
+        out.append(_proj(ent.ad).mul(amb).mul(_sect(ent.ad)))
+    return out
+
+
+def _built(ent):
+    """The coring and outer coaction an entwining builds."""
+    if ent.weak:
+        c, ext, _, _ = weak_entwining_coring(ent)
+    else:
+        c, ext = entwining_coring(ent)
+    return c.carrier.left_act, c.carrier.right_act, c.coproduct, c.counit, ext.tau
+
+
+def test_entwinings_keep_psi_as_given_and_build_what_the_lift_proj_form_builds():
+    # over the trivial base the given ambient form is the lift·proj form;
+    # over L it is another representative of the same classes, and both
+    # build the same coring
+    for ent in _entwinings():
+        ref_amb = _ref_psi_ambient(ent)
+        proj_ad = _proj(ent.ad)
+        assert proj_ad.mul(ent.psi_amb) == proj_ad.mul(ref_amb)
+        assert (ent.psi_amb == ref_amb) == (ent.base.dim == 1)
+        assert ent.right_act == _ref_right_act(ent, ref_amb)
+        twin = EntwiningStructure(ent.a, ent.d, ref_amb, base=ent.base, eta=ent.eta,
+                                  weak=ent.weak, name=ent.name)
+        assert twin.psi == ent.psi
+        assert twin.validate()
+        assert _built(twin) == _built(ent)
+
+
+def _ref_unit_failure(ent, rhs):
+    """The first j with psi(d_j (x) 1) != column j of rhs, one pure tensor
+    at a time, or None."""
+    f, one = ent.field, list(ent.a.unit)
+    for j in range(ent.d.dim):
+        if ent.psi.mul_vec(ent.da.pure_tensor([unit_vec(f, ent.d.dim, j), one])) != rhs.col(j):
+            return j
+    return None
+
+
+def test_unit_axiom_names_the_first_failing_basis_element():
+    bial = group_hopf_algebra(F, C3, name="H")
+    ent = hopf_entwining(bial, bial.algebra, bial.delta)
+    assert _ref_unit_failure(ent, ent.one_d) is None
+    ent._unit_axiom(ent.one_d, "entwining")
+    for j in (2, 1, 0):
+        rhs = ent.one_d.copy()
+        rhs.data[0][j] = F.add(rhs.data[0][j], F.one)
+        if j == 1:
+            rhs.data[0][2] = F.add(rhs.data[0][2], F.one)
+        assert _ref_unit_failure(ent, rhs) == j
+        with pytest.raises(AxiomError, match=r"^weak entwining psi: unit axiom fails at "
+                                             r"basis %d$" % j):
+            ent._unit_axiom(rhs, "weak entwining")
+
+
+def test_each_entwining_keeps_one_ambient_psi(monkeypatch):
+    # psi is descended once per structure and its ambient form is never
+    # rebuilt from the quotient form (rebuilding it as lift·proj on every
+    # read would lift 3, 4 and 5 times on the C2, C3 and C4 chains)
+    calls = Counter()
+    for attr in ("descend_map", "lift"):
+        func = getattr(BalancedTensor, attr)
+
+        def wrapped(self, *args, func=func, attr=attr):
+            calls[attr, id(self)] += 1
+            return func(self, *args)
+        monkeypatch.setattr(BalancedTensor, attr, wrapped)
+    for n in (2, 3, 4):
+        calls.clear()
+        bial = group_hopf_algebra(FieldFp(7), _cyclic(n), name="H")
+        ent = hopf_entwining(bial, bial.algebra, bial.delta)
+        entwining_coring(ent)
+        assert calls["descend_map", id(ent.da)] == 1
+        assert calls["lift", id(ent.ad)] == 0
 
 
 def test_comodule_algebra_axioms_rejected():
