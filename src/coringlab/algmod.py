@@ -16,7 +16,9 @@ called; is_valid() decides it once per object.  A construction whose output
 is valid by an argument written in its own docstring, once every input of it
 is valid, calls vouch on that output: is_valid() then answers True with no
 check.  That is the one path by which an object counts as valid unchecked,
-and an invalid input never takes it.
+and an invalid input never takes it.  A construction checks what it is
+handed with require_valid(), which skips an object already checked or
+vouched for.
 """
 
 from __future__ import annotations
@@ -60,7 +62,8 @@ class Checked:
     """Validity decided once per object: validate() runs the full check each
     time it is called (a subclass may return at once once it has passed) and
     sets _valid; is_valid() runs it at most once, and not at all for an
-    object a construction vouched for (vouch)."""
+    object a construction vouched for (vouch); require_valid() is the check
+    of an input a construction is handed."""
 
     _valid = None
     _vouched = False
@@ -76,6 +79,13 @@ class Checked:
             except (AxiomError, UsageError):
                 self._valid = False
         return self._valid
+
+    def require_valid(self):
+        """The check of an input: validate() unless the object has passed
+        it or is vouched for, so an invalid input is checked once and
+        raises the message its own check gives."""
+        if not (self._vouched or self._valid):
+            self.validate()
 
 
 def vouch(obj, *inputs, check=None):

@@ -175,8 +175,10 @@ class Comodule(Checked):
         return "Comodule(%s over %s, dim %d)" % (self.name, self.coring.name, self.dim)
 
 
-class Grouplike:
-    """Element g with Delta(g) = g (x) g and eps(g) = 1."""
+class Grouplike(Checked):
+    """Element g with Delta(g) = g (x) g and eps(g) = 1.  validate() checks
+    both each time it is called, not the coring; is_valid() decides it once
+    (algmod.Checked)."""
 
     def __init__(self, coring, element):
         self.coring = coring
@@ -192,6 +194,7 @@ class Grouplike:
             raise AxiomError("grouplike: Delta(g) != g (x) g")
         if c.counit.mul_vec(self.element) != list(c.base.unit):
             raise AxiomError("grouplike: eps(g) != 1")
+        self._valid = True
         return True
 
 
@@ -324,10 +327,11 @@ class EndAlgebra:
 def grouplike_comodule(g, name=None):
     """The base algebra as a comodule via a grouplike: rho(a) = g·a.
 
-    The grouplike is checked on entry; the comodule is vouched for when the
-    coring is valid (and checked otherwise): eps(g·a) = eps(g)·a = a and
-    Delta(g·a) = g (x) g·a, by the right A-linearity of eps and Delta."""
-    g.validate()
+    The grouplike is checked on entry, unless it has been checked or
+    vouched for; the comodule is vouched for when the coring is valid (and
+    checked otherwise): eps(g·a) = eps(g)·a = a and Delta(g·a) = g (x) g·a,
+    by the right A-linearity of eps and Delta."""
+    g.require_valid()
     c = g.coring
     a = c.base
     field = c.field

@@ -2,19 +2,32 @@
 algebras over a bialgebra, idempotent partial group actions and canonical
 corings over a subalgebra, plus the bundled fixtures E1-E5.
 
-Every constructor validates the input axioms exactly and returns fully
-checked structures; failures name the first broken axiom and basis pair.
-Every multiplicativity axiom (of a coproduct, a counit, a comodule-algebra
-coaction or a partial action's alpha_s) is one non_multiplicative_at check,
-against a tensor_algebra or the ground field where the target needs one.
+Every constructor checks what it is handed exactly (input checks): a group
+table, a coalgebra or bialgebra given by its matrices, an entwining, the
+coaction of a comodule algebra, a partial action, a spanning set, and the
+structures a fixture writes out by hand.  Failures name the first broken
+axiom and basis pair.  An input already checked or vouched for is not
+checked again (Checked.require_valid).  What a constructor derives from
+valid inputs is valid by a standard result, written in its docstring, and
+is handed to algmod.vouch rather than re-validated: the algebras k^n, k[x]/(f) and a
+subalgebra, the grouplike and dual group coalgebras, kG as a Hopf algebra,
+the entwining of a comodule algebra, the corings and extensions of strict
+and weak entwinings, the Sweedler coring with its grouplike, the trivial
+extension, and C as a comodule over itself.  When an input is invalid the
+former check runs and raises its former message.  Only partial_action_coring
+still checks its outputs: its outer coaction is a repaired family that no
+written argument covers.  Every multiplicativity axiom (of a coproduct, a
+counit, a comodule-algebra coaction or a partial action's alpha_s) is one
+non_multiplicative_at check, against a tensor_algebra or the ground field
+where the target needs one.
 """
 
 from __future__ import annotations
 
 from functools import cached_property
 
-from .algmod import (BalancedTensor, FBimodule, FiniteAlgebra, MatrixSpace,
-                     non_multiplicative_at, tensor_algebra, trivial_algebra)
+from .algmod import (BalancedTensor, Checked, FBimodule, FiniteAlgebra, MatrixSpace,
+                     non_multiplicative_at, tensor_algebra, trivial_algebra, vouch)
 from .coring import (Comodule, Coring, Grouplike, comodule_direct_sum,
                      grouplike_comodule, trivial_coring, zero_comodule)
 from .exactla import (AxiomError, Matrix, Subspace, UsageError, image, rank,
@@ -26,34 +39,46 @@ from .extension import CoringExtension, purity_check
 # small algebra builders
 
 
+def _table_algebra(field, table, name):
+    """The algebra with basis the indices of table and e_i·e_j = e_table[i][j]
+    (0 where table[i][j] is no index), unit e_0; not checked."""
+    n = len(table)
+    mul = [[[field.one if table[i][j] == k else field.zero for k in range(n)]
+            for j in range(n)] for i in range(n)]
+    return FiniteAlgebra(field, n, mul, unit_vec(field, n, 0), name=name)
+
+
 def group_algebra(field, table, name="kG"):
     """Group algebra from a multiplication table (table[i][j] = index of g_i g_j).
 
-    Index 0 must be the unit element.
+    Index 0 must be the unit element.  The algebra is checked: that is the
+    check of the table's associativity.
     """
     n = len(table)
     if any(table[0][j] != j or table[j][0] != j for j in range(n)):
         raise UsageError("group table: index 0 is not the unit")
-    mul = [[[field.one if table[i][j] == k else field.zero for k in range(n)]
-            for j in range(n)] for i in range(n)]
-    unit = unit_vec(field, n, 0)
-    alg = FiniteAlgebra(field, n, mul, unit, name=name)
+    alg = _table_algebra(field, table, name)
     alg.validate()
     return alg
 
 
 def product_field_algebra(field, n, name=None):
-    """k x k x ... x k with componentwise product."""
+    """k x k x ... x k with componentwise product.  Vouched for with no
+    premise: a product of copies of the field is associative with unit
+    (1, ..., 1)."""
     mul = [[[field.one if i == j == k else field.zero for k in range(n)]
             for j in range(n)] for i in range(n)]
     unit = [field.one] * n
     alg = FiniteAlgebra(field, n, mul, unit, name=name or "k^%d" % n)
-    alg.validate()
+    vouch(alg, check=alg.validate)
     return alg
 
 
 def quotient_polynomial_algebra(field, coeffs, name=None):
-    """k[x]/(x^n - c_{n-1}x^{n-1} - ... - c_0), basis 1, x, ..., x^{n-1}."""
+    """k[x]/(x^n - c_{n-1}x^{n-1} - ... - c_0), basis 1, x, ..., x^{n-1}.
+    Vouched for with no premise: e_i·e_j is x^(i+j) reduced modulo the
+    monic polynomial, which is the product of the quotient ring k[x]/(f),
+    associative and commutative with unit 1."""
     n = len(coeffs)
     pows = [unit_vec(field, n, i) for i in range(n)]
     xn = list(coeffs)
@@ -77,7 +102,7 @@ def quotient_polynomial_algebra(field, coeffs, name=None):
             row.append(v)
         mul.append(row)
     alg = FiniteAlgebra(field, n, mul, unit_vec(field, n, 0), name=name or "k[x]/f")
-    alg.validate()
+    vouch(alg, check=alg.validate)
     return alg
 
 
@@ -94,7 +119,16 @@ def inverse_table(table):
 
 
 def group_function_coring(field, table, name="k(G)"):
-    """The dual basis coalgebra of a finite group, as a coring over k."""
+    """The dual basis coalgebra of a finite group, as a coring over k.
+
+    Vouched for when the table is a group (and checked otherwise): k(G) is
+    the coalgebra dual to the group algebra kG, Delta(u_s) the sum of
+    u_t (x) u_t' over the pairs with t·t' = s and eps(u_s) = [s = 1], so
+    coassociativity and counitality are the associativity and the unit of
+    the group.  The table is a group when kG, built from it with unit e_0,
+    is associative and unital and every row holds the unit (inverse_table):
+    a finite monoid in which every element has a right inverse is a group.
+    """
     n = len(table)
     inv = inverse_table(table)
     carrier = FBimodule.trivial(field, n, name=name)
@@ -107,39 +141,51 @@ def group_function_coring(field, table, name="k(G)"):
     counit = Matrix.from_rows(field, [[field.one if s == 0 else field.zero
                                        for s in range(n)]])
     c = Coring(carrier.right_alg, carrier, coproduct, counit, name=name)
-    c.validate()
+    vouch(c, _table_algebra(field, table, "kG"), check=c.validate)
     return c
 
 
-def k_coalgebra_coring(field, dim, delta_ambient, eps_row, name="D"):
-    """A coalgebra over the ground field, wrapped as a coring.
+def _k_coalgebra(field, dim, delta_ambient, eps_row, name):
+    """A coalgebra over the ground field as a coring, not checked.
 
     delta_ambient maps basis vectors to the plain tensor square (dim^2
     column entries, row-major), which over k is C (x) C itself: there are no
     balancing relations.
     """
     carrier = FBimodule.trivial(field, dim, name=name)
-    c = Coring(carrier.right_alg, carrier, delta_ambient, eps_row, name=name)
+    return Coring(carrier.right_alg, carrier, delta_ambient, eps_row, name=name)
+
+
+def k_coalgebra_coring(field, dim, delta_ambient, eps_row, name="D"):
+    """A coalgebra over the ground field, wrapped as a coring and checked
+    (see _k_coalgebra for the shape of delta_ambient)."""
+    c = _k_coalgebra(field, dim, delta_ambient, eps_row, name)
     c.validate()
     return c
 
 
 def grouplike_basis_coalgebra(field, n, name="D"):
-    """Coalgebra with a basis of grouplikes: Delta(u_i) = u_i (x) u_i."""
+    """Coalgebra with a basis of grouplikes: Delta(u_i) = u_i (x) u_i and
+    eps(u_i) = 1.  Vouched for with no premise: both sides of
+    coassociativity send u_i to u_i (x) u_i (x) u_i, and both counit laws
+    send it to u_i; over k every map is k-linear."""
     delta = Matrix.zero(field, n * n, n)
     for i in range(n):
         delta.data[i * n + i][i] = field.one
     eps = Matrix.from_rows(field, [[field.one] * n])
-    return k_coalgebra_coring(field, n, delta, eps, name=name)
+    c = _k_coalgebra(field, n, delta, eps, name)
+    vouch(c, check=c.validate)
+    return c
 
 
 # ---------------------------------------------------------------------------
 # bialgebras and comodule algebras
 
 
-class BialgebraData:
+class BialgebraData(Checked):
     """An algebra with a compatible coalgebra structure over k.  validate
-    keeps the coalgebra coring it checks as ``coring`` and runs once."""
+    keeps the coalgebra coring it checks as ``coring`` and runs once; a
+    construction that vouches for the bialgebra sets ``coring`` itself."""
 
     def __init__(self, algebra, delta_ambient, eps_row, antipode=None, name=None):
         self.algebra = algebra
@@ -149,7 +195,6 @@ class BialgebraData:
         self.name = name or algebra.name
         self.field = algebra.field
         self.coring = None
-        self._valid = False
 
     def coalgebra_coring(self):
         return k_coalgebra_coring(self.field, self.algebra.dim, self.delta,
@@ -187,19 +232,27 @@ class BialgebraData:
 
 
 def group_hopf_algebra(field, table, name="kG"):
-    """Group algebra with its standard Hopf structure (grouplike basis)."""
+    """Group algebra with its standard Hopf structure (grouplike basis),
+    its coalgebra coring kept as ``coring``.
+
+    The table is checked as a group: kG is checked (associativity, unit e_0)
+    and every element has an inverse (inverse_table).  The Hopf algebra and
+    its coalgebra coring (grouplike_basis_coalgebra) are then vouched for:
+    kG of a group is a Hopf algebra with Delta(g) = g (x) g, eps(g) = 1 and
+    S(g) = g^-1.  Delta and eps are algebra maps because a product of
+    grouplikes is grouplike, and S(g_(1))·g_(2) = g^-1·g = 1 = eps(g)·1 =
+    g_(1)·S(g_(2)).
+    """
     h = group_algebra(field, table, name=name)
     n = h.dim
     inv = inverse_table(table)
-    delta = Matrix.zero(field, n * n, n)
-    for i in range(n):
-        delta.data[i * n + i][i] = field.one
-    eps = Matrix.from_rows(field, [[field.one] * n])
+    d = grouplike_basis_coalgebra(field, n, name=name)
     s = Matrix.zero(field, n, n)
     for i in range(n):
         s.data[inv[i]][i] = field.one
-    data = BialgebraData(h, delta, eps, antipode=s, name=name)
-    data.validate()
+    data = BialgebraData(h, d.coproduct, d.counit, antipode=s, name=name)
+    data.coring = d
+    vouch(data, h, check=data.validate)
     return data
 
 
@@ -207,7 +260,7 @@ def group_hopf_algebra(field, table, name="kG"):
 # entwining structures
 
 
-class EntwiningStructure:
+class EntwiningStructure(Checked):
     """A compatibility map D (x)_L A -> A (x)_L D (strict or weak).
 
     psi is given in its ambient form D x A -> A x D, kept as psi_amb, and
@@ -220,7 +273,8 @@ class EntwiningStructure:
     base the tensor quotients are plain tensor products, so both forms are
     the same matrix.  The weak axioms replace the unit/counit laws through the
     induced map e = (A (x) eps) ∘ psi ∘ (D (x) 1).  The base defaults to
-    that of D, and validate runs once.
+    that of D.  validate checks the axioms, not A or D, and runs once;
+    is_valid() decides it once (algmod.Checked).
     """
 
     def __init__(self, a, d, psi, base=None, eta=None, weak=False, name="psi"):
@@ -251,7 +305,6 @@ class EntwiningStructure:
         if self.psi is None:
             raise AxiomError("entwining %s: the map is not balanced" % name)
         self.psi_amb = psi
-        self._valid = False
 
     @cached_property
     def d_one(self):
@@ -350,30 +403,51 @@ class EntwiningStructure:
 # corings from entwining structures
 
 
+def _entwining_parts(ent):
+    """What the structures built from an entwining rest on: the entwining,
+    its algebra, its coring and the base."""
+    return ent, ent.a, ent.d, ent.base
+
+
 def entwining_coring(ent):
     """The coring on A (x)_L D attached to a strict entwining, with its
     extension to the outer coring.
 
-    Returns (coring, extension).  The extension is certified pure through
-    the split fast path whenever the right L-action on the carrier is
-    induced by the unit map L -> A (always the case over the trivial base).
+    Returns (coring, extension).  The entwining is checked on entry, unless
+    it has been checked or vouched for.  The carrier, the coring and the
+    extension are vouched for when the entwining, A, D and L are valid (and
+    checked otherwise): an entwining (A, D, psi)_L gives the A-coring
+    A (x)_L D with a'·(a (x) d)·a'' = a'a·psi(d (x) a''),
+    Delta(a (x) d) = (a (x) d_(1)) (x)_A (1 (x) d_(2)) and
+    eps(a (x) d) = a·eps(d), and (D:L) extends it through
+    tau = A (x) Delta_D (Brzezinski, "The structure of corings", 2002).  The
+    right action is unital and multiplicative by the unit and
+    multiplicativity axioms; Delta and eps are right A-linear by the
+    comultiplicativity and counit axioms; coassociativity, counitality and
+    the axioms of tau are those of D; and Delta followed by C (x) tau and tau
+    followed by Delta (x) D both send a (x) d to
+    (a (x) d_(1)) (x)_A (1 (x) d_(2)) (x)_L d_(3).  The extension is
+    certified pure through the split fast path whenever the right L-action
+    on the carrier is induced by the unit map L -> A (always the case over
+    the trivial base).
     """
     if ent.weak:
         raise UsageError("strict constructor called on a weak entwining")
-    ent.validate()
+    ent.require_valid()
+    parts = _entwining_parts(ent)
     f = ent.field
     a, d, l = ent.a, ent.d, ent.base
     ad = ent.ad
     left_act = [ad.induced(ad, [(0, a.lmul(i))]) for i in range(a.dim)]
     carrier = FBimodule(a, a, ad.dim, left_act, list(ent.right_act),
                         name=a.name + "(x)" + d.name)
-    carrier.validate()
+    vouch(carrier, *parts, check=carrier.validate)
     # tau(a (x) d) = (a (x) d^(1)) (x) d^(2); Delta puts 1 (x) d^(2) in the last slot
     tau_amb = ad.project_head(ad.induced(None, [(1, d.coproduct_amb)]), d.dim)
     delta_cols = Matrix.identity(f, ad.dim).kron(ent.one_d).mul(tau_amb)
     counit = ent._a_eps()
     c = Coring(a, carrier, delta_cols, counit, name=a.name + "(x)" + d.name)
-    c.validate()
+    vouch(c, *parts, check=c.validate)
     right_l = list(ad.right_act)
     split = None
     induced = all(right_l[i] == carrier.right_act_vec(ent.eta.col(i))
@@ -382,15 +456,28 @@ def entwining_coring(ent):
         split = ent.eta
     ext = CoringExtension(c, d, right_l, tau_amb, split_map=split,
                           name="(%s:%s) over (%s:%s)" % (d.name, l.name, c.name, a.name))
-    ext.validate()
+    vouch(ext, *parts, check=ext.validate)
     purity_check(ext, [])
     return c, ext
 
 
 def hopf_entwining(bial, a_alg, coaction_amb, name="psi"):
     """The entwining of a comodule algebra with the underlying coalgebra:
-    d (x) a -> a_[0] (x) d·a_[1]."""
-    bial.validate()
+    d (x) a -> a_[0] (x) d·a_[1].
+
+    The bialgebra is checked on entry, unless it has been checked or
+    vouched for; the coaction is checked as a comodule of the coalgebra and
+    as a unital multiplicative map.  The entwining is then vouched for when
+    the bialgebra, A and the comodule are valid (and checked otherwise): a
+    right comodule algebra over a bialgebra H gives the entwining
+    (A, H, psi) with psi(h (x) a) = a_[0] (x) h·a_[1] (Brzezinski and
+    Majid, "Coalgebra bundles", 1998).  Multiplicativity of psi is that of
+    the coaction and associativity of H, its unit axiom is rho(1) = 1 (x) 1,
+    comultiplicativity is coassociativity of rho and multiplicativity of
+    Delta_H, and the counit axiom is counitality of rho and
+    multiplicativity of eps_H.
+    """
+    bial.require_valid()
     f = bial.field
     h = bial.algebra
     d_coring = bial.coring
@@ -411,7 +498,7 @@ def hopf_entwining(bial, a_alg, coaction_amb, name="psi"):
              for dd in range(h.dim))
     psi_amb = side_by_side(f, ah.dim, (ah.lmul_vec(v).mul(coaction_amb) for v in one_d))
     ent = EntwiningStructure(a_alg, d_coring, psi_amb, weak=False, name=name)
-    ent.validate()
+    vouch(ent, bial, a_alg, probe, check=ent.validate)
     return ent
 
 
@@ -419,11 +506,26 @@ def weak_entwining_coring(ent):
     """The image coring of a weak entwining over the trivial base.
 
     Returns (coring, extension, inclusion, retraction); the carrier is the
-    image of a (x) d -> a·psi(d (x) 1) inside the plain tensor square, with
-    all induced maps re-verified to preserve it, and the two equivalent forms
-    of the outer coaction computed and asserted equal.
+    image of the projection p(a (x) d) = a·psi(d (x) 1) inside the plain
+    tensor square, with the actions, A (x) Delta_D and the outer coaction
+    checked to preserve it as they are restricted, and the two equivalent
+    forms of the outer coaction computed and asserted equal.
+
+    The entwining is checked on entry, unless it has been checked or
+    vouched for.  The carrier, the coring and the extension are vouched for
+    when the entwining, A, D and the base are valid (and checked
+    otherwise): a weak entwining (A, D, psi) gives the A-coring
+    p(A (x) D) with Delta(p(a (x) d)) = p(a (x) d_(1)) (x)_A p(1 (x) d_(2))
+    and eps(p(a (x) d)) = a·e(d) (Brzezinski, "The structure of corings",
+    2002; Caenepeel and De Groot, "Modules over weak entwining structures",
+    2000).  A (x) Delta_D keeps the carrier in the first factor (checked
+    below as it is formed), so its restriction tau is coassociative,
+    counital and left A-linear as A (x) Delta_D is, and Delta followed by
+    C (x) tau and tau followed by Delta (x) D agree by coassociativity of D:
+    (D:k) extends the coring.
     """
-    ent.validate()
+    ent.require_valid()
+    parts = _entwining_parts(ent)
     f = ent.field
     a, d = ent.a, ent.d
     if ent.base.dim != 1:
@@ -455,27 +557,25 @@ def weak_entwining_coring(ent):
                 for i in range(n)]
     right_act = [restrict(amb, "the right action") for amb in ent.right_act]
     carrier = FBimodule(a, a, dim, left_act, right_act, name="C(%s)" % ent.name)
-    carrier.validate()
-    delta_amb = d.coproduct_amb
+    vouch(carrier, *parts, check=carrier.validate)
+    # (A (x) Delta) on the carrier, formed once
+    a_delta = Matrix.identity(f, n).kron(d.coproduct_amb).mul(inc)
     # closure: (A (x) Delta) keeps the first two slots inside the carrier
-    first_two = (p_amb.sub(Matrix.identity(f, n * m))).kron(ident_d) \
-        .mul(Matrix.identity(f, n).kron(delta_amb)).mul(inc)
+    first_two = (p_amb.sub(Matrix.identity(f, n * m))).kron(ident_d).mul(a_delta)
     if not first_two.is_zero():
         raise AxiomError("weak entwining: the coproduct leaves the carrier")
-    delta_cols = ret.kron(ret.mul(chi)).mul(
-        Matrix.identity(f, n).kron(delta_amb)).mul(inc)
+    delta_cols = ret.kron(ret.mul(chi)).mul(a_delta)
     counit = a.mult_eval().mul(Matrix.identity(f, n).kron(ent._e_map())).mul(inc)
     c = Coring(a, carrier, delta_cols, counit, name="C(%s)" % ent.name)
-    c.validate()
-    tau_form1 = ret.kron(ident_d).mul(Matrix.identity(f, n).kron(delta_amb)).mul(inc)
-    tau_form2 = (ret.mul(p_amb)).kron(ident_d).mul(
-        Matrix.identity(f, n).kron(delta_amb)).mul(inc)
+    vouch(c, *parts, check=c.validate)
+    tau_form1 = ret.kron(ident_d).mul(a_delta)
+    tau_form2 = (ret.mul(p_amb)).kron(ident_d).mul(a_delta)
     if tau_form1 != tau_form2:
         raise AxiomError("weak entwining: the two forms of the outer coaction differ")
     right_l = [Matrix.identity(f, dim)]
     ext = CoringExtension(c, d, right_l, tau_form1, split_map=ent.eta,
                           name="(%s:k) over (%s:%s)" % (d.name, c.name, a.name))
-    ext.validate()
+    vouch(ext, *parts, check=ext.validate)
     purity_check(ext, [])
     return c, ext, inc, ret
 
@@ -496,7 +596,12 @@ def weak_cleft_translation(ent, coring, inc, ret, lam, lam_bar):
 
 
 def trivial_extension(c, name=None):
-    """The ground field as a trivial coring extending any coring."""
+    """The ground field as a trivial coring extending any coring.
+
+    Vouched for when c is valid (and checked otherwise): tau(x) = x (x) 1
+    in C (x)_k k = C, so tau is the identity, coassociative and counital as
+    the coring k over itself is, k acts on the right by scalars, and both
+    sides of the bicomodule law are Delta(x) (x) 1."""
     f = c.field
     k = trivial_algebra(f)
     d = trivial_coring(k, name="k")
@@ -505,7 +610,7 @@ def trivial_extension(c, name=None):
     ext = CoringExtension(c, d, [Matrix.identity(f, c.dim)], tau_amb,
                           split_map=split,
                           name=name or "(k:k) over (%s:%s)" % (c.name, c.base.name))
-    ext.validate()
+    vouch(ext, c, d, check=ext.validate)
     purity_check(ext, [])
     return ext
 
@@ -710,7 +815,10 @@ def partial_action_coring(pa):
 
 def subalgebra_from_span(a, vectors, name="B"):
     """Verify a spanning set generates a unital subalgebra; return it with
-    its inclusion matrix."""
+    its inclusion matrix.  The span is checked to hold the unit and to be
+    closed under multiplication; the subalgebra is then vouched for when A
+    is valid (and checked otherwise): its product and unit are A's,
+    associative and unital."""
     f = a.field
     sub = Subspace.from_span(f, a.dim, [list(v) for v in vectors])
     unit_message = "subalgebra %s does not contain the unit" % name
@@ -720,13 +828,23 @@ def subalgebra_from_span(a, vectors, name="B"):
     b = space.algebra(lambda x, y: Matrix.column(f, a.multiply(x.col(0), y.col(0))),
                       Matrix.column(f, list(a.unit)), name,
                       "span is not closed under multiplication", unit_message)
-    b.validate()
+    vouch(b, a, check=b.validate)
     return b, sub.basis_matrix_cols()
 
 
 def sweedler_coring(a, b, b_inc, name=None):
     """The canonical coring A (x)_B A of a subalgebra inclusion, with its
-    grouplike element."""
+    grouplike element.
+
+    A as an A-B and a B-A bimodule through b_inc is checked: that is the
+    check that b_inc is a unital algebra map.  The coring is then vouched
+    for when A, B and both bimodules are valid (and checked otherwise): the
+    Sweedler coring of an algebra map B -> A (Sweedler, "The predual
+    theorem to the Jacobson-Bourbaki theorem", 1975).  Delta and eps are
+    A-bilinear, both sides of coassociativity send a (x) b to
+    a (x) 1 (x) 1 (x) b, and both counit laws send it to a (x) b.  The
+    grouplike 1 (x) 1 is vouched for when the coring is valid:
+    Delta(1 (x) 1) = (1 (x) 1) (x)_A (1 (x) 1) and eps(1 (x) 1) = 1."""
     f = a.field
     ab = FBimodule(a, b, a.dim, [a.lmul(i) for i in range(a.dim)],
                    [a.rmul_vec(b_inc.col(i)) for i in range(b.dim)],
@@ -748,9 +866,9 @@ def sweedler_coring(a, b, b_inc, name=None):
     coproduct = tens.induced(None, [(0, left), (1, right)])
     counit = tens.descend_map(a.mult_eval())
     c = Coring(a, carrier, coproduct, counit, name=name or "A(x)A")
-    c.validate()
+    vouch(c, a, b, ab, ba, check=c.validate)
     g = Grouplike(c, tens.pure_tensor([one, one]))
-    g.validate()
+    vouch(g, c, check=g.validate)
     return c, g, tens
 
 
@@ -759,13 +877,18 @@ def sweedler_coring(a, b, b_inc, name=None):
 
 
 def _comodule_of_regular_coring(ws, cname, name):
-    """The coring carrier as a right comodule over itself (coaction = coproduct)."""
+    """The coring carrier as a right comodule over itself (coaction =
+    coproduct).  Its carrier and the comodule are vouched for when the
+    coring is valid (and checked otherwise): the right action is C's, and
+    the comodule axioms are the right A-linearity, counitality and
+    coassociativity of Delta."""
     c = ws.corings[cname]
     carrier = FBimodule.right_module(c.base, c.dim, list(c.carrier.right_act), name=name)
+    vouch(carrier, c)
     ws.add_module(name + "_carrier", carrier, None,
                   ws.coring_meta[cname][0])
     com = Comodule(c, carrier, c.coproduct, name=name)
-    com.validate()
+    vouch(com, c, check=com.validate)
     ws.add_comodule(name, com, cname, name + "_carrier")
     return com
 
@@ -824,8 +947,10 @@ def fixture_E2(field):
     ws.add_module("C_carrier", c.carrier, "A", "A")
     ws.add_coring("C", c, "A", "C_carrier")
     ws.add_extension("ext", ext, "C", "D")
+    # 1 (x) 1: 1 is grouplike in the bialgebra, whose Delta and eps are
+    # unital, so Delta(1 (x) 1) = (1 (x) 1) (x)_A (1 (x) 1) and eps(1 (x) 1) = 1
     g = Grouplike(c, ent.ad.pure_tensor([list(a.unit), list(a.unit)]))
-    g.validate()
+    vouch(g, c, bial, check=g.validate)
     ws.add_grouplike("g", g, "C")
     sigma = grouplike_comodule(g, name="Sigma")
     ws.add_module("Sigma_carrier", sigma.carrier, None, "A")
@@ -868,7 +993,6 @@ def fixture_E3(field):
     dcor = trivial_coring(k, name="D")
     ws.add_module("D_carrier", dcor.carrier, "k", "k")
     ws.add_coring("D", dcor, "k", "D_carrier")
-    trivial_extension(c)  # builds and validates C over the trivial outer coring
     ext2 = CoringExtension(c, dcor, [Matrix.identity(field, c.dim)],
                            Matrix.identity(field, c.dim),
                            split_map=Matrix.from_cols(field, a.dim,

@@ -5,7 +5,7 @@ import pytest
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
-from coringlab.exactla import QQ, from_sparse_cols
+from coringlab.exactla import from_sparse_cols
 from coringlab.workspace import load_workspace_file
 from coringlab.zoo import FIXTURES
 

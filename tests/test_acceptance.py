@@ -8,24 +8,21 @@ import hashlib
 import json
 import time
 
-import pytest
-
 from conftest import fixture_path
 from perturb import run_perturbations, validate_everything
 
 from coringlab.cli import main as cli_main
-from coringlab.exactla import FieldFp, Matrix, QQ, rank
-from coringlab.extension import ExtContext, purity_check, remark_k_coincidence
+from coringlab.exactla import QQ, rank
+from coringlab.extension import ExtContext, remark_k_coincidence
 from coringlab.galois import (CanonicalMap, can_inverse_from_witnesses,
                               check_dual_basis_from_witnesses,
                               check_equivariant_projectivity,
                               check_generator_property, check_jids,
-                              cleft_check, galois_check,
+                              cleft_check,
                               regular_right_module, tensor_fullyfaithful_check,
                               verify_cor_jJ, verify_strong_structure,
                               verify_surjectivity_thm, verify_weak_structure)
 from coringlab.morita import ModuleContext, context_M, morphism_M_to_N
-from coringlab.workspace import load_workspace_file
 
 F = QQ
 FIXTURE_NAMES = ("E1", "E2", "E3", "E4", "E5")

@@ -4,7 +4,6 @@ import contextlib
 import copy
 import io
 import json
-import os
 import re
 import time
 
@@ -16,7 +15,7 @@ from coringlab.cli import main
 from coringlab.exactla import AxiomError, QQ
 from coringlab.workspace import load_workspace
 from conftest import fixture_path
-from perturb import apply_perturbation, perturbation_sites
+from perturb import apply_perturbation
 from test_contract import ROOT, WORKLOADS
 
 

@@ -11,8 +11,7 @@ from coringlab.algmod import span_witness
 from coringlab.cli import main
 from coringlab.exactla import (FieldFp, FieldQ, Matrix, QQ, Subspace, UsageError,
                                flatten_matrix, from_sparse_cols, image, inverse,
-                               kernel, quotient, rank, rank_inverse, rref, solve_linear,
-                               unit_vec)
+                               kernel, quotient, rank, rank_inverse, rref, solve_linear)
 from conftest import fixture_path
 
 F = QQ

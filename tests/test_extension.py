@@ -5,13 +5,12 @@ import random
 
 import pytest
 
-from coringlab.algmod import FBimodule, constraint_rows, sandwich_terms, trivial_algebra
+from coringlab.algmod import constraint_rows, sandwich_terms, trivial_algebra
 from coringlab.cli import _jtilde_from_map
-from coringlab.coring import Comodule
 from coringlab.exactla import (AxiomError, FieldFp, Matrix, QQ, Subspace,
                                UsageError, flatten_matrix, kernel, rank, solve_linear,
                                unflatten, vec_scale, zero_vec)
-from coringlab.extension import (CoringExtension, ExtContext, QTildeModule,
+from coringlab.extension import (CoringExtension, QTildeModule,
                                  check_colinear_maps_remain_colinear,
                                  convolution_algebra,
                                  convolution_inverse, induced_D_coaction,
@@ -20,9 +19,8 @@ from coringlab.extension import (CoringExtension, ExtContext, QTildeModule,
 from coringlab.galois import cleft_check
 from coringlab.morita import SigmaDual
 from coringlab.workspace import load_workspace_file
-from coringlab.zoo import (build_fixture, grouplike_basis_coalgebra,
-                           group_function_coring, product_field_algebra,
-                           trivial_coring, trivial_extension)
+from coringlab.zoo import (group_function_coring, product_field_algebra, trivial_coring,
+                           trivial_extension)
 from conftest import ContextBundle, _sect, fixture_path
 
 F = QQ

@@ -8,7 +8,7 @@ from conftest import ContextBundle, _proj, _sect, fixture_path
 from coringlab import cli, galois
 from coringlab.algmod import BalancedTensor, FBimodule, summand_witnesses, trivial_algebra
 from coringlab.coring import Comodule, colinear_homs, trivial_coring, zero_comodule
-from coringlab.exactla import AxiomError, Matrix, QQ, rank, unit_vec, vec_scale
+from coringlab.exactla import Matrix, QQ, rank, unit_vec, vec_scale
 from coringlab.extension import ExtContext, purity_check
 from coringlab.galois import (CanonicalMap, check_dual_basis_from_witnesses,
                               check_equivariant_projectivity,

@@ -1,12 +1,14 @@
-"""Tooling: no package module keeps a top-level import it never uses, no
-function keeps a local it assigns and never reads, or a parameter it never
-reads, and no module-level function is only a second name for a call."""
+"""Tooling: no package or test module keeps a top-level import it never
+uses, no function keeps a local it assigns and never reads, or a parameter
+it never reads, and no module-level function is only a second name for a
+call."""
 
 import ast
 import glob
 import os
 
-SRC = os.path.join(os.path.dirname(__file__), "..", "src", "coringlab")
+TESTS = os.path.dirname(os.path.abspath(__file__))
+SRC = os.path.join(TESTS, "..", "src", "coringlab")
 
 
 def _unused_imports(path):
@@ -25,9 +27,10 @@ def _unused_imports(path):
 
 def test_no_unused_top_level_imports():
     unused = {}
-    for path in sorted(glob.glob(os.path.join(SRC, "*.py"))):
-        name = os.path.basename(path)
-        if name != "__init__.py" and _unused_imports(path):
+    for path in sorted(glob.glob(os.path.join(SRC, "*.py")) +
+                       glob.glob(os.path.join(TESTS, "*.py"))):
+        name = os.path.relpath(path, os.path.join(TESTS, ".."))
+        if os.path.basename(path) != "__init__.py" and _unused_imports(path):
             unused[name] = _unused_imports(path)
     assert unused == {}
 

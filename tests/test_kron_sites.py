@@ -46,7 +46,7 @@ ALLOWED = {("morita.py", "morphism_failure"),
            ("zoo.py", "entwining_coring")}
 # the allowed functions outside exactla and algmod hold this many calls; the
 # bound keeps them from growing more
-MAX_OUTSIDE_KERNEL = 14
+MAX_OUTSIDE_KERNEL = 11
 
 LIFTS = {("galois.py", "can_inverse_from_witnesses"), ("galois.py", "check_jids"),
          ("galois.py", "check_dual_basis_from_witnesses")}
