@@ -6,7 +6,7 @@ axiom, canonical map and certification is decided by exact linear algebra.
 
 from .exactla import (AxiomError, FieldFp, FieldQ, Matrix, QQ, Subspace,
                       UsageError, image, kernel, quotient, solve_linear)
-from .algmod import (BalancedTensor, FBimodule, FiniteAlgebra, FLinearMap,
+from .algmod import (BalancedTensor, FBimodule, FiniteAlgebra, FLinearMap, Verdict,
                      fgp_check, generator_check, hom_space, span_witness,
                      summand_witnesses, trivial_algebra)
 from .coring import (Comodule, Coring, Grouplike, colinear_homs,

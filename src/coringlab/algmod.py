@@ -19,10 +19,14 @@ check.  That is the one path by which an object counts as valid unchecked,
 and an invalid input never takes it.  A construction checks what it is
 handed with require_valid(), which skips an object already checked or
 vouched for.
+
+Verdict is the record every check a report prints returns: verdict, grade
+and details.
 """
 
 from __future__ import annotations
 
+from collections import namedtuple
 from math import prod
 
 from .exactla import (AxiomError, Matrix, Subspace, UsageError, flatten_matrix,
@@ -109,6 +113,25 @@ def vouch(obj, *inputs, check=None):
     if check is not None:
         check()
     return False
+
+
+class Verdict(namedtuple("Verdict", ("verdict", "grade", "details"),
+                         defaults=("exact", None))):
+    """What one check decided, as its report line prints it: the verdict,
+    its grade and the details, plain JSON values or None.  A named tuple,
+    so immutable; a record that carries more, such as galois.GaloisVerdict,
+    extends these three fields.
+
+    The grade says how the verdict was decided: "exact" (a finite
+    computation settles it), "certified" (a universal statement settled
+    through the f.g. projective reduction or a split map), "on-samples"
+    (tested on the sample lists only) or "inconclusive" (a bounded search
+    found nothing, and nothing refutes).  A check that does not apply
+    returns Verdict("not applicable: <reason>", grade).  A check whose every
+    line, a fail line too, has one grade states it as its grade attribute.
+    """
+
+    __slots__ = ()
 
 
 class FiniteAlgebra(Checked):

@@ -3,8 +3,9 @@ and the theorem suite, plus the bundled example files.
 
 Reports are emitted as canonical JSON on stdout (sorted keys, no timing
 data), so identical inputs produce byte-identical output; per-check timings
-go to stderr.  Exit codes: 0 success, 1 mathematical failure or
-disagreement, 2 usage or parse failure.
+go to stderr.  Each line prints the algmod.Verdict record of the check that
+ran, verdict, grade and details as the library decided them.  Exit codes:
+0 success, 1 mathematical failure or disagreement, 2 usage or parse failure.
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ import os
 import sys
 import time
 
+from .algmod import Verdict
 from .exactla import AxiomError, FieldFp, UsageError
 from .extension import (ExtContext, check_colinear_maps_remain_colinear,
                         convolution_algebra, convolution_inverse,
@@ -44,20 +46,19 @@ class Report:
         self.field = field.name
         self.checks = []
 
-    def add(self, check_id, verdict, grade="exact", witnesses=None, details=None,
-            time_ms=None):
-        entry = {"check_id": check_id, "verdict": verdict, "grade": grade}
+    def add(self, check_id, record, witnesses=None, time_ms=None):
+        """One line: the check id and a Verdict record, with the witnesses
+        the line lists, if any."""
+        entry = {"check_id": check_id, "verdict": record.verdict, "grade": record.grade}
         if witnesses is not None:
             entry["witnesses"] = witnesses
-        if details is not None:
-            entry["details"] = details
+        if record.details is not None:
+            entry["details"] = record.details
         entry["time_ms"] = time_ms
         self.checks.append(entry)
-        return entry
 
     def failed(self):
-        return [c for c in self.checks
-                if isinstance(c["verdict"], str) and c["verdict"].startswith("fail")]
+        return [c for c in self.checks if c["verdict"].startswith("fail")]
 
     def canonical_body(self):
         body = {"target": self.target, "field": self.field,
@@ -87,19 +88,17 @@ def _columns():
         return 100
 
 
-def timed(report, check_id, fn, grade="exact"):
-    """Run one check; axiom failures become fail verdicts, not crashes."""
+def timed(report, check_id, check, *args):
+    """Run check(*args), which returns a Verdict, and add its line; an axiom
+    failure becomes a fail line, not a crash, graded as the check grades
+    every line (its grade attribute), else with the record's default."""
     start = time.perf_counter()
     try:
-        out = fn()
+        record = check(*args)
     except AxiomError as exc:
-        report.add(check_id, "fail: %s" % exc, grade=grade,
-                   time_ms=(time.perf_counter() - start) * 1000.0)
-        return None
-    ms = (time.perf_counter() - start) * 1000.0
-    verdict, extra = out if isinstance(out, tuple) else (out, None)
-    report.add(check_id, verdict, grade=grade, details=extra, time_ms=ms)
-    return out
+        record = Verdict("fail: %s" % exc,
+                         getattr(check, "grade", Verdict._field_defaults["grade"]))
+    report.add(check_id, record, time_ms=(time.perf_counter() - start) * 1000.0)
 
 
 def _trivial_outer_collapse(report, ec):
@@ -107,9 +106,7 @@ def _trivial_outer_collapse(report, ec):
     coincides with the comodule context: check it, timed."""
     outer = ec.ext.outer
     if outer.dim == 1 and outer.base.dim == 1:
-        timed(report, "trivial outer coring collapse",
-              lambda: "coincides" if remark_k_coincidence(ec)["coincides"]
-              else "fail: differs")
+        timed(report, "trivial outer coring collapse", remark_k_coincidence, ec)
 
 
 def _fmt_witness_pairs(field, pairs):
@@ -191,9 +188,14 @@ def cmd_validate(args):
                         ("coring", ws.corings), ("comodule", ws.comodules),
                         ("grouplike", ws.grouplikes), ("extension", ws.extensions)):
         for name in sorted(table):
-            check = table[name].validate
-            timed(report, "%s %s" % (kind, name), lambda: check() and "pass")
+            timed(report, "%s %s" % (kind, name), _passes, table[name].validate)
     return report.finish()
+
+
+def _passes(check, *args):
+    """Verdict("pass") once check(*args) returns; it raises otherwise."""
+    check(*args)
+    return Verdict("pass")
 
 
 def cmd_morita(args):
@@ -205,43 +207,48 @@ def cmd_morita(args):
     cm = context_M(sigma)
     build_ms = (time.perf_counter() - start) * 1000.0
     ctx = cm.context
-    report.add("comodule context corners", "T=%d *C=%d Sigma=%d Q=%d"
-               % (ctx.alg1.dim, ctx.alg2.dim, ctx.bim12.dim, ctx.bim21.dim))
-    report.add("comodule context axioms", "pass", time_ms=build_ms)
+    report.add("comodule context corners", Verdict("T=%d *C=%d Sigma=%d Q=%d" % (
+        ctx.alg1.dim, ctx.alg2.dim, ctx.bim12.dim, ctx.bim21.dim)))
+    report.add("comodule context axioms", Verdict("pass"), time_ms=build_ms)
     for k, which in ((1, "first"), (2, "second")):
         surjective, witnesses = ctx.connecting(k)
-        report.add("%s connecting map surjective" % which, "yes" if surjective else "no",
+        report.add("%s connecting map surjective" % which,
+                   Verdict("yes" if surjective else "no"),
                    witnesses=_fmt_witness_pairs(ws.field, witnesses))
-    timed(report, "strictness", lambda: "strict" if ctx.strict else "not strict")
+    timed(report, "strictness", _strictness, ctx)
     cn = ModuleContext(cm)
     nctx = cn.context
-    report.add("module context corners", "End=%d *C=%d Sigma=%d Hom=%d"
-               % (nctx.alg1.dim, nctx.alg2.dim, nctx.bim12.dim, nctx.bim21.dim))
-    timed(report, "context morphism",
-          lambda: morphism_M_to_N(cm, cn)["verdict"])
+    report.add("module context corners", Verdict("End=%d *C=%d Sigma=%d Hom=%d" % (
+        nctx.alg1.dim, nctx.alg2.dim, nctx.bim12.dim, nctx.bim21.dim)))
+    timed(report, "context morphism", morphism_M_to_N, cm, cn)
     if args.extension:
         ext = _named(ws.extensions, args.extension, "extension")
-        purity_check(ext, _sample_comodules(ws, sigma, args.samples))
-        report.add("purity certificate", ext.purity_certificate,
-                   details=ext.purity_detail)
+        purity = purity_check(ext, _sample_comodules(ws, sigma, args.samples))
+        # printed with the record's default grade, as this report always has;
+        # the extension command prints the library's grade (ROADMAP item 12)
+        report.add("purity certificate", Verdict(purity.verdict, details=purity.details))
         ec = ExtContext(ext, cm)
         ectx = ec.context
-        report.add("extension context corners", "V=%d U=%d P=%d Qt=%d"
-                   % (ectx.alg1.dim, ectx.alg2.dim, ectx.bim12.dim, ectx.bim21.dim))
+        report.add("extension context corners", Verdict("V=%d U=%d P=%d Qt=%d" % (
+            ectx.alg1.dim, ectx.alg2.dim, ectx.bim12.dim, ectx.bim21.dim)))
         for k, which in ((1, "first"), (2, "second")):
             report.add("extension %s connecting map surjective" % which,
-                       "yes" if ectx.connecting(k)[0] else "no")
-        timed(report, "extension strictness",
-              lambda: "strict" if ectx.strict else "not strict")
+                       Verdict("yes" if ectx.connecting(k)[0] else "no"))
+        timed(report, "extension strictness", _strictness, ectx)
         _trivial_outer_collapse(report, ec)
     return report.finish()
+
+
+def _strictness(ctx):
+    """The context's strictness, decided on first use."""
+    return Verdict("strict" if ctx.strict else "not strict")
 
 
 def cmd_extension(args):
     ws = _load(args)
     ext = _named(ws.extensions, args.extension, "extension")
     report = Report("%s --extension %s" % (args.file, args.extension), ws.field)
-    timed(report, "extension axioms", lambda: ext.validate() and "pass")
+    timed(report, "extension axioms", _passes, ext.validate)
     comods = []
     for name in sorted(ws.comodules):
         com = ws.comodules[name]
@@ -251,25 +258,23 @@ def cmd_extension(args):
         com = _named(ws.comodules, name, "comodule")
         if (name, com) not in comods:
             comods.append((name, com))
-    cert = purity_check(ext, [c for _, c in comods])
-    report.add("purity certificate", cert, details=ext.purity_detail,
-               grade="certified" if cert == "pure-by-split" else "on-samples")
-    if cert in ("pure", "pure-by-split"):
+    report.add("purity certificate", purity_check(ext, [c for _, c in comods]))
+    if ext.is_pure:
         induced = []
         for name, com in comods:
             dcom = induced_D_coaction(ext, com)
             induced.append((name, com, dcom))
-            report.add("induced outer coaction on %s" % name, "coassociative")
+            report.add("induced outer coaction on %s" % name, Verdict("coassociative"))
         pairs = [(m, n, dm, dn) for (_, m, dm) in induced for (_, n, dn) in induced]
-        timed(report, "inner colinear maps stay outer colinear",
-              lambda: check_colinear_maps_remain_colinear(ext, pairs) and "pass")
+        timed(report, "inner colinear maps stay outer colinear", _passes,
+              check_colinear_maps_remain_colinear, ext, pairs)
     if ext.split_map is not None or ext.outer.base.dim == 1:
         conv, _ = convolution_algebra(ext.outer, ext.inner.base,
                                       eta=ext.split_map)
-        report.add("convolution algebra dimension", str(conv.dim))
+        report.add("convolution algebra dimension", Verdict(str(conv.dim)))
     else:
         report.add("convolution algebra dimension",
-                   "skipped (no unit map for the outer base)")
+                   Verdict("skipped (no unit map for the outer base)"))
     return report.finish()
 
 
@@ -297,7 +302,7 @@ def _build_ext_ctx(ws, args):
     jt_map = _shaped_map(ws, args.jtilde, "--jtilde", "A x C", c.base.dim, c.dim) \
         if args.jtilde else None
     purity_check(ext, _sample_comodules(ws, sigma, args.samples))
-    if ext.purity_certificate == "not-pure":
+    if not ext.is_pure:
         raise UsageError("extension %s is not pure; the context is undefined"
                          % args.extension)
     ec = ExtContext(ext, context_M(sigma))
@@ -316,23 +321,17 @@ def cmd_cleft(args):
     start = time.perf_counter()
     cor = verify_cor_jJ(ec, j=j, jtilde=jt)
     cor_ms = (time.perf_counter() - start) * 1000.0
-    grade = cor["cleft_grade"]
-    report.add("invertibility grade", grade,
-               grade="exact" if grade != "unresolved" else "inconclusive",
-               time_ms=cor_ms)
-    report.add("Galois verdict", cor["galois"],
-               grade="certified" if cor["galois"].startswith("certified")
-               else "on-samples", time_ms=cor_ms)
-    report.add("normal basis", cor["normal_basis"], time_ms=cor_ms)
-    report.add("invertibility criterion agreement",
-               "agree" if cor["decided"] else "undecided",
-               grade="exact" if cor["decided"] else "inconclusive", time_ms=cor_ms)
+    for check_id, record in (("invertibility grade", cor.cleft),
+                             ("Galois verdict", cor.galois),
+                             ("normal basis", cor.normal_basis),
+                             ("invertibility criterion agreement", cor.agreement)):
+        report.add(check_id, record, time_ms=cor_ms)
     # the section read as algebra-valued, when the comodule is the base algebra
     if j is not None and ext.outer.base.dim == 1 and sigma.dim == sigma.coring.base.dim:
         start = time.perf_counter()
         inv = convolution_inverse(ext.outer, ext.inner.base, j)
         report.add("convolution inverse of the section",
-                   "exists" if inv is not None else "none",
+                   Verdict("exists" if inv is not None else "none"),
                    time_ms=(time.perf_counter() - start) * 1000.0)
     return report.finish()
 
@@ -344,13 +343,8 @@ def cmd_galois(args):
     extra = [_named(ws.comodules, name, "comodule").carrier for name in args.samples]
     start = time.perf_counter()
     gal = galois_check(sigma, samples=default_sample_modules(sigma) + extra)
-    report.add("Galois verdict", gal["verdict"], grade=gal["grade"],
-               time_ms=(time.perf_counter() - start) * 1000.0)
-    can_a = gal["can_A"]
-    report.add("canonical map at the base", "bijective" if can_a.bijective
-               else "not bijective",
-               details="%dx%d, rank %d" % (can_a.matrix.rows, can_a.matrix.cols,
-                                           can_a.rank()))
+    report.add("Galois verdict", gal, time_ms=(time.perf_counter() - start) * 1000.0)
+    report.add("canonical map at the base", gal.can_a.bijectivity())
     return report.finish()
 
 
@@ -364,71 +358,31 @@ def cmd_theorems(args):
                     % (args.file, args.sigma, args.extension, args.suite),
                     ws.field)
     samples_c = _sample_comodules(ws, sigma, args.samples)
-
-    def fmt_na(result):
-        if not result.get("applicable", True):
-            return ("not applicable: %s" % result.get("reason"), None)
-        verdict = result.get("verdict", "pass" if result.get("passed") else "fail")
-        detail = {k: v for k, v in result.items()
-                  if k in ("samples", "unit_samples", "counit_samples", "s", "z",
-                           "galois", "part1", "part2", "cleft_grade",
-                           "normal_basis", "triangle_surjective", "sigma_fgp",
-                           "triangle1_surjective", "coring_fgp", "unit_path",
-                           "strict", "equivalence")}
-        return (verdict, _jsonable(detail))
-
     if args.suite in ("all", "weak"):
-        timed(report, "weak structure criterion",
-              lambda: fmt_na(verify_weak_structure(ec, samples_c)),
-              grade="on-samples")
+        timed(report, "weak structure criterion", verify_weak_structure, ec, samples_c)
     if args.suite in ("all", "strong"):
-        timed(report, "strong structure criterion",
-              lambda: fmt_na(verify_strong_structure(ec, samples_c)),
-              grade="on-samples")
+        timed(report, "strong structure criterion", verify_strong_structure, ec,
+              samples_c)
     if args.suite in ("all", "surjectivity"):
-        timed(report, "surjectivity criterion",
-              lambda: fmt_na(verify_surjectivity_thm(ec)))
+        timed(report, "surjectivity criterion", verify_surjectivity_thm, ec)
     if args.suite in ("all", "jJ"):
-        timed(report, "invertibility criterion",
-              lambda: fmt_na(verify_cor_jJ(ec, j=j, jtilde=jt)))
+        timed(report, "invertibility criterion", verify_cor_jJ, ec, j, jt)
     if args.suite in ("all", "diamond"):
-        timed(report, "second map transfer criterion",
-              lambda: fmt_na(verify_diamond_to_triangle(ec)))
+        timed(report, "second map transfer criterion", verify_diamond_to_triangle, ec)
     if args.suite == "all":
-        timed(report, "projectivity corollary",
-              lambda: fmt_na(verify_fgp_corollary(ec)))
+        timed(report, "projectivity corollary", verify_fgp_corollary, ec)
         wits = ec.first_witnesses
+        timed(report, "unit decomposition identities", check_jids, ec, wits, samples_c)
         if wits is not None:
-            timed(report, "unit decomposition identities",
-                  lambda: check_jids(ec, wits, samples_c) and "pass")
-            timed(report, "generator property",
-                  lambda: fmt_na(check_generator_property(ec)))
-            timed(report, "equivariant projectivity",
-                  lambda: fmt_na(check_equivariant_projectivity(ec)))
-        else:
-            report.add("unit decomposition identities",
-                       "not applicable: first connecting map not surjective")
-        timed(report, "adjunction unit bijectivity",
-              lambda: fmt_na(tensor_fullyfaithful_check(ec.cm)),
-              grade="on-samples")
-        timed(report, "dual bases from witnesses",
-              lambda: str(check_dual_basis_from_witnesses(ec.cm) or
-                          "not applicable"))
-        timed(report, "strictness three-way agreement",
-              lambda: fmt_na(verify_strictness_three_way(ec.cm, samples_c)),
-              grade="on-samples")
+            timed(report, "generator property", check_generator_property, ec)
+            timed(report, "equivariant projectivity", check_equivariant_projectivity, ec)
+        timed(report, "adjunction unit bijectivity", tensor_fullyfaithful_check, ec.cm)
+        timed(report, "dual bases from witnesses", check_dual_basis_from_witnesses,
+              ec.cm)
+        timed(report, "strictness three-way agreement", verify_strictness_three_way,
+              ec.cm, samples_c)
         _trivial_outer_collapse(report, ec)
     return report.finish()
-
-
-def _jsonable(obj):
-    if isinstance(obj, dict):
-        return {k: _jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonable(v) for v in obj]
-    if isinstance(obj, (str, int, bool)) or obj is None:
-        return obj
-    return str(obj)
 
 
 def cmd_zoo(args):

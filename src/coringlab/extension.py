@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from functools import cached_property
 
-from .algmod import (BalancedTensor, Checked, FBimodule, algebra_map_check,
+from .algmod import (BalancedTensor, Checked, FBimodule, Verdict, algebra_map_check,
                      colinearity_constraint, constraint_rows, endo_algebra, hom_space,
                      sandwich_terms, summand_witnesses, vouch)
 from .coring import Comodule, colinear_homs
@@ -63,7 +63,11 @@ class CoringExtension(Checked):
         self.tau = tau
         self.tau_amb = self.cld.lift(tau)
         self.purity_certificate = "unchecked"
-        self.purity_detail = None
+
+    @property
+    def is_pure(self):
+        """Whether purity_check has certified the defining equalizer pure."""
+        return self.purity_certificate in ("pure", "pure-by-split")
 
     @property
     def ccld(self):
@@ -182,12 +186,14 @@ def _coaction_l_linear(ext, m, acts):
 
 
 def purity_check(ext, comodules):
-    """Certify purity of the defining equalizer.
+    """Certify purity of the defining equalizer; the certificate is kept as
+    ext.purity_certificate and returned as a Verdict with its detail.
 
     Fast path: a supplied algebra map L -> A inducing the right L-action
-    gives an unconditional split certificate.  Otherwise the equalizer is
-    tensored with the square of the outer coring and the canonical
-    comparison map is required to be bijective for every listed comodule.
+    gives an unconditional split certificate, graded certified.  Otherwise
+    the equalizer is tensored with the square of the outer coring and the
+    canonical comparison map is required to be bijective for every listed
+    comodule, graded on-samples.
     """
     a, l = ext.inner.base, ext.outer.base
     if ext.split_map is not None:
@@ -199,19 +205,16 @@ def purity_check(ext, comodules):
                 raise AxiomError("extension %s: split map does not induce the right "
                                  "L-action" % ext.name)
         ext.purity_certificate = "pure-by-split"
-        ext.purity_detail = "right L-action induced by an algebra map L -> A"
-        return ext.purity_certificate
-    results = []
+        return Verdict(ext.purity_certificate, "certified",
+                       "right L-action induced by an algebra map L -> A")
     for m in comodules:
-        ok = _pure_for(ext, m)
-        results.append((m.name, ok))
-        if not ok:
+        if not _pure_for(ext, m):
             ext.purity_certificate = "not-pure"
-            ext.purity_detail = "comparison map fails for comodule %s" % m.name
-            return ext.purity_certificate
+            return Verdict(ext.purity_certificate, "on-samples",
+                           "comparison map fails for comodule %s" % m.name)
     ext.purity_certificate = "pure"
-    ext.purity_detail = "comparison bijective for: " + ", ".join(n for n, _ in results)
-    return ext.purity_certificate
+    return Verdict(ext.purity_certificate, "on-samples", "comparison bijective for: " +
+                   ", ".join(m.name for m in comodules))
 
 
 def _pure_for(ext, m):
@@ -261,7 +264,7 @@ def induced_D_coaction(ext, m):
     so the formula sends C itself to tau, and counitality and
     coassociativity follow from those of tau and of the coaction of m.
     """
-    if ext.purity_certificate in ("unchecked", "not-pure"):
+    if not ext.is_pure:
         raise UsageError("induced coaction refused: extension %s has purity "
                          "certificate %r" % (ext.name, ext.purity_certificate))
     f = ext.field
@@ -378,7 +381,7 @@ class ExtContext:
     """
 
     def __init__(self, ext, cm):
-        if ext.purity_certificate in ("unchecked", "not-pure"):
+        if not ext.is_pure:
             raise UsageError("extension context refused: purity certificate is %r"
                              % ext.purity_certificate)
         sigma = cm.sigma
@@ -745,7 +748,8 @@ def remark_k_coincidence(ext_ctx):
     bimodule to the comodule-context bimodule by switching arguments.  They
     must be bijective and form a morphism of contexts (morphism_failure):
     all multiplication tensors, action matrices and connecting maps agree
-    exactly after transport.
+    exactly after transport.  Returns Verdict("coincides"), or raises
+    AxiomError naming what differs.
     """
     ext = ext_ctx.ext
     if ext.outer.dim != 1 or ext.outer.base.dim != 1:
@@ -772,7 +776,5 @@ def remark_k_coincidence(ext_ctx):
     if part is not None:
         raise AxiomError("coincidence: %s" % _COINCIDENCE_FAILURES.get(
             part, part + " formula differs"))
-    ectx = ext_ctx.context
-    return {"coincides": True, "corner_dims": (ectx.alg1.dim, ectx.alg2.dim,
-                                               ectx.bim12.dim, ectx.bim21.dim)}
+    return Verdict("coincides")
 

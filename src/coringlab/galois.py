@@ -3,7 +3,13 @@ and the structure-theorem verifier suite.
 
 Universally quantified statements are certified either through the finitely
 generated projective reduction or verified on explicit sample lists; every
-report states which grade applies.  The comodule context keeps the facts the
+check returns an algmod.Verdict whose grade states which applies, decided
+where the check runs.  galois_check's record (GaloisVerdict) carries the
+canonical map at the base and one answer, holds, that the verifiers read;
+verify_cor_jJ's (InvertibilityVerdict) carries the four lines of the cleft
+report.  The weak and strong structure checks, the adjunction unit and the
+three-way strictness check grade every line on-samples, a fail line too,
+and state it as their grade attribute.  The comodule context keeps the facts the
 verifiers share, each decided once: Sigma's Galois verdict (sigma_galois),
 the adjunction unit (tensor_fullyfaithful_check) and each sample comodule's
 evaluation counit (sample_counit); the extension context keeps the witnesses
@@ -40,8 +46,9 @@ from __future__ import annotations
 
 import itertools
 import random
+from collections import namedtuple
 
-from .algmod import (BalancedTensor, FBimodule, fgp_check, generator_check,
+from .algmod import (BalancedTensor, FBimodule, Verdict, fgp_check, generator_check,
                      hom_space, span_witness, summand_witnesses, vouch)
 from .coring import EndAlgebra, colinear_homs
 from .exactla import (AxiomError, Matrix, UsageError, flatten_matrix, from_sparse_cols,
@@ -52,6 +59,7 @@ from .extension import tensor_comodule
 SEARCH_SWEEP_CAP = 6      # exhaustive {-1,0,1} sweep up to this many basis maps
 SEARCH_TRIALS = 64        # seeded pseudorandom trials after the sweep
 SEARCH_SEED = 20060410
+SAMPLED = "on-samples"    # the grade of what is verified on sample lists only
 
 
 # ---------------------------------------------------------------------------
@@ -124,6 +132,12 @@ class CanonicalMap:
             raise UsageError("canonical map is not invertible")
         return self._inverse
 
+    def bijectivity(self):
+        """Whether the map is bijective, with its shape and rank."""
+        return Verdict("bijective" if self.bijective else "not bijective",
+                       details="%dx%d, rank %d" % (self.matrix.rows, self.matrix.cols,
+                                                   self.rank()))
+
 
 def regular_right_module(alg, copies=1, name=None):
     """The free right module of the given rank over an algebra, vouched for
@@ -145,28 +159,39 @@ def default_sample_modules(sigma):
                                    name=sigma.name)]
 
 
+class GaloisVerdict(namedtuple("GaloisVerdict", Verdict._fields + ("can_a",),
+                               defaults=(None, None))):
+    """galois_check's record: the three Verdict fields, and can_a, the
+    canonical map at the base algebra, which rides along unprinted for the
+    checks that invert it."""
+
+    __slots__ = ()
+
+    @property
+    def holds(self):
+        """Whether Sigma is Galois, certified or on the samples."""
+        return self.verdict != "not-Galois"
+
+
 def galois_check(sigma, end=None, samples=None):
     """Certified-Galois via the f.g. projective reduction, else on samples.
 
     When the comodule is f.g. projective over the base, bijectivity of the
-    canonical map at the base algebra decides the Galois property exactly;
-    otherwise each sample module is tested and the verdict says so.
+    canonical map at the base algebra decides the Galois property exactly,
+    graded certified; otherwise each sample module is tested, graded
+    on-samples.
     """
     end = end or EndAlgebra(sigma)
     a = sigma.coring.base
     witness = fgp_check(sigma.carrier, "right", a)
     can_a = CanonicalMap(sigma, regular_right_module(a, 1), end=end)
     if witness is not None:
-        if can_a.bijective:
-            return {"verdict": "certified-Galois", "grade": "certified", "can_A": can_a}
-        return {"verdict": "not-Galois", "grade": "certified", "can_A": can_a,
-                "failing": "base module"}
+        return GaloisVerdict("certified-Galois" if can_a.bijective else "not-Galois",
+                             "certified", can_a=can_a)
     sample_list = samples if samples is not None else default_sample_modules(sigma)
-    for n_mod in sample_list:
-        if not CanonicalMap(sigma, n_mod, end=end).bijective:
-            return {"verdict": "not-Galois", "grade": "on-samples", "can_A": can_a,
-                    "failing": n_mod.name}
-    return {"verdict": "Galois-on-samples", "grade": "on-samples", "can_A": can_a}
+    if all(CanonicalMap(sigma, n_mod, end=end).bijective for n_mod in sample_list):
+        return GaloisVerdict("Galois-on-samples", SAMPLED, can_a=can_a)
+    return GaloisVerdict("not-Galois", SAMPLED, can_a=can_a)
 
 
 def sigma_galois(cm):
@@ -496,8 +521,11 @@ def can_inverse_from_witnesses(ext_ctx, can):
 
 def check_jids(ext_ctx, witnesses, comodules):
     """The two scalar identities that follow from a unit decomposition of the
-    first connecting map: the counit identity on the coring and the
-    reconstruction identity on every listed comodule."""
+    first connecting map (witnesses, ExtContext.first_witnesses): the counit
+    identity on the coring and the reconstruction identity on every listed
+    comodule.  Not applicable when there are no witnesses."""
+    if witnesses is None:
+        return Verdict("not applicable: first connecting map not surjective")
     ext = ext_ctx.ext
     f = ext_ctx.field
     c = ext.inner
@@ -529,7 +557,7 @@ def check_jids(ext_ctx, witnesses, comodules):
         if acc != Matrix.identity(f, m.dim):
             raise AxiomError("unit decomposition: the reconstruction identity "
                              "fails on %s" % m.name)
-    return True
+    return Verdict("pass")
 
 
 def check_generator_property(ext_ctx):
@@ -547,10 +575,10 @@ def check_generator_property(ext_ctx):
     sigma = ext_ctx.sigma
     witnesses = ext_ctx.first_witnesses
     if witnesses is None:
-        return {"applicable": False, "reason": "first connecting map not surjective"}
+        return Verdict("not applicable: first connecting map not surjective")
     cvec = solve_linear(c.counit, list(c.base.unit))
     if cvec is None:
-        return {"applicable": False, "reason": "counit not surjective"}
+        return Verdict("not applicable: counit not surjective")
     # sum_l jtilde_l(c_[0])(j_l(c_[1])), the pairing after tau at c
     at = ext.tau.mul(Matrix.column(f, cvec))
     total = Matrix.zero(f, c.base.dim, 1)
@@ -562,7 +590,7 @@ def check_generator_property(ext_ctx):
     gen = generator_check(sigma.carrier, "right", c.base)
     if gen is None:
         raise AxiomError("generator check failed although the witness exists")
-    return {"applicable": True, "passed": True}
+    return Verdict("pass", details={})
 
 
 def check_equivariant_projectivity(ext_ctx):
@@ -574,7 +602,7 @@ def check_equivariant_projectivity(ext_ctx):
     end = ext_ctx.end
     witnesses = ext_ctx.first_witnesses
     if witnesses is None:
-        return {"applicable": False, "reason": "first connecting map not surjective"}
+        return Verdict("not applicable: first connecting map not surjective")
     d = ext_ctx.ext.outer
     sigma_d = ext_ctx.sigma_d
     sig_l = FBimodule(d.base, d.base, sigma.dim, list(sigma.carrier.left_act),
@@ -594,7 +622,7 @@ def check_equivariant_projectivity(ext_ctx):
     rhs = sigma_d.mc.induced(tsd.mc, [(0, sect)], at=sigma_d.coaction)
     if lhs != rhs:
         raise AxiomError("coretraction is not colinear")
-    return {"applicable": True, "passed": True}
+    return Verdict("pass", details={})
 
 
 def evaluation_counit(sigma, end, m):
@@ -621,15 +649,17 @@ def sample_counit(cm, m):
 
 def verify_weak_structure(ext_ctx, samples):
     """For every sample comodule the evaluation counit is bijective, with the
-    explicit inverse built from the unit decomposition verified two-sided."""
+    explicit inverse built from the unit decomposition verified two-sided;
+    graded on-samples."""
     witnesses = ext_ctx.first_witnesses
     if witnesses is None:
-        return {"applicable": False,
-                "reason": "first connecting map not surjective"}
+        return Verdict("not applicable: first connecting map not surjective", SAMPLED)
     for m in samples:
         _counit_inverse(ext_ctx, m, witnesses)
-    return {"applicable": True, "passed": True,
-            "samples": [(m.name, True) for m in samples]}
+    return Verdict("pass", SAMPLED, {"samples": [[m.name, True] for m in samples]})
+
+
+verify_weak_structure.grade = SAMPLED
 
 
 def _counit_inverse(ext_ctx, m, witnesses):
@@ -684,18 +714,22 @@ def unit_decomposition_of_one(ext_ctx):
 def tensor_fullyfaithful_check(cm):
     """Bijectivity of the unit of the induced-module adjunction on the free
     T-modules of rank 1 and 2 (none when T = 0), with the explicit inverse
-    built from second-connecting-map witnesses verified two-sided.  Kept on
-    cm; a failure raises and is not kept, so each caller sees it."""
+    built from second-connecting-map witnesses verified two-sided; graded
+    on-samples, and not applicable unless the second connecting map is
+    surjective.  Kept on cm; a failure raises and is not kept, so each
+    caller sees it."""
     if cm.fullyfaithful is None:
         cm.fullyfaithful = _tensor_fullyfaithful(cm)
     return cm.fullyfaithful
 
 
+tensor_fullyfaithful_check.grade = SAMPLED
+
+
 def _tensor_fullyfaithful(cm):
     ok, wit = cm.context.connecting(2)
     if not ok:
-        return {"applicable": False,
-                "reason": "second connecting map not surjective"}
+        return Verdict("not applicable: second connecting map not surjective", SAMPLED)
     t_alg = cm.end.algebra
     samples_t = [regular_right_module(t_alg, 1, name="T"),
                  regular_right_module(t_alg, 2, name="T^2")] if t_alg.dim else []
@@ -739,35 +773,37 @@ def _tensor_fullyfaithful(cm):
             raise AxiomError("adjunction unit inverse fails on %s (left)" % n_mod.name)
         if eta.mul(etainv) != Matrix.identity(f, len(homs)):
             raise AxiomError("adjunction unit inverse fails on %s (right)" % n_mod.name)
-        results.append((n_mod.name, True))
-    return {"applicable": True, "passed": True, "samples": results}
+        results.append([n_mod.name, True])
+    return Verdict("pass", SAMPLED, {"samples": results})
 
 
 def verify_strong_structure(ext_ctx, samples_c):
     """Strictness plus a unit decomposition give inverse equivalences on the
-    sample lists; the verdict is labeled as verified on samples."""
+    sample lists; graded on-samples."""
     ctx = ext_ctx.context
     if not ctx.strict:
         missing = [name for k, name in ((1, "first connecting map"),
                                         (2, "second connecting map"))
                    if not ctx.connecting(k)[0]]
-        return {"applicable": False,
-                "reason": "context not strict (%s)" % ", ".join(missing)}
+        return Verdict("not applicable: context not strict (%s)" % ", ".join(missing),
+                       SAMPLED)
     decomp = unit_decomposition_of_one(ext_ctx)
     if decomp is None:
-        return {"applicable": False, "reason": "no unit decomposition of 1_T"}
-    ff = tensor_fullyfaithful_check(ext_ctx.cm)
-    if not ff.get("applicable"):
+        return Verdict("not applicable: no unit decomposition of 1_T", SAMPLED)
+    if not ext_ctx.cm.context.connecting(2)[0]:
         raise AxiomError("strict context but the second connecting map of the "
                          "comodule context is not surjective")
-    ws = verify_weak_structure(ext_ctx, samples_c)
-    if not ws.get("applicable"):
+    ff = tensor_fullyfaithful_check(ext_ctx.cm)
+    if ext_ctx.first_witnesses is None:
         raise AxiomError("strict context but the first connecting map is not "
                          "surjective")
-    return {"applicable": True, "passed": True,
-            "verdict": "equivalence verified on samples",
-            "unit_path": decomp["path"],
-            "unit_samples": ff["samples"], "counit_samples": ws["samples"]}
+    ws = verify_weak_structure(ext_ctx, samples_c)
+    return Verdict("equivalence verified on samples", SAMPLED,
+                   {"unit_path": decomp["path"], "unit_samples": ff.details["samples"],
+                    "counit_samples": ws.details["samples"]})
+
+
+verify_strong_structure.grade = SAMPLED
 
 
 def verify_surjectivity_thm(ext_ctx):
@@ -777,19 +813,16 @@ def verify_surjectivity_thm(ext_ctx):
     f = ext_ctx.field
     lhs1, _ = ext_ctx.context.connecting(1)
     gal = sigma_galois(ext_ctx.cm)
-    galois = gal["verdict"] in ("certified-Galois", "Galois-on-samples")
     td_tens = ext_ctx.td[1]
     space_st, space_ts = ext_ctx.bicomodule_homs
     s_fam = ext_ctx.sigma_summand
-    rhs1 = galois and s_fam is not None
+    rhs1 = gal.holds and s_fam is not None
     if lhs1 != rhs1:
         raise AxiomError("surjectivity criterion part 1: the two sides disagree "
                          "(implementation error)")
-    out = {"passed": True, "part1": lhs1, "galois": gal["verdict"],
-           "s": len(s_fam) if s_fam else None}
     if lhs1:
         # constructive re-derivation of a unit decomposition from the summand data
-        rebuilt = _rebuild_witnesses(ext_ctx, td_tens, s_fam, gal["can_A"])
+        rebuilt = _rebuild_witnesses(ext_ctx, td_tens, s_fam, gal.can_a)
         total = None
         for (jt, j) in rebuilt:
             term = ext_ctx.diamond_black(jt, j)
@@ -797,16 +830,15 @@ def verify_surjectivity_thm(ext_ctx):
         if total != Matrix.identity(f, ext.inner.dim):
             raise AxiomError("rebuilt summand witnesses do not decompose the "
                              "identity")
-        out["rebuilt_pairs"] = len(rebuilt)
     z_fam = summand_witnesses(space_ts, space_st)
     lhs2 = ext_ctx.context.strict
     rhs2 = rhs1 and z_fam is not None
     if lhs2 != rhs2:
         raise AxiomError("surjectivity criterion part 2: the two sides disagree "
                          "(implementation error)")
-    out["part2"] = lhs2
-    out["z"] = len(z_fam) if z_fam else None
-    return out
+    return Verdict("pass", details={"part1": lhs1, "galois": gal.verdict,
+                                    "s": len(s_fam) if s_fam else None,
+                                    "part2": lhs2, "z": len(z_fam) if z_fam else None})
 
 
 def _rebuild_witnesses(ext_ctx, td_tens, pairs, can_a):
@@ -857,11 +889,10 @@ def verify_diamond_to_triangle(ext_ctx):
     projective over the base, and the endomorphism algebra to be a summand
     of a power of the comodule as a left module."""
     ok2, _ = ext_ctx.context.connecting(2)
-    decomp = unit_decomposition_of_one(ext_ctx) if ok2 else None
-    if not ok2 or decomp is None:
-        return {"applicable": False,
-                "reason": "second connecting map not surjective" if not ok2
-                else "no unit decomposition of 1_T"}
+    if not ok2:
+        return Verdict("not applicable: second connecting map not surjective")
+    if unit_decomposition_of_one(ext_ctx) is None:
+        return Verdict("not applicable: no unit decomposition of 1_T")
     okm, _ = ext_ctx.cm.context.connecting(2)
     if not okm:
         raise AxiomError("second connecting map of the comodule context is not "
@@ -881,37 +912,45 @@ def verify_diamond_to_triangle(ext_ctx):
     if wit is None:
         raise AxiomError("endomorphism algebra is not a summand of a power of "
                          "the comodule")
-    return {"applicable": True, "passed": True, "triangle_surjective": True,
-            "sigma_fgp": True, "z": len(wit)}
+    return Verdict("pass", details={"triangle_surjective": True, "sigma_fgp": True,
+                                    "z": len(wit)})
+
+
+class InvertibilityVerdict(namedtuple("InvertibilityVerdict", Verdict._fields + (
+        "cleft", "galois", "normal_basis", "agreement"))):
+    """verify_cor_jJ's record: the three Verdict fields, and the records of
+    the four lines `coringlab cleft` prints from the same run: the
+    invertibility grade, Sigma's Galois record, the normal-basis grade and
+    whether the criterion was decided."""
+
+    __slots__ = ()
 
 
 def verify_cor_jJ(ext_ctx, j=None, jtilde=None):
     """Independent evaluation of cleftness, the Galois property and normal
-    bases, with both biconditionals asserted whenever all sides are decided."""
+    bases, with both biconditionals asserted whenever all sides are decided;
+    graded inconclusive when a search left a side undecided."""
     cleft = cleft_check(ext_ctx, j=j, jtilde=jtilde)
     gal = sigma_galois(ext_ctx.cm)
-    galois = gal["verdict"] in ("certified-Galois", "Galois-on-samples")
     cleft_for_nb = cleft if cleft is not None and cleft.grade in ("cleft", "weak-cleft") \
         and cleft.j is not None else None
-    nb = normal_basis_check(ext_ctx, cleft_data=cleft_for_nb)
+    nb = normal_basis_check(ext_ctx, cleft_data=cleft_for_nb)["grade"]
     grade = cleft.grade if cleft is not None else "not-cleft"
-    out = {"cleft_grade": grade, "galois": gal["verdict"], "normal_basis": nb["grade"],
-           "decided": True, "passed": True}
-    if grade == "unresolved" or nb["grade"] == "inconclusive":
-        out["decided"] = False
-        out["verdict"] = "undecided (search inconclusive)"
-        return out
-    is_cleft = grade == "cleft"
-    is_weak = grade in ("cleft", "weak-cleft")
-    rhs_full = galois and nb["grade"] == "full"
-    rhs_weak = galois and nb["grade"] in ("full", "weak")
-    if is_cleft != rhs_full:
-        raise AxiomError("invertibility criterion (full) sides disagree "
-                         "(implementation error)")
-    if is_weak != rhs_weak:
-        raise AxiomError("invertibility criterion (weak) sides disagree "
-                         "(implementation error)")
-    return out
+    decided = grade != "unresolved" and nb != "inconclusive"
+    if decided:
+        if (grade == "cleft") != (gal.holds and nb == "full"):
+            raise AxiomError("invertibility criterion (full) sides disagree "
+                             "(implementation error)")
+        if (grade in ("cleft", "weak-cleft")) != (gal.holds and nb in ("full", "weak")):
+            raise AxiomError("invertibility criterion (weak) sides disagree "
+                             "(implementation error)")
+    sure = "exact" if decided else "inconclusive"
+    return InvertibilityVerdict(
+        "pass" if decided else "undecided (search inconclusive)", sure,
+        {"cleft_grade": grade, "galois": gal.verdict, "normal_basis": nb},
+        cleft=Verdict(grade, "inconclusive" if grade == "unresolved" else "exact"),
+        galois=gal, normal_basis=Verdict(nb),
+        agreement=Verdict("agree" if decided else "undecided", sure))
 
 
 def verify_fgp_corollary(ext_ctx):
@@ -920,21 +959,22 @@ def verify_fgp_corollary(ext_ctx):
     over its base on the left."""
     ok, _ = ext_ctx.context.connecting(1)
     if not ok:
-        return {"applicable": False,
-                "reason": "first connecting map not surjective"}
+        return Verdict("not applicable: first connecting map not surjective")
     okm, _ = ext_ctx.cm.context.connecting(1)
     c = ext_ctx.ext.inner
     witness = fgp_check(c.carrier, "left", c.base)
     if okm != (witness is not None):
         raise AxiomError("projectivity corollary sides disagree "
                          "(implementation error)")
-    return {"applicable": True, "passed": True, "triangle1_surjective": okm,
-            "coring_fgp": witness is not None}
+    return Verdict("pass", details={"triangle1_surjective": okm,
+                                    "coring_fgp": witness is not None})
 
 
 def check_dual_basis_from_witnesses(cm):
     """Rebuild dual bases from connecting-map witnesses, per the two
-    surjectivity consequences, and verify the reconstruction identities."""
+    surjectivity consequences, and verify the reconstruction identities.
+    The verdict names the dual bases rebuilt, as the repr of a dict, and is
+    "not applicable" when neither connecting map is surjective."""
     ctx = cm.context
     sigma = cm.sigma
     f = sigma.field
@@ -984,7 +1024,7 @@ def check_dual_basis_from_witnesses(cm):
             raise AxiomError("comodule not f.g. projective although the second "
                              "connecting map is surjective")
         out["comodule_dual_basis"] = True
-    return out
+    return Verdict(str(out) if out else "not applicable")
 
 
 def verify_strictness_three_way(cm, samples_c):
@@ -994,30 +1034,34 @@ def verify_strictness_three_way(cm, samples_c):
 
     The universally quantified flatness clause has no finite certificate; it
     is replaced by bijectivity of the adjunction unit on the context's
-    T-samples and of the counit on samples_c, and the report says so.
+    T-samples and of the counit on samples_c, so the check is graded
+    on-samples.
     """
     sigma = cm.sigma
     c = sigma.coring
     if fgp_check(c.carrier, "left", c.base) is None:
-        return {"applicable": False,
-                "reason": "coring not f.g. projective over its base"}
+        return Verdict("not applicable: coring not f.g. projective over its base",
+                       SAMPLED)
     strict = cm.context.strict
     gal = sigma_galois(cm)
-    galois = gal["verdict"] in ("certified-Galois", "Galois-on-samples")
     sigma_fgp = fgp_check(sigma.carrier, "right", c.base) is not None
-    ff = tensor_fullyfaithful_check(cm)
-    equivalence = bool(ff.get("applicable") and ff.get("passed"))
+    # raises unless the adjunction unit is bijective where it applies, which
+    # is where the second connecting map is surjective
+    tensor_fullyfaithful_check(cm)
+    equivalence = cm.context.connecting(2)[0]
     if equivalence:
         for m in samples_c:
             counit, tens, _ = sample_counit(cm, m)
             if not (rank(counit) == tens.dim == m.dim):
                 equivalence = False
                 break
-    rhs = galois and sigma_fgp and equivalence
-    if strict != rhs:
+    if strict != (gal.holds and sigma_fgp and equivalence):
         raise AxiomError("strictness three-way agreement fails "
                          "(implementation error)")
-    return {"applicable": True, "passed": True, "strict": strict,
-            "galois": gal["verdict"], "sigma_fgp": sigma_fgp,
-            "equivalence": "verified on samples" if equivalence else "fails",
-            "grade": "on-samples"}
+    return Verdict("pass", SAMPLED, {"strict": strict, "galois": gal.verdict,
+                                     "sigma_fgp": sigma_fgp,
+                                     "equivalence": "verified on samples" if equivalence
+                                     else "fails"})
+
+
+verify_strictness_three_way.grade = SAMPLED

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from functools import cached_property
 
-from .algmod import (BalancedTensor, FBimodule, endo_algebra, fgp_check,
+from .algmod import (BalancedTensor, FBimodule, Verdict, endo_algebra, fgp_check,
                      hom_space, non_multiplicative_at, sandwich_terms, vouch)
 from .coring import DualRing, EndAlgebra, dual_action
 from .exactla import (AxiomError, Matrix, UsageError, rank, side_by_side,
@@ -437,12 +437,11 @@ def context_M(sigma):
 
 def morphism_M_to_N(cm, cn):
     """The inclusion morphism from the comodule context cm to the module
-    context cn built from it, with its verdict.
+    context cn built from it, checked to commute with both contexts.
 
-    Returns a dict with the two corner inclusions, commutation confirmation,
-    the projectivity witness for the coring, and verdict 'isomorphism'
-    exactly when the coring is f.g. projective as a left module over its
-    base (both inclusions are then verified bijective).
+    Returns Verdict("isomorphism") exactly when the coring is f.g.
+    projective as a left module over its base (both corner inclusions are
+    then verified bijective), else Verdict("morphism").
     """
     sigma = cm.sigma
     field = sigma.field
@@ -458,14 +457,11 @@ def morphism_M_to_N(cm, cn):
         if part.endswith("algebra"):
             raise AxiomError("corner map is not an algebra map")
         raise AxiomError("%ss do not commute with the inclusions" % part)
-    witness = fgp_check(sigma.coring.carrier, "left", sigma.coring.base)
-    verdict = "morphism"
-    if witness is not None:
-        ok_t = iota_t.rows == iota_t.cols and rank(iota_t) == iota_t.rows
-        ok_q = iota_q.rows == iota_q.cols and rank(iota_q) == iota_q.rows
-        if not (ok_t and ok_q):
-            raise AxiomError("coring is f.g. projective but the context morphism "
-                             "is not bijective")
-        verdict = "isomorphism"
-    return {"verdict": verdict, "iota_end": iota_t, "iota_q": iota_q,
-            "coring_fgp": witness is not None}
+    if fgp_check(sigma.coring.carrier, "left", sigma.coring.base) is None:
+        return Verdict("morphism")
+    ok_t = iota_t.rows == iota_t.cols and rank(iota_t) == iota_t.rows
+    ok_q = iota_q.rows == iota_q.cols and rank(iota_q) == iota_q.rows
+    if not (ok_t and ok_q):
+        raise AxiomError("coring is f.g. projective but the context morphism "
+                         "is not bijective")
+    return Verdict("isomorphism")

@@ -11,6 +11,7 @@ import time
 from conftest import fixture_path
 from perturb import run_perturbations, validate_everything
 
+from coringlab.algmod import Verdict
 from coringlab.cli import main as cli_main
 from coringlab.exactla import QQ, rank
 from coringlab.extension import ExtContext, remark_k_coincidence
@@ -52,19 +53,21 @@ def test_criterion_1_validators_and_perturbations(workspaces):
 def test_criterion_2_trivial_outer_collapse(bundles):
     for name in ("E1", "E3"):
         b = bundles[name]
-        out = remark_k_coincidence(b.ec)
-        assert out["coincides"]
+        assert remark_k_coincidence(b.ec) == Verdict("coincides")
     report("2: trivial-outer context equals comodule context", True)
 
 
 def test_criterion_3_context_morphism_bijective(bundles):
     for name in ("E2", "E4"):
         b = bundles[name]
-        out = morphism_M_to_N(b.cm, ModuleContext(b.cm))
-        assert out["verdict"] == "isomorphism"
-        assert out["iota_end"].rows == out["iota_end"].cols
-        assert rank(out["iota_end"]) == out["iota_end"].rows
-        assert rank(out["iota_q"]) == out["iota_q"].rows == out["iota_q"].cols
+        cn = ModuleContext(b.cm)
+        assert morphism_M_to_N(b.cm, cn) == Verdict("isomorphism")
+        # the two corner inclusions, as morphism_M_to_N builds them
+        iota_end = cn.end_space.coords_matrix(b.cm.end.basis_maps, "not *C-linear")
+        iota_q = cn.homs.coords_matrix(b.cm.q.basis, "not *C-linear")
+        assert iota_end.rows == iota_end.cols
+        assert rank(iota_end) == iota_end.rows
+        assert rank(iota_q) == iota_q.rows == iota_q.cols
     report("3: comparison morphism bijective in all corners (E2, E4)", True)
 
 
@@ -93,10 +96,10 @@ def test_criterion_5_cleft_suite(bundles):
     samples = [b.ws.comodules["Sigma"], b.ws.comodules["Creg"],
                b.ws.comodules["SigmaPlus"]]
     ws_out = verify_weak_structure(b.ec, samples)
-    assert ws_out["applicable"] and ws_out["passed"]
+    assert (ws_out.verdict, ws_out.grade) == ("pass", "on-samples")
     ss_out = verify_strong_structure(b.ec, samples)
-    assert ss_out["verdict"] == "equivalence verified on samples"
-    assert ss_out["unit_path"] == "counit surjective"
+    assert ss_out.verdict == "equivalence verified on samples"
+    assert ss_out.details["unit_path"] == "counit surjective"
     elapsed = time.perf_counter() - start
     assert elapsed < 10.0, "took %.2fs" % elapsed
     report("5: cleft suite on the group-algebra fixture", True,
@@ -104,18 +107,18 @@ def test_criterion_5_cleft_suite(bundles):
 
 
 def test_criterion_6_surjectivity_biconditional(bundles, workspaces):
-    st2 = verify_surjectivity_thm(bundles["E2"].ec)
+    st2 = verify_surjectivity_thm(bundles["E2"].ec).details
     assert st2["part1"] is True
     assert st2["part2"] is True  # strict fixture: part 2 agrees as well
-    st4 = verify_surjectivity_thm(bundles["E4"].ec)
+    st4 = verify_surjectivity_thm(bundles["E4"].ec).details
     assert st4["part1"] is True and st4["part2"] is False
-    st5 = verify_surjectivity_thm(bundles["E5"].ec)
+    st5 = verify_surjectivity_thm(bundles["E5"].ec).details
     assert st5["part1"] is True and st5["part2"] is False
     ws = workspaces["E2"]
     z = ws.comodules["Sigma0"]
     cm0 = context_M(z)
     ec0 = ExtContext(ws.extensions["ext"], cm0)
-    st0 = verify_surjectivity_thm(ec0)
+    st0 = verify_surjectivity_thm(ec0).details
     assert st0["part1"] is False and st0["part2"] is False
     report("6: surjectivity criterion, both sides agree everywhere", True)
 
@@ -123,16 +126,16 @@ def test_criterion_6_surjectivity_biconditional(bundles, workspaces):
 def test_criterion_7_invertibility_biconditional(bundles):
     b2 = bundles["E2"]
     out2 = verify_cor_jJ(b2.ec, j=b2.ws.maps["lambda_id"])
-    assert out2["decided"]
-    assert out2["cleft_grade"] == "cleft"
-    assert out2["galois"] == "certified-Galois"
-    assert out2["normal_basis"] == "full"
+    assert (out2.verdict, out2.grade) == ("pass", "exact")
+    assert out2.details["cleft_grade"] == "cleft"
+    assert out2.details["galois"] == "certified-Galois"
+    assert out2.details["normal_basis"] == "full"
     b5 = bundles["E5"]
     out5 = verify_cor_jJ(b5.ec, j=b5.ws.maps["lambda"])
-    assert out5["decided"]
-    assert out5["cleft_grade"] == "weak-cleft"
-    assert out5["galois"] == "certified-Galois"
-    assert out5["normal_basis"] == "weak"
+    assert (out5.verdict, out5.grade) == ("pass", "exact")
+    assert out5.details["cleft_grade"] == "weak-cleft"
+    assert out5.details["galois"] == "certified-Galois"
+    assert out5.details["normal_basis"] == "weak"
     report("7: invertibility criterion on E2 (full) and E5 (weak)", True)
 
 
@@ -142,19 +145,18 @@ def test_criterion_8_lemma_level_properties(bundles):
         b = bundles[name]
         wits = b.ec.first_witnesses
         if wits is not None:
-            assert check_jids(b.ec, wits, b.samples)
+            assert check_jids(b.ec, wits, b.samples) == Verdict("pass")
             out = check_equivariant_projectivity(b.ec)
-            assert out["applicable"] and out["passed"]
+            assert out.verdict == "pass"
             gen = check_generator_property(b.ec)
-            if gen["applicable"]:
-                assert gen["passed"]
+            assert gen.verdict == "pass" or gen.verdict.startswith("not applicable: ")
             checked.append(name + ":unit-decomposition")
         ff = tensor_fullyfaithful_check(b.cm)
-        if ff["applicable"]:
-            assert ff["passed"]
+        assert ff.verdict == "pass" or ff.verdict.startswith("not applicable: ")
+        if ff.verdict == "pass":
             checked.append(name + ":adjunction-unit")
         duals = check_dual_basis_from_witnesses(b.cm)
-        if duals:
+        if duals.verdict != "not applicable":
             checked.append(name + ":dual-bases")
     assert len(checked) >= 12
     report("8: lemma-level properties wherever certified", True,

@@ -158,6 +158,21 @@ def test_galois_command(capsys):
     assert got["canonical map at the base"] == "bijective"
 
 
+def test_galois_and_cleft_print_the_same_galois_verdict_and_grade(capsys):
+    # the zero comodule is f.g. projective, so "not-Galois" is certified;
+    # cleft prints the library's grade rather than deriving one
+    for name in ("E2", "E3", "E4", "E5", "G1"):
+        seen = []
+        for argv in (("galois", fixture_path(name), "--sigma", "Sigma0"),
+                     ("cleft", fixture_path(name), "--sigma", "Sigma0", "--extension",
+                      "ext")):
+            code, out, _ = run_cli(capsys, *argv)
+            assert code == 0, argv
+            seen += [(c["verdict"], c["grade"]) for c in json.loads(out)["checks"]
+                     if c["check_id"] == "Galois verdict"]
+        assert seen == [("not-Galois", "certified")] * 2, name
+
+
 def test_galois_summary_times_the_verdict(capsys):
     # galois_check is the command's whole cost, so its line carries the time;
     # the canonical report leaves time_ms out
@@ -200,13 +215,30 @@ def test_extension_command_purity_paths(capsys):
     assert got["purity certificate"] == "pure"
 
 
+SUITE_CHECKS = {"weak": "weak structure criterion", "strong": "strong structure criterion",
+                "surjectivity": "surjectivity criterion", "jJ": "invertibility criterion",
+                "diamond": "second map transfer criterion"}
+
+
 def test_theorems_suites(capsys):
-    for suite in ("weak", "strong", "surjectivity", "jJ", "diamond"):
+    for suite in SUITE_CHECKS:
         code, out, _ = run_cli(capsys, "theorems", fixture_path("E2"),
                                "--sigma", "Sigma", "--extension", "ext",
                                "--suite", suite,
                                "--j", "lambda_id", "--jtilde", "jtilde")
         assert code == 0, suite
+    # each suite prints exactly its own lines of the whole suite
+    for name in ("E2", "E4"):
+        argv = ("theorems", fixture_path(name), "--sigma", "Sigma", "--extension", "ext",
+                "--suite")
+        code, out, _ = run_cli(capsys, *argv, "all")
+        assert code == 0
+        every = json.loads(out)["checks"]
+        for suite, check_id in SUITE_CHECKS.items():
+            code, out, _ = run_cli(capsys, *argv, suite)
+            assert code == 0, (name, suite)
+            assert json.loads(out)["checks"] == \
+                [c for c in every if c["check_id"] == check_id], (name, suite)
 
 
 def test_theorems_zero_comodule_consistent(capsys):
@@ -685,16 +717,24 @@ def test_one_sigma_dual_and_dual_action_per_command(capsys, monkeypatch, argv):
 
 def test_cleft_search_that_finds_nothing_is_graded_inconclusive(capsys, monkeypatch):
     monkeypatch.setattr(galois, "_candidate_vectors", lambda *args, **kwargs: iter(()))
-    code, out, _ = run_cli(capsys, "cleft", fixture_path("E2"), "--sigma", "Sigma",
-                           "--extension", "ext")
-    assert code == 0
-    checks = {c["check_id"]: c for c in json.loads(out)["checks"]}
-    assert (checks["invertibility grade"]["verdict"],
-            checks["invertibility grade"]["grade"]) == ("unresolved", "inconclusive")
-    assert checks["normal basis"]["verdict"] == "inconclusive"
-    assert (checks["invertibility criterion agreement"]["verdict"],
-            checks["invertibility criterion agreement"]["grade"]) == \
-        ("undecided", "inconclusive")
+    for name in ("E2", "E4"):
+        code, out, _ = run_cli(capsys, "cleft", fixture_path(name), "--sigma", "Sigma",
+                               "--extension", "ext")
+        assert code == 0
+        checks = {c["check_id"]: c for c in json.loads(out)["checks"]}
+        assert (checks["invertibility grade"]["verdict"],
+                checks["invertibility grade"]["grade"]) == ("unresolved", "inconclusive")
+        assert checks["normal basis"]["verdict"] == "inconclusive"
+        assert (checks["invertibility criterion agreement"]["verdict"],
+                checks["invertibility criterion agreement"]["grade"]) == \
+            ("undecided", "inconclusive")
+        # the theorem suite grades the same undecided criterion the same way
+        code, out, _ = run_cli(capsys, "theorems", fixture_path(name), "--sigma", "Sigma",
+                               "--extension", "ext", "--suite", "jJ")
+        assert code == 0
+        (check,) = json.loads(out)["checks"]
+        assert (check["check_id"], check["verdict"], check["grade"]) == \
+            ("invertibility criterion", "undecided (search inconclusive)", "inconclusive")
 
 
 def test_failing_adjunction_unit_check_fails_every_line(capsys, monkeypatch):
@@ -704,9 +744,11 @@ def test_failing_adjunction_unit_check_fails_every_line(capsys, monkeypatch):
     monkeypatch.setattr(galois, "_tensor_fullyfaithful", failing)
     code, out, _ = run_cli(capsys, *THEOREMS_E2)
     assert code == 1
-    verdicts = {c["check_id"]: c["verdict"] for c in json.loads(out)["checks"]}
+    verdicts = {c["check_id"]: (c["verdict"], c["grade"]) for c in json.loads(out)["checks"]}
+    # each of these checks grades every line on-samples, its fail line too
     for line in ADJUNCTION_LINES:
-        assert verdicts[line] == "fail: adjunction unit inverse fails on T (left)"
+        assert verdicts[line] == ("fail: adjunction unit inverse fails on T (left)",
+                                  "on-samples")
 
 
 def test_dispatch_looks_up_the_command_at_call_time(capsys, monkeypatch):

@@ -5,7 +5,7 @@ import random
 
 import pytest
 
-from coringlab.algmod import constraint_rows, sandwich_terms, trivial_algebra
+from coringlab.algmod import Verdict, constraint_rows, sandwich_terms, trivial_algebra
 from coringlab.cli import _jtilde_from_map
 from coringlab.exactla import (AxiomError, FieldFp, Matrix, QQ, Subspace,
                                UsageError, flatten_matrix, kernel, rank, solve_linear,
@@ -51,7 +51,7 @@ def test_purity_split_path(e2, e4):
     for ws in (e2, e4):
         ext = ws.extensions["ext"]
         cert = purity_check(ext, [])
-        assert cert == "pure-by-split"
+        assert (cert.verdict, cert.grade) == ("pure-by-split", "certified")
 
 
 def test_purity_split_rejects_wrong_map(e2):
@@ -69,8 +69,8 @@ def test_purity_computed_path(workspaces):
     ext = ws.extensions["ext"]
     assert ext.split_map is None
     cert = purity_check(ext, [ws.comodules["Creg"]])
-    assert cert == "pure"
-    assert "Creg" in ext.purity_detail
+    assert (cert.verdict, cert.grade) == ("pure", "on-samples")
+    assert "Creg" in cert.details
 
 
 def test_induced_coaction_refused_without_certificate(e2):
@@ -151,8 +151,7 @@ def test_ext_context_corner_dims(bundles):
 def test_remark_k_collapse(bundles):
     for name in ("E1", "E3"):
         b = bundles[name]
-        out = remark_k_coincidence(b.ec)
-        assert out["coincides"]
+        assert remark_k_coincidence(b.ec) == Verdict("coincides")
 
 
 def test_remark_k_requires_trivial_outer(bundles):

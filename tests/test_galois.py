@@ -6,7 +6,8 @@ import pytest
 
 from conftest import ContextBundle, _proj, _sect, fixture_path
 from coringlab import cli, galois
-from coringlab.algmod import BalancedTensor, FBimodule, summand_witnesses, trivial_algebra
+from coringlab.algmod import (BalancedTensor, FBimodule, Verdict, summand_witnesses,
+                              trivial_algebra)
 from coringlab.coring import Comodule, colinear_homs, trivial_coring, zero_comodule
 from coringlab.exactla import Matrix, QQ, rank, unit_vec, vec_scale
 from coringlab.extension import ExtContext, purity_check
@@ -87,12 +88,12 @@ def test_can_map_rank_is_kept_from_the_inversion(bundles, monkeypatch):
 
 
 def test_galois_verdicts(bundles):
-    assert galois_check(bundles["E3"].sigma, end=bundles["E3"].cm.end)["verdict"] \
+    assert galois_check(bundles["E3"].sigma, end=bundles["E3"].cm.end).verdict \
         == "certified-Galois"
-    assert galois_check(bundles["E2"].sigma, end=bundles["E2"].cm.end)["verdict"] \
+    assert galois_check(bundles["E2"].sigma, end=bundles["E2"].cm.end).verdict \
         == "certified-Galois"
     z = zero_comodule(bundles["E2"].sigma.coring)
-    assert galois_check(z)["verdict"] == "not-Galois"
+    assert galois_check(z).verdict == "not-Galois"
 
 
 def test_galois_verdict_on_samples_for_a_non_projective_comodule():
@@ -108,8 +109,11 @@ def test_galois_verdict_on_samples_for_a_non_projective_comodule():
         F, mc.dim, [mc.pure_tensor([[F.one], list(a.unit)])]), name="k")
     sigma.validate()
     out = galois_check(sigma)
-    assert (out["verdict"], out["grade"], out["failing"]) == \
-        ("not-Galois", "on-samples", "k[x]/x2^1")
+    assert (out.verdict, out.grade, out.holds) == ("not-Galois", "on-samples", False)
+    # the first sample, the free module of rank 1, is where it fails
+    first = default_sample_modules(sigma)[0]
+    assert first.name == "k[x]/x2^1"
+    assert not CanonicalMap(sigma, first).bijective
 
 
 def test_galois_on_samples_uses_listed_modules(bundles):
@@ -287,7 +291,7 @@ def test_weak_structure_on_samples(bundles):
     for name in ("E2", "E4", "E5"):
         b = bundles[name]
         out = verify_weak_structure(b.ec, b.samples)
-        assert out["applicable"] and out["passed"]
+        assert (out.verdict, out.grade) == ("pass", "on-samples")
 
 
 def test_weak_structure_not_applicable_for_zero(bundles):
@@ -296,35 +300,36 @@ def test_weak_structure_not_applicable_for_zero(bundles):
     cm0 = context_M(z)
     ec0 = ExtContext(ws.extensions["ext"], cm0)
     out = verify_weak_structure(ec0, [])
-    assert not out["applicable"]
+    assert out == Verdict("not applicable: first connecting map not surjective",
+                          "on-samples")
 
 
 def test_strong_structure_e2(bundles):
     b = bundles["E2"]
     out = verify_strong_structure(b.ec, b.samples)
-    assert out["verdict"] == "equivalence verified on samples"
-    assert out["unit_path"] == "counit surjective"
+    assert out.verdict == "equivalence verified on samples"
+    assert out.details["unit_path"] == "counit surjective"
 
 
 def test_strong_structure_reports_missing_hypothesis(bundles):
     b = bundles["E4"]
     out = verify_strong_structure(b.ec, b.samples)
-    assert not out["applicable"]
-    assert "second connecting map" in out["reason"]
+    assert out.verdict.startswith("not applicable: ")
+    assert "second connecting map" in out.verdict
 
 
 def test_strong_structure_trivial_outer(bundles):
     b = bundles["E1"]
     out = verify_strong_structure(b.ec, b.samples)
-    assert out["applicable"] and out["passed"]
+    assert out.verdict == "equivalence verified on samples"
 
 
 def test_surjectivity_theorem_agreement(bundles):
-    st2 = verify_surjectivity_thm(bundles["E2"].ec)
+    st2 = verify_surjectivity_thm(bundles["E2"].ec).details
     assert st2["part1"] and st2["part2"] and st2["s"] >= 1 and st2["z"] >= 1
-    st4 = verify_surjectivity_thm(bundles["E4"].ec)
+    st4 = verify_surjectivity_thm(bundles["E4"].ec).details
     assert st4["part1"] and not st4["part2"]
-    st5 = verify_surjectivity_thm(bundles["E5"].ec)
+    st5 = verify_surjectivity_thm(bundles["E5"].ec).details
     assert st5["part1"] and not st5["part2"]
 
 
@@ -333,19 +338,20 @@ def test_surjectivity_theorem_zero_negative(bundles):
     z = ws.comodules["Sigma0"]
     cm0 = context_M(z)
     ec0 = ExtContext(ws.extensions["ext"], cm0)
-    st = verify_surjectivity_thm(ec0)
+    st = verify_surjectivity_thm(ec0).details
     assert not st["part1"] and not st["part2"]
 
 
 def test_cor_jJ_biconditionals(bundles):
     out2 = verify_cor_jJ(bundles["E2"].ec, j=bundles["E2"].ws.maps["lambda_id"],
                          jtilde=_jtilde(bundles["E2"]))
-    assert out2["decided"]
-    assert (out2["cleft_grade"], out2["normal_basis"]) == ("cleft", "full")
+    assert (out2.verdict, out2.grade) == ("pass", "exact")
+    assert (out2.details["cleft_grade"], out2.details["normal_basis"]) == ("cleft", "full")
     out5 = verify_cor_jJ(bundles["E5"].ec, j=bundles["E5"].ws.maps["lambda"],
                          jtilde=_jtilde(bundles["E5"]))
-    assert out5["decided"]
-    assert (out5["cleft_grade"], out5["normal_basis"]) == ("weak-cleft", "weak")
+    assert (out5.verdict, out5.grade) == ("pass", "exact")
+    assert (out5.details["cleft_grade"], out5.details["normal_basis"]) == \
+        ("weak-cleft", "weak")
 
 
 def test_cor_jJ_zero_negative(bundles):
@@ -354,25 +360,25 @@ def test_cor_jJ_zero_negative(bundles):
     cm0 = context_M(z)
     ec0 = ExtContext(ws.extensions["ext"], cm0)
     out = verify_cor_jJ(ec0)
-    assert out["decided"]
-    assert out["cleft_grade"] == "not-cleft"
-    assert out["galois"] == "not-Galois"
+    assert (out.verdict, out.grade) == ("pass", "exact")
+    assert out.details["cleft_grade"] == "not-cleft"
+    assert out.details["galois"] == "not-Galois"
 
 
 def test_diamond_to_triangle(bundles):
     out2 = verify_diamond_to_triangle(bundles["E2"].ec)
-    assert out2["applicable"] and out2["passed"] and out2["sigma_fgp"]
+    assert out2.verdict == "pass" and out2.details["sigma_fgp"]
     out4 = verify_diamond_to_triangle(bundles["E4"].ec)
-    assert not out4["applicable"]
+    assert out4.verdict.startswith("not applicable: ")
     out1 = verify_diamond_to_triangle(bundles["E1"].ec)
-    assert out1["applicable"] and out1["passed"]
+    assert out1.verdict == "pass"
 
 
 def test_fgp_corollary(bundles):
     for name in ("E2", "E4"):
         out = verify_fgp_corollary(bundles[name].ec)
-        assert out["applicable"] and out["passed"]
-        assert out["triangle1_surjective"] and out["coring_fgp"]
+        assert out.verdict == "pass"
+        assert out.details["triangle1_surjective"] and out.details["coring_fgp"]
 
 
 def test_jids_identities(bundles):
@@ -380,7 +386,7 @@ def test_jids_identities(bundles):
         b = bundles[name]
         wits = b.ec.first_witnesses
         assert wits is not None
-        assert check_jids(b.ec, wits, b.samples)
+        assert check_jids(b.ec, wits, b.samples) == Verdict("pass")
 
 
 def test_first_witnesses_are_built_once_per_context(monkeypatch, capsys):
@@ -421,26 +427,25 @@ def test_first_witnesses_are_built_once_per_context(monkeypatch, capsys):
 def test_generator_property(bundles):
     for name in ("E2", "E4"):
         out = check_generator_property(bundles[name].ec)
-        assert out["applicable"] and out["passed"]
+        assert out == Verdict("pass", details={})
 
 
 def test_equivariant_projectivity(bundles):
     for name in ("E2", "E4", "E5"):
         out = check_equivariant_projectivity(bundles[name].ec)
-        assert out["applicable"] and out["passed"]
+        assert out == Verdict("pass", details={})
 
 
 def test_tensor_fully_faithful(bundles):
     for name in ("E2", "E3", "E4"):
         out = tensor_fullyfaithful_check(bundles[name].cm)
-        assert out["applicable"] and out["passed"]
+        assert (out.verdict, out.grade) == ("pass", "on-samples")
 
 
 def test_dual_bases_from_witnesses(bundles):
     for name in ("E2", "E3", "E4"):
         out = check_dual_basis_from_witnesses(bundles[name].cm)
-        assert out.get("coring_dual_basis")
-        assert out.get("comodule_dual_basis")
+        assert out == Verdict("{'coring_dual_basis': True, 'comodule_dual_basis': True}")
 
 
 def test_unit_decomposition_paths(bundles):
@@ -495,10 +500,10 @@ def test_cor_jJ_e3_not_cleft_despite_strictness(bundles):
     b = bundles["E3"]
     assert b.cm.context.strict
     out = verify_cor_jJ(b.ec)
-    assert out["decided"]
-    assert out["cleft_grade"] == "not-cleft"
-    assert out["galois"] == "certified-Galois"
-    assert out["normal_basis"] == "none"
+    assert (out.verdict, out.grade) == ("pass", "exact")
+    assert out.details["cleft_grade"] == "not-cleft"
+    assert out.details["galois"] == "certified-Galois"
+    assert out.details["normal_basis"] == "none"
 
 
 def test_normal_basis_trivial_outer_identity(bundles):
@@ -511,14 +516,14 @@ def test_strictness_three_way_agreement(bundles):
     for name in ("E1", "E2", "E3", "E4", "E5"):
         b = bundles[name]
         out = verify_strictness_three_way(b.cm, b.samples)
-        assert out["applicable"] and out["passed"]
-        assert out["strict"]
+        assert (out.verdict, out.grade) == ("pass", "on-samples")
+        assert out.details["strict"]
     # the zero comodule: strict fails and so does the right-hand side
     ws = bundles["E2"].ws
     z = ws.comodules["Sigma0"]
     cm0 = context_M(z)
     out0 = verify_strictness_three_way(cm0, [])
-    assert out0["applicable"] and not out0["strict"]
+    assert out0.verdict == "pass" and not out0.details["strict"]
 
 
 # ---------------------------------------------------------------------------
@@ -568,10 +573,10 @@ def test_t_tensor_d_over_nontrivial_base_is_projected_in_its_layout():
     cd = cleft_check(ec)
     assert cd.grade == "cleft"
     assert normal_basis_check(ec, cleft_data=cd)["grade"] == "full"
-    assert check_equivariant_projectivity(ec) == {"applicable": True, "passed": True}
+    assert check_equivariant_projectivity(ec) == Verdict("pass", details={})
     out = verify_cor_jJ(ec)
-    assert out["passed"] and out["decided"]
-    assert (out["cleft_grade"], out["normal_basis"]) == ("cleft", "full")
+    assert (out.verdict, out.grade) == ("pass", "exact")
+    assert (out.details["cleft_grade"], out.details["normal_basis"]) == ("cleft", "full")
 
 
 # ---------------------------------------------------------------------------
@@ -587,5 +592,4 @@ def test_searches_that_find_nothing_are_inconclusive(monkeypatch):
     assert (nb["grade"], nb["full"], nb["weak"]) == \
         ("inconclusive", "not found (inconclusive)", "not found (inconclusive)")
     out = verify_cor_jJ(ec)
-    assert not out["decided"]
-    assert out["verdict"] == "undecided (search inconclusive)"
+    assert (out.verdict, out.grade) == ("undecided (search inconclusive)", "inconclusive")

@@ -8,7 +8,7 @@ import re
 import pytest
 
 from conftest import _proj, fixture_path
-from coringlab.algmod import FBimodule
+from coringlab.algmod import FBimodule, Verdict, fgp_check
 from coringlab.coring import DualRing, EndAlgebra, zero_comodule
 from coringlab.exactla import (AxiomError, FieldFp, Matrix, QQ, Subspace, kernel,
                                rank, solve_linear, unflatten, unit_vec, vec_scale,
@@ -107,16 +107,20 @@ def test_zero_comodule_not_strict(bundles):
 def test_morphism_is_isomorphism_on_projective_corings(bundles):
     for name in ("E1", "E2", "E3", "E4"):
         bundle = bundles[name]
-        out = morphism_M_to_N(bundle.cm, ModuleContext(bundle.cm))
-        assert out["verdict"] == "isomorphism"
-        assert out["coring_fgp"]
+        assert morphism_M_to_N(bundle.cm, ModuleContext(bundle.cm)) == \
+            Verdict("isomorphism")
+        # the verdict is "isomorphism" only for a f.g. projective coring
+        coring = bundle.cm.sigma.coring
+        assert fgp_check(coring.carrier, "left", coring.base) is not None
 
 
 def test_morphism_failure_names_the_first_failing_part(bundles):
     cm = bundles["E2"].cm
     cn = ModuleContext(cm)
-    out = morphism_M_to_N(cm, cn)
-    iota_t, iota_q = out["iota_end"], out["iota_q"]
+    assert morphism_M_to_N(cm, cn) == Verdict("isomorphism")
+    # the two corner inclusions, as morphism_M_to_N builds them
+    iota_t = cn.end_space.coords_matrix(cm.end.basis_maps, "not *C-linear")
+    iota_q = cn.homs.coords_matrix(cm.q.basis, "not *C-linear")
     same2, same12 = Matrix.identity(F, cm.dual.dim), Matrix.identity(F, cm.sigma.dim)
     swap = Matrix.from_rows(F, [[0, 1], [1, 0]])
     two = F.of_int(2)
