@@ -573,14 +573,21 @@ def _chain_index(dims):
 
 def _sparse_cols(mat, rows=None):
     """The nonzero (row, value) entries of each column of mat, row r named
-    rows[r] when rows is given."""
-    cols = [[] for _ in range(mat.cols)]
-    for r, row in enumerate(mat.data):
-        name = r if rows is None else rows[r]
-        for j, v in enumerate(row):
-            if v:
-                cols[j].append((name, v))
-    return cols
+    rows[r] when rows is given.  A matrix is immutable after creation, so
+    its entries are read once: the first call keeps them on the matrix
+    (``_nonzero_cols``) and every later call returns them; callers only
+    read the lists."""
+    cols = mat._nonzero_cols
+    if cols is None:
+        cols = [[] for _ in range(mat.cols)]
+        for r, row in enumerate(mat.data):
+            for j, v in enumerate(row):
+                if v:
+                    cols[j].append((r, v))
+        mat._nonzero_cols = cols
+    if rows is None:
+        return cols
+    return [[(rows[r], v) for r, v in col] for col in cols]
 
 
 def _slot_group(left, mat, right):
@@ -646,17 +653,21 @@ class BalancedTensor:
     every row reduction small).  A step balances by the images of
     R_b (x) I - I (x) L_b for b in the algebra's generators alone when both
     factors are valid modules over that very algebra object; these span the
-    same relations, so the quotient is the same (over the ground field:
-    no relations and no row reduction).  Otherwise every basis element b
-    takes part.  The relation rows are sparse, and the projection is kept
-    as one factor per step (``_steps``, each step's quotient), which the
-    slot-group kernel applies in turn (``_chain``); the section picks the
-    ambient coordinates ``_picks``.  A tensor built with ``prefix=T``, T a
-    tensor over its leading factors and algebras (the very objects), resumes
-    from T's steps and picks and runs only the new steps: C (x)_A C (x)_A C
-    on C (x)_A C.  The composed sparse columns (``_proj_cols``) are built
-    on demand, once per tensor, for the descent checks and the colinearity
-    terms (``colinearity_constraint``).  Neither the projection nor the
+    same relations, so the quotient is the same.  Otherwise every basis
+    element b takes part.  The relation rows are sparse, and the projection
+    is kept as one factor per step (``_steps``, each step's quotient), which
+    the slot-group kernel applies in turn (``_chain``); a step whose
+    relation rows are all zero (over the ground field, over L = k) keeps
+    None instead, runs no row reduction and is skipped by the chain.  The
+    section picks the ambient coordinates ``_picks``.  The nonzero columns
+    of every matrix the tensor reads (actions, slot maps, the X of
+    ``induced(at=X)``) are computed once per matrix (``_sparse_cols``).
+    A tensor built with ``prefix=T``, T a tensor over its leading factors
+    and algebras (the very objects), resumes from T's steps and picks and
+    runs only the new steps: C (x)_A C (x)_A C on C (x)_A C.  The composed
+    sparse columns (``_proj_cols``) are built on demand, once per tensor,
+    for the descent checks and the colinearity terms
+    (``colinearity_constraint``).  Neither the projection nor the
     section is ever built dense: ``lift(X)`` is sect·X, the rows of X placed
     at the picks, and ``project_head`` applies proj through the steps.  The
     pair splits the full ambient space (proj·sect = 1), so the relations are
@@ -756,17 +767,23 @@ class BalancedTensor:
         after the steps of prefix when given: its steps are the same echelon
         results, so the tensor is the same.  The relation rows of
         R_b (x) I - I (x) L_b are read off the sparse columns of R_b and
-        L_b, with no vector pushed.  R_b is the right action of the quotient
-        so far, at that step's balancing indices b alone: after the first
-        step, the last factor's R_b carried through the last quotient q as
-        q.proj·(I (x) R_b)·q.sect.  Each step keeps its QuotientSpace
-        (_steps): the projection is their chain, one slot group per step
-        (_chain), and its composed sparse columns (_proj_cols) are built on
-        first read.  Every section is a coordinate selection, so sect is
-        kept as the ambient coordinate each quotient coordinate picks.  The
-        outer actions are built on first read (left_act, right_act)."""
+        L_b, with no vector pushed, and zero rows are dropped.  R_b is the
+        right action of the quotient so far, at that step's balancing
+        indices b alone: after the first step, the last factor's R_b carried
+        through the last quotient q as q.proj·(I (x) R_b)·q.sect, or
+        I (x) R_b when that step kept no quotient.  Each step keeps its
+        QuotientSpace (_steps), or None when its relation rows are all zero
+        (over the ground field, over L = k): such a step runs no row
+        reduction, its picks extend as the plain product, and the chain of
+        the projection skips it (_chain).  The reduced echelon form of the
+        relations is unique, so dropping zero rows and relation-free steps
+        changes no pick and no projection column.  The projection's composed
+        sparse columns (_proj_cols) are built on first read.  Every section
+        is a coordinate selection, so sect is kept as the ambient coordinate
+        each quotient coordinate picks.  The outer actions are built on
+        first read (left_act, right_act)."""
         f = self.field
-        zero, mod = f.zero, modulus(f)
+        mod = modulus(f)
         if prefix is None:
             steps, picks = [], list(range(self.dims[0]))
         else:
@@ -774,41 +791,58 @@ class BalancedTensor:
         cur_dim = len(picks)
         for step, alg in enumerate(self.algebras[len(steps):], len(steps)):
             last, nxt = self.factors[step], self.factors[step + 1]
-            n = nxt.dim
+            n, d = nxt.dim, last.dim
+            prev = steps[-1] if steps else None
             rels = []
             for b in _balancing_indices(last, alg, nxt):
                 r_cols = _sparse_cols(last.right_act[b])
                 if steps:
-                    # column j of q.proj·(I (x) R_b)·q.sect: R_b's column i
-                    # shifted into block a, for kept[j] = (a, i), then q.proj
-                    q, d = steps[-1], last.dim
-                    r_cols = _apply_sparse([[(k - k % d + r, c) for r, c in r_cols[k % d]]
-                                            for k in q.kept], (1, q.cols, q.dim, 1), mod)
+                    # column k of I (x) R_b: R_b's column k % d shifted into
+                    # block k // d; after a quotient q, column j of
+                    # q.proj·(I (x) R_b)·q.sect is that column at k = kept[j]
+                    # pushed through q.proj
+                    shifted = [[(k - k % d + r, c) for r, c in r_cols[k % d]]
+                               for k in (range(cur_dim) if prev is None else prev.kept)]
+                    r_cols = shifted if prev is None else \
+                        _apply_sparse(shifted, (1, prev.cols, prev.dim, 1), mod)
                 l_cols = _sparse_cols(nxt.left_act[b])
                 # the relation at e_i (x) e_j: column i of R_b laid out as
                 # (., j), minus column j of L_b laid out as (i, .)
                 for i in range(cur_dim):
+                    r_i = r_cols[i]
                     for j in range(n):
-                        row = {r * n + j: c for r, c in r_cols[i]}
+                        row = {r * n + j: c for r, c in r_i}
                         for r, c in l_cols[j]:
                             k = i * n + r
-                            row[k] = f.sub(row.get(k, zero), c)
-                        rels.append({k: c for k, c in row.items() if c})
-            q = quotient(f, cur_dim * n, rels)
+                            w = row.get(k, 0) - c if mod is None else \
+                                (row.get(k, 0) - c) % mod
+                            if w:
+                                row[k] = w
+                            else:
+                                del row[k]
+                        if row:
+                            rels.append(row)
+            if rels:
+                q = quotient(f, cur_dim * n, rels)
+                picks = [picks[p // n] * n + p % n for p in q.kept]
+                cur_dim = q.dim
+            else:
+                q = None
+                picks = [p * n + j for p in picks for j in range(n)]
+                cur_dim *= n
             steps.append(q)
-            picks = [picks[p // n] * n + p % n for p in q.kept]
-            cur_dim = q.dim
         self._steps = steps
         self._picks = picks
         self._pcols = None
 
     def _chain(self, rest=1):
-        """The projection (x) I_rest as one slot group per step, in the
-        form _push reads: step s applies its quotient to the leading slots
-        and the identity to the factors after it and to rest."""
+        """The projection (x) I_rest as one slot group per step that keeps
+        a quotient, in the form _push reads: step s applies its quotient to
+        the leading slots and the identity to the factors after it and to
+        rest.  A relation-free step is the identity and has no group."""
         dims = self.dims
         return [(1, q.cols, q.dim, prod(dims[s + 2:]) * rest)
-                for s, q in enumerate(self._steps)]
+                for s, q in enumerate(self._steps) if q is not None]
 
     def _proj_cols(self):
         """The sparse columns of the whole projection, column a the nonzero
@@ -1137,13 +1171,33 @@ def _say(message, *at):
     return message(*at) if callable(message) else message
 
 
+def _rref_pivots(vecs):
+    """The leading indices of vecs when they are the reduced row echelon
+    basis of their span, else None: every vector is nonzero with leading
+    entry 1, the leading indices strictly increase, and every vector is
+    zero at the other vectors' leading indices.  Such vectors are
+    independent and in RREF, which is unique, so no row reduction is
+    needed to tell."""
+    pivots = []
+    for vec in vecs:
+        lead = next((j for j, v in enumerate(vec) if v), None)
+        if lead is None or vec[lead] != 1 or (pivots and lead <= pivots[-1]):
+            return None
+        pivots.append(lead)
+    # a vector is zero before its own lead, so only later leads can fail
+    if any(vec[p] for i, vec in enumerate(vecs) for p in pivots[i + 1:]):
+        return None
+    return pivots
+
+
 class MatrixSpace:
     """A solved space of rows x cols matrices, kept in its canonical basis.
 
     Flattened row-major, the basis is the RREF basis of its span, as every
     solver here returns it, so the coordinates of a matrix are its entries
     at the pivots and one exact recombination decides membership
-    (Subspace.coords); no basis is row-reduced again.
+    (Subspace.coords); no basis is row-reduced again, and that it is
+    canonical is read off its shape (_rref_pivots).
     """
 
     def __init__(self, field, rows, cols, basis):
@@ -1152,10 +1206,13 @@ class MatrixSpace:
         self.cols = cols
         self.basis = list(basis)
         flat = [flatten_matrix(b) for b in self.basis]
-        self.span = Subspace.from_span(field, rows * cols, flat)
-        if self.span.basis != flat:
+        if any(len(vec) != rows * cols for vec in flat):
+            raise UsageError("vector/ambient dimension mismatch")
+        pivots = _rref_pivots(flat)
+        if pivots is None:
             raise UsageError("matrix space: the list is not the canonical basis "
                              "of its span")
+        self.span = Subspace(field, rows * cols, flat, pivots)
 
     @property
     def dim(self):

@@ -66,6 +66,8 @@ class FieldQ:
         return -a
 
     def inv(self, a):
+        if a == 1 or a == -1:
+            return int(a)
         if a == 0:
             raise ZeroDivisionError("inverse of zero")
         return _canon(1 / Fraction(a))
@@ -191,14 +193,18 @@ QQ = FieldQ()
 
 
 class Matrix:
-    """Dense matrix over an exact field.  Treated as immutable after creation.
+    """Dense matrix over an exact field.  Immutable after creation: every
+    constructor builds its rows first, and nothing writes into ``data``
+    afterwards.
 
     ``Matrix(...)`` checks that ``data`` has the stated shape; the kernel's
     own operations, whose results have their shape by construction, build
-    through ``_matrix`` and skip that check.
+    through ``_matrix`` and skip that check.  ``_nonzero_cols`` holds the
+    nonzero (row, value) entries of each column once
+    ``algmod._sparse_cols`` has read them, which it does once per matrix.
     """
 
-    __slots__ = ("field", "rows", "cols", "data")
+    __slots__ = ("field", "rows", "cols", "data", "_nonzero_cols")
 
     def __init__(self, field, rows, cols, data):
         if len(data) != rows or any(len(r) != cols for r in data):
@@ -207,6 +213,7 @@ class Matrix:
         self.rows = rows
         self.cols = cols
         self.data = data
+        self._nonzero_cols = None
 
     # -- constructors
 
@@ -228,13 +235,11 @@ class Matrix:
 
     @staticmethod
     def from_cols(field, nrows, cols_list):
-        m = Matrix.zero(field, nrows, len(cols_list))
-        for j, col in enumerate(cols_list):
-            if len(col) != nrows:
-                raise UsageError("column length mismatch")
-            for i in range(nrows):
-                m.data[i][j] = col[i]
-        return m
+        if any(len(col) != nrows for col in cols_list):
+            raise UsageError("column length mismatch")
+        data = [list(row) for row in zip(*cols_list)] if cols_list else \
+            [[] for _ in range(nrows)]
+        return _matrix(field, nrows, len(cols_list), data)
 
     @staticmethod
     def column(field, vec):
@@ -358,6 +363,7 @@ def _matrix(field, rows, cols, data):
     m.rows = rows
     m.cols = cols
     m.data = data
+    m._nonzero_cols = None
     return m
 
 

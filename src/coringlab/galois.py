@@ -543,18 +543,19 @@ def check_jids(ext_ctx, witnesses, comodules):
     # (2) sum_l m_[0]^[0] jtilde_l(m_[0]^[1])( j_l(m_[1]) ) = m, for each comodule
     for m in comodules:
         md = ext_ctx.outer_comodule(m)
-        acc = Matrix.zero(f, m.dim, m.dim)
-        for (jt, j) in witnesses:
-            for col in range(m.dim):
+        acc = []
+        for col in range(m.dim):
+            rebuilt = zero_vec(f, m.dim)
+            for (jt, j) in witnesses:
                 for ((m0, dd), w) in md.mc.lift_pairs(md.coaction.col(col)):
                     jd = j.mul_vec(unit_vec(f, ext.outer.dim, dd))
                     for ((m1, ck), w2) in m.mc.lift_pairs(m.coaction.col(m0)):
                         a_val = sd.space.element(jt.col(ck)).mul_vec(jd)
                         contrib = m.carrier.right_orbits()[m1].mul_vec(
                             vec_scale(f, f.mul(w, w2), a_val))
-                        for r in range(m.dim):
-                            acc.data[r][col] = f.add(acc.data[r][col], contrib[r])
-        if acc != Matrix.identity(f, m.dim):
+                        rebuilt = [f.add(u, v) for u, v in zip(rebuilt, contrib)]
+            acc.append(rebuilt)
+        if Matrix.from_cols(f, m.dim, acc) != Matrix.identity(f, m.dim):
             raise AxiomError("unit decomposition: the reconstruction identity "
                              "fails on %s" % m.name)
     return Verdict("pass")
@@ -949,7 +950,8 @@ def verify_cor_jJ(ext_ctx, j=None, jtilde=None):
         "pass" if decided else "undecided (search inconclusive)", sure,
         {"cleft_grade": grade, "galois": gal.verdict, "normal_basis": nb},
         cleft=Verdict(grade, "inconclusive" if grade == "unresolved" else "exact"),
-        galois=gal, normal_basis=Verdict(nb),
+        galois=gal,
+        normal_basis=Verdict(nb, "inconclusive" if nb == "inconclusive" else "exact"),
         agreement=Verdict("agree" if decided else "undecided", sure))
 
 

@@ -30,8 +30,8 @@ from .algmod import (BalancedTensor, Checked, FBimodule, FiniteAlgebra, MatrixSp
                      non_multiplicative_at, tensor_algebra, trivial_algebra, vouch)
 from .coring import (Comodule, Coring, Grouplike, comodule_direct_sum,
                      grouplike_comodule, trivial_coring, zero_comodule)
-from .exactla import (AxiomError, Matrix, Subspace, UsageError, image, rank,
-                      side_by_side, unit_vec, zero_vec)
+from .exactla import (AxiomError, Matrix, Subspace, UsageError, from_sparse_cols, image,
+                      rank, side_by_side, unit_vec, zero_vec)
 from .extension import CoringExtension, purity_check
 
 
@@ -134,10 +134,8 @@ def group_function_coring(field, table, name="k(G)"):
     carrier = FBimodule.trivial(field, n, name=name)
     # Delta(u_s) = sum_t u_t (x) u_{t^{-1} s}, in the plain tensor square:
     # over k, C (x) C has no balancing relations, so Coring takes it as it is
-    coproduct = Matrix.zero(field, n * n, n)
-    for s in range(n):
-        for t in range(n):
-            coproduct.data[t * n + table[inv[t]][s]][s] = field.one
+    coproduct = from_sparse_cols(field, n * n, [[(t * n + table[inv[t]][s], field.one)
+                                                 for t in range(n)] for s in range(n)])
     counit = Matrix.from_rows(field, [[field.one if s == 0 else field.zero
                                        for s in range(n)]])
     c = Coring(carrier.right_alg, carrier, coproduct, counit, name=name)
@@ -169,9 +167,7 @@ def grouplike_basis_coalgebra(field, n, name="D"):
     eps(u_i) = 1.  Vouched for with no premise: both sides of
     coassociativity send u_i to u_i (x) u_i (x) u_i, and both counit laws
     send it to u_i; over k every map is k-linear."""
-    delta = Matrix.zero(field, n * n, n)
-    for i in range(n):
-        delta.data[i * n + i][i] = field.one
+    delta = from_sparse_cols(field, n * n, [[(i * n + i, field.one)] for i in range(n)])
     eps = Matrix.from_rows(field, [[field.one] * n])
     c = _k_coalgebra(field, n, delta, eps, name)
     vouch(c, check=c.validate)
@@ -247,9 +243,7 @@ def group_hopf_algebra(field, table, name="kG"):
     n = h.dim
     inv = inverse_table(table)
     d = grouplike_basis_coalgebra(field, n, name=name)
-    s = Matrix.zero(field, n, n)
-    for i in range(n):
-        s.data[inv[i]][i] = field.one
+    s = from_sparse_cols(field, n, [[(inv[i], field.one)] for i in range(n)])
     data = BialgebraData(h, d.coproduct, d.counit, antipode=s, name=name)
     data.coring = d
     vouch(data, h, check=data.validate)
@@ -541,9 +535,7 @@ def weak_entwining_coring(ent):
     sub = image(p_amb)
     dim = sub.dim
     inc = sub.basis_matrix_cols()
-    ret = Matrix.zero(f, dim, n * m)
-    for q, piv in enumerate(sub.pivots):
-        ret.data[q][piv] = f.one
+    ret = Matrix(f, dim, n * m, [unit_vec(f, n * m, piv) for piv in sub.pivots])
 
     def restrict(amb_op, what):
         img = amb_op.mul(inc)
@@ -586,12 +578,8 @@ def weak_cleft_translation(ent, coring, inc, ret, lam, lam_bar):
     f = ent.field
     a = ent.a
     n, m = a.dim, ent.d.dim
-    q_amb = Matrix.zero(f, n, n * m)
-    for i in range(n):
-        for dd in range(m):
-            target = a.multiply(unit_vec(f, n, i), lam_bar.col(dd))
-            for r in range(n):
-                q_amb.data[r][i * m + dd] = target[r]
+    q_amb = Matrix.from_cols(f, n, [a.multiply(unit_vec(f, n, i), lam_bar.col(dd))
+                                    for i in range(n) for dd in range(m)])
     return lam, q_amb.mul(inc)
 
 
@@ -704,10 +692,7 @@ def partial_action_coring(pa):
         sub = image(a.lmul_vec(pa.e[s]))
         dims.append(sub.dim)
         inc_s = sub.basis_matrix_cols()
-        sel_s = Matrix.zero(f, sub.dim, a.dim)
-        for q, piv in enumerate(sub.pivots):
-            sel_s.data[q][piv] = f.one
-        sel.append(sel_s)
+        sel.append(Matrix(f, sub.dim, a.dim, [unit_vec(f, a.dim, piv) for piv in sub.pivots]))
         inc.append(inc_s)
     offs = [0]
     for dcomp in dims:
@@ -763,7 +748,7 @@ def partial_action_coring(pa):
     # coincides with the naive component shift
     pi_mats = []
     for w in range(n):
-        fw = Matrix.zero(f, a.dim, cdim)
+        fw_cols = []
         for s in range(n):
             for q in range(dims[s]):
                 x = inc[s].mul_vec(unit_vec(f, dims[s], q))
@@ -773,18 +758,13 @@ def partial_action_coring(pa):
                 if s == 0:
                     one_minus = [f.sub(u, v) for u, v in zip(a.unit, pa.e[w])]
                     weight = [f.add(u, v) for u, v in zip(weight, one_minus)]
-                col = a.multiply(x, weight)
-                for r in range(a.dim):
-                    fw.data[r][offs[s] + q] = col[r]
+                fw_cols.append(a.multiply(x, weight))
+        fw = Matrix.from_cols(f, a.dim, fw_cols)
         # pi_w(c) = c^(1)·f_w(c^(2))
         pi_mats.append(carrier.right_eval().mul(c.cc.induced(None, [(1, fw)],
                                                              at=c.coproduct)))
-    tau_amb = Matrix.zero(f, cdim * n, cdim)
-    for j in range(cdim):
-        for w in range(n):
-            col = pi_mats[w].col(j)
-            for r in range(cdim):
-                tau_amb.data[r * n + w][j] = col[r]
+    tau_amb = Matrix.from_cols(f, cdim * n, [[pi_mats[w].data[r][j] for r in range(cdim)
+                                              for w in range(n)] for j in range(cdim)])
     naive_cols = []
     for s in range(n):
         for q in range(dims[s]):
@@ -1046,8 +1026,7 @@ def fixture_E5(field):
     d = grouplike_basis_coalgebra(field, 2, name="D")
     ws.add_module("D_carrier", d.carrier, None, None)
     ws.add_coring("D", d, None, "D_carrier")
-    psi = Matrix.zero(field, 2, 2)
-    psi.data[0][0] = field.one
+    psi = Matrix.from_rows(field, [[field.one, field.zero], [field.zero, field.zero]])
     ent = EntwiningStructure(a, d, psi, weak=True, name="E5")
     ent.validate()
     c, ext, inc, ret = weak_entwining_coring(ent)
@@ -1130,12 +1109,11 @@ def fixture_L1(field):
     ws.add_module("D_carrier", d.carrier, "L", "L")
     ws.add_coring("D", d, "L", "D_carrier")
     # right L-action: w_i·(l1, l2) = l_i·w_i -- not induced by any map L -> A
-    acts = [Matrix.zero(field, 2, 2), Matrix.zero(field, 2, 2)]
-    acts[0].data[0][0] = field.one
-    acts[1].data[1][1] = field.one
-    tau_amb = Matrix.zero(field, 2 * 2, 2)
-    for i in range(2):
-        tau_amb.data[i * 2 + i][i] = field.one  # w_i -> w_i (x) e_i = w_i (x) 1·e_i
+    one, zero = field.one, field.zero
+    acts = [Matrix.from_rows(field, [[one, zero], [zero, zero]]),
+            Matrix.from_rows(field, [[zero, zero], [zero, one]])]
+    # w_i -> w_i (x) e_i = w_i (x) 1·e_i
+    tau_amb = from_sparse_cols(field, 2 * 2, [[(i * 2 + i, one)] for i in range(2)])
     ext = CoringExtension(c, d, acts, tau_amb, split_map=None, name="ext")
     ext.validate()
     ws.add_extension("ext", ext, "C", "D")

@@ -7,6 +7,7 @@ import itertools
 import json
 import os
 import random
+from math import prod
 
 import pytest
 
@@ -712,16 +713,18 @@ def test_grouplike_coalgebra_at_the_cap_builds_no_outer_action_of_its_cubes(monk
 
 def test_grouplike_coalgebra_cubes_run_only_their_last_step(monkeypatch):
     # k^16 as above: C (x) C (x) C resumes from C (x) C and Creg (x) C (x) C
-    # from Creg (x) C, so each runs one quotient, its last step; and no
-    # batch of 4096 vectors, one per ambient coordinate of a cube, goes
-    # through the kernel: validation composes no projection of the cubes
-    runs = {}  # tensor -> quotients run while it was built
+    # from Creg (x) C; over k every step is relation-free, so none of the
+    # four runs a quotient, and every step keeps None; and no batch of 4096
+    # vectors, one per ambient coordinate of a cube, goes through the
+    # kernel: validation composes no projection of the cubes
+    built, runs = [], {}  # tensors built; tensor -> quotients run meanwhile
     building, batches = [], []
     init, quotient, apply_sparse = BalancedTensor.__init__, algmod.quotient, \
         algmod._apply_sparse
 
     def counting_init(self, *args, **kwargs):
         building.append(self)
+        built.append(self)
         try:
             init(self, *args, **kwargs)
         finally:
@@ -743,13 +746,120 @@ def test_grouplike_coalgebra_cubes_run_only_their_last_step(monkeypatch):
     creg = Comodule(c, carrier, c.coproduct, name="Creg")
     assert creg.validate() is True
     assert (c.ccc.ambient_dim, creg.mcc.ambient_dim) == (4096, 4096)
-    assert [runs[t] for t in (c.cc, c.ccc, creg.mc, creg.mcc)] == [1, 1, 1, 1]
+    cubes = (c.cc, c.ccc, creg.mc, creg.mcc)
+    assert [runs.get(t, 0) for t in cubes] == [0, 0, 0, 0]
+    assert [t._steps for t in cubes] == [[None], [None, None], [None], [None, None]]
     assert batches and max(batches) < 4096
     # the builder hands Coring its ambient coproduct and builds no C (x) C
-    # of its own: one 256-coordinate quotient for C (x) C, not two
-    squares = [t for t in runs if len(t.factors) == 2 and
+    # of its own: one C (x) C is built, not two
+    squares = [t for t in built if len(t.factors) == 2 and
                all(m is c.carrier for m in t.factors)]
-    assert squares == [c.cc] and runs[c.cc] == 1
+    assert squares == [c.cc]
+
+
+def _relation_free_tensors(field):
+    """Tensors no step of which has a balancing relation: the k^16
+    C (x) C (x) C (ambient 4096), E5's D (x) D over k and E2's C (x)_L D
+    over L = k."""
+    e5 = load_workspace_file(fixture_path("E5"), field_override=field)
+    e2 = load_workspace_file(fixture_path("E2"), field_override=field)
+    return [grouplike_basis_coalgebra(field, 16).ccc, e5.corings["D"].cc,
+            e2.extensions["ext"].cld]
+
+
+def _slot_image(field, dims, slot, mat, vec):
+    """(I (x) mat (x) I)·vec, mat on one slot of the dims, by index
+    arithmetic: the kron-free reference on an ambient space too large for
+    a dense operator."""
+    left, right = prod(dims[:slot]), prod(dims[slot + 1:])
+    out = []
+    for a in range(left):
+        for o in range(mat.rows):
+            for b in range(right):
+                acc = field.zero
+                for i in range(mat.cols):
+                    v = vec[(a * mat.cols + i) * right + b]
+                    if v and mat.data[o][i]:
+                        acc = field.add(acc, field.mul(mat.data[o][i], v))
+                out.append(acc)
+    return out
+
+
+@pytest.mark.parametrize("field", [QQ, FieldFp(7)], ids=["Q", "F7"])
+def test_relation_free_tensors_keep_no_quotient_and_match_the_dense_definitions(
+        field, monkeypatch):
+    rng = random.Random(28)
+    tensors = _relation_free_tensors(field)
+
+    def refuse(*args):
+        raise AssertionError("a relation-free step ran a row reduction")
+
+    monkeypatch.setattr(algmod, "quotient", refuse)
+    for tens in tensors:
+        # rebuilt from scratch, and resumed from its leading factors
+        for built in (tens, BalancedTensor(tens.factors, tens.algebras),
+                      BalancedTensor(tens.factors, tens.algebras,
+                                     prefix=BalancedTensor(tens.factors[:2],
+                                                           tens.algebras[:1]))):
+            assert built._steps == [None] * len(tens.algebras)
+            assert built._picks == list(range(tens.ambient_dim)) and \
+                built.dim == tens.ambient_dim
+        n, one = tens.ambient_dim, field.one
+        assert tens._proj_cols() == [[(a, one)] for a in range(n)]
+        x = _random_matrix(field, n, 2, rng)
+        rest = _random_matrix(field, 2 * n, 3, rng)
+        amb = _random_matrix(field, 3, n, rng)
+        slot = len(tens.dims) - 1
+        end = _random_matrix(field, tens.dims[slot], tens.dims[slot], rng)
+        if n > 64:
+            # sect and proj are the identity: the dense definitions read
+            # off without a 4096 x 4096 operator
+            assert tens.lift(x) == x
+            assert tens.project_head(rest, 2) == rest
+            assert tens.descend_map(amb) == amb
+            ref = Matrix.from_cols(field, n, [_slot_image(field, tens.dims, slot, end, col)
+                                              for col in x.transpose().data])
+            assert tens.induced(tens, [(slot, end)], at=x) == ref
+            assert tens.induced(None, [(slot, end)], at=x) == ref
+            continue
+        sect, proj = _sect(tens), _proj(tens)
+        assert sect == proj == Matrix.identity(field, n)
+        assert tens.lift(x) == sect.mul(x)
+        assert tens.project_head(rest, 2) == proj.kron(Matrix.identity(field, 2)).mul(rest)
+        assert tens.descend_map(amb) == _ref_descend_map(tens, amb) == amb
+        factors = [(0, _random_matrix(field, tens.dims[0], tens.dims[0], rng)), (slot, end)]
+        ref = _ref_induced(tens, tens, [(s, 1, mat) for s, mat in factors])
+        assert tens.induced(tens, factors) == ref
+        assert tens.induced(tens, factors, at=x) == ref.mul(x)
+
+
+def test_cached_nonzero_columns_are_never_stale(capsys, monkeypatch):
+    # every answer _sparse_cols gives, kept from an earlier call or not,
+    # equals a fresh conversion of the matrix's entries, through the
+    # bundled commands on E2 and E4, over Q and with --reduce 7
+    sparse_cols = algmod._sparse_cols
+    kept = []
+
+    def checked(mat, rows=None):
+        kept.append(mat._nonzero_cols is not None)
+        got = sparse_cols(mat, rows)
+        fresh = [[] for _ in range(mat.cols)]
+        for r, row in enumerate(mat.data):
+            for j, v in enumerate(row):
+                if v:
+                    fresh[j].append((r if rows is None else rows[r], v))
+        assert got == fresh
+        return got
+
+    monkeypatch.setattr(algmod, "_sparse_cols", checked)
+    monkeypatch.chdir(ROOT)
+    argvs = [argv for argv in WORKLOADS.cli_argvs([]) + WORKLOADS.cli_argvs(["--reduce", "7"])
+             if argv[1] in (WORKLOADS.fixture_path("E2"), WORKLOADS.fixture_path("E4"))]
+    assert len(argvs) == 24
+    for argv in argvs:
+        assert main(argv) == 0, argv
+        capsys.readouterr()
+    assert sum(kept) > len(kept) // 2
 
 
 def _recording_resumed(monkeypatch):
@@ -1240,8 +1350,12 @@ def test_matrix_space_refuses_a_non_canonical_list(e2):
     space = context_M(e2.comodules["Sigma"]).dual.space
     f, basis = space.field, space.basis
     assert space.dim >= 2
+    zero = Matrix.zero(f, space.rows, space.cols)
+    # a non-unit pivot, unsorted, a repeated vector, unreduced (nonzero at
+    # a later pivot), and a zero vector: the shape of the RREF decides each
     for bad in ([b.scale(f.of_int(2)) for b in basis], basis[::-1],
-                basis + [basis[0]], [basis[0].add(basis[1])] + basis[1:]):
+                basis + [basis[0]], [basis[0].add(basis[1])] + basis[1:],
+                basis + [zero], [zero]):
         with pytest.raises(UsageError, match="not the canonical basis"):
             MatrixSpace(f, space.rows, space.cols, bad)
     assert MatrixSpace(f, space.rows, space.cols, basis).span == space.span

@@ -1,8 +1,11 @@
 """Tooling: balanced tensors keep their projection sparse.
 
 ``BalancedTensor`` keeps the quotient projection as one sparse factor per
-step (``_steps``) and applies it through the slot-group kernel; its composed
-sparse columns (``_proj_cols``) are built on demand.  It builds neither a
+step that has balancing relations (``_steps``; a relation-free step, over
+the ground field or over L = k, keeps None and no quotient) and applies it
+through the slot-group kernel; its composed sparse columns (``_proj_cols``)
+are built on demand, and the nonzero columns of every matrix it reads are
+computed once per matrix (``_sparse_cols``).  It builds neither a
 dense projection nor a dense section: ``lift(X)`` places the rows of X at
 the picked coordinates, ``project_head`` pushes a map through the steps,
 corings, comodules and extensions keep the ambient form of Delta, rho and
