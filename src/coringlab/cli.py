@@ -405,11 +405,20 @@ def cmd_fmt(args):
     return EXIT_OK
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose errors raise UsageError, which main prints
+    as one line, instead of printing the usage block and exiting; its
+    subparsers are of the same class.  -h prints the help as before."""
+
+    def error(self, message):
+        raise UsageError(message)
+
+
 @functools.lru_cache(maxsize=1)
 def build_parser():
     """The argument parser, built on the first call and reused by every
     later ``main`` call in the process."""
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="coringlab",
         description="exact verification workbench for corings, comodules and "
                     "their Morita theory")
@@ -479,6 +488,9 @@ def main(argv=None):
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
+    except UsageError as exc:
+        sys.stderr.write("usage error: %s\n" % exc)
+        return EXIT_USAGE
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
     try:

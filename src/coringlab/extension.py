@@ -36,7 +36,15 @@ class CoringExtension(Checked):
     """An outer coring (over L) extending an inner coring (over A).
     validate() checks the inner carrier as an A-L bimodule and every axiom
     of the extension each time it is called, not the two corings;
-    is_valid() decides it once (algmod.Checked)."""
+    is_valid() decides it once (algmod.Checked).
+
+    The inner carrier as an A-L bimodule (carrier_l) is vouched for when L
+    is one-dimensional with unit e_0, the right L-action is the identity,
+    and C's carrier and L are valid (validate checks it otherwise): the left
+    action is C's, a valid A-module, and e_0 acts on the right by I, which
+    is unital, associative since e_0·e_0 = e_0, and commutes with every
+    left action; so C is an A-k bimodule.  The tensors C (x)_L D (x)_L D
+    (cldd) and C (x)_A C (x)_L D (ccld) are built on first use."""
 
     def __init__(self, inner, outer, right_l_act, tau, split_map=None, name="ext"):
         self.inner = inner
@@ -51,10 +59,12 @@ class CoringExtension(Checked):
         self.carrier_l = FBimodule(inner.base, l, inner.dim,
                                    list(inner.carrier.left_act), right_l_act,
                                    name=inner.name + " as A-L")
+        if l.unit == [self.field.one] and \
+                right_l_act == [Matrix.identity(self.field, inner.dim)]:
+            vouch(self.carrier_l, l, inner.carrier)
         self.cld = BalancedTensor([self.carrier_l, outer.carrier], [l],
                                   name=inner.name + "(x)" + outer.name)
-        self.cldd = BalancedTensor([self.carrier_l, outer.carrier, outer.carrier],
-                                   [l, l], prefix=self.cld)
+        self._cldd = None
         self._ccld = None
         if tau.rows == self.cld.ambient_dim and tau.rows != self.cld.dim:
             tau = self.cld.project_head(tau, 1)
@@ -68,6 +78,15 @@ class CoringExtension(Checked):
     def is_pure(self):
         """Whether purity_check has certified the defining equalizer pure."""
         return self.purity_certificate in ("pure", "pure-by-split")
+
+    @property
+    def cldd(self):
+        """C (x)_L D (x)_L D, resumed from cld, built on first use."""
+        if self._cldd is None:
+            self._cldd = BalancedTensor([self.carrier_l, self.outer.carrier,
+                                         self.outer.carrier],
+                                        [self.outer.base, self.outer.base], prefix=self.cld)
+        return self._cldd
 
     @property
     def ccld(self):

@@ -11,8 +11,10 @@ checked again (Checked.require_valid).  What a constructor derives from
 valid inputs is valid by a standard result, written in its docstring, and
 is handed to algmod.vouch rather than re-validated: the algebras k^n, k[x]/(f) and a
 subalgebra, the grouplike and dual group coalgebras, kG as a Hopf algebra,
-the entwining of a comodule algebra, the corings and extensions of strict
-and weak entwinings, the Sweedler coring with its grouplike, the trivial
+the coaction of the regular comodule algebra (H over itself by Delta), A
+over a one-dimensional base through the default unit map, the entwining of
+a comodule algebra, the corings and extensions of strict and weak
+entwinings, the Sweedler coring with its grouplike, the trivial
 extension, and C as a comodule over itself.  When an input is invalid the
 former check runs and raises its former message.  Only partial_action_coring
 still checks its outputs: its outer coaction is a repaired family that no
@@ -269,6 +271,13 @@ class EntwiningStructure(Checked):
     induced map e = (A (x) eps) ∘ psi ∘ (D (x) 1).  The base defaults to
     that of D.  validate checks the axioms, not A or D, and runs once;
     is_valid() decides it once (algmod.Checked).
+
+    A is a bimodule over L through the unit map eta (a_bim).  It is checked
+    when eta is handed in, and vouched for when eta is the default, L sends
+    its unit e_0 to 1_A (L one-dimensional with unit e_0), and A and L are
+    valid (checked otherwise): e_0 then acts on both sides by multiplication
+    with 1_A, the identity, so each action is unital, associative since
+    e_0·e_0 = e_0 acts as I·I = I, and the two commute.
     """
 
     def __init__(self, a, d, psi, base=None, eta=None, weak=False, name="psi"):
@@ -280,14 +289,18 @@ class EntwiningStructure(Checked):
         self.field = field
         self.base = base or d.base
         l = self.base
-        if eta is None:
+        default_eta = eta is None
+        if default_eta:
             if l.dim != 1:
                 raise UsageError("entwining over a nontrivial base needs the unit "
                                  "map L -> A")
             eta = Matrix.from_cols(field, a.dim, [list(a.unit)])
         self.eta = eta
         a_bim = FBimodule.through(a, l, eta)
-        a_bim.validate()
+        if default_eta and l.unit == [field.one]:
+            vouch(a_bim, a, l, check=a_bim.validate)
+        else:
+            a_bim.validate()
         self.a_bim = a_bim
         self.da = BalancedTensor([d.carrier, a_bim], [l], name="D(x)A")
         self.ad = BalancedTensor([a_bim, d.carrier], [l], name="A(x)D")
@@ -455,21 +468,40 @@ def entwining_coring(ent):
     return c, ext
 
 
+def _coaction_is_algebra_map(a_alg, h, coaction_amb):
+    """Raise unless the coaction A -> A (x) H is multiplicative and unital,
+    naming the first basis pair at which multiplicativity fails."""
+    ah = tensor_algebra(a_alg, h)
+    at = non_multiplicative_at(a_alg, ah, coaction_amb)
+    if at is not None:
+        raise AxiomError("comodule algebra %s: coaction not multiplicative "
+                         "at (%d,%d)" % ((a_alg.name,) + at))
+    if coaction_amb.mul_vec(list(a_alg.unit)) != ah.unit:
+        raise AxiomError("comodule algebra %s: coaction not unital" % a_alg.name)
+    return True
+
+
 def hopf_entwining(bial, a_alg, coaction_amb, name="psi"):
     """The entwining of a comodule algebra with the underlying coalgebra:
     d (x) a -> a_[0] (x) d·a_[1].
 
     The bialgebra is checked on entry, unless it has been checked or
     vouched for; the coaction is checked as a comodule of the coalgebra and
-    as a unital multiplicative map.  The entwining is then vouched for when
-    the bialgebra, A and the comodule are valid (and checked otherwise): a
-    right comodule algebra over a bialgebra H gives the entwining
-    (A, H, psi) with psi(h (x) a) = a_[0] (x) h·a_[1] (Brzezinski and
-    Majid, "Coalgebra bundles", 1998).  Multiplicativity of psi is that of
-    the coaction and associativity of H, its unit axiom is rho(1) = 1 (x) 1,
-    comultiplicativity is coassociativity of rho and multiplicativity of
-    Delta_H, and the counit axiom is counitality of rho and
-    multiplicativity of eps_H.
+    as a unital multiplicative map.  For the regular comodule algebra (A
+    is H, coacting by Delta: a_alg is bial.algebra and coaction_amb is
+    bial.delta) the coaction is vouched for instead, with the bialgebra as
+    its premise: the comodule axioms are coassociativity and counitality of
+    Delta, and A (x) H is H (x) H, so the algebra map axioms are those of
+    Delta, all of them the bialgebra's own.  The entwining is then vouched
+    for when the bialgebra, A and the comodule are valid (and checked
+    otherwise): a right comodule algebra over a bialgebra H gives the
+    entwining (A, H, psi) with psi(h (x) a) = a_[0] (x) h·a_[1] (Brzezinski
+    and Majid, "Coalgebra bundles", 1998).  Multiplicativity of psi is that
+    of the coaction and associativity of H, its unit axiom is
+    rho(1) = 1 (x) 1, comultiplicativity is coassociativity of rho and
+    multiplicativity of Delta_H, and the counit axiom is counitality of rho
+    and multiplicativity of eps_H.  psi at d is (1 (x) d)·rho, the map
+    I (x) L_d evaluated at the coaction, so no algebra A (x) H is formed.
     """
     bial.require_valid()
     f = bial.field
@@ -478,19 +510,15 @@ def hopf_entwining(bial, a_alg, coaction_amb, name="psi"):
     k = d_coring.base
     a_bim = FBimodule.trivial(f, a_alg.dim, name=a_alg.name, over=k)
     probe = Comodule(d_coring, a_bim, coaction_amb, name=a_alg.name)
-    probe.validate()
-    # the coaction is an algebra map
-    ah = tensor_algebra(a_alg, h)
-    at = non_multiplicative_at(a_alg, ah, coaction_amb)
-    if at is not None:
-        raise AxiomError("comodule algebra %s: coaction not multiplicative "
-                         "at (%d,%d)" % ((a_alg.name,) + at))
-    if coaction_amb.mul_vec(list(a_alg.unit)) != ah.unit:
-        raise AxiomError("comodule algebra %s: coaction not unital" % a_alg.name)
+    if a_alg is h and coaction_amb is bial.delta:
+        vouch(probe, bial, check=lambda: probe.validate() and
+              _coaction_is_algebra_map(a_alg, h, coaction_amb))
+    else:
+        probe.validate()
+        _coaction_is_algebra_map(a_alg, h, coaction_amb)
     # psi(d (x) a) = a_[0] (x) d·a_[1] = (1 (x) d)·rho(a)
-    one_d = ([u if q == dd else f.zero for u in a_alg.unit for q in range(h.dim)]
-             for dd in range(h.dim))
-    psi_amb = side_by_side(f, ah.dim, (ah.lmul_vec(v).mul(coaction_amb) for v in one_d))
+    psi_amb = side_by_side(f, probe.mc.ambient_dim, (
+        probe.mc.induced(None, [(1, h.lmul(dd))], at=probe.coaction) for dd in range(h.dim)))
     ent = EntwiningStructure(a_alg, d_coring, psi_amb, weak=False, name=name)
     vouch(ent, bial, a_alg, probe, check=ent.validate)
     return ent

@@ -524,6 +524,28 @@ def test_theorems_shares_one_adjunction_unit_check(capsys, monkeypatch):
     assert "Sigma" in outer and len(outer) == len(set(outer)) > 1
 
 
+@pytest.mark.parametrize("argv, message", [
+    (("bogus",), "argument command: invalid choice: 'bogus'"),
+    (THEOREMS_E2 + ("--suite", "bogus"), "argument --suite: invalid choice: 'bogus'"),
+    (("galois", fixture_path("E2")), "the following arguments are required: --sigma"),
+    (("validate", fixture_path("E2"), "--bogus"), "unrecognized arguments: --bogus"),
+    ((), "the following arguments are required: command")],
+    ids=["subcommand", "suite", "sigma", "flag", "nothing"])
+def test_argument_errors_are_one_usage_line(capsys, argv, message):
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err.startswith("usage error: " + message) and err.count("\n") == 1
+
+
+def test_help_is_printed_as_before(capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.build_parser().parse_args(["theorems", "-h"])
+    assert exc.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: coringlab theorems [-h]")
+    code, out, err = run_cli(capsys, "-h")
+    assert (code, err) == (0, "") and out.startswith("usage: coringlab [-h]")
+
+
 def test_theorems_unknown_j_exit2(capsys):
     code, out, err = run_cli(capsys, *THEOREMS_E2, "--j", "nope")
     assert code == 2 and out == ""

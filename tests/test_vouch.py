@@ -32,11 +32,12 @@ import sys
 
 import pytest
 
-from coringlab.algmod import FBimodule, FiniteAlgebra, vouch
+from coringlab.algmod import FBimodule, FiniteAlgebra, trivial_algebra, vouch
 from coringlab.cli import main
-from coringlab.coring import DualRing, co_opposite, comodule_direct_sum, trivial_coring
+from coringlab.coring import (Comodule, DualRing, co_opposite, comodule_direct_sum,
+                              trivial_coring)
 from coringlab.exactla import QQ, AxiomError, FieldFp, Matrix, UsageError
-from coringlab.extension import induced_D_coaction
+from coringlab.extension import CoringExtension, induced_D_coaction
 from coringlab.workspace import load_workspace
 from coringlab.zoo import (FIXTURES, BialgebraData, EntwiningStructure, build_fixture,
                            entwining_coring, group_algebra, group_function_coring,
@@ -45,6 +46,7 @@ from coringlab.zoo import (FIXTURES, BialgebraData, EntwiningStructure, build_fi
 
 from test_contract import ROOT, WORKLOADS
 from test_kron_sites import SRC
+from test_zoo import C4, KLEIN
 
 CHECKS = ("validate", "verify_flags", "_verify_pointwise", "require_valid")
 
@@ -165,6 +167,33 @@ def test_every_vouched_output_passes_its_full_check(monkeypatch):
                      "CoringExtension", "EntwiningStructure", "BialgebraData", "Grouplike"}
 
 
+def _hopf_chain(field, table):
+    bial = group_hopf_algebra(field, table, name="H")
+    ent = hopf_entwining(bial, bial.algebra, bial.delta)
+    c, ext = entwining_coring(ent)
+    return ent, c, ext
+
+
+@pytest.mark.parametrize("field", [QQ, FieldFp(2), FieldFp(7)], ids=["Q", "F2", "F7"])
+@pytest.mark.parametrize("table", [C4, KLEIN], ids=["C4", "C2xC2"])
+def test_the_hopf_chains_at_the_cap_pass_their_full_checks(monkeypatch, field, table):
+    def text(ent, c, ext):
+        return repr((ent.psi_amb.data, _coring_text(c), _extension_text(ext),
+                     c.ccc.ambient_dim))
+
+    got = text(*_hopf_chain(field, table))
+    with monkeypatch.context() as patch:
+        checked = _check_at_the_seam(patch)
+        ent, c, ext = chain = _hopf_chain(field, table)
+        assert text(*chain) == got
+    assert "4096" in got
+    # the regular coaction, A over k through its unit and C as an A-k
+    # bimodule were vouched for, and passed their full checks
+    assert [type(obj) for obj in checked if obj.name == "H"].count(Comodule) == 1
+    assert any(obj is ent.a_bim for obj in checked)
+    assert any(obj is ext.carrier_l for obj in checked)
+
+
 # ---------------------------------------------------------------------------
 # an invalid input leaves the output unvouched, and checked as before
 
@@ -249,6 +278,16 @@ def test_an_invalid_outer_coring_leaves_the_induced_comodule_checked(monkeypatch
     assert _induced(offered) and not any(obj._vouched for obj in _induced(offered))
 
 
+def _nonassociative_a():
+    """A unital algebra that is not associative: basis 1, x, y with
+    xx = y, xy = 1, yx = yy = 0."""
+    f = QQ
+    e = [[f.one if k == i else f.zero for k in range(3)] for i in range(3)]
+    zero = [f.zero] * 3
+    return FiniteAlgebra(f, 3, [[e[0], e[1], e[2]], [e[1], e[2], e[0]], [e[2], zero, zero]],
+                         e[0], name="A")
+
+
 def test_invalid_zoo_inputs_raise_their_former_errors_and_vouch_nothing(monkeypatch):
     f = QQ
     c2 = [[0, 1], [1, 0]]
@@ -279,14 +318,10 @@ def test_invalid_zoo_inputs_raise_their_former_errors_and_vouch_nothing(monkeypa
     assert str(err.value) == "comodule algebra A: coaction not multiplicative at (1,1)"
     assert not any(isinstance(obj, EntwiningStructure) or obj._vouched
                    for obj in _induced(offered))
-    # an algebra that is not associative (basis 1, x, y with xx = y,
-    # xy = 1, yx = yy = 0) with the trivial coaction passes every check of
-    # the coaction, and the entwining (the flip) passes its own: it is
-    # checked, as before, and not vouched for
-    e = [[f.one if k == i else f.zero for k in range(3)] for i in range(3)]
-    zero = [f.zero] * 3
-    bad_a = FiniteAlgebra(f, 3, [[e[0], e[1], e[2]], [e[1], e[2], e[0]], [e[2], zero, zero]],
-                          e[0], name="A")
+    # an algebra that is not associative with the trivial coaction passes
+    # every check of the coaction, and the entwining (the flip) passes its
+    # own: it is checked, as before, and not vouched for
+    bad_a = _nonassociative_a()
     trivial = Matrix.zero(f, 6, 3)
     for i in range(3):
         trivial.data[i * 2][i] = f.one
@@ -326,6 +361,58 @@ def test_an_invalid_bialgebra_is_checked_on_entry(monkeypatch):
     assert str(err.value) == "bialgebra H: antipode axiom fails"
     assert runs == [bad]
     assert not bad.is_valid()
+
+
+def _half_unit_line():
+    """L = k·e with e·e = 2e: a valid algebra whose unit is e/2, so e_0 is
+    not its unit."""
+    f = QQ
+    return FiniteAlgebra(f, 1, [[[f.of_int(2)]]], [f.inv(f.of_int(2))], name="L")
+
+
+def _extension_over(l, act):
+    """k^2 with a basis of grouplikes extended by the coring L over itself,
+    L acting on the right by act, tau the identity of C (x) L = C."""
+    c = grouplike_basis_coalgebra(QQ, 2, name="C")
+    return CoringExtension(c, trivial_coring(l, name="L"), [act], Matrix.identity(QQ, 2),
+                           name="ext")
+
+
+def test_c_over_k_is_vouched_for_only_when_e0_acts_by_the_identity():
+    ident = Matrix.identity(QQ, 2)
+    ext = _extension_over(trivial_algebra(QQ), ident)
+    assert ext.carrier_l._vouched and ext.carrier_l._valid is None
+    assert ext.validate() and ext.carrier_l._valid
+    # over k acting by 2, and over k·e acting by the identity, the unit
+    # does not act as the identity: C is left unvouched, and the
+    # extension's check raises the carrier's message
+    for l, act in ((trivial_algebra(QQ), ident.scale(QQ.of_int(2))),
+                   (_half_unit_line(), ident)):
+        ext = _extension_over(l, act)
+        assert not ext.carrier_l._vouched and not ext.carrier_l.is_valid()
+        with pytest.raises(AxiomError) as err:
+            ext.validate()
+        assert str(err.value) == "module C as A-L: right action not unital"
+
+
+def test_a_over_k_is_vouched_for_only_through_the_default_unit_map():
+    d = grouplike_basis_coalgebra(QQ, 2, name="D")
+    a = group_algebra(QQ, [[0, 1], [1, 0]], name="A")
+    ent = EntwiningStructure(a, d, Matrix.identity(QQ, 4))
+    assert ent.a_bim._vouched and ent.a_bim._valid is None
+    # A not associative: A over k is checked in the constructor, and passes
+    ent = EntwiningStructure(_nonassociative_a(), d, Matrix.identity(QQ, 6))
+    assert not ent.a_bim._vouched and ent.a_bim._valid
+    # over k·e through 1_A, e/2 acts by 1/2
+    with pytest.raises(AxiomError) as err:
+        EntwiningStructure(a, trivial_coring(_half_unit_line(), name="D"),
+                           Matrix.identity(QQ, 2))
+    assert str(err.value) == "module A: left action not unital"
+    # a unit map handed in is checked, not vouched for
+    k = trivial_algebra(QQ)
+    ent = EntwiningStructure(a, trivial_coring(k, name="D"), Matrix.identity(QQ, 2),
+                             eta=Matrix.from_cols(QQ, 2, [list(a.unit)]))
+    assert not ent.a_bim._vouched and ent.a_bim._valid
 
 
 def _noncommuting():

@@ -1,14 +1,15 @@
 """Constructor families and the bundled fixtures."""
 
+import itertools
 import json
 from collections import Counter
 
 import pytest
 
 from coringlab import zoo
-from coringlab.algmod import BalancedTensor, FiniteAlgebra, trivial_algebra
-from coringlab.coring import Grouplike, grouplike_comodule
-from coringlab.exactla import AxiomError, FieldFp, Matrix, QQ, unit_vec
+from coringlab.algmod import BalancedTensor, FiniteAlgebra, tensor_algebra, trivial_algebra
+from coringlab.coring import Comodule, Grouplike, grouplike_comodule
+from coringlab.exactla import AxiomError, FieldFp, Matrix, QQ, side_by_side, unit_vec
 from coringlab.extension import ExtContext, purity_check
 from coringlab.morita import context_M
 from coringlab.galois import cleft_check
@@ -330,9 +331,11 @@ def test_partial_action_alpha_not_multiplicative(field):
 
 def test_hopf_chain_validates_each_structure_once(monkeypatch):
     # group_hopf_algebra checks the group table and vouches for the
-    # bialgebra and its coalgebra coring; hopf_entwining checks the
-    # coaction and vouches for the entwining; entwining_coring reads the
-    # vouched verdicts and checks nothing again
+    # bialgebra and its coalgebra coring; hopf_entwining vouches for the
+    # regular coaction (H over itself by Delta, whose axioms are the
+    # bialgebra's), checks any other coaction once, and vouches for the
+    # entwining; entwining_coring reads the vouched verdicts and checks
+    # nothing again
     counts = Counter()
 
     def count(attr, label, keep=lambda *args: True):
@@ -345,14 +348,67 @@ def test_hopf_chain_validates_each_structure_once(monkeypatch):
 
     count("k_coalgebra_coring", "coalgebra corings")
     count("non_multiplicative_at", "multiplicativity checks")
+    count("tensor_algebra", "tensor algebras")
     count("BalancedTensor", "three-factor tensors", lambda factors, *_: len(factors) == 3)
-    bial = group_hopf_algebra(FieldFp(7), C3, name="H")
+    check = Comodule.validate
+    monkeypatch.setattr(Comodule, "validate",
+                        lambda self: counts.update(["comodule checks"]) or check(self))
+    labels = ("coalgebra corings", "multiplicativity checks", "tensor algebras",
+              "comodule checks", "three-factor tensors")
+    f7 = FieldFp(7)
+    bial = group_hopf_algebra(f7, C3, name="H")
     ent = hopf_entwining(bial, bial.algebra, bial.delta)
     entwining_coring(ent)
-    # no checked coalgebra coring; the coaction's multiplicativity alone;
-    # and none of the six three-factor tensors of EntwiningStructure.validate
-    assert [counts[label] for label in ("coalgebra corings", "multiplicativity checks",
-                                        "three-factor tensors")] == [0, 1, 0]
+    # no checked coalgebra coring, coaction or A (x) H; and none of the six
+    # three-factor tensors of EntwiningStructure.validate
+    assert [counts[label] for label in labels] == [0, 0, 0, 0, 0]
+    # kC3 with the trivial coaction a -> a (x) 1 over kC2: not the regular
+    # comodule algebra, so its coaction is checked once, as a comodule and
+    # as an algebra map
+    counts.clear()
+    h2 = group_hopf_algebra(f7, C2, name="H")
+    ent = hopf_entwining(h2, group_algebra(f7, C3, name="A"), _coaction(f7, 3, 2, [0, 2, 4]))
+    assert ent._vouched
+    entwining_coring(ent)
+    assert [counts[label] for label in labels] == [0, 1, 1, 1, 0]
+
+
+def _reference_psi(bial, a, rho):
+    """The entwining map of a comodule algebra as it was first written,
+    psi(d (x) a) = (1 (x) d)·rho(a), multiplied in the algebra A (x) H."""
+    f, h = bial.field, bial.algebra
+    ah = tensor_algebra(a, h)
+    one_d = ([u if q == dd else f.zero for u in a.unit for q in range(h.dim)]
+             for dd in range(h.dim))
+    return side_by_side(f, ah.dim, (ah.lmul_vec(v).mul(rho) for v in one_d))
+
+
+C4 = [[(i + j) % 4 for j in range(4)] for i in range(4)]
+KLEIN = [[i ^ j for j in range(4)] for i in range(4)]
+_S3 = list(itertools.permutations(range(3)))  # the identity first
+S3 = [[_S3.index(tuple(p[q[i]] for i in range(3))) for q in _S3] for p in _S3]
+
+
+@pytest.mark.parametrize("field", [QQ, FieldFp(2), FieldFp(7)], ids=["Q", "F2", "F7"])
+@pytest.mark.parametrize("table", [C2, C3, C4, KLEIN, S3],
+                         ids=["C2", "C3", "C4", "C2xC2", "S3"])
+def test_regular_psi_is_the_product_formula(field, table):
+    # the regular entwining's psi, I (x) L_d at the coaction, is the former
+    # product in H (x) H, and the coring and extension built from either
+    # are the same; S3, where d·a_[1] and a_[1]·d differ, tells the sides
+    # of the product apart
+    bial = group_hopf_algebra(field, table, name="H")
+    ent = hopf_entwining(bial, bial.algebra, bial.delta)
+    ref = EntwiningStructure(bial.algebra, bial.coring,
+                             _reference_psi(bial, bial.algebra, bial.delta), name="psi")
+    assert ent.psi_amb == ref.psi_amb and ent.psi == ref.psi
+    built = [entwining_coring(e) for e in (ent, ref)]
+    (c, ext), (c_ref, ext_ref) = built
+    assert (c.coproduct, c.counit, c.carrier.left_act, c.carrier.right_act) == \
+        (c_ref.coproduct, c_ref.counit, c_ref.carrier.left_act, c_ref.carrier.right_act)
+    assert (ext.tau, ext.right_l_act, ext.split_map) == \
+        (ext_ref.tau, ext_ref.right_l_act, ext_ref.split_map)
+    assert ext.purity_certificate == ext_ref.purity_certificate == "pure-by-split"
 
 
 # ---------------------------------------------------------------------------
