@@ -267,7 +267,7 @@ def cmd_extension(args):
             report.add("induced outer coaction on %s" % name, Verdict("coassociative"))
         pairs = [(m, n, dm, dn) for (_, m, dm) in induced for (_, n, dn) in induced]
         timed(report, "inner colinear maps stay outer colinear", _passes,
-              check_colinear_maps_remain_colinear, ext, pairs)
+              check_colinear_maps_remain_colinear, pairs)
     if ext.split_map is not None or ext.outer.base.dim == 1:
         conv, _ = convolution_algebra(ext.outer, ext.inner.base,
                                       eta=ext.split_map)

@@ -608,6 +608,19 @@ class Subspace:
         coords = [vec[p] for p in self.pivots]
         return coords if self.combination(coords) == list(vec) else None
 
+    def coords_matrix(self, mat, message, rest=1):
+        """coords of every column of mat, for columns laid out as (ambient,
+        rest): slice r, the entries at the indices i·rest + r, has its
+        coordinates at (k, r) of the layout (summand, rest).  Raises
+        AxiomError(message) at a column that leaves the summand (x) k^rest."""
+        cols = []
+        for col in mat.transpose().data:
+            slices = [self.coords(col[r::rest]) for r in range(rest)]
+            if None in slices:
+                raise AxiomError(message)
+            cols.append([c[k] for k in range(self.dim) for c in slices])
+        return Matrix.from_cols(self.field, self.dim * rest, cols)
+
     def __eq__(self, other):
         return (isinstance(other, Subspace) and other.ambient_dim == self.ambient_dim
                 and other.basis == self.basis)

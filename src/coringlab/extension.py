@@ -321,7 +321,7 @@ def tensor_comodule(m, n_carrier, coring, rho, name):
     return Comodule(coring, x.as_bimodule(name=name), coaction, name=name), x
 
 
-def check_colinear_maps_remain_colinear(ext, pairs):
+def check_colinear_maps_remain_colinear(pairs):
     """Every inner-colinear map between listed comodules is outer-colinear."""
     for (m, n, dm, dn) in pairs:
         for h in colinear_homs(m, n).basis:

@@ -22,6 +22,13 @@ written argument covers.  Every multiplicativity axiom (of a coproduct, a
 counit, a comodule-algebra coaction or a partial action's alpha_s) is one
 non_multiplicative_at check, against a tensor_algebra or the ground field
 where the target needs one.
+
+The weak-entwining coring and the partial-action coring are each a summand
+of a plain tensor cut out by an idempotent (Brzezinski and Wisbauer,
+"Corings and Comodules", 2003, section 36): their structure maps are
+ambient maps at the summand's basis, read in its coordinates by
+exactla.Subspace.coords_matrix, which refuses a map that leaves it, so no
+dense projection, retraction or pivot pick is formed here.
 """
 
 from __future__ import annotations
@@ -32,8 +39,9 @@ from .algmod import (BalancedTensor, Checked, FBimodule, FiniteAlgebra, MatrixSp
                      non_multiplicative_at, tensor_algebra, trivial_algebra, vouch)
 from .coring import (Comodule, Coring, Grouplike, comodule_direct_sum,
                      grouplike_comodule, trivial_coring, zero_comodule)
-from .exactla import (AxiomError, Matrix, Subspace, UsageError, from_sparse_cols, image,
-                      rank, side_by_side, unit_vec, zero_vec)
+from .exactla import (AxiomError, Matrix, Subspace, UsageError, flatten_matrix,
+                      from_sparse_cols, image, rank, side_by_side, unflatten, unit_vec,
+                      zero_vec)
 from .extension import CoringExtension, purity_check
 
 
@@ -182,6 +190,7 @@ def grouplike_basis_coalgebra(field, n, name="D"):
 
 class BialgebraData(Checked):
     """An algebra with a compatible coalgebra structure over k.  validate
+    checks the algebra first (unless it has been checked or vouched for),
     keeps the coalgebra coring it checks as ``coring`` and runs once; a
     construction that vouches for the bialgebra sets ``coring`` itself."""
 
@@ -202,6 +211,7 @@ class BialgebraData(Checked):
         if self._valid:
             return True
         h = self.algebra
+        h.require_valid()
         f = self.field
         d = self.coring = self.coalgebra_coring()  # coassociativity and counitality
         # Delta and eps are algebra maps
@@ -524,14 +534,26 @@ def hopf_entwining(bial, a_alg, coaction_amb, name="psi"):
     return ent
 
 
+def _tail_map(mat, x, head):
+    """(I_head (x) mat)·x for x laid out as (head, mat.cols), with no
+    identity kron: each column of x, read as a head x mat.cols matrix,
+    times mat transposed."""
+    f, mat_t = mat.field, mat.transpose()
+    return Matrix.from_cols(f, head * mat.rows, [
+        flatten_matrix(unflatten(f, head, mat.cols, col).mul(mat_t))
+        for col in x.transpose().data])
+
+
 def weak_entwining_coring(ent):
     """The image coring of a weak entwining over the trivial base.
 
-    Returns (coring, extension, inclusion, retraction); the carrier is the
-    image of the projection p(a (x) d) = a·psi(d (x) 1) inside the plain
-    tensor square, with the actions, A (x) Delta_D and the outer coaction
-    checked to preserve it as they are restricted, and the two equivalent
-    forms of the outer coaction computed and asserted equal.
+    Returns (coring, extension, summand); the carrier is the summand of the
+    plain tensor product A (x) D cut out by the projection
+    p(a (x) d) = a·psi(d (x) 1), an exactla.Subspace whose basis is the
+    inclusion.  Every structure map is its ambient map at that basis, read
+    in carrier coordinates (Subspace.coords_matrix), which refuses a map
+    that leaves the carrier: the actions, and A (x) Delta_D, whose
+    coordinates in C (x) D are the outer coaction tau.
 
     The entwining is checked on entry, unless it has been checked or
     vouched for.  The carrier, the coring and the extension are vouched for
@@ -540,75 +562,57 @@ def weak_entwining_coring(ent):
     p(A (x) D) with Delta(p(a (x) d)) = p(a (x) d_(1)) (x)_A p(1 (x) d_(2))
     and eps(p(a (x) d)) = a·e(d) (Brzezinski, "The structure of corings",
     2002; Caenepeel and De Groot, "Modules over weak entwining structures",
-    2000).  A (x) Delta_D keeps the carrier in the first factor (checked
-    below as it is formed), so its restriction tau is coassociative,
+    2000).  A (x) Delta_D keeps the carrier in the first factor (its
+    coordinates refuse otherwise), so its restriction tau is coassociative,
     counital and left A-linear as A (x) Delta_D is, and Delta followed by
     C (x) tau and tau followed by Delta (x) D agree by coassociativity of D:
-    (D:k) extends the coring.
+    (D:k) extends the coring.  Delta is tau followed by C (x) p(1 (x) -).
+    tau could also be read as the coordinates of (p (x) D)∘(A (x) Delta_D);
+    once the image lies in p(A (x) D) (x) D, p (x) D, idempotent, is the
+    identity there, so the two forms agree and are not compared.
     """
     ent.require_valid()
     parts = _entwining_parts(ent)
     f = ent.field
-    a, d = ent.a, ent.d
+    a, d, ad = ent.a, ent.d, ent.ad
     if ent.base.dim != 1:
         raise UsageError("weak entwining corings are built over the trivial base")
-    n, m = a.dim, d.dim
     # trivial base: quotient coordinates are the plain tensor ones
-    chi = ent.psi.mul(ent.d_one)  # d -> psi(d (x) 1)
+    chi = ent.psi.mul(ent.d_one)  # d -> psi(d (x) 1) = p(1 (x) d)
     # p(a (x) d) = a·psi(d (x) 1), one block of columns per basis element a
-    p_amb = side_by_side(f, n * m, (ent.ad.induced(None, [(0, a.lmul(i))], at=chi)
-                                    for i in range(n)))
+    p_amb = side_by_side(f, ad.dim, (ad.induced(None, [(0, a.lmul(i))], at=chi)
+                                     for i in range(a.dim)))
     if p_amb.mul(p_amb) != p_amb:
         raise AxiomError("weak entwining: the canonical projection is not idempotent")
     sub = image(p_amb)
-    dim = sub.dim
     inc = sub.basis_matrix_cols()
-    ret = Matrix(f, dim, n * m, [unit_vec(f, n * m, piv) for piv in sub.pivots])
-
-    def restrict(amb_op, what):
-        img = amb_op.mul(inc)
-        back = ret.mul(img)
-        if inc.mul(back) != img:
-            raise AxiomError("weak entwining: %s does not preserve the carrier" % what)
-        return back
-
-    ident_d = Matrix.identity(f, m)
-    left_act = [restrict(a.lmul(i).kron(ident_d), "the left action")
-                for i in range(n)]
-    right_act = [restrict(amb, "the right action") for amb in ent.right_act]
-    carrier = FBimodule(a, a, dim, left_act, right_act, name="C(%s)" % ent.name)
+    moved = "weak entwining: the %s action does not preserve the carrier"
+    left_act = [sub.coords_matrix(ad.induced(None, [(0, a.lmul(i))], at=inc), moved % "left")
+                for i in range(a.dim)]
+    right_act = [sub.coords_matrix(act.mul(inc), moved % "right") for act in ent.right_act]
+    carrier = FBimodule(a, a, sub.dim, left_act, right_act, name="C(%s)" % ent.name)
     vouch(carrier, *parts, check=carrier.validate)
-    # (A (x) Delta) on the carrier, formed once
-    a_delta = Matrix.identity(f, n).kron(d.coproduct_amb).mul(inc)
-    # closure: (A (x) Delta) keeps the first two slots inside the carrier
-    first_two = (p_amb.sub(Matrix.identity(f, n * m))).kron(ident_d).mul(a_delta)
-    if not first_two.is_zero():
-        raise AxiomError("weak entwining: the coproduct leaves the carrier")
-    delta_cols = ret.kron(ret.mul(chi)).mul(a_delta)
-    counit = a.mult_eval().mul(Matrix.identity(f, n).kron(ent._e_map())).mul(inc)
+    tau = sub.coords_matrix(ad.induced(None, [(1, d.coproduct_amb)], at=inc),
+                            "weak entwining: the coproduct leaves the carrier", rest=d.dim)
+    one_d = sub.coords_matrix(chi, "weak entwining: psi(D (x) 1) leaves the carrier")
+    delta_cols = _tail_map(one_d, tau, sub.dim)  # (C (x) p(1 (x) -))∘tau
+    counit = a.mult_eval().mul(ad.induced(None, [(1, ent._e_map())], at=inc))
     c = Coring(a, carrier, delta_cols, counit, name="C(%s)" % ent.name)
     vouch(c, *parts, check=c.validate)
-    tau_form1 = ret.kron(ident_d).mul(a_delta)
-    tau_form2 = (ret.mul(p_amb)).kron(ident_d).mul(a_delta)
-    if tau_form1 != tau_form2:
-        raise AxiomError("weak entwining: the two forms of the outer coaction differ")
-    right_l = [Matrix.identity(f, dim)]
-    ext = CoringExtension(c, d, right_l, tau_form1, split_map=ent.eta,
+    ext = CoringExtension(c, d, [Matrix.identity(f, sub.dim)], tau, split_map=ent.eta,
                           name="(%s:k) over (%s:%s)" % (d.name, c.name, a.name))
     vouch(ext, *parts, check=ext.validate)
     purity_check(ext, [])
-    return c, ext, inc, ret
+    return c, ext, sub
 
 
-def weak_cleft_translation(ent, coring, inc, ret, lam, lam_bar):
-    """Candidate invertibility data from a weak entwining: j = lam and the
-    intertwining map a (x) d -> a·lam_bar(d) restricted to the carrier."""
-    f = ent.field
-    a = ent.a
-    n, m = a.dim, ent.d.dim
-    q_amb = Matrix.from_cols(f, n, [a.multiply(unit_vec(f, n, i), lam_bar.col(dd))
-                                    for i in range(n) for dd in range(m)])
-    return lam, q_amb.mul(inc)
+def weak_cleft_translation(ent, sub, lam_bar):
+    """The j~ of the invertibility data (lam, j~) from a weak entwining,
+    lam_bar the convolution partner of the section lam: the intertwining
+    map a (x) d -> a·lam_bar(d) on the carrier sub that
+    weak_entwining_coring returns."""
+    return ent.a.mult_eval().mul(ent.ad.induced(None, [(1, lam_bar)],
+                                                at=sub.basis_matrix_cols()))
 
 
 def trivial_extension(c, name=None):
@@ -704,117 +708,85 @@ def partial_action_coring(pa):
     """The coring of an idempotent partial action, its grouplike, and the
     extension to the dual group coalgebra.
 
-    Returns a dict with the coring, grouplike, extension, the inclusion data
-    of the ideal components, and a flag recording whether the outer coaction
+    Returns a dict with the coring, grouplike, extension, the dimensions of
+    the ideal components, and a flag recording whether the outer coaction
     agrees with the naive component-shift formula (it does exactly when that
     formula is coassociative, e.g. for global actions).
+
+    The carrier is the direct sum of the ideals A·e_s, x·nu_s in component
+    s: the summand of k^G (x) A (group index first) cut out by the
+    idempotent diag(L_{e_s}), an exactla.Subspace.  Each structure map is
+    an ambient map, given by its blocks of rows per component, at the
+    summand's basis, read in carrier coordinates (Subspace.coords_matrix).
     """
     pa.validate()
     f = pa.field
     a = pa.a
-    n = len(pa.table)
-    sel = []
-    inc = []
-    dims = []
-    for s in range(n):
-        sub = image(a.lmul_vec(pa.e[s]))
-        dims.append(sub.dim)
-        inc_s = sub.basis_matrix_cols()
-        sel.append(Matrix(f, sub.dim, a.dim, [unit_vec(f, a.dim, piv) for piv in sub.pivots]))
-        inc.append(inc_s)
-    offs = [0]
-    for dcomp in dims:
-        offs.append(offs[-1] + dcomp)
-    cdim = offs[-1]
+    n, na = len(pa.table), a.dim
 
-    def embed(s, avec):
-        """Coordinates of (a e_s) nu_s in the carrier."""
-        out = zero_vec(f, cdim)
-        comp = sel[s].mul_vec(a.multiply(avec, pa.e[s]))
-        for r, v in enumerate(comp):
-            out[offs[s] + r] = v
-        return out
+    def stacked(blocks, rest=1):
+        """The map whose rows (t, i, r) of (k^G (x) A) (x) k^rest are the
+        rows i of blocks[t·rest + r]."""
+        return Matrix.from_rows(f, [blocks[t * rest + r].data[i] for t in range(n)
+                                    for i in range(na) for r in range(rest)])
 
-    # component s is A·e_s: e_i acts on the left by multiplication with e_i
-    # and on the right by multiplication with alpha_s(e_i)
-    carrier = FBimodule.direct_sum(
-        [FBimodule(a, a, dims[s], [sel[s].mul(a.lmul(i)).mul(inc[s]) for i in range(a.dim)],
-                   [sel[s].mul(a.rmul_vec(pa.alpha[s].col(i))).mul(inc[s])
-                    for i in range(a.dim)])
-         for s in range(n)], name="C(%s)" % pa.name)
+    def components(mat):
+        """The rows of mat at each component."""
+        return [Matrix.from_rows(f, mat.data[t * na:(t + 1) * na]) for t in range(n)]
+
+    # diag(L_{e_s}): block row t is L_{e_t} on component t
+    sub = image(stacked([a.lmul_vec(e).mul(unit) for e, unit in
+                         zip(pa.e, components(Matrix.identity(f, n * na)))]))
+    parts = components(sub.basis_matrix_cols())  # the component x of each x·nu_s
+
+    def coords(blocks, rest=1):
+        return sub.coords_matrix(stacked(blocks, rest), "partial action %s: a structure "
+                                 "map leaves the carrier" % pa.name, rest)
+
+    # e_i acts on component s on the left by multiplication with e_i and on
+    # the right by multiplication with alpha_s(e_i)
+    carrier = FBimodule(a, a, sub.dim,
+                        [coords([a.lmul(i).mul(x) for x in parts]) for i in range(na)],
+                        [coords([a.rmul_vec(alpha.col(i)).mul(x)
+                                 for alpha, x in zip(pa.alpha, parts)]) for i in range(na)],
+                        name="C(%s)" % pa.name)
     carrier.validate()
-    # coproduct and counit
-    eps_cols = []
-    amb_cols = []
-    for s in range(n):
-        for q in range(dims[s]):
-            x = inc[s].mul_vec(unit_vec(f, dims[s], q))
-            amb = zero_vec(f, cdim * cdim)
-            for t in range(n):
-                u = embed(t, x)
-                v = embed(pa.table[pa.inv[t]][s], pa.e[pa.table[pa.inv[t]][s]])
-                for r1, w1 in enumerate(u):
-                    if w1 == f.zero:
-                        continue
-                    for r2, w2 in enumerate(v):
-                        if w2 != f.zero:
-                            amb[r1 * cdim + r2] = f.add(amb[r1 * cdim + r2],
-                                                        f.mul(w1, w2))
-            amb_cols.append(amb)
-            eps_cols.append(x if s == 0 else zero_vec(f, a.dim))
-    delta_amb = Matrix.from_cols(f, cdim * cdim, amb_cols)
-    counit = Matrix.from_cols(f, a.dim, eps_cols)
-    c = Coring(a, carrier, delta_amb, counit, name="C(%s)" % pa.name)
+    # the component shift x·nu_s -> sum_t (x e_t)·nu_t (x) u_{t^-1 s}, in C (x) k(G)
+    shift = coords([a.rmul_vec(pa.e[t]).mul(parts[pa.table[t][u]])
+                    for t in range(n) for u in range(n)], rest=n)
+    # e_u·nu_u, one column per u; their sum is the grouplike
+    ideal_units = coords([Matrix.from_cols(f, na, [pa.e[t] if u == t else zero_vec(f, na)
+                                                   for u in range(n)]) for t in range(n)])
+    # Delta(x·nu_s) = sum_t (x e_t)·nu_t (x) e_u·nu_u, u = t^-1 s: the shift
+    # with e_u·nu_u put in for u; eps(x·nu_s) = x on the unit component, 0
+    # on the others
+    c = Coring(a, carrier, _tail_map(ideal_units, shift, sub.dim), parts[0],
+               name="C(%s)" % pa.name)
     c.validate()
-    gvec = zero_vec(f, cdim)
-    for s in range(n):
-        gvec = [f.add(u, v) for u, v in zip(gvec, embed(s, pa.e[s]))]
-    g = Grouplike(c, gvec)
+    g = Grouplike(c, ideal_units.mul_vec([f.one] * n))
     g.validate()
     d = group_function_coring(f, pa.table, name="k(G)")
     # outer coaction from the repaired evaluation family; for global actions it
     # coincides with the naive component shift
     pi_mats = []
     for w in range(n):
-        fw_cols = []
-        for s in range(n):
-            for q in range(dims[s]):
-                x = inc[s].mul_vec(unit_vec(f, dims[s], q))
-                weight = zero_vec(f, a.dim)
-                if s == w:
-                    weight = list(pa.e[w])
-                if s == 0:
-                    one_minus = [f.sub(u, v) for u, v in zip(a.unit, pa.e[w])]
-                    weight = [f.add(u, v) for u, v in zip(weight, one_minus)]
-                fw_cols.append(a.multiply(x, weight))
-        fw = Matrix.from_cols(f, a.dim, fw_cols)
+        # f_w(x·nu_s) = x·e_w at s = w, plus x·(1 - e_w) on the unit component
+        one_minus = [f.sub(u, v) for u, v in zip(a.unit, pa.e[w])]
+        fw = a.rmul_vec(pa.e[w]).mul(parts[w]).add(a.rmul_vec(one_minus).mul(parts[0]))
         # pi_w(c) = c^(1)·f_w(c^(2))
         pi_mats.append(carrier.right_eval().mul(c.cc.induced(None, [(1, fw)],
                                                              at=c.coproduct)))
-    tau_amb = Matrix.from_cols(f, cdim * n, [[pi_mats[w].data[r][j] for r in range(cdim)
-                                              for w in range(n)] for j in range(cdim)])
-    naive_cols = []
-    for s in range(n):
-        for q in range(dims[s]):
-            x = inc[s].mul_vec(unit_vec(f, dims[s], q))
-            col = zero_vec(f, cdim * n)
-            for t in range(n):
-                u = embed(t, x)
-                uw = pa.table[pa.inv[t]][s]
-                for r, wv in enumerate(u):
-                    if wv != f.zero:
-                        col[r * n + uw] = f.add(col[r * n + uw], wv)
-            naive_cols.append(col)
-    naive_tau = Matrix.from_cols(f, cdim * n, naive_cols)
+    tau_amb = Matrix.from_cols(f, sub.dim * n, [[pi_mats[w].data[r][j] for r in range(sub.dim)
+                                                 for w in range(n)] for j in range(sub.dim)])
     split = Matrix.from_cols(f, a.dim, [list(a.unit)])
-    ext = CoringExtension(c, d, [Matrix.identity(f, cdim)], tau_amb,
+    ext = CoringExtension(c, d, [Matrix.identity(f, sub.dim)], tau_amb,
                           split_map=split, name="(k(G):k) over (%s:%s)"
                           % (c.name, a.name))
     ext.validate()
     purity_check(ext, [])
     return {"coring": c, "grouplike": g, "extension": ext,
-            "tau_matches_shift_formula": tau_amb == naive_tau,
-            "component_dims": dims}
+            "tau_matches_shift_formula": tau_amb == shift,
+            "component_dims": [rank(a.lmul_vec(e)) for e in pa.e]}
 
 
 # ---------------------------------------------------------------------------
@@ -1057,7 +1029,7 @@ def fixture_E5(field):
     psi = Matrix.from_rows(field, [[field.one, field.zero], [field.zero, field.zero]])
     ent = EntwiningStructure(a, d, psi, weak=True, name="E5")
     ent.validate()
-    c, ext, inc, ret = weak_entwining_coring(ent)
+    c, ext, sub = weak_entwining_coring(ent)
     c.name = "C"
     ws.add_module("C_carrier", c.carrier, "A", "A")
     ws.add_coring("C", c, "A", "C_carrier")
@@ -1069,7 +1041,7 @@ def fixture_E5(field):
     ws.add_comodule("Sigma", sigma, "C", "Sigma_carrier")
     lam = Matrix.from_rows(field, [[field.one, field.zero]])
     lam_bar = Matrix.from_rows(field, [[field.one, field.zero]])
-    _, jt_amb = weak_cleft_translation(ent, c, inc, ret, lam, lam_bar)
+    jt_amb = weak_cleft_translation(ent, sub, lam_bar)
     ws.add_map("lambda", lam, ("coring", "D"), ("comodule", "Sigma"))
     ws.add_map("lambda_bar", lam_bar, ("coring", "D"), ("algebra", "A"))
     ws.add_map("jtilde", jt_amb, ("coring", "C"), ("algebra", "A"))

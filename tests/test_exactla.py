@@ -99,6 +99,21 @@ def _quotient(n, rel):
     return q, proj, sect
 
 
+def test_coords_matrix_reads_each_slice_and_refuses_a_column_outside():
+    # the span of (1,1,0) and (0,0,1), pivots 0 and 2; a column laid out as
+    # (k^3, k^2) holds x (x) e_0 + y (x) e_1
+    sub = Subspace.from_span(F, 3, [[1, 1, 0], [0, 0, 1]])
+    x, y = [2, 2, 5], [1, 1, 0]
+    col = [v for pair in zip(x, y) for v in pair]
+    # x = 2·b_0 + 5·b_1 and y = b_0, read in the layout (summand, k^2)
+    assert sub.coords_matrix(Matrix.from_cols(F, 6, [col]), "left", rest=2) == \
+        Matrix.from_cols(F, 4, [[2, 1, 5, 0]])
+    assert sub.coords_matrix(Matrix.from_cols(F, 3, [x, y]), "left") == \
+        Matrix.from_cols(F, 2, [[2, 5], [1, 0]])
+    with pytest.raises(exactla.AxiomError, match="^left$"):
+        sub.coords_matrix(Matrix.from_cols(F, 3, [x, [1, 0, 0]]), "left")
+
+
 def test_quotient_trivial_relations():
     q, proj, _ = _quotient(3, Subspace.from_span(F, 3, []))
     assert q.dim == 3

@@ -119,7 +119,7 @@ def test_colinear_maps_stay_colinear(e2):
     dc = induced_D_coaction(ext, creg)
     pairs = [(sigma, sigma, ds, ds), (sigma, creg, ds, dc),
              (creg, sigma, dc, ds), (creg, creg, dc, dc)]
-    assert check_colinear_maps_remain_colinear(ext, pairs)
+    assert check_colinear_maps_remain_colinear(pairs)
 
 
 def test_qtilde_embeds_into_q(bundles):

@@ -79,18 +79,9 @@ def test_no_dead_locals():
     assert dead == {}
 
 
-# public positional signatures that keep a parameter for their callers
-UNUSED_PARAMETERS_ALLOWED = {
-    ("extension.py", "check_colinear_maps_remain_colinear", "ext"):
-        "names the extension whose inner-colinear maps are checked; the cli, "
-        "tests and callers pass it first",
-    ("zoo.py", "weak_cleft_translation", "coring"):
-        "takes the coring, inclusion and retraction that weak_entwining_coring "
-        "returns, in that order, so callers pass them on as one group",
-    ("zoo.py", "weak_cleft_translation", "ret"):
-        "takes the coring, inclusion and retraction that weak_entwining_coring "
-        "returns, in that order, so callers pass them on as one group",
-}
+# public positional signatures that keep a parameter for their callers:
+# none, so every parameter of the library is read
+UNUSED_PARAMETERS_ALLOWED = {}
 
 
 def _unused_parameters(path):

@@ -534,11 +534,13 @@ def test_every_check_call_outside_the_zoo_is_allowed():
 # for, so what is left is checked on entry
 ZOO_ALLOWED = {
     # a group table (through its algebra), a coalgebra given by its
-    # matrices, A over L through the unit map handed in, the bialgebra and
-    # the coaction of a comodule algebra, the entwining of either entwining
-    # coring, and B -> A through the inclusion handed in
+    # matrices, the algebra of a bialgebra, A over L through the unit map
+    # handed in, the bialgebra and the coaction of a comodule algebra, the
+    # entwining of either entwining coring, and B -> A through the inclusion
+    # handed in
     "group_algebra": INPUT,
     "k_coalgebra_coring": INPUT,
+    "BialgebraData.validate": INPUT,
     "EntwiningStructure.__init__": INPUT,
     "hopf_entwining": INPUT,
     "entwining_coring": INPUT,

@@ -9,7 +9,8 @@ import pytest
 from coringlab import zoo
 from coringlab.algmod import BalancedTensor, FiniteAlgebra, tensor_algebra, trivial_algebra
 from coringlab.coring import Comodule, Grouplike, grouplike_comodule
-from coringlab.exactla import AxiomError, FieldFp, Matrix, QQ, side_by_side, unit_vec
+from coringlab.exactla import (AxiomError, FieldFp, Matrix, QQ, from_sparse_cols, side_by_side,
+                               unit_vec)
 from coringlab.extension import ExtContext, purity_check
 from coringlab.morita import context_M
 from coringlab.galois import cleft_check
@@ -20,6 +21,7 @@ from coringlab.zoo import (BialgebraData, EntwiningStructure, PartialGroupAction
                            product_field_algebra, quotient_polynomial_algebra,
                            subalgebra_from_span, sweedler_coring,
                            weak_entwining_coring, weak_cleft_translation)
+import reference
 from conftest import _proj, _sect
 from perturb import run_perturbations
 
@@ -151,7 +153,7 @@ def _ref_right_act(ent, psi_amb):
 def _built(ent):
     """The coring and outer coaction an entwining builds."""
     if ent.weak:
-        c, ext, _, _ = weak_entwining_coring(ent)
+        c, ext, _ = weak_entwining_coring(ent)
     else:
         c, ext = entwining_coring(ent)
     return c.carrier.left_act, c.carrier.right_act, c.coproduct, c.counit, ext.tau
@@ -287,6 +289,21 @@ def test_bialgebra_broken_antipode(field):
         with pytest.raises(AxiomError) as err:
             bial.validate()
         assert str(err.value) == "bialgebra C3: antipode axiom fails"
+
+
+@FIELDS
+def test_bialgebra_checks_its_algebra_first(field):
+    # the loop algebra of the smallest non-associative loop (order 5,
+    # identity 0) with a basis of grouplikes: Delta and eps are algebra maps,
+    # but the algebra is not associative, so there is no bialgebra
+    loop = zoo._table_algebra(field, [[0, 1, 2, 3, 4], [1, 0, 3, 4, 2], [2, 4, 0, 1, 3],
+                                      [3, 2, 4, 0, 1], [4, 3, 1, 2, 0]], "L5")
+    bial = BialgebraData(loop, _grouplike_delta(field, 5),
+                         Matrix.from_rows(field, [[field.one] * 5]))
+    assert not bial.is_valid()
+    with pytest.raises(AxiomError) as err:
+        bial.validate()
+    assert str(err.value) == "algebra L5: associativity fails at basis pair (1,1)"
 
 
 @FIELDS
@@ -428,7 +445,7 @@ def _weak_e5():
 
 def test_weak_entwining_image_coring():
     ent = _weak_e5()
-    c, ext, inc, ret = weak_entwining_coring(ent)
+    c, ext, sub = weak_entwining_coring(ent)
     assert c.dim == 1
     assert ext.purity_certificate == "pure-by-split"
 
@@ -439,7 +456,7 @@ def test_weak_entwining_with_full_weights_is_strict():
     psi = Matrix.identity(F, 2)  # weights (1, 1)
     ent = EntwiningStructure(a, d, psi, weak=True, name="strict-as-weak")
     ent.validate()
-    c, ext, inc, ret = weak_entwining_coring(ent)
+    c, ext, sub = weak_entwining_coring(ent)
     assert c.dim == d.dim  # the projection is the identity
     strict = EntwiningStructure(a, d, psi, weak=False, name="strict")
     strict.validate()
@@ -453,21 +470,56 @@ def test_hopf_entwining_read_as_weak_gives_the_strict_coring():
     bial = group_hopf_algebra(F, C3, name="H")
     strict = hopf_entwining(bial, bial.algebra, bial.delta)
     ent = EntwiningStructure(strict.a, strict.d, strict.psi, weak=True, name="w")
-    c, ext, inc, ret = weak_entwining_coring(ent)
+    c, ext, sub = weak_entwining_coring(ent)
     c2, _ = entwining_coring(strict)
-    assert inc == ret == Matrix.identity(F, 9)
+    assert sub.basis_matrix_cols() == Matrix.identity(F, 9)
     assert c.carrier.left_act == c2.carrier.left_act
     assert c.carrier.right_act == c2.carrier.right_act
     assert (c.coproduct, c.counit) == (c2.coproduct, c2.counit)
 
 
+THREE_FIELDS = pytest.mark.parametrize("field", [QQ, FieldFp(2), FieldFp(7)],
+                                      ids=["Q", "F2", "F7"])
+
+
+def _weak_entwinings(field):
+    """(name, weak entwining, lam_bar): E5's, full weights, and the kC3 and
+    kC2xC2 Hopf entwinings read as weak, each with a map D -> A whose j~ is
+    compared."""
+    a = trivial_algebra(field)
+    d = grouplike_basis_coalgebra(field, 2, name="D")
+    first = Matrix.from_rows(field, [[field.one, field.zero]])
+    for name, psi in (("E5", Matrix.from_rows(field, [[field.one, field.zero],
+                                                       [field.zero, field.zero]])),
+                      ("full weights", Matrix.identity(field, 2))):
+        yield name, EntwiningStructure(a, d, psi, weak=True, name=name), first
+    for name, table in (("kC3", C3), ("kC2xC2", KLEIN)):
+        bial = group_hopf_algebra(field, table, name="H")
+        strict = hopf_entwining(bial, bial.algebra, bial.delta)
+        yield name, EntwiningStructure(strict.a, strict.d, strict.psi, weak=True,
+                                       name=name), bial.antipode
+
+
+@THREE_FIELDS
+def test_weak_entwining_coring_is_the_dense_construction(field):
+    # the summand read through coords_matrix builds what the dense
+    # pivot-picked restrictions built
+    for name, ent, lam_bar in _weak_entwinings(field):
+        ent.validate()
+        c, ext, sub = weak_entwining_coring(ent)
+        built = {"left": c.carrier.left_act, "right": c.carrier.right_act,
+                 "coproduct": c.coproduct, "counit": c.counit, "tau": ext.tau,
+                 "jtilde": weak_cleft_translation(ent, sub, lam_bar)}
+        assert built == reference.weak_entwining_coring(ent, lam_bar), name
+
+
 def test_weak_cleft_translation_round_trip(bundles):
     # the dictionary between convolution data and context elements, both ways
     ent = _weak_e5()
-    c, ext, inc, ret = weak_entwining_coring(ent)
+    c, ext, sub = weak_entwining_coring(ent)
     lam = Matrix.from_rows(F, [[F.one, F.zero]])
     lam_bar = Matrix.from_rows(F, [[F.one, F.zero]])
-    j, jt_amb = weak_cleft_translation(ent, c, inc, ret, lam, lam_bar)
+    j, jt_amb = lam, weak_cleft_translation(ent, sub, lam_bar)
     b = bundles["E5"]
     sd = b.ec.qt.sigma_dual
     a = ext.inner.base
@@ -593,6 +645,60 @@ def test_global_action_colinear_sections_satisfy_literal_identity(bundles):
                 lhs = alpha[t].mul_vec(h.col(s))
                 rhs = h.col(table[s][inv[t]])
                 assert lhs == rhs
+
+
+def _restricted_action(field, table, subset):
+    """The global action of a group on k^(G + 1), by left multiplication on
+    the coordinates G and fixing the last one, restricted to the ideal k^S
+    of a coordinate subset S: e_g is the indicator of S ∩ g(S), and alpha_g
+    moves e_j to e_g(j) for j in S with g(j) in S."""
+    n = len(table)
+    act = lambda g, j: table[g][j] if j < n else j
+    pos = {j: q for q, j in enumerate(subset)}
+    a = product_field_algebra(field, len(subset), name="A")
+    idempotents = [[field.one if any(act(g, i) == j for i in subset) else field.zero
+                    for j in subset] for g in range(n)]
+    alphas = [from_sparse_cols(field, len(subset), [
+        [(pos[act(g, j)], field.one)] if act(g, j) in pos else [] for j in subset])
+        for g in range(n)]
+    return PartialGroupAction(table, a, idempotents, alphas,
+                              name="%d on %s" % (n, list(subset)))
+
+
+def _partial_actions(field):
+    """E4, D1 (a zero-dimensional component) and G1, and permutation actions
+    of C2, C3 and C2xC2 restricted to coordinate ideals: one coordinate of
+    G (its other components zero-dimensional), the fixed one, it with one
+    of G, and all of G (a global action)."""
+    one, zero = field.one, field.zero
+    swap3 = Matrix.from_rows(field, [[zero, one, zero], [one, zero, zero], [zero] * 3])
+    yield PartialGroupAction(C2, product_field_algebra(field, 3, name="A"),
+                             [[one] * 3, [one, one, zero]],
+                             [Matrix.identity(field, 3), swap3], name="E4")
+    k2 = product_field_algebra(field, 2, name="A")
+    yield PartialGroupAction(C2, k2, [[one] * 2, [zero] * 2],
+                             [Matrix.identity(field, 2), Matrix.zero(field, 2, 2)], name="D1")
+    yield PartialGroupAction(C2, k2, [[one] * 2] * 2,
+                             [Matrix.identity(field, 2),
+                              Matrix.from_rows(field, [[zero, one], [one, zero]])], name="G1")
+    for table in (C2, C3, KLEIN):
+        n = len(table)
+        for subset in ((0,), (n,), (0, n), (1, n), tuple(range(n))):
+            yield _restricted_action(field, table, subset)
+
+
+@THREE_FIELDS
+def test_partial_action_coring_is_the_former_construction(field):
+    # one summand of k^G (x) A builds what the concatenated components built
+    for pa in _partial_actions(field):
+        out = partial_action_coring(pa)
+        c = out["coring"]
+        built = {"left": c.carrier.left_act, "right": c.carrier.right_act,
+                 "coproduct": c.coproduct, "counit": c.counit,
+                 "grouplike": out["grouplike"].element, "tau": out["extension"].tau,
+                 "tau_matches_shift_formula": out["tau_matches_shift_formula"],
+                 "component_dims": out["component_dims"]}
+        assert built == reference.partial_action_coring(pa), pa.name
 
 
 # ---------------------------------------------------------------------------
